@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimation import MeasKind, MeasurementSet, StateVector, wls_estimate_ac
+from .estimation import EstimationError, MeasKind, MeasurementSet, gauss_newton, wls_estimate_ac
+from .measmodel import MeasurementModel
 from .network import BreakerState, NetworkModel
 from .records import BranchRow, BusRow, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD
@@ -208,6 +209,13 @@ class StealthRange:
     note: str = ""
 
 
+# Sweep candidates solved together in one batched Gauss-Newton. Larger
+# blocks are barely faster but raise peak memory: the per-block arrays grow
+# with the block while the Python overhead they save does not.
+SWEEP_BLOCK = 16
+SWEEP_MAX_ITER = 50  # wls_estimate_ac's default
+
+
 def sweep_stealth_range(
     model: NetworkModel,
     baseline: MeasurementSet,
@@ -222,6 +230,11 @@ def sweep_stealth_range(
     estimation plus the chi-square test, and report the contiguous span of
     undetected candidates inside the compliance band.
 
+    Blocks of ``SWEEP_BLOCK`` candidates share one batched Gauss-Newton
+    from the baseline estimate; each candidate's flag is the one a
+    warm-started ``wls_estimate_ac`` gives. A candidate that does not
+    converge raises EstimationError naming the bus and the candidate.
+
     The span containing the candidate nearest the original value is used;
     when the span is terminated by the band rather than by detection, the
     endpoint is clipped to the band edge exactly.
@@ -231,19 +244,30 @@ def sweep_stealth_range(
     idx = baseline.index_of(MeasKind.VM, bus)
     original = baseline.entries[idx].value
     grid = np.linspace(window[0], window[1], n_points)
+    if not np.isfinite(grid).all():
+        raise EstimationError(
+            f"non-finite candidate value on channel {baseline.entries[idx].channel}"
+        )
 
-    base_res = wls_estimate_ac(model, baseline, delta=delta)
-    warm = base_res.x_hat
+    warm = wls_estimate_ac(model, baseline, delta=delta).x_hat
+    mm = MeasurementModel(model, None, baseline.entries)
+    sig = baseline.sigmas
 
     detected = np.zeros(n_points, dtype=bool)
-    for k, cand in enumerate(grid):
-        res = wls_estimate_ac(
-            model,
-            baseline.replaced(idx, float(cand)),
-            delta=delta,
-            x0=StateVector(v=warm.v.copy(), theta=warm.theta.copy()),
-        )
-        detected[k] = res.j_value > threshold
+    for start in range(0, n_points, SWEEP_BLOCK):
+        cands = grid[start:start + SWEEP_BLOCK]
+        z = np.tile(baseline.z, (cands.size, 1))
+        z[:, idx] = cands
+        v, theta = np.tile(warm.v, (cands.size, 1)), np.tile(warm.theta, (cands.size, 1))
+        iterations = gauss_newton(mm, z, sig, v, theta, delta, SWEEP_MAX_ITER)
+        if not iterations.all():
+            cand = cands[int(np.argmin(iterations))]
+            raise EstimationError(
+                f"bus {bus}: WLS did not converge in {SWEEP_MAX_ITER} iterations "
+                f"for candidate Vm {cand:.9f}"
+            )
+        h, _ = mm.evaluate(v, theta)
+        detected[start:start + cands.size] = np.sum(((z - h) / sig) ** 2, axis=1) > threshold
 
     in_band = (grid >= nerc[0] - 1e-12) & (grid <= nerc[1] + 1e-12)
     points = [

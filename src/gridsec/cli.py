@@ -172,18 +172,6 @@ def _parse_kv(items) -> list[tuple[int, float]]:
     return out
 
 
-def _sweep_one(payload):
-    """Worker: sweep one bus; everything passed in is immutable."""
-    model_json, bus, points, window, nerc, threshold = payload
-    model = model_from_json(model_json)
-    baseline = fixtures.sweep_baseline_measurements(model)
-    rng, pts = sweep_stealth_range(
-        model, baseline, bus, n_points=points, window=window, nerc=nerc,
-        threshold=threshold,
-    )
-    return bus, rng, pts
-
-
 def cmd_sweep(args) -> int:
     model = _load_model(args.case)
     baseline = fixtures.sweep_baseline_measurements(model)
@@ -194,24 +182,14 @@ def cmd_sweep(args) -> int:
     window = tuple(float(x) for x in args.window.split(","))
     nerc = tuple(float(x) for x in args.nerc.split(","))
 
-    results = {}
-    if args.jobs > 1 and len(buses) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (model_to_json(model), bus, args.points, window, nerc, args.threshold)
-            for bus in buses
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for bus, rng, pts in pool.map(_sweep_one, payloads):
-                results[bus] = (rng, pts)
-    else:
-        for bus in buses:
-            results[bus] = sweep_stealth_range(
-                model, baseline, bus,
-                n_points=args.points, window=window, nerc=nerc,
-                threshold=args.threshold,
-            )
+    results = {
+        bus: sweep_stealth_range(
+            model, baseline, bus,
+            n_points=args.points, window=window, nerc=nerc,
+            threshold=args.threshold,
+        )
+        for bus in buses
+    }
 
     log_buf = io.StringIO()
     log = csv.writer(log_buf, lineterminator="\n")
@@ -275,13 +253,6 @@ def cmd_detect(args) -> int:
     return 1 if report.verdict.klass.value in ATTACK_CLASSES else 0
 
 
-def _scenario_one(payload):
-    model_json, spec_id = payload
-    model = model_from_json(model_json)
-    spec = next(s for s in TABLE5_SCENARIOS if s.id == spec_id)
-    return generate_scenario(model, spec)
-
-
 def cmd_scenario(args) -> int:
     model = _load_model(args.case)
     if args.action == "list":
@@ -289,15 +260,7 @@ def cmd_scenario(args) -> int:
             print(f"{spec.id}  {spec.description}")
         return 0
     if args.all:
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            payloads = [(model_to_json(model), s.id) for s in TABLE5_SCENARIOS]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = sorted(pool.map(_scenario_one, payloads),
-                                  key=lambda oc: oc.spec.id)
-        else:
-            outcomes = generate_all(model)
+        outcomes = generate_all(model)
     else:
         spec = next((s for s in TABLE5_SCENARIOS if s.id == args.id), None)
         if spec is None:
@@ -420,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="0.95,1.10")
     p.add_argument("--nerc", default="0.95,1.05")
     p.add_argument("--threshold", type=float, default=PAPER_CHI2_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for --all-buses")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; kept for existing scripts")
     p.add_argument("--out", help="per-point log CSV")
     p.add_argument("--ranges-out", help="range summary CSV")
     p.set_defaults(fn=cmd_sweep)
@@ -445,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--id")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for --all")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; kept for existing scripts")
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_scenario)
 

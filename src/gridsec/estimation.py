@@ -7,14 +7,13 @@ Measurement values are p.u.; power channels are net injections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .network import NetworkModel, TopologyMatrix, admittance, build_topology
+from .measmodel import MeasKind, MeasurementModel
+from .network import NetworkModel, TopologyMatrix, build_topology, quiet_admittance
 from .powerflow import bus_power
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
@@ -30,6 +29,7 @@ __all__ = [
     "standard_layout",
     "measurements_from_state",
     "full_telemetry_from_state",
+    "gauss_newton",
     "wls_estimate_ac",
     "build_dc_jacobian",
     "wls_estimate_dc",
@@ -51,14 +51,6 @@ class ObservabilityError(EstimationError):
     pass
 
 
-class MeasKind(str, Enum):
-    VM = "Vm"
-    PINJ = "Pinj"
-    QINJ = "Qinj"
-    PFLOW = "Pflow"
-    QFLOW = "Qflow"
-
-
 @dataclass(frozen=True)
 class Measurement:
     kind: MeasKind
@@ -72,6 +64,12 @@ class Measurement:
             raise ValueError("sigma must be positive")
         if self.kind in (MeasKind.PFLOW, MeasKind.QFLOW) and self.branch is None:
             raise ValueError("flow measurement needs a branch")
+
+    @property
+    def channel(self) -> str:
+        """Kind and location, e.g. ``Vm bus 3`` or ``Pflow 4-7``."""
+        where = f"{self.branch[0]}-{self.branch[1]}" if self.branch else f"bus {self.bus}"
+        return f"{self.kind.value} {where}"
 
 
 @dataclass
@@ -173,7 +171,7 @@ def measurements_from_state(
 ) -> MeasurementSet:
     """Noiseless (or Gaussian-noised) standard-layout measurements
     evaluated at a given bus voltage state."""
-    ybus = _quiet_admittance(model, topology)
+    ybus = quiet_admittance(model, topology)
     p, q = bus_power(ybus, v, theta)
     entries = standard_layout(model, sigma_vm, sigma_power)
     values = np.concatenate([v, p, q])
@@ -224,117 +222,50 @@ def full_telemetry_from_state(
     )
 
 
-def _quiet_admittance(model: NetworkModel, topology: TopologyMatrix | None) -> np.ndarray:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return admittance(model, topology or build_topology(model))
-
-
-def _measurement_functions(
-    model: NetworkModel,
-    ybus: np.ndarray,
-    entries: Sequence[Measurement],
+def gauss_newton(
+    mm: MeasurementModel,
+    z: np.ndarray,
+    sigmas: np.ndarray,
     v: np.ndarray,
     theta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """h(x) and its Jacobian for the AC model at state (v, theta).
-
-    Columns: [theta at non-slack buses, V at all buses].
-    """
-    n = model.n_bus
-    slack = model.slack_index
-    g = ybus.real
-    b = ybus.imag
-    dth = theta[:, None] - theta[None, :]
-    cos_t = np.cos(dth)
-    sin_t = np.sin(dth)
-    vv = np.outer(v, v)
-    p, q = bus_power(ybus, v, theta)
-
-    # Full injection Jacobian blocks over all buses.
-    dp_dth = vv * (g * sin_t - b * cos_t)
-    np.fill_diagonal(dp_dth, -q - b.diagonal() * v**2)
-    dp_dv = v[:, None] * (g * cos_t + b * sin_t)
-    np.fill_diagonal(dp_dv, p / v + g.diagonal() * v)
-    dq_dth = -vv * (g * cos_t + b * sin_t)
-    np.fill_diagonal(dq_dth, p - g.diagonal() * v**2)
-    dq_dv = v[:, None] * (g * sin_t - b * cos_t)
-    np.fill_diagonal(dq_dv, q / v - b.diagonal() * v)
-
-    ang_cols = [i for i in range(n) if i != slack]
-    m = len(entries)
-    h = np.zeros(m)
-    jac = np.zeros((m, 2 * n - 1))
-    branch_cache: dict[tuple[int, int], tuple] = {}
-
-    for row, meas in enumerate(entries):
-        if meas.kind is MeasKind.VM:
-            i = meas.bus - 1
-            h[row] = v[i]
-            jac[row, len(ang_cols) + i] = 1.0
-        elif meas.kind is MeasKind.PINJ:
-            i = meas.bus - 1
-            h[row] = p[i]
-            jac[row, : len(ang_cols)] = dp_dth[i, ang_cols]
-            jac[row, len(ang_cols):] = dp_dv[i, :]
-        elif meas.kind is MeasKind.QINJ:
-            i = meas.bus - 1
-            h[row] = q[i]
-            jac[row, : len(ang_cols)] = dq_dth[i, ang_cols]
-            jac[row, len(ang_cols):] = dq_dv[i, :]
-        else:
-            f_bus, t_bus = meas.branch  # type: ignore[misc]
-            key = (f_bus, t_bus)
-            if key not in branch_cache:
-                branch_cache[key] = _flow_terms(model, f_bus, t_bus, v, theta)
-            pf, qf, dparts = branch_cache[key]
-            value = pf if meas.kind is MeasKind.PFLOW else qf
-            h[row] = value
-            dth_f, dth_t, dv_f, dv_t = dparts[meas.kind]
-            i, j = f_bus - 1, t_bus - 1
-            if i != slack:
-                jac[row, ang_cols.index(i)] = dth_f
-            if j != slack:
-                jac[row, ang_cols.index(j)] = dth_t
-            jac[row, len(ang_cols) + i] = dv_f
-            jac[row, len(ang_cols) + j] = dv_t
-    return h, jac
-
-
-def _flow_terms(
-    model: NetworkModel, f_bus: int, t_bus: int, v: np.ndarray, theta: np.ndarray
-):
-    """Branch-end flow at the measured (from) side plus its partials."""
-    from .network import branch_admittances
-
-    idx = model.branch_index(f_bus, t_bus)
-    br = model.branches[idx]
-    yff, yft, ytf, ytt = branch_admittances(br)
-    if (br.from_bus, br.to_bus) != (f_bus, t_bus):
-        yff, yft = ytt, ytf
-    i, j = f_bus - 1, t_bus - 1
-    gff, bff = yff.real, yff.imag
-    gft, bft = yft.real, yft.imag
-    dthij = theta[i] - theta[j]
-    c, s = math.cos(dthij), math.sin(dthij)
-    vi, vj = v[i], v[j]
-    pf = vi * vi * gff + vi * vj * (gft * c + bft * s)
-    qf = -vi * vi * bff + vi * vj * (gft * s - bft * c)
-    dp_dth_i = vi * vj * (-gft * s + bft * c)
-    dp_dth_j = -dp_dth_i
-    dp_dv_i = 2 * vi * gff + vj * (gft * c + bft * s)
-    dp_dv_j = vi * (gft * c + bft * s)
-    dq_dth_i = vi * vj * (gft * c + bft * s)
-    dq_dth_j = -dq_dth_i
-    dq_dv_i = -2 * vi * bff + vj * (gft * s - bft * c)
-    dq_dv_j = vi * (gft * s - bft * c)
-    dparts = {
-        MeasKind.PFLOW: (dp_dth_i, dp_dth_j, dp_dv_i, dp_dv_j),
-        MeasKind.QFLOW: (dq_dth_i, dq_dth_j, dq_dv_i, dq_dv_j),
-    }
-    return pf, qf, dparts
+    delta: float,
+    max_iter: int,
+) -> np.ndarray:
+    """Gauss-Newton WLS for measurement vectors ``z`` (B, m) sharing one
+    layout and ``sigmas``, updating the states ``v``, ``theta`` (B, n) in
+    place; each stops once its own step norm is below ``delta``. Returns
+    the iteration counts, 0 where a state did not converge. Raises
+    ObservabilityError when a gain matrix is singular."""
+    batch, m = z.shape
+    w = 1.0 / sigmas**2
+    n = mm.n_bus
+    ang = mm.angle_buses
+    h = np.empty((batch, m))
+    jac = np.empty((batch, m, mm.n_state))
+    weighted = np.empty_like(jac)
+    gain = np.empty((batch, mm.n_state, mm.n_state))
+    rhs = np.empty((batch, mm.n_state, 1))
+    iterations = np.zeros(batch, dtype=int)
+    active = np.arange(batch)
+    for it in range(1, max_iter + 1):
+        k = active.size
+        r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
+        np.subtract(z[active], r, out=r)
+        hw_t = np.multiply(hk, w[:, None], out=weighted[:k]).transpose(0, 2, 1)
+        np.matmul(hw_t, hk, out=gain[:k])
+        np.matmul(hw_t, r[..., None], out=rhs[:k])
+        try:
+            dx = np.linalg.solve(gain[:k], rhs[:k])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ObservabilityError(f"singular gain matrix: {exc}") from exc
+        theta[active[:, None], ang] += dx[:, : n - 1]
+        v[active] += dx[:, n - 1:]
+        done = np.sqrt(np.sum(dx * dx, axis=1)) < delta
+        iterations[active[done]] = it
+        active = active[~done]
+        if not active.size:
+            break
+    return iterations
 
 
 def wls_estimate_ac(
@@ -347,8 +278,9 @@ def wls_estimate_ac(
 ) -> EstimationResult:
     """Gauss-Newton WLS over the AC measurement model.
 
-    Raises ObservabilityError when the gain matrix is singular (or when
-    m < n up front).
+    Raises EstimationError naming the channel when a measurement value or
+    sigma is not finite, and ObservabilityError when the gain matrix is
+    singular (or when m < n up front).
     """
     n = model.n_bus
     n_state = 2 * n - 1
@@ -358,56 +290,32 @@ def wls_estimate_ac(
         )
     if delta <= 0:
         raise ValueError("delta must be positive")
-    ybus = _quiet_admittance(model, topology)
-    slack = model.slack_index
-
-    if x0 is None:
-        v = np.ones(n)
-        theta = np.zeros(n)
-    else:
-        v = x0.v.astype(float).copy()
-        theta = x0.theta.astype(float).copy()
-    z = measurements.z
+    z = measurements.z[None]
     sig = measurements.sigmas
-    w = 1.0 / sig**2
+    bad = ~(np.isfinite(z[0]) & np.isfinite(sig))
+    if bad.any():
+        m = measurements.entries[int(np.argmax(bad))]
+        raise EstimationError(
+            f"non-finite measurement on channel {m.channel}: value {m.value}, sigma {m.sigma}"
+        )
+    mm = MeasurementModel(model, topology, measurements.entries)
 
-    converged = False
-    it = 0
-    h_val = np.zeros(len(z))
-    jac = np.zeros((len(z), n_state))
-    for it in range(1, max_iter + 1):
-        h_val, jac = _measurement_functions(model, ybus, measurements.entries, v, theta)
-        gain = (jac * w[:, None]).T @ jac
-        rhs = (jac * w[:, None]).T @ (z - h_val)
-        try:
-            dx = np.linalg.solve(gain, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ObservabilityError(f"singular gain matrix: {exc}") from exc
-        theta_step = dx[: n - 1]
-        v_step = dx[n - 1:]
-        k = 0
-        for i in range(n):
-            if i == slack:
-                continue
-            theta[i] += theta_step[k]
-            k += 1
-        v += v_step
-        if np.linalg.norm(dx) < delta:
-            converged = True
-            break
-    if not converged:
+    v = np.ones((1, n)) if x0 is None else x0.v.astype(float)[None].copy()
+    theta = np.zeros((1, n)) if x0 is None else x0.theta.astype(float)[None].copy()
+
+    iterations = gauss_newton(mm, z, sig, v, theta, delta, max_iter)
+    if not iterations[0]:
         raise EstimationError(f"WLS did not converge in {max_iter} iterations")
 
-    h_val, jac = _measurement_functions(model, ybus, measurements.entries, v, theta)
-    residuals = z - h_val
-    j_value = float(np.sum((residuals / sig) ** 2))
+    h_val, jac = mm.evaluate(v, theta)
+    residuals = (z - h_val)[0]
     return EstimationResult(
-        x_hat=StateVector(v=v, theta=theta),
+        x_hat=StateVector(v=v[0], theta=theta[0]),
         residuals=residuals,
-        j_value=j_value,
-        iterations=it,
-        converged=converged,
-        jacobian=jac,
+        j_value=chi_square_statistic(residuals, sig),
+        iterations=int(iterations[0]),
+        converged=True,
+        jacobian=jac[0],
         sigmas=sig,
         measurements=measurements,
     )

@@ -270,6 +270,14 @@ def admittance(model: NetworkModel, topology: TopologyMatrix | None = None) -> n
     return y
 
 
+def quiet_admittance(model: NetworkModel, topology: TopologyMatrix | None = None) -> np.ndarray:
+    """``admittance`` without the isolated-bus warning, for solvers that
+    handle islands themselves."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return admittance(model, topology)
+
+
 # Canonical IEEE 14-bus data (per-unit on 100 MVA): bus loads/limits and
 # branch impedances from the standard published case. Generators sit at
 # buses 1 (slack), 2, 3, 6 and 8; bus 9 carries a fixed shunt capacitor.

@@ -11,13 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measmodel import injection_derivatives
 from .network import (
     BusKind,
     NetworkModel,
     TopologyMatrix,
-    admittance,
     branch_admittances,
     build_topology,
+    quiet_admittance,
 )
 
 __all__ = [
@@ -145,62 +146,19 @@ def _nr_island(
     idx: 0-based bus indices of the island; slack/pv are 0-based indices.
     Scheduled powers are p.u. net injections.
     """
-    g = ybus.real
-    b = ybus.imag
     pq = [i for i in idx if i != slack and i not in pv]
     ang_vars = [i for i in idx if i != slack]
     n_ang = len(ang_vars)
-    pos_ang = {bus: k for k, bus in enumerate(ang_vars)}
-    pos_v = {bus: n_ang + k for k, bus in enumerate(pq)}
 
     for it in range(1, max_iter + 1):
-        p, q = bus_power(ybus, v, theta)
-        dp = np.array([p_sched[i] - p[i] for i in ang_vars])
-        dq = np.array([q_sched[i] - q[i] for i in pq])
-        mismatch = np.concatenate([dp, dq])
+        p, q, dp_dth, dp_dv, dq_dth, dq_dv = injection_derivatives(ybus, v, theta)
+        mismatch = np.concatenate([p_sched[ang_vars] - p[ang_vars], q_sched[pq] - q[pq]])
         if mismatch.size == 0 or np.max(np.abs(mismatch)) < tol:
             return True, it - 1
-
-        dth = theta[:, None] - theta[None, :]
-        cos_t = np.cos(dth)
-        sin_t = np.sin(dth)
-        # dS/dtheta and dS/dV building blocks (standard polar Jacobian)
-        vv = np.outer(v, v)
-        h_pt = vv * (g * sin_t - b * cos_t)  # dP_i/dtheta_j, off-diagonal
-        h_pv = v[:, None] * (g * cos_t + b * sin_t)  # dP_i/dV_j off-diag
-        h_qt = -vv * (g * cos_t + b * sin_t)
-        h_qv = v[:, None] * (g * sin_t - b * cos_t)
-
-        size = n_ang + len(pq)
-        jac = np.zeros((size, size))
-        for r, i in enumerate(ang_vars):
-            for cbus in ang_vars:
-                c = pos_ang[cbus]
-                if cbus == i:
-                    jac[r, c] = -q[i] - b[i, i] * v[i] ** 2
-                else:
-                    jac[r, c] = h_pt[i, cbus]
-            for cbus in pq:
-                c = pos_v[cbus]
-                if cbus == i:
-                    jac[r, c] = p[i] / v[i] + g[i, i] * v[i]
-                else:
-                    jac[r, c] = h_pv[i, cbus]
-        for k, i in enumerate(pq):
-            r = n_ang + k
-            for cbus in ang_vars:
-                c = pos_ang[cbus]
-                if cbus == i:
-                    jac[r, c] = p[i] - g[i, i] * v[i] ** 2
-                else:
-                    jac[r, c] = h_qt[i, cbus]
-            for cbus in pq:
-                c = pos_v[cbus]
-                if cbus == i:
-                    jac[r, c] = q[i] / v[i] - b[i, i] * v[i]
-                else:
-                    jac[r, c] = h_qv[i, cbus]
-
+        jac = np.block([
+            [dp_dth[np.ix_(ang_vars, ang_vars)], dp_dv[np.ix_(ang_vars, pq)]],
+            [dq_dth[np.ix_(pq, ang_vars)], dq_dv[np.ix_(pq, pq)]],
+        ])
         try:
             dx = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
@@ -210,10 +168,8 @@ def _nr_island(
         biggest = np.max(np.abs(dx))
         if biggest > 0.25:
             dx = dx * (0.25 / biggest)
-        for bus, k in pos_ang.items():
-            theta[bus] += dx[k]
-        for bus, k in pos_v.items():
-            v[bus] += dx[k]
+        theta[ang_vars] += dx[:n_ang]
+        v[pq] += dx[n_ang:]
     return False, max_iter
 
 
@@ -232,7 +188,7 @@ def solve(
     """
     if topology is None:
         topology = build_topology(model)
-    ybus = _suppress_isolated_warning(model, topology)
+    ybus = quiet_admittance(model, topology)
     n = model.n_bus
     base = model.base_mva
 
@@ -342,14 +298,6 @@ def solve(
         iterations=total_iter,
         islands=reports,
     )
-
-
-def _suppress_isolated_warning(model: NetworkModel, topology: TopologyMatrix) -> np.ndarray:
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        return admittance(model, topology)
 
 
 def line_flows_values(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,18 @@ from gridsec.attacks import (
     stealth_from_state_delta,
     sweep_stealth_range,
 )
-from gridsec.estimation import build_dc_jacobian, wls_estimate_dc
+from gridsec.estimation import (
+    EstimationError,
+    MeasKind,
+    MeasurementSet,
+    build_dc_jacobian,
+    wls_estimate_ac,
+    wls_estimate_dc,
+)
 from gridsec.network import BreakerState, build_ieee14, build_topology
 from gridsec.powerflow import solve
 from gridsec.records import GridRecord
+from gridsec.stats import PAPER_CHI2_THRESHOLD
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +193,40 @@ def test_sweep_requires_points(ieee14):
     baseline = fx.sweep_baseline_measurements(ieee14)
     with pytest.raises(ValueError):
         sweep_stealth_range(ieee14, baseline, 2, n_points=1)
+
+
+@pytest.mark.parametrize("bus", [2, 11])
+def test_batched_sweep_flags_equal_serial_solves(ieee14, bus):
+    """Each of the 300 flags of the blocked, batched sweep is the one a
+    warm-started wls_estimate_ac of that candidate gives."""
+    base = fx.sweep_baseline_measurements(ieee14)
+    noise = np.random.default_rng(29).normal(0.0, base.sigmas)
+    baseline = MeasurementSet(
+        [replace(m, value=m.value + float(d)) for m, d in zip(base.entries, noise)]
+    )
+    _, points = sweep_stealth_range(ieee14, baseline, bus)
+    warm = wls_estimate_ac(ieee14, baseline, delta=1e-8).x_hat
+    idx = baseline.index_of(MeasKind.VM, bus)
+    serial = [
+        wls_estimate_ac(
+            ieee14, baseline.replaced(idx, p.attack_vm), delta=1e-8, x0=warm
+        ).j_value > PAPER_CHI2_THRESHOLD
+        for p in points
+    ]
+    assert [p.detected for p in points] == serial
+    assert any(serial) and not all(serial)
+
+
+def test_sweep_names_bus_and_candidate_that_does_not_converge(ieee14):
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    with pytest.raises(EstimationError, match=r"bus 2: .*candidate Vm 50\.0+\b"):
+        sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
+
+
+def test_sweep_rejects_non_finite_candidates(ieee14):
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    with pytest.raises(EstimationError, match="non-finite candidate value on channel Vm bus 4"):
+        sweep_stealth_range(ieee14, baseline, 4, window=(0.95, float("nan")))
 
 
 # ---------------------------------------------------------------------------

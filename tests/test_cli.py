@@ -104,6 +104,18 @@ def test_sweep_cli_log_format(tmp_path):
     assert srows[1][1] == "Generator"
 
 
+def test_jobs_is_accepted_and_ignored(tmp_path, capsys):
+    outputs = []
+    for extra in ([], ["--jobs", "4"]):
+        ranges = tmp_path / f"ranges{len(extra)}.csv"
+        assert run(["sweep", "--all-buses", "--points", "20", "--ranges-out", str(ranges), *extra]) == 0
+        outputs.append(ranges.read_text())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    assert run(["scenario", "run", "--all", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.count("table5-") == 30
+
+
 def test_detect_exit_codes(tmp_path, fixture_dir):
     base = fixture_dir / "post_se_baseline.csv"
     assert run([

@@ -18,6 +18,7 @@ from gridsec.estimation import (
     wls_estimate_ac,
     wls_estimate_dc,
 )
+from gridsec.measmodel import MeasurementModel
 from gridsec.network import build_ieee14
 from gridsec.powerflow import solve
 from gridsec.stats import chi_square_threshold
@@ -84,15 +85,13 @@ def test_wls_optimality(ieee14, clean_measurements):
     idx = clean_measurements.index_of(MeasKind.VM, 3)
     noisy = clean_measurements.replaced(idx, clean_measurements.entries[idx].value + 0.03)
     result = wls_estimate_ac(ieee14, noisy, delta=1e-10)
-    from gridsec.estimation import _measurement_functions, _quiet_admittance
-
-    ybus = _quiet_admittance(ieee14, None)
+    mm = MeasurementModel(ieee14, None, noisy.entries)
     z = noisy.z
     sig = noisy.sigmas
 
     def j_at(v, theta):
-        h, _ = _measurement_functions(ieee14, ybus, noisy.entries, v, theta)
-        return float(np.sum(((z - h) / sig) ** 2))
+        h, _ = mm.evaluate(v[None], theta[None])
+        return float(np.sum(((z - h[0]) / sig) ** 2))
 
     j_star = j_at(result.x_hat.v, result.x_hat.theta)
     assert j_star == pytest.approx(result.j_value, rel=1e-9)
@@ -216,10 +215,7 @@ def test_ac_stealth_defeats_removal(ieee14, solution, clean_measurements):
     residuals at the shifted state, so removal drops nothing and the
     estimate carries c (exactly in the linear model; to first order
     here, since the Jacobian moves with the state)."""
-    from gridsec.estimation import _measurement_functions, _quiet_admittance
-
     rng = np.random.default_rng(9)
-    ybus = _quiet_admittance(ieee14, None)
     noisy = measurements_from_state(
         ieee14, solution.v, solution.theta, noise_rng=np.random.default_rng(41)
     )
@@ -227,11 +223,10 @@ def test_ac_stealth_defeats_removal(ieee14, solution, clean_measurements):
     dv = rng.normal(0, 0.01, 14)
     dth = rng.normal(0, 0.01, 14)
     dth[ieee14.slack_index] = 0.0
-    h_at, _ = _measurement_functions(
-        ieee14, ybus, noisy.entries, clean.x_hat.v, clean.x_hat.theta
-    )
-    h_shifted, _ = _measurement_functions(
-        ieee14, ybus, noisy.entries, clean.x_hat.v + dv, clean.x_hat.theta + dth
+    states_v = np.array([clean.x_hat.v, clean.x_hat.v + dv])
+    states_theta = np.array([clean.x_hat.theta, clean.x_hat.theta + dth])
+    (h_at, h_shifted), _ = MeasurementModel(ieee14, None, noisy.entries).evaluate(
+        states_v, states_theta
     )
     attacked_entries = [
         Measurement(m.kind, m.value + float(d), m.sigma, bus=m.bus, branch=m.branch)
@@ -257,6 +252,27 @@ def test_estimation_converges_on_coordinated_attack_snapshot(ieee14):
     result = wls_estimate_ac(ieee14, measurements_from_record(attacked), delta=1e-6)
     assert result.converged
     assert result.iterations <= 30
+
+
+@pytest.mark.parametrize(
+    "field, bad, channel",
+    [
+        ("value", float("nan"), "Vm bus 5"),
+        ("sigma", float("inf"), "Vm bus 5"),
+        ("value", float("-inf"), "Qflow 7-4"),
+    ],
+)
+def test_non_finite_input_fails_before_iterating(ieee14, solution, field, bad, channel):
+    from dataclasses import replace
+
+    from gridsec.estimation import full_telemetry_from_state
+
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
+    idx = next(i for i, m in enumerate(ms.entries) if m.channel == channel)
+    entries = list(ms.entries)
+    entries[idx] = replace(entries[idx], **{field: bad})
+    with pytest.raises(EstimationError, match=f"non-finite measurement on channel {channel}: .*{bad}"):
+        wls_estimate_ac(ieee14, MeasurementSet(entries))
 
 
 def test_non_convergence_raises(ieee14, clean_measurements):
