@@ -2,6 +2,10 @@
 
 Exit codes: 0 success / nothing flagged, 1 an attack class or display
 violation was detected, 2 usage error (argparse default).
+
+Each command imports the modules it uses when it runs, so a command
+loads no more of the package than it needs; ``som`` and ``chi2`` run
+without numpy.
 """
 
 from __future__ import annotations
@@ -13,55 +17,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import fixtures
-from .attacks import (
-    StateDelta,
-    build_scenario_1a,
-    build_scenario_1b,
-    corrupt_topology_record,
-    manipulate_state_vector,
-    stealth_from_state_delta,
-    sweep_stealth_range,
-)
-from .detection import (
-    RuleConfig,
-    baseline_from_json,
-    baseline_to_json,
-    fit_baseline,
-)
-from .estimation import (
-    bdd_classify,
-    build_dc_jacobian,
-    measurements_from_csv,
-    wls_estimate_ac,
-)
-from .network import (
-    build_ieee14,
-    build_topology,
-    apply_topology_corruption,
-    model_from_json,
-    model_to_json,
-)
-from .pipeline import run_pipeline
-from .powerflow import solve
-from .records import GridRecord
-from .scenarios import TABLE5_SCENARIOS, generate_all, generate_scenario
-from .som import (
-    GridArrangement,
-    diff_against_reference,
-    generate_constraints,
-    parse_segments,
-    solve_arrangement,
-    verify_arrangement,
-)
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 ATTACK_CLASSES = {"BadData", "StealthAttack", "FdiPostSe"}
 
 
 def _load_model(arg: str):
+    from .network import build_ieee14, model_from_json
+
     if arg == "ieee14":
         return build_ieee14()
     return model_from_json(Path(arg).read_text())
@@ -86,6 +49,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _topology_for(args, model):
+    from .network import apply_topology_corruption, build_topology
+
     topo = build_topology(model)
     flips = [_parse_pair(s) for s in args.open]
     if flips:
@@ -94,6 +59,9 @@ def _topology_for(args, model):
 
 
 def cmd_solve(args) -> int:
+    from .powerflow import solve
+    from .records import GridRecord
+
     model = _load_model(args.case)
     topo = _topology_for(args, model)
     sol = solve(model, topo)
@@ -106,6 +74,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    import numpy as np
+
+    from .estimation import bdd_classify, measurements_from_csv, wls_estimate_ac
+
     model = _load_model(args.case)
     topo = _topology_for(args, model)
     ms = measurements_from_csv(Path(args.measurements).read_text())
@@ -129,6 +101,19 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    import numpy as np
+
+    from .attacks import (
+        StateDelta,
+        build_scenario_1a,
+        build_scenario_1b,
+        corrupt_topology_record,
+        manipulate_state_vector,
+        stealth_from_state_delta,
+    )
+    from .estimation import build_dc_jacobian
+    from .records import GridRecord
+
     model = _load_model(args.case)
     if args.kind == "1a":
         _write_out(build_scenario_1a().to_json() + "\n", args.out)
@@ -144,8 +129,13 @@ def cmd_attack(args) -> int:
         vector = stealth_from_state_delta(h, c, channels=labels)
         _write_out(vector.to_json() + "\n", args.out)
         return 0
+    if args.record:
+        record = GridRecord.load(args.record)
+    else:
+        from .fixtures import post_se_baseline_record
+
+        record = post_se_baseline_record()
     if args.kind == "post-se":
-        record = GridRecord.load(args.record) if args.record else fixtures.post_se_baseline_record()
         delta = StateDelta.from_changes(
             record.n_bus,
             dv=dict(_parse_kv(args.dv)),
@@ -157,7 +147,6 @@ def cmd_attack(args) -> int:
         _write_out(corrupted.to_csv(), args.out)
         return 0
     if args.kind == "topology":
-        record = GridRecord.load(args.record) if args.record else fixtures.post_se_baseline_record()
         corrupted = corrupt_topology_record(record, [_parse_pair(s) for s in args.flip])
         _write_out(corrupted.to_csv(), args.out)
         return 0
@@ -173,8 +162,11 @@ def _parse_kv(items) -> list[tuple[int, float]]:
 
 
 def cmd_sweep(args) -> int:
+    from .attacks import sweep_stealth_range
+    from .fixtures import sweep_baseline_measurements
+
     model = _load_model(args.case)
-    baseline = fixtures.sweep_baseline_measurements(model)
+    baseline = sweep_baseline_measurements(model)
     buses = list(range(1, model.n_bus + 1)) if args.all_buses else [args.bus]
     if buses == [None]:
         print("error: provide --bus N or --all-buses", file=sys.stderr)
@@ -219,6 +211,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_baseline_fit(args) -> int:
+    from .detection import baseline_to_json, fit_baseline
+    from .scenarios import generate_all
+
     model = _load_model(args.case)
     outcomes = generate_all(model)
     snapshots, sources = [], []
@@ -238,6 +233,10 @@ def cmd_baseline_fit(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .detection import RuleConfig, baseline_from_json
+    from .pipeline import run_pipeline
+    from .records import GridRecord
+
     model = _load_model(args.case)
     baseline = GridRecord.load(args.baseline)
     snapshot = GridRecord.load(args.snapshot)
@@ -254,6 +253,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from .scenarios import TABLE5_SCENARIOS, generate_all, generate_scenario
+
     model = _load_model(args.case)
     if args.action == "list":
         for spec in TABLE5_SCENARIOS:
@@ -283,6 +284,15 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_som(args) -> int:
+    from .som import (
+        GridArrangement,
+        diff_against_reference,
+        generate_constraints,
+        parse_segments,
+        solve_arrangement,
+        verify_arrangement,
+    )
+
     if args.action == "arrange":
         segments = parse_segments(sorted(Path(args.dir).glob("seg*.json")))
         constraints = generate_constraints(segments)
@@ -329,12 +339,16 @@ def cmd_chi2(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    created = fixtures.write_fixture_tree(args.out)
+    from .fixtures import write_fixture_tree
+
+    created = write_fixture_tree(args.out)
     print(f"wrote {len(created)} fixture files under {args.out}")
     return 0
 
 
 def cmd_case(args) -> int:
+    from .network import build_ieee14, model_to_json
+
     _write_out(model_to_json(build_ieee14()) + "\n", args.out)
     return 0
 

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .estimation import BddVerdict
+from .findings import Finding, Rule, Severity
 from .records import BusSnapshot, GridRecord
 
 __all__ = [
@@ -236,43 +237,6 @@ def baseline_from_json(text: str) -> BaselineStats:
         source=tuple(doc.get("source", ())),
         train_max_maha=float(doc.get("train_max_maha", 0.0)),
     )
-
-
-class Rule(str, Enum):
-    SENSITIVITY_BOUND = "SensitivityBound"
-    RAMP_RATE = "RampRate"
-    ZIP_VIOLATION = "ZipViolation"
-    COMPENSATION_ENTROPY = "CompensationEntropy"
-    GRADIENT_COHERENCE = "GradientCoherence"
-    SIGN_FLIP = "SignFlip"
-    LOSS_SURGE = "LossSurge"
-    OPEN_BREAKER_FLOW = "OpenBreakerFlow"
-    ISLAND_BALANCE = "IslandBalance"
-    VOLTAGE_DEVIATION = "VoltageDeviation"
-    CORRELATION_SHIFT = "CorrelationShift"
-    # Display-integrity rules raised by the segment diff.
-    BREAKER_STATUS_CHANGE = "BreakerStatusChange"
-    MARKER_CHANGE = "MarkerChange"
-
-
-class Severity(str, Enum):
-    INFO = "Info"
-    WARNING = "Warning"
-    VIOLATION = "Violation"
-
-
-@dataclass
-class Finding:
-    rule: Rule
-    severity: Severity
-    message: str
-    data: dict[str, float | int | str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.severity is Severity.VIOLATION and not any(
-            isinstance(v, (int, float)) for v in self.data.values()
-        ):
-            raise ValueError("violations must carry numeric evidence")
 
 
 @dataclass

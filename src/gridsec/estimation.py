@@ -455,23 +455,37 @@ def measurements_to_csv(measurements: MeasurementSet) -> str:
 
 
 def measurements_from_csv(text: str) -> MeasurementSet:
+    """Parse the CSV ``measurements_to_csv`` writes. A malformed row raises
+    ValueError naming its line: a wrong column count, an unknown kind, a
+    location that is not ``bus`` or ``from-to`` as the kind needs, or a
+    value or sigma that is not a number."""
     import csv
+    import re
 
     rows = list(csv.reader(text.splitlines()))
     if not rows or rows[0] != ["kind", "location", "value", "sigma"]:
         raise ValueError("expected header kind,location,value,sigma")
     entries = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        kind = MeasKind(row[0])
-        if "-" in row[1]:
-            f, t = row[1].split("-")
-            entries.append(
-                Measurement(kind, float(row[2]), float(row[3]), branch=(int(f), int(t)))
-            )
-        else:
-            entries.append(Measurement(kind, float(row[2]), float(row[3]), bus=int(row[1])))
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 columns, got {len(row)}")
+            kind = MeasKind(row[0])
+            loc = re.fullmatch(r"\s*(\d+)\s*(?:-\s*(\d+)\s*)?", row[1])
+            flow = kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+            if loc is None or flow != (loc[2] is not None):
+                raise ValueError(
+                    f"{kind.value} location must be {'from-to' if flow else 'a bus'}, got {row[1]!r}"
+                )
+            value, sigma = float(row[2]), float(row[3])
+            if flow:
+                entries.append(Measurement(kind, value, sigma, branch=(int(loc[1]), int(loc[2]))))
+            else:
+                entries.append(Measurement(kind, value, sigma, bus=int(loc[1])))
+        except ValueError as exc:
+            raise ValueError(f"measurement CSV line {line}: {exc}") from None
     return MeasurementSet(entries)
 
 

@@ -64,7 +64,9 @@ def _two_port_from(model: NetworkModel, f_bus: int, t_bus: int) -> tuple[complex
 
 class MeasurementModel:
     """h(x) and H(x) of one layout of ``Measurement`` entries on one
-    network topology, compiled into index arrays once."""
+    network topology, compiled into index arrays once. An entry at a bus
+    outside 1..n, or a flow on a bus pair with no branch, raises
+    ValueError naming its channel."""
 
     def __init__(
         self, model: NetworkModel, topology: TopologyMatrix | None, entries: Sequence
@@ -79,13 +81,25 @@ class MeasurementModel:
         # the P and Q flow rows of one end share that end's terms.
         rows: dict[MeasKind, tuple[list, list]] = {kind: ([], []) for kind in MeasKind}
         ends: dict[tuple[int, int], int] = {}
+        bus_index = {bus: bus - 1 for bus in range(1, n + 1)}
         for row, m in enumerate(entries):
             flow = m.kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+            try:
+                at = ends.setdefault(m.branch, len(ends)) if flow else bus_index[m.bus]
+            except KeyError:
+                raise ValueError(f"channel {m.channel}: bus outside 1..{n}") from None
             rows[m.kind][0].append(row)
-            rows[m.kind][1].append(ends.setdefault(m.branch, len(ends)) if flow else m.bus - 1)
+            rows[m.kind][1].append(at)
         self._rows = {k: (np.array(r, dtype=int), np.array(w, dtype=int)) for k, (r, w) in rows.items()}
         self._end_i, self._end_j = (np.array(list(ends), dtype=int).reshape(-1, 2) - 1).T
-        two_port = np.array([_two_port_from(model, *end) for end in ends], dtype=complex)
+        two_port = []
+        for end in ends:
+            try:
+                two_port.append(_two_port_from(model, *end))
+            except KeyError as exc:
+                m = next(m for m in entries if m.branch == end)
+                raise ValueError(f"channel {m.channel}: {exc.args[0]}") from None
+        two_port = np.array(two_port, dtype=complex)
         self._yff, self._yft = two_port.reshape(-1, 2).T
 
     def evaluate(

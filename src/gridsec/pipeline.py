@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .attacks import AttackVector
 from .detection import (
     BaselineStats,
     DetectionVerdict,
@@ -22,6 +22,9 @@ from .estimation import BddVerdict, MeasKind, Measurement, MeasurementSet, wls_e
 from .network import NetworkModel, build_ieee14
 from .records import GridRecord
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
+
+if TYPE_CHECKING:
+    from .attacks import AttackVector
 
 __all__ = ["PipelineReport", "run_pipeline", "measurements_from_record"]
 
@@ -98,7 +101,7 @@ def run_pipeline(
     if model is None:
         model = build_ieee14()
     cfg = config or RuleConfig()
-    if isinstance(attacked, AttackVector):
+    if not isinstance(attacked, GridRecord):
         attacked = attacked.apply_to_record(baseline, base_mva=model.base_mva)
 
     m = 3 * model.n_bus

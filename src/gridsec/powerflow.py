@@ -206,6 +206,9 @@ def solve(
     reports: list[IslandReport] = []
     converged_all = True
     total_iter = 0
+    # Dead buses keep finite start values while the other islands solve,
+    # since NaN would leak through the 0 x NaN terms of every Ybus @ V.
+    dead: list[int] = []
 
     for isl in islands:
         members = sorted(isl.buses)
@@ -219,9 +222,7 @@ def solve(
                 slack_bus = max(gens, key=lambda b: (model.bus(b).p_gen, -b))
         if slack_bus is None:
             converged_all = False
-            for i in idx:
-                v[i] = math.nan
-                theta[i] = math.nan
+            dead.extend(idx)
             reports.append(
                 IslandReport(isl, solved=False, slack_bus=None, balance_mw=math.nan,
                              note="island has no slack and no generator")
@@ -270,6 +271,8 @@ def solve(
         )
 
     p_pu, q_pu = bus_power(ybus, v, theta)
+    v[dead] = math.nan
+    theta[dead] = math.nan
     solved_mask = ~np.isnan(v)
     p_inj = np.where(solved_mask, p_pu * base, math.nan)
     q_inj = np.where(solved_mask, q_pu * base, math.nan)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +88,6 @@ class GridRecord:
             if (r.from_bus, r.to_bus) in ((from_bus, to_bus), (to_bus, from_bus)):
                 return r
         raise KeyError(f"no branch {from_bus}-{to_bus} in record")
-
-    def with_bus_row(self, row: BusRow) -> "GridRecord":
-        rows = [row if r.bus == row.bus else r for r in self.buses]
-        return replace(self, buses=rows)
 
     # -- totals (load convention) ------------------------------------
     @property

@@ -29,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .detection import Finding, Rule, Severity
+from .findings import Finding, Rule, Severity
 
 __all__ = [
     "Direction",
@@ -282,13 +282,6 @@ class GridArrangement:
     @property
     def n(self) -> int:
         return len(self.cells)
-
-    def position(self, seg_id: str) -> tuple[int, int]:
-        for r, row in enumerate(self.cells):
-            for c, sid in enumerate(row):
-                if sid == seg_id:
-                    return (r, c)
-        raise KeyError(seg_id)
 
     def flat(self) -> tuple[str, ...]:
         return tuple(sid for row in self.cells for sid in row)

@@ -305,3 +305,25 @@ def test_measurement_validation():
         Measurement(MeasKind.PFLOW, 1.0, sigma=0.1)
     with pytest.raises(ValueError):
         MeasurementSet([])
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("Vm,1", "line 44: expected 4 columns, got 2"),
+        ("Xx,1,1.0,0.01", "line 44: 'Xx' is not a valid MeasKind"),
+        ("Vm,-3,1.0,0.01", "line 44: Vm location must be a bus, got '-3'"),
+        ("Vm,4-7,1.0,0.01", "line 44: Vm location must be a bus"),
+        ("Pflow,4,0.1,0.01", "line 44: Pflow location must be from-to"),
+        ("Vm,1,abc,0.01", "line 44: could not convert string to float"),
+        ("Vm,0,1.0,0.01", "channel Vm bus 0: bus outside 1..14"),
+        ("Vm,99,1.0,0.01", "channel Vm bus 99: bus outside 1..14"),
+        ("Qflow,4-99,0.1,0.01", "channel Qflow 4-99: no branch between buses 4 and 99"),
+        ("Pflow,4-8,0.1,0.01", "channel Pflow 4-8: no branch between buses 4 and 8"),
+    ],
+)
+def test_bad_measurement_csv_row_names_line_or_channel(ieee14, clean_measurements, row, error):
+    # 42 channels after the header put the appended row on line 44.
+    text = measurements_to_csv(clean_measurements) + row + "\n"
+    with pytest.raises(ValueError, match=error):
+        wls_estimate_ac(ieee14, measurements_from_csv(text))

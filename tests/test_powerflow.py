@@ -307,3 +307,23 @@ def test_q_limit_enforcement_converts_pv_bus():
     q_gen3_clamped = sol.q_inj[2] + model.bus(3).q_load
     assert q_gen3_clamped <= tight.q_max + 1e-6
     assert sol.v[2] < model.bus(3).v_setpoint  # voltage sags off setpoint
+
+
+def test_dead_island_leaves_other_islands_solved():
+    # Island {4, 7, 9, 10, 14} has neither slack nor generator; its NaN
+    # state must not reach island {6, 11, 12, 13} or the audits.
+    model = build_ieee14()
+    opened = [(2, 4), (3, 4), (4, 5), (7, 8), (5, 6), (10, 11), (13, 14)]
+    sol = solve(model, apply_topology_corruption(build_topology(model), opened))
+    by_buses = {r.island.buses: r for r in sol.islands}
+    dead = by_buses[frozenset({4, 7, 9, 10, 14})]
+    assert not dead.solved and "no slack" in dead.note
+    assert by_buses[frozenset({6, 11, 12, 13})].solved
+    for rep in sol.islands:
+        if rep.solved:
+            assert abs(rep.balance_mw) < 1e-6
+    dead_idx = [b - 1 for b in dead.island.buses]
+    live = np.ones(model.n_bus, dtype=bool)
+    live[dead_idx] = False
+    assert np.isnan(sol.v[dead_idx]).all() and np.isnan(sol.p_inj[dead_idx]).all()
+    assert np.isfinite(sol.v[live]).all() and np.isfinite(sol.p_inj[live]).all()
