@@ -32,8 +32,8 @@ _EXPORTS = {
     ),
     "findings": ("Finding", "Rule", "Severity"),
     "detection": (
-        "FeatureBaseline", "RuleConfig", "VerdictClass", "classify", "extract_features",
-        "feature_chi_square", "fit_baseline", "rule_battery",
+        "RuleConfig", "VerdictClass", "classify", "extract_features", "fit_baseline",
+        "rule_battery",
     ),
     "records": ("BranchRow", "BusRow", "BusSnapshot", "GridRecord"),
     "scenarios": ("TABLE5_SCENARIOS", "generate_all", "generate_scenario"),

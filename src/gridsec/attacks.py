@@ -94,19 +94,11 @@ class AttackVector:
         return replace(record, buses=rows, source=f"{record.source}+{self.provenance}")
 
 
-def channel_labels_42(n_bus: int = 14) -> tuple[str, ...]:
-    """V1..Vn, P1..Pn, Q1..Qn: the standard direct-measurement layout."""
-    return tuple(
-        [f"V{b}" for b in range(1, n_bus + 1)]
-        + [f"P{b}" for b in range(1, n_bus + 1)]
-        + [f"Q{b}" for b in range(1, n_bus + 1)]
-    )
-
-
 def _vector_from_named(
     named: dict[str, float], provenance: str, n_bus: int = 14, metadata: dict | None = None
 ) -> AttackVector:
-    channels = channel_labels_42(n_bus)
+    # V1..Vn, P1..Pn, Q1..Qn: the standard direct-measurement layout.
+    channels = tuple(f"{kind}{b}" for kind in "VPQ" for b in range(1, n_bus + 1))
     pos = {lbl: i for i, lbl in enumerate(channels)}
     deltas = np.zeros(len(channels))
     for lbl, val in named.items():
@@ -139,27 +131,21 @@ SCENARIO_1B_DELTAS = {
 SCENARIO_1B_NOISE_BUSES = (1, 5, 7, 8, 10, 12, 14)
 
 
-def build_scenario_1a(include_compensation: bool = True) -> AttackVector:
+def build_scenario_1a() -> AttackVector:
     named = dict(SCENARIO_1A_DELTAS)
-    if include_compensation:
-        for b in SCENARIO_1A_COMPENSATION["buses"]:
-            named[f"P{b}"] = SCENARIO_1A_COMPENSATION["dp"]
-    return _vector_from_named(
-        named,
-        "Scenario1A",
-        metadata={"compensation": include_compensation},
-    )
+    for b in SCENARIO_1A_COMPENSATION["buses"]:
+        named[f"P{b}"] = SCENARIO_1A_COMPENSATION["dp"]
+    return _vector_from_named(named, "Scenario1A", metadata={"compensation": True})
 
 
-def build_scenario_1b(
-    noise: bool = False, seed: int = 3, noise_scale: float = 0.005
-) -> AttackVector:
-    """The 8-point vector; optional seeded uniform noise on the power
-    channels of the untouched buses (deterministic for a fixed seed)."""
+def build_scenario_1b(noise: bool = False, seed: int = 3) -> AttackVector:
+    """The 8-point vector; optional seeded uniform noise of up to 0.005 p.u.
+    on the power channels of the untouched buses (deterministic for a
+    fixed seed)."""
     named = dict(SCENARIO_1B_DELTAS)
     if noise:
         rng = np.random.default_rng(seed)
-        draws = rng.uniform(-noise_scale, noise_scale, len(SCENARIO_1B_NOISE_BUSES))
+        draws = rng.uniform(-0.005, 0.005, len(SCENARIO_1B_NOISE_BUSES))
         for b, d in zip(SCENARIO_1B_NOISE_BUSES, draws):
             named[f"P{b}"] = float(d)
     return _vector_from_named(

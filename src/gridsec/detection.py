@@ -15,23 +15,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .estimation import BddVerdict
 from .findings import Finding, Rule, Severity
+from .network import connected_components
 from .records import BusSnapshot, GridRecord
+
+if TYPE_CHECKING:
+    from .estimation import BddVerdict
 
 __all__ = [
     "FEATURE_DIM",
     "FEATURE_NAMES",
     "FeatureVector",
     "BaselineStats",
-    "FeatureBaseline",
     "extract_features",
     "fit_baseline",
-    "feature_chi_square",
     "Rule",
     "Severity",
     "Finding",
@@ -185,28 +186,6 @@ def fit_baseline(
         stats.mahalanobis(FeatureVector(f)) for f in feats
     )
     return stats
-
-
-def feature_chi_square(features: FeatureVector, baseline: BaselineStats) -> float:
-    """Squared Mahalanobis distance of one feature vector from the fitted
-    normal-operation distribution."""
-    return baseline.mahalanobis(features)
-
-
-class FeatureBaseline:
-    """Thin fit/score wrapper around the baseline statistics."""
-
-    def __init__(self) -> None:
-        self.stats: BaselineStats | None = None
-
-    def fit(self, snapshots: Sequence[BusSnapshot], source: Iterable[str] = ()) -> "FeatureBaseline":
-        self.stats = fit_baseline(snapshots, source)
-        return self
-
-    def score(self, snapshot: BusSnapshot) -> float:
-        if self.stats is None:
-            raise RuntimeError("baseline not fitted")
-        return self.stats.mahalanobis(extract_features(snapshot))
 
 
 def baseline_to_json(stats: BaselineStats) -> str:
@@ -535,27 +514,10 @@ def analyze_record_islands(
     if not record.branches:
         return None
     cfg = config or RuleConfig()
-    buses = {r.bus for r in record.buses}
-    adj: dict[int, set[int]] = {b: set() for b in buses}
-    for br in record.branches:
-        if br.in_service:
-            adj[br.from_bus].add(br.to_bus)
-            adj[br.to_bus].add(br.from_bus)
-    seen: set[int] = set()
-    islands: list[frozenset[int]] = []
-    for b in sorted(buses):
-        if b in seen:
-            continue
-        comp = {b}
-        stack = [b]
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        islands.append(frozenset(comp))
+    islands = connected_components(
+        (r.bus for r in record.buses),
+        ((br.from_bus, br.to_bus) for br in record.branches if br.in_service),
+    )
     balances = []
     for isl in islands:
         inj = sum(-r.p_mw for r in record.buses if r.bus in isl)

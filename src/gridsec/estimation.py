@@ -115,10 +115,6 @@ class StateVector:
     v: np.ndarray  # p.u. per bus
     theta: np.ndarray  # radians per bus, slack entry 0
 
-    def as_array(self, slack_index: int) -> np.ndarray:
-        ang = np.delete(self.theta, slack_index)
-        return np.concatenate([ang, self.v])
-
 
 @dataclass
 class EstimationResult:
@@ -146,17 +142,24 @@ DEFAULT_SIGMA_POWER = 0.02
 
 
 def standard_layout(
-    model: NetworkModel,
+    v: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
     sigma_vm: float = DEFAULT_SIGMA_VM,
     sigma_power: float = DEFAULT_SIGMA_POWER,
 ) -> list[Measurement]:
-    """Vm at every bus plus P and Q injection at every bus (42 channels on
-    the 14-bus case), in that fixed order."""
-    out = [
-        Measurement(MeasKind.VM, 0.0, sigma_vm, bus=b.id) for b in model.buses
-    ]
-    out += [Measurement(MeasKind.PINJ, 0.0, sigma_power, bus=b.id) for b in model.buses]
-    out += [Measurement(MeasKind.QINJ, 0.0, sigma_power, bus=b.id) for b in model.buses]
+    """Vm, then P and Q injection (p.u.), at buses 1..n in that fixed
+    order (42 channels on the 14-bus case), valued from per-bus arrays."""
+    out: list[Measurement] = []
+    for kind, values, sigma in (
+        (MeasKind.VM, v, sigma_vm),
+        (MeasKind.PINJ, p, sigma_power),
+        (MeasKind.QINJ, q, sigma_power),
+    ):
+        out += [
+            Measurement(kind, x, sigma, bus=b)
+            for b, x in enumerate(np.asarray(values, dtype=float).tolist(), 1)
+        ]
     return out
 
 
@@ -171,15 +174,12 @@ def measurements_from_state(
 ) -> MeasurementSet:
     """Noiseless (or Gaussian-noised) standard-layout measurements
     evaluated at a given bus voltage state."""
-    ybus = quiet_admittance(model, topology)
-    p, q = bus_power(ybus, v, theta)
-    entries = standard_layout(model, sigma_vm, sigma_power)
+    p, q = bus_power(quiet_admittance(model, topology), v, theta)
     values = np.concatenate([v, p, q])
     if noise_rng is not None:
-        values = values + noise_rng.normal(0.0, [m.sigma for m in entries])
-    return MeasurementSet(
-        [replace(m, value=float(val)) for m, val in zip(entries, values)]
-    )
+        sigmas = np.repeat([sigma_vm, sigma_power, sigma_power], len(v))
+        values = values + noise_rng.normal(0.0, sigmas)
+    return MeasurementSet(standard_layout(*np.split(values, 3), sigma_vm, sigma_power))
 
 
 def full_telemetry_from_state(
@@ -322,56 +322,35 @@ def wls_estimate_ac(
 
 
 def build_dc_jacobian(
-    model: NetworkModel,
-    topology: TopologyMatrix | None = None,
-    include_flows: bool = True,
+    model: NetworkModel, topology: TopologyMatrix | None = None
 ) -> tuple[np.ndarray, list[str]]:
     """Linear DC measurement matrix over non-slack angles.
 
-    Rows: P injection at every bus, then (optionally) the from-end flow of
-    every in-service branch. Returns (H, row labels).
+    Rows: P injection at every bus, then the from-end flow of every
+    in-service branch. Returns (H, row labels).
     """
     if topology is None:
         topology = build_topology(model)
     n = model.n_bus
-    slack = model.slack_index
-    cols = [i for i in range(n) if i != slack]
-    col_pos = {bus: k for k, bus in enumerate(cols)}
-
+    live = [br for br, on in zip(model.branches, topology.in_service) if on]
+    f = np.array([br.from_bus - 1 for br in live], dtype=int)
+    t = np.array([br.to_bus - 1 for br in live], dtype=int)
+    b = 1.0 / np.array([br.x * br.tap for br in live])
+    # Diagonal terms accumulate in branch order, from end then to end.
+    ends = np.stack([f, t], axis=1).ravel()
     b_mat = np.zeros((n, n))
-    for br, live in zip(model.branches, topology.in_service):
-        if not live:
-            continue
-        i, j = br.from_bus - 1, br.to_bus - 1
-        b = 1.0 / (br.x * br.tap)
-        b_mat[i, i] += b
-        b_mat[j, j] += b
-        b_mat[i, j] -= b
-        b_mat[j, i] -= b
-
-    rows = []
-    labels = []
-    for i in range(n):
-        row = np.zeros(len(cols))
-        for j in range(n):
-            if j in col_pos:
-                row[col_pos[j]] = b_mat[i, j]
-        rows.append(row)
-        labels.append(f"P{i + 1}")
-    if include_flows:
-        for br, live in zip(model.branches, topology.in_service):
-            if not live:
-                continue
-            i, j = br.from_bus - 1, br.to_bus - 1
-            row = np.zeros(len(cols))
-            b = 1.0 / (br.x * br.tap)
-            if i in col_pos:
-                row[col_pos[i]] = b
-            if j in col_pos:
-                row[col_pos[j]] = -b
-            rows.append(row)
-            labels.append(f"F{br.from_bus}_{br.to_bus}")
-    return np.asarray(rows), labels
+    np.add.at(b_mat, (ends, ends), np.repeat(b, 2))
+    np.add.at(b_mat, (f, t), -b)
+    np.add.at(b_mat, (t, f), -b)
+    flows = np.zeros((len(live), n))
+    rows = np.arange(len(live))
+    flows[rows, f] = b
+    flows[rows, t] = -b
+    labels = [f"P{i}" for i in range(1, n + 1)]
+    labels += [f"F{br.from_bus}_{br.to_bus}" for br in live]
+    # np.delete keeps H in C order; BLAS rounds H @ c differently on a
+    # Fortran-ordered copy of the same matrix.
+    return np.delete(np.vstack([b_mat, flows]), model.slack_index, axis=1), labels
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Study fixtures: transcribed tables and response values from the 14-bus
-security study, plus builders that assemble them into records, measurement
-sets and display segments.
+"""Study fixtures: the transcribed tables of the 14-bus security study,
+the builders of the seeded snapshots and the sweep baseline, and loaders
+for the records and display segments shipped as files under ``data/``.
 
 Values quoted in the study are frozen verbatim; table entries the study
 never states are filled from the solved standard case and marked so in
@@ -9,23 +9,18 @@ comments. Everything here is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+import shutil
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .attacks import (
-    StateDelta,
-    build_scenario_1a,
-    build_scenario_1b,
-    corrupt_topology_record,
-    manipulate_state_vector,
-)
-from .estimation import MeasurementSet, measurements_from_state, wls_estimate_ac
-from .network import BreakerState, NetworkModel, build_ieee14
+from .attacks import build_scenario_1a, build_scenario_1b
+from .estimation import MeasurementSet, measurements_from_state
+from .network import NetworkModel, build_ieee14
 from .powerflow import solve
-from .records import BranchRow, BusRow, GridRecord
+from .records import BusRow, GridRecord
 from .som import SegmentDescriptor, parse_segments
 
 __all__ = [
@@ -47,6 +42,7 @@ __all__ = [
     "som_reference_arrangement_cells",
     "som_scenario_3b_segments",
     "som_scenario_3c_segments",
+    "DATA_DIR",
     "write_fixture_tree",
 ]
 
@@ -204,333 +200,100 @@ def _measurement_snapshot(
     return GridRecord(buses=buses, source=source, extras={"stage": "measurement"})
 
 
-def scenario_1a_records(with_recomputed_chi2: bool = False) -> tuple[GridRecord, GridRecord]:
-    """(baseline, attacked) snapshots for the 5-point distributed attack.
-
-    The quoted chi-square rides along as ``bdd_chi2``; set
-    ``with_recomputed_chi2`` to also store our own value under the default
-    noise model next to it."""
+def scenario_1a_records() -> tuple[GridRecord, GridRecord]:
+    """(baseline, attacked) snapshots for the 5-point distributed attack;
+    the quoted chi-square rides along as ``bdd_chi2``."""
     baseline = _measurement_snapshot(_S1A_V_OVERRIDES, _S1A_P_OVERRIDES, "scenario1a-baseline")
     attacked = build_scenario_1a().apply_to_record(baseline)
     attacked.source = "scenario1a"
     attacked.extras["bdd_chi2"] = SCENARIO_1A_CHI2
-    if with_recomputed_chi2:
-        attacked.extras["recomputed_chi2"] = round(recompute_snapshot_chi2(attacked), 6)
     return baseline, attacked
 
 
-def scenario_1b_records(
-    seed: int = 3, with_recomputed_chi2: bool = False
-) -> tuple[GridRecord, GridRecord]:
+def scenario_1b_records(seed: int = 3) -> tuple[GridRecord, GridRecord]:
     """(baseline, attacked) snapshots for the 8-point coordinated attack,
     with the seeded concealment noise included."""
     baseline = _measurement_snapshot(_S1B_V_OVERRIDES, _S1B_P_OVERRIDES, "scenario1b-baseline")
     attacked = build_scenario_1b(noise=True, seed=seed).apply_to_record(baseline)
     attacked.source = "scenario1b"
     attacked.extras["bdd_chi2"] = SCENARIO_1B_CHI2
-    if with_recomputed_chi2:
-        attacked.extras["recomputed_chi2"] = round(recompute_snapshot_chi2(attacked), 6)
     return baseline, attacked
 
 
-def recompute_snapshot_chi2(record: GridRecord, model: NetworkModel | None = None) -> float:
-    """Our own chi-square for a snapshot treated as a measurement set with
-    the default noise model; stored alongside the quoted fixture value."""
-    if model is None:
-        model = _canonical_solution()[0]
-    v, _, p, q = record.arrays()
-    ms = measurements_from_state(model, np.ones(14), np.zeros(14))
-    entries = list(ms.entries)
-    values = np.concatenate([v, -p / 100.0, -q / 100.0])
-    entries = [replace(m, value=float(val)) for m, val in zip(entries, values)]
-    return wls_estimate_ac(model, MeasurementSet(entries), delta=1e-8).j_value
-
-
 # ---------------------------------------------------------------------------
-# Post-estimation database scenarios (attack point 2)
+# Shipped records and display segments (attack points 2 and 3)
 # ---------------------------------------------------------------------------
 
-# Validated post-estimation baseline. Quoted rows are verbatim; the others
-# come from the solved standard case (their case dispatches 212.1 MW at
-# the slack and serves 237.3 MW of load with 14.84 MW of losses).
-_POST_SE_BUSES = (
-    # (bus, v_pu, theta_deg, p_mw, q_mvar)  consumption positive
-    (1, 1.0600, 0.00, -212.1, 16.6),
-    (2, 1.0450, -4.98, -40.0, -27.4),
-    (3, 1.0100, -14.00, 94.2, -46.9),
-    (4, 0.9906, -10.93, 47.8, -3.9),
-    (5, 0.9898, -8.77, 7.6, 1.6),
-    (6, 1.0700, -14.22, 11.2, -4.7),
-    (7, 1.0116, -14.22, 0.0, 0.0),
-    (8, 1.0900, -13.36, 0.0, -17.4),
-    (9, 1.0071, -15.96, 29.5, -2.7),
-    (10, 1.0510, -15.10, 9.0, 5.8),
-    (11, 1.0569, -14.79, 3.5, 1.8),
-    (12, 1.0552, -15.08, 6.1, 1.6),
-    (13, 0.9996, -16.18, 13.5, 5.8),
-    (14, 1.0355, -17.16, 14.9, 5.0),
-)
-
-# Branch table: flows from the solved standard case; the 2-4 row carries
-# the study's quoted values and the loss column is rescaled so the total
-# matches the study's 14.84 MW.
-_POST_SE_BRANCHES = (
-    # (from, to, p_mw, q_mvar, loss_mw)
-    (1, 2, 156.883, -20.404, 4.8270),
-    (1, 5, 75.510, 3.855, 3.1032),
-    (2, 3, 73.238, 3.560, 2.6095),
-    (2, 4, 56.1, -15.8, 1.68),
-    (2, 5, 41.516, 1.171, 1.0151),
-    (3, 4, -23.286, 4.473, 0.4195),
-    (4, 5, -61.158, 15.824, 0.5778),
-    (4, 7, 28.074, -9.681, 0.0),
-    (4, 9, 16.080, -0.428, 0.0),
-    (5, 6, 44.087, 12.471, 0.0),
-    (6, 11, 7.353, 3.560, 0.0622),
-    (6, 12, 7.786, 2.503, 0.0807),
-    (6, 13, 17.748, 7.217, 0.2382),
-    (7, 8, 0.0, -17.163, 0.0),
-    (7, 9, 28.074, 5.779, 0.0),
-    (9, 10, 5.228, 4.219, 0.0145),
-    (9, 14, 9.426, 3.610, 0.1305),
-    (10, 11, -3.785, -1.615, 0.0141),
-    (12, 13, 1.614, 0.754, 0.0071),
-    (13, 14, 5.644, 1.747, 0.0607),
-)
-
-POST_SE_BASELINE_LOSS_MW = 14.84
-SCENARIO_2B_LOSS_MW = 28.78
+# The validated post-estimation baseline, its manipulated copies 2A-2D and
+# the SoM display segments are plain data: the files below are their only
+# copy, and the tests derive 2A and 2D from the baseline to keep the
+# quoted scenario definitions checked.
+DATA_DIR = Path(__file__).with_name("data")
 
 
 def post_se_baseline_record() -> GridRecord:
-    buses = [BusRow(*row) for row in _POST_SE_BUSES]
-    branches = [
-        BranchRow(f, t, BreakerState.CLOSED, BreakerState.CLOSED, p, q, loss)
-        for f, t, p, q, loss in _POST_SE_BRANCHES
-    ]
-    return GridRecord(
-        buses=buses,
-        branches=branches,
-        source="post-se-baseline",
-        extras={"stage": "post-se", "bdd_chi2": 0.0},
-    )
+    """Validated post-estimation baseline: quoted rows verbatim, the
+    others from the solved standard case, losses summing to 14.84 MW."""
+    return GridRecord.load(DATA_DIR / "post_se_baseline.csv")
 
 
 def scenario_2a_record() -> GridRecord:
     """State-vector manipulation: buses 4, 9 and 13 flipped from load to
     generation with the quoted voltage/angle/reactive adjustments."""
-    delta = StateDelta.from_changes(
-        14,
-        dv={4: 0.0073, 7: 0.0102, 9: 0.0107, 13: 0.0157},
-        dtheta_deg={4: 1.89, 7: 1.88, 9: -1.70, 13: 2.19},
-        dp_mw={4: -95.6, 9: -59.0, 13: -27.0},
-        dq_mvar={4: 7.8, 9: -13.9, 13: -11.6},
-    )
-    record = manipulate_state_vector(post_se_baseline_record(), delta)
-    record.source = "scenario2a"
-    record.extras = {"stage": "post-se", "bdd_chi2": 0.0}
-    return record
+    return GridRecord.load(DATA_DIR / "scenario2a.csv")
 
 
 def scenario_2b_record() -> GridRecord:
     """Topology corruption aftermath: same loads, 13.9 MW more dispatch,
-    losses nearly doubled, degraded voltage/angle profile."""
-    base = post_se_baseline_record()
-    bus_over = {
-        1: dict(p_mw=-226.0),
-        2: dict(q_mvar=-38.7),
-        3: dict(theta_deg=-27.20, q_mvar=-75.5),
-        4: dict(v_pu=0.9765),
-        5: dict(v_pu=0.9792),
-        14: dict(theta_deg=-21.90),
-    }
-    buses = [
-        replace(r, **bus_over.get(r.bus, {})) for r in base.buses
-    ]
-    scale = SCENARIO_2B_LOSS_MW / POST_SE_BASELINE_LOSS_MW
-    branches = [replace(br, loss_mw=br.loss_mw * scale) for br in base.branches]
-    return GridRecord(
-        buses=buses,
-        branches=branches,
-        source="scenario2b",
-        extras={"stage": "post-se", "bdd_chi2": 0.0},
-    )
+    losses nearly doubled (28.78 MW), degraded voltage/angle profile."""
+    return GridRecord.load(DATA_DIR / "scenario2b.csv")
 
 
 def scenario_2c_record() -> GridRecord:
     """Complete islanding: every breaker open, all flows zero, every
     single-bus island perfectly balanced."""
-    base = post_se_baseline_record()
-    buses = [replace(r, theta_deg=0.0, p_mw=0.0, q_mvar=0.0) for r in base.buses]
-    branches = [
-        replace(br, status_from=BreakerState.OPEN, status_to=BreakerState.OPEN,
-                p_mw=0.0, q_mvar=0.0, loss_mw=0.0)
-        for br in base.branches
-    ]
-    return GridRecord(
-        buses=buses,
-        branches=branches,
-        source="scenario2c",
-        extras={"stage": "post-se", "bdd_chi2": 0.0},
-    )
+    return GridRecord.load(DATA_DIR / "scenario2c.csv")
 
 
 def scenario_2d_record() -> GridRecord:
     """Breaker-status falsification: the 2-4 row reads Opened while its
     56.1 MW / -15.8 Mvar flow stays in place."""
-    record = corrupt_topology_record(post_se_baseline_record(), [(2, 4)])
-    record.source = "scenario2d"
-    record.extras = {"stage": "post-se", "bdd_chi2": 0.0}
-    return record
+    return GridRecord.load(DATA_DIR / "scenario2d.csv")
 
 
-# ---------------------------------------------------------------------------
-# Display segments (attack point 3)
-# ---------------------------------------------------------------------------
-
-_SOM_REFERENCE = (
-    ("seg1", ["CB4_3:R", "CB7_8:R", "L4_3_S", "CP3_4_B:south", "L7_8_N", "Ld_4"],
-     {"4": 1.02, "7": 1.06}),
-    ("seg2", ["CB6_13:R", "CB6_12:R", "L6_13_N", "CP6_12_C:west", "L5_1_W",
-              "Ld_5", "Ld_10"],
-     {"5": 1.02, "6": 1.07, "10": 1.05}),
-    ("seg3", ["CB8_7:R", "L8_7_S", "Ld_9", "Ld_14"],
-     {"8": 1.09, "9": 1.06, "14": 1.04}),
-    ("seg4", ["CP2_3_B:west", "CP2_3_C:east"], {}),
-    ("seg5", ["CB2_1:R", "CB2_3:R", "L2_1_N", "CP1_2_B:north", "L2_3_E",
-              "CP2_3_A:east", "Ld_2"],
-     {"2": 1.04}),
-    ("seg6", ["CB13_12:R", "CB13_6:R", "CP13_12_A:west", "L13_6_S", "Ld_11",
-              "Ld_13"],
-     {"11": 1.06, "13": 1.04}),
-    ("seg7", ["CB12_6:R", "Ld_12", "L12_6_S", "CP6_12_B:south", "L12_13_E",
-              "CP13_12_B:east"],
-     {"12": 1.06}),
-    ("seg8", ["CB1_2:R", "L1_2_S", "CP1_2_A:south", "L6_12_N", "CP6_12_A:north",
-              "CP6_12_D:east", "L1_5_E"],
-     {"1": 1.06}),
-    ("seg9", ["CB3_2:R", "CB3_4:R", "L3_2_W", "CP2_3_D:west", "L3_4_N",
-              "CP3_4_A:north", "Ld_3"],
-     {"3": 1.01}),
-)
-
-SOM_REFERENCE_CELLS = (
-    ("seg7", "seg6", "seg3"),
-    ("seg8", "seg2", "seg1"),
-    ("seg5", "seg4", "seg9"),
-)
-
-
-def _segments_from_table(table) -> list[SegmentDescriptor]:
-    return parse_segments(
-        [{"id": sid, "markers": markers, "bus_display": display}
-         for sid, markers, display in table]
-    )
+def _segments(group: str) -> list[SegmentDescriptor]:
+    return parse_segments(sorted((DATA_DIR / "som" / group).glob("seg*.json")))
 
 
 def som_reference_segments() -> list[SegmentDescriptor]:
-    return _segments_from_table(_SOM_REFERENCE)
+    return _segments("reference")
 
 
 def som_reference_arrangement_cells() -> tuple[tuple[str, ...], ...]:
-    return SOM_REFERENCE_CELLS
-
-
-def _with_marker_swap(table, seg_id: str, old: str, new: str):
-    out = []
-    for sid, markers, display in table:
-        if sid == seg_id:
-            markers = [new if m == old else m for m in markers]
-        out.append((sid, list(markers), dict(display)))
-    return tuple(out)
+    doc = json.loads((DATA_DIR / "som" / "reference" / "arrangement.json").read_text())
+    return tuple(tuple(row) for row in doc["cells"])
 
 
 def som_scenario_3b_segments() -> list[SegmentDescriptor]:
     """Breaker malfunction display: CB6_13 rendered open (green) while its
     far terminal stays closed."""
-    table = _with_marker_swap(_SOM_REFERENCE, "seg2", "CB6_13:R", "CB6_13:G")
-    return _segments_from_table(table)
+    return _segments("scenario3b")
 
 
 def som_scenario_3c_segments() -> list[SegmentDescriptor]:
     """Display value injection: bus 2 shown at 1.02 p.u. instead of 1.04."""
-    out = []
-    for sid, markers, display in _SOM_REFERENCE:
-        display = dict(display)
-        if sid == "seg5":
-            display["2"] = 1.02
-        out.append((sid, list(markers), display))
-    return _segments_from_table(tuple(out))
+    return _segments("scenario3c")
 
-
-# ---------------------------------------------------------------------------
-# Materialization
-# ---------------------------------------------------------------------------
 
 def write_fixture_tree(root: str | Path) -> list[Path]:
-    """Write every fixture as CSV/JSON files under ``root`` (the layout the
-    CLI consumes); returns the created paths."""
-    import csv as _csv
-    import io as _io
-    import json as _json
-
+    """Copy every shipped fixture file under ``root`` (the layout the CLI
+    consumes); returns the created paths."""
     root = Path(root)
     created: list[Path] = []
-
-    def put(relative: str, text: str) -> None:
-        path = root / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        created.append(path)
-
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["Bus", "Attack_Vm", "Original_Vm", "Detected", "Anomaly Detection"])
-    for vm, detected in TABLE3_BUS2_POINTS:
-        w.writerow([2, "%.9g" % vm, "%.9g" % TABLE4_ORIGINAL_V[1],
-                    "TRUE" if detected else "FALSE",
-                    "Bad data detected" if detected else "Stealth attack"])
-    put("table3_bus2_points.csv", buf.getvalue())
-
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["Bus No.", "Bus type", "Stealth attack_start point",
-                "Stealth attack_end point", "Stealth attack_width", "Original voltage"])
-    kinds = ["Slack", "Generator", "Generator", "Load", "Load", "Generator",
-             "Load", "Generator", "Load", "Load", "Load", "Load", "Load", "Load"]
-    for bus in range(1, 15):
-        rng = TABLE4_RANGES[bus]
-        if rng is None:
-            w.writerow([bus, kinds[bus - 1], "N/A", "N/A", "N/A",
-                        "%.9g" % TABLE4_ORIGINAL_V[bus - 1]])
-        else:
-            w.writerow([bus, kinds[bus - 1], "%.9g" % rng[0], "%.9g" % rng[1],
-                        "%.9g" % rng[2], "%.9g" % TABLE4_ORIGINAL_V[bus - 1]])
-    put("table4_stealth_ranges.csv", buf.getvalue())
-
-    for name, builder in (
-        ("scenario1a_baseline", lambda: scenario_1a_records()[0]),
-        ("scenario1a_attacked", lambda: scenario_1a_records(with_recomputed_chi2=True)[1]),
-        ("scenario1b_baseline", lambda: scenario_1b_records()[0]),
-        ("scenario1b_attacked", lambda: scenario_1b_records(with_recomputed_chi2=True)[1]),
-        ("post_se_baseline", post_se_baseline_record),
-        ("scenario2a", scenario_2a_record),
-        ("scenario2b", scenario_2b_record),
-        ("scenario2c", scenario_2c_record),
-        ("scenario2d", scenario_2d_record),
-    ):
-        put(f"{name}.csv", builder().to_csv())
-
-    for group, segments in (
-        ("reference", som_reference_segments()),
-        ("scenario3b", som_scenario_3b_segments()),
-        ("scenario3c", som_scenario_3c_segments()),
-    ):
-        for seg in segments:
-            put(f"som/{group}/{seg.id}.json", seg.to_json() + "\n")
-    put(
-        "som/reference/arrangement.json",
-        _json.dumps({"n": 3, "cells": [list(r) for r in SOM_REFERENCE_CELLS]}, indent=2)
-        + "\n",
-    )
+    for src in sorted(DATA_DIR.rglob("*")):
+        if src.is_file():
+            dest = root / src.relative_to(DATA_DIR)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(src, dest)
+            created.append(dest)
     return created

@@ -27,6 +27,7 @@ __all__ = [
     "build_ieee14",
     "build_topology",
     "apply_topology_corruption",
+    "connected_components",
     "admittance",
     "model_to_json",
     "model_from_json",
@@ -227,6 +228,32 @@ def apply_topology_corruption(
     for i in _normalize_flips(topology, flips):
         status[i] = not status[i]
     return replace(topology, in_service=tuple(status))
+
+
+def connected_components(
+    buses: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> list[frozenset[int]]:
+    """Connected components of the graph on ``buses`` joined by ``edges``
+    (bus-id pairs), ordered by their smallest bus id."""
+    adj: dict[int, list[int]] = {b: [] for b in buses}
+    for f, t in edges:
+        adj[f].append(t)
+        adj[t].append(f)
+    seen: set[int] = set()
+    out: list[frozenset[int]] = []
+    for bus in sorted(adj):
+        if bus in seen:
+            continue
+        comp = {bus}
+        stack = [bus]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
 
 
 def branch_admittances(branch: Branch) -> tuple[complex, complex, complex, complex]:

@@ -15,10 +15,16 @@ from .detection import (
     analyze_record_islands,
     classify,
     extract_features,
-    feature_chi_square,
     rule_battery,
 )
-from .estimation import BddVerdict, MeasKind, Measurement, MeasurementSet, wls_estimate_ac
+from .estimation import (
+    DEFAULT_SIGMA_POWER,
+    DEFAULT_SIGMA_VM,
+    BddVerdict,
+    MeasurementSet,
+    standard_layout,
+    wls_estimate_ac,
+)
 from .network import NetworkModel, build_ieee14
 from .records import GridRecord
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
@@ -42,24 +48,13 @@ class PipelineReport:
 def measurements_from_record(
     record: GridRecord,
     base_mva: float = 100.0,
-    sigma_vm: float = 0.01,
-    sigma_power: float = 0.02,
+    sigma_vm: float = DEFAULT_SIGMA_VM,
+    sigma_power: float = DEFAULT_SIGMA_POWER,
 ) -> MeasurementSet:
     """Treat a record's bus table as the direct measurement channels
     (power flipped into the injection convention)."""
     v, _, p, q = record.arrays()
-    entries = [
-        Measurement(MeasKind.VM, float(v[i]), sigma_vm, bus=i + 1) for i in range(len(v))
-    ]
-    entries += [
-        Measurement(MeasKind.PINJ, float(-p[i] / base_mva), sigma_power, bus=i + 1)
-        for i in range(len(p))
-    ]
-    entries += [
-        Measurement(MeasKind.QINJ, float(-q[i] / base_mva), sigma_power, bus=i + 1)
-        for i in range(len(q))
-    ]
-    return MeasurementSet(entries)
+    return MeasurementSet(standard_layout(v, -p / base_mva, -q / base_mva, sigma_vm, sigma_power))
 
 
 def _bdd_for(
@@ -112,8 +107,8 @@ def run_pipeline(
     feature_chi2 = None
     feature_threshold = None
     if baseline_stats is not None:
-        feature_chi2 = feature_chi_square(
-            extract_features(attacked.snapshot(model.base_mva)), baseline_stats
+        feature_chi2 = baseline_stats.mahalanobis(
+            extract_features(attacked.snapshot(model.base_mva))
         )
         feature_threshold = (
             PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold

@@ -18,6 +18,7 @@ from .network import (
     TopologyMatrix,
     branch_admittances,
     build_topology,
+    connected_components,
     quiet_admittance,
 )
 
@@ -85,15 +86,6 @@ class PowerFlowSolution:
         return np.degrees(self.theta)
 
 
-def _adjacency(model: NetworkModel, topology: TopologyMatrix) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {b.id: [] for b in model.buses}
-    for br, live in zip(model.branches, topology.in_service):
-        if live:
-            adj[br.from_bus].append(br.to_bus)
-            adj[br.to_bus].append(br.from_bus)
-    return adj
-
-
 def decompose_islands(
     model: NetworkModel, topology: TopologyMatrix | None = None
 ) -> list[Island]:
@@ -101,24 +93,11 @@ def decompose_islands(
     smallest bus id."""
     if topology is None:
         topology = build_topology(model)
-    adj = _adjacency(model, topology)
-    seen: set[int] = set()
-    islands: list[Island] = []
-    for bus in sorted(adj):
-        if bus in seen:
-            continue
-        comp = {bus}
-        stack = [bus]
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        has_slack = any(model.bus(b).kind is BusKind.SLACK for b in comp)
-        islands.append(Island(buses=frozenset(comp), has_slack=has_slack))
-    return islands
+    live = [br.pair for br, on in zip(model.branches, topology.in_service) if on]
+    return [
+        Island(buses=comp, has_slack=any(model.bus(b).kind is BusKind.SLACK for b in comp))
+        for comp in connected_components((b.id for b in model.buses), live)
+    ]
 
 
 def bus_power(ybus: np.ndarray, v: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +158,6 @@ def solve(
     tol: float = 1e-8,
     max_iter: int = 30,
     enforce_q_limits: bool = True,
-    flat_start: bool = True,
 ) -> PowerFlowSolution:
     """Newton-Raphson AC power flow per island.
 
@@ -192,12 +170,10 @@ def solve(
     n = model.n_bus
     base = model.base_mva
 
-    v = np.array([b.v_setpoint for b in model.buses], dtype=float)
+    v = np.array(
+        [1.0 if b.kind is BusKind.LOAD else b.v_setpoint for b in model.buses], dtype=float
+    )
     theta = np.zeros(n)
-    if flat_start:
-        for i, b in enumerate(model.buses):
-            if b.kind is BusKind.LOAD:
-                v[i] = 1.0
 
     p_sched = np.array([(b.p_gen - b.p_load) / base for b in model.buses])
     q_sched = np.array([-b.q_load / base for b in model.buses])
@@ -354,32 +330,6 @@ def line_flows(
     if topology is None:
         topology = build_topology(model)
     return line_flows_values(model, topology, solution.v, solution.theta)
-
-
-def island_balances(
-    model: NetworkModel,
-    topology: TopologyMatrix,
-    solution: PowerFlowSolution,
-) -> list[tuple[Island, float]]:
-    """Per-island (generation - load - losses) in MW."""
-    islands = decompose_islands(model, topology)
-    loss_by_branch = {
-        (f.from_bus, f.to_bus): f.loss_mw for f in solution.flows if f.in_service
-    }
-    out = []
-    for isl in islands:
-        inj = sum(
-            solution.p_inj[b - 1]
-            for b in isl.buses
-            if not math.isnan(solution.p_inj[b - 1])
-        )
-        loss = sum(
-            l
-            for (fb, tb), l in loss_by_branch.items()
-            if fb in isl.buses and not math.isnan(l)
-        )
-        out.append((isl, inj - loss))
-    return out
 
 
 def solution_to_csv(

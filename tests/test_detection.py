@@ -10,7 +10,6 @@ from gridsec.detection import (
     CORRELATION,
     DIRECT,
     GRADIENT,
-    FeatureBaseline,
     FeatureVector,
     Finding,
     Rule,
@@ -22,7 +21,6 @@ from gridsec.detection import (
     baseline_to_json,
     classify,
     extract_features,
-    feature_chi_square,
     fit_baseline,
     rule_battery,
 )
@@ -117,7 +115,7 @@ def test_identical_snapshots_degenerate_baseline():
     fv = extract_features(snap)
     assert np.allclose(stats.mu, fv.values)
     assert np.allclose(stats.cov_std, stats.lam * np.eye(71))
-    assert feature_chi_square(fv, stats) == pytest.approx(0.0, abs=1e-9)
+    assert stats.mahalanobis(fv) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_duplicate_snapshot_leaves_mean(table5_snapshots):
@@ -146,7 +144,7 @@ def test_table5_baseline_positive_definite(table5_snapshots):
     assert eig[0] > 0
     assert eig[-1] / eig[0] <= 1.2e6
     for snap in snaps:
-        d = feature_chi_square(extract_features(snap), stats)
+        d = stats.mahalanobis(extract_features(snap))
         assert math.isfinite(d) and d >= 0
         assert d <= stats.train_max_maha + 1e-9
     assert stats.threshold == pytest.approx(stats.train_max_maha * 1.1)
@@ -160,7 +158,7 @@ def test_one_sigma_along_principal_axis(table5_snapshots):
     for k in (0, 35, 70):
         z = math.sqrt(lam[k]) * vec[:, k]
         f = FeatureVector(stats.mu + stats.scale * z)
-        assert feature_chi_square(f, stats) == pytest.approx(1.0, abs=1e-9)
+        assert stats.mahalanobis(f) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mahalanobis_invariant_under_unit_conversion(table5_snapshots):
@@ -174,8 +172,8 @@ def test_mahalanobis_invariant_under_unit_conversion(table5_snapshots):
     for _ in range(10):
         probe = random_snapshot(rng)
         probe_mw = BusSnapshot(v=probe.v.copy(), p=probe.p * 100.0, q=probe.q * 100.0)
-        d_pu = feature_chi_square(extract_features(probe), stats_pu)
-        d_mw = feature_chi_square(extract_features(probe_mw), stats_mw)
+        d_pu = stats_pu.mahalanobis(extract_features(probe))
+        d_mw = stats_mw.mahalanobis(extract_features(probe_mw))
         assert d_mw == pytest.approx(d_pu, rel=1e-6)
 
 
@@ -183,7 +181,7 @@ def test_attacked_snapshot_scores_above_training(table5_snapshots):
     snaps, ids = table5_snapshots
     stats = fit_baseline(snaps, ids)
     _, attacked = fx.scenario_1b_records()
-    d = feature_chi_square(extract_features(attacked.snapshot()), stats)
+    d = stats.mahalanobis(extract_features(attacked.snapshot()))
     assert d > stats.threshold
 
 
@@ -192,17 +190,9 @@ def test_baseline_json_round_trip(table5_snapshots):
     stats = fit_baseline(snaps, ids)
     again = baseline_from_json(baseline_to_json(stats))
     probe = extract_features(snaps[4])
-    assert feature_chi_square(probe, again) == pytest.approx(
-        feature_chi_square(probe, stats), rel=1e-12
+    assert again.mahalanobis(probe) == pytest.approx(
+        stats.mahalanobis(probe), rel=1e-12
     )
-
-
-def test_feature_baseline_wrapper(table5_snapshots):
-    snaps, ids = table5_snapshots
-    fb = FeatureBaseline().fit(snaps, ids)
-    assert fb.score(snaps[0]) >= 0
-    with pytest.raises(RuntimeError):
-        FeatureBaseline().score(snaps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +351,7 @@ def test_classify_stress_and_normal():
 def test_classify_islanding_valid():
     rec = fx.scenario_2c_record()
     report = analyze_record_islands(rec)
+    assert report.islands == [frozenset({b}) for b in range(1, 15)]
     assert report.all_flows_zero and report.all_balanced
     assert report.breaker_pairs_consistent
     ramp = Finding(Rule.RAMP_RATE, Severity.VIOLATION, "x", {"pct": -100.0})

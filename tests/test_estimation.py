@@ -19,7 +19,7 @@ from gridsec.estimation import (
     wls_estimate_dc,
 )
 from gridsec.measmodel import MeasurementModel
-from gridsec.network import build_ieee14
+from gridsec.network import apply_topology_corruption, build_ieee14, build_topology
 from gridsec.powerflow import solve
 from gridsec.stats import chi_square_threshold
 
@@ -114,6 +114,29 @@ def dc_setup(model):
     rng = np.random.default_rng(99)
     x_true = rng.normal(0.0, 0.1, h.shape[1])
     return h, labels, x_true
+
+
+@pytest.mark.parametrize("opened", [[], [(2, 4), (7, 8)]], ids=["closed", "open-2-4-7-8"])
+def test_dc_jacobian_matches_branch_equations(ieee14, opened):
+    """H theta equals the DC flows (theta_f - theta_t) / (x tap) of the
+    in-service branches and their signed sums at every bus; H is C-ordered."""
+    topo = apply_topology_corruption(build_topology(ieee14), opened)
+    h, labels = build_dc_jacobian(ieee14, topo)
+    theta = np.random.default_rng(5).normal(0.0, 0.1, 14)
+    theta[ieee14.slack_index] = 0.0
+    p = np.zeros(14)
+    flows = []
+    for br, live in zip(ieee14.branches, topo.in_service):
+        if live:
+            f = (theta[br.from_bus - 1] - theta[br.to_bus - 1]) / (br.x * br.tap)
+            p[br.from_bus - 1] += f
+            p[br.to_bus - 1] -= f
+            flows.append(f)
+    assert labels[14:] == [f"F{f}_{t}" for (f, t), live in zip(topo.pairs, topo.in_service) if live]
+    assert h.flags.c_contiguous
+    np.testing.assert_allclose(
+        h @ np.delete(theta, ieee14.slack_index), np.concatenate([p, flows]), atol=1e-12
+    )
 
 
 def test_dc_consistent_system_recovers_state(ieee14):

@@ -68,3 +68,12 @@ def test_every_lazy_export_resolves():
     from gridsec import fixtures
 
     assert fixtures.__name__ == "gridsec.fixtures"
+
+
+def test_baseline_fit_does_not_load_estimation(tmp_path):
+    # The detector only annotates with estimation's BddVerdict; fitting
+    # never estimates.
+    argv = ["baseline-fit", "--out", str(tmp_path / "stats.json")]
+    loaded = loaded_after(f"from gridsec.cli import main\nassert main({argv!r}) == 0")
+    assert "gridsec.detection" in loaded
+    assert "gridsec.estimation" not in loaded

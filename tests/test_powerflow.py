@@ -218,23 +218,21 @@ def test_island_decomposition_against_bfs_oracle():
 
 def test_island_balances_report():
     from gridsec.network import apply_topology_corruption, build_topology
-    from gridsec.powerflow import island_balances
 
     model = build_ieee14()
     topo = apply_topology_corruption(build_topology(model), [(7, 8)])
     sol = solve(model, topo)
-    balances = island_balances(model, topo, sol)
-    assert len(balances) == 2
-    for island, net in balances:
-        assert abs(net) < 1e-6 * model.base_mva
+    assert len(sol.islands) == 2
+    for rep in sol.islands:
+        assert rep.solved
+        assert abs(rep.balance_mw) < 1e-6 * model.base_mva
 
 
 def test_every_branch_open_gives_singletons():
     model = build_ieee14()
     topo = apply_topology_corruption(build_topology(model), list(range(20)))
     islands = decompose_islands(model, topo)
-    assert len(islands) == 14
-    assert all(len(isl.buses) == 1 for isl in islands)
+    assert [isl.buses for isl in islands] == [frozenset({b}) for b in range(1, 15)]
 
 
 def test_islanded_generator_promoted_to_slack():

@@ -1,13 +1,17 @@
-import json
+import csv
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridsec import fixtures as fx
+from gridsec.attacks import StateDelta, corrupt_topology_record, manipulate_state_vector
 from gridsec.detection import Rule, Severity, VerdictClass, fit_baseline
+from gridsec.estimation import wls_estimate_ac
 from gridsec.network import BusKind, build_ieee14
-from gridsec.pipeline import run_pipeline
+from gridsec.pipeline import measurements_from_record, run_pipeline
 from gridsec.records import GridRecord
 from gridsec.scenarios import TABLE5_SCENARIOS, generate_all
 
@@ -125,39 +129,62 @@ def test_record_extras_round_trip():
     assert again.source == "scenario1a"
 
 
-def test_fixture_tree_matches_builders(tmp_path):
-    """The materialized fixture files must round-trip to the in-code
-    builders (the shipped data directory is regenerable)."""
-    fx.write_fixture_tree(tmp_path)
-    for name, builder in (
-        ("post_se_baseline", fx.post_se_baseline_record),
-        ("scenario2a", fx.scenario_2a_record),
-        ("scenario2b", fx.scenario_2b_record),
-        ("scenario2c", fx.scenario_2c_record),
-        ("scenario2d", fx.scenario_2d_record),
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def test_shipped_data_directory_in_sync(ieee14):
+    """The shipped files that code still owns match what the code writes,
+    byte for byte: Tables 3 and 4 from their transcribed constants (the
+    files round them to 9 digits) and the seeded 1A/1B snapshots from
+    their builders, with our own chi-square of each attacked snapshot."""
+    orig = fx.TABLE4_ORIGINAL_V
+    table3 = [["Bus", "Attack_Vm", "Original_Vm", "Detected", "Anomaly Detection"]] + [
+        [2, "%.9g" % vm, "%.9g" % orig[1], "TRUE" if detected else "FALSE",
+         "Bad data detected" if detected else "Stealth attack"]
+        for vm, detected in fx.TABLE3_BUS2_POINTS
+    ]
+    table4 = [["Bus No.", "Bus type", "Stealth attack_start point",
+               "Stealth attack_end point", "Stealth attack_width", "Original voltage"]]
+    for bus in range(1, 15):
+        window = fx.TABLE4_RANGES[bus]
+        cols = ["N/A"] * 3 if window is None else ["%.9g" % x for x in window]
+        table4.append([bus, ieee14.bus(bus).kind.value, *cols, "%.9g" % orig[bus - 1]])
+    expected = {
+        "table3_bus2_points.csv": _csv_text(table3),
+        "table4_stealth_ranges.csv": _csv_text(table4),
+    }
+    for name, (baseline, attacked) in (
+        ("scenario1a", fx.scenario_1a_records()),
+        ("scenario1b", fx.scenario_1b_records()),
     ):
-        disk = GridRecord.load(tmp_path / f"{name}.csv")
-        assert disk.to_csv() == builder().to_csv()
-    doc = json.loads((tmp_path / "som" / "reference" / "seg7.json").read_text())
-    assert doc["id"] == "seg7"
-    assert "CB12_6:R" in doc["markers"]
+        expected[f"{name}_baseline.csv"] = baseline.to_csv()
+        j = wls_estimate_ac(ieee14, measurements_from_record(attacked), delta=1e-8).j_value
+        extras = dict(attacked.extras, recomputed_chi2=round(j, 6))
+        expected[f"{name}_attacked.csv"] = replace(attacked, extras=extras).to_csv()
+    for name, text in expected.items():
+        assert (fx.DATA_DIR / name).read_bytes() == text.encode(), name
 
 
-def test_shipped_data_directory_in_sync(tmp_path):
-    import gridsec
-
-    data_dir = (
-        __import__("pathlib").Path(gridsec.__file__).parent / "data"
+def test_post_se_scenarios_derive_from_baseline():
+    """2A and 2D are the quoted manipulations of the shipped baseline:
+    applied to it, they reproduce the shipped files byte for byte."""
+    base = fx.post_se_baseline_record()
+    delta = StateDelta.from_changes(
+        14,
+        dv={4: 0.0073, 7: 0.0102, 9: 0.0107, 13: 0.0157},
+        dtheta_deg={4: 1.89, 7: 1.88, 9: -1.70, 13: 2.19},
+        dp_mw={4: -95.6, 9: -59.0, 13: -27.0},
+        dq_mvar={4: 7.8, 9: -13.9, 13: -11.6},
     )
-    if not data_dir.exists():
-        pytest.skip("data directory not materialized")
-    fx.write_fixture_tree(tmp_path)
-    for fresh in sorted(tmp_path.rglob("*")):
-        if fresh.is_dir():
-            continue
-        shipped = data_dir / fresh.relative_to(tmp_path)
-        assert shipped.exists(), f"missing shipped fixture {shipped.name}"
-        assert shipped.read_text() == fresh.read_text(), shipped.name
+    for name, record in (
+        ("scenario2a", manipulate_state_vector(base, delta)),
+        ("scenario2d", corrupt_topology_record(base, [(2, 4)])),
+    ):
+        record = replace(record, source=name, extras={"stage": "post-se", "bdd_chi2": 0.0})
+        assert record.to_csv().encode() == (fx.DATA_DIR / f"{name}.csv").read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
