@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 from dataclasses import replace
 
@@ -127,6 +128,24 @@ def test_record_extras_round_trip():
     assert again.extras["bdd_chi2"] == 42.8
     assert again.extras["stage"] == "measurement"
     assert again.source == "scenario1a"
+
+
+def test_fixture_tree_matches_builders(tmp_path):
+    """The tree that `write_fixture_tree` materializes loads back to the
+    records and segments the fixture functions return."""
+    fx.write_fixture_tree(tmp_path)
+    for name, builder in (
+        ("post_se_baseline", fx.post_se_baseline_record),
+        ("scenario2a", fx.scenario_2a_record),
+        ("scenario2b", fx.scenario_2b_record),
+        ("scenario2c", fx.scenario_2c_record),
+        ("scenario2d", fx.scenario_2d_record),
+    ):
+        disk = GridRecord.load(tmp_path / f"{name}.csv")
+        assert disk.to_csv() == builder().to_csv()
+    doc = json.loads((tmp_path / "som" / "reference" / "seg7.json").read_text())
+    assert doc["id"] == "seg7"
+    assert "CB12_6:R" in doc["markers"]
 
 
 def _csv_text(rows) -> str:
