@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .estimation import EstimationError, MeasKind, MeasurementSet, gauss_newton, wls_estimate_ac
-from .measmodel import MeasurementModel
 from .network import BreakerState, NetworkModel
 from .records import BranchRow, BusRow, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD
@@ -81,7 +80,7 @@ class AttackVector:
 
     def apply_to_record(self, record: GridRecord, base_mva: float = 100.0) -> GridRecord:
         """Add the vector onto a bus record (V deltas in p.u., P/Q deltas
-        converted from p.u. to MW/Mvar)."""
+        converted from p.u. to MW/Mvar); the result's ``extras`` is a copy."""
         by_label = dict(zip(self.channels, self.deltas))
         rows = []
         for r in record.buses:
@@ -91,7 +90,10 @@ class AttackVector:
             rows.append(
                 replace(r, v_pu=r.v_pu + dv, p_mw=r.p_mw + dp, q_mvar=r.q_mvar + dq)
             )
-        return replace(record, buses=rows, source=f"{record.source}+{self.provenance}")
+        return replace(
+            record, buses=rows, source=f"{record.source}+{self.provenance}",
+            extras=dict(record.extras),
+        )
 
 
 def _vector_from_named(
@@ -235,8 +237,8 @@ def sweep_stealth_range(
             f"non-finite candidate value on channel {baseline.entries[idx].channel}"
         )
 
-    warm = wls_estimate_ac(model, baseline, delta=delta).x_hat
-    mm = MeasurementModel(model, None, baseline.entries)
+    base = wls_estimate_ac(model, baseline, delta=delta)
+    warm, mm = base.x_hat, base.measurement_model
     sig = baseline.sigmas
 
     detected = np.zeros(n_points, dtype=bool)
@@ -469,7 +471,9 @@ def corrupt_topology_record(
             )
         else:
             rows.append(br)
-    return replace(record, branches=rows, source=f"{record.source}+topology-flip")
+    return replace(
+        record, branches=rows, source=f"{record.source}+topology-flip", extras=dict(record.extras)
+    )
 
 
 def _invert(state: BreakerState) -> BreakerState:

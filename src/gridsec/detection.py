@@ -277,9 +277,11 @@ def rule_battery(
     baseline: GridRecord,
     config: RuleConfig | None = None,
     base_mva: float = 100.0,
+    island_report: IslandRecordReport | None = None,
 ) -> list[Finding]:
     """Evaluate every physics rule of a snapshot against its baseline, in a
-    fixed deterministic order."""
+    fixed deterministic order. The IslandBalance rule reads
+    ``island_report``, found with ``analyze_record_islands`` when None."""
     cfg = config or RuleConfig()
     findings: list[Finding] = []
     snap = record.snapshot(base_mva)
@@ -443,9 +445,10 @@ def rule_battery(
             )
 
     # IslandBalance: per-island conservation from the record itself.
-    report = analyze_record_islands(record, cfg)
-    if report is not None:
-        for island, net in report.balances:
+    if island_report is None:
+        island_report = analyze_record_islands(record, cfg)
+    if island_report is not None:
+        for island, net in island_report.balances:
             if abs(net) > cfg.balance_tol_mw:
                 findings.append(
                     Finding(

@@ -126,6 +126,7 @@ class EstimationResult:
     jacobian: np.ndarray  # at the solution
     sigmas: np.ndarray
     measurements: MeasurementSet
+    measurement_model: MeasurementModel  # compiled for ``measurements``
 
 
 @dataclass
@@ -139,6 +140,7 @@ class BddVerdict:
 # Default channel noise (p.u. std-dev); diagonal R throughout.
 DEFAULT_SIGMA_VM = 0.01
 DEFAULT_SIGMA_POWER = 0.02
+_WLS_MAX_ITER = 50
 
 
 def standard_layout(
@@ -273,7 +275,7 @@ def wls_estimate_ac(
     measurements: MeasurementSet,
     delta: float = 1e-6,
     topology: TopologyMatrix | None = None,
-    max_iter: int = 50,
+    max_iter: int = _WLS_MAX_ITER,
     x0: StateVector | None = None,
 ) -> EstimationResult:
     """Gauss-Newton WLS over the AC measurement model.
@@ -282,24 +284,34 @@ def wls_estimate_ac(
     sigma is not finite, and ObservabilityError when the gain matrix is
     singular (or when m < n up front).
     """
-    n = model.n_bus
-    n_state = 2 * n - 1
+    n_state = 2 * model.n_bus - 1
     if len(measurements) < n_state:
         raise ObservabilityError(
             f"{len(measurements)} measurements cannot observe {n_state} states"
         )
     if delta <= 0:
         raise ValueError("delta must be positive")
-    z = measurements.z[None]
-    sig = measurements.sigmas
-    bad = ~(np.isfinite(z[0]) & np.isfinite(sig))
+    bad = ~(np.isfinite(measurements.z) & np.isfinite(measurements.sigmas))
     if bad.any():
         m = measurements.entries[int(np.argmax(bad))]
         raise EstimationError(
             f"non-finite measurement on channel {m.channel}: value {m.value}, sigma {m.sigma}"
         )
     mm = MeasurementModel(model, topology, measurements.entries)
+    return _estimate(mm, measurements, delta, max_iter, x0)
 
+
+def _estimate(
+    mm: MeasurementModel,
+    measurements: MeasurementSet,
+    delta: float,
+    max_iter: int,
+    x0: StateVector | None,
+) -> EstimationResult:
+    """``wls_estimate_ac`` on a compiled model of the measurements' layout."""
+    n = mm.n_bus
+    z = measurements.z[None]
+    sig = measurements.sigmas
     v = np.ones((1, n)) if x0 is None else x0.v.astype(float)[None].copy()
     theta = np.zeros((1, n)) if x0 is None else x0.theta.astype(float)[None].copy()
 
@@ -318,6 +330,7 @@ def wls_estimate_ac(
         jacobian=jac[0],
         sigmas=sig,
         measurements=measurements,
+        measurement_model=mm,
     )
 
 
@@ -478,23 +491,30 @@ def iterative_bad_data_removal(
 ) -> tuple[EstimationResult, list[int]]:
     """Estimate, drop the worst-normalized-residual channel while J exceeds
     the threshold, re-estimate. Returned indices refer to the original set.
+    The layout is compiled once; each re-estimate runs on the compiled
+    model without the dropped row, from ``x0`` (a flat start by default).
 
     Raises ObservabilityError if removal would fall below observability.
     """
     live = list(range(len(measurements)))
-    current = measurements
     removed: list[int] = []
     n_state = 2 * model.n_bus - 1
+    result = wls_estimate_ac(model, measurements, delta=delta, topology=topology, x0=x0)
     while True:
-        result = wls_estimate_ac(model, current, delta=delta, topology=topology, x0=x0)
         verdict = bdd_classify(result, threshold)
         if not verdict.flagged:
             return result, removed
-        if len(current) - 1 < n_state:
+        if len(result.measurements) - 1 < n_state:
             raise ObservabilityError(
                 "cannot remove further measurements without losing observability"
             )
         worst = verdict.suspect
         assert worst is not None
         removed.append(live.pop(worst))
-        current = current.without([worst])
+        result = _estimate(
+            result.measurement_model.without(worst),
+            result.measurements.without([worst]),
+            delta,
+            _WLS_MAX_ITER,
+            x0,
+        )

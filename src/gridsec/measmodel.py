@@ -12,12 +12,13 @@ State columns: [theta at non-slack buses, V at all buses].
 
 from __future__ import annotations
 
+import copy
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .network import NetworkModel, TopologyMatrix, branch_admittances, quiet_admittance
+from .network import Branch, NetworkModel, TopologyMatrix, branch_admittances, quiet_admittance
 
 __all__ = ["MeasKind", "MeasurementModel", "injection_derivatives"]
 
@@ -55,18 +56,19 @@ def injection_derivatives(ybus: np.ndarray, v: np.ndarray, theta: np.ndarray):
     return p, q, dp_dth, dp_dv, dq_dth, dq_dv
 
 
-def _two_port_from(model: NetworkModel, f_bus: int, t_bus: int) -> tuple[complex, complex]:
-    """(yff, yft) of the branch between two buses, seen from ``f_bus``."""
-    br = model.branches[model.branch_index(f_bus, t_bus)]
-    yff, yft, ytf, ytt = branch_admittances(br)
-    return (yff, yft) if br.pair == (f_bus, t_bus) else (ytt, ytf)
-
-
 class MeasurementModel:
     """h(x) and H(x) of one layout of ``Measurement`` entries on one
-    network topology, compiled into index arrays once. An entry at a bus
-    outside 1..n, or a flow on a bus pair with no branch, raises
-    ValueError naming its channel."""
+    network topology. An entry at a bus outside 1..n, or a flow on a bus
+    pair with no branch, raises ValueError naming its channel.
+
+    The layout is compiled once into ``h_idx`` (m,) and ``jac_idx``
+    (m, 2n - 1), which index one source vector per state: ``[V, P, Q,
+    dP/dtheta, dP/dV, dQ/dtheta, dQ/dV (n x n each), flow terms, 0, 1]``.
+    The flow terms are ten blocks over the measured branch ends: the P
+    flow and its derivatives by theta_i, theta_j (the negated theta_i
+    one), V_i and V_j, then the same for Q. ``evaluate`` computes the
+    source and gathers h and H from it.
+    """
 
     def __init__(
         self, model: NetworkModel, topology: TopologyMatrix | None, entries: Sequence
@@ -82,25 +84,64 @@ class MeasurementModel:
         rows: dict[MeasKind, tuple[list, list]] = {kind: ([], []) for kind in MeasKind}
         ends: dict[tuple[int, int], int] = {}
         bus_index = {bus: bus - 1 for bus in range(1, n + 1)}
+        # The first branch between two buses, looked up either way round.
+        by_pair: dict[tuple[int, int], Branch] = {}
+        for br in model.branches:
+            by_pair.setdefault(br.pair, br)
+            by_pair.setdefault(br.pair[::-1], br)
         for row, m in enumerate(entries):
             flow = m.kind in (MeasKind.PFLOW, MeasKind.QFLOW)
             try:
                 at = ends.setdefault(m.branch, len(ends)) if flow else bus_index[m.bus]
             except KeyError:
                 raise ValueError(f"channel {m.channel}: bus outside 1..{n}") from None
+            if flow and m.branch not in by_pair:
+                f_bus, t_bus = m.branch
+                raise ValueError(f"channel {m.channel}: no branch between buses {f_bus} and {t_bus}")
             rows[m.kind][0].append(row)
             rows[m.kind][1].append(at)
-        self._rows = {k: (np.array(r, dtype=int), np.array(w, dtype=int)) for k, (r, w) in rows.items()}
-        self._end_i, self._end_j = (np.array(list(ends), dtype=int).reshape(-1, 2) - 1).T
+        rows = {k: (np.array(r, dtype=np.intp), np.array(w, dtype=np.intp)) for k, (r, w) in rows.items()}
+        self._end_i, self._end_j = (np.array(list(ends), dtype=np.intp).reshape(-1, 2) - 1).T
         two_port = []
         for end in ends:
-            try:
-                two_port.append(_two_port_from(model, *end))
-            except KeyError as exc:
-                m = next(m for m in entries if m.branch == end)
-                raise ValueError(f"channel {m.channel}: {exc.args[0]}") from None
-        two_port = np.array(two_port, dtype=complex)
-        self._yff, self._yft = two_port.reshape(-1, 2).T
+            yff, yft, ytf, ytt = branch_admittances(by_pair[end])
+            two_port.append((yff, yft) if by_pair[end].pair == end else (ytt, ytf))
+        self._yff, self._yft = np.array(two_port, dtype=complex).reshape(-1, 2).T
+
+        self._injections = bool(rows[MeasKind.PINJ][0].size or rows[MeasKind.QINJ][0].size)
+        flows = 3 * n + 4 * n * n
+        zero = flows + 10 * len(ends)
+        self._src_len = zero + 2
+        self.h_idx = np.empty(self.n_rows, dtype=np.intp)
+        # Columns theta, then V, at every bus; the slack's theta is dropped below.
+        full = np.full((self.n_rows, 2 * n), zero, dtype=np.intp)
+        r, bus = rows[MeasKind.VM]
+        self.h_idx[r] = bus
+        full[r, n + bus] = zero + 1
+        for kind, value, block in ((MeasKind.PINJ, n, 0), (MeasKind.QINJ, 2 * n, 2)):
+            r, bus = rows[kind]
+            self.h_idx[r] = value + bus
+            d_th = 3 * n + block * n * n + bus[:, None] * n + np.arange(n)
+            full[r] = np.hstack([d_th, d_th + n * n])
+        for kind, first in ((MeasKind.PFLOW, 0), (MeasKind.QFLOW, 5)):
+            r, end = rows[kind]
+            i, j = self._end_i[end], self._end_j[end]
+            self.h_idx[r], full[r, i], full[r, j], full[r, n + i], full[r, n + j] = (
+                flows + (first + np.arange(5))[:, None] * len(ends) + end
+            )
+        self.jac_idx = np.delete(full, model.slack_index, axis=1)
+        # evaluate gathers with mode='clip', which would hide a bad index.
+        idx = np.concatenate([self.h_idx, self.jac_idx.ravel()])
+        if idx.size and not 0 <= idx.min() <= idx.max() < self._src_len:
+            raise AssertionError("measurement model index outside its source vector")
+
+    def without(self, row: int) -> "MeasurementModel":
+        """This model with one row of its layout deleted."""
+        reduced = copy.copy(self)
+        reduced.n_rows -= 1
+        reduced.h_idx = np.delete(self.h_idx, row)
+        reduced.jac_idx = np.delete(self.jac_idx, row, axis=0)
+        return reduced
 
     def evaluate(
         self,
@@ -110,25 +151,18 @@ class MeasurementModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """h shaped (B, m) and H shaped (B, m, 2n - 1) at states shaped
         (B, n), written into the arrays of ``out`` when given."""
-        n, ang = self.n_bus, self.angle_buses
+        batch = len(v)
         if out is None:
-            out = np.empty((len(v), self.n_rows)), np.empty((len(v), self.n_rows, self.n_state))
-        h, jac = out
-        jac.fill(0.0)
-        rows, bus = self._rows[MeasKind.VM]
-        h[:, rows] = v[:, bus]
-        jac[:, rows, n - 1 + bus] = 1.0
-
-        if self._rows[MeasKind.PINJ][0].size or self._rows[MeasKind.QINJ][0].size:
-            p, q, dp_dth, dp_dv, dq_dth, dq_dv = injection_derivatives(self.ybus, v, theta)
-            for kind, val, d_th, d_v in (
-                (MeasKind.PINJ, p, dp_dth, dp_dv),
-                (MeasKind.QINJ, q, dq_dth, dq_dv),
-            ):
-                rows, bus = self._rows[kind]
-                h[:, rows] = val[:, bus]
-                jac[:, rows, : n - 1] = d_th[:, bus[:, None], ang]
-                jac[:, rows, n - 1:] = d_v[:, bus]
+            out = np.empty((batch, self.n_rows)), np.empty((batch, self.n_rows, self.n_state))
+        src = np.empty((batch, self._src_len))
+        src[:, -2:] = 0.0, 1.0
+        terms = [v]
+        if self._injections:
+            terms += injection_derivatives(self.ybus, v, theta)
+        at = 0
+        for term in terms:
+            src[:, at:at + term[0].size] = term.reshape(batch, -1)
+            at += term[0].size
 
         if self._end_i.size:
             i, j = self._end_i, self._end_j
@@ -138,23 +172,18 @@ class MeasurementModel:
             c, s = np.cos(dth), np.sin(dth)
             cs = gft * c + bft * s
             sc = gft * s - bft * c
-            # Per branch end: value, d/dtheta_i (d/dtheta_j is its
-            # negative), d/dV_i, d/dV_j.
-            terms = {
-                MeasKind.PFLOW: (vi * vi * gff + vi * vj * cs, vi * vj * (-gft * s + bft * c),
-                                 2 * vi * gff + vj * cs, vi * cs),
-                MeasKind.QFLOW: (-vi * vi * bff + vi * vj * sc, vi * vj * cs,
-                                 -2 * vi * bff + vj * sc, vi * sc),
-            }
-            for kind, (val, d_thi, d_vi, d_vj) in terms.items():
-                rows, end = self._rows[kind]
-                at = np.arange(rows.size)
-                h[:, rows] = val[:, end]
-                # Both angle derivatives over every bus, then the slack's dropped.
-                d_th = np.zeros((len(v), rows.size, n))
-                d_th[:, at, i[end]] = d_thi[:, end]
-                d_th[:, at, j[end]] = -d_thi[:, end]
-                jac[:, rows, : n - 1] = d_th[..., ang]
-                jac[:, rows, n - 1 + i[end]] = d_vi[:, end]
-                jac[:, rows, n - 1 + j[end]] = d_vj[:, end]
+            p_thi = vi * vj * (-gft * s + bft * c)
+            q_thi = vi * vj * cs
+            at = 3 * self.n_bus + 4 * self.n_bus**2
+            for term in (
+                vi * vi * gff + vi * vj * cs, p_thi, -p_thi, 2 * vi * gff + vj * cs, vi * cs,
+                -vi * vi * bff + vi * vj * sc, q_thi, -q_thi, -2 * vi * bff + vj * sc, vi * sc,
+            ):
+                src[:, at:at + i.size] = term
+                at += i.size
+        # mode='clip' lets take write straight into out, where the default
+        # 'raise' fills a copy first; __init__ checked the indices.
+        h, jac = out
+        np.take(src, self.h_idx, axis=1, out=h, mode="clip")
+        np.take(src, self.jac_idx, axis=1, out=jac, mode="clip")
         return h, jac

@@ -114,8 +114,10 @@ def run_pipeline(
             PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold
         )
 
-    findings = rule_battery(attacked, baseline, cfg, base_mva=model.base_mva)
     island_report = analyze_record_islands(attacked, cfg)
+    findings = rule_battery(
+        attacked, baseline, cfg, base_mva=model.base_mva, island_report=island_report
+    )
     verdict = classify(
         bdd,
         findings,

@@ -132,6 +132,8 @@ def chi2_ppf(p: float, df: float) -> float:
     lo, hi = 0.0, math.inf
     for _ in range(100):
         f = chi2_cdf(x, df) - p
+        if f == 0:
+            return x
         if f > 0:
             hi = min(hi, x)
         else:

@@ -149,6 +149,23 @@ def test_scenario_1b_applies_to_fixture_baseline():
     assert attacked.bus_row(13).p_mw == pytest.approx(3.16, abs=1e-9)
 
 
+def test_attacked_records_do_not_share_the_input_extras():
+    """Writing the attacked snapshot's chi-square must not reach its
+    baseline: the 1A/1B baselines carry no ``bdd_chi2``."""
+    for builder in (fx.scenario_1a_records, fx.scenario_1b_records):
+        baseline, attacked = builder()
+        assert baseline.extras == {"stage": "measurement"}
+        assert "bdd_chi2" in attacked.extras
+    base = fx.post_se_baseline_record()
+    before = dict(base.extras)
+    for attacked in (
+        build_scenario_1a().apply_to_record(base),
+        corrupt_topology_record(base, [(2, 4)]),
+    ):
+        attacked.extras["bdd_chi2"] = 99.0
+        assert base.extras == before
+
+
 # ---------------------------------------------------------------------------
 # Sweep
 # ---------------------------------------------------------------------------

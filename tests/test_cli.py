@@ -153,6 +153,22 @@ def test_baseline_fit_and_detect_with_stats(tmp_path, fixture_dir):
     assert doc["feature"]["chi2"] > doc["feature"]["threshold"]
 
 
+def test_detect_reestimates_a_measurement_baseline_against_itself(fixture_dir, capsys):
+    """The 1A baseline holds no stored chi-square, so its residual test
+    is our own WLS of its bus table, not the attacked snapshot's 42.8."""
+    from gridsec.estimation import wls_estimate_ac
+    from gridsec.network import build_ieee14
+    from gridsec.pipeline import measurements_from_record
+
+    base = fixture_dir / "scenario1a_baseline.csv"
+    run(["detect", "--baseline", str(base), "--snapshot", str(base)])
+    out = capsys.readouterr().out
+    record = GridRecord.load(base)
+    j = wls_estimate_ac(build_ieee14(), measurements_from_record(record), delta=1e-6).j_value
+    assert "chi2 = 42.8 " not in out
+    assert f"Residual test: chi2 = {round(j, 6):g} vs threshold 24.9958" in out
+
+
 def test_scenario_list_and_run(tmp_path, capsys):
     assert run(["scenario", "list"]) == 0
     out = capsys.readouterr().out

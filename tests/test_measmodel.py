@@ -1,12 +1,22 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gridsec.estimation import MeasKind, full_telemetry_from_state
+from gridsec.estimation import (
+    MeasKind,
+    MeasurementSet,
+    bdd_classify,
+    full_telemetry_from_state,
+    iterative_bad_data_removal,
+    wls_estimate_ac,
+)
 from gridsec.measmodel import MeasurementModel
 from gridsec.network import branch_admittances, build_ieee14, quiet_admittance
 from gridsec.powerflow import bus_power, solve
+from gridsec.stats import chi_square_threshold
 
 
 def reference_h_jac(model, entries, v, theta):
@@ -150,3 +160,92 @@ def test_evaluate_writes_into_out(ieee14, telemetry, states):
     h_out, jac_out = mm.evaluate(v, theta, out=(h, jac))
     assert h_out is h and jac_out is jac
     assert np.array_equal(h, h_ref) and np.array_equal(jac, jac_ref)
+
+
+def test_without_equals_compiling_the_reduced_layout(ieee14, telemetry, states):
+    """Dropping rows from a compiled model gives the model of the reduced
+    layout bit for bit, also once both flow rows of a branch end (the to
+    side of the off-nominal-tap branch 4-7) are gone."""
+    v, theta = states
+    entries = list(telemetry.entries)
+    drops = [
+        next(r for r, m in enumerate(entries) if m.kind is kind and m.branch == (7, 4))
+        for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+    ]
+    drops += [entries.index(next(m for m in entries if m.kind is MeasKind.PINJ)), 0]
+    mm = MeasurementModel(ieee14, None, entries)
+    for row in sorted(drops, reverse=True):
+        mm = mm.without(row)
+        del entries[row]
+        h, jac = mm.evaluate(v, theta)
+        h_ref, jac_ref = MeasurementModel(ieee14, None, entries).evaluate(v, theta)
+        assert mm.n_rows == len(entries)
+        assert np.array_equal(h, h_ref)
+        assert np.array_equal(jac, jac_ref)
+
+
+def _recompiling_removal(model, measurements, threshold):
+    """Largest-normalized-residual removal that compiles a new model for
+    every re-estimate: the loop the row-dropping one must reproduce."""
+    live = list(range(len(measurements)))
+    removed = []
+    while True:
+        result = wls_estimate_ac(model, measurements)
+        verdict = bdd_classify(result, threshold)
+        if not verdict.flagged:
+            return result, removed
+        removed.append(live.pop(verdict.suspect))
+        measurements = measurements.without([verdict.suspect])
+
+
+def test_bad_data_removal_equals_recompiling_every_round(ieee14):
+    sol = solve(ieee14)
+    rng = np.random.default_rng(5)
+    counts = []
+    for n_errors in (0, 1, 1, 2, 2, 2):
+        ms = full_telemetry_from_state(ieee14, sol.v, sol.theta, noise_rng=rng)
+        entries = list(ms.entries)
+        for i in rng.choice(len(entries), size=n_errors, replace=False):
+            m = entries[i]
+            entries[i] = replace(m, value=m.value + rng.choice([-1, 1]) * 30 * m.sigma)
+        ms = MeasurementSet(entries)
+        threshold = chi_square_threshold(len(ms) - 27)
+        result, removed = iterative_bad_data_removal(ieee14, ms, threshold)
+        ref, ref_removed = _recompiling_removal(ieee14, ms, threshold)
+        assert removed == ref_removed
+        assert result.j_value == ref.j_value and result.iterations == ref.iterations
+        for a, b in (
+            (result.x_hat.v, ref.x_hat.v),
+            (result.x_hat.theta, ref.x_hat.theta),
+            (result.residuals, ref.residuals),
+            (result.jacobian, ref.jacobian),
+        ):
+            assert np.array_equal(a, b)
+        counts.append(len(removed))
+    assert counts[0] == 0 and max(counts) >= 2
+
+
+def test_gathers_write_into_out_unbuffered(ieee14, telemetry, monkeypatch):
+    """At B = 16 both gathers write straight into ``out``; np.take's
+    default mode='raise' would fill a temporary copy of it first."""
+    sol = solve(ieee14)
+    v, theta = np.tile(sol.v, (16, 1)), np.tile(sol.theta, (16, 1))
+    mm = MeasurementModel(ieee14, None, telemetry.entries)
+    out = np.empty((16, len(telemetry))), np.empty((16, len(telemetry), 27))
+    take = np.take
+    peaks = []
+
+    def traced_take(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = take(*args, **kwargs)
+            peaks.append((tracemalloc.get_traced_memory()[1], result))
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(np, "take", traced_take)
+    h, jac = mm.evaluate(v, theta, out=out)
+    assert h is out[0] and jac is out[1]
+    assert [result is arr for (_, result), arr in zip(peaks, out)] == [True, True]
+    assert all(peak < arr.nbytes / 8 for (peak, _), arr in zip(peaks, out))

@@ -11,7 +11,7 @@ from gridsec import fixtures as fx
 from gridsec.attacks import StateDelta, corrupt_topology_record, manipulate_state_vector
 from gridsec.detection import Rule, Severity, VerdictClass, fit_baseline
 from gridsec.estimation import wls_estimate_ac
-from gridsec.network import BusKind, build_ieee14
+from gridsec.network import BreakerState, BusKind, build_ieee14
 from gridsec.pipeline import measurements_from_record, run_pipeline
 from gridsec.records import GridRecord
 from gridsec.scenarios import TABLE5_SCENARIOS, generate_all
@@ -206,6 +206,29 @@ def test_post_se_scenarios_derive_from_baseline():
         assert record.to_csv().encode() == (fx.DATA_DIR / f"{name}.csv").read_bytes(), name
 
 
+def test_scenario_2b_values():
+    """2B keeps the baseline's loads, dispatches exactly 13.9 MW more and
+    loses 28.78 MW in the branches."""
+    base, rec = fx.post_se_baseline_record(), fx.scenario_2b_record()
+    loads = [{b.bus: b.p_mw for b in r.buses if b.p_mw > 0} for r in (base, rec)]
+    assert loads[0] == loads[1]
+    assert rec.total_generation_mw - base.total_generation_mw == pytest.approx(13.9, abs=1e-9)
+    assert rec.total_loss_mw == pytest.approx(28.78, abs=5e-3)
+
+
+def test_scenario_2c_values():
+    """2C keeps the baseline's voltages with every angle and injection
+    zero, and every branch open with zero flow and loss."""
+    base, rec = fx.post_se_baseline_record(), fx.scenario_2c_record()
+    assert [(b.bus, b.v_pu) for b in rec.buses] == [(b.bus, b.v_pu) for b in base.buses]
+    assert all(b.theta_deg == b.p_mw == b.q_mvar == 0.0 for b in rec.buses)
+    pairs = [[(br.from_bus, br.to_bus) for br in r.branches] for r in (base, rec)]
+    assert pairs[0] == pairs[1]
+    for br in rec.branches:
+        assert br.status_from is br.status_to is BreakerState.OPEN
+        assert br.p_mw == br.q_mvar == br.loss_mw == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -274,6 +297,26 @@ def test_pipeline_1a_1b_classification(ieee14, baseline_stats):
         assert report.verdict.bdd_chi2 == chi2
         assert not report.report["bdd"]["flagged"]
         assert report.verdict.feature_chi2 > baseline_stats.threshold
+
+
+def test_pipeline_analyzes_islands_once(ieee14, monkeypatch):
+    """The IslandBalance rule and the classifier read one island report."""
+    from gridsec import detection, pipeline
+
+    calls = []
+    analyze = detection.analyze_record_islands
+
+    def counted(record, config=None):
+        calls.append(record.source)
+        return analyze(record, config)
+
+    monkeypatch.setattr(detection, "analyze_record_islands", counted)
+    monkeypatch.setattr(pipeline, "analyze_record_islands", counted)
+    report = run_pipeline(
+        fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14, paper_compat=True
+    )
+    assert report.verdict.klass is VerdictClass.FDI_POST_SE
+    assert calls == ["scenario2a"]
 
 
 def test_pipeline_accepts_attack_vector_input(ieee14):

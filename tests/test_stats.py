@@ -37,6 +37,27 @@ def test_against_scipy_oracle():
             assert ours == pytest.approx(ref, rel=1e-9)
 
 
+def test_ppf_stops_at_an_exact_root(monkeypatch):
+    """Newton lands where the CDF equals p exactly at df = 15, alpha =
+    0.05; bisecting on from there took 44 CDF evaluations."""
+    scipy_stats = pytest.importorskip("scipy.stats")
+    from gridsec import stats
+
+    calls = []
+
+    def counted(x, df):
+        calls.append(x)
+        return chi2_cdf(x, df)
+
+    monkeypatch.setattr(stats, "chi2_cdf", counted)
+    for df in range(1, 200):
+        for alpha in (0.01, 0.05, 0.1):
+            calls.clear()
+            ours = chi_square_threshold(df, alpha)
+            assert len(calls) <= 6, (df, alpha, len(calls))
+            assert abs(ours - scipy_stats.chi2.ppf(1 - alpha, df)) <= 1e-9, (df, alpha)
+
+
 def test_cdf_ppf_round_trip():
     for df in (1, 4, 71):
         for p in (0.05, 0.5, 0.95, 0.999):
