@@ -17,7 +17,7 @@ _EXPORTS = {
         "Branch", "BreakerState", "Bus", "BusKind", "NetworkModel", "TopologyMatrix",
         "admittance", "apply_topology_corruption", "build_ieee14", "build_topology",
     ),
-    "powerflow": ("PowerFlowSolution", "decompose_islands", "line_flows", "solve"),
+    "powerflow": ("PowerFlowSolution", "decompose_islands", "solve"),
     "measmodel": ("MeasKind",),
     "estimation": (
         "Measurement", "MeasurementSet", "bdd_classify", "build_dc_jacobian",

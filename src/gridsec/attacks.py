@@ -12,7 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .estimation import EstimationError, MeasKind, MeasurementSet, gauss_newton, wls_estimate_ac
-from .network import BreakerState, NetworkModel
+from .measmodel import branch_flows
+from .network import BreakerState, NetworkModel, TopologyMatrix
 from .records import BranchRow, BusRow, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD
 
@@ -382,8 +383,10 @@ def manipulate_state_vector(
     """Corrupt a stored record additively; the input record is preserved.
 
     With ``recompute_flows`` and a model, the branch table is re-derived
-    from the corrupted bus state through the line-flow equations, keeping
-    the corrupted record numerically self-consistent.
+    from the corrupted bus state by ``measmodel.branch_flows``, the flow
+    rows of the measurement model, under the record's breaker statuses.
+    That keeps the corrupted record numerically self-consistent: its flows
+    are what a state estimator's h(x) gives at the corrupted state.
     """
     if model is not None:
         delta.validate_slack(model.slack_index)
@@ -415,9 +418,6 @@ def manipulate_state_vector(
 def _branch_rows_from_bus_state(
     model: NetworkModel, record: GridRecord, bus_rows: list[BusRow]
 ) -> list[BranchRow]:
-    from .network import TopologyMatrix
-    from .powerflow import line_flows_values
-
     status = {}
     for br in record.branches:
         status[(br.from_bus, br.to_bus)] = br.in_service
@@ -432,19 +432,19 @@ def _branch_rows_from_bus_state(
     )
     v = np.array([r.v_pu for r in bus_rows])
     th = np.radians([r.theta_deg for r in bus_rows])
-    flows = line_flows_values(model, topo, v, th)
+    p_from, q_from, p_to, _ = (x * model.base_mva for x in branch_flows(model, topo, v, th))
     out = []
-    for f, live in zip(flows, topo.in_service):
+    for k, (br, live) in enumerate(zip(model.branches, in_service)):
         state = BreakerState.CLOSED if live else BreakerState.OPEN
         out.append(
             BranchRow(
-                from_bus=f.from_bus,
-                to_bus=f.to_bus,
+                from_bus=br.from_bus,
+                to_bus=br.to_bus,
                 status_from=state,
                 status_to=state,
-                p_mw=f.p_from,
-                q_mvar=f.q_from,
-                loss_mw=f.loss_mw if live else 0.0,
+                p_mw=float(p_from[k]),
+                q_mvar=float(q_from[k]),
+                loss_mw=float(p_from[k] + p_to[k]),
             )
         )
     return out

@@ -13,8 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .measmodel import MeasKind, MeasurementModel
-from .network import NetworkModel, TopologyMatrix, build_topology, quiet_admittance
-from .powerflow import bus_power
+from .network import NetworkModel, TopologyMatrix, build_topology
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 __all__ = [
@@ -176,12 +175,7 @@ def measurements_from_state(
 ) -> MeasurementSet:
     """Noiseless (or Gaussian-noised) standard-layout measurements
     evaluated at a given bus voltage state."""
-    p, q = bus_power(quiet_admittance(model, topology), v, theta)
-    values = np.concatenate([v, p, q])
-    if noise_rng is not None:
-        sigmas = np.repeat([sigma_vm, sigma_power, sigma_power], len(v))
-        values = values + noise_rng.normal(0.0, sigmas)
-    return MeasurementSet(standard_layout(*np.split(values, 3), sigma_vm, sigma_power))
+    return _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flows=False)
 
 
 def full_telemetry_from_state(
@@ -196,32 +190,29 @@ def full_telemetry_from_state(
     """Standard layout plus P/Q flow channels at both ends of every
     in-service branch: the redundancy level at which single gross errors
     are reliably identifiable."""
-    from .powerflow import line_flows_values
+    return _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flows=True)
 
+
+def _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flows):
+    """h(x) of the standard layout, with the flow channels when ``flows``,
+    plus one Gaussian draw over the layout's sigmas when ``noise_rng``."""
     if topology is None:
         topology = build_topology(model)
-    base = measurements_from_state(model, v, theta, topology, sigma_vm, sigma_power)
-    entries = list(base.entries)
-    for flow, live in zip(line_flows_values(model, topology, v, theta), topology.in_service):
-        if not live:
-            continue
-        scale = 1.0 / model.base_mva
-        for pair, p_val, q_val in (
-            ((flow.from_bus, flow.to_bus), flow.p_from, flow.q_from),
-            ((flow.to_bus, flow.from_bus), flow.p_to, flow.q_to),
-        ):
-            entries.append(
-                Measurement(MeasKind.PFLOW, p_val * scale, sigma_power, branch=pair)
-            )
-            entries.append(
-                Measurement(MeasKind.QFLOW, q_val * scale, sigma_power, branch=pair)
-            )
-    values = np.array([e.value for e in entries])
+    zeros = np.zeros(model.n_bus)
+    layout = standard_layout(zeros, zeros, zeros, sigma_vm, sigma_power)
+    if flows:
+        layout += [
+            Measurement(kind, 0.0, sigma_power, branch=pair)
+            for br, live in zip(model.branches, topology.in_service)
+            if live
+            for pair in (br.pair, br.pair[::-1])
+            for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+        ]
+    state = [np.asarray(x, dtype=float)[None] for x in (v, theta)]
+    values = MeasurementModel(model, topology, layout).evaluate(*state)[0][0]
     if noise_rng is not None:
-        values = values + noise_rng.normal(0.0, [e.sigma for e in entries])
-    return MeasurementSet(
-        [replace(e, value=float(val)) for e, val in zip(entries, values)]
-    )
+        values = values + noise_rng.normal(0.0, [m.sigma for m in layout])
+    return MeasurementSet([replace(m, value=x) for m, x in zip(layout, values.tolist())])
 
 
 def gauss_newton(

@@ -5,7 +5,8 @@ IEEE Trans. Power Syst. 2011) in polar form with real and imaginary parts
 written out. Keep each expression's operation order, which the per-row
 reference in ``tests/test_measmodel.py`` checks to the last bit: power-flow
 solutions, estimates and the detector baseline fitted from them all move
-with the last bits. A state's results do not depend on its batch.
+with the last bits. A state's results do not depend on its batch. The
+branch-end flow values are the ones ``branch_flows`` reports per branch.
 
 State columns: [theta at non-slack buses, V at all buses].
 """
@@ -18,9 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import Branch, NetworkModel, TopologyMatrix, branch_admittances, quiet_admittance
+from .network import (
+    Branch,
+    NetworkModel,
+    TopologyMatrix,
+    branch_admittances,
+    build_topology,
+    quiet_admittance,
+)
 
-__all__ = ["MeasKind", "MeasurementModel", "injection_derivatives"]
+__all__ = ["MeasKind", "MeasurementModel", "branch_flows", "injection_derivatives"]
 
 
 class MeasKind(str, Enum):
@@ -56,10 +64,46 @@ def injection_derivatives(ybus: np.ndarray, v: np.ndarray, theta: np.ndarray):
     return p, q, dp_dth, dp_dv, dq_dth, dq_dv
 
 
+def _end_flows(yff, yft, vi, vj, dth):
+    """P and Q entering branch ends at bus i towards bus j, from the end's
+    two-port terms ``yff``, ``yft``, the voltage magnitudes and the angle
+    difference theta_i - theta_j. Also returns gft cos + bft sin and
+    gft sin - bft cos, which the derivatives reuse."""
+    c, s = np.cos(dth), np.sin(dth)
+    cs = yft.real * c + yft.imag * s
+    sc = yft.real * s - yft.imag * c
+    p = vi * vi * yff.real + vi * vj * cs
+    q = -vi * vi * yff.imag + vi * vj * sc
+    return p, q, cs, sc
+
+
+def branch_flows(
+    model: NetworkModel, topology: TopologyMatrix, v: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """P and Q entering every branch of ``model`` at its from end, then at
+    its to end (p.u., branch order) at one bus voltage state. A branch out
+    of service in ``topology`` carries exactly 0; an end at a NaN bus
+    gives NaN."""
+    n_br = len(model.branches)
+    f, t = (np.array([br.pair for br in model.branches], dtype=np.intp).reshape(-1, 2) - 1).T
+    yff, yft, ytf, ytt = np.array(
+        [branch_admittances(br) for br in model.branches], dtype=complex
+    ).reshape(-1, 4).T
+    i, j = np.concatenate([f, t]), np.concatenate([t, f])
+    p, q, _, _ = _end_flows(
+        np.concatenate([yff, ytt]), np.concatenate([yft, ytf]), v[i], v[j], theta[i] - theta[j]
+    )
+    live = np.tile(np.array(topology.in_service, dtype=bool), 2)
+    p, q = np.where(live, p, 0.0), np.where(live, q, 0.0)
+    return p[:n_br], q[:n_br], p[n_br:], q[n_br:]
+
+
 class MeasurementModel:
     """h(x) and H(x) of one layout of ``Measurement`` entries on one
-    network topology. An entry at a bus outside 1..n, or a flow on a bus
-    pair with no branch, raises ValueError naming its channel.
+    network topology (the model's breaker states when None). An entry at
+    a bus outside 1..n, or a flow on a bus pair with no branch, raises
+    ValueError naming its channel. A flow measures the first branch between
+    its buses; one out of service is exactly 0, with a zero Jacobian row.
 
     The layout is compiled once into ``h_idx`` (m,) and ``jac_idx``
     (m, 2n - 1), which index one source vector per state: ``[V, P, Q,
@@ -76,36 +120,46 @@ class MeasurementModel:
         n = self.n_bus = model.n_bus
         self.n_rows = len(entries)
         self.n_state = 2 * n - 1
+        if topology is None:
+            topology = build_topology(model)
         self.ybus = quiet_admittance(model, topology)
         self.angle_buses = np.delete(np.arange(n), model.slack_index)
 
         # Rows per kind, each with its bus or, for flows, its branch end;
-        # the P and Q flow rows of one end share that end's terms.
+        # the P and Q flow rows of one end share that end's terms. Flow
+        # rows of an open bus pair go to ``dead``.
         rows: dict[MeasKind, tuple[list, list]] = {kind: ([], []) for kind in MeasKind}
+        dead: list[int] = []
         ends: dict[tuple[int, int], int] = {}
         bus_index = {bus: bus - 1 for bus in range(1, n + 1)}
-        # The first branch between two buses, looked up either way round.
-        by_pair: dict[tuple[int, int], Branch] = {}
-        for br in model.branches:
-            by_pair.setdefault(br.pair, br)
-            by_pair.setdefault(br.pair[::-1], br)
+        # The first branch between two buses and whether it is in service,
+        # looked up either way round.
+        by_pair: dict[tuple[int, int], tuple[Branch, bool]] = {}
+        for br, live in zip(model.branches, topology.in_service):
+            by_pair.setdefault(br.pair, (br, live))
+            by_pair.setdefault(br.pair[::-1], (br, live))
         for row, m in enumerate(entries):
-            flow = m.kind in (MeasKind.PFLOW, MeasKind.QFLOW)
-            try:
-                at = ends.setdefault(m.branch, len(ends)) if flow else bus_index[m.bus]
-            except KeyError:
-                raise ValueError(f"channel {m.channel}: bus outside 1..{n}") from None
-            if flow and m.branch not in by_pair:
+            if m.kind not in (MeasKind.PFLOW, MeasKind.QFLOW):
+                if m.bus not in bus_index:
+                    raise ValueError(f"channel {m.channel}: bus outside 1..{n}")
+                at = bus_index[m.bus]
+            elif m.branch not in by_pair:
                 f_bus, t_bus = m.branch
                 raise ValueError(f"channel {m.channel}: no branch between buses {f_bus} and {t_bus}")
+            elif by_pair[m.branch][1]:
+                at = ends.setdefault(m.branch, len(ends))
+            else:
+                dead.append(row)
+                continue
             rows[m.kind][0].append(row)
             rows[m.kind][1].append(at)
         rows = {k: (np.array(r, dtype=np.intp), np.array(w, dtype=np.intp)) for k, (r, w) in rows.items()}
         self._end_i, self._end_j = (np.array(list(ends), dtype=np.intp).reshape(-1, 2) - 1).T
         two_port = []
         for end in ends:
-            yff, yft, ytf, ytt = branch_admittances(by_pair[end])
-            two_port.append((yff, yft) if by_pair[end].pair == end else (ytt, ytf))
+            br = by_pair[end][0]
+            yff, yft, ytf, ytt = branch_admittances(br)
+            two_port.append((yff, yft) if br.pair == end else (ytt, ytf))
         self._yff, self._yft = np.array(two_port, dtype=complex).reshape(-1, 2).T
 
         self._injections = bool(rows[MeasKind.PINJ][0].size or rows[MeasKind.QINJ][0].size)
@@ -113,6 +167,7 @@ class MeasurementModel:
         zero = flows + 10 * len(ends)
         self._src_len = zero + 2
         self.h_idx = np.empty(self.n_rows, dtype=np.intp)
+        self.h_idx[dead] = zero
         # Columns theta, then V, at every bus; the slack's theta is dropped below.
         full = np.full((self.n_rows, 2 * n), zero, dtype=np.intp)
         r, bus = rows[MeasKind.VM]
@@ -166,18 +221,16 @@ class MeasurementModel:
 
         if self._end_i.size:
             i, j = self._end_i, self._end_j
-            gff, bff, gft, bft = self._yff.real, self._yff.imag, self._yft.real, self._yft.imag
             vi, vj = v[:, i], v[:, j]
-            dth = theta[:, i] - theta[:, j]
-            c, s = np.cos(dth), np.sin(dth)
-            cs = gft * c + bft * s
-            sc = gft * s - bft * c
-            p_thi = vi * vj * (-gft * s + bft * c)
+            p, q, cs, sc = _end_flows(self._yff, self._yft, vi, vj, theta[:, i] - theta[:, j])
+            # -sc rounds exactly as -gft sin + bft cos would.
+            p_thi = vi * vj * -sc
             q_thi = vi * vj * cs
+            gff, bff = self._yff.real, self._yff.imag
             at = 3 * self.n_bus + 4 * self.n_bus**2
             for term in (
-                vi * vi * gff + vi * vj * cs, p_thi, -p_thi, 2 * vi * gff + vj * cs, vi * cs,
-                -vi * vi * bff + vi * vj * sc, q_thi, -q_thi, -2 * vi * bff + vj * sc, vi * sc,
+                p, p_thi, -p_thi, 2 * vi * gff + vj * cs, vi * cs,
+                q, q_thi, -q_thi, -2 * vi * bff + vj * sc, vi * sc,
             ):
                 src[:, at:at + i.size] = term
                 at += i.size

@@ -1,4 +1,5 @@
-"""AC power flow: Newton-Raphson solution, per-line flows and islanding.
+"""AC power flow: Newton-Raphson solution per island, with the branch
+flows of the solved state taken from ``measmodel.branch_flows``.
 
 All angles are radians internally; exported records use degrees. Injection
 sign convention: positive = into the network (generation minus load).
@@ -11,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measmodel import injection_derivatives
+from .measmodel import branch_flows, injection_derivatives
 from .network import (
     BusKind,
     NetworkModel,
     TopologyMatrix,
-    branch_admittances,
     build_topology,
     connected_components,
     quiet_admittance,
@@ -29,9 +29,7 @@ __all__ = [
     "PowerFlowSolution",
     "PowerFlowError",
     "solve",
-    "line_flows",
     "decompose_islands",
-    "solution_to_csv",
 ]
 
 
@@ -252,7 +250,14 @@ def solve(
     solved_mask = ~np.isnan(v)
     p_inj = np.where(solved_mask, p_pu * base, math.nan)
     q_inj = np.where(solved_mask, q_pu * base, math.nan)
-    flows = line_flows_values(model, topology, v, theta)
+    flows = [
+        BranchFlow(br.from_bus, br.to_bus, *values, live)
+        for br, live, *values in zip(
+            model.branches,
+            topology.in_service,
+            *(x * base for x in branch_flows(model, topology, v, theta)),
+        )
+    ]
     losses = sum(f.loss_mw for f in flows if f.in_service and not math.isnan(f.p_from))
     # Conservation audit per island: injection sum (one path) minus branch
     # losses (independent path) should vanish in every solved island.
@@ -277,65 +282,3 @@ def solve(
         iterations=total_iter,
         islands=reports,
     )
-
-
-def line_flows_values(
-    model: NetworkModel,
-    topology: TopologyMatrix,
-    v: np.ndarray,
-    theta: np.ndarray,
-) -> list[BranchFlow]:
-    """Per-branch-end MW/Mvar flows from a bus voltage state.
-
-    Any branch with either breaker open carries exactly zero flow. For
-    plain lines (tap 1, no charging) this reduces to the series R/X
-    formulation of the active/reactive flow equations.
-    """
-    base = model.base_mva
-    out: list[BranchFlow] = []
-    for br, live in zip(model.branches, topology.in_service):
-        if not live:
-            out.append(BranchFlow(br.from_bus, br.to_bus, 0.0, 0.0, 0.0, 0.0, False))
-            continue
-        i, j = br.from_bus - 1, br.to_bus - 1
-        if math.isnan(v[i]) or math.isnan(v[j]):
-            out.append(
-                BranchFlow(br.from_bus, br.to_bus, math.nan, math.nan, math.nan, math.nan, True)
-            )
-            continue
-        yff, yft, ytf, ytt = branch_admittances(br)
-        vf = v[i] * np.exp(1j * theta[i])
-        vt = v[j] * np.exp(1j * theta[j])
-        sf = vf * np.conj(yff * vf + yft * vt)
-        st = vt * np.conj(ytf * vf + ytt * vt)
-        out.append(
-            BranchFlow(
-                br.from_bus,
-                br.to_bus,
-                sf.real * base,
-                sf.imag * base,
-                st.real * base,
-                st.imag * base,
-                True,
-            )
-        )
-    return out
-
-
-def line_flows(
-    solution: PowerFlowSolution,
-    model: NetworkModel,
-    topology: TopologyMatrix | None = None,
-) -> list[BranchFlow]:
-    if topology is None:
-        topology = build_topology(model)
-    return line_flows_values(model, topology, solution.v, solution.theta)
-
-
-def solution_to_csv(
-    solution: PowerFlowSolution, model: NetworkModel, topology: TopologyMatrix | None = None
-) -> str:
-    """Render the bus and branch tables in the record CSV layout."""
-    from .records import GridRecord
-
-    return GridRecord.from_solution(model, solution, topology=topology).to_csv()

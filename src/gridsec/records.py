@@ -151,52 +151,41 @@ class GridRecord:
 
     @classmethod
     def from_csv(cls, text: str) -> "GridRecord":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        """Parse the CSV ``to_csv`` writes. A malformed bus or branch row
+        raises ValueError naming its line: a wrong column count, a value
+        that is not a number, or a breaker state other than Closed/Open."""
+        lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if not lines:
             raise ValueError("empty record file")
         source = ""
         extras: dict[str, str | float] = {}
-        start = 0
-        if lines[0].startswith("#gridrecord"):
-            for part in lines[0].split(",")[1:]:
+        if lines[0][1].startswith("#gridrecord"):
+            for part in lines.pop(0)[1].split(",")[1:]:
                 key, _, val = part.partition("=")
                 if key == "source":
                     source = val
                 else:
                     extras[key] = _parse_extra(val)
-            start = 1
-        rows = list(csv.reader(lines[start:]))
+        rows = list(csv.reader(ln for _, ln in lines))
         if not rows or rows[0] != BUS_HEADER:
             raise ValueError(f"expected bus header {BUS_HEADER}")
         buses: list[BusRow] = []
         branches: list[BranchRow] = []
-        section = "bus"
-        for row in rows[1:]:
+        header = BUS_HEADER
+        for (line, _), row in zip(lines[1:], rows[1:]):
             if row == BRANCH_HEADER:
-                section = "branch"
+                header = BRANCH_HEADER
                 continue
-            if section == "bus":
-                buses.append(
-                    BusRow(
-                        bus=int(row[0]),
-                        v_pu=float(row[1]),
-                        theta_deg=float(row[2]),
-                        p_mw=float(row[3]),
-                        q_mvar=float(row[4]),
-                    )
-                )
-            else:
-                branches.append(
-                    BranchRow(
-                        from_bus=int(row[0]),
-                        to_bus=int(row[1]),
-                        status_from=BreakerState(row[2]),
-                        status_to=BreakerState(row[3]),
-                        p_mw=float(row[4]),
-                        q_mvar=float(row[5]),
-                        loss_mw=float(row[6]),
-                    )
-                )
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                if header is BUS_HEADER:
+                    buses.append(BusRow(int(row[0]), *map(float, row[1:])))
+                else:
+                    states = map(BreakerState, row[2:4])
+                    branches.append(BranchRow(int(row[0]), int(row[1]), *states, *map(float, row[4:])))
+            except ValueError as exc:
+                raise ValueError(f"record CSV line {line}: {exc}") from None
         return cls(buses=buses, branches=branches, source=source, extras=extras)
 
     @classmethod

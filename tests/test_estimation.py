@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,20 @@ def test_flow_measurements_supported(ieee14, solution):
         extra.append(Measurement(MeasKind.PFLOW, f.p_from / 100.0, 0.02, branch=pair))
         extra.append(Measurement(MeasKind.QFLOW, f.q_from / 100.0, 0.02, branch=pair))
     result = wls_estimate_ac(ieee14, MeasurementSet(extra), delta=1e-9)
+    assert result.j_value < 1e-10
+
+
+def test_flow_on_open_branch_is_modelled_as_zero(ieee14):
+    """With 2-4 open, its flow channels read exactly 0 with a zero Jacobian
+    row, so a true 0 MW reading leaves a consistent set consistent."""
+    topo = apply_topology_corruption(build_topology(ieee14), [(2, 4)])
+    sol = solve(ieee14, topo)
+    ms = measurements_from_state(ieee14, sol.v, sol.theta, topo)
+    zero_reads = [Measurement(kind, 0.0, 0.02, branch=(2, 4)) for kind in (MeasKind.PFLOW, MeasKind.QFLOW)]
+    mm = MeasurementModel(ieee14, topo, zero_reads)
+    h, jac = mm.evaluate(sol.v[None], sol.theta[None])
+    assert not h.any() and not jac.any()
+    result = wls_estimate_ac(ieee14, MeasurementSet(ms.entries + zero_reads[:1]), delta=1e-9, topology=topo)
     assert result.j_value < 1e-10
 
 
@@ -137,6 +153,28 @@ def test_dc_jacobian_matches_branch_equations(ieee14, opened):
     np.testing.assert_allclose(
         h @ np.delete(theta, ieee14.slack_index), np.concatenate([p, flows]), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("opened", [[], [(2, 4), (7, 8)]], ids=["closed", "open-2-4-7-8"])
+def test_dc_jacobian_is_the_lossless_ac_jacobian_at_flat_start(ieee14, opened):
+    """The DC H equals the dP/dtheta rows of the AC model's P injections
+    and from-end P flows on a copy with r = 0 and no charging or shunts,
+    at V = 1, theta = 0: two derivations of one matrix."""
+    lossless = replace(
+        ieee14,
+        buses=tuple(replace(b, b_shunt=0.0) for b in ieee14.buses),
+        branches=tuple(replace(br, r=0.0, b_shunt=0.0) for br in ieee14.branches),
+    )
+    topo = apply_topology_corruption(build_topology(lossless), opened)
+    h_dc, _ = build_dc_jacobian(lossless, topo)
+    layout = [Measurement(MeasKind.PINJ, 0.0, 1.0, bus=b) for b in range(1, 15)]
+    layout += [
+        Measurement(MeasKind.PFLOW, 0.0, 1.0, branch=br.pair)
+        for br, live in zip(lossless.branches, topo.in_service)
+        if live
+    ]
+    _, jac = MeasurementModel(lossless, topo, layout).evaluate(np.ones((1, 14)), np.zeros((1, 14)))
+    np.testing.assert_allclose(jac[0, :, :13], h_dc, rtol=0, atol=1e-13)
 
 
 def test_dc_consistent_system_recovers_state(ieee14):

@@ -72,8 +72,12 @@ def test_every_lazy_export_resolves():
 
 def test_baseline_fit_does_not_load_estimation(tmp_path):
     # The detector only annotates with estimation's BddVerdict; fitting
-    # never estimates.
-    argv = ["baseline-fit", "--out", str(tmp_path / "stats.json")]
-    loaded = loaded_after(f"from gridsec.cli import main\nassert main({argv!r}) == 0")
-    assert "gridsec.detection" in loaded
-    assert "gridsec.estimation" not in loaded
+    # never estimates. ``solve`` takes its branch flows from measmodel,
+    # which needs nothing of estimation either.
+    for argv, module in (
+        (["baseline-fit", "--out", str(tmp_path / "stats.json")], "gridsec.detection"),
+        (["solve", "--out", str(tmp_path / "solved.csv")], "gridsec.measmodel"),
+    ):
+        loaded = loaded_after(f"from gridsec.cli import main\nassert main({argv!r}) == 0")
+        assert module in loaded
+        assert "gridsec.estimation" not in loaded, argv[0]

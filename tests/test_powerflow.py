@@ -10,6 +10,7 @@ from gridsec.network import (
     NetworkModel,
     admittance,
     apply_topology_corruption,
+    branch_admittances,
     build_ieee14,
     build_topology,
 )
@@ -151,24 +152,73 @@ def test_flow_antisymmetry_up_to_loss():
             assert f.p_from + f.p_to >= -1e-9
 
 
-def test_line_flows_matches_solution_flows():
-    from gridsec.powerflow import line_flows, solution_to_csv
+def two_port_flows(model, topology, v, theta):
+    """From- and to-end P and Q (p.u.) per branch from the complex two-port
+    equations S = V conj(Y V), the reference the real-form flows match."""
+    vc = v * np.exp(1j * theta)
+    out = []
+    for br, live in zip(model.branches, topology.in_service):
+        yff, yft, ytf, ytt = branch_admittances(br)
+        vf, vt = vc[br.from_bus - 1], vc[br.to_bus - 1]
+        sf = vf * np.conj(yff * vf + yft * vt) if live else 0j
+        st = vt * np.conj(ytf * vf + ytt * vt) if live else 0j
+        out.append((sf.real, sf.imag, st.real, st.imag))
+    return np.array(out)
+
+
+def test_solution_flows_are_the_measurement_model_flow_rows():
+    """On every solved catalog point the reported flows are the flow rows
+    of the measurement model times base MVA, bit for bit, and agree with
+    the complex two-port equations; open branches carry exactly 0."""
+    from gridsec.estimation import MeasKind, Measurement
+    from gridsec.measmodel import MeasurementModel
     from gridsec.records import GridRecord
+    from gridsec.scenarios import generate_all
+
+    solved = [oc for oc in generate_all(build_ieee14()) if oc.record is not None]
+    assert len(solved) == 28
+    for oc in solved:
+        model, topo, sol = oc.model, oc.topology, oc.solution
+        layout = [
+            Measurement(kind, 0.0, 1.0, branch=pair)
+            for br in model.branches
+            for pair in (br.pair, br.pair[::-1])
+            for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+        ]
+        h, _ = MeasurementModel(model, topo, layout).evaluate(sol.v[None], sol.theta[None])
+        reported = np.array([(f.p_from, f.q_from, f.p_to, f.q_to) for f in sol.flows])
+        assert np.array_equal(reported, h[0].reshape(-1, 4) * model.base_mva, equal_nan=True), oc.spec.id
+        reference = two_port_flows(model, topo, sol.v, sol.theta)
+        np.testing.assert_allclose(reported / model.base_mva, reference, rtol=0, atol=1e-12)
+        assert all(f.in_service == live for f, live in zip(sol.flows, topo.in_service))
+        assert not reported[~np.array(topo.in_service)].any()
 
     model = build_ieee14()
-    sol = solve(model)
-    recomputed = line_flows(sol, model)
-    for a, b in zip(sol.flows, recomputed):
-        assert a.p_from == b.p_from and a.q_to == b.q_to
-    rec = GridRecord.from_csv(solution_to_csv(sol, model))
+    rec = GridRecord.from_csv(GridRecord.from_solution(model, solve(model)).to_csv())
     assert rec.n_bus == 14 and len(rec.branches) == 20
+
+
+def test_parallel_branches_keep_their_own_flows():
+    """A second copy of branch 1-2 gets its own flow entry; the two copies
+    together carry what one branch of twice the admittance carries."""
+    model = build_ieee14()
+    k = model.branch_index(1, 2)
+    line = model.branches[k]
+    doubled = replace(model, branches=model.branches + (line,))
+    merged = model.with_branch(k, replace(line, r=line.r / 2, x=line.x / 2, b_shunt=2 * line.b_shunt))
+    sol, ref = solve(doubled), solve(merged)
+    assert sol.converged and ref.converged
+    copies = [f for f in sol.flows if (f.from_bus, f.to_bus) == (1, 2)]
+    assert len(copies) == 2 and len(sol.flows) == 21
+    single = ref.flows[k]
+    for name in ("p_from", "q_from", "p_to", "q_to"):
+        assert abs(sum(getattr(f, name) for f in copies) - getattr(single, name)) < 1e-9, name
+    assert all(abs(rep.balance_mw) < 1e-9 for rep in sol.islands)
 
 
 def test_symmetric_state_zero_flow():
     # Equal voltage magnitude and angle at both ends, no charging: no MW.
     br = Branch(from_bus=1, to_bus=2, r=0.02, x=0.08)
-    from gridsec.network import branch_admittances
-
     yff, yft, ytf, ytt = branch_admittances(br)
     v = 1.03 * np.exp(1j * 0.2)
     s = v * np.conjugate(yff * v + yft * v)

@@ -130,6 +130,28 @@ def test_record_extras_round_trip():
     assert again.source == "scenario1a"
 
 
+@pytest.mark.parametrize(
+    "line, row, error",
+    [
+        (4, "2,1.04", "expected 5 columns, got 2"),
+        (6, "4,0.9906,-10.93,abc,-3.9", "could not convert string to float: 'abc'"),
+        (7, "x,0.9898,-8.77,7.6,1.6", "invalid literal for int"),
+        (19, "1,2,Shut,Closed,156.883,-20.404,4.827", "'Shut' is not a valid BreakerState"),
+        (20, "1,5,Closed,Closed,75.51,3.855", "expected 7 columns, got 6"),
+        (21, "2,3,Closed,Closed,73.238,n/a,2.6095", "could not convert string to float: 'n/a'"),
+    ],
+    ids=["bus-short", "bus-number", "bus-id", "branch-state", "branch-short", "branch-number"],
+)
+def test_bad_record_csv_row_names_its_line(line, row, error):
+    # A blank line after the header puts bus k on line k + 3 and the
+    # branch rows from line 19: the error names the physical line.
+    lines = fx.post_se_baseline_record().to_csv().splitlines()
+    lines.insert(1, "")
+    lines[line - 1] = row
+    with pytest.raises(ValueError, match=f"^record CSV line {line}: {error}"):
+        GridRecord.from_csv("\n".join(lines))
+
+
 def test_fixture_tree_matches_builders(tmp_path):
     """The tree that `write_fixture_tree` materializes loads back to the
     records and segments the fixture functions return."""
