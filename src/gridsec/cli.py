@@ -6,6 +6,14 @@ violation was detected, 2 usage error (argparse default).
 Each command imports the modules it uses when it runs, so a command
 loads no more of the package than it needs; ``som`` and ``chi2`` run
 without numpy.
+
+BLAS runs on one thread. Before it dispatches, ``main`` sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
+unless one of them is already set (the user's choice stands) or numpy is
+already imported (the caller's process, whose BLAS pool exists already).
+The largest dense product gridsec computes is about 122 x 27, far below
+the size where a second BLAS thread pays; an idle OpenBLAS worker still
+spins while a command runs and costs CPU, not wall time.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -454,7 +463,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pin_blas_threads() -> None:
+    """Run BLAS on one thread unless numpy is loaded or a count was chosen."""
+    if "numpy" in sys.modules or any(name in os.environ for name in BLAS_THREAD_VARS):
+        return
+    for name in BLAS_THREAD_VARS:
+        os.environ[name] = "1"
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

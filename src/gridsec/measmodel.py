@@ -101,9 +101,10 @@ def branch_flows(
 class MeasurementModel:
     """h(x) and H(x) of one layout of ``Measurement`` entries on one
     network topology (the model's breaker states when None). An entry at
-    a bus outside 1..n, or a flow on a bus pair with no branch, raises
-    ValueError naming its channel. A flow measures the first branch between
-    its buses; one out of service is exactly 0, with a zero Jacobian row.
+    a bus outside 1..n, or a flow on a bus pair with no branch or with
+    parallel branches (the channel cannot say which one it measures),
+    raises ValueError naming its channel. A flow on an out-of-service
+    branch is exactly 0, with a zero Jacobian row.
 
     The layout is compiled once into ``h_idx`` (m,) and ``jac_idx``
     (m, 2n - 1), which index one source vector per state: ``[V, P, Q,
@@ -132,12 +133,12 @@ class MeasurementModel:
         dead: list[int] = []
         ends: dict[tuple[int, int], int] = {}
         bus_index = {bus: bus - 1 for bus in range(1, n + 1)}
-        # The first branch between two buses and whether it is in service,
-        # looked up either way round.
-        by_pair: dict[tuple[int, int], tuple[Branch, bool]] = {}
+        # The branches between two buses, each with whether it is in
+        # service, looked up either way round.
+        by_pair: dict[tuple[int, int], list[tuple[Branch, bool]]] = {}
         for br, live in zip(model.branches, topology.in_service):
-            by_pair.setdefault(br.pair, (br, live))
-            by_pair.setdefault(br.pair[::-1], (br, live))
+            by_pair.setdefault(br.pair, []).append((br, live))
+            by_pair.setdefault(br.pair[::-1], []).append((br, live))
         for row, m in enumerate(entries):
             if m.kind not in (MeasKind.PFLOW, MeasKind.QFLOW):
                 if m.bus not in bus_index:
@@ -146,7 +147,13 @@ class MeasurementModel:
             elif m.branch not in by_pair:
                 f_bus, t_bus = m.branch
                 raise ValueError(f"channel {m.channel}: no branch between buses {f_bus} and {t_bus}")
-            elif by_pair[m.branch][1]:
+            elif len(by_pair[m.branch]) > 1:
+                f_bus, t_bus = m.branch
+                raise ValueError(
+                    f"channel {m.channel}: {len(by_pair[m.branch])} parallel branches between "
+                    f"buses {f_bus} and {t_bus}; a flow channel cannot tell them apart"
+                )
+            elif by_pair[m.branch][0][1]:
                 at = ends.setdefault(m.branch, len(ends))
             else:
                 dead.append(row)
@@ -157,7 +164,7 @@ class MeasurementModel:
         self._end_i, self._end_j = (np.array(list(ends), dtype=np.intp).reshape(-1, 2) - 1).T
         two_port = []
         for end in ends:
-            br = by_pair[end][0]
+            br = by_pair[end][0][0]
             yff, yft, ytf, ytt = branch_admittances(br)
             two_port.append((yff, yft) if br.pair == end else (ytt, ytf))
         self._yff, self._yft = np.array(two_port, dtype=complex).reshape(-1, 2).T

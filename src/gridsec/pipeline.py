@@ -5,6 +5,7 @@ physics rules, and classification over a (baseline, snapshot) record pair.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,7 +26,7 @@ from .estimation import (
     standard_layout,
     wls_estimate_ac,
 )
-from .network import NetworkModel, build_ieee14
+from .network import NetworkModel, build_ieee14, connected_components
 from .records import GridRecord
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
@@ -55,6 +56,40 @@ def measurements_from_record(
     (power flipped into the injection convention)."""
     v, _, p, q = record.arrays()
     return MeasurementSet(standard_layout(v, -p / base_mva, -q / base_mva, sigma_vm, sigma_power))
+
+
+def _check_record(record: GridRecord, model: NetworkModel) -> None:
+    """Raise ValueError unless ``record`` fits ``model``: its bus table
+    lists exactly buses 1..n, and V, theta, P and Q are finite at every bus
+    except those the record's own breaker statuses cut off from the
+    slack's island (the NaN rows ``GridRecord.from_solution`` writes for
+    an island with no slack and no generator)."""
+    ids = {r.bus for r in record.buses}
+    expected = set(range(1, model.n_bus + 1))
+    if ids != expected:
+        bus = min(ids ^ expected)
+        what = "missing" if bus in expected else "unexpected"
+        raise ValueError(
+            f"record {record.source!r}: bus {bus} {what}; the model has buses 1..{model.n_bus}"
+        )
+    bad = [
+        r for r in record.buses
+        if not all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar)))
+    ]
+    if not bad:
+        return
+    slack = model.buses[model.slack_index].id
+    live = (
+        (br.from_bus, br.to_bus)
+        for br in record.branches
+        if br.in_service and br.from_bus in ids and br.to_bus in ids
+    )
+    energized = next(isl for isl in connected_components(ids, live) if slack in isl)
+    for r in sorted(bad, key=lambda r: r.bus):
+        if r.bus in energized:
+            fields = ("v_pu", "theta_deg", "p_mw", "q_mvar")
+            name = next(f for f in fields if not math.isfinite(getattr(r, f)))
+            raise ValueError(f"record {record.source!r}: non-finite {name} at bus {r.bus}")
 
 
 def _bdd_for(
@@ -92,12 +127,15 @@ def run_pipeline(
     alpha: float = 0.05,
 ) -> PipelineReport:
     """Estimation -> residual test -> features -> rules -> classification,
-    with a deterministic JSON report and a readable text rendering."""
+    with a deterministic JSON report and a readable text rendering. A record
+    that does not fit the model raises ValueError (see ``_check_record``)."""
     if model is None:
         model = build_ieee14()
     cfg = config or RuleConfig()
+    _check_record(baseline, model)
     if not isinstance(attacked, GridRecord):
         attacked = attacked.apply_to_record(baseline, base_mva=model.base_mva)
+    _check_record(attacked, model)
 
     m = 3 * model.n_bus
     df = m - (2 * model.n_bus - 1)

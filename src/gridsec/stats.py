@@ -6,6 +6,7 @@ suite can cross-check against an independent statistics library.
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -152,8 +153,10 @@ def chi2_ppf(p: float, df: float) -> float:
     return x
 
 
+@functools.lru_cache(maxsize=256)
 def chi_square_threshold(df: int, alpha: float = 0.05) -> float:
-    """Detection threshold: the (1 - alpha) chi-square quantile at df."""
+    """Detection threshold: the (1 - alpha) chi-square quantile at df,
+    memoized per (df, alpha)."""
     if df < 1:
         raise ValueError("df must be >= 1")
     if not 0.0 < alpha < 1.0:

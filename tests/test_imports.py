@@ -12,26 +12,33 @@ from pathlib import Path
 import pytest
 
 import gridsec
+from gridsec.cli import BLAS_THREAD_VARS
 
 SRC = Path(gridsec.__file__).resolve().parent.parent
 REFERENCE = SRC / "gridsec" / "data" / "som" / "reference"
 
 
-def loaded_after(code: str) -> set[str]:
-    """numpy and the gridsec modules a fresh interpreter holds after ``code``."""
-    probe = code + (
-        "\nimport json, sys"
-        "\nprint(json.dumps([m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'gridsec']))"
-    )
+def run_fresh(code: str, result: str, **env: str):
+    """Run ``code`` in a fresh interpreter, then return the JSON value of the
+    expression ``result``. The BLAS thread variables are cleared first and
+    ``env`` is added."""
+    probe = f"{code}\nimport json as _json\nprint(_json.dumps({result}))"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     proc = subprocess.run(
         [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(child_env, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
         check=True,
     )
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code: str) -> set[str]:
+    """numpy and the gridsec modules a fresh interpreter holds after ``code``."""
+    modules = "[m for m in __import__('sys').modules if m == 'numpy' or m.split('.')[0] == 'gridsec']"
+    return set(run_fresh(code, modules))
 
 
 def test_import_gridsec_loads_no_submodule():
@@ -81,3 +88,35 @@ def test_baseline_fit_does_not_load_estimation(tmp_path):
         loaded = loaded_after(f"from gridsec.cli import main\nassert main({argv!r}) == 0")
         assert module in loaded
         assert "gridsec.estimation" not in loaded, argv[0]
+
+
+BLAS_ENV = "{name: __import__('os').environ.get(name) for name in BLAS_THREAD_VARS}"
+CHI2 = "from gridsec.cli import BLAS_THREAD_VARS, main\nassert main(['chi2', '--df', '15']) == 0"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_runs_blas_on_one_thread(tmp_path):
+    # numpy loads after main pinned the thread count, so OpenBLAS starts no
+    # worker thread: the interpreter ends the command with one task.
+    argv = ["solve", "--out", str(tmp_path / "solved.csv")]
+    tasks, env = run_fresh(
+        f"from gridsec.cli import BLAS_THREAD_VARS, main\nassert main({argv!r}) == 0",
+        f"[len(__import__('os').listdir('/proc/self/task')), {BLAS_ENV}]",
+    )
+    assert env == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    assert tasks == 1
+
+
+def test_cli_keeps_a_chosen_thread_count():
+    assert run_fresh(CHI2, BLAS_ENV, OMP_NUM_THREADS="3") == {
+        "OPENBLAS_NUM_THREADS": None,
+        "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": None,
+    }
+
+
+def test_cli_leaves_the_environment_of_a_numpy_caller():
+    # An in-process caller (a test run, a notebook, the benchmark harness)
+    # has its BLAS pool already; main does not touch its environment.
+    code = "import numpy, os\nbefore = dict(os.environ)\n" + CHI2
+    assert run_fresh(code, "dict(os.environ) == before") is True

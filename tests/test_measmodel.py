@@ -249,3 +249,15 @@ def test_gathers_write_into_out_unbuffered(ieee14, telemetry, monkeypatch):
     assert h is out[0] and jac is out[1]
     assert [result is arr for (_, result), arr in zip(peaks, out)] == [True, True]
     assert all(peak < arr.nbytes / 8 for (peak, _), arr in zip(peaks, out))
+
+
+def test_flow_on_parallel_branches_is_rejected(ieee14):
+    """A flow channel names a bus pair, so on a pair joined by two branches
+    it cannot say which one it measures. (The 28 solved catalog models have
+    no parallel pair; ``tests/test_powerflow.py`` compiles flows on all.)"""
+    line = ieee14.branches[ieee14.branch_index(1, 2)]
+    second = replace(line, r=2 * line.r, x=2 * line.x)
+    doubled = replace(ieee14, branches=ieee14.branches + (second,))
+    sol = solve(doubled)
+    with pytest.raises(ValueError, match="channel Pflow 1-2: 2 parallel branches between buses 1 and 2"):
+        full_telemetry_from_state(doubled, sol.v, sol.theta)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -351,6 +352,54 @@ def test_pipeline_accepts_attack_vector_input(ieee14):
     rules = {f.rule for f in report.verdict.findings if f.severity is Severity.VIOLATION}
     assert Rule.SENSITIVITY_BOUND in rules
     assert Rule.COMPENSATION_ENTROPY in rules
+
+
+@pytest.mark.parametrize(
+    "probe, message",
+    [
+        ("nan-voltage", "record 'nan-v5': non-finite v_pu at bus 5"),
+        ("post-se-10-bus", "record 'ten-bus': bus 11 missing"),
+        ("measurement-10-bus", "record 'scenario1a-baseline': bus 11 missing"),
+    ],
+)
+def test_pipeline_rejects_a_record_that_does_not_fit(ieee14, probe, message):
+    """Before, these classified Normal, raised KeyError: 11, and ended in a
+    WLS divergence."""
+    post_se = fx.post_se_baseline_record()
+    nan_v5 = [replace(r, v_pu=math.nan) if r.bus == 5 else r for r in post_se.buses]
+    base_1a, _ = fx.scenario_1a_records()
+    cut_1a = replace(base_1a, buses=base_1a.buses[:10])
+    baseline, snapshot = {
+        "nan-voltage": (post_se, replace(post_se, source="nan-v5", buses=nan_v5)),
+        "post-se-10-bus": (post_se, replace(post_se, source="ten-bus", buses=post_se.buses[:10])),
+        "measurement-10-bus": (cut_1a, cut_1a),
+    }[probe]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_pipeline(baseline, snapshot, ieee14, paper_compat=True)
+
+
+def test_pipeline_accepts_nan_rows_of_a_dead_island(ieee14):
+    """Bus 14 cut off by its own record's breakers carries the NaN row that
+    ``from_solution`` writes for an island with no slack and no generator."""
+    from gridsec.network import apply_topology_corruption, build_topology
+    from gridsec.powerflow import solve
+
+    baseline = GridRecord.from_solution(ieee14, solve(ieee14), source="solved")
+    topo = apply_topology_corruption(build_topology(ieee14), [(9, 14), (13, 14)])
+    record = GridRecord.from_solution(ieee14, solve(ieee14, topo), topo, source="isolated-14")
+    for r in (baseline, record):
+        r.extras["stage"] = "post-se"
+    assert math.isnan(record.bus_row(14).v_pu)
+    report = run_pipeline(baseline, record, ieee14, paper_compat=True)
+    assert report.report["snapshot"] == "isolated-14" and not report.report["bdd"]["flagged"]
+    # The same row with both breakers of 13-14 closed is in the slack's island.
+    closed = replace(record, branches=[
+        replace(br, status_from=BreakerState.CLOSED, status_to=BreakerState.CLOSED)
+        if (br.from_bus, br.to_bus) == (13, 14) else br
+        for br in record.branches
+    ])
+    with pytest.raises(ValueError, match="non-finite v_pu at bus 14"):
+        run_pipeline(baseline, closed, ieee14, paper_compat=True)
 
 
 def test_pipeline_report_deterministic(ieee14):

@@ -50,6 +50,8 @@ def test_ppf_stops_at_an_exact_root(monkeypatch):
         return chi2_cdf(x, df)
 
     monkeypatch.setattr(stats, "chi2_cdf", counted)
+    # Earlier tests have memoized some of these thresholds; compute each anew.
+    chi_square_threshold.cache_clear()
     for df in range(1, 200):
         for alpha in (0.01, 0.05, 0.1):
             calls.clear()
@@ -89,3 +91,23 @@ def test_input_validation():
         chi_square_threshold(5, 0.0)
     with pytest.raises(ValueError):
         chi2_ppf(1.0, 5)
+
+
+def test_threshold_is_memoized(monkeypatch):
+    """A repeated (df, alpha) returns the first result without reaching
+    chi2_ppf again."""
+    from gridsec import stats
+
+    calls = []
+
+    def counted(p, df):
+        calls.append((p, df))
+        return chi2_ppf(p, df)
+
+    monkeypatch.setattr(stats, "chi2_ppf", counted)
+    chi_square_threshold.cache_clear()
+    first = chi_square_threshold(37, 0.025)
+    assert chi_square_threshold(37, 0.025) == first == chi2_ppf(0.975, 37.0)
+    assert len(calls) == 1
+    chi_square_threshold(37, 0.01)
+    assert len(calls) == 2
