@@ -241,20 +241,33 @@ def cmd_baseline_fit(args) -> int:
     return 0
 
 
+def _read_record(path: str):
+    from .records import GridRecord
+
+    try:
+        return GridRecord.load(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_detect(args) -> int:
     from .detection import RuleConfig, baseline_from_json
     from .pipeline import run_pipeline
-    from .records import GridRecord
 
     model = _load_model(args.case)
-    baseline = GridRecord.load(args.baseline)
-    snapshot = GridRecord.load(args.snapshot)
     stats = baseline_from_json(Path(args.stats).read_text()) if args.stats else None
     config = RuleConfig.from_file(args.config) if args.config else None
-    report = run_pipeline(
-        baseline, snapshot, model,
-        baseline_stats=stats, config=config, paper_compat=args.paper_compat,
-    )
+    # A record that cannot be read, or that does not fit the model, is a
+    # usage error; the message names the record and its line or bus.
+    try:
+        baseline, snapshot = (_read_record(path) for path in (args.baseline, args.snapshot))
+        report = run_pipeline(
+            baseline, snapshot, model,
+            baseline_stats=stats, config=config, paper_compat=args.paper_compat,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n")
     sys.stdout.write(report.text)

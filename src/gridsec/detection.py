@@ -324,10 +324,12 @@ def rule_battery(
                 )
             )
 
-    # ZipViolation: load response must stay within P ~ V^alpha.
+    # ZipViolation: load response must stay within P ~ V^alpha. A bus whose
+    # V or P is not finite in either record (a dead island) has none to judge.
+    finite = np.isfinite(dv) & np.isfinite(dp)
     for i in range(len(dp)):
         b = i + 1
-        if b in cfg.generator_buses:
+        if b in cfg.generator_buses or not finite[i]:
             continue
         if abs(base.p[i]) < 1e-9:
             continue

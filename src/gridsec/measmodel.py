@@ -2,11 +2,12 @@
 
 The derivatives are MATPOWER's ``dSbus_dV``/``dSbr_dV`` (Zimmerman et al.,
 IEEE Trans. Power Syst. 2011) in polar form with real and imaginary parts
-written out. Keep each expression's operation order, which the per-row
-reference in ``tests/test_measmodel.py`` checks to the last bit: power-flow
-solutions, estimates and the detector baseline fitted from them all move
-with the last bits. A state's results do not depend on its batch. The
-branch-end flow values are the ones ``branch_flows`` reports per branch.
+written out, built from per-bus and per-branch terms only. Keep each
+expression's operation order, which the per-row reference in
+``tests/test_measmodel.py`` checks to the last bit: power-flow solutions,
+estimates and the detector baseline fitted from them all move with the
+last bits. A state's results do not depend on its batch. The branch-end
+flow values are the ones ``branch_flows`` reports per branch.
 
 State columns: [theta at non-slack buses, V at all buses].
 """
@@ -14,6 +15,7 @@ State columns: [theta at non-slack buses, V at all buses].
 from __future__ import annotations
 
 import copy
+from collections import defaultdict
 from enum import Enum
 from typing import Sequence
 
@@ -28,7 +30,7 @@ from .network import (
     quiet_admittance,
 )
 
-__all__ = ["MeasKind", "MeasurementModel", "branch_flows", "injection_derivatives"]
+__all__ = ["MeasKind", "MeasurementModel", "branch_flows"]
 
 
 class MeasKind(str, Enum):
@@ -39,42 +41,22 @@ class MeasKind(str, Enum):
     QFLOW = "Qflow"
 
 
-def injection_derivatives(ybus: np.ndarray, v: np.ndarray, theta: np.ndarray):
-    """Bus injections P, Q and the blocks dP/dtheta, dP/dV, dQ/dtheta,
-    dQ/dV over all buses, for states shaped (..., n); blocks are
-    (..., n, n)."""
-    g, b = ybus.real, ybus.imag
-    vc = v * np.exp(1j * theta)
-    s = vc * np.conj((ybus @ vc[..., None])[..., 0])
-    p, q = s.real, s.imag
-    dth = theta[..., :, None] - theta[..., None, :]
-    cos_t, sin_t = np.cos(dth), np.sin(dth)
-    vv = v[..., :, None] * v[..., None, :]
-    gs_bc = g * sin_t - b * cos_t
-    gc_bs = g * cos_t + b * sin_t
-    dp_dth = vv * gs_bc
-    dp_dv = v[..., :, None] * gc_bs
-    dq_dth = -vv * gc_bs
-    dq_dv = v[..., :, None] * gs_bc
-    i = np.arange(len(ybus))
-    dp_dth[..., i, i] = -q - b[i, i] * v**2
-    dp_dv[..., i, i] = p / v + g[i, i] * v
-    dq_dth[..., i, i] = p - g[i, i] * v**2
-    dq_dv[..., i, i] = q / v - b[i, i] * v
-    return p, q, dp_dth, dp_dv, dq_dth, dq_dv
+_FLOWS = (MeasKind.PFLOW, MeasKind.QFLOW)
 
 
-def _end_flows(yff, yft, vi, vj, dth):
-    """P and Q entering branch ends at bus i towards bus j, from the end's
-    two-port terms ``yff``, ``yft``, the voltage magnitudes and the angle
-    difference theta_i - theta_j. Also returns gft cos + bft sin and
-    gft sin - bft cos, which the derivatives reuse."""
+def _edge_terms(g, b, vi, vj, dth):
+    """v_i v_j, cs = g cos + b sin and sc = g sin - b cos of directed bus
+    pairs (i, j) with admittance g + jb, at angles theta_i - theta_j."""
     c, s = np.cos(dth), np.sin(dth)
-    cs = yft.real * c + yft.imag * s
-    sc = yft.real * s - yft.imag * c
-    p = vi * vi * yff.real + vi * vj * cs
-    q = -vi * vi * yff.imag + vi * vj * sc
-    return p, q, cs, sc
+    return vi * vj, g * c + b * s, g * s - b * c
+
+
+def _end_flows(yff, vi, vv, cs, sc):
+    """P and Q entering branch ends at bus i towards bus j, from the end's
+    shunt-side term ``yff`` and the ``_edge_terms`` of its ``yft``."""
+    p = vi * vi * yff.real + vv * cs
+    q = -vi * vi * yff.imag + vv * sc
+    return p, q
 
 
 def branch_flows(
@@ -90,9 +72,9 @@ def branch_flows(
         [branch_admittances(br) for br in model.branches], dtype=complex
     ).reshape(-1, 4).T
     i, j = np.concatenate([f, t]), np.concatenate([t, f])
-    p, q, _, _ = _end_flows(
-        np.concatenate([yff, ytt]), np.concatenate([yft, ytf]), v[i], v[j], theta[i] - theta[j]
-    )
+    yft = np.concatenate([yft, ytf])
+    vv, cs, sc = _edge_terms(yft.real, yft.imag, v[i], v[j], theta[i] - theta[j])
+    p, q = _end_flows(np.concatenate([yff, ytt]), v[i], vv, cs, sc)
     live = np.tile(np.array(topology.in_service, dtype=bool), 2)
     p, q = np.where(live, p, 0.0), np.where(live, q, 0.0)
     return p[:n_br], q[:n_br], p[n_br:], q[n_br:]
@@ -107,12 +89,16 @@ class MeasurementModel:
     branch is exactly 0, with a zero Jacobian row.
 
     The layout is compiled once into ``h_idx`` (m,) and ``jac_idx``
-    (m, 2n - 1), which index one source vector per state: ``[V, P, Q,
-    dP/dtheta, dP/dV, dQ/dtheta, dQ/dV (n x n each), flow terms, 0, 1]``.
-    The flow terms are ten blocks over the measured branch ends: the P
-    flow and its derivatives by theta_i, theta_j (the negated theta_i
-    one), V_i and V_j, then the same for Q. ``evaluate`` computes the
-    source and gathers h and H from it.
+    (m, 2n - 1), which index one source vector per state, O(n + branches)
+    long: ``[V, P, Q, dP/dtheta, dP/dV, dQ/dtheta, dQ/dV, flow terms, 1]``.
+    Each derivative block is a 0, the n diagonal terms, then one term per
+    directed off-diagonal nonzero (i, j) of Ybus, the edges: v_i v_j sc,
+    v_i cs, -(v_i v_j) cs and v_i sc of ``_edge_terms``. A layout with a
+    flow adds six blocks over the edges: the P flow entering (i, j) at i
+    and its derivatives by theta_i and V_i, then the same for Q. A flow is
+    compiled only on a single live branch, whose yft is Ybus[i, j]
+    exactly, so its derivatives by theta_j and V_j are edge terms.
+    ``evaluate`` computes the source and gathers h and H from it.
     """
 
     def __init__(
@@ -126,10 +112,10 @@ class MeasurementModel:
         self.ybus = quiet_admittance(model, topology)
         self.angle_buses = np.delete(np.arange(n), model.slack_index)
 
-        # Rows per kind, each with its bus or, for flows, its branch end;
-        # the P and Q flow rows of one end share that end's terms. Flow
-        # rows of an open bus pair go to ``dead``.
-        rows: dict[MeasKind, tuple[list, list]] = {kind: ([], []) for kind in MeasKind}
+        # Rows per kind as flat (row, bus) pairs or, for flows, (row, branch
+        # end) pairs; the P and Q flow rows of one end share that end's
+        # terms. Flow rows of an open bus pair go to ``dead``.
+        rows: dict[MeasKind, list[int]] = defaultdict(list)
         dead: list[int] = []
         ends: dict[tuple[int, int], int] = {}
         bus_index = {bus: bus - 1 for bus in range(1, n + 1)}
@@ -140,60 +126,75 @@ class MeasurementModel:
             by_pair.setdefault(br.pair, []).append((br, live))
             by_pair.setdefault(br.pair[::-1], []).append((br, live))
         for row, m in enumerate(entries):
-            if m.kind not in (MeasKind.PFLOW, MeasKind.QFLOW):
-                if m.bus not in bus_index:
+            if m.kind not in _FLOWS:
+                if (at := bus_index.get(m.bus)) is None:
                     raise ValueError(f"channel {m.channel}: bus outside 1..{n}")
-                at = bus_index[m.bus]
-            elif m.branch not in by_pair:
+            elif (branches := by_pair.get(m.branch)) is None:
                 f_bus, t_bus = m.branch
                 raise ValueError(f"channel {m.channel}: no branch between buses {f_bus} and {t_bus}")
-            elif len(by_pair[m.branch]) > 1:
+            elif len(branches) > 1:
                 f_bus, t_bus = m.branch
                 raise ValueError(
-                    f"channel {m.channel}: {len(by_pair[m.branch])} parallel branches between "
+                    f"channel {m.channel}: {len(branches)} parallel branches between "
                     f"buses {f_bus} and {t_bus}; a flow channel cannot tell them apart"
                 )
-            elif by_pair[m.branch][0][1]:
+            elif branches[0][1]:
                 at = ends.setdefault(m.branch, len(ends))
             else:
                 dead.append(row)
                 continue
-            rows[m.kind][0].append(row)
-            rows[m.kind][1].append(at)
-        rows = {k: (np.array(r, dtype=np.intp), np.array(w, dtype=np.intp)) for k, (r, w) in rows.items()}
-        self._end_i, self._end_j = (np.array(list(ends), dtype=np.intp).reshape(-1, 2) - 1).T
-        two_port = []
-        for end in ends:
-            br = by_pair[end][0][0]
-            yff, yft, ytf, ytt = branch_admittances(br)
-            two_port.append((yff, yft) if br.pair == end else (ytt, ytf))
-        self._yff, self._yft = np.array(two_port, dtype=complex).reshape(-1, 2).T
+            rows[m.kind] += row, at
+        rows = {k: np.array(r, dtype=np.intp).reshape(-1, 2).T for k, r in rows.items()}
+        end_i, end_j = (np.array(list(ends), dtype=np.intp).reshape(-1, 2) - 1).T
 
-        self._injections = bool(rows[MeasKind.PINJ][0].size or rows[MeasKind.QINJ][0].size)
-        flows = 3 * n + 4 * n * n
-        zero = flows + 10 * len(ends)
-        self._src_len = zero + 2
+        # The slot of (i, j) in a derivative block after its leading 0:
+        # the diagonal term at i == j, the edge term where Ybus[i, j] != 0,
+        # else -1, which selects that 0.
+        y = self.ybus.ravel()
+        off = y != 0
+        off[:: n + 1] = False
+        off = np.flatnonzero(off)
+        self._edge_i, self._edge_j = np.divmod(off, n)
+        self._g, self._b = y.real[off], y.imag[off]
+        self._g_ii, self._b_ii = y.real[:: n + 1], y.imag[:: n + 1]
+        width = self._width = 1 + n + off.size
+        slot = np.full((n, n), -1, dtype=np.intp)
+        slot.flat[off] = np.arange(n, width - 1)
+        slot.flat[:: n + 1] = np.arange(n)
+        # Each measured end's yff at its edge; an unmeasured edge's flow
+        # terms are computed with yff = 0 and never read.
+        end_edge = slot[end_i, end_j] - n
+        self._yff = np.zeros(off.size if ends else 0, dtype=complex)
+        for end, e in zip(ends, end_edge):
+            br = by_pair[end][0][0]
+            self._yff[e] = branch_admittances(br)[0 if br.pair == end else 3]
+
+        self._injections = MeasKind.PINJ in rows or MeasKind.QINJ in rows
+        zero = 3 * n
+        flows = zero + 4 * width
+        self._src_len = flows + 6 * self._yff.size + 1
+        # The d/dtheta, then d/dV, columns of a Pinj row at every bus; a
+        # Qinj row's are 2 * width further on.
+        inj = zero + 1 + np.hstack([slot, slot + width])
         self.h_idx = np.empty(self.n_rows, dtype=np.intp)
         self.h_idx[dead] = zero
         # Columns theta, then V, at every bus; the slack's theta is dropped below.
         full = np.full((self.n_rows, 2 * n), zero, dtype=np.intp)
-        r, bus = rows[MeasKind.VM]
-        self.h_idx[r] = bus
-        full[r, n + bus] = zero + 1
-        for kind, value, block in ((MeasKind.PINJ, n, 0), (MeasKind.QINJ, 2 * n, 2)):
-            r, bus = rows[kind]
-            self.h_idx[r] = value + bus
-            d_th = 3 * n + block * n * n + bus[:, None] * n + np.arange(n)
-            full[r] = np.hstack([d_th, d_th + n * n])
-        for kind, first in ((MeasKind.PFLOW, 0), (MeasKind.QFLOW, 5)):
-            r, end = rows[kind]
-            i, j = self._end_i[end], self._end_j[end]
-            self.h_idx[r], full[r, i], full[r, j], full[r, n + i], full[r, n + j] = (
-                flows + (first + np.arange(5))[:, None] * len(ends) + end
-            )
+        for kind, (r, at) in rows.items():
+            q = kind in (MeasKind.QINJ, MeasKind.QFLOW)
+            if kind is MeasKind.VM:
+                self.h_idx[r] = at
+                full[r, n + at] = self._src_len - 1
+            elif kind not in _FLOWS:
+                self.h_idx[r] = (1 + q) * n + at
+                full[r] = inj[at] + 2 * width * q
+            else:
+                i, j, e = end_i[at], end_j[at], end_edge[at]
+                self.h_idx[r], full[r, i], full[r, n + i] = flows + (3 * q + np.arange(3))[:, None] * off.size + e
+                full[r, j], full[r, n + j] = inj[i, j] + 2 * width * q, inj[i, n + j] + 2 * width * q
         self.jac_idx = np.delete(full, model.slack_index, axis=1)
         # evaluate gathers with mode='clip', which would hide a bad index.
-        idx = np.concatenate([self.h_idx, self.jac_idx.ravel()])
+        idx = np.concatenate([self.h_idx, self.jac_idx.ravel(), end_edge])
         if idx.size and not 0 <= idx.min() <= idx.max() < self._src_len:
             raise AssertionError("measurement model index outside its source vector")
 
@@ -213,34 +214,33 @@ class MeasurementModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """h shaped (B, m) and H shaped (B, m, 2n - 1) at states shaped
         (B, n), written into the arrays of ``out`` when given."""
-        batch = len(v)
+        batch, n = v.shape
         if out is None:
             out = np.empty((batch, self.n_rows)), np.empty((batch, self.n_rows, self.n_state))
         src = np.empty((batch, self._src_len))
-        src[:, -2:] = 0.0, 1.0
-        terms = [v]
+        src[:, -1] = 1.0
+        src[:, :n] = v
+        blocks = src[:, 3 * n:3 * n + 4 * self._width].reshape(batch, 4, self._width)
+        blocks[:, :, 0] = 0.0
+        i, j = self._edge_i, self._edge_j
+        vi, vj = v[:, i], v[:, j]
+        vv, cs, sc = _edge_terms(self._g, self._b, vi, vj, theta[:, i] - theta[:, j])
+        edge = blocks[:, :, n + 1:]
+        edge[:, 0], edge[:, 1], edge[:, 2], edge[:, 3] = vv * sc, vi * cs, -vv * cs, vi * sc
         if self._injections:
-            terms += injection_derivatives(self.ybus, v, theta)
-        at = 0
-        for term in terms:
-            src[:, at:at + term[0].size] = term.reshape(batch, -1)
-            at += term[0].size
-
-        if self._end_i.size:
-            i, j = self._end_i, self._end_j
-            vi, vj = v[:, i], v[:, j]
-            p, q, cs, sc = _end_flows(self._yff, self._yft, vi, vj, theta[:, i] - theta[:, j])
+            vc = v * np.exp(1j * theta)
+            s = vc * np.conj((self.ybus @ vc[..., None])[..., 0])
+            p, q, g, b = s.real, s.imag, self._g_ii, self._b_ii
+            src[:, n:2 * n], src[:, 2 * n:3 * n] = p, q
+            d = blocks[:, :, 1:n + 1]
+            d[:, 0], d[:, 1], d[:, 2], d[:, 3] = -q - b * v**2, p / v + g * v, p - g * v**2, q / v - b * v
+        if self._yff.size:
+            p, q = _end_flows(self._yff, vi, vv, cs, sc)
+            g, b = self._yff.real, self._yff.imag
             # -sc rounds exactly as -gft sin + bft cos would.
-            p_thi = vi * vj * -sc
-            q_thi = vi * vj * cs
-            gff, bff = self._yff.real, self._yff.imag
-            at = 3 * self.n_bus + 4 * self.n_bus**2
-            for term in (
-                p, p_thi, -p_thi, 2 * vi * gff + vj * cs, vi * cs,
-                q, q_thi, -q_thi, -2 * vi * bff + vj * sc, vi * sc,
-            ):
-                src[:, at:at + i.size] = term
-                at += i.size
+            src[:, 3 * n + 4 * self._width:-1] = np.concatenate(
+                [p, vv * -sc, 2 * vi * g + vj * cs, q, vv * cs, -2 * vi * b + vj * sc], axis=1
+            )
         # mode='clip' lets take write straight into out, where the default
         # 'raise' fills a copy first; __init__ checked the indices.
         h, jac = out

@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .measmodel import branch_flows, injection_derivatives
-from .network import (
-    BusKind,
-    NetworkModel,
-    TopologyMatrix,
-    build_topology,
-    connected_components,
-    quiet_admittance,
-)
+from .measmodel import MeasKind, MeasurementModel, branch_flows
+from .network import BusKind, NetworkModel, TopologyMatrix, build_topology, connected_components
 
 __all__ = [
     "Island",
@@ -106,8 +100,7 @@ def bus_power(ybus: np.ndarray, v: np.ndarray, theta: np.ndarray) -> tuple[np.nd
 
 
 def _nr_island(
-    model: NetworkModel,
-    ybus: np.ndarray,
+    mm: MeasurementModel,
     idx: list[int],
     slack: int,
     pv: list[int],
@@ -120,22 +113,25 @@ def _nr_island(
 ) -> tuple[bool, int]:
     """Newton-Raphson on one island, updating v/theta in place.
 
-    idx: 0-based bus indices of the island; slack/pv are 0-based indices.
-    Scheduled powers are p.u. net injections.
+    mm: the Pinj rows, then the Qinj rows, of every bus. idx: 0-based bus
+    indices of the island; slack/pv are 0-based indices. Scheduled powers
+    are p.u. net injections.
     """
+    n = mm.n_bus
     pq = [i for i in idx if i != slack and i not in pv]
     ang_vars = [i for i in idx if i != slack]
     n_ang = len(ang_vars)
+    # Each angle bus has a theta column: the model's slack is its island's.
+    rows = np.array(ang_vars + [n + i for i in pq], dtype=np.intp)
+    cols = np.concatenate([np.searchsorted(mm.angle_buses, ang_vars), n - 1 + np.array(pq, dtype=np.intp)])
+    sched = np.concatenate([p_sched, q_sched])[rows]
 
     for it in range(1, max_iter + 1):
-        p, q, dp_dth, dp_dv, dq_dth, dq_dv = injection_derivatives(ybus, v, theta)
-        mismatch = np.concatenate([p_sched[ang_vars] - p[ang_vars], q_sched[pq] - q[pq]])
+        h, jac = mm.evaluate(v[None], theta[None])
+        mismatch = sched - h[0, rows]
         if mismatch.size == 0 or np.max(np.abs(mismatch)) < tol:
             return True, it - 1
-        jac = np.block([
-            [dp_dth[np.ix_(ang_vars, ang_vars)], dp_dv[np.ix_(ang_vars, pq)]],
-            [dq_dth[np.ix_(pq, ang_vars)], dq_dv[np.ix_(pq, pq)]],
-        ])
+        jac = jac[0][np.ix_(rows, cols)]
         try:
             dx = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
@@ -164,8 +160,11 @@ def solve(
     """
     if topology is None:
         topology = build_topology(model)
-    ybus = quiet_admittance(model, topology)
     n = model.n_bus
+    # Entries need only a kind and a bus; a plain power flow loads no ``estimation``.
+    injections = [SimpleNamespace(kind=k, bus=b) for k in (MeasKind.PINJ, MeasKind.QINJ) for b in range(1, n + 1)]
+    mm = MeasurementModel(model, topology, injections)
+    ybus = mm.ybus
     base = model.base_mva
 
     v = np.array(
@@ -219,7 +218,7 @@ def solve(
             for i, qg in pq_limited.items():
                 eff_q[i] = (qg - model.buses[i].q_load) / base
             ok, it = _nr_island(
-                model, ybus, idx, slack_i, eff_pv, p_sched, eff_q, v, theta, tol, max_iter
+                mm, idx, slack_i, eff_pv, p_sched, eff_q, v, theta, tol, max_iter
             )
             total_iter += it
             if not ok or not enforce_q_limits:

@@ -136,6 +136,32 @@ def test_detect_exit_codes(tmp_path, fixture_dir):
     ]) == 0  # stress is not an attack class
 
 
+def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fixture_dir, capsys):
+    """A 10-bus snapshot, or a record CSV that cannot be parsed, ends in one
+    ``error:`` line naming the record and the bus or line, and exit 2."""
+    from dataclasses import replace
+
+    base = fixture_dir / "post_se_baseline.csv"
+    record = GridRecord.load(base)
+    short = tmp_path / "ten_buses.csv"
+    short.write_text(replace(
+        record,
+        buses=[r for r in record.buses if r.bus <= 10],
+        branches=[br for br in record.branches if max(br.from_bus, br.to_bus) <= 10],
+    ).to_csv())
+    broken = tmp_path / "broken.csv"
+    broken.write_text(base.read_text().replace("\n3,", "\n3,x", 1))
+    expected = {
+        short: f"error: record '{record.source}': bus 11 missing; the model has buses 1..14",
+        broken: f"error: {broken}: record CSV line 5: ",
+    }
+    for snapshot, message in expected.items():
+        assert run(["detect", "--baseline", str(base), "--snapshot", str(snapshot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+
+
 def test_baseline_fit_and_detect_with_stats(tmp_path, fixture_dir):
     stats = tmp_path / "baseline.json"
     assert run(["baseline-fit", "--out", str(stats)]) == 0

@@ -5,26 +5,36 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridsec import powerflow
 from gridsec.estimation import (
     MeasKind,
+    Measurement,
     MeasurementSet,
     bdd_classify,
     full_telemetry_from_state,
     iterative_bad_data_removal,
+    measurements_from_state,
     wls_estimate_ac,
 )
 from gridsec.measmodel import MeasurementModel
-from gridsec.network import branch_admittances, build_ieee14, quiet_admittance
+from gridsec.network import (
+    Branch,
+    Bus,
+    BusKind,
+    NetworkModel,
+    branch_admittances,
+    build_ieee14,
+    quiet_admittance,
+)
 from gridsec.powerflow import bus_power, solve
+from gridsec.scenarios import generate_all
 from gridsec.stats import chi_square_threshold
 
 
-def reference_h_jac(model, entries, v, theta):
-    """The per-row loop the vectorized model replaced, kept as the
-    reference it must match bit for bit."""
-    n = model.n_bus
-    slack = model.slack_index
-    ybus = quiet_admittance(model)
+def reference_injection_blocks(ybus, v, theta):
+    """P, Q and the dense blocks dP/dtheta, dP/dV, dQ/dtheta and dQ/dV over
+    all bus pairs at one state: the n x n form that the model's per-bus and
+    per-branch terms replaced, kept as the reference they must match."""
     g, b = ybus.real, ybus.imag
     dth = theta[:, None] - theta[None, :]
     cos_t, sin_t = np.cos(dth), np.sin(dth)
@@ -38,6 +48,17 @@ def reference_h_jac(model, entries, v, theta):
     np.fill_diagonal(dq_dth, p - g.diagonal() * v**2)
     dq_dv = v[:, None] * (g * sin_t - b * cos_t)
     np.fill_diagonal(dq_dv, q / v - b.diagonal() * v)
+    return p, q, dp_dth, dp_dv, dq_dth, dq_dv
+
+
+def reference_h_jac(model, entries, v, theta, topology=None):
+    """The per-row loop the vectorized model replaced, kept as the
+    reference it must match bit for bit. A flow on a branch out of
+    service in ``topology`` is a zero row."""
+    n = model.n_bus
+    slack = model.slack_index
+    ybus = quiet_admittance(model, topology)
+    p, q, dp_dth, dp_dv, dq_dth, dq_dv = reference_injection_blocks(ybus, v, theta)
     ang = [i for i in range(n) if i != slack]
     h = np.zeros(len(entries))
     jac = np.zeros((len(entries), 2 * n - 1))
@@ -54,6 +75,8 @@ def reference_h_jac(model, entries, v, theta):
             jac[row, n - 1:] = d_v[i, :]
             continue
         f_bus, t_bus = m.branch
+        if topology is not None and not topology.in_service[model.branch_index(f_bus, t_bus)]:
+            continue
         br = model.branches[model.branch_index(f_bus, t_bus)]
         yff, yft, ytf, ytt = branch_admittances(br)
         if (br.from_bus, br.to_bus) != (f_bus, t_bus):
@@ -261,3 +284,128 @@ def test_flow_on_parallel_branches_is_rejected(ieee14):
     sol = solve(doubled)
     with pytest.raises(ValueError, match="channel Pflow 1-2: 2 parallel branches between buses 1 and 2"):
         full_telemetry_from_state(doubled, sol.v, sol.theta)
+
+
+def _perturbed(model, sol, rng, batch=3):
+    """States around a solution, slack angle zero; a dead island's NaN
+    buses start from the flat values."""
+    v = np.nan_to_num(sol.v, nan=1.0) + rng.normal(0.0, 0.02, (batch, model.n_bus))
+    theta = np.nan_to_num(sol.theta, nan=0.0) + rng.normal(0.0, 0.05, (batch, model.n_bus))
+    theta[:, model.slack_index] = 0.0
+    return v, theta
+
+
+@pytest.fixture(scope="module")
+def islanded_points(ieee14):
+    """The catalog points whose topology splits the network into islands."""
+    points = {oc.spec.id: oc for oc in generate_all(ieee14) if oc.record is not None}
+    return [points["table5-27"], points["table5-29"]]
+
+
+def test_islanded_topologies_equal_the_reference_bit_for_bit(islanded_points):
+    """Full telemetry plus flow rows on the open branches, on topologies
+    with more than one island: the per-branch terms follow the live Ybus."""
+    rng = np.random.default_rng(23)
+    for oc in islanded_points:
+        model, topo = oc.model, oc.topology
+        assert len(oc.solution.islands) > 1, oc.spec.id
+        v, theta = _perturbed(model, oc.solution, rng)
+        entries = full_telemetry_from_state(model, v[0], theta[0], topo).entries + [
+            Measurement(kind, 0.0, 1.0, branch=br.pair)
+            for br, live in zip(model.branches, topo.in_service)
+            if not live
+            for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+        ]
+        h, jac = MeasurementModel(model, topo, entries).evaluate(v, theta)
+        for k in range(len(v)):
+            h_ref, jac_ref = reference_h_jac(model, entries, v[k], theta[k], topo)
+            assert np.array_equal(h[k], h_ref), oc.spec.id
+            assert np.array_equal(jac[k], jac_ref), oc.spec.id
+
+
+def test_parallel_branches_share_one_summed_edge_term(ieee14, states):
+    """Two branches between buses 1 and 2 make one Ybus entry; the
+    injection rows' edge terms use that sum, as the dense blocks did."""
+    line = ieee14.branches[ieee14.branch_index(1, 2)]
+    doubled = replace(ieee14, branches=ieee14.branches + (replace(line, r=2 * line.r, x=2 * line.x),))
+    v, theta = states
+    entries = measurements_from_state(doubled, v[0], theta[0]).entries
+    h, jac = MeasurementModel(doubled, None, entries).evaluate(v, theta)
+    for k in range(len(v)):
+        h_ref, jac_ref = reference_h_jac(doubled, entries, v[k], theta[k])
+        assert np.array_equal(h[k], h_ref)
+        assert np.array_equal(jac[k], jac_ref)
+
+
+def test_newton_raphson_jacobian_equals_the_dense_blocks(ieee14, islanded_points, monkeypatch):
+    """One Newton-Raphson step per energized island hands np.linalg.solve
+    the mismatch and the Jacobian assembled from the dense reference
+    blocks, bit for bit, also on an island whose slack is a promoted
+    generator."""
+    seen = []
+    real_solve = np.linalg.solve
+
+    def capture(a, b):
+        seen.append((a.copy(), b.copy()))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", capture)
+    rng = np.random.default_rng(29)
+    cases = [(ieee14, None, solve(ieee14))] + [(oc.model, oc.topology, oc.solution) for oc in islanded_points]
+    promoted = 0
+    for model, topo, sol in cases:
+        n = model.n_bus
+        injections = [
+            Measurement(kind, 0.0, 1.0, bus=b) for kind in (MeasKind.PINJ, MeasKind.QINJ) for b in range(1, n + 1)
+        ]
+        mm = MeasurementModel(model, topo, injections)
+        p_sched, q_sched = rng.normal(0.0, 0.5, (2, n))
+        for report in sol.islands:
+            if report.slack_bus is None or len(report.island.buses) == 1:
+                continue
+            promoted += model.buses[report.slack_bus - 1].kind is not BusKind.SLACK
+            idx = sorted(b - 1 for b in report.island.buses)
+            slack = report.slack_bus - 1
+            pv = [i for i in idx if model.buses[i].kind is BusKind.GENERATOR and i != slack]
+            (v, theta), = zip(*_perturbed(model, sol, rng, batch=1))
+            p, q, dp_dth, dp_dv, dq_dth, dq_dv = reference_injection_blocks(mm.ybus, v, theta)
+            ang = [i for i in idx if i != slack]
+            pq = [i for i in ang if i not in pv]
+            ref_jac = np.block([
+                [dp_dth[np.ix_(ang, ang)], dp_dv[np.ix_(ang, pq)]],
+                [dq_dth[np.ix_(pq, ang)], dq_dv[np.ix_(pq, pq)]],
+            ])
+            ref_mismatch = np.concatenate([p_sched[ang] - p[ang], q_sched[pq] - q[pq]])
+            seen.clear()
+            powerflow._nr_island(mm, idx, slack, pv, p_sched, q_sched, v, theta, 0.0, 1)
+            (jac, mismatch), = seen
+            assert np.array_equal(jac, ref_jac)
+            assert np.array_equal(mismatch, ref_mismatch)
+    assert promoted >= 1
+
+
+def test_evaluate_memory_per_state_is_linear_in_branches():
+    """On a 200-bus chain a state's source vector and temporaries stay
+    within 64 floats per bus and per branch; one dense n x n block would
+    be 200 floats per bus."""
+    n = 200
+    chain = NetworkModel(
+        buses=(Bus(1, BusKind.SLACK, 1.0),)
+        + tuple(Bus(k, p_load=1.0, q_load=0.5) for k in range(2, n + 1)),
+        branches=tuple(Branch(k, k + 1, r=0.01, x=0.05, b_shunt=0.02) for k in range(1, n)),
+    )
+    rng = np.random.default_rng(31)
+    v, theta = 1.0 + rng.normal(0.0, 0.02, (2, n)), rng.normal(0.0, 0.05, (2, n))
+    entries = full_telemetry_from_state(chain, v[0], theta[0]).entries
+    mm = MeasurementModel(chain, None, entries)
+    out = np.empty((2, len(entries))), np.empty((2, len(entries), 2 * n - 1))
+    mm.evaluate(v, theta, out=out)
+    tracemalloc.start()
+    try:
+        mm.evaluate(v, theta, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * 64 * (n + len(chain.branches))
+    assert bound < 8 * n * n
+    assert peak / len(v) < bound, peak

@@ -380,7 +380,9 @@ def test_pipeline_rejects_a_record_that_does_not_fit(ieee14, probe, message):
 
 def test_pipeline_accepts_nan_rows_of_a_dead_island(ieee14):
     """Bus 14 cut off by its own record's breakers carries the NaN row that
-    ``from_solution`` writes for an island with no slack and no generator."""
+    ``from_solution`` writes for an island with no slack and no generator.
+    The rules skip that row, so it is neither a ZIP violation nor an attack."""
+    from gridsec.cli import ATTACK_CLASSES
     from gridsec.network import apply_topology_corruption, build_topology
     from gridsec.powerflow import solve
 
@@ -392,6 +394,8 @@ def test_pipeline_accepts_nan_rows_of_a_dead_island(ieee14):
     assert math.isnan(record.bus_row(14).v_pu)
     report = run_pipeline(baseline, record, ieee14, paper_compat=True)
     assert report.report["snapshot"] == "isolated-14" and not report.report["bdd"]["flagged"]
+    assert Rule.ZIP_VIOLATION not in {f.rule for f in report.verdict.findings}
+    assert report.verdict.klass.value not in ATTACK_CLASSES
     # The same row with both breakers of 13-14 closed is in the slack's island.
     closed = replace(record, branches=[
         replace(br, status_from=BreakerState.CLOSED, status_to=BreakerState.CLOSED)
