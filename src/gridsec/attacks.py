@@ -12,9 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .estimation import EstimationError, MeasKind, MeasurementSet, gauss_newton, wls_estimate_ac
-from .measmodel import branch_flows
-from .network import BreakerState, NetworkModel, TopologyMatrix
-from .records import BranchRow, BusRow, GridRecord
+from .network import BreakerState, NetworkModel
+from .records import BusRow, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD
 
 __all__ = [
@@ -378,16 +377,11 @@ def manipulate_state_vector(
     record: GridRecord,
     delta: StateDelta,
     model: NetworkModel | None = None,
-    recompute_flows: bool = False,
 ) -> GridRecord:
-    """Corrupt a stored record additively; the input record is preserved.
-
-    With ``recompute_flows`` and a model, the branch table is re-derived
-    from the corrupted bus state by ``measmodel.branch_flows``, the flow
-    rows of the measurement model, under the record's breaker statuses.
-    That keeps the corrupted record numerically self-consistent: its flows
-    are what a state estimator's h(x) gives at the corrupted state.
-    """
+    """Corrupt a stored record's bus table additively; the input record is
+    preserved. The branch table is copied as stored: a post-estimation
+    attacker rewrites the bus rows, not the flows. With a model, a nonzero
+    slack entry in ``delta`` raises ValueError."""
     if model is not None:
         delta.validate_slack(model.slack_index)
     rows = []
@@ -402,52 +396,12 @@ def manipulate_state_vector(
                 q_mvar=r.q_mvar + delta.dq_mvar[i],
             )
         )
-    branches = list(record.branches)
-    if recompute_flows:
-        if model is None:
-            raise ValueError("flow recomputation needs the network model")
-        branches = _branch_rows_from_bus_state(model, record, rows)
     return GridRecord(
         buses=rows,
-        branches=branches,
+        branches=list(record.branches),
         source=f"{record.source}+state-delta",
         extras=dict(record.extras),
     )
-
-
-def _branch_rows_from_bus_state(
-    model: NetworkModel, record: GridRecord, bus_rows: list[BusRow]
-) -> list[BranchRow]:
-    status = {}
-    for br in record.branches:
-        status[(br.from_bus, br.to_bus)] = br.in_service
-    in_service = tuple(
-        status.get(b.pair, status.get((b.to_bus, b.from_bus), b.closed))
-        for b in model.branches
-    )
-    topo = TopologyMatrix(
-        n_bus=model.n_bus,
-        pairs=tuple(b.pair for b in model.branches),
-        in_service=in_service,
-    )
-    v = np.array([r.v_pu for r in bus_rows])
-    th = np.radians([r.theta_deg for r in bus_rows])
-    p_from, q_from, p_to, _ = (x * model.base_mva for x in branch_flows(model, topo, v, th))
-    out = []
-    for k, (br, live) in enumerate(zip(model.branches, in_service)):
-        state = BreakerState.CLOSED if live else BreakerState.OPEN
-        out.append(
-            BranchRow(
-                from_bus=br.from_bus,
-                to_bus=br.to_bus,
-                status_from=state,
-                status_to=state,
-                p_mw=float(p_from[k]),
-                q_mvar=float(q_from[k]),
-                loss_mw=float(p_from[k] + p_to[k]),
-            )
-        )
-    return out
 
 
 def corrupt_topology_record(

@@ -241,26 +241,30 @@ def cmd_baseline_fit(args) -> int:
     return 0
 
 
-def _read_record(path: str):
-    from .records import GridRecord
-
+def _read_input(path: str, parse):
+    """``parse(path)``; a ValueError or KeyError becomes one ValueError
+    that names the file."""
     try:
-        return GridRecord.load(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return parse(path)
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: {exc.args[0] if exc.args else exc}") from None
 
 
 def cmd_detect(args) -> int:
     from .detection import RuleConfig, baseline_from_json
     from .pipeline import run_pipeline
+    from .records import GridRecord
 
     model = _load_model(args.case)
-    stats = baseline_from_json(Path(args.stats).read_text()) if args.stats else None
-    config = RuleConfig.from_file(args.config) if args.config else None
-    # A record that cannot be read, or that does not fit the model, is a
-    # usage error; the message names the record and its line or bus.
+    # An input that cannot be read, or a record that does not fit the model,
+    # is a usage error; the message names the file, or the record and bus.
     try:
-        baseline, snapshot = (_read_record(path) for path in (args.baseline, args.snapshot))
+        stats = config = None
+        if args.stats:
+            stats = _read_input(args.stats, lambda p: baseline_from_json(Path(p).read_text()))
+        if args.config:
+            config = _read_input(args.config, RuleConfig.from_file)
+        baseline, snapshot = (_read_input(p, GridRecord.load) for p in (args.baseline, args.snapshot))
         report = run_pipeline(
             baseline, snapshot, model,
             baseline_stats=stats, config=config, paper_compat=args.paper_compat,

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .findings import Finding, Rule, Severity
-from .network import connected_components
 from .records import BusSnapshot, GridRecord
 
 if TYPE_CHECKING:
@@ -205,17 +204,22 @@ def baseline_to_json(stats: BaselineStats) -> str:
 
 
 def baseline_from_json(text: str) -> BaselineStats:
+    """Parse ``baseline_to_json`` output. Malformed JSON or a missing
+    required key raises ValueError."""
     import json
 
     doc = json.loads(text)
-    return BaselineStats(
-        mu=np.asarray(doc["mu"], dtype=float),
-        scale=np.asarray(doc["scale"], dtype=float),
-        cov_std=np.asarray(doc["cov_std"], dtype=float),
-        lam=float(doc["lam"]),
-        source=tuple(doc.get("source", ())),
-        train_max_maha=float(doc.get("train_max_maha", 0.0)),
-    )
+    try:
+        return BaselineStats(
+            mu=np.asarray(doc["mu"], dtype=float),
+            scale=np.asarray(doc["scale"], dtype=float),
+            cov_std=np.asarray(doc["cov_std"], dtype=float),
+            lam=float(doc["lam"]),
+            source=tuple(doc.get("source", ())),
+            train_max_maha=float(doc.get("train_max_maha", 0.0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"baseline statistics lack key {exc}") from None
 
 
 @dataclass
@@ -503,26 +507,20 @@ def rule_battery(
 class IslandRecordReport:
     islands: list[frozenset[int]]
     balances: list[tuple[frozenset[int], float]]
+    all_balanced: bool  # every |balance| within ``RuleConfig.balance_tol_mw``
     all_flows_zero: bool
     breaker_pairs_consistent: bool
-
-    @property
-    def all_balanced(self) -> bool:
-        return all(abs(net) <= 1.0 for _, net in self.balances)
 
 
 def analyze_record_islands(
     record: GridRecord, config: RuleConfig | None = None
 ) -> IslandRecordReport | None:
-    """Island structure implied by the record's breaker statuses; None for
-    bus-only records."""
+    """Island structure implied by the record's breaker statuses
+    (``GridRecord.islands``); None for bus-only records."""
     if not record.branches:
         return None
     cfg = config or RuleConfig()
-    islands = connected_components(
-        (r.bus for r in record.buses),
-        ((br.from_bus, br.to_bus) for br in record.branches if br.in_service),
-    )
+    islands = record.islands()
     balances = []
     for isl in islands:
         inj = sum(-r.p_mw for r in record.buses if r.bus in isl)
@@ -540,6 +538,7 @@ def analyze_record_islands(
     return IslandRecordReport(
         islands=islands,
         balances=balances,
+        all_balanced=all(abs(net) <= cfg.balance_tol_mw for _, net in balances),
         all_flows_zero=zero,
         breaker_pairs_consistent=consistent,
     )

@@ -25,9 +25,9 @@ from .network import (
     Branch,
     NetworkModel,
     TopologyMatrix,
+    admittance,
     branch_admittances,
     build_topology,
-    quiet_admittance,
 )
 
 __all__ = ["MeasKind", "MeasurementModel", "branch_flows"]
@@ -109,7 +109,7 @@ class MeasurementModel:
         self.n_state = 2 * n - 1
         if topology is None:
             topology = build_topology(model)
-        self.ybus = quiet_admittance(model, topology)
+        self.ybus = admittance(model, topology)
         self.angle_buses = np.delete(np.arange(n), model.slack_index)
 
         # Rows per kind as flat (row, bus) pairs or, for flows, (row, branch

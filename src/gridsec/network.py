@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
@@ -23,7 +22,6 @@ __all__ = [
     "Branch",
     "NetworkModel",
     "TopologyMatrix",
-    "IsolatedBusWarning",
     "build_ieee14",
     "build_topology",
     "apply_topology_corruption",
@@ -43,10 +41,6 @@ class BusKind(str, Enum):
 class BreakerState(str, Enum):
     CLOSED = "Closed"
     OPEN = "Open"
-
-
-class IsolatedBusWarning(UserWarning):
-    """A topology left at least one bus with no in-service branch."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +264,8 @@ def branch_admittances(branch: Branch) -> tuple[complex, complex, complex, compl
 
 def admittance(model: NetworkModel, topology: TopologyMatrix | None = None) -> np.ndarray:
     """Complex bus-admittance matrix. Branches out of service in
-    ``topology`` contribute nothing. Warns if any bus ends up isolated."""
+    ``topology`` contribute nothing, so a bus with no live branch keeps a
+    shunt-only row; ``powerflow.solve`` reports it as an island of its own."""
     if topology is None:
         topology = build_topology(model)
     n = model.n_bus
@@ -286,23 +281,7 @@ def admittance(model: NetworkModel, topology: TopologyMatrix | None = None) -> n
         y[j, j] += ytt
     for k, bus in enumerate(model.buses):
         y[k, k] += 1j * bus.b_shunt
-    degree = np.count_nonzero(topology.t, axis=1)
-    isolated = [k + 1 for k in range(n) if degree[k] == 0]
-    if isolated and n > 1:
-        warnings.warn(
-            f"topology isolates buses {isolated}; admittance rows are shunt-only",
-            IsolatedBusWarning,
-            stacklevel=2,
-        )
     return y
-
-
-def quiet_admittance(model: NetworkModel, topology: TopologyMatrix | None = None) -> np.ndarray:
-    """``admittance`` without the isolated-bus warning, for solvers that
-    handle islands themselves."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return admittance(model, topology)
 
 
 # Canonical IEEE 14-bus data (per-unit on 100 MVA): bus loads/limits and

@@ -26,7 +26,7 @@ from .estimation import (
     standard_layout,
     wls_estimate_ac,
 )
-from .network import NetworkModel, build_ieee14, connected_components
+from .network import NetworkModel, build_ieee14
 from .records import GridRecord
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
@@ -61,9 +61,10 @@ def measurements_from_record(
 def _check_record(record: GridRecord, model: NetworkModel) -> None:
     """Raise ValueError unless ``record`` fits ``model``: its bus table
     lists exactly buses 1..n, and V, theta, P and Q are finite at every bus
-    except those the record's own breaker statuses cut off from the
-    slack's island (the NaN rows ``GridRecord.from_solution`` writes for
-    an island with no slack and no generator)."""
+    of the slack's island by ``GridRecord.islands``. Buses the record's own
+    breakers cut off may hold the NaN rows ``GridRecord.from_solution``
+    writes for an island with no slack and no generator; a record with no
+    branch table is one island, so every bus must be finite."""
     ids = {r.bus for r in record.buses}
     expected = set(range(1, model.n_bus + 1))
     if ids != expected:
@@ -79,12 +80,7 @@ def _check_record(record: GridRecord, model: NetworkModel) -> None:
     if not bad:
         return
     slack = model.buses[model.slack_index].id
-    live = (
-        (br.from_bus, br.to_bus)
-        for br in record.branches
-        if br.in_service and br.from_bus in ids and br.to_bus in ids
-    )
-    energized = next(isl for isl in connected_components(ids, live) if slack in isl)
+    energized = next(isl for isl in record.islands() if slack in isl)
     for r in sorted(bad, key=lambda r: r.bus):
         if r.bus in energized:
             fields = ("v_pu", "theta_deg", "p_mw", "q_mvar")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import BreakerState, NetworkModel, TopologyMatrix, build_topology
+from .network import BreakerState, NetworkModel, TopologyMatrix, build_topology, connected_components
 
 __all__ = ["BusRow", "BranchRow", "GridRecord", "BusSnapshot"]
 
@@ -88,6 +88,22 @@ class GridRecord:
             if (r.from_bus, r.to_bus) in ((from_bus, to_bus), (to_bus, from_bus)):
                 return r
         raise KeyError(f"no branch {from_bus}-{to_bus} in record")
+
+    def islands(self) -> list[frozenset[int]]:
+        """The bus table joined by the in-service branch rows, ordered by
+        smallest bus id. A record with no branch table carries no breaker
+        states, so all its buses are one island. A branch row naming a bus
+        the bus table lacks raises ValueError."""
+        ids = [r.bus for r in self.buses]
+        if not self.branches:
+            return [frozenset(ids)]
+        known = set(ids)
+        for br in self.branches:
+            if br.from_bus not in known or br.to_bus not in known:
+                raise ValueError(f"record {self.source!r}: branch {br.from_bus}-{br.to_bus} "
+                                 f"names a bus that is not in its bus table")
+        live = ((br.from_bus, br.to_bus) for br in self.branches if br.in_service)
+        return connected_components(ids, live)
 
     # -- totals (load convention) ------------------------------------
     @property

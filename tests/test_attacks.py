@@ -27,7 +27,6 @@ from gridsec.estimation import (
 )
 from gridsec.network import BreakerState, build_ieee14, build_topology
 from gridsec.powerflow import solve
-from gridsec.records import GridRecord
 from gridsec.stats import PAPER_CHI2_THRESHOLD
 
 
@@ -286,18 +285,6 @@ def test_slack_delta_rejected(ieee14):
     delta = StateDelta.from_changes(14, dv={1: 0.01})
     with pytest.raises(ValueError):
         manipulate_state_vector(fx.post_se_baseline_record(), delta, model=ieee14)
-
-
-def test_flow_recomputation_consistent(ieee14):
-    """Recomputed flows for the unmodified record must equal the solved
-    case's branch table."""
-    sol = solve(ieee14)
-    rec = GridRecord.from_solution(ieee14, sol)
-    out = manipulate_state_vector(rec, StateDelta.zeros(14), model=ieee14,
-                                  recompute_flows=True)
-    for a, b in zip(rec.branches, out.branches):
-        assert a.p_mw == pytest.approx(b.p_mw, abs=1e-9)
-        assert a.loss_mw == pytest.approx(b.loss_mw, abs=1e-9)
 
 
 def test_topology_corruption_and_contrast(ieee14):

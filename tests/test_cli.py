@@ -137,8 +137,10 @@ def test_detect_exit_codes(tmp_path, fixture_dir):
 
 
 def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fixture_dir, capsys):
-    """A 10-bus snapshot, or a record CSV that cannot be parsed, ends in one
-    ``error:`` line naming the record and the bus or line, and exit 2."""
+    """A 10-bus snapshot, a record CSV that cannot be parsed, a branch row
+    naming an unknown bus (was ``KeyError: 15``) or a NaN in a bus-only
+    record ends in one ``error:`` line naming the record and the bus, row
+    or line, and exit 2."""
     from dataclasses import replace
 
     base = fixture_dir / "post_se_baseline.csv"
@@ -151,15 +153,47 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
     ).to_csv())
     broken = tmp_path / "broken.csv"
     broken.write_text(base.read_text().replace("\n3,", "\n3,x", 1))
+    unknown_bus = tmp_path / "row_13_15.csv"
+    unknown_bus.write_text(base.read_text().replace("\n13,14,", "\n13,15,", 1))
+    # A measurement-stage record has no branch table, so every bus is in
+    # the slack's island: a NaN at bus 5 was an EstimationError traceback.
+    base_1a = GridRecord.load(fixture_dir / "scenario1a_baseline.csv")
+    nan_1a = tmp_path / "nan_1a.csv"
+    nan_1a.write_text(replace(base_1a, buses=[
+        replace(r, v_pu=float("nan")) if r.bus == 5 else r for r in base_1a.buses
+    ]).to_csv())
     expected = {
-        short: f"error: record '{record.source}': bus 11 missing; the model has buses 1..14",
-        broken: f"error: {broken}: record CSV line 5: ",
+        (base, short): f"error: record '{record.source}': bus 11 missing; the model has buses 1..14",
+        (base, broken): f"error: {broken}: record CSV line 5: ",
+        (base, unknown_bus): f"error: record '{record.source}': branch 13-15 names a bus",
+        (nan_1a, nan_1a): f"error: record '{base_1a.source}': non-finite v_pu at bus 5",
     }
-    for snapshot, message in expected.items():
-        assert run(["detect", "--baseline", str(base), "--snapshot", str(snapshot)]) == 2
+    for (baseline, snapshot), message in expected.items():
+        assert run(["detect", "--baseline", str(baseline), "--snapshot", str(snapshot)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+
+
+def test_detect_reports_a_bad_config_or_stats_file_as_a_usage_error(tmp_path, fixture_dir, capsys):
+    """Each of these printed a traceback (KeyError, ValueError,
+    JSONDecodeError, KeyError); now one ``error:`` line names the file."""
+    files = {
+        "unknown_key.conf": ("--config", "no_such_key = 1\n", "unknown config key 'no_such_key'"),
+        "not_a_number.conf": ("--config", "gradient_max = steep\n", "could not convert"),
+        "malformed.json": ("--stats", '{"mu": [1', "Expecting"),
+        "no_mu.json": ("--stats", '{"scale": [1]}', "baseline statistics lack key 'mu'"),
+    }
+    pair = ["--baseline", str(fixture_dir / "post_se_baseline.csv"),
+            "--snapshot", str(fixture_dir / "scenario2a.csv")]
+    for name, (flag, text, message) in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["detect", *pair, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}"), captured.err
+        assert captured.err.count("\n") == 1, captured.err
 
 
 def test_baseline_fit_and_detect_with_stats(tmp_path, fixture_dir):

@@ -359,6 +359,29 @@ def test_classify_islanding_valid():
     assert v.klass is VerdictClass.ISLANDING_VALID
 
 
+def test_islanding_balance_uses_the_configured_tolerance():
+    """2 MW added at bus 4 of scenario 2C unbalances its island by 2 MW:
+    beyond the default 1 MW it is an IslandBalance violation, within a
+    5 MW tolerance it is neither a finding nor a reason to leave
+    IslandingValid. The classifier once judged the balance at 1 MW always."""
+    from gridsec.pipeline import run_pipeline
+
+    rec = fx.scenario_2c_record()
+    shifted = GridRecord(
+        buses=[BusRow(r.bus, r.v_pu, r.theta_deg, r.p_mw + 2.0, r.q_mvar) if r.bus == 4 else r
+               for r in rec.buses],
+        branches=rec.branches, source=rec.source, extras=dict(rec.extras),
+    )
+    base = fx.post_se_baseline_record()
+    for tol, klass in ((1.0, VerdictClass.FDI_POST_SE), (5.0, VerdictClass.ISLANDING_VALID)):
+        cfg = RuleConfig(balance_tol_mw=tol)
+        assert analyze_record_islands(shifted, cfg).all_balanced is (tol == 5.0)
+        verdict = run_pipeline(base, shifted, config=cfg).verdict
+        rules = {f.rule for f in verdict.findings}
+        assert (Rule.ISLAND_BALANCE in rules) is (tol == 1.0)
+        assert verdict.klass is klass
+
+
 def test_zero_flow_validity_property():
     """Balanced zero-flow records with consistent breaker pairs are never
     an attack class, whatever other findings say."""

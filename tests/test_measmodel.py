@@ -22,9 +22,9 @@ from gridsec.network import (
     Bus,
     BusKind,
     NetworkModel,
+    admittance,
     branch_admittances,
     build_ieee14,
-    quiet_admittance,
 )
 from gridsec.powerflow import bus_power, solve
 from gridsec.scenarios import generate_all
@@ -57,7 +57,7 @@ def reference_h_jac(model, entries, v, theta, topology=None):
     service in ``topology`` is a zero row."""
     n = model.n_bus
     slack = model.slack_index
-    ybus = quiet_admittance(model, topology)
+    ybus = admittance(model, topology)
     p, q, dp_dth, dp_dv, dq_dth, dq_dv = reference_injection_blocks(ybus, v, theta)
     ang = [i for i in range(n) if i != slack]
     h = np.zeros(len(entries))

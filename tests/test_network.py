@@ -6,7 +6,6 @@ from gridsec.network import (
     BreakerState,
     Bus,
     BusKind,
-    IsolatedBusWarning,
     NetworkModel,
     admittance,
     apply_topology_corruption,
@@ -47,11 +46,7 @@ def test_admittance_symmetry_under_random_topologies(ieee14):
     for _ in range(20):
         flips = rng.choice(len(ieee14.branches), size=rng.integers(1, 6), replace=False)
         corrupted = apply_topology_corruption(topo, [int(i) for i in flips])
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            y = admittance(ieee14, corrupted)
+        y = admittance(ieee14, corrupted)
         assert np.max(np.abs(y - y.T)) < 1e-12
 
 
@@ -131,14 +126,6 @@ def test_breaker_topology_coherence(ieee14):
         assert live == (
             br.breaker_from is BreakerState.CLOSED and br.breaker_to is BreakerState.CLOSED
         )
-
-
-def test_isolated_bus_warning(ieee14):
-    topo = build_topology(ieee14)
-    # Isolate bus 8: its only connection is branch 7-8.
-    lonely = apply_topology_corruption(topo, [(7, 8)])
-    with pytest.warns(IsolatedBusWarning):
-        admittance(ieee14, lonely)
 
 
 def test_json_round_trip(ieee14):

@@ -360,19 +360,34 @@ def test_pipeline_accepts_attack_vector_input(ieee14):
         ("nan-voltage", "record 'nan-v5': non-finite v_pu at bus 5"),
         ("post-se-10-bus", "record 'ten-bus': bus 11 missing"),
         ("measurement-10-bus", "record 'scenario1a-baseline': bus 11 missing"),
+        ("bus-only-nan-power", "record 'bus-only': non-finite p_mw at bus 5"),
+        ("measurement-nan-voltage", "record 'scenario1a-baseline': non-finite v_pu at bus 5"),
+        ("unknown-bus-branch", "record 'row-13-15': branch 13-15 names a bus that is not"),
     ],
 )
 def test_pipeline_rejects_a_record_that_does_not_fit(ieee14, probe, message):
-    """Before, these classified Normal, raised KeyError: 11, and ended in a
-    WLS divergence."""
+    """Before, these classified Normal, raised KeyError: 11, ended in a WLS
+    divergence, classified Normal (a bus-only record was read as 14
+    single-bus islands, so only the slack bus was checked), raised
+    EstimationError, and raised KeyError: 15."""
     post_se = fx.post_se_baseline_record()
     nan_v5 = [replace(r, v_pu=math.nan) if r.bus == 5 else r for r in post_se.buses]
     base_1a, _ = fx.scenario_1a_records()
     cut_1a = replace(base_1a, buses=base_1a.buses[:10])
+    bus_only = replace(post_se, source="bus-only", branches=[], extras=dict(post_se.extras, bdd_chi2=10.0))
+    nan_p5 = [replace(r, p_mw=math.nan) if r.bus == 5 else r for r in bus_only.buses]
+    nan_1a = [replace(r, v_pu=math.nan) if r.bus == 5 else r for r in base_1a.buses]
+    row_13_15 = [
+        replace(br, to_bus=15) if (br.from_bus, br.to_bus) == (13, 14) else br
+        for br in post_se.branches
+    ]
     baseline, snapshot = {
         "nan-voltage": (post_se, replace(post_se, source="nan-v5", buses=nan_v5)),
         "post-se-10-bus": (post_se, replace(post_se, source="ten-bus", buses=post_se.buses[:10])),
         "measurement-10-bus": (cut_1a, cut_1a),
+        "bus-only-nan-power": (bus_only, replace(bus_only, buses=nan_p5)),
+        "measurement-nan-voltage": (base_1a, replace(base_1a, buses=nan_1a)),
+        "unknown-bus-branch": (post_se, replace(post_se, source="row-13-15", branches=row_13_15)),
     }[probe]
     with pytest.raises(ValueError, match=re.escape(message)):
         run_pipeline(baseline, snapshot, ieee14, paper_compat=True)
