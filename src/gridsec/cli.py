@@ -53,6 +53,9 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", default="ieee14", help="network case: 'ieee14' or a JSON case file")
+
+
+def _add_open(p: argparse.ArgumentParser) -> None:
     p.add_argument("--open", action="append", default=[], metavar="F,T",
                    help="open the breaker pair on branch F-T (repeatable)")
 
@@ -89,7 +92,11 @@ def cmd_estimate(args) -> int:
 
     model = _load_model(args.case)
     topo = _topology_for(args, model)
-    ms = measurements_from_csv(Path(args.measurements).read_text())
+    try:
+        ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = wls_estimate_ac(model, ms, delta=args.delta, topology=topo)
     df = len(ms) - (2 * model.n_bus - 1)
     tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(max(df, 1), args.alpha)
@@ -242,10 +249,12 @@ def cmd_baseline_fit(args) -> int:
 
 
 def _read_input(path: str, parse):
-    """``parse(path)``; a ValueError or KeyError becomes one ValueError
-    that names the file."""
+    """``parse(path)``; an OSError, ValueError or KeyError becomes one
+    ValueError that names the file."""
     try:
         return parse(path)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: {exc.args[0] if exc.args else exc}") from None
 
@@ -388,11 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="AC power flow to a record CSV")
     _add_common(p)
+    _add_open(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("estimate", help="WLS estimation + residual test on a measurement CSV")
     _add_common(p)
+    _add_open(p)
     p.add_argument("--measurements", required=True)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -403,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="construct attack vectors and corrupted records")
     p.add_argument("kind", choices=["stealth", "1a", "1b", "post-se", "topology"])
     _add_common(p)
+    _add_open(p)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--noise", action="store_true", help="1b: add seeded concealment noise")
     p.add_argument("--magnitude", type=float, default=0.01, help="stealth: std-dev of the state delta")

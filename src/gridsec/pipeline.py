@@ -60,11 +60,12 @@ def measurements_from_record(
 
 def _check_record(record: GridRecord, model: NetworkModel) -> None:
     """Raise ValueError unless ``record`` fits ``model``: its bus table
-    lists exactly buses 1..n, and V, theta, P and Q are finite at every bus
-    of the slack's island by ``GridRecord.islands``. Buses the record's own
-    breakers cut off may hold the NaN rows ``GridRecord.from_solution``
-    writes for an island with no slack and no generator; a record with no
-    branch table is one island, so every bus must be finite."""
+    lists exactly buses 1..n, its branch rows name only those buses, and
+    V, theta, P and Q are finite at every bus of the slack's island by
+    ``GridRecord.islands``. Buses the record's own breakers cut off may hold
+    the NaN rows ``GridRecord.from_solution`` writes for an island with no
+    slack and no generator; a record with no branch table is one island, so
+    every bus must be finite."""
     ids = {r.bus for r in record.buses}
     expected = set(range(1, model.n_bus + 1))
     if ids != expected:
@@ -73,6 +74,7 @@ def _check_record(record: GridRecord, model: NetworkModel) -> None:
         raise ValueError(
             f"record {record.source!r}: bus {bus} {what}; the model has buses 1..{model.n_bus}"
         )
+    islands = record.islands()
     bad = [
         r for r in record.buses
         if not all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar)))
@@ -80,7 +82,7 @@ def _check_record(record: GridRecord, model: NetworkModel) -> None:
     if not bad:
         return
     slack = model.buses[model.slack_index].id
-    energized = next(isl for isl in record.islands() if slack in isl)
+    energized = next(isl for isl in islands if slack in isl)
     for r in sorted(bad, key=lambda r: r.bus):
         if r.bus in energized:
             fields = ("v_pu", "theta_deg", "p_mw", "q_mvar")

@@ -137,10 +137,11 @@ def test_detect_exit_codes(tmp_path, fixture_dir):
 
 
 def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fixture_dir, capsys):
-    """A 10-bus snapshot, a record CSV that cannot be parsed, a branch row
-    naming an unknown bus (was ``KeyError: 15``) or a NaN in a bus-only
-    record ends in one ``error:`` line naming the record and the bus, row
-    or line, and exit 2."""
+    """A 10-bus snapshot, a record CSV that cannot be parsed or does not
+    exist, a branch row naming an unknown bus (was ``KeyError: 15`` in the
+    snapshot and a verdict in the baseline) or a NaN in a bus-only record
+    ends in one ``error:`` line naming the file or the record and the bus,
+    row or line, and exit 2."""
     from dataclasses import replace
 
     base = fixture_dir / "post_se_baseline.csv"
@@ -165,7 +166,9 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
     expected = {
         (base, short): f"error: record '{record.source}': bus 11 missing; the model has buses 1..14",
         (base, broken): f"error: {broken}: record CSV line 5: ",
+        (base, tmp_path / "nosuch.csv"): f"error: {tmp_path / 'nosuch.csv'}: No such file",
         (base, unknown_bus): f"error: record '{record.source}': branch 13-15 names a bus",
+        (unknown_bus, base): f"error: record '{record.source}': branch 13-15 names a bus",
         (nan_1a, nan_1a): f"error: record '{base_1a.source}': non-finite v_pu at bus 5",
     }
     for (baseline, snapshot), message in expected.items():
@@ -177,18 +180,22 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
 
 def test_detect_reports_a_bad_config_or_stats_file_as_a_usage_error(tmp_path, fixture_dir, capsys):
     """Each of these printed a traceback (KeyError, ValueError,
-    JSONDecodeError, KeyError); now one ``error:`` line names the file."""
+    JSONDecodeError, KeyError, FileNotFoundError twice); now one ``error:``
+    line names the file."""
     files = {
         "unknown_key.conf": ("--config", "no_such_key = 1\n", "unknown config key 'no_such_key'"),
         "not_a_number.conf": ("--config", "gradient_max = steep\n", "could not convert"),
         "malformed.json": ("--stats", '{"mu": [1', "Expecting"),
         "no_mu.json": ("--stats", '{"scale": [1]}', "baseline statistics lack key 'mu'"),
+        "nosuch.conf": ("--config", None, "No such file or directory"),
+        "nosuch.json": ("--stats", None, "No such file or directory"),
     }
     pair = ["--baseline", str(fixture_dir / "post_se_baseline.csv"),
             "--snapshot", str(fixture_dir / "scenario2a.csv")]
     for name, (flag, text, message) in files.items():
         path = tmp_path / name
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
         assert run(["detect", *pair, flag, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -287,7 +294,21 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
     assert all(f["rule"] != "LossSurge" for f in doc["findings"])
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["estimate"])  # missing required --measurements
-    assert err.value.code == 2
+def test_usage_error_exit_code(tmp_path, capsys):
+    """Missing arguments, options a command does not take and measurement
+    files that are missing or malformed (each was a traceback and exit 1)
+    exit 2."""
+    for argv in (["estimate"], ["sweep", "--bus", "2", "--open", "2,4"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    capsys.readouterr()
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("kind,location,value,sigma\nVm,1,high,0.004\n")
+    for path, message in ((tmp_path / "nosuch.csv", "No such file or directory"),
+                          (malformed, "measurement CSV line 2: ")):
+        assert run(["estimate", "--measurements", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}"), captured.err
+        assert captured.err.count("\n") == 1, captured.err

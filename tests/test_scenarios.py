@@ -1,9 +1,10 @@
 import csv
-import io
+import glob
 import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,48 +172,19 @@ def test_fixture_tree_matches_builders(tmp_path):
     assert "CB12_6:R" in doc["markers"]
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def test_shipped_data_directory_in_sync(ieee14):
-    """The shipped files that code still owns match what the code writes,
-    byte for byte: Tables 3 and 4 from their transcribed constants (the
-    files round them to 9 digits) and the seeded 1A/1B snapshots from
-    their builders, with our own chi-square of each attacked snapshot."""
-    orig = fx.TABLE4_ORIGINAL_V
-    table3 = [["Bus", "Attack_Vm", "Original_Vm", "Detected", "Anomaly Detection"]] + [
-        [2, "%.9g" % vm, "%.9g" % orig[1], "TRUE" if detected else "FALSE",
-         "Bad data detected" if detected else "Stealth attack"]
-        for vm, detected in fx.TABLE3_BUS2_POINTS
-    ]
-    table4 = [["Bus No.", "Bus type", "Stealth attack_start point",
-               "Stealth attack_end point", "Stealth attack_width", "Original voltage"]]
-    for bus in range(1, 15):
-        window = fx.TABLE4_RANGES[bus]
-        cols = ["N/A"] * 3 if window is None else ["%.9g" % x for x in window]
-        table4.append([bus, ieee14.bus(bus).kind.value, *cols, "%.9g" % orig[bus - 1]])
-    expected = {
-        "table3_bus2_points.csv": _csv_text(table3),
-        "table4_stealth_ranges.csv": _csv_text(table4),
-    }
-    for name, (baseline, attacked) in (
-        ("scenario1a", fx.scenario_1a_records()),
-        ("scenario1b", fx.scenario_1b_records()),
-    ):
-        expected[f"{name}_baseline.csv"] = baseline.to_csv()
+def test_post_se_scenarios_derive_from_baseline(ieee14):
+    """The attacked snapshots are the quoted manipulations of their shipped
+    baselines: applied to them, they reproduce the shipped files byte for
+    byte. 2A and 2D from the post-SE baseline; 1A and 1B (seed 3) from
+    theirs, with the quoted ``bdd_chi2`` and our own chi-square of each
+    attacked snapshot as ``recomputed_chi2``."""
+    for name, builder in (("scenario1a", fx.scenario_1a_records),
+                          ("scenario1b", fx.scenario_1b_records)):
+        baseline, attacked = builder()
+        assert baseline.to_csv().encode() == (fx.DATA_DIR / f"{name}_baseline.csv").read_bytes()
         j = wls_estimate_ac(ieee14, measurements_from_record(attacked), delta=1e-8).j_value
-        extras = dict(attacked.extras, recomputed_chi2=round(j, 6))
-        expected[f"{name}_attacked.csv"] = replace(attacked, extras=extras).to_csv()
-    for name, text in expected.items():
-        assert (fx.DATA_DIR / name).read_bytes() == text.encode(), name
-
-
-def test_post_se_scenarios_derive_from_baseline():
-    """2A and 2D are the quoted manipulations of the shipped baseline:
-    applied to it, they reproduce the shipped files byte for byte."""
+        attacked = replace(attacked, extras=dict(attacked.extras, recomputed_chi2=round(j, 6)))
+        assert attacked.to_csv().encode() == (fx.DATA_DIR / f"{name}_attacked.csv").read_bytes()
     base = fx.post_se_baseline_record()
     delta = StateDelta.from_changes(
         14,
@@ -227,6 +199,36 @@ def test_post_se_scenarios_derive_from_baseline():
     ):
         record = replace(record, source=name, extras={"stage": "post-se", "bdd_chi2": 0.0})
         assert record.to_csv().encode() == (fx.DATA_DIR / f"{name}.csv").read_bytes(), name
+
+
+def test_table4_file_matches_the_sweep_baseline(tmp_path):
+    """The Bus No., Bus type and Original voltage columns of the shipped
+    Table 4 are those ``gridsec sweep --ranges-out`` writes, byte for byte;
+    they do not depend on the number of sweep points."""
+    from gridsec.cli import main
+
+    ranges = tmp_path / "ranges.csv"
+    argv = ["sweep", "--all-buses", "--points", "2", "--out", str(tmp_path / "log.csv")]
+    assert main([*argv, "--ranges-out", str(ranges)]) == 0
+
+    def columns(path):
+        return [(r[0], r[1], r[5]) for r in csv.reader(path.read_text().splitlines())]
+
+    assert columns(fx.DATA_DIR / "table4_stealth_ranges.csv") == columns(ranges)
+
+
+def test_every_shipped_data_file_is_package_data():
+    """Each file under ``data/`` matches a ``[tool.setuptools.package-data]``
+    glob, so a non-editable install keeps every fixture the code reads."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "gridsec"
+    config = tomllib.loads((root / "pyproject.toml").read_text())
+    patterns = config["tool"]["setuptools"]["package-data"]["gridsec"]
+    covered = {Path(p) for pat in patterns for p in glob.glob(str(package / pat), recursive=True)}
+    shipped = {p for p in (package / "data").rglob("*") if p.is_file()}
+    assert shipped
+    assert sorted(shipped - covered) == []
 
 
 def test_scenario_2b_values():
