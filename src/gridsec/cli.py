@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success / nothing flagged, 1 an attack class or display
-violation was detected, 2 usage error (argparse default).
+violation was detected, 2 usage error: a missing or unknown option (from
+argparse), or an argument or input file the command cannot use (one
+``error:`` line).
 
 Each command imports the modules it uses when it runs, so a command
 loads no more of the package than it needs; ``som`` and ``chi2`` run
@@ -22,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,12 +34,28 @@ from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 ATTACK_CLASSES = {"BadData", "StealthAttack", "FdiPostSe"}
 
 
+class UsageError(ValueError):
+    """An argument or input file the command cannot use: ``main`` prints
+    one ``error:`` line and exits 2."""
+
+
+def _read_input(path: str, parse):
+    """``parse(path)``; an OSError, ValueError or KeyError becomes one
+    UsageError that names the file."""
+    try:
+        return parse(path)
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from None
+    except (ValueError, KeyError) as exc:
+        raise UsageError(f"{path}: {exc.args[0] if exc.args else exc}") from None
+
+
 def _load_model(arg: str):
     from .network import build_ieee14, model_from_json
 
     if arg == "ieee14":
         return build_ieee14()
-    return model_from_json(Path(arg).read_text())
+    return _read_input(arg, lambda p: model_from_json(Path(p).read_text()))
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -92,11 +111,7 @@ def cmd_estimate(args) -> int:
 
     model = _load_model(args.case)
     topo = _topology_for(args, model)
-    try:
-        ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
     result = wls_estimate_ac(model, ms, delta=args.delta, topology=topo)
     df = len(ms) - (2 * model.n_bus - 1)
     tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(max(df, 1), args.alpha)
@@ -130,6 +145,8 @@ def cmd_attack(args) -> int:
     from .estimation import build_dc_jacobian
     from .records import GridRecord
 
+    if args.open and args.kind != "stealth":
+        raise UsageError(f"--open applies to attack stealth only, not attack {args.kind}")
     model = _load_model(args.case)
     if args.kind == "1a":
         _write_out(build_scenario_1a().to_json() + "\n", args.out)
@@ -177,18 +194,35 @@ def _parse_kv(items) -> list[tuple[int, float]]:
     return out
 
 
+def _parse_range(option: str, text: str) -> tuple[float, float]:
+    """``LOW,HIGH``: two finite numbers with LOW < HIGH."""
+    try:
+        low, high = (float(x) for x in text.split(","))
+    except ValueError:
+        low = high = math.nan
+    if not (math.isfinite(low) and math.isfinite(high) and low < high):
+        raise UsageError(f"{option} {text}: expected LOW,HIGH, two finite numbers with LOW < HIGH")
+    return low, high
+
+
 def cmd_sweep(args) -> int:
     from .attacks import sweep_stealth_range
     from .fixtures import sweep_baseline_measurements
 
     model = _load_model(args.case)
+    if args.all_buses:
+        buses = list(range(1, model.n_bus + 1))
+    elif args.bus is None:
+        raise UsageError("provide --bus N or --all-buses")
+    elif not 1 <= args.bus <= model.n_bus:
+        raise UsageError(f"--bus {args.bus}: the case has buses 1..{model.n_bus}")
+    else:
+        buses = [args.bus]
+    if args.points < 2:
+        raise UsageError(f"--points {args.points}: a sweep needs at least 2 points")
+    window = _parse_range("--window", args.window)
+    nerc = _parse_range("--nerc", args.nerc)
     baseline = sweep_baseline_measurements(model)
-    buses = list(range(1, model.n_bus + 1)) if args.all_buses else [args.bus]
-    if buses == [None]:
-        print("error: provide --bus N or --all-buses", file=sys.stderr)
-        return 2
-    window = tuple(float(x) for x in args.window.split(","))
-    nerc = tuple(float(x) for x in args.nerc.split(","))
 
     results = {
         bus: sweep_stealth_range(
@@ -248,39 +282,27 @@ def cmd_baseline_fit(args) -> int:
     return 0
 
 
-def _read_input(path: str, parse):
-    """``parse(path)``; an OSError, ValueError or KeyError becomes one
-    ValueError that names the file."""
-    try:
-        return parse(path)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from None
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"{path}: {exc.args[0] if exc.args else exc}") from None
-
-
 def cmd_detect(args) -> int:
     from .detection import RuleConfig, baseline_from_json
     from .pipeline import run_pipeline
     from .records import GridRecord
 
     model = _load_model(args.case)
-    # An input that cannot be read, or a record that does not fit the model,
-    # is a usage error; the message names the file, or the record and bus.
+    stats = config = None
+    if args.stats:
+        stats = _read_input(args.stats, lambda p: baseline_from_json(Path(p).read_text()))
+    if args.config:
+        config = _read_input(args.config, RuleConfig.from_file)
+    baseline, snapshot = (_read_input(p, GridRecord.load) for p in (args.baseline, args.snapshot))
+    # A record that does not fit the model is a usage error too; the
+    # message names the record and the bus.
     try:
-        stats = config = None
-        if args.stats:
-            stats = _read_input(args.stats, lambda p: baseline_from_json(Path(p).read_text()))
-        if args.config:
-            config = _read_input(args.config, RuleConfig.from_file)
-        baseline, snapshot = (_read_input(p, GridRecord.load) for p in (args.baseline, args.snapshot))
         report = run_pipeline(
             baseline, snapshot, model,
             baseline_stats=stats, config=config, paper_compat=args.paper_compat,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n")
     sys.stdout.write(report.text)
@@ -300,8 +322,7 @@ def cmd_scenario(args) -> int:
     else:
         spec = next((s for s in TABLE5_SCENARIOS if s.id == args.id), None)
         if spec is None:
-            print(f"error: unknown scenario id '{args.id}'", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown scenario id '{args.id}'")
         outcomes = [generate_scenario(model, spec)]
     out_dir = Path(args.out_dir) if args.out_dir else None
     failures = 0
@@ -435,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="0.95,1.10")
     p.add_argument("--nerc", default="0.95,1.05")
     p.add_argument("--threshold", type=float, default=PAPER_CHI2_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=1, help="ignored; kept for existing scripts")
     p.add_argument("--out", help="per-point log CSV")
     p.add_argument("--ranges-out", help="range summary CSV")
     p.set_defaults(fn=cmd_sweep)
@@ -460,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--id")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="ignored; kept for existing scripts")
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_scenario)
 
@@ -506,7 +525,11 @@ def _pin_blas_threads() -> None:
 def main(argv=None) -> int:
     _pin_blas_threads()
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

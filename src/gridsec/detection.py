@@ -8,6 +8,15 @@ Feature layout (71 = 42 + 8 + 3 + 5 + 13):
   correlation corr(V,P), corr(V,Q), corr(P,Q) across buses
   physics     P_total, Q_total, power factor, NERC-band margin, |net P|
   gradient    V2-V1, ..., V14-V13
+
+Per-record work is done once per verdict. ``pipeline.run_pipeline``
+builds each record's ``GridRecord.snapshot`` and ``GridRecord.islands``
+once (the islands while it checks the record) and hands them on.
+``_moments`` computes a snapshot's channel sums, means, stds and
+correlations once: for the attacked snapshot inside ``extract_features``,
+whose correlation block the CorrelationShift rule then reads; for the
+baseline inside ``rule_battery``. ``analyze_record_islands`` reuses the
+islands it is given. The rules loop over buses on Python floats.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,11 +91,38 @@ class FeatureVector:
         return dict(zip(FEATURE_NAMES, map(float, self.values)))
 
 
-def _corr(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = np.std(a), np.std(b)
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+class _Moments(NamedTuple):
+    """One snapshot's channel sums, means and population stds, in V, P, Q
+    order, and its cross-bus correlations corr(V,P), corr(V,Q), corr(P,Q)."""
+
+    total: tuple[float, float, float]
+    mean: tuple[float, float, float]
+    std: tuple[float, float, float]
+    rho: tuple[float, float, float]
+
+
+def _moments(snapshot: BusSnapshot) -> _Moments:
+    """Each channel's sum, mean, std and centred deviations once, in the
+    floating-point operations of ``np.mean`` and ``np.std`` (a pairwise sum
+    over n; the root of the summed squared deviations over n), so the
+    features stay bit-identical to those expressions. A correlation is the
+    mean product of two channels' deviations over the product of their
+    stds, and 0.0 when either channel is constant."""
+    n = len(snapshot.v)
+    total, mean, std, dev = [], [], [], []
+    for x in (snapshot.v, snapshot.p, snapshot.q):
+        s = x.sum()
+        d = x - s / n
+        total.append(float(s))
+        mean.append(float(s / n))
+        std.append(math.sqrt((d * d).sum() / n))
+        dev.append(d)
+    rho = tuple(
+        0.0 if std[a] == 0.0 or std[b] == 0.0
+        else float((dev[a] * dev[b]).sum() / n / (std[a] * std[b]))
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    )
+    return _Moments(tuple(total), tuple(mean), tuple(std), rho)
 
 
 def extract_features(snapshot: BusSnapshot) -> FeatureVector:
@@ -94,20 +130,18 @@ def extract_features(snapshot: BusSnapshot) -> FeatureVector:
     v, p, q = snapshot.v, snapshot.p, snapshot.q
     if len(v) != N_BUS:
         raise ValueError(f"snapshot must cover {N_BUS} buses, got {len(v)}")
-    direct = np.concatenate([v, p, q])
-    statistical = np.array(
-        [v.mean(), v.std(), v.min(), v.max(), p.mean(), p.std(), p.min(), p.max()]
-    )
-    correlation = np.array([_corr(v, p), _corr(v, q), _corr(p, q)])
-    p_total = float(p.sum())
-    q_total = float(q.sum())
+    m = _moments(snapshot)
+    (mu_v, mu_p, _), (sigma_v, sigma_p, _) = m.mean, m.std
+    _, p_total, q_total = m.total
     apparent = math.hypot(p_total, q_total)
     pf = p_total / apparent if apparent > 0 else 1.0
     v_stability = float(np.minimum(v - NERC_BAND[0], NERC_BAND[1] - v).min())
-    p_imbalance = abs(p_total)
-    physics = np.array([p_total, q_total, pf, v_stability, p_imbalance])
-    gradient = np.diff(v)
-    return FeatureVector(np.concatenate([direct, statistical, correlation, physics, gradient]))
+    scalars = [
+        mu_v, sigma_v, v.min(), v.max(), mu_p, sigma_p, p.min(), p.max(),  # statistical
+        *m.rho,  # correlation
+        p_total, q_total, pf, v_stability, abs(p_total),  # physics
+    ]
+    return FeatureVector(np.concatenate([v, p, q, scalars, v[1:] - v[:-1]]))
 
 
 @dataclass
@@ -276,27 +310,47 @@ class RuleConfig:
         return cfg
 
 
+def _div(a: float, b: float) -> float:
+    """``a / b`` as float64 divides it: a zero divisor gives +-inf, or nan
+    for a zero or nan numerator, with numpy's RuntimeWarning, where Python
+    floats raise ZeroDivisionError."""
+    if b:
+        return a / b
+    return float(np.float64(a) / b)
+
+
 def rule_battery(
     record: GridRecord,
     baseline: GridRecord,
     config: RuleConfig | None = None,
     base_mva: float = 100.0,
     island_report: IslandRecordReport | None = None,
+    snapshots: tuple[BusSnapshot, BusSnapshot] | None = None,
+    features: FeatureVector | None = None,
 ) -> list[Finding]:
     """Evaluate every physics rule of a snapshot against its baseline, in a
     fixed deterministic order. The IslandBalance rule reads
-    ``island_report``, found with ``analyze_record_islands`` when None."""
+    ``island_report``, found with ``analyze_record_islands`` when None.
+    ``snapshots`` are ``(record.snapshot(base_mva), baseline.snapshot(base_mva))``,
+    built here when None. ``features`` are ``extract_features`` of the
+    first; the CorrelationShift rule reads their correlations, or computes
+    them when None."""
     cfg = config or RuleConfig()
     findings: list[Finding] = []
-    snap = record.snapshot(base_mva)
-    base = baseline.snapshot(base_mva)
-    dv = snap.v - base.v
-    dp = snap.p - base.p
+    if snapshots is None:
+        snapshots = (record.snapshot(base_mva), baseline.snapshot(base_mva))
+    snap, base = snapshots
+    # The rules loop over buses on Python floats; the elementwise
+    # differences are the same IEEE operations as on the arrays.
+    sv, sp = snap.v.tolist(), snap.p.tolist()
+    bv, bp = base.v.tolist(), base.p.tolist()
+    dv = (snap.v - base.v).tolist()
+    dp = (snap.p - base.p).tolist()
 
     # SensitivityBound: implied dP/dV where both moved appreciably.
-    for i in range(len(dv)):
-        if abs(dv[i]) >= cfg.sensitivity_min_dv and abs(dp[i]) >= cfg.sensitivity_min_dp:
-            ratio = dp[i] / dv[i]
+    for i, (d_v, d_p) in enumerate(zip(dv, dp)):
+        if abs(d_v) >= cfg.sensitivity_min_dv and abs(d_p) >= cfg.sensitivity_min_dp:
+            ratio = _div(d_p, d_v)
             if not cfg.sensitivity_low <= ratio <= cfg.sensitivity_high:
                 findings.append(
                     Finding(
@@ -304,8 +358,7 @@ def rule_battery(
                         Severity.VIOLATION,
                         f"bus {i + 1}: dP/dV = {ratio:.3f} outside "
                         f"[{cfg.sensitivity_low}, {cfg.sensitivity_high}]",
-                        {"bus": i + 1, "ratio": float(ratio),
-                         "dp": float(dp[i]), "dv": float(dv[i])},
+                        {"bus": i + 1, "ratio": ratio, "dp": d_p, "dv": d_v},
                     )
                 )
 
@@ -314,9 +367,9 @@ def rule_battery(
         i = b - 1
         if i >= len(dp):
             continue
-        if abs(base.p[i]) < cfg.ramp_min_base:
+        if abs(bp[i]) < cfg.ramp_min_base:
             continue
-        frac = dp[i] / abs(base.p[i])
+        frac = _div(dp[i], abs(bp[i]))
         if abs(frac) > cfg.ramp_limit:
             findings.append(
                 Finding(
@@ -324,40 +377,39 @@ def rule_battery(
                     Severity.VIOLATION,
                     f"bus {b}: {frac * 100:+.1f}% instantaneous power change "
                     f"exceeds the {cfg.ramp_limit * 100:.0f}% ramp capability",
-                    {"bus": b, "pct": float(frac * 100)},
+                    {"bus": b, "pct": frac * 100},
                 )
             )
 
     # ZipViolation: load response must stay within P ~ V^alpha. A bus whose
     # V or P is not finite in either record (a dead island) has none to judge.
-    finite = np.isfinite(dv) & np.isfinite(dp)
-    for i in range(len(dp)):
+    for i, (d_v, d_p) in enumerate(zip(dv, dp)):
         b = i + 1
-        if b in cfg.generator_buses or not finite[i]:
+        if b in cfg.generator_buses or not (math.isfinite(d_v) and math.isfinite(d_p)):
             continue
-        if abs(base.p[i]) < 1e-9:
+        if abs(bp[i]) < 1e-9:
             continue
-        dp_frac = dp[i] / abs(base.p[i])
+        dp_frac = d_p / abs(bp[i])
         if abs(dp_frac) < cfg.zip_min_dp_frac:
             continue
-        dv_frac = abs(dv[i]) / max(base.v[i], 1e-9)
+        dv_frac = abs(d_v) / max(bv[i], 1e-9)
         alpha: float | None = None
         if dv_frac < cfg.zip_small_dv_frac:
             violated = True  # large power move at essentially constant voltage
         else:
-            if snap.p[i] * base.p[i] <= 0:
+            if sp[i] * bp[i] <= 0:
                 violated = True
             else:
-                alpha = math.log(snap.p[i] / base.p[i]) / math.log(snap.v[i] / base.v[i])
+                alpha = math.log(sp[i] / bp[i]) / math.log(_div(sv[i], bv[i]))
                 violated = not cfg.zip_alpha_low <= alpha <= cfg.zip_alpha_high
         if violated:
             data: dict[str, float | int | str] = {
                 "bus": b,
-                "dp_pct": float(dp_frac * 100),
-                "dv_pct": float(dv_frac * 100),
+                "dp_pct": dp_frac * 100,
+                "dv_pct": dv_frac * 100,
             }
             if alpha is not None:
-                data["alpha"] = float(alpha)
+                data["alpha"] = alpha
             findings.append(
                 Finding(
                     Rule.ZIP_VIOLATION,
@@ -371,7 +423,10 @@ def rule_battery(
     # CompensationEntropy: near-uniform small adjustments smell coordinated.
     minor = [abs(x) for x in dp if 1e-9 < abs(x) < cfg.entropy_major_dp]
     if len(minor) >= cfg.entropy_min_count:
-        weights = np.array(minor) / sum(minor)
+        total = 0.0
+        for x in minor:  # left to right; sum() of floats compensates from Python 3.12
+            total += x
+        weights = np.array(minor) / total
         entropy = float(-(weights * np.log(weights)).sum())
         limit = cfg.entropy_fraction * math.log(len(minor))
         if entropy > limit:
@@ -386,18 +441,18 @@ def rule_battery(
             )
 
     # GradientCoherence: adjacent-bus voltage gradients that jumped.
-    g_att = np.diff(snap.v)
-    g_base = np.diff(base.v)
-    for k in range(len(g_att)):
-        if abs(g_att[k] - g_base[k]) > cfg.gradient_max and abs(g_att[k]) > cfg.gradient_max:
+    g_att = np.diff(snap.v).tolist()
+    g_base = np.diff(base.v).tolist()
+    for k, (ga, gb) in enumerate(zip(g_att, g_base)):
+        if abs(ga - gb) > cfg.gradient_max and abs(ga) > cfg.gradient_max:
             findings.append(
                 Finding(
                     Rule.GRADIENT_COHERENCE,
                     Severity.VIOLATION,
                     f"voltage gradient between buses {k + 1}-{k + 2} is "
-                    f"{g_att[k]:.3f} p.u.; historical ceiling is {cfg.gradient_max:.3f}",
+                    f"{ga:.3f} p.u.; historical ceiling is {cfg.gradient_max:.3f}",
                     {"bus_from": k + 1, "bus_to": k + 2,
-                     "gradient": float(g_att[k]), "baseline_gradient": float(g_base[k])},
+                     "gradient": ga, "baseline_gradient": gb},
                 )
             )
 
@@ -467,27 +522,28 @@ def rule_battery(
                 )
 
     # VoltageDeviation: displayed voltage drifting from the baseline.
-    for i in range(len(dv)):
-        rel = abs(dv[i]) / max(base.v[i], 1e-9)
+    for i, d_v in enumerate(dv):
+        rel = abs(d_v) / max(bv[i], 1e-9)
         if rel > cfg.volt_dev_warn:
             sev = Severity.VIOLATION if rel > cfg.volt_dev_violation else Severity.WARNING
             findings.append(
                 Finding(
                     Rule.VOLTAGE_DEVIATION,
                     sev,
-                    f"bus {i + 1} voltage {base.v[i]:.4f} -> {snap.v[i]:.4f} p.u. "
+                    f"bus {i + 1} voltage {bv[i]:.4f} -> {sv[i]:.4f} p.u. "
                     f"({rel * 100:.2f}% deviation)",
-                    {"bus": i + 1, "v_before": float(base.v[i]),
-                     "v_after": float(snap.v[i]), "pct": float(rel * 100)},
+                    {"bus": i + 1, "v_before": bv[i], "v_after": sv[i], "pct": rel * 100},
                 )
             )
 
     # CorrelationShift: cross-channel correlation pattern moved.
-    pairs = (("V", "P"), ("V", "Q"), ("P", "Q"))
-    chans = {"V": (snap.v, base.v), "P": (snap.p, base.p), "Q": (snap.q, base.q)}
-    for a, b in pairs:
-        rho_att = _corr(chans[a][0], chans[b][0])
-        rho_base = _corr(chans[a][1], chans[b][1])
+    if features is None:
+        rho_atts = _moments(snap).rho
+    else:
+        rho_atts = features.values[CORRELATION].tolist()
+    for (a, b), rho_att, rho_base in zip(
+        (("V", "P"), ("V", "Q"), ("P", "Q")), rho_atts, _moments(base).rho
+    ):
         shift = abs(rho_att - rho_base)
         if shift > cfg.corr_shift_warn:
             sev = Severity.VIOLATION if shift > cfg.corr_shift_violation else Severity.WARNING
@@ -513,14 +569,18 @@ class IslandRecordReport:
 
 
 def analyze_record_islands(
-    record: GridRecord, config: RuleConfig | None = None
+    record: GridRecord,
+    config: RuleConfig | None = None,
+    islands: list[frozenset[int]] | None = None,
 ) -> IslandRecordReport | None:
-    """Island structure implied by the record's breaker statuses
-    (``GridRecord.islands``); None for bus-only records."""
+    """Island structure implied by the record's breaker statuses:
+    ``islands`` is ``record.islands()``, searched here when None. None for
+    bus-only records."""
     if not record.branches:
         return None
     cfg = config or RuleConfig()
-    islands = record.islands()
+    if islands is None:
+        islands = record.islands()
     balances = []
     for isl in islands:
         inj = sum(-r.p_mw for r in record.buses if r.bus in isl)

@@ -58,8 +58,9 @@ def measurements_from_record(
     return MeasurementSet(standard_layout(v, -p / base_mva, -q / base_mva, sigma_vm, sigma_power))
 
 
-def _check_record(record: GridRecord, model: NetworkModel) -> None:
-    """Raise ValueError unless ``record`` fits ``model``: its bus table
+def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int]]:
+    """The record's ``GridRecord.islands``, for the detector to reuse.
+    Raise ValueError unless ``record`` fits ``model``: its bus table
     lists exactly buses 1..n, its branch rows name only those buses, and
     V, theta, P and Q are finite at every bus of the slack's island by
     ``GridRecord.islands``. Buses the record's own breakers cut off may hold
@@ -80,7 +81,7 @@ def _check_record(record: GridRecord, model: NetworkModel) -> None:
         if not all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar)))
     ]
     if not bad:
-        return
+        return islands
     slack = model.buses[model.slack_index].id
     energized = next(isl for isl in islands if slack in isl)
     for r in sorted(bad, key=lambda r: r.bus):
@@ -88,6 +89,7 @@ def _check_record(record: GridRecord, model: NetworkModel) -> None:
             fields = ("v_pu", "theta_deg", "p_mw", "q_mvar")
             name = next(f for f in fields if not math.isfinite(getattr(r, f)))
             raise ValueError(f"record {record.source!r}: non-finite {name} at bus {r.bus}")
+    return islands
 
 
 def _bdd_for(
@@ -133,26 +135,29 @@ def run_pipeline(
     _check_record(baseline, model)
     if not isinstance(attacked, GridRecord):
         attacked = attacked.apply_to_record(baseline, base_mva=model.base_mva)
-    _check_record(attacked, model)
+    islands = _check_record(attacked, model)
 
     m = 3 * model.n_bus
     df = m - (2 * model.n_bus - 1)
     threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(df, alpha)
     bdd = _bdd_for(attacked, baseline, model, threshold)
 
-    feature_chi2 = None
-    feature_threshold = None
+    # One snapshot and one island search per record: the features and the
+    # rules share them, and the rules read the attacked record's
+    # correlations from its features.
+    snapshots = (attacked.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
+    features = feature_chi2 = feature_threshold = None
     if baseline_stats is not None:
-        feature_chi2 = baseline_stats.mahalanobis(
-            extract_features(attacked.snapshot(model.base_mva))
-        )
+        features = extract_features(snapshots[0])
+        feature_chi2 = baseline_stats.mahalanobis(features)
         feature_threshold = (
             PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold
         )
 
-    island_report = analyze_record_islands(attacked, cfg)
+    island_report = analyze_record_islands(attacked, cfg, islands=islands)
     findings = rule_battery(
-        attacked, baseline, cfg, base_mva=model.base_mva, island_report=island_report
+        attacked, baseline, cfg, base_mva=model.base_mva, island_report=island_report,
+        snapshots=snapshots, features=features,
     )
     verdict = classify(
         bdd,

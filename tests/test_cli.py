@@ -104,16 +104,14 @@ def test_sweep_cli_log_format(tmp_path):
     assert srows[1][1] == "Generator"
 
 
-def test_jobs_is_accepted_and_ignored(tmp_path, capsys):
-    outputs = []
-    for extra in ([], ["--jobs", "4"]):
-        ranges = tmp_path / f"ranges{len(extra)}.csv"
-        assert run(["sweep", "--all-buses", "--points", "20", "--ranges-out", str(ranges), *extra]) == 0
-        outputs.append(ranges.read_text())
-    assert outputs[0] == outputs[1]
-    capsys.readouterr()
-    assert run(["scenario", "run", "--all", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out.count("table5-") == 30
+def test_jobs_is_rejected():
+    """``--jobs`` was accepted and ignored by sweep and scenario run; it is
+    gone, so passing it is a usage error."""
+    for argv in (["sweep", "--all-buses", "--points", "20", "--jobs", "4"],
+                 ["scenario", "run", "--all", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_detect_exit_codes(tmp_path, fixture_dir):
@@ -295,9 +293,10 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
-    """Missing arguments, options a command does not take and measurement
-    files that are missing or malformed (each was a traceback and exit 1)
-    exit 2."""
+    """Missing arguments, options a command does not take, input files that
+    are missing or malformed, and sweep arguments out of range (each was a
+    traceback, or a silently ignored option, and exit 1 or 0) exit 2, with
+    one ``error:`` line naming what is wrong."""
     for argv in (["estimate"], ["sweep", "--bus", "2", "--open", "2,4"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -305,10 +304,29 @@ def test_usage_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("kind,location,value,sigma\nVm,1,high,0.004\n")
-    for path, message in ((tmp_path / "nosuch.csv", "No such file or directory"),
-                          (malformed, "measurement CSV line 2: ")):
-        assert run(["estimate", "--measurements", str(path)]) == 2
+    not_json = tmp_path / "README.md"
+    not_json.write_text("# not a case\n")
+    nosuch_case = tmp_path / "nosuch.json"
+    cases = [
+        (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
+         f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
+        (["estimate", "--measurements", str(malformed)], f"{malformed}: measurement CSV line 2: "),
+        (["solve", "--case", str(nosuch_case)], f"{nosuch_case}: No such file or directory"),
+        (["solve", "--case", str(not_json)], f"{not_json}: Expecting value"),
+        (["sweep", "--case", str(nosuch_case), "--bus", "2"], f"{nosuch_case}: No such file"),
+        (["detect", "--case", str(not_json), "--baseline", "b.csv", "--snapshot", "s.csv"],
+         f"{not_json}: Expecting value"),
+        (["sweep", "--points", "2", "--bus", "0"], "--bus 0: the case has buses 1..14"),
+        (["sweep", "--points", "2", "--bus", "99"], "--bus 99: the case has buses 1..14"),
+        (["sweep", "--points", "2", "--bus", "2", "--window", "a,b"], "--window a,b: expected LOW,HIGH"),
+        (["sweep", "--points", "2", "--bus", "2", "--nerc", "1"], "--nerc 1: expected LOW,HIGH"),
+        (["sweep", "--points", "1", "--bus", "2"], "--points 1: a sweep needs at least 2 points"),
+        (["attack", "1a", "--open", "2,4"], "--open applies to attack stealth only"),
+        (["attack", "topology", "--open", "2,4"], "--open applies to attack stealth only"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2, argv
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: {message}"), captured.err
+        assert captured.out == "", argv
+        assert captured.err.startswith(f"error: {message}"), captured.err
         assert captured.err.count("\n") == 1, captured.err

@@ -99,6 +99,51 @@ def test_scenario_1a_gradient_feature():
     assert named["gradV_2_3"] == pytest.approx(0.0456, abs=5e-4)
 
 
+def _reference_corr(a, b):
+    """The correlation as the features were first written: numpy's mean
+    and std per pair."""
+    sa, sb = np.std(a), np.std(b)
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+
+
+def _reference_features(snap):
+    v, p, q = snap.v, snap.p, snap.q
+    statistical = [v.mean(), v.std(), v.min(), v.max(), p.mean(), p.std(), p.min(), p.max()]
+    correlation = [_reference_corr(v, p), _reference_corr(v, q), _reference_corr(p, q)]
+    p_total, q_total = float(p.sum()), float(q.sum())
+    apparent = math.hypot(p_total, q_total)
+    pf = p_total / apparent if apparent > 0 else 1.0
+    v_stability = float(np.minimum(v - 0.95, 1.05 - v).min())
+    physics = [p_total, q_total, pf, v_stability, abs(p_total)]
+    return np.concatenate([v, p, q, statistical, correlation, physics, np.diff(v)])
+
+
+def _reference_probes():
+    rng = np.random.default_rng(11)
+    probes = [random_snapshot(rng) for _ in range(40)]
+    flat = BusSnapshot(v=np.full(14, 1.02), p=rng.normal(0, 0.5, 14), q=np.zeros(14))
+    dead = random_snapshot(rng)
+    for x in (dead.v, dead.p, dead.q):
+        x[13] = math.nan  # the row of a bus cut off in a dead island
+    return probes + [flat, dead, BusSnapshot(v=np.ones(14), p=np.zeros(14), q=np.zeros(14))]
+
+
+def test_features_equal_the_reference_expressions(table5_snapshots):
+    """Each channel's moments are computed once per snapshot in the same
+    floating-point operations as np.mean/np.std and the pairwise
+    correlation, so every feature is bit-for-bit the reference's: a
+    last-bit change flips the near-constant correlation features."""
+    snaps, _ = table5_snapshots
+    assert len(snaps) == 28
+    probes = _reference_probes()
+    for snap in snaps + probes:
+        got = extract_features(snap).values
+        assert np.array_equal(got, _reference_features(snap), equal_nan=True)
+    assert extract_features(probes[-1]).block(CORRELATION).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_wrong_bus_count_rejected():
     with pytest.raises(ValueError):
         extract_features(BusSnapshot(v=np.ones(10), p=np.zeros(10), q=np.zeros(10)))
@@ -285,6 +330,66 @@ def test_baseline_vs_itself_is_quiet():
     for builder in (fx.scenario_1a_records, fx.scenario_1b_records):
         b, _ = builder()
         assert rule_battery(b, b) == []
+
+
+def _reference_zero_divide_rules(record, baseline, cfg):
+    """SensitivityBound and RampRate evidence as the rules computed it on
+    numpy scalars, where a zero divisor gives inf or nan, and the number
+    of zero divisors met."""
+    snap, base = record.snapshot(), baseline.snapshot()
+    dv, dp = snap.v - base.v, snap.p - base.p
+    sens, ramp, zeros = [], [], 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(dv)):
+            if abs(dv[i]) >= cfg.sensitivity_min_dv and abs(dp[i]) >= cfg.sensitivity_min_dp:
+                ratio = dp[i] / dv[i]
+                zeros += dv[i] == 0
+                if not cfg.sensitivity_low <= ratio <= cfg.sensitivity_high:
+                    sens.append({"bus": i + 1, "ratio": float(ratio),
+                                 "dp": float(dp[i]), "dv": float(dv[i])})
+        for b in cfg.generator_buses:
+            if abs(base.p[b - 1]) >= cfg.ramp_min_base:
+                frac = dp[b - 1] / abs(base.p[b - 1])
+                zeros += base.p[b - 1] == 0
+                if abs(frac) > cfg.ramp_limit:
+                    ramp.append({"bus": b, "pct": float(frac * 100)})
+    return sens, ramp, zeros
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("cfg, counts", [
+    (RuleConfig(sensitivity_min_dv=0.0, sensitivity_min_dp=0.0), (14, 25, 17)),
+    (RuleConfig(ramp_min_base=0.0), (0, 13, 3)),
+])
+def test_zero_thresholds_keep_the_float64_division(cfg, counts):
+    """With a zero threshold the rules divide by an exact zero on the
+    shipped post-SE records (an unchanged bus, a generator bus at 0 MW).
+    On Python floats that would raise ZeroDivisionError; the findings stay
+    the inf/nan ones of float64 division."""
+    base = fx.post_se_baseline_record()
+    for record, count in zip((base, fx.scenario_2a_record(), fx.scenario_2b_record()), counts):
+        findings = rule_battery(record, base, cfg)
+        assert len(findings) == count
+        sens, ramp, zeros = _reference_zero_divide_rules(record, base, cfg)
+        assert zeros > 0
+        got = {rule: [f.data for f in findings if f.rule is rule]
+               for rule in (Rule.SENSITIVITY_BOUND, Rule.RAMP_RATE)}
+        assert repr(got[Rule.SENSITIVITY_BOUND]) == repr(sens)
+        assert repr(got[Rule.RAMP_RATE]) == repr(ramp)
+
+
+def test_rules_read_given_snapshots_and_features():
+    """The pipeline hands the rules the snapshots and features it built;
+    the findings are those the rules find by themselves."""
+    base = fx.post_se_baseline_record()
+    pairs = [fx.scenario_1a_records(), fx.scenario_1b_records(),
+             (base, fx.scenario_2a_record()), (base, fx.scenario_2b_record())]
+    for baseline, record in pairs:
+        snaps = (record.snapshot(), baseline.snapshot())
+        given = rule_battery(record, baseline, snapshots=snaps,
+                             features=extract_features(snaps[0]))
+        assert given == rule_battery(record, baseline)
 
 
 def test_violation_requires_numeric_evidence():

@@ -324,24 +324,42 @@ def test_pipeline_1a_1b_classification(ieee14, baseline_stats):
         assert report.verdict.feature_chi2 > baseline_stats.threshold
 
 
-def test_pipeline_analyzes_islands_once(ieee14, monkeypatch):
-    """The IslandBalance rule and the classifier read one island report."""
+def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
+    """The IslandBalance rule and the classifier read one island report,
+    and each record's islands and snapshot are built once per verdict."""
     from gridsec import detection, pipeline
+    from gridsec.records import GridRecord
 
     calls = []
     analyze = detection.analyze_record_islands
 
-    def counted(record, config=None):
+    def counted(record, config=None, islands=None):
         calls.append(record.source)
-        return analyze(record, config)
+        return analyze(record, config, islands=islands)
+
+    built = {"islands": [], "snapshot": []}
+
+    def spy(name):
+        original = getattr(GridRecord, name)
+
+        def wrapper(self, *args, **kwargs):
+            built[name].append(self.source)
+            return original(self, *args, **kwargs)
+
+        return wrapper
 
     monkeypatch.setattr(detection, "analyze_record_islands", counted)
     monkeypatch.setattr(pipeline, "analyze_record_islands", counted)
+    for name in built:
+        monkeypatch.setattr(GridRecord, name, spy(name))
     report = run_pipeline(
-        fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14, paper_compat=True
+        fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14,
+        baseline_stats=baseline_stats, paper_compat=True,
     )
     assert report.verdict.klass is VerdictClass.FDI_POST_SE
     assert calls == ["scenario2a"]
+    for name, sources in built.items():
+        assert sorted(sources) == ["post-se-baseline", "scenario2a"], name
 
 
 def test_pipeline_accepts_attack_vector_input(ieee14):
