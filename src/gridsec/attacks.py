@@ -11,7 +11,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimation import EstimationError, MeasKind, MeasurementSet, gauss_newton, wls_estimate_ac
+from .estimation import (
+    EstimationError,
+    MeasKind,
+    MeasurementSet,
+    gauss_newton,
+    shared_first_step,
+    wls_estimate_ac,
+)
 from .network import BreakerState, NetworkModel
 from .records import BusRow, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD
@@ -197,10 +204,11 @@ class StealthRange:
     note: str = ""
 
 
-# Sweep candidates solved together in one batched Gauss-Newton. Larger
-# blocks are barely faster but raise peak memory: the per-block arrays grow
-# with the block while the Python overhead they save does not.
-SWEEP_BLOCK = 16
+# Sweep candidates past the shared first step solved together in one
+# batched Gauss-Newton. 32 runs the perfbench sweep faster than 16 or 24;
+# larger blocks raise peak memory: the per-block arrays grow with the
+# block while the Python overhead they save does not.
+SWEEP_BLOCK = 32
 SWEEP_MAX_ITER = 50  # wls_estimate_ac's default
 
 
@@ -218,10 +226,14 @@ def sweep_stealth_range(
     estimation plus the chi-square test, and report the contiguous span of
     undetected candidates inside the compliance band.
 
-    Blocks of ``SWEEP_BLOCK`` candidates share one batched Gauss-Newton
-    from the baseline estimate; each candidate's flag is the one a
-    warm-started ``wls_estimate_ac`` gives. A candidate that does not
-    converge raises EstimationError naming the bus and the candidate.
+    Every candidate starts from the baseline estimate, so their first
+    Gauss-Newton step shares h, H and the gain: it is taken once for all
+    candidates, with one solve against all their residuals. Candidates
+    not converged by it go on in blocks of ``SWEEP_BLOCK``, batched, with
+    the rest of the ``SWEEP_MAX_ITER`` budget. Each candidate's flag is
+    the one a warm-started ``wls_estimate_ac`` gives. A candidate that
+    does not converge raises EstimationError naming the bus and the
+    candidate.
 
     The span containing the candidate nearest the original value is used;
     when the span is terminated by the band rather than by detection, the
@@ -238,24 +250,30 @@ def sweep_stealth_range(
         )
 
     base = wls_estimate_ac(model, baseline, delta=delta)
-    warm, mm = base.x_hat, base.measurement_model
+    mm = base.measurement_model
     sig = baseline.sigmas
+    z = np.tile(baseline.z, (n_points, 1))
+    z[:, idx] = grid
+    v, theta, done = shared_first_step(mm, z, sig, base.x_hat.v, base.x_hat.theta, delta)
 
-    detected = np.zeros(n_points, dtype=bool)
-    for start in range(0, n_points, SWEEP_BLOCK):
-        cands = grid[start:start + SWEEP_BLOCK]
-        z = np.tile(baseline.z, (cands.size, 1))
-        z[:, idx] = cands
-        v, theta = np.tile(warm.v, (cands.size, 1)), np.tile(warm.theta, (cands.size, 1))
-        iterations = gauss_newton(mm, z, sig, v, theta, delta, SWEEP_MAX_ITER)
+    rest = np.flatnonzero(~done)
+    for start in range(0, rest.size, SWEEP_BLOCK):
+        rows = rest[start:start + SWEEP_BLOCK]
+        vb, thb = v[rows], theta[rows]
+        iterations = gauss_newton(mm, z[rows], sig, vb, thb, delta, SWEEP_MAX_ITER - 1)
         if not iterations.all():
-            cand = cands[int(np.argmin(iterations))]
+            cand = grid[rows[int(np.argmin(iterations))]]
             raise EstimationError(
                 f"bus {bus}: WLS did not converge in {SWEEP_MAX_ITER} iterations "
                 f"for candidate Vm {cand:.9f}"
             )
-        h, _ = mm.evaluate(v, theta)
-        detected[start:start + cands.size] = np.sum(((z - h) / sig) ** 2, axis=1) > threshold
+        v[rows], theta[rows] = vb, thb
+
+    detected = np.zeros(n_points, dtype=bool)
+    for start in range(0, n_points, SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
+        h, _ = mm.evaluate(v[block], theta[block])
+        detected[block] = np.sum(((z[block] - h) / sig) ** 2, axis=1) > threshold
 
     in_band = (grid >= nerc[0] - 1e-12) & (grid <= nerc[1] + 1e-12)
     points = [

@@ -58,9 +58,24 @@ def _load_model(arg: str):
     return _read_input(arg, lambda p: model_from_json(Path(p).read_text()))
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
+def _parse_pair(option: str, text: str) -> tuple[int, int]:
+    """``F,T`` or ``F-T``: two bus ids."""
     f, _, t = text.replace("-", ",").partition(",")
-    return int(f), int(t)
+    try:
+        return int(f), int(t)
+    except ValueError:
+        raise UsageError(f"{option} {text}: expected F,T, two bus ids") from None
+
+
+def _apply_pairs(option: str, texts: list[str], apply):
+    """``apply`` to the bus pairs given to ``option``. A pair that is not
+    two bus ids, or that names no branch (``apply`` raises KeyError), is a
+    UsageError naming the option and the pair."""
+    pairs = [_parse_pair(option, text) for text in texts]
+    try:
+        return apply(pairs)
+    except KeyError as exc:
+        raise UsageError(f"{option}: {exc.args[0]}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -83,9 +98,8 @@ def _topology_for(args, model):
     from .network import apply_topology_corruption, build_topology
 
     topo = build_topology(model)
-    flips = [_parse_pair(s) for s in args.open]
-    if flips:
-        topo = apply_topology_corruption(topo, flips)
+    if args.open:
+        topo = _apply_pairs("--open", args.open, lambda pairs: apply_topology_corruption(topo, pairs))
     return topo
 
 
@@ -180,7 +194,9 @@ def cmd_attack(args) -> int:
         _write_out(corrupted.to_csv(), args.out)
         return 0
     if args.kind == "topology":
-        corrupted = corrupt_topology_record(record, [_parse_pair(s) for s in args.flip])
+        corrupted = _apply_pairs(
+            "--flip", args.flip, lambda pairs: corrupt_topology_record(record, pairs)
+        )
         _write_out(corrupted.to_csv(), args.out)
         return 0
     raise AssertionError(args.kind)

@@ -29,6 +29,7 @@ __all__ = [
     "measurements_from_state",
     "full_telemetry_from_state",
     "gauss_newton",
+    "shared_first_step",
     "wls_estimate_ac",
     "build_dc_jacobian",
     "wls_estimate_dc",
@@ -215,6 +216,25 @@ def _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flo
     return MeasurementSet([replace(m, value=x) for m, x in zip(layout, values.tolist())])
 
 
+def _gauss_newton_step(jac, r, w, delta, out=(None, None, None)):
+    """One Gauss-Newton step per Jacobian of ``jac`` (B, m, n) for each of
+    its residual columns ``r`` (B, m, P): the gain H'WH, with the weights
+    ``w`` = 1 / sigma^2 (m,) on W's diagonal, solved against the P
+    right-hand sides H'Wr in one call. Returns the steps (B, n, P) and
+    where their norms are below ``delta`` (B, P). ``out`` holds (B, m, n),
+    (B, n, n) and (B, n, P) arrays to write into. Raises
+    ObservabilityError when a gain matrix is singular."""
+    weighted, gain, rhs = out
+    hw_t = np.multiply(jac, w[:, None], out=weighted).transpose(0, 2, 1)
+    gain = np.matmul(hw_t, jac, out=gain)
+    rhs = np.matmul(hw_t, r, out=rhs)
+    try:
+        dx = np.linalg.solve(gain, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ObservabilityError(f"singular gain matrix: {exc}") from exc
+    return dx, np.sqrt(np.sum(dx * dx, axis=1)) < delta
+
+
 def gauss_newton(
     mm: MeasurementModel,
     z: np.ndarray,
@@ -244,21 +264,40 @@ def gauss_newton(
         k = active.size
         r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
         np.subtract(z[active], r, out=r)
-        hw_t = np.multiply(hk, w[:, None], out=weighted[:k]).transpose(0, 2, 1)
-        np.matmul(hw_t, hk, out=gain[:k])
-        np.matmul(hw_t, r[..., None], out=rhs[:k])
-        try:
-            dx = np.linalg.solve(gain[:k], rhs[:k])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ObservabilityError(f"singular gain matrix: {exc}") from exc
+        dx, done = _gauss_newton_step(
+            hk, r[..., None], w, delta, (weighted[:k], gain[:k], rhs[:k])
+        )
+        dx, done = dx[..., 0], done[:, 0]
         theta[active[:, None], ang] += dx[:, : n - 1]
         v[active] += dx[:, n - 1:]
-        done = np.sqrt(np.sum(dx * dx, axis=1)) < delta
         iterations[active[done]] = it
         active = active[~done]
         if not active.size:
             break
     return iterations
+
+
+def shared_first_step(
+    mm: MeasurementModel,
+    z: np.ndarray,
+    sigmas: np.ndarray,
+    v: np.ndarray,
+    theta: np.ndarray,
+    delta: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first Gauss-Newton step of measurement vectors ``z`` (P, m)
+    that all start from one state ``v``, ``theta`` (n,): h, H and the gain
+    are formed once and solved against all P residuals in one call.
+    Returns the moved states ``v``, ``theta`` (P, n) and where a step norm
+    was already below ``delta``: those states converged at iteration 1.
+    Raises ObservabilityError when the gain matrix is singular."""
+    n = mm.n_bus
+    h, jac = mm.evaluate(v[None], theta[None])
+    dx, done = _gauss_newton_step(jac, (z - h).T[None], 1.0 / sigmas**2, delta)
+    dx, done = dx[0].T, done[0]
+    theta = np.tile(theta, (len(z), 1))
+    theta[:, mm.angle_buses] += dx[:, : n - 1]
+    return v + dx[:, n - 1:], theta, done
 
 
 def wls_estimate_ac(

@@ -389,7 +389,15 @@ def model_to_json(model: NetworkModel) -> str:
 
 
 def model_from_json(text: str) -> NetworkModel:
+    """Parse the JSON case schema. Raises ValueError unless the document
+    is an object whose ``buses`` and ``branches`` are lists of objects."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object with buses and branches lists")
+    for key in ("buses", "branches"):
+        rows = doc.get(key)
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ValueError(f"{key}: expected a list of objects")
     buses = tuple(
         Bus(
             id=int(b["id"]),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridsec import fixtures as fx
+from gridsec import attacks
 from gridsec.attacks import (
     SCENARIO_1A_COMPENSATION,
     SCENARIO_1B_DELTAS,
@@ -22,6 +23,7 @@ from gridsec.estimation import (
     MeasKind,
     MeasurementSet,
     build_dc_jacobian,
+    shared_first_step,
     wls_estimate_ac,
     wls_estimate_dc,
 )
@@ -237,6 +239,77 @@ def test_sweep_names_bus_and_candidate_that_does_not_converge(ieee14):
     baseline = fx.sweep_baseline_measurements(ieee14)
     with pytest.raises(EstimationError, match=r"bus 2: .*candidate Vm 50\.0+\b"):
         sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
+
+
+@pytest.mark.parametrize("bus", [2, 11])
+def test_sweep_j_agrees_with_serial_solve(ieee14, bus):
+    """A candidate's J, read through the threshold it is flagged at, is the
+    serial warm-started wls_estimate_ac J to 1e-9 relative, on the noisy
+    baseline of the flag test above."""
+    base = fx.sweep_baseline_measurements(ieee14)
+    noise = np.random.default_rng(29).normal(0.0, base.sigmas)
+    baseline = MeasurementSet(
+        [replace(m, value=m.value + float(d)) for m, d in zip(base.entries, noise)]
+    )
+    warm = wls_estimate_ac(ieee14, baseline, delta=1e-8).x_hat
+    idx = baseline.index_of(MeasKind.VM, bus)
+    grid = np.linspace(0.95, 1.10, 300)
+    for k in (0, 60, 150, 299):
+        j = wls_estimate_ac(
+            ieee14, baseline.replaced(idx, float(grid[k])), delta=1e-8, x0=warm
+        ).j_value
+        for scale, flagged in ((1 - 1e-9, True), (1 + 1e-9, False)):
+            _, points = sweep_stealth_range(
+                ieee14, baseline, bus, n_points=2, window=(grid[k], 1.10), threshold=j * scale
+            )
+            assert points[0].attack_vm == grid[k]
+            assert points[0].detected is flagged, (k, scale)
+
+
+def test_sweep_candidate_converged_by_the_shared_step(ieee14):
+    """On the noiseless fixture, the candidate equal to the bus's original
+    Vm moves the baseline estimate by less than delta, so it converges at
+    the shared first step; its flag is the serial solve's."""
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    bus = 4
+    idx = baseline.index_of(MeasKind.VM, bus)
+    original = baseline.entries[idx].value
+    base = wls_estimate_ac(ieee14, baseline, delta=1e-8)
+    z = np.tile(baseline.z, (2, 1))
+    z[1, idx] = 1.10
+    _, _, done = shared_first_step(
+        base.measurement_model, z, baseline.sigmas, base.x_hat.v, base.x_hat.theta, 1e-8
+    )
+    assert done.tolist() == [True, False]
+    for threshold in (PAPER_CHI2_THRESHOLD, 0.0):
+        _, points = sweep_stealth_range(
+            ieee14, baseline, bus, n_points=2, window=(original, 1.10), threshold=threshold
+        )
+        serial = wls_estimate_ac(
+            ieee14, baseline.replaced(idx, original), delta=1e-8, x0=base.x_hat
+        ).j_value > threshold
+        assert points[0].detected is serial
+
+
+def test_sweep_budget_counts_the_shared_step(ieee14, monkeypatch):
+    """A non-converging candidate has had SWEEP_MAX_ITER iterations: the
+    shared first step plus SWEEP_MAX_ITER - 1 in its block."""
+    budgets = []
+    gauss_newton = attacks.gauss_newton
+
+    def spy(*args):
+        budgets.append(args[-1])
+        return gauss_newton(*args)
+
+    monkeypatch.setattr(attacks, "gauss_newton", spy)
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    with pytest.raises(
+        EstimationError,
+        match=rf"bus 2: WLS did not converge in {attacks.SWEEP_MAX_ITER} iterations "
+        r"for candidate Vm 50\.0+\b",
+    ):
+        sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
+    assert budgets == [attacks.SWEEP_MAX_ITER - 1]
 
 
 def test_sweep_rejects_non_finite_candidates(ieee14):

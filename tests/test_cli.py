@@ -307,6 +307,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     not_json = tmp_path / "README.md"
     not_json.write_text("# not a case\n")
     nosuch_case = tmp_path / "nosuch.json"
+    list_case = tmp_path / "list.json"
+    list_case.write_text("[]")
+    int_buses = tmp_path / "int_buses.json"
+    int_buses.write_text('{"buses": 3}')
     cases = [
         (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
@@ -323,6 +327,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["sweep", "--points", "1", "--bus", "2"], "--points 1: a sweep needs at least 2 points"),
         (["attack", "1a", "--open", "2,4"], "--open applies to attack stealth only"),
         (["attack", "topology", "--open", "2,4"], "--open applies to attack stealth only"),
+        (["solve", "--open", "9,13"], "--open: no branch between buses 9 and 13"),
+        (["solve", "--open", "a,b"], "--open a,b: expected F,T"),
+        (["solve", "--open", "2"], "--open 2: expected F,T"),
+        (["attack", "topology", "--flip", "9,13"], "--flip: no branch 9-13 in record"),
+        (["solve", "--case", str(list_case)], f"{list_case}: expected a JSON object"),
+        (["solve", "--case", str(int_buses)], f"{int_buses}: buses: expected a list of objects"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv
