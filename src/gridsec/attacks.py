@@ -15,6 +15,7 @@ from .estimation import (
     EstimationError,
     MeasKind,
     MeasurementSet,
+    chord_steps,
     gauss_newton,
     shared_first_step,
     wls_estimate_ac,
@@ -204,11 +205,16 @@ class StealthRange:
     note: str = ""
 
 
-# Sweep candidates past the shared first step solved together in one
-# batched Gauss-Newton. 32 runs the perfbench sweep faster than 16 or 24;
-# larger blocks raise peak memory: the per-block arrays grow with the
-# block while the Python overhead they save does not.
-SWEEP_BLOCK = 32
+# Sweep candidates past the shared first step iterate in blocks of this
+# many. With constant-gain steps, 64 runs the perfbench sweep faster than
+# 32; 100 and 300 gain little more and raise peak memory: the per-block
+# arrays grow with the block while the Python overhead they save does not.
+SWEEP_BLOCK = 64
+# Constant-gain steps a candidate gets before it falls back to full
+# Gauss-Newton from its first-step state. In the paper window every
+# candidate converges within 7 of them; chord step norms do not shrink
+# monotonically, so the budget, not a contraction test, decides.
+SWEEP_CHORD_STEPS = 10
 SWEEP_MAX_ITER = 50  # wls_estimate_ac's default
 
 
@@ -230,10 +236,14 @@ def sweep_stealth_range(
     Gauss-Newton step shares h, H and the gain: it is taken once for all
     candidates, with one solve against all their residuals. Candidates
     not converged by it go on in blocks of ``SWEEP_BLOCK``, batched, with
-    the rest of the ``SWEEP_MAX_ITER`` budget. Each candidate's flag is
-    the one a warm-started ``wls_estimate_ac`` gives. A candidate that
-    does not converge raises EstimationError naming the bus and the
-    candidate.
+    constant-gain steps on that first step's gain, which converge to a
+    root of the same WLS normal equations. A candidate these steps do not
+    converge within ``SWEEP_CHORD_STEPS`` restarts from its first-step
+    state on a batched Gauss-Newton with the rest of the
+    ``SWEEP_MAX_ITER`` budget. Each candidate's flag is the one a
+    warm-started ``wls_estimate_ac`` gives. A candidate that the
+    Gauss-Newton does not converge raises EstimationError naming the bus
+    and the candidate.
 
     The span containing the candidate nearest the original value is used;
     when the span is terminated by the band rather than by detection, the
@@ -254,25 +264,30 @@ def sweep_stealth_range(
     sig = baseline.sigmas
     z = np.tile(baseline.z, (n_points, 1))
     z[:, idx] = grid
-    v, theta, done = shared_first_step(mm, z, sig, base.x_hat.v, base.x_hat.theta, delta)
-
-    rest = np.flatnonzero(~done)
-    for start in range(0, rest.size, SWEEP_BLOCK):
-        rows = rest[start:start + SWEEP_BLOCK]
-        vb, thb = v[rows], theta[rows]
-        iterations = gauss_newton(mm, z[rows], sig, vb, thb, delta, SWEEP_MAX_ITER - 1)
-        if not iterations.all():
-            cand = grid[rows[int(np.argmin(iterations))]]
-            raise EstimationError(
-                f"bus {bus}: WLS did not converge in {SWEEP_MAX_ITER} iterations "
-                f"for candidate Vm {cand:.9f}"
-            )
-        v[rows], theta[rows] = vb, thb
+    v, theta, done, gain_inv = shared_first_step(
+        mm, z, sig, base.x_hat.v, base.x_hat.theta, delta
+    )
 
     detected = np.zeros(n_points, dtype=bool)
     for start in range(0, n_points, SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
-        h, _ = mm.evaluate(v[block], theta[block])
+        rows = start + np.flatnonzero(~done[block])
+        vb, thb = v[rows], theta[rows]
+        back = chord_steps(mm, z[rows], sig, vb, thb, gain_inv, delta, SWEEP_CHORD_STEPS) == 0
+        if back.any():
+            # Full Gauss-Newton from the first-step states still in v, theta.
+            slow = rows[back]
+            vs, ths = v[slow], theta[slow]
+            iterations = gauss_newton(mm, z[slow], sig, vs, ths, delta, SWEEP_MAX_ITER - 1)
+            if not iterations.all():
+                cand = grid[slow[int(np.argmin(iterations))]]
+                raise EstimationError(
+                    f"bus {bus}: WLS did not converge in {SWEEP_MAX_ITER} iterations "
+                    f"for candidate Vm {cand:.9f}"
+                )
+            vb[back], thb[back] = vs, ths
+        v[rows], theta[rows] = vb, thb
+        h, _ = mm.evaluate(v[block], theta[block], out=(None, None))
         detected[block] = np.sum(((z[block] - h) / sig) ** 2, axis=1) > threshold
 
     in_band = (grid >= nerc[0] - 1e-12) & (grid <= nerc[1] + 1e-12)

@@ -3,7 +3,9 @@
 Exit codes: 0 success / nothing flagged, 1 an attack class or display
 violation was detected, 2 usage error: a missing or unknown option (from
 argparse), or an argument or input file the command cannot use (one
-``error:`` line).
+``error:`` line). A measurement file ``estimate`` cannot estimate (WLS
+does not converge, the gain is singular or a value is not finite) and a
+``sweep`` candidate that does not converge are such inputs.
 
 Each command imports the modules it uses when it runs, so a command
 loads no more of the package than it needs; ``som`` and ``chi2`` run
@@ -121,12 +123,20 @@ def cmd_solve(args) -> int:
 def cmd_estimate(args) -> int:
     import numpy as np
 
-    from .estimation import bdd_classify, measurements_from_csv, wls_estimate_ac
+    from .estimation import (
+        EstimationError,
+        bdd_classify,
+        measurements_from_csv,
+        wls_estimate_ac,
+    )
 
     model = _load_model(args.case)
     topo = _topology_for(args, model)
     ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
-    result = wls_estimate_ac(model, ms, delta=args.delta, topology=topo)
+    try:
+        result = wls_estimate_ac(model, ms, delta=args.delta, topology=topo)
+    except EstimationError as exc:
+        raise UsageError(f"{args.measurements}: {exc}") from None
     df = len(ms) - (2 * model.n_bus - 1)
     tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(max(df, 1), args.alpha)
     verdict = bdd_classify(result, tau)
@@ -223,6 +233,7 @@ def _parse_range(option: str, text: str) -> tuple[float, float]:
 
 def cmd_sweep(args) -> int:
     from .attacks import sweep_stealth_range
+    from .estimation import EstimationError
     from .fixtures import sweep_baseline_measurements
 
     model = _load_model(args.case)
@@ -240,14 +251,17 @@ def cmd_sweep(args) -> int:
     nerc = _parse_range("--nerc", args.nerc)
     baseline = sweep_baseline_measurements(model)
 
-    results = {
-        bus: sweep_stealth_range(
-            model, baseline, bus,
-            n_points=args.points, window=window, nerc=nerc,
-            threshold=args.threshold,
-        )
-        for bus in buses
-    }
+    try:
+        results = {
+            bus: sweep_stealth_range(
+                model, baseline, bus,
+                n_points=args.points, window=window, nerc=nerc,
+                threshold=args.threshold,
+            )
+            for bus in buses
+        }
+    except EstimationError as exc:
+        raise UsageError(str(exc)) from None
 
     log_buf = io.StringIO()
     log = csv.writer(log_buf, lineterminator="\n")

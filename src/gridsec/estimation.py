@@ -30,6 +30,7 @@ __all__ = [
     "full_telemetry_from_state",
     "gauss_newton",
     "shared_first_step",
+    "chord_steps",
     "wls_estimate_ac",
     "build_dc_jacobian",
     "wls_estimate_dc",
@@ -210,7 +211,7 @@ def _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flo
             for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
         ]
     state = [np.asarray(x, dtype=float)[None] for x in (v, theta)]
-    values = MeasurementModel(model, topology, layout).evaluate(*state)[0][0]
+    values = MeasurementModel(model, topology, layout).evaluate(*state, out=(None, None))[0][0]
     if noise_rng is not None:
         values = values + noise_rng.normal(0.0, [m.sigma for m in layout])
     return MeasurementSet([replace(m, value=x) for m, x in zip(layout, values.tolist())])
@@ -284,20 +285,68 @@ def shared_first_step(
     v: np.ndarray,
     theta: np.ndarray,
     delta: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The first Gauss-Newton step of measurement vectors ``z`` (P, m)
     that all start from one state ``v``, ``theta`` (n,): h, H and the gain
     are formed once and solved against all P residuals in one call.
-    Returns the moved states ``v``, ``theta`` (P, n) and where a step norm
-    was already below ``delta``: those states converged at iteration 1.
+    Returns the moved states ``v``, ``theta`` (P, n), where a step norm
+    was already below ``delta`` (those states converged at iteration 1),
+    and the inverse of the gain, the iteration matrix of ``chord_steps``.
     Raises ObservabilityError when the gain matrix is singular."""
     n = mm.n_bus
     h, jac = mm.evaluate(v[None], theta[None])
-    dx, done = _gauss_newton_step(jac, (z - h).T[None], 1.0 / sigmas**2, delta)
+    gain = np.empty((1, mm.n_state, mm.n_state))
+    dx, done = _gauss_newton_step(jac, (z - h).T[None], 1.0 / sigmas**2, delta, (None, gain, None))
     dx, done = dx[0].T, done[0]
     theta = np.tile(theta, (len(z), 1))
     theta[:, mm.angle_buses] += dx[:, : n - 1]
-    return v + dx[:, n - 1:], theta, done
+    return v + dx[:, n - 1:], theta, done, np.linalg.inv(gain[0])
+
+
+def chord_steps(
+    mm: MeasurementModel,
+    z: np.ndarray,
+    sigmas: np.ndarray,
+    v: np.ndarray,
+    theta: np.ndarray,
+    gain_inv: np.ndarray,
+    delta: float,
+    max_iter: int,
+) -> np.ndarray:
+    """Constant-gain (chord) WLS for measurement vectors ``z`` (B, m)
+    sharing one layout and ``sigmas``: each step is
+    dx = ``gain_inv`` H(x)'W(z - h(x)), with one fixed inverse gain (n, n)
+    for every state and step, so a state converges to a root of the same
+    normal equations as ``gauss_newton``, linearly rather than
+    quadratically. Updates ``v``, ``theta`` (B, n) in place; each stops
+    once its own step norm is below ``delta``, and a state whose step is
+    not finite stops there. Returns the iteration counts, 0 where a state
+    did not converge."""
+    batch, m = z.shape
+    w = 1.0 / sigmas**2
+    n = mm.n_bus
+    ang = mm.angle_buses
+    h = np.empty((batch, m))
+    jac = np.empty((batch, m, mm.n_state))
+    iterations = np.zeros(batch, dtype=int)
+    active = np.arange(batch)
+    # A diverging state overflows; it leaves the loop as not converged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            k = active.size
+            r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
+            np.subtract(z[active], r, out=r)
+            r *= w
+            dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
+            norm = np.sqrt(np.sum(dx * dx, axis=1))
+            done = norm < delta
+            theta[active[:, None], ang] += dx[:, : n - 1]
+            v[active] += dx[:, n - 1:]
+            iterations[active[done]] = it
+            active = active[~done & np.isfinite(norm)]
+            if not active.size:
+                break
+    return iterations
 
 
 def wls_estimate_ac(

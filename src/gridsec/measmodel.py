@@ -210,13 +210,14 @@ class MeasurementModel:
         self,
         v: np.ndarray,
         theta: np.ndarray,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        out: tuple[np.ndarray | None, np.ndarray | None] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """h shaped (B, m) and H shaped (B, m, 2n - 1) at states shaped
-        (B, n), written into the arrays of ``out`` when given."""
+        (B, n), written into the arrays of ``out`` when given. A None in
+        the h slot of ``out`` is allocated; a None in the H slot skips
+        gathering H, which is returned as None."""
         batch, n = v.shape
-        if out is None:
-            out = np.empty((batch, self.n_rows)), np.empty((batch, self.n_rows, self.n_state))
+        h, jac = out if out is not None else (None, np.empty((batch, self.n_rows, self.n_state)))
         src = np.empty((batch, self._src_len))
         src[:, -1] = 1.0
         src[:, :n] = v
@@ -243,7 +244,7 @@ class MeasurementModel:
             )
         # mode='clip' lets take write straight into out, where the default
         # 'raise' fills a copy first; __init__ checked the indices.
-        h, jac = out
-        np.take(src, self.h_idx, axis=1, out=h, mode="clip")
-        np.take(src, self.jac_idx, axis=1, out=jac, mode="clip")
+        h = np.take(src, self.h_idx, axis=1, out=h, mode="clip")
+        if jac is not None:
+            np.take(src, self.jac_idx, axis=1, out=jac, mode="clip")
         return h, jac

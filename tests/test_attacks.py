@@ -277,7 +277,7 @@ def test_sweep_candidate_converged_by_the_shared_step(ieee14):
     base = wls_estimate_ac(ieee14, baseline, delta=1e-8)
     z = np.tile(baseline.z, (2, 1))
     z[1, idx] = 1.10
-    _, _, done = shared_first_step(
+    _, _, done, _ = shared_first_step(
         base.measurement_model, z, baseline.sigmas, base.x_hat.v, base.x_hat.theta, 1e-8
     )
     assert done.tolist() == [True, False]
@@ -310,6 +310,75 @@ def test_sweep_budget_counts_the_shared_step(ieee14, monkeypatch):
     ):
         sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
     assert budgets == [attacks.SWEEP_MAX_ITER - 1]
+
+
+def _spy_gauss_newton(monkeypatch):
+    """Record the candidate values, starting states and budget of every
+    ``gauss_newton`` call the sweep makes."""
+    calls = []
+    gauss_newton = attacks.gauss_newton
+
+    def spy(mm, z, sigmas, v, theta, delta, max_iter):
+        calls.append((z.copy(), v.copy(), theta.copy(), max_iter))
+        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter)
+
+    monkeypatch.setattr(attacks, "gauss_newton", spy)
+    return calls
+
+
+def test_wide_window_sweep_flags_equal_serial_solves(ieee14, monkeypatch):
+    """Across a window wide enough that some candidates leave the
+    constant-gain steps for the Gauss-Newton fallback, every flag is the
+    one a warm-started wls_estimate_ac of that candidate gives."""
+    calls = _spy_gauss_newton(monkeypatch)
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    bus, n_points = 4, 36
+    _, points = sweep_stealth_range(ieee14, baseline, bus, n_points=n_points, window=(0.3, 2.0))
+    fallback = sum(len(z) for z, *_ in calls)
+    assert 0 < fallback < n_points
+    warm = wls_estimate_ac(ieee14, baseline, delta=1e-8).x_hat
+    idx = baseline.index_of(MeasKind.VM, bus)
+    serial = [
+        wls_estimate_ac(
+            ieee14, baseline.replaced(idx, p.attack_vm), delta=1e-8, x0=warm
+        ).j_value > PAPER_CHI2_THRESHOLD
+        for p in points
+    ]
+    assert [p.detected for p in points] == serial
+    assert any(serial) and not all(serial)
+
+
+def test_sweep_fallback_restarts_from_the_first_step_state(ieee14, monkeypatch):
+    """A candidate the constant-gain steps do not converge runs
+    gauss_newton from its first-step state, not from where the chord
+    steps left it, with SWEEP_MAX_ITER - 1 iterations."""
+    calls = _spy_gauss_newton(monkeypatch)
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    bus, window, n_points = 4, (0.3, 2.0), 36
+    sweep_stealth_range(ieee14, baseline, bus, n_points=n_points, window=window)
+    assert calls
+    idx = baseline.index_of(MeasKind.VM, bus)
+    grid = np.linspace(*window, n_points)
+    base = wls_estimate_ac(ieee14, baseline, delta=1e-8)
+    z = np.tile(baseline.z, (n_points, 1))
+    z[:, idx] = grid
+    v1, theta1, _, _ = shared_first_step(
+        base.measurement_model, z, baseline.sigmas, base.x_hat.v, base.x_hat.theta, 1e-8
+    )
+    for zs, v, theta, budget in calls:
+        rows = np.searchsorted(grid, zs[:, idx])
+        assert np.array_equal(grid[rows], zs[:, idx])
+        assert np.array_equal(v, v1[rows]) and np.array_equal(theta, theta1[rows])
+        assert budget == attacks.SWEEP_MAX_ITER - 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_non_convergence_raises_without_runtime_warnings(ieee14):
+    """Candidates whose constant-gain steps overflow leave them quietly
+    and fail in the Gauss-Newton fallback, which names them."""
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    with pytest.raises(EstimationError, match=r"bus 2: .*candidate Vm 50\.0+\b"):
+        sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
 
 
 def test_sweep_rejects_non_finite_candidates(ieee14):

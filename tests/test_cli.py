@@ -294,7 +294,8 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
 
 def test_usage_error_exit_code(tmp_path, capsys):
     """Missing arguments, options a command does not take, input files that
-    are missing or malformed, and sweep arguments out of range (each was a
+    are missing or malformed, sweep arguments out of range, a sweep
+    candidate and a measurement file that WLS does not converge (each was a
     traceback, or a silently ignored option, and exit 1 or 0) exit 2, with
     one ``error:`` line naming what is wrong."""
     for argv in (["estimate"], ["sweep", "--bus", "2", "--open", "2,4"]):
@@ -311,6 +312,16 @@ def test_usage_error_exit_code(tmp_path, capsys):
     list_case.write_text("[]")
     int_buses = tmp_path / "int_buses.json"
     int_buses.write_text('{"buses": 3}')
+    from gridsec.estimation import MeasKind, measurements_from_state, measurements_to_csv
+    from gridsec.network import build_ieee14
+    from gridsec.powerflow import solve as pf_solve
+
+    model = build_ieee14()
+    sol = pf_solve(model)
+    ms = measurements_from_state(model, sol.v, sol.theta)
+    row = ms.index_of(MeasKind.PINJ, 7)
+    diverging = tmp_path / "diverging.csv"
+    diverging.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
     cases = [
         (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
@@ -333,6 +344,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["attack", "topology", "--flip", "9,13"], "--flip: no branch 9-13 in record"),
         (["solve", "--case", str(list_case)], f"{list_case}: expected a JSON object"),
         (["solve", "--case", str(int_buses)], f"{int_buses}: buses: expected a list of objects"),
+        (["sweep", "--bus", "2", "--points", "3", "--window", "50,60"],
+         "bus 2: WLS did not converge in 50 iterations for candidate Vm 50.000000000"),
+        (["estimate", "--measurements", str(diverging)],
+         f"{diverging}: WLS did not converge in 50 iterations"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

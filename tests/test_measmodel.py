@@ -185,6 +185,29 @@ def test_evaluate_writes_into_out(ieee14, telemetry, states):
     assert np.array_equal(h, h_ref) and np.array_equal(jac, jac_ref)
 
 
+def test_evaluate_without_the_jacobian(ieee14, telemetry, states, monkeypatch):
+    """A None in the H slot of ``out`` skips the H gather and leaves h bit
+    for bit; a None in the h slot allocates h."""
+    mm = MeasurementModel(ieee14, None, telemetry.entries)
+    v, theta = states
+    h_ref, _ = mm.evaluate(v, theta)
+    take = np.take
+    gathers = []
+
+    def counting_take(*args, **kwargs):
+        gathers.append(args[1].shape)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting_take)
+    h = np.full(h_ref.shape, np.nan)
+    h_out, jac_out = mm.evaluate(v, theta, out=(h, None))
+    assert h_out is h and jac_out is None
+    h_new, jac_new = mm.evaluate(v, theta, out=(None, None))
+    assert jac_new is None
+    assert np.array_equal(h, h_ref) and np.array_equal(h_new, h_ref)
+    assert gathers == [mm.h_idx.shape, mm.h_idx.shape]
+
+
 def test_without_equals_compiling_the_reduced_layout(ieee14, telemetry, states):
     """Dropping rows from a compiled model gives the model of the reduced
     layout bit for bit, also once both flow rows of a branch end (the to
