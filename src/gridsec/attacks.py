@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -210,10 +210,17 @@ class StealthRange:
 # 32; 100 and 300 gain little more and raise peak memory: the per-block
 # arrays grow with the block while the Python overhead they save does not.
 SWEEP_BLOCK = 64
+# Every this many candidates of a bus, and its last one, is an anchor,
+# solved from its first-step state before the rest, which start from a
+# cubic through the four nearest anchors' solutions. Spacings of 10 to 30
+# run the paper window within a few percent of each other; wider spacings
+# slow wide windows down, where the cubic strays further from the curve.
+SWEEP_ANCHOR_EVERY = 15
 # Constant-gain steps a candidate gets before it falls back to full
 # Gauss-Newton from its first-step state. In the paper window every
-# candidate converges within 7 of them; chord step norms do not shrink
-# monotonically, so the budget, not a contraction test, decides.
+# anchor converges within 7 of them, and every other candidate within 2;
+# chord step norms do not shrink monotonically, so the budget, not a
+# contraction test, decides.
 SWEEP_CHORD_STEPS = 10
 SWEEP_MAX_ITER = 50  # wls_estimate_ac's default
 
@@ -234,12 +241,19 @@ def sweep_stealth_range(
 
     Every candidate starts from the baseline estimate, so their first
     Gauss-Newton step shares h, H and the gain: it is taken once for all
-    candidates, with one solve against all their residuals. Candidates
-    not converged by it go on in blocks of ``SWEEP_BLOCK``, batched, with
-    constant-gain steps on that first step's gain, which converge to a
-    root of the same WLS normal equations. A candidate these steps do not
-    converge within ``SWEEP_CHORD_STEPS`` restarts from its first-step
-    state on a batched Gauss-Newton with the rest of the
+    candidates, with one solve against all their residuals. The candidates
+    not converged by it are solved in two passes. First the anchors,
+    every ``SWEEP_ANCHOR_EVERY``-th candidate and the last, start from
+    their first-step states. Then every other candidate starts from the
+    cubic Lagrange interpolation, in the grid value, of the solutions of
+    its four nearest anchors, taken so that it lies between the middle two
+    (at the window's ends, the four end anchors), so the curve is never
+    extrapolated; with fewer than four anchors these start from their
+    first-step states. Both passes go in blocks of ``SWEEP_BLOCK``,
+    batched, with constant-gain steps on that first step's gain, which
+    converge to a root of the same WLS normal equations. A candidate these
+    steps do not converge within ``SWEEP_CHORD_STEPS`` restarts from its
+    first-step state on a batched Gauss-Newton with the rest of the
     ``SWEEP_MAX_ITER`` budget. Each candidate's flag is the one a
     warm-started ``wls_estimate_ac`` gives. A candidate that the
     Gauss-Newton does not converge raises EstimationError naming the bus
@@ -268,47 +282,78 @@ def sweep_stealth_range(
         mm, z, sig, base.x_hat.v, base.x_hat.theta, delta
     )
 
+    def first_step(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return v[rows], theta[rows]
+
+    def solve(rows: np.ndarray, start_of: Callable) -> None:
+        # Chord steps on ``rows`` from the states ``start_of`` gives them,
+        # then a Gauss-Newton from the first-step states still in v, theta;
+        # the solutions go to v, theta.
+        for start in range(0, rows.size, SWEEP_BLOCK):
+            rb = rows[start:start + SWEEP_BLOCK]
+            vb, thb = start_of(rb)
+            back = chord_steps(mm, z[rb], sig, vb, thb, gain_inv, delta, SWEEP_CHORD_STEPS) == 0
+            if back.any():
+                slow = rb[back]
+                vs, ths = first_step(slow)
+                iterations = gauss_newton(mm, z[slow], sig, vs, ths, delta, SWEEP_MAX_ITER - 1)
+                if not iterations.all():
+                    cand = grid[slow[int(np.argmin(iterations))]]
+                    raise EstimationError(
+                        f"bus {bus}: WLS did not converge in {SWEEP_MAX_ITER} iterations "
+                        f"for candidate Vm {cand:.9f}"
+                    )
+                vb[back], thb[back] = vs, ths
+            v[rb], theta[rb] = vb, thb
+
+    anchor = np.zeros(n_points, dtype=bool)
+    anchor[::SWEEP_ANCHOR_EVERY] = True
+    anchor[-1] = True
+    anchors = np.flatnonzero(anchor)
+
+    def cubic(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Row k lies between anchors k // SWEEP_ANCHOR_EVERY and the next.
+        # The grid is uniform, so Lagrange weights in the grid value are
+        # those in the candidate index.
+        first = np.clip(rows // SWEEP_ANCHOR_EVERY - 1, 0, anchors.size - 4)
+        nodes = anchors[first[:, None] + np.arange(4)]
+        # w_a = prod over b != a of (k - node_b) / (node_a - node_b)
+        gap = rows[:, None] - nodes
+        span = nodes[:, :, None] - nodes[:, None, :] + np.eye(4, dtype=int)
+        weights = np.prod(gap, axis=1, keepdims=True) / gap / np.prod(span, axis=2)
+        vb = sum(weights[:, a, None] * v[nodes[:, a]] for a in range(4))
+        thb = sum(weights[:, a, None] * theta[nodes[:, a]] for a in range(4))
+        return vb, thb
+
+    solve(np.flatnonzero(anchor & ~done), first_step)
+    solve(np.flatnonzero(~anchor & ~done), cubic if anchors.size >= 4 else first_step)
+
     detected = np.zeros(n_points, dtype=bool)
     for start in range(0, n_points, SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
-        rows = start + np.flatnonzero(~done[block])
-        vb, thb = v[rows], theta[rows]
-        back = chord_steps(mm, z[rows], sig, vb, thb, gain_inv, delta, SWEEP_CHORD_STEPS) == 0
-        if back.any():
-            # Full Gauss-Newton from the first-step states still in v, theta.
-            slow = rows[back]
-            vs, ths = v[slow], theta[slow]
-            iterations = gauss_newton(mm, z[slow], sig, vs, ths, delta, SWEEP_MAX_ITER - 1)
-            if not iterations.all():
-                cand = grid[slow[int(np.argmin(iterations))]]
-                raise EstimationError(
-                    f"bus {bus}: WLS did not converge in {SWEEP_MAX_ITER} iterations "
-                    f"for candidate Vm {cand:.9f}"
-                )
-            vb[back], thb[back] = vs, ths
-        v[rows], theta[rows] = vb, thb
         h, _ = mm.evaluate(v[block], theta[block], out=(None, None))
         detected[block] = np.sum(((z[block] - h) / sig) ** 2, axis=1) > threshold
 
-    in_band = (grid >= nerc[0] - 1e-12) & (grid <= nerc[1] + 1e-12)
+    values = grid.tolist()
+    flags = detected.tolist()
+    in_band = ((grid >= nerc[0] - 1e-12) & (grid <= nerc[1] + 1e-12)).tolist()
     points = [
         SweepPoint(
             bus=bus,
-            attack_vm=float(grid[k]),
+            attack_vm=value,
             original_vm=original,
-            detected=bool(detected[k]),
+            detected=flag,
             label=(
                 "Bad data detected"
-                if detected[k]
-                else ("Stealth attack" if in_band[k] else "NERC violation")
+                if flag
+                else ("Stealth attack" if band else "NERC violation")
             ),
         )
-        for k in range(n_points)
+        for value, flag, band in zip(values, flags, in_band)
     ]
 
     note = ""
-    unflagged = ~detected
-    runs = _runs(unflagged)
+    runs = _runs((~detected).tolist())
     if len(runs) > 1:
         note = f"undetected set fragments into {len(runs)} runs"
 
@@ -329,8 +374,8 @@ def sweep_stealth_range(
             points,
         )
     start_k, end_k = stealth_ks[0], stealth_ks[-1]
-    start = float(grid[start_k])
-    end = float(grid[end_k])
+    start = values[start_k]
+    end = values[end_k]
     if start_k - 1 >= lo and not in_band[start_k - 1]:
         start = nerc[0]
     if end_k + 1 <= hi and not in_band[end_k + 1]:
@@ -341,7 +386,7 @@ def sweep_stealth_range(
     )
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+def _runs(mask: Sequence[bool]) -> list[tuple[int, int]]:
     runs = []
     start = None
     for i, flag in enumerate(mask):

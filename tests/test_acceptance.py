@@ -24,7 +24,6 @@ from gridsec.estimation import (
     wls_estimate_dc,
     build_dc_jacobian,
 )
-from gridsec.network import build_ieee14
 from gridsec.pipeline import run_pipeline
 from gridsec.powerflow import solve
 from gridsec.som import (
@@ -42,11 +41,6 @@ SWEEP_STEP = 0.15 / 299
 def criterion(number: int, ok: bool, detail: str) -> None:
     print(f"\ncriterion {number}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
     assert ok, f"criterion {number}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def ieee14():
-    return build_ieee14()
 
 
 def test_criterion_1_stealth_blindness(ieee14):

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridsec import fixtures as fx
 from gridsec import attacks
@@ -27,14 +29,9 @@ from gridsec.estimation import (
     wls_estimate_ac,
     wls_estimate_dc,
 )
-from gridsec.network import BreakerState, build_ieee14, build_topology
+from gridsec.network import BreakerState, build_topology
 from gridsec.powerflow import solve
 from gridsec.stats import PAPER_CHI2_THRESHOLD
-
-
-@pytest.fixture(scope="module")
-def ieee14():
-    return build_ieee14()
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +367,106 @@ def test_sweep_fallback_restarts_from_the_first_step_state(ieee14, monkeypatch):
         assert np.array_equal(grid[rows], zs[:, idx])
         assert np.array_equal(v, v1[rows]) and np.array_equal(theta, theta1[rows])
         assert budget == attacks.SWEEP_MAX_ITER - 1
+
+
+def _noisy_sweep_baseline(model):
+    """The sweep fixture plus seeded noise at its own sigmas: the baseline
+    of the flag tests above."""
+    base = fx.sweep_baseline_measurements(model)
+    noise = np.random.default_rng(29).normal(0.0, base.sigmas)
+    return MeasurementSet(
+        [replace(m, value=m.value + float(d)) for m, d in zip(base.entries, noise)]
+    )
+
+
+def _serial_flags(model, baseline, bus, values):
+    """The flag a warm-started wls_estimate_ac gives each candidate value."""
+    warm = wls_estimate_ac(model, baseline, delta=1e-8).x_hat
+    idx = baseline.index_of(MeasKind.VM, bus)
+    return [
+        wls_estimate_ac(
+            model, baseline.replaced(idx, value), delta=1e-8, x0=warm
+        ).j_value > PAPER_CHI2_THRESHOLD
+        for value in values
+    ]
+
+
+def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypatch):
+    """The anchors (every SWEEP_ANCHOR_EVERY-th candidate and the last)
+    are solved first, from their first-step states. Every other candidate
+    starts from the cubic through the solutions of the four anchors around
+    it, in the grid value, and its constant-gain steps converge within 2."""
+    calls = []
+    chord_steps = attacks.chord_steps
+
+    def spy(mm, z, sigmas, v, theta, *args):
+        start = (v.copy(), theta.copy())
+        iterations = chord_steps(mm, z, sigmas, v, theta, *args)
+        calls.append((z[:, idx].copy(), start, (v.copy(), theta.copy()), iterations))
+        return iterations
+
+    monkeypatch.setattr(attacks, "chord_steps", spy)
+    baseline = _noisy_sweep_baseline(ieee14)
+    bus, n_points = 2, 300
+    idx = baseline.index_of(MeasKind.VM, bus)
+    sweep_stealth_range(ieee14, baseline, bus)
+
+    grid = np.linspace(0.95, 1.10, n_points)
+    base = wls_estimate_ac(ieee14, baseline, delta=1e-8)
+    z = np.tile(baseline.z, (n_points, 1))
+    z[:, idx] = grid
+    v1, theta1, done, _ = shared_first_step(
+        base.measurement_model, z, baseline.sigmas, base.x_hat.v, base.x_hat.theta, 1e-8
+    )
+    anchors = [*range(0, n_points, attacks.SWEEP_ANCHOR_EVERY), n_points - 1]
+    solved = np.zeros((n_points, 2 * ieee14.n_bus))
+    order = []
+    for values, start, end, iterations in calls:
+        rows = np.searchsorted(grid, values)
+        assert np.array_equal(grid[rows], values)
+        order += rows.tolist()
+        solved[rows] = np.hstack(end)
+        if rows[0] in anchors:
+            assert np.array_equal(start[0], v1[rows]) and np.array_equal(start[1], theta1[rows])
+            continue
+        assert iterations.min() >= 1 and iterations.max() <= 2
+        for k, v0, theta0 in zip(rows, *start):
+            j = np.searchsorted(anchors, k) - 1
+            nodes = anchors[min(max(j - 1, 0), len(anchors) - 4):][:4]
+            fit = np.polynomial.polynomial.polyfit(grid[nodes], solved[nodes], 3)
+            cubic = np.polynomial.polynomial.polyval(grid[k], fit)
+            start_k, first_k = np.hstack((v0, theta0)), np.hstack((v1[k], theta1[k]))
+            assert np.allclose(start_k, cubic, rtol=0, atol=1e-9)
+            assert np.abs(start_k - solved[k]).max() < np.abs(first_k - solved[k]).max() / 100
+    assert not done.any()
+    assert order[: len(anchors)] == anchors
+    assert sorted(order[len(anchors):]) == sorted(set(range(n_points)) - set(anchors))
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 5])
+def test_sweep_with_fewer_than_four_anchors_equals_serial_solves(ieee14, n_points):
+    """With fewer than four anchors there is no cubic: the rest start from
+    their first-step states, and every flag is the serial solve's."""
+    baseline = _noisy_sweep_baseline(ieee14)
+    bus, window = 2, (0.97, 1.03)
+    _, points = sweep_stealth_range(ieee14, baseline, bus, n_points=n_points, window=window)
+    values = np.linspace(*window, n_points).tolist()
+    assert [p.attack_vm for p in points] == values
+    assert [p.detected for p in points] == _serial_flags(ieee14, baseline, bus, values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(bus=st.integers(1, 14), n_points=st.integers(2, 40), data=st.data())
+def test_sweep_flags_equal_serial_solves_in_any_window(ieee14, bus, n_points, data):
+    """For any bus, grid size and window inside (0.9, 1.2) around the bus's
+    measured Vm, anchors or not, every flag is the one a warm-started
+    wls_estimate_ac gives."""
+    baseline = _noisy_sweep_baseline(ieee14)
+    original = baseline.entries[baseline.index_of(MeasKind.VM, bus)].value
+    window = (data.draw(st.floats(0.9, original)), data.draw(st.floats(original, 1.2)))
+    _, points = sweep_stealth_range(ieee14, baseline, bus, n_points=n_points, window=window)
+    values = [p.attack_vm for p in points]
+    assert [p.detected for p in points] == _serial_flags(ieee14, baseline, bus, values)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -21,14 +21,9 @@ from gridsec.estimation import (
     wls_estimate_dc,
 )
 from gridsec.measmodel import MeasurementModel
-from gridsec.network import apply_topology_corruption, build_ieee14, build_topology
+from gridsec.network import apply_topology_corruption, build_topology
 from gridsec.powerflow import solve
 from gridsec.stats import chi_square_threshold
-
-
-@pytest.fixture(scope="module")
-def ieee14():
-    return build_ieee14()
 
 
 @pytest.fixture(scope="module")

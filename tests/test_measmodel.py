@@ -24,7 +24,6 @@ from gridsec.network import (
     NetworkModel,
     admittance,
     branch_admittances,
-    build_ieee14,
 )
 from gridsec.powerflow import bus_power, solve
 from gridsec.scenarios import generate_all
@@ -100,11 +99,6 @@ def reference_h_jac(model, entries, v, theta, topology=None):
         jac[row, n - 1 + i] = d_vi
         jac[row, n - 1 + j] = d_vj
     return h, jac
-
-
-@pytest.fixture(scope="module")
-def ieee14():
-    return build_ieee14()
 
 
 @pytest.fixture(scope="module")

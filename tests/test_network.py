@@ -17,11 +17,6 @@ from gridsec.network import (
 )
 
 
-@pytest.fixture(scope="module")
-def ieee14():
-    return build_ieee14()
-
-
 def test_ieee14_structure(ieee14):
     assert ieee14.n_bus == 14
     assert len(ieee14.branches) == 20

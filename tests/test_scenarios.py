@@ -13,15 +13,10 @@ from gridsec import fixtures as fx
 from gridsec.attacks import StateDelta, corrupt_topology_record, manipulate_state_vector
 from gridsec.detection import Rule, Severity, VerdictClass, fit_baseline
 from gridsec.estimation import wls_estimate_ac
-from gridsec.network import BreakerState, BusKind, build_ieee14
+from gridsec.network import BreakerState, BusKind
 from gridsec.pipeline import measurements_from_record, run_pipeline
 from gridsec.records import GridRecord
 from gridsec.scenarios import TABLE5_SCENARIOS, generate_all
-
-
-@pytest.fixture(scope="module")
-def ieee14():
-    return build_ieee14()
 
 
 @pytest.fixture(scope="module")
