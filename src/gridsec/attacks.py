@@ -12,12 +12,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .estimation import (
+    WLS_MAX_ITER,
     EstimationError,
     MeasKind,
     MeasurementSet,
     chord_steps,
     gauss_newton,
-    shared_first_step,
     wls_estimate_ac,
 )
 from .network import BreakerState, NetworkModel
@@ -205,24 +205,23 @@ class StealthRange:
     note: str = ""
 
 
-# Sweep candidates past the shared first step iterate in blocks of this
-# many. With constant-gain steps, 64 runs the perfbench sweep faster than
-# 32; 100 and 300 gain little more and raise peak memory: the per-block
-# arrays grow with the block while the Python overhead they save does not.
+# Sweep candidates iterate in blocks of this many. With constant-gain
+# steps, 64 runs the perfbench sweep faster than 32; 100 and 300 gain
+# little more and raise peak memory: the per-block arrays grow with the
+# block while the Python overhead they save does not.
 SWEEP_BLOCK = 64
 # Every this many candidates of a bus, and its last one, is an anchor,
-# solved from its first-step state before the rest, which start from a
+# solved from the baseline estimate before the rest, which start from a
 # cubic through the four nearest anchors' solutions. Spacings of 10 to 30
 # run the paper window within a few percent of each other; wider spacings
 # slow wide windows down, where the cubic strays further from the curve.
 SWEEP_ANCHOR_EVERY = 15
 # Constant-gain steps a candidate gets before it falls back to full
-# Gauss-Newton from its first-step state. In the paper window every
-# anchor converges within 7 of them, and every other candidate within 2;
+# Gauss-Newton from the baseline estimate. In the paper window every
+# anchor converges within 8 of them, and every other candidate within 2;
 # chord step norms do not shrink monotonically, so the budget, not a
 # contraction test, decides.
 SWEEP_CHORD_STEPS = 10
-SWEEP_MAX_ITER = 50  # wls_estimate_ac's default
 
 
 def sweep_stealth_range(
@@ -239,25 +238,22 @@ def sweep_stealth_range(
     estimation plus the chi-square test, and report the contiguous span of
     undetected candidates inside the compliance band.
 
-    Every candidate starts from the baseline estimate, so their first
-    Gauss-Newton step shares h, H and the gain: it is taken once for all
-    candidates, with one solve against all their residuals. The candidates
-    not converged by it are solved in two passes. First the anchors,
-    every ``SWEEP_ANCHOR_EVERY``-th candidate and the last, start from
-    their first-step states. Then every other candidate starts from the
-    cubic Lagrange interpolation, in the grid value, of the solutions of
-    its four nearest anchors, taken so that it lies between the middle two
-    (at the window's ends, the four end anchors), so the curve is never
-    extrapolated; with fewer than four anchors these start from their
-    first-step states. Both passes go in blocks of ``SWEEP_BLOCK``,
-    batched, with constant-gain steps on that first step's gain, which
-    converge to a root of the same WLS normal equations. A candidate these
-    steps do not converge within ``SWEEP_CHORD_STEPS`` restarts from its
-    first-step state on a batched Gauss-Newton with the rest of the
-    ``SWEEP_MAX_ITER`` budget. Each candidate's flag is the one a
-    warm-started ``wls_estimate_ac`` gives. A candidate that the
-    Gauss-Newton does not converge raises EstimationError naming the bus
-    and the candidate.
+    The candidates are solved in two passes, in batched blocks of
+    ``SWEEP_BLOCK``, by constant-gain (chord) steps on the baseline
+    estimate's gain, which converge to a root of the same WLS normal
+    equations. First the anchors, every ``SWEEP_ANCHOR_EVERY``-th
+    candidate and the last, start from the baseline estimate, so their
+    first chord step is the Gauss-Newton step from it. Then every other
+    candidate starts from the cubic Lagrange interpolation, in the grid
+    value, of the solutions of its four nearest anchors, taken so that it
+    lies between the middle two (at the window's ends, the four end
+    anchors), so the curve is never extrapolated; with fewer than four
+    anchors these start from the baseline estimate too. A candidate the
+    chord steps do not converge within ``SWEEP_CHORD_STEPS`` restarts from
+    the baseline estimate on a batched Gauss-Newton with ``WLS_MAX_ITER``
+    iterations: a warm-started ``wls_estimate_ac``, whose flag each
+    candidate gets. A candidate that it does not converge raises
+    EstimationError naming the bus and the candidate.
 
     The span containing the candidate nearest the original value is used;
     when the span is terminated by the band rather than by detection, the
@@ -276,18 +272,19 @@ def sweep_stealth_range(
     base = wls_estimate_ac(model, baseline, delta=delta)
     mm = base.measurement_model
     sig = baseline.sigmas
+    jac = base.jacobian
+    gain_inv = np.linalg.inv((jac * (1.0 / sig**2)[:, None]).T @ jac)
     z = np.tile(baseline.z, (n_points, 1))
     z[:, idx] = grid
-    v, theta, done, gain_inv = shared_first_step(
-        mm, z, sig, base.x_hat.v, base.x_hat.theta, delta
-    )
+    v = np.tile(base.x_hat.v, (n_points, 1))
+    theta = np.tile(base.x_hat.theta, (n_points, 1))
 
-    def first_step(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def warm(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return v[rows], theta[rows]
 
     def solve(rows: np.ndarray, start_of: Callable) -> None:
         # Chord steps on ``rows`` from the states ``start_of`` gives them,
-        # then a Gauss-Newton from the first-step states still in v, theta;
+        # then a Gauss-Newton from the baseline estimate still in v, theta;
         # the solutions go to v, theta.
         for start in range(0, rows.size, SWEEP_BLOCK):
             rb = rows[start:start + SWEEP_BLOCK]
@@ -295,12 +292,12 @@ def sweep_stealth_range(
             back = chord_steps(mm, z[rb], sig, vb, thb, gain_inv, delta, SWEEP_CHORD_STEPS) == 0
             if back.any():
                 slow = rb[back]
-                vs, ths = first_step(slow)
-                iterations = gauss_newton(mm, z[slow], sig, vs, ths, delta, SWEEP_MAX_ITER - 1)
+                vs, ths = warm(slow)
+                iterations = gauss_newton(mm, z[slow], sig, vs, ths, delta, WLS_MAX_ITER)
                 if not iterations.all():
                     cand = grid[slow[int(np.argmin(iterations))]]
                     raise EstimationError(
-                        f"bus {bus}: WLS did not converge in {SWEEP_MAX_ITER} iterations "
+                        f"bus {bus}: WLS did not converge in {WLS_MAX_ITER} iterations "
                         f"for candidate Vm {cand:.9f}"
                     )
                 vb[back], thb[back] = vs, ths
@@ -325,8 +322,8 @@ def sweep_stealth_range(
         thb = sum(weights[:, a, None] * theta[nodes[:, a]] for a in range(4))
         return vb, thb
 
-    solve(np.flatnonzero(anchor & ~done), first_step)
-    solve(np.flatnonzero(~anchor & ~done), cubic if anchors.size >= 4 else first_step)
+    solve(anchors, warm)
+    solve(np.flatnonzero(~anchor), cubic if anchors.size >= 4 else warm)
 
     detected = np.zeros(n_points, dtype=bool)
     for start in range(0, n_points, SWEEP_BLOCK):
@@ -429,14 +426,17 @@ class StateDelta:
         dp_mw: dict[int, float] | None = None,
         dq_mvar: dict[int, float] | None = None,
     ) -> "StateDelta":
+        """Deltas keyed by bus id; a bus outside 1..``n_bus`` is a ValueError."""
         out = cls.zeros(n_bus)
-        for target, src in (
-            (out.dv, dv),
-            (out.dtheta_deg, dtheta_deg),
-            (out.dp_mw, dp_mw),
-            (out.dq_mvar, dq_mvar),
+        for name, target, src in (
+            ("dv", out.dv, dv),
+            ("dtheta_deg", out.dtheta_deg, dtheta_deg),
+            ("dp_mw", out.dp_mw, dp_mw),
+            ("dq_mvar", out.dq_mvar, dq_mvar),
         ):
             for bus, val in (src or {}).items():
+                if not 1 <= bus <= n_bus:
+                    raise ValueError(f"{name}: bus {bus} is outside buses 1..{n_bus}")
                 target[bus - 1] = val
         return out
 

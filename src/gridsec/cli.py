@@ -130,6 +130,9 @@ def cmd_estimate(args) -> int:
         wls_estimate_ac,
     )
 
+    if not 0.0 < args.delta < math.inf:
+        raise UsageError(f"--delta {args.delta}: expected a finite number above 0")
+    _check_alpha(args.alpha)
     model = _load_model(args.case)
     topo = _topology_for(args, model)
     ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
@@ -187,19 +190,22 @@ def cmd_attack(args) -> int:
         _write_out(vector.to_json() + "\n", args.out)
         return 0
     if args.record:
-        record = GridRecord.load(args.record)
+        record = _read_input(args.record, GridRecord.load)
     else:
         from .fixtures import post_se_baseline_record
 
         record = post_se_baseline_record()
     if args.kind == "post-se":
-        delta = StateDelta.from_changes(
-            record.n_bus,
-            dv=dict(_parse_kv(args.dv)),
-            dtheta_deg=dict(_parse_kv(args.dtheta)),
-            dp_mw=dict(_parse_kv(args.dp)),
-            dq_mvar=dict(_parse_kv(args.dq)),
-        )
+        try:
+            delta = StateDelta.from_changes(
+                record.n_bus,
+                dv=_parse_kv("--dv", args.dv),
+                dtheta_deg=_parse_kv("--dtheta", args.dtheta),
+                dp_mw=_parse_kv("--dp", args.dp),
+                dq_mvar=_parse_kv("--dq", args.dq),
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         corrupted = manipulate_state_vector(record, delta)
         _write_out(corrupted.to_csv(), args.out)
         return 0
@@ -212,11 +218,18 @@ def cmd_attack(args) -> int:
     raise AssertionError(args.kind)
 
 
-def _parse_kv(items) -> list[tuple[int, float]]:
-    out = []
+def _parse_kv(option: str, items) -> dict[int, float]:
+    """``BUS=VAL`` items: a bus id and a finite number each."""
+    out = {}
     for item in items or []:
         key, _, val = item.partition("=")
-        out.append((int(key), float(val)))
+        try:
+            bus, value = int(key), float(val)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise UsageError(f"{option} {item}: expected BUS=VAL, a bus id and a finite number")
+        out[bus] = value
     return out
 
 
@@ -247,6 +260,8 @@ def cmd_sweep(args) -> int:
         buses = [args.bus]
     if args.points < 2:
         raise UsageError(f"--points {args.points}: a sweep needs at least 2 points")
+    if not math.isfinite(args.threshold):
+        raise UsageError(f"--threshold {args.threshold}: expected a finite number")
     window = _parse_range("--window", args.window)
     nerc = _parse_range("--nerc", args.nerc)
     baseline = sweep_baseline_measurements(model)
@@ -370,6 +385,15 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_som(args) -> int:
+    # A segment set, constraint or arrangement the search cannot use raises
+    # ValueError or KeyError naming it.
+    try:
+        return _som(args)
+    except (ValueError, KeyError) as exc:
+        raise UsageError(exc.args[0] if exc.args else str(exc)) from None
+
+
+def _som(args) -> int:
     from .som import (
         GridArrangement,
         diff_against_reference,
@@ -379,10 +403,22 @@ def cmd_som(args) -> int:
         verify_arrangement,
     )
 
+    def segments(option: str, directory: str | None):
+        if directory is None:
+            raise UsageError(f"som {args.action} needs {option} DIR")
+        paths = sorted(Path(directory).glob("seg*.json"))
+        if not paths:
+            raise UsageError(f"{option} {directory}: no seg*.json segment files")
+        return parse_segments(paths)
+
+    def cells(path: str):
+        doc = json.loads(Path(path).read_text())
+        return doc["cells"] if isinstance(doc, dict) else doc
+
     if args.action == "arrange":
-        segments = parse_segments(sorted(Path(args.dir).glob("seg*.json")))
-        constraints = generate_constraints(segments)
-        solutions = solve_arrangement(segments, constraints, args.n,
+        segs = segments("--dir", args.dir)
+        constraints = generate_constraints(segs)
+        solutions = solve_arrangement(segs, constraints, args.n,
                                       max_solutions=args.max_solutions)
         doc = {
             "n": args.n,
@@ -393,19 +429,20 @@ def cmd_som(args) -> int:
         _write_out(json.dumps(doc, indent=2) + "\n", args.out)
         return 0
     if args.action == "verify":
-        segments = parse_segments(sorted(Path(args.dir).glob("seg*.json")))
-        constraints = generate_constraints(segments)
-        doc = json.loads(Path(args.arrangement).read_text())
-        cells = doc["cells"] if isinstance(doc, dict) else doc
-        arrangement = GridArrangement(tuple(tuple(row) for row in cells))
-        ok, violated = verify_arrangement(arrangement, segments, constraints)
+        if args.arrangement is None:
+            raise UsageError("som verify needs --arrangement FILE")
+        segs = segments("--dir", args.dir)
+        constraints = generate_constraints(segs)
+        rows = _read_input(args.arrangement, cells)
+        arrangement = GridArrangement(tuple(tuple(row) for row in rows))
+        ok, violated = verify_arrangement(arrangement, segs, constraints)
         print("PASS" if ok else "FAIL")
         for c in violated:
             print(f"  violated: {c.kind.value} {c.detail}")
         return 0 if ok else 1
     if args.action == "diff":
-        reference = parse_segments(sorted(Path(args.reference).glob("seg*.json")))
-        candidate = parse_segments(sorted(Path(args.dir).glob("seg*.json")))
+        reference = segments("--reference", args.reference)
+        candidate = segments("--dir", args.dir)
         findings = diff_against_reference(reference, candidate, volt_tol=args.volt_tol)
         doc = [
             {"rule": f.rule.value, "severity": f.severity.value,
@@ -418,7 +455,15 @@ def cmd_som(args) -> int:
     raise AssertionError(args.action)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"--alpha {alpha}: expected a number in (0, 1)")
+
+
 def cmd_chi2(args) -> int:
+    if args.df < 1:
+        raise UsageError(f"--df {args.df}: expected at least 1")
+    _check_alpha(args.alpha)
     tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(args.df, args.alpha)
     print(f"{tau:.6f}")
     return 0

@@ -29,7 +29,6 @@ __all__ = [
     "measurements_from_state",
     "full_telemetry_from_state",
     "gauss_newton",
-    "shared_first_step",
     "chord_steps",
     "wls_estimate_ac",
     "build_dc_jacobian",
@@ -141,7 +140,7 @@ class BddVerdict:
 # Default channel noise (p.u. std-dev); diagonal R throughout.
 DEFAULT_SIGMA_VM = 0.01
 DEFAULT_SIGMA_POWER = 0.02
-_WLS_MAX_ITER = 50
+WLS_MAX_ITER = 50  # Gauss-Newton iterations of one WLS estimate
 
 
 def standard_layout(
@@ -217,25 +216,6 @@ def _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flo
     return MeasurementSet([replace(m, value=x) for m, x in zip(layout, values.tolist())])
 
 
-def _gauss_newton_step(jac, r, w, delta, out=(None, None, None)):
-    """One Gauss-Newton step per Jacobian of ``jac`` (B, m, n) for each of
-    its residual columns ``r`` (B, m, P): the gain H'WH, with the weights
-    ``w`` = 1 / sigma^2 (m,) on W's diagonal, solved against the P
-    right-hand sides H'Wr in one call. Returns the steps (B, n, P) and
-    where their norms are below ``delta`` (B, P). ``out`` holds (B, m, n),
-    (B, n, n) and (B, n, P) arrays to write into. Raises
-    ObservabilityError when a gain matrix is singular."""
-    weighted, gain, rhs = out
-    hw_t = np.multiply(jac, w[:, None], out=weighted).transpose(0, 2, 1)
-    gain = np.matmul(hw_t, jac, out=gain)
-    rhs = np.matmul(hw_t, r, out=rhs)
-    try:
-        dx = np.linalg.solve(gain, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ObservabilityError(f"singular gain matrix: {exc}") from exc
-    return dx, np.sqrt(np.sum(dx * dx, axis=1)) < delta
-
-
 def gauss_newton(
     mm: MeasurementModel,
     z: np.ndarray,
@@ -265,10 +245,15 @@ def gauss_newton(
         k = active.size
         r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
         np.subtract(z[active], r, out=r)
-        dx, done = _gauss_newton_step(
-            hk, r[..., None], w, delta, (weighted[:k], gain[:k], rhs[:k])
-        )
-        dx, done = dx[..., 0], done[:, 0]
+        # The gain H'WH, with the weights w on W's diagonal, solved against H'Wr.
+        hw_t = np.multiply(hk, w[:, None], out=weighted[:k]).transpose(0, 2, 1)
+        np.matmul(hw_t, hk, out=gain[:k])
+        np.matmul(hw_t, r[..., None], out=rhs[:k])
+        try:
+            dx = np.linalg.solve(gain[:k], rhs[:k])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ObservabilityError(f"singular gain matrix: {exc}") from exc
+        done = np.sqrt(np.sum(dx * dx, axis=1)) < delta
         theta[active[:, None], ang] += dx[:, : n - 1]
         v[active] += dx[:, n - 1:]
         iterations[active[done]] = it
@@ -276,31 +261,6 @@ def gauss_newton(
         if not active.size:
             break
     return iterations
-
-
-def shared_first_step(
-    mm: MeasurementModel,
-    z: np.ndarray,
-    sigmas: np.ndarray,
-    v: np.ndarray,
-    theta: np.ndarray,
-    delta: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The first Gauss-Newton step of measurement vectors ``z`` (P, m)
-    that all start from one state ``v``, ``theta`` (n,): h, H and the gain
-    are formed once and solved against all P residuals in one call.
-    Returns the moved states ``v``, ``theta`` (P, n), where a step norm
-    was already below ``delta`` (those states converged at iteration 1),
-    and the inverse of the gain, the iteration matrix of ``chord_steps``.
-    Raises ObservabilityError when the gain matrix is singular."""
-    n = mm.n_bus
-    h, jac = mm.evaluate(v[None], theta[None])
-    gain = np.empty((1, mm.n_state, mm.n_state))
-    dx, done = _gauss_newton_step(jac, (z - h).T[None], 1.0 / sigmas**2, delta, (None, gain, None))
-    dx, done = dx[0].T, done[0]
-    theta = np.tile(theta, (len(z), 1))
-    theta[:, mm.angle_buses] += dx[:, : n - 1]
-    return v + dx[:, n - 1:], theta, done, np.linalg.inv(gain[0])
 
 
 def chord_steps(
@@ -354,7 +314,7 @@ def wls_estimate_ac(
     measurements: MeasurementSet,
     delta: float = 1e-6,
     topology: TopologyMatrix | None = None,
-    max_iter: int = _WLS_MAX_ITER,
+    max_iter: int = WLS_MAX_ITER,
     x0: StateVector | None = None,
 ) -> EstimationResult:
     """Gauss-Newton WLS over the AC measurement model.
@@ -594,6 +554,6 @@ def iterative_bad_data_removal(
             result.measurement_model.without(worst),
             result.measurements.without([worst]),
             delta,
-            _WLS_MAX_ITER,
+            WLS_MAX_ITER,
             x0,
         )

@@ -229,8 +229,8 @@ class SegmentDescriptor:
 
 
 def _segment_from_doc(doc: dict, origin: str) -> SegmentDescriptor:
-    if "id" not in doc:
-        raise MarkerSyntaxError(f"{origin}: segment document lacks an id")
+    if not isinstance(doc, dict) or "id" not in doc:
+        raise MarkerSyntaxError(f"{origin}: segment document is not an object with an id")
     markers = []
     for k, token in enumerate(doc.get("markers", [])):
         try:
@@ -243,7 +243,8 @@ def _segment_from_doc(doc: dict, origin: str) -> SegmentDescriptor:
 
 def parse_segments(sources: Iterable[str | Path | dict]) -> list[SegmentDescriptor]:
     """Parse segment documents (paths or already-loaded dicts). Rejects
-    duplicate segment ids and malformed markers with their position."""
+    a file that is not JSON, duplicate segment ids and malformed markers
+    with their position."""
     segments: list[SegmentDescriptor] = []
     seen: set[str] = set()
     for src in sources:
@@ -251,7 +252,11 @@ def parse_segments(sources: Iterable[str | Path | dict]) -> list[SegmentDescript
             seg = _segment_from_doc(src, origin="<dict>")
         else:
             path = Path(src)
-            seg = _segment_from_doc(json.loads(path.read_text()), origin=str(path))
+            try:
+                doc = json.loads(path.read_text())
+            except json.JSONDecodeError as exc:
+                raise MarkerSyntaxError(f"{path}: not a JSON document: {exc}") from None
+            seg = _segment_from_doc(doc, origin=str(path))
         if seg.id in seen:
             raise MarkerSyntaxError(f"duplicate segment id '{seg.id}'")
         seen.add(seg.id)

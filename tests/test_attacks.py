@@ -21,11 +21,11 @@ from gridsec.attacks import (
     sweep_stealth_range,
 )
 from gridsec.estimation import (
+    WLS_MAX_ITER,
     EstimationError,
     MeasKind,
     MeasurementSet,
     build_dc_jacobian,
-    shared_first_step,
     wls_estimate_ac,
     wls_estimate_dc,
 )
@@ -263,21 +263,15 @@ def test_sweep_j_agrees_with_serial_solve(ieee14, bus):
             assert points[0].detected is flagged, (k, scale)
 
 
-def test_sweep_candidate_converged_by_the_shared_step(ieee14):
+def test_sweep_flags_the_original_vm_as_the_serial_solve(ieee14):
     """On the noiseless fixture, the candidate equal to the bus's original
-    Vm moves the baseline estimate by less than delta, so it converges at
-    the shared first step; its flag is the serial solve's."""
+    Vm moves the baseline estimate by less than delta, so its first chord
+    step converges it; its flag is the serial solve's."""
     baseline = fx.sweep_baseline_measurements(ieee14)
     bus = 4
     idx = baseline.index_of(MeasKind.VM, bus)
     original = baseline.entries[idx].value
     base = wls_estimate_ac(ieee14, baseline, delta=1e-8)
-    z = np.tile(baseline.z, (2, 1))
-    z[1, idx] = 1.10
-    _, _, done, _ = shared_first_step(
-        base.measurement_model, z, baseline.sigmas, base.x_hat.v, base.x_hat.theta, 1e-8
-    )
-    assert done.tolist() == [True, False]
     for threshold in (PAPER_CHI2_THRESHOLD, 0.0):
         _, points = sweep_stealth_range(
             ieee14, baseline, bus, n_points=2, window=(original, 1.10), threshold=threshold
@@ -288,9 +282,10 @@ def test_sweep_candidate_converged_by_the_shared_step(ieee14):
         assert points[0].detected is serial
 
 
-def test_sweep_budget_counts_the_shared_step(ieee14, monkeypatch):
-    """A non-converging candidate has had SWEEP_MAX_ITER iterations: the
-    shared first step plus SWEEP_MAX_ITER - 1 in its block."""
+def test_sweep_fallback_gets_the_full_budget(ieee14, monkeypatch):
+    """A non-converging candidate has had the WLS_MAX_ITER iterations of a
+    warm-started wls_estimate_ac, all of them in the Gauss-Newton
+    fallback."""
     budgets = []
     gauss_newton = attacks.gauss_newton
 
@@ -302,11 +297,11 @@ def test_sweep_budget_counts_the_shared_step(ieee14, monkeypatch):
     baseline = fx.sweep_baseline_measurements(ieee14)
     with pytest.raises(
         EstimationError,
-        match=rf"bus 2: WLS did not converge in {attacks.SWEEP_MAX_ITER} iterations "
+        match=rf"bus 2: WLS did not converge in {WLS_MAX_ITER} iterations "
         r"for candidate Vm 50\.0+\b",
     ):
         sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
-    assert budgets == [attacks.SWEEP_MAX_ITER - 1]
+    assert budgets == [WLS_MAX_ITER]
 
 
 def _spy_gauss_newton(monkeypatch):
@@ -345,10 +340,11 @@ def test_wide_window_sweep_flags_equal_serial_solves(ieee14, monkeypatch):
     assert any(serial) and not all(serial)
 
 
-def test_sweep_fallback_restarts_from_the_first_step_state(ieee14, monkeypatch):
+def test_sweep_fallback_restarts_from_the_baseline_estimate(ieee14, monkeypatch):
     """A candidate the constant-gain steps do not converge runs
-    gauss_newton from its first-step state, not from where the chord
-    steps left it, with SWEEP_MAX_ITER - 1 iterations."""
+    gauss_newton from the baseline estimate, not from where the chord
+    steps left it, with WLS_MAX_ITER iterations: the serial warm-started
+    wls_estimate_ac."""
     calls = _spy_gauss_newton(monkeypatch)
     baseline = fx.sweep_baseline_measurements(ieee14)
     bus, window, n_points = 4, (0.3, 2.0), 36
@@ -356,17 +352,11 @@ def test_sweep_fallback_restarts_from_the_first_step_state(ieee14, monkeypatch):
     assert calls
     idx = baseline.index_of(MeasKind.VM, bus)
     grid = np.linspace(*window, n_points)
-    base = wls_estimate_ac(ieee14, baseline, delta=1e-8)
-    z = np.tile(baseline.z, (n_points, 1))
-    z[:, idx] = grid
-    v1, theta1, _, _ = shared_first_step(
-        base.measurement_model, z, baseline.sigmas, base.x_hat.v, base.x_hat.theta, 1e-8
-    )
+    warm = wls_estimate_ac(ieee14, baseline, delta=1e-8).x_hat
     for zs, v, theta, budget in calls:
-        rows = np.searchsorted(grid, zs[:, idx])
-        assert np.array_equal(grid[rows], zs[:, idx])
-        assert np.array_equal(v, v1[rows]) and np.array_equal(theta, theta1[rows])
-        assert budget == attacks.SWEEP_MAX_ITER - 1
+        assert np.array_equal(grid[np.searchsorted(grid, zs[:, idx])], zs[:, idx])
+        assert (v == warm.v).all() and (theta == warm.theta).all()
+        assert budget == WLS_MAX_ITER
 
 
 def _noisy_sweep_baseline(model):
@@ -393,7 +383,7 @@ def _serial_flags(model, baseline, bus, values):
 
 def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypatch):
     """The anchors (every SWEEP_ANCHOR_EVERY-th candidate and the last)
-    are solved first, from their first-step states. Every other candidate
+    are solved first, from the baseline estimate. Every other candidate
     starts from the cubic through the solutions of the four anchors around
     it, in the grid value, and its constant-gain steps converge within 2."""
     calls = []
@@ -412,12 +402,8 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
     sweep_stealth_range(ieee14, baseline, bus)
 
     grid = np.linspace(0.95, 1.10, n_points)
-    base = wls_estimate_ac(ieee14, baseline, delta=1e-8)
-    z = np.tile(baseline.z, (n_points, 1))
-    z[:, idx] = grid
-    v1, theta1, done, _ = shared_first_step(
-        base.measurement_model, z, baseline.sigmas, base.x_hat.v, base.x_hat.theta, 1e-8
-    )
+    warm = wls_estimate_ac(ieee14, baseline, delta=1e-8).x_hat
+    warm_state = np.hstack((warm.v, warm.theta))
     anchors = [*range(0, n_points, attacks.SWEEP_ANCHOR_EVERY), n_points - 1]
     solved = np.zeros((n_points, 2 * ieee14.n_bus))
     order = []
@@ -427,7 +413,7 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
         order += rows.tolist()
         solved[rows] = np.hstack(end)
         if rows[0] in anchors:
-            assert np.array_equal(start[0], v1[rows]) and np.array_equal(start[1], theta1[rows])
+            assert (start[0] == warm.v).all() and (start[1] == warm.theta).all()
             continue
         assert iterations.min() >= 1 and iterations.max() <= 2
         for k, v0, theta0 in zip(rows, *start):
@@ -435,10 +421,9 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
             nodes = anchors[min(max(j - 1, 0), len(anchors) - 4):][:4]
             fit = np.polynomial.polynomial.polyfit(grid[nodes], solved[nodes], 3)
             cubic = np.polynomial.polynomial.polyval(grid[k], fit)
-            start_k, first_k = np.hstack((v0, theta0)), np.hstack((v1[k], theta1[k]))
+            start_k = np.hstack((v0, theta0))
             assert np.allclose(start_k, cubic, rtol=0, atol=1e-9)
-            assert np.abs(start_k - solved[k]).max() < np.abs(first_k - solved[k]).max() / 100
-    assert not done.any()
+            assert np.abs(start_k - solved[k]).max() < np.abs(warm_state - solved[k]).max() / 100
     assert order[: len(anchors)] == anchors
     assert sorted(order[len(anchors):]) == sorted(set(range(n_points)) - set(anchors))
 
@@ -446,7 +431,7 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
 @pytest.mark.parametrize("n_points", [2, 3, 5])
 def test_sweep_with_fewer_than_four_anchors_equals_serial_solves(ieee14, n_points):
     """With fewer than four anchors there is no cubic: the rest start from
-    their first-step states, and every flag is the serial solve's."""
+    the baseline estimate, and every flag is the serial solve's."""
     baseline = _noisy_sweep_baseline(ieee14)
     bus, window = 2, (0.97, 1.03)
     _, points = sweep_stealth_range(ieee14, baseline, bus, n_points=n_points, window=window)

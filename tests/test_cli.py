@@ -294,7 +294,8 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
 
 def test_usage_error_exit_code(tmp_path, capsys):
     """Missing arguments, options a command does not take, input files that
-    are missing or malformed, sweep arguments out of range, a sweep
+    are missing or malformed (measurement, case, record and segment files),
+    arguments out of range (sweep, attack post-se, estimate, chi2), a sweep
     candidate and a measurement file that WLS does not converge (each was a
     traceback, or a silently ignored option, and exit 1 or 0) exit 2, with
     one ``error:`` line naming what is wrong."""
@@ -322,6 +323,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
     row = ms.index_of(MeasKind.PINJ, 7)
     diverging = tmp_path / "diverging.csv"
     diverging.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
+    no_segments = tmp_path / "no_segments"
+    no_segments.mkdir()
+    bad_marker = tmp_path / "bad_marker"
+    bad_marker.mkdir()
+    (bad_marker / "seg1.json").write_text('{"id": "seg1", "markers": ["XY_1"]}')
+    not_json_seg = tmp_path / "not_json_seg"
+    not_json_seg.mkdir()
+    (not_json_seg / "seg1.json").write_text("seg1: not json")
+    list_seg = tmp_path / "list_seg"
+    list_seg.mkdir()
+    (list_seg / "seg1.json").write_text('["id"]')
     cases = [
         (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
@@ -348,6 +360,29 @@ def test_usage_error_exit_code(tmp_path, capsys):
          "bus 2: WLS did not converge in 50 iterations for candidate Vm 50.000000000"),
         (["estimate", "--measurements", str(diverging)],
          f"{diverging}: WLS did not converge in 50 iterations"),
+        (["attack", "post-se", "--dv", "0=0.1"], "dv: bus 0 is outside buses 1..14"),
+        (["attack", "post-se", "--dv", "99=0.1"], "dv: bus 99 is outside buses 1..14"),
+        (["attack", "post-se", "--dq=-1=5"], "dq_mvar: bus -1 is outside buses 1..14"),
+        (["attack", "post-se", "--dv", "4=abc"], "--dv 4=abc: expected BUS=VAL"),
+        (["attack", "post-se", "--dv", "4"], "--dv 4: expected BUS=VAL"),
+        (["attack", "post-se", "--dtheta", "4=nan"], "--dtheta 4=nan: expected BUS=VAL"),
+        (["attack", "post-se", "--record", str(tmp_path / "nosuch.csv"), "--dv", "4=0.1"],
+         f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
+        (["som", "verify", "--dir", str(no_segments)], "som verify needs --arrangement FILE"),
+        (["som", "diff", "--dir", str(no_segments)], "som diff needs --reference DIR"),
+        (["som", "arrange", "--dir", str(no_segments)],
+         f"--dir {no_segments}: no seg*.json segment files"),
+        (["som", "arrange", "--dir", str(bad_marker)],
+         f"{bad_marker / 'seg1.json'}: marker 0: unknown marker token 'XY_1'"),
+        (["som", "arrange", "--dir", str(not_json_seg)],
+         f"{not_json_seg / 'seg1.json'}: not a JSON document"),
+        (["som", "arrange", "--dir", str(list_seg)],
+         f"{list_seg / 'seg1.json'}: segment document is not an object with an id"),
+        (["chi2", "--df", "0"], "--df 0: expected at least 1"),
+        (["chi2", "--df", "15", "--alpha", "2"], "--alpha 2.0: expected a number in (0, 1)"),
+        (["estimate", "--measurements", str(malformed), "--delta", "0"],
+         "--delta 0.0: expected a finite number above 0"),
+        (["sweep", "--bus", "2", "--threshold", "nan"], "--threshold nan: expected a finite number"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv
