@@ -14,6 +14,7 @@ import numpy as np
 from .estimation import (
     WLS_MAX_ITER,
     EstimationError,
+    EstimationResult,
     MeasKind,
     MeasurementSet,
     chord_steps,
@@ -28,6 +29,7 @@ __all__ = [
     "AttackVector",
     "StealthRange",
     "SweepPoint",
+    "SWEEP_DELTA",
     "StateDelta",
     "stealth_from_state_delta",
     "sweep_stealth_range",
@@ -222,6 +224,8 @@ SWEEP_ANCHOR_EVERY = 15
 # chord step norms do not shrink monotonically, so the budget, not a
 # contraction test, decides.
 SWEEP_CHORD_STEPS = 10
+# Step-norm tolerance of every sweep solve, the baseline estimate's included.
+SWEEP_DELTA = 1e-8
 
 
 def sweep_stealth_range(
@@ -232,7 +236,8 @@ def sweep_stealth_range(
     window: tuple[float, float] = (0.95, 1.10),
     nerc: tuple[float, float] = (0.95, 1.05),
     threshold: float = PAPER_CHI2_THRESHOLD,
-    delta: float = 1e-8,
+    delta: float = SWEEP_DELTA,
+    base: EstimationResult | None = None,
 ) -> tuple[StealthRange, list[SweepPoint]]:
     """Replace one bus's voltage measurement with each grid candidate, run
     estimation plus the chi-square test, and report the contiguous span of
@@ -255,12 +260,19 @@ def sweep_stealth_range(
     candidate gets. A candidate that it does not converge raises
     EstimationError naming the bus and the candidate.
 
+    ``base`` is ``wls_estimate_ac(model, baseline, delta=delta)``, which
+    the sweep computes when it is None; a caller that sweeps several buses
+    of one baseline passes it to estimate the baseline once. A bus outside
+    1..n raises ValueError.
+
     The span containing the candidate nearest the original value is used;
     when the span is terminated by the band rather than by detection, the
     endpoint is clipped to the band edge exactly.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
+    if not 1 <= bus <= model.n_bus:
+        raise ValueError(f"bus {bus}: the case has buses 1..{model.n_bus}")
     idx = baseline.index_of(MeasKind.VM, bus)
     original = baseline.entries[idx].value
     grid = np.linspace(window[0], window[1], n_points)
@@ -269,7 +281,8 @@ def sweep_stealth_range(
             f"non-finite candidate value on channel {baseline.entries[idx].channel}"
         )
 
-    base = wls_estimate_ac(model, baseline, delta=delta)
+    if base is None:
+        base = wls_estimate_ac(model, baseline, delta=delta)
     mm = base.measurement_model
     sig = baseline.sigmas
     jac = base.jacobian

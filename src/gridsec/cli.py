@@ -245,8 +245,8 @@ def _parse_range(option: str, text: str) -> tuple[float, float]:
 
 
 def cmd_sweep(args) -> int:
-    from .attacks import sweep_stealth_range
-    from .estimation import EstimationError
+    from .attacks import SWEEP_DELTA, sweep_stealth_range
+    from .estimation import EstimationError, wls_estimate_ac
     from .fixtures import sweep_baseline_measurements
 
     model = _load_model(args.case)
@@ -267,11 +267,12 @@ def cmd_sweep(args) -> int:
     baseline = sweep_baseline_measurements(model)
 
     try:
+        base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
         results = {
             bus: sweep_stealth_range(
                 model, baseline, bus,
                 n_points=args.points, window=window, nerc=nerc,
-                threshold=args.threshold,
+                threshold=args.threshold, base=base,
             )
             for bus in buses
         }

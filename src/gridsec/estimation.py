@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .measmodel import MeasKind, MeasurementModel
+from .measmodel import MeasKind, MeasurementModel, compiled
 from .network import NetworkModel, TopologyMatrix, build_topology
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
@@ -210,7 +210,7 @@ def _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flo
             for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
         ]
     state = [np.asarray(x, dtype=float)[None] for x in (v, theta)]
-    values = MeasurementModel(model, topology, layout).evaluate(*state, out=(None, None))[0][0]
+    values = compiled(model, topology, layout).evaluate(*state, out=(None, None))[0][0]
     if noise_rng is not None:
         values = values + noise_rng.normal(0.0, [m.sigma for m in layout])
     return MeasurementSet([replace(m, value=x) for m, x in zip(layout, values.tolist())])
@@ -319,24 +319,25 @@ def wls_estimate_ac(
 ) -> EstimationResult:
     """Gauss-Newton WLS over the AC measurement model.
 
-    Raises EstimationError naming the channel when a measurement value or
-    sigma is not finite, and ObservabilityError when the gain matrix is
-    singular (or when m < n up front).
+    Raises ValueError unless ``delta`` is a finite number above 0,
+    EstimationError naming the channel when a measurement value or sigma
+    is not finite, and ObservabilityError when the gain matrix is singular
+    (or when m < n up front).
     """
     n_state = 2 * model.n_bus - 1
     if len(measurements) < n_state:
         raise ObservabilityError(
             f"{len(measurements)} measurements cannot observe {n_state} states"
         )
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta {delta}: expected a finite number above 0")
     bad = ~(np.isfinite(measurements.z) & np.isfinite(measurements.sigmas))
     if bad.any():
         m = measurements.entries[int(np.argmax(bad))]
         raise EstimationError(
             f"non-finite measurement on channel {m.channel}: value {m.value}, sigma {m.sigma}"
         )
-    mm = MeasurementModel(model, topology, measurements.entries)
+    mm = compiled(model, topology, measurements.entries)
     return _estimate(mm, measurements, delta, max_iter, x0)
 
 
@@ -530,8 +531,9 @@ def iterative_bad_data_removal(
 ) -> tuple[EstimationResult, list[int]]:
     """Estimate, drop the worst-normalized-residual channel while J exceeds
     the threshold, re-estimate. Returned indices refer to the original set.
-    The layout is compiled once; each re-estimate runs on the compiled
-    model without the dropped row, from ``x0`` (a flat start by default).
+    The first estimate takes the layout's model from ``measmodel.compiled``,
+    which compiles a layout once per process; each re-estimate runs on that
+    model without the dropped rows, from ``x0`` (a flat start by default).
 
     Raises ObservabilityError if removal would fall below observability.
     """

@@ -15,6 +15,7 @@ State columns: [theta at non-slack buses, V at all buses].
 from __future__ import annotations
 
 import copy
+import threading
 from collections import defaultdict
 from enum import Enum
 from typing import Sequence
@@ -30,7 +31,7 @@ from .network import (
     build_topology,
 )
 
-__all__ = ["MeasKind", "MeasurementModel", "branch_flows"]
+__all__ = ["MeasKind", "MeasurementModel", "branch_flows", "compiled"]
 
 
 class MeasKind(str, Enum):
@@ -98,7 +99,9 @@ class MeasurementModel:
     and its derivatives by theta_i and V_i, then the same for Q. A flow is
     compiled only on a single live branch, whose yft is Ybus[i, j]
     exactly, so its derivatives by theta_j and V_j are edge terms.
-    ``evaluate`` computes the source and gathers h and H from it.
+    ``evaluate`` computes the source and gathers h and H from it. The
+    arrays are read-only, because ``compiled`` shares one model between
+    the callers of a layout.
     """
 
     def __init__(
@@ -182,7 +185,7 @@ class MeasurementModel:
         full = np.full((self.n_rows, 2 * n), zero, dtype=np.intp)
         for kind, (r, at) in rows.items():
             q = kind in (MeasKind.QINJ, MeasKind.QFLOW)
-            if kind is MeasKind.VM:
+            if kind == MeasKind.VM:
                 self.h_idx[r] = at
                 full[r, n + at] = self._src_len - 1
             elif kind not in _FLOWS:
@@ -197,13 +200,21 @@ class MeasurementModel:
         idx = np.concatenate([self.h_idx, self.jac_idx.ravel(), end_edge])
         if idx.size and not 0 <= idx.min() <= idx.max() < self._src_len:
             raise AssertionError("measurement model index outside its source vector")
+        # ``compiled`` shares one model between callers, so its arrays are
+        # read-only. np.take copies a read-only index array on every call,
+        # so ``evaluate`` gathers through writable twins of h_idx and jac_idx.
+        self._gather = self.h_idx, self.jac_idx
+        self.h_idx, self.jac_idx = self.h_idx.view(), self.jac_idx.view()
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def without(self, row: int) -> "MeasurementModel":
         """This model with one row of its layout deleted."""
         reduced = copy.copy(self)
         reduced.n_rows -= 1
-        reduced.h_idx = np.delete(self.h_idx, row)
-        reduced.jac_idx = np.delete(self.jac_idx, row, axis=0)
+        reduced._gather = np.delete(self.h_idx, row), np.delete(self.jac_idx, row, axis=0)
+        reduced.h_idx, reduced.jac_idx = reduced._gather
         return reduced
 
     def evaluate(
@@ -244,7 +255,46 @@ class MeasurementModel:
             )
         # mode='clip' lets take write straight into out, where the default
         # 'raise' fills a copy first; __init__ checked the indices.
-        h = np.take(src, self.h_idx, axis=1, out=h, mode="clip")
+        h_idx, jac_idx = self._gather
+        h = np.take(src, h_idx, axis=1, out=h, mode="clip")
         if jac is not None:
-            np.take(src, self.jac_idx, axis=1, out=jac, mode="clip")
+            np.take(src, jac_idx, axis=1, out=jac, mode="clip")
         return h, jac
+
+
+# The compiled models of recently used layouts, least recent first. The
+# bound exceeds the 21 (topology, layout) pairs one bdd workload unit
+# cycles through: an LRU smaller than a cyclic working set never hits.
+COMPILED_MAX = 64
+_compiled: dict[tuple, MeasurementModel] = {}
+_compiled_lock = threading.Lock()
+
+
+def compiled(
+    model: NetworkModel, topology: TopologyMatrix | None, entries: Sequence
+) -> MeasurementModel:
+    """``MeasurementModel(model, topology, entries)``, taken from a
+    per-process cache of the ``COMPILED_MAX`` most recently used layouts.
+    The key is all that the compile reads: the branches, the bus shunts,
+    the slack, the in-service flags and each entry's (kind, bus, branch);
+    values and sigmas are not part of it, so every caller of one layout
+    gets the same model. A layout that does not compile raises on every
+    call and is not kept."""
+    if topology is None:
+        topology = build_topology(model)
+    key = (
+        model.branches,
+        tuple(bus.b_shunt for bus in model.buses),
+        model.slack_index,
+        topology.in_service,
+        # Three flat tuples take a third of the memory of one per entry.
+        tuple(m.kind for m in entries),
+        tuple(m.bus for m in entries),
+        tuple(getattr(m, "branch", None) for m in entries),
+    )
+    with _compiled_lock:
+        mm = _compiled.pop(key, None) or MeasurementModel(model, topology, entries)
+        _compiled[key] = mm
+        if len(_compiled) > COMPILED_MAX:
+            del _compiled[next(iter(_compiled))]
+    return mm

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .measmodel import MeasKind, MeasurementModel, branch_flows
+from .measmodel import MeasKind, MeasurementModel, branch_flows, compiled
 from .network import BusKind, NetworkModel, TopologyMatrix, build_topology, connected_components
 
 __all__ = [
@@ -163,7 +163,7 @@ def solve(
     n = model.n_bus
     # Entries need only a kind and a bus; a plain power flow loads no ``estimation``.
     injections = [SimpleNamespace(kind=k, bus=b) for k in (MeasKind.PINJ, MeasKind.QINJ) for b in range(1, n + 1)]
-    mm = MeasurementModel(model, topology, injections)
+    mm = compiled(model, topology, injections)
     ybus = mm.ybus
     base = model.base_mva
 

@@ -237,7 +237,15 @@ def _segment_from_doc(doc: dict, origin: str) -> SegmentDescriptor:
             markers.append(parse_marker(token))
         except MarkerSyntaxError as exc:
             raise MarkerSyntaxError(f"{origin}: marker {k}: {exc}") from exc
-    display = {int(b): float(v) for b, v in doc.get("bus_display", {}).items()}
+    display: dict[int, float] = {}
+    for b, v in doc.get("bus_display", {}).items():
+        try:
+            display[int(b)] = float(v)
+        except (TypeError, ValueError):
+            raise MarkerSyntaxError(
+                f"{origin}: segment {doc['id']}: bus_display {b!r}: {v!r}: "
+                "expected a bus id and a voltage"
+            ) from None
     return SegmentDescriptor(id=str(doc["id"]), markers=tuple(markers), bus_display=display)
 
 

@@ -210,6 +210,14 @@ def test_sweep_requires_points(ieee14):
         sweep_stealth_range(ieee14, baseline, 2, n_points=1)
 
 
+@pytest.mark.parametrize("bus", [0, 15, 99])
+def test_sweep_rejects_a_bus_outside_the_case(ieee14, bus):
+    """Was a bare KeyError from ``MeasurementSet.index_of``."""
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    with pytest.raises(ValueError, match=rf"^bus {bus}: the case has buses 1\.\.14$"):
+        sweep_stealth_range(ieee14, baseline, bus, n_points=2)
+
+
 @pytest.mark.parametrize("bus", [2, 11])
 def test_batched_sweep_flags_equal_serial_solves(ieee14, bus):
     """Each of the 300 flags of the blocked, batched sweep is the one a

@@ -104,6 +104,24 @@ def test_sweep_cli_log_format(tmp_path):
     assert srows[1][1] == "Generator"
 
 
+def test_sweep_all_buses_estimates_the_baseline_once(tmp_path, monkeypatch):
+    """Every bus of ``--all-buses`` sweeps from one baseline estimate; the
+    sweep estimated it again for each of the 14 buses."""
+    from gridsec import attacks, estimation
+
+    calls = []
+
+    def spy(*args, wls=estimation.wls_estimate_ac, **kwargs):
+        calls.append(args)
+        return wls(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "wls_estimate_ac", spy)
+    monkeypatch.setattr(attacks, "wls_estimate_ac", spy)
+    argv = ["sweep", "--all-buses", "--points", "2", "--out", str(tmp_path / "log.csv")]
+    assert run([*argv, "--ranges-out", str(tmp_path / "ranges.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_jobs_is_rejected():
     """``--jobs`` was accepted and ignored by sweep and scenario run; it is
     gone, so passing it is a usage error."""
@@ -334,6 +352,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     list_seg = tmp_path / "list_seg"
     list_seg.mkdir()
     (list_seg / "seg1.json").write_text('["id"]')
+    bad_display = {}
+    for name, display in (("key", '{"x": 1.0}'), ("value", '{"12": "high"}')):
+        bad_display[name] = tmp_path / f"bad_display_{name}"
+        bad_display[name].mkdir()
+        (bad_display[name] / "seg1.json").write_text(
+            f'{{"id": "seg1", "markers": [], "bus_display": {display}}}'
+        )
     cases = [
         (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
@@ -378,6 +403,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
          f"{not_json_seg / 'seg1.json'}: not a JSON document"),
         (["som", "arrange", "--dir", str(list_seg)],
          f"{list_seg / 'seg1.json'}: segment document is not an object with an id"),
+        (["som", "arrange", "--dir", str(bad_display["key"])],
+         f"{bad_display['key'] / 'seg1.json'}: segment seg1: bus_display 'x': 1.0: "
+         "expected a bus id and a voltage"),
+        (["som", "arrange", "--dir", str(bad_display["value"])],
+         f"{bad_display['value'] / 'seg1.json'}: segment seg1: bus_display '12': 'high': "
+         "expected a bus id and a voltage"),
         (["chi2", "--df", "0"], "--df 0: expected at least 1"),
         (["chi2", "--df", "15", "--alpha", "2"], "--alpha 2.0: expected a number in (0, 1)"),
         (["estimate", "--measurements", str(malformed), "--delta", "0"],

@@ -80,8 +80,11 @@ def test_flow_on_open_branch_is_modelled_as_zero(ieee14):
 
 
 def test_estimation_convergence_delta_contract(ieee14, clean_measurements):
-    with pytest.raises(ValueError):
-        wls_estimate_ac(ieee14, clean_measurements, delta=0.0)
+    """A NaN tolerance used to run all 50 iterations and raise a
+    convergence error."""
+    for delta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"delta {delta}: expected a finite number above 0"):
+            wls_estimate_ac(ieee14, clean_measurements, delta=delta)
 
 
 def test_unobservable_raises(ieee14, clean_measurements):

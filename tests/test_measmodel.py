@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridsec import powerflow
+from gridsec import measmodel, powerflow
 from gridsec.estimation import (
     MeasKind,
     Measurement,
@@ -16,7 +16,7 @@ from gridsec.estimation import (
     measurements_from_state,
     wls_estimate_ac,
 )
-from gridsec.measmodel import MeasurementModel
+from gridsec.measmodel import COMPILED_MAX, MeasurementModel, compiled
 from gridsec.network import (
     Branch,
     Bus,
@@ -24,6 +24,7 @@ from gridsec.network import (
     NetworkModel,
     admittance,
     branch_admittances,
+    build_topology,
 )
 from gridsec.powerflow import bus_power, solve
 from gridsec.scenarios import generate_all
@@ -426,3 +427,80 @@ def test_evaluate_memory_per_state_is_linear_in_branches():
     bound = 8 * 64 * (n + len(chain.branches))
     assert bound < 8 * n * n
     assert peak / len(v) < bound, peak
+
+
+def test_estimates_of_one_layout_share_one_compiled_model(ieee14, telemetry):
+    """Values and sigmas are not part of the cache key."""
+    other = MeasurementSet(
+        [replace(m, value=m.value + 0.001, sigma=2 * m.sigma) for m in telemetry.entries]
+    )
+    first = wls_estimate_ac(ieee14, telemetry)
+    assert wls_estimate_ac(ieee14, other).measurement_model is first.measurement_model
+
+
+def test_a_change_the_compile_reads_gives_a_new_model(ieee14, telemetry):
+    """One branch's r, one bus shunt or one in-service flag is a new key."""
+    entries = telemetry.entries
+    mm = compiled(ieee14, None, entries)
+    line, bus9, topo = ieee14.branches[0], ieee14.bus(9), build_topology(ieee14)
+    for model, topology in (
+        (ieee14.with_branch(0, replace(line, r=2 * line.r)), None),
+        (ieee14.with_bus(9, replace(bus9, b_shunt=0.0)), None),
+        (ieee14, replace(topo, in_service=(False,) + topo.in_service[1:])),
+    ):
+        other = compiled(model, topology, entries)
+        assert other is not mm
+        assert not np.array_equal(other.ybus, mm.ybus)
+    assert compiled(ieee14, topo, entries) is mm
+
+
+@pytest.mark.parametrize("synthesize", [measurements_from_state, full_telemetry_from_state])
+def test_a_cached_model_equals_a_fresh_compile(ieee14, states, synthesize):
+    """On the injection layout and on full telemetry with flows, a cache
+    hit gives the h and H of a fresh compile bit for bit."""
+    v, theta = states
+    entries = synthesize(ieee14, v[0], theta[0]).entries
+    cached = compiled(ieee14, None, entries)
+    assert compiled(ieee14, None, entries) is cached
+    fresh = MeasurementModel(ieee14, None, entries)
+    assert np.array_equal(cached.h_idx, fresh.h_idx)
+    assert np.array_equal(cached.jac_idx, fresh.jac_idx)
+    h, jac = cached.evaluate(v, theta)
+    h_ref, jac_ref = fresh.evaluate(v, theta)
+    assert np.array_equal(h, h_ref) and np.array_equal(jac, jac_ref)
+
+
+def test_a_layout_that_does_not_compile_raises_every_time(ieee14, monkeypatch):
+    monkeypatch.setattr(measmodel, "_compiled", {})
+    entries = [Measurement(MeasKind.VM, 1.0, 0.01, bus=b) for b in (1, 2, 99)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^channel Vm bus 99: bus outside 1\.\.14$"):
+            compiled(ieee14, None, entries)
+    assert measmodel._compiled == {}
+
+
+def test_a_cached_model_is_read_only(ieee14, telemetry):
+    """Callers share a cached model, so none can write its arrays; a
+    model ``without`` a row has arrays of its own."""
+    mm = compiled(ieee14, None, telemetry.entries)
+    arrays = {name: a for name, a in vars(mm).items() if isinstance(a, np.ndarray)}
+    assert {"h_idx", "jac_idx", "ybus", "_g", "_b", "_yff"} <= set(arrays)
+    for a in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    reduced = mm.without(0)
+    reduced.jac_idx[0, 0] = reduced.jac_idx[0, 0]
+
+
+def test_the_cache_never_grows_past_its_bound(ieee14, monkeypatch):
+    monkeypatch.setattr(measmodel, "_compiled", {})
+    layouts = [
+        [Measurement(MeasKind.VM, 1.0, 0.01, bus=1)] * k for k in range(1, COMPILED_MAX + 6)
+    ]
+    models = []
+    for entries in layouts:
+        models.append(compiled(ieee14, None, entries))
+        assert len(measmodel._compiled) <= COMPILED_MAX
+    assert len(measmodel._compiled) == COMPILED_MAX
+    assert compiled(ieee14, None, layouts[-1]) is models[-1]
+    assert compiled(ieee14, None, layouts[0]) is not models[0]
