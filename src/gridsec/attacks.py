@@ -262,17 +262,25 @@ def sweep_stealth_range(
 
     ``base`` is ``wls_estimate_ac(model, baseline, delta=delta)``, which
     the sweep computes when it is None; a caller that sweeps several buses
-    of one baseline passes it to estimate the baseline once. A bus outside
-    1..n raises ValueError.
+    of one baseline passes it to estimate the baseline once. ValueError
+    names the argument when ``n_points`` < 2, ``bus`` is outside 1..n,
+    ``threshold`` is not finite, ``window`` has low > high, or ``nerc`` is
+    not two numbers with low <= high.
 
     The span containing the candidate nearest the original value is used;
     when the span is terminated by the band rather than by detection, the
     endpoint is clipped to the band edge exactly.
     """
     if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+        raise ValueError(f"n_points {n_points}: a sweep needs at least 2 points")
     if not 1 <= bus <= model.n_bus:
         raise ValueError(f"bus {bus}: the case has buses 1..{model.n_bus}")
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold {threshold}: expected a finite number")
+    if window[0] > window[1]:
+        raise ValueError(f"window {window}: expected low <= high")
+    if not nerc[0] <= nerc[1]:
+        raise ValueError(f"nerc {nerc}: expected two numbers with low <= high")
     idx = baseline.index_of(MeasKind.VM, bus)
     original = baseline.entries[idx].value
     grid = np.linspace(window[0], window[1], n_points)

@@ -3,9 +3,9 @@
 Exit codes: 0 success / nothing flagged, 1 an attack class or display
 violation was detected, 2 usage error: a missing or unknown option (from
 argparse), or an argument or input file the command cannot use (one
-``error:`` line). A measurement file ``estimate`` cannot estimate (WLS
-does not converge, the gain is singular or a value is not finite) and a
-``sweep`` candidate that does not converge are such inputs.
+``error:`` line). Each value is checked once, in the library function that
+uses it, which raises ValueError naming it; ``main`` maps any ValueError,
+an EstimationError included, to that line and exit 2.
 
 Each command imports the modules it uses when it runs, so a command
 loads no more of the package than it needs; ``som`` and ``chi2`` run
@@ -37,8 +37,8 @@ ATTACK_CLASSES = {"BadData", "StealthAttack", "FdiPostSe"}
 
 
 class UsageError(ValueError):
-    """An argument or input file the command cannot use: ``main`` prints
-    one ``error:`` line and exits 2."""
+    """An option combination or input only the command line can get wrong,
+    such as a missing ``--bus``; ``main`` maps it like any ValueError."""
 
 
 def _read_input(path: str, parse):
@@ -130,18 +130,16 @@ def cmd_estimate(args) -> int:
         wls_estimate_ac,
     )
 
-    if not 0.0 < args.delta < math.inf:
-        raise UsageError(f"--delta {args.delta}: expected a finite number above 0")
-    _check_alpha(args.alpha)
     model = _load_model(args.case)
     topo = _topology_for(args, model)
     ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
+    df = len(ms) - (2 * model.n_bus - 1)
+    tau = chi_square_threshold(max(df, 1), args.alpha)  # checks --alpha under --paper-compat too
+    tau = PAPER_CHI2_THRESHOLD if args.paper_compat else tau
     try:
         result = wls_estimate_ac(model, ms, delta=args.delta, topology=topo)
     except EstimationError as exc:
         raise UsageError(f"{args.measurements}: {exc}") from None
-    df = len(ms) - (2 * model.n_bus - 1)
-    tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(max(df, 1), args.alpha)
     verdict = bdd_classify(result, tau)
     doc = {
         "converged": result.converged,
@@ -196,16 +194,13 @@ def cmd_attack(args) -> int:
 
         record = post_se_baseline_record()
     if args.kind == "post-se":
-        try:
-            delta = StateDelta.from_changes(
-                record.n_bus,
-                dv=_parse_kv("--dv", args.dv),
-                dtheta_deg=_parse_kv("--dtheta", args.dtheta),
-                dp_mw=_parse_kv("--dp", args.dp),
-                dq_mvar=_parse_kv("--dq", args.dq),
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        delta = StateDelta.from_changes(
+            record.n_bus,
+            dv=_parse_kv("--dv", args.dv),
+            dtheta_deg=_parse_kv("--dtheta", args.dtheta),
+            dp_mw=_parse_kv("--dp", args.dp),
+            dq_mvar=_parse_kv("--dq", args.dq),
+        )
         corrupted = manipulate_state_vector(record, delta)
         _write_out(corrupted.to_csv(), args.out)
         return 0
@@ -234,19 +229,17 @@ def _parse_kv(option: str, items) -> dict[int, float]:
 
 
 def _parse_range(option: str, text: str) -> tuple[float, float]:
-    """``LOW,HIGH``: two finite numbers with LOW < HIGH."""
+    """``LOW,HIGH``: two numbers; ``sweep_stealth_range`` checks their values."""
     try:
         low, high = (float(x) for x in text.split(","))
     except ValueError:
-        low = high = math.nan
-    if not (math.isfinite(low) and math.isfinite(high) and low < high):
-        raise UsageError(f"{option} {text}: expected LOW,HIGH, two finite numbers with LOW < HIGH")
+        raise UsageError(f"{option} {text}: expected LOW,HIGH, two numbers") from None
     return low, high
 
 
 def cmd_sweep(args) -> int:
     from .attacks import SWEEP_DELTA, sweep_stealth_range
-    from .estimation import EstimationError, wls_estimate_ac
+    from .estimation import wls_estimate_ac
     from .fixtures import sweep_baseline_measurements
 
     model = _load_model(args.case)
@@ -254,30 +247,20 @@ def cmd_sweep(args) -> int:
         buses = list(range(1, model.n_bus + 1))
     elif args.bus is None:
         raise UsageError("provide --bus N or --all-buses")
-    elif not 1 <= args.bus <= model.n_bus:
-        raise UsageError(f"--bus {args.bus}: the case has buses 1..{model.n_bus}")
     else:
         buses = [args.bus]
-    if args.points < 2:
-        raise UsageError(f"--points {args.points}: a sweep needs at least 2 points")
-    if not math.isfinite(args.threshold):
-        raise UsageError(f"--threshold {args.threshold}: expected a finite number")
     window = _parse_range("--window", args.window)
     nerc = _parse_range("--nerc", args.nerc)
     baseline = sweep_baseline_measurements(model)
-
-    try:
-        base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
-        results = {
-            bus: sweep_stealth_range(
-                model, baseline, bus,
-                n_points=args.points, window=window, nerc=nerc,
-                threshold=args.threshold, base=base,
-            )
-            for bus in buses
-        }
-    except EstimationError as exc:
-        raise UsageError(str(exc)) from None
+    base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
+    results = {
+        bus: sweep_stealth_range(
+            model, baseline, bus,
+            n_points=args.points, window=window, nerc=nerc,
+            threshold=args.threshold, base=base,
+        )
+        for bus in buses
+    }
 
     log_buf = io.StringIO()
     log = csv.writer(log_buf, lineterminator="\n")
@@ -340,15 +323,10 @@ def cmd_detect(args) -> int:
     if args.config:
         config = _read_input(args.config, RuleConfig.from_file)
     baseline, snapshot = (_read_input(p, GridRecord.load) for p in (args.baseline, args.snapshot))
-    # A record that does not fit the model is a usage error too; the
-    # message names the record and the bus.
-    try:
-        report = run_pipeline(
-            baseline, snapshot, model,
-            baseline_stats=stats, config=config, paper_compat=args.paper_compat,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = run_pipeline(
+        baseline, snapshot, model,
+        baseline_stats=stats, config=config, paper_compat=args.paper_compat,
+    )
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n")
     sys.stdout.write(report.text)
@@ -386,15 +364,6 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_som(args) -> int:
-    # A segment set, constraint or arrangement the search cannot use raises
-    # ValueError or KeyError naming it.
-    try:
-        return _som(args)
-    except (ValueError, KeyError) as exc:
-        raise UsageError(exc.args[0] if exc.args else str(exc)) from None
-
-
-def _som(args) -> int:
     from .som import (
         GridArrangement,
         diff_against_reference,
@@ -456,17 +425,9 @@ def _som(args) -> int:
     raise AssertionError(args.action)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"--alpha {alpha}: expected a number in (0, 1)")
-
-
 def cmd_chi2(args) -> int:
-    if args.df < 1:
-        raise UsageError(f"--df {args.df}: expected at least 1")
-    _check_alpha(args.alpha)
-    tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(args.df, args.alpha)
-    print(f"{tau:.6f}")
+    tau = chi_square_threshold(args.df, args.alpha)  # checks both under --paper-compat too
+    print(f"{PAPER_CHI2_THRESHOLD if args.paper_compat else tau:.6f}")
     return 0
 
 
@@ -603,7 +564,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

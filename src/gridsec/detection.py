@@ -22,7 +22,7 @@ islands it is given. The rules loop over buses on Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -287,26 +287,29 @@ class RuleConfig:
 
     @classmethod
     def from_file(cls, path) -> "RuleConfig":
-        """Parse a flat key = value file (comments with '#')."""
+        """Parse a flat key = value file (comments with '#'). An unknown key
+        or a number that is not finite raises ValueError naming the line."""
         import pathlib
 
         cfg = cls()
-        for line in pathlib.Path(path).read_text().splitlines():
+        for no, line in enumerate(pathlib.Path(path).read_text().splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if not hasattr(cfg, key):
-                raise KeyError(f"unknown config key '{key}'")
+            if key not in {f.name for f in fields(cls)}:
+                raise ValueError(f"unknown config key '{key}' on line {no}")
             current = getattr(cfg, key)
             if isinstance(current, tuple):
                 setattr(cfg, key, tuple(int(x) for x in val.split(",") if x))
             elif isinstance(current, int) and not isinstance(current, bool):
                 setattr(cfg, key, int(val))
+            elif math.isfinite(value := float(val)):
+                setattr(cfg, key, value)
             else:
-                setattr(cfg, key, float(val))
+                raise ValueError(f"{key} = {val} on line {no}: expected a finite number")
         return cfg
 
 

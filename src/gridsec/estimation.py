@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 
-class EstimationError(RuntimeError):
-    pass
+class EstimationError(ValueError):
+    """Measurements WLS cannot estimate: bad input, so a ValueError."""
 
 
 class ObservabilityError(EstimationError):

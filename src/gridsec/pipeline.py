@@ -22,6 +22,7 @@ from .estimation import (
     DEFAULT_SIGMA_POWER,
     DEFAULT_SIGMA_VM,
     BddVerdict,
+    EstimationError,
     MeasurementSet,
     standard_layout,
     wls_estimate_ac,
@@ -111,7 +112,10 @@ def _bdd_for(
             j = float(source.extras["bdd_chi2"])
             return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=j)
     target = baseline if stage == "post-se" else record
-    result = wls_estimate_ac(model, measurements_from_record(target), delta=1e-6)
+    try:
+        result = wls_estimate_ac(model, measurements_from_record(target), delta=1e-6)
+    except EstimationError as exc:
+        raise type(exc)(f"record {target.source!r}: {exc}") from None
     return BddVerdict(
         flagged=result.j_value > threshold, threshold=threshold, j_value=result.j_value
     )
@@ -128,7 +132,8 @@ def run_pipeline(
 ) -> PipelineReport:
     """Estimation -> residual test -> features -> rules -> classification,
     with a deterministic JSON report and a readable text rendering. A record
-    that does not fit the model raises ValueError (see ``_check_record``)."""
+    that does not fit the model raises ValueError (see ``_check_record``),
+    and one WLS cannot estimate an EstimationError naming the record."""
     if model is None:
         model = build_ieee14()
     cfg = config or RuleConfig()

@@ -169,19 +169,26 @@ class GridRecord:
     def from_csv(cls, text: str) -> "GridRecord":
         """Parse the CSV ``to_csv`` writes. A malformed bus or branch row
         raises ValueError naming its line: a wrong column count, a value
-        that is not a number, or a breaker state other than Closed/Open."""
+        that is not a number, or a breaker state other than Closed/Open. So
+        does a header ``bdd_chi2`` that is not a finite number >= 0 and a
+        ``stage`` other than measurement or post-se."""
         lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if not lines:
             raise ValueError("empty record file")
         source = ""
         extras: dict[str, str | float] = {}
         if lines[0][1].startswith("#gridrecord"):
-            for part in lines.pop(0)[1].split(",")[1:]:
+            line, header = lines.pop(0)
+            for part in header.split(",")[1:]:
                 key, _, val = part.partition("=")
                 if key == "source":
                     source = val
-                else:
-                    extras[key] = _parse_extra(val)
+                    continue
+                extras[key] = value = _parse_extra(val)
+                if key == "bdd_chi2" and not (isinstance(value, float) and 0.0 <= value < math.inf):
+                    raise ValueError(f"record CSV line {line}: {part}: expected a finite number >= 0")
+                if key == "stage" and value not in ("measurement", "post-se"):
+                    raise ValueError(f"record CSV line {line}: {part}: expected measurement or post-se")
         rows = list(csv.reader(ln for _, ln in lines))
         if not rows or rows[0] != BUS_HEADER:
             raise ValueError(f"expected bus header {BUS_HEADER}")

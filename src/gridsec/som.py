@@ -23,6 +23,7 @@ Marker grammar (anchored regular expressions):
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -213,8 +214,9 @@ class SegmentDescriptor:
                     )
                 seen.add((m.i, m.j))
         for bus, v in self.bus_display.items():
-            if v <= 0:
-                raise ValueError(f"segment {self.id}: displayed voltage at bus {bus} must be positive")
+            if not 0 < v < math.inf:
+                raise ValueError(f"segment {self.id}: displayed voltage {v} at bus {bus}: "
+                                 "expected a finite number above 0")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -231,22 +233,30 @@ class SegmentDescriptor:
 def _segment_from_doc(doc: dict, origin: str) -> SegmentDescriptor:
     if not isinstance(doc, dict) or "id" not in doc:
         raise MarkerSyntaxError(f"{origin}: segment document is not an object with an id")
+    where = f"{origin}: segment {doc['id']}"
+    tokens, shown = doc.get("markers", []), doc.get("bus_display", {})
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise MarkerSyntaxError(f"{where}: markers {tokens!r}: expected a list of marker strings")
+    if not isinstance(shown, dict):
+        raise MarkerSyntaxError(f"{where}: bus_display {shown!r}: expected an object of bus voltages")
     markers = []
-    for k, token in enumerate(doc.get("markers", [])):
+    for k, token in enumerate(tokens):
         try:
             markers.append(parse_marker(token))
         except MarkerSyntaxError as exc:
             raise MarkerSyntaxError(f"{origin}: marker {k}: {exc}") from exc
     display: dict[int, float] = {}
-    for b, v in doc.get("bus_display", {}).items():
+    for b, v in shown.items():
         try:
             display[int(b)] = float(v)
         except (TypeError, ValueError):
             raise MarkerSyntaxError(
-                f"{origin}: segment {doc['id']}: bus_display {b!r}: {v!r}: "
-                "expected a bus id and a voltage"
+                f"{where}: bus_display {b!r}: {v!r}: expected a bus id and a voltage"
             ) from None
-    return SegmentDescriptor(id=str(doc["id"]), markers=tuple(markers), bus_display=display)
+    try:
+        return SegmentDescriptor(id=str(doc["id"]), markers=tuple(markers), bus_display=display)
+    except ValueError as exc:
+        raise MarkerSyntaxError(f"{origin}: {exc}") from None
 
 
 def parse_segments(sources: Iterable[str | Path | dict]) -> list[SegmentDescriptor]:
@@ -456,7 +466,7 @@ def solve_arrangement(
     by_seg: dict[str, list[tuple[str, tuple[int, int]]]] = {sid: [] for sid in ids}
     for c in spatial:
         if c.seg_a not in by_seg or c.seg_b not in by_seg:
-            raise KeyError(f"constraint references unknown segment: {c}")
+            raise ValueError(f"constraint references unknown segment: {c}")
         by_seg[c.seg_a].append((c.seg_b, c.offset))
         by_seg[c.seg_b].append((c.seg_a, (-c.offset[0], -c.offset[1])))
 
@@ -564,13 +574,17 @@ def diff_against_reference(
 
     Reports breaker status changes (with terminal-pair consistency),
     displayed-voltage deviations beyond ``volt_tol`` (relative), and
-    added/removed/changed direction or connection-point markers.
+    added/removed/changed direction or connection-point markers. Raises
+    ValueError unless ``volt_tol`` is a finite number >= 0 and every
+    candidate segment id is in the reference.
     """
+    if not 0.0 <= volt_tol < math.inf:
+        raise ValueError(f"volt_tol {volt_tol}: expected a finite number >= 0")
     ref_by_id = {s.id: s for s in reference}
     cand_by_id = {s.id: s for s in candidate}
     unknown = sorted(set(cand_by_id) - set(ref_by_id))
     if unknown:
-        raise KeyError(f"candidate contains unknown segment ids: {unknown}")
+        raise ValueError(f"candidate contains unknown segment ids: {unknown}")
 
     findings: list[Finding] = []
     cand_statuses = _cb_statuses(candidate)

@@ -93,9 +93,8 @@ def _wilson_hilferty(p: float, df: float) -> float:
 
 
 def _norm_ppf(p: float) -> float:
-    """Acklam rational approximation of the standard normal quantile."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
+    """Acklam rational approximation of the standard normal quantile, for
+    the p in (0, 1) that ``chi2_ppf`` has checked."""
     a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
          1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
     b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
@@ -156,9 +155,10 @@ def chi2_ppf(p: float, df: float) -> float:
 @functools.lru_cache(maxsize=256)
 def chi_square_threshold(df: int, alpha: float = 0.05) -> float:
     """Detection threshold: the (1 - alpha) chi-square quantile at df,
-    memoized per (df, alpha)."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
+    memoized per (df, alpha). Raises ValueError naming the argument unless
+    df >= 1 and 0 < alpha < 1."""
+    if not df >= 1:
+        raise ValueError(f"df {df}: expected at least 1")
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise ValueError(f"alpha {alpha}: expected a number in (0, 1)")
     return chi2_ppf(1.0 - alpha, float(df))

@@ -31,7 +31,7 @@ from gridsec.estimation import (
 )
 from gridsec.network import BreakerState, build_topology
 from gridsec.powerflow import solve
-from gridsec.stats import PAPER_CHI2_THRESHOLD
+from gridsec.stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +202,32 @@ def test_sweep_nerc_clipping(ieee14):
     rng, _ = sweep_stealth_range(ieee14, baseline, 11)
     assert not rng.empty
     assert rng.end == 1.05
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, b: chi_square_threshold(0, 0.05), "df 0: expected at least 1"),
+        (lambda m, b: chi_square_threshold(5, 0.0), r"alpha 0\.0: expected a number in \(0, 1\)"),
+        (lambda m, b: chi_square_threshold(5, 1.0), r"alpha 1\.0: expected a number in \(0, 1\)"),
+        (lambda m, b: chi_square_threshold(5, float("nan")), r"alpha nan: expected a number in \(0, 1\)"),
+        (lambda m, b: sweep_stealth_range(m, b, 2, threshold=float("nan")),
+         "threshold nan: expected a finite number"),
+        (lambda m, b: sweep_stealth_range(m, b, 2, nerc=(1.05, 0.95)),
+         r"nerc \(1\.05, 0\.95\): expected two numbers with low <= high"),
+        (lambda m, b: sweep_stealth_range(m, b, 2, window=(1.10, 0.95)),
+         r"window \(1\.1, 0\.95\): expected low <= high"),
+        (lambda m, b: sweep_stealth_range(m, b, 2, n_points=1),
+         "n_points 1: a sweep needs at least 2 points"),
+    ],
+    ids=["df-0", "alpha-0", "alpha-1", "alpha-nan", "threshold-nan", "nerc-reversed",
+         "window-reversed", "n_points-1"],
+)
+def test_library_rejects_a_bad_argument_naming_it(ieee14, call, message):
+    """Each value is checked in the function that uses it, so a library
+    caller gets the check the command line gets."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(ieee14, fx.sweep_baseline_measurements(ieee14))
 
 
 def test_sweep_requires_points(ieee14):

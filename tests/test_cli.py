@@ -196,10 +196,16 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
 
 def test_detect_reports_a_bad_config_or_stats_file_as_a_usage_error(tmp_path, fixture_dir, capsys):
     """Each of these printed a traceback (KeyError, ValueError,
-    JSONDecodeError, KeyError, FileNotFoundError twice); now one ``error:``
-    line names the file."""
+    JSONDecodeError, KeyError, FileNotFoundError twice, and for a NaN rule
+    constant ZeroDivisionError), or read a NaN constant and changed the
+    verdict; now one ``error:`` line names the file."""
     files = {
         "unknown_key.conf": ("--config", "no_such_key = 1\n", "unknown config key 'no_such_key'"),
+        "method_key.conf": ("--config", "from_file = 1\n", "unknown config key 'from_file' on line 1"),
+        "nan_dv.conf": ("--config", "# 1A pair\nzip_small_dv_frac = nan\n",
+                        "zip_small_dv_frac = nan on line 2: expected a finite number"),
+        "nan_dp.conf": ("--config", "zip_min_dp_frac = nan\n",
+                        "zip_min_dp_frac = nan on line 1: expected a finite number"),
         "not_a_number.conf": ("--config", "gradient_max = steep\n", "could not convert"),
         "malformed.json": ("--stats", '{"mu": [1', "Expecting"),
         "no_mu.json": ("--stats", '{"scale": [1]}', "baseline statistics lack key 'mu'"),
@@ -313,10 +319,12 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
 def test_usage_error_exit_code(tmp_path, capsys):
     """Missing arguments, options a command does not take, input files that
     are missing or malformed (measurement, case, record and segment files),
-    arguments out of range (sweep, attack post-se, estimate, chi2), a sweep
-    candidate and a measurement file that WLS does not converge (each was a
-    traceback, or a silently ignored option, and exit 1 or 0) exit 2, with
-    one ``error:`` line naming what is wrong."""
+    arguments out of range (sweep, attack post-se, estimate, chi2, som diff),
+    a sweep candidate and a measurement file that WLS does not converge, a
+    record whose header fields or dead island the detector cannot use, and
+    segment files of the wrong shape (each was a traceback, or a silently
+    ignored option, and exit 1 or 0) exit 2, with one ``error:`` line naming
+    what is wrong. The library checks the values; ``main`` maps the error."""
     for argv in (["estimate"], ["sweep", "--bus", "2", "--open", "2,4"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -341,6 +349,22 @@ def test_usage_error_exit_code(tmp_path, capsys):
     row = ms.index_of(MeasKind.PINJ, 7)
     diverging = tmp_path / "diverging.csv"
     diverging.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
+    well_formed = tmp_path / "well_formed.csv"
+    well_formed.write_text(measurements_to_csv(ms))
+    # The open breakers cut bus 14 off and solve leaves it NaN; the record
+    # has no stage, so detect re-estimates it (was an EstimationError
+    # traceback with exit 1).
+    solved, dead_island = tmp_path / "solved.csv", tmp_path / "dead_island.csv"
+    assert run(["solve", "--out", str(solved)]) == 0
+    assert run(["solve", "--open", "9,14", "--open", "13,14", "--out", str(dead_island)]) == 0
+    capsys.readouterr()
+    # bdd_chi2=nan and -5 classified Normal with exit 0, abc named neither
+    # file nor field, and stage=bogus was read as measurement.
+    headers = {}
+    body = solved.read_text().split("\n", 1)[1]
+    for field in ("bdd_chi2=nan", "bdd_chi2=-5", "bdd_chi2=abc", "stage=bogus"):
+        headers[field] = tmp_path / f"header_{len(headers)}.csv"
+        headers[field].write_text(f"#gridrecord,source=edited,{field}\n{body}")
     no_segments = tmp_path / "no_segments"
     no_segments.mkdir()
     bad_marker = tmp_path / "bad_marker"
@@ -359,6 +383,16 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (bad_display[name] / "seg1.json").write_text(
             f'{{"id": "seg1", "markers": [], "bus_display": {display}}}'
         )
+    # Each was an AttributeError or TypeError traceback, or (the NaN
+    # voltage) a segment the search accepted.
+    bad_shape = {}
+    for name, fields in (("bus_display", '"bus_display": [1]'), ("markers", '"markers": 5'),
+                         ("marker", '"markers": [5]'), ("voltage", '"bus_display": {"12": "nan"}')):
+        bad_shape[name] = tmp_path / f"bad_shape_{name}"
+        bad_shape[name].mkdir()
+        (bad_shape[name] / "seg1.json").write_text(f'{{"id": "seg1", {fields}}}')
+    fx.write_fixture_tree(tmp_path / "fx")
+    som_data = tmp_path / "fx" / "som"
     cases = [
         (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
@@ -368,11 +402,11 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["sweep", "--case", str(nosuch_case), "--bus", "2"], f"{nosuch_case}: No such file"),
         (["detect", "--case", str(not_json), "--baseline", "b.csv", "--snapshot", "s.csv"],
          f"{not_json}: Expecting value"),
-        (["sweep", "--points", "2", "--bus", "0"], "--bus 0: the case has buses 1..14"),
-        (["sweep", "--points", "2", "--bus", "99"], "--bus 99: the case has buses 1..14"),
+        (["sweep", "--points", "2", "--bus", "0"], "bus 0: the case has buses 1..14"),
+        (["sweep", "--points", "2", "--bus", "99"], "bus 99: the case has buses 1..14"),
         (["sweep", "--points", "2", "--bus", "2", "--window", "a,b"], "--window a,b: expected LOW,HIGH"),
         (["sweep", "--points", "2", "--bus", "2", "--nerc", "1"], "--nerc 1: expected LOW,HIGH"),
-        (["sweep", "--points", "1", "--bus", "2"], "--points 1: a sweep needs at least 2 points"),
+        (["sweep", "--points", "1", "--bus", "2"], "n_points 1: a sweep needs at least 2 points"),
         (["attack", "1a", "--open", "2,4"], "--open applies to attack stealth only"),
         (["attack", "topology", "--open", "2,4"], "--open applies to attack stealth only"),
         (["solve", "--open", "9,13"], "--open: no branch between buses 9 and 13"),
@@ -409,11 +443,34 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["som", "arrange", "--dir", str(bad_display["value"])],
          f"{bad_display['value'] / 'seg1.json'}: segment seg1: bus_display '12': 'high': "
          "expected a bus id and a voltage"),
-        (["chi2", "--df", "0"], "--df 0: expected at least 1"),
-        (["chi2", "--df", "15", "--alpha", "2"], "--alpha 2.0: expected a number in (0, 1)"),
-        (["estimate", "--measurements", str(malformed), "--delta", "0"],
-         "--delta 0.0: expected a finite number above 0"),
-        (["sweep", "--bus", "2", "--threshold", "nan"], "--threshold nan: expected a finite number"),
+        (["chi2", "--df", "0"], "df 0: expected at least 1"),
+        (["chi2", "--df", "15", "--alpha", "2"], "alpha 2.0: expected a number in (0, 1)"),
+        (["chi2", "--df", "0", "--paper-compat"], "df 0: expected at least 1"),
+        (["estimate", "--measurements", str(well_formed), "--delta", "0"],
+         "delta 0.0: expected a finite number above 0"),
+        (["estimate", "--measurements", str(well_formed), "--alpha", "0", "--paper-compat"],
+         "alpha 0.0: expected a number in (0, 1)"),
+        (["sweep", "--bus", "2", "--threshold", "nan"], "threshold nan: expected a finite number"),
+        (["sweep", "--bus", "2", "--window", "1.1,0.95"], "window (1.1, 0.95): expected low <= high"),
+        (["sweep", "--bus", "2", "--nerc", "nan,1.05"], "nerc (nan, 1.05): expected two numbers"),
+        (["detect", "--baseline", str(solved), "--snapshot", str(dead_island)],
+         "record 'powerflow': non-finite measurement on channel Vm bus 14"),
+        *(
+            (["detect", "--baseline", str(solved), "--snapshot", str(path)],
+             f"{path}: record CSV line 1: {field}: expected ")
+            for field, path in headers.items()
+        ),
+        (["som", "arrange", "--dir", str(bad_shape["bus_display"])],
+         f"{bad_shape['bus_display'] / 'seg1.json'}: segment seg1: bus_display [1]: expected"),
+        (["som", "arrange", "--dir", str(bad_shape["markers"])],
+         f"{bad_shape['markers'] / 'seg1.json'}: segment seg1: markers 5: expected"),
+        (["som", "arrange", "--dir", str(bad_shape["marker"])],
+         f"{bad_shape['marker'] / 'seg1.json'}: segment seg1: markers [5]: expected"),
+        (["som", "arrange", "--dir", str(bad_shape["voltage"])],
+         f"{bad_shape['voltage'] / 'seg1.json'}: segment seg1: displayed voltage nan at bus 12"),
+        (["som", "diff", "--reference", str(som_data / "reference"),
+          "--dir", str(som_data / "scenario3c"), "--volt-tol", "nan"],
+         "volt_tol nan: expected a finite number >= 0"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

@@ -413,7 +413,7 @@ def test_rule_config_from_file(tmp_path):
     assert cfg.entropy_min_count == 4
     bad = tmp_path / "bad.conf"
     bad.write_text("no_such_key = 1\n")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown config key 'no_such_key' on line 1$"):
         RuleConfig.from_file(bad)
 
 

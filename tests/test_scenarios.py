@@ -149,6 +149,25 @@ def test_bad_record_csv_row_names_its_line(line, row, error):
         GridRecord.from_csv("\n".join(lines))
 
 
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        ("bdd_chi2=nan", "a finite number >= 0"),
+        ("bdd_chi2=-5", "a finite number >= 0"),
+        ("bdd_chi2=abc", "a finite number >= 0"),
+        ("stage=bogus", "measurement or post-se"),
+    ],
+)
+def test_bad_record_header_field_names_line_and_field(field, expected):
+    """The detector reads ``bdd_chi2`` and ``stage``: a NaN or negative
+    chi-square classified Normal, and an unknown stage read as measurement."""
+    key = field.partition("=")[0]
+    header, body = fx.post_se_baseline_record().to_csv().split("\n", 1)
+    parts = [field if part.startswith(f"{key}=") else part for part in header.split(",")]
+    with pytest.raises(ValueError, match=f"^record CSV line 1: {field}: expected {expected}$"):
+        GridRecord.from_csv(",".join(parts) + "\n" + body)
+
+
 def test_fixture_tree_matches_builders(tmp_path):
     """The tree that `write_fixture_tree` materializes loads back to the
     records and segments the fixture functions return."""

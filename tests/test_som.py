@@ -410,5 +410,5 @@ def test_diff_marker_changes_reported():
 def test_diff_unknown_segment_rejected():
     ref = fx.som_reference_segments()
     stray = parse_segments([{"id": "seg99", "markers": [], "bus_display": {}}])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"unknown segment ids: \['seg99'\]"):
         diff_against_reference(ref, list(ref) + stray)
