@@ -236,7 +236,6 @@ def sweep_stealth_range(
     window: tuple[float, float] = (0.95, 1.10),
     nerc: tuple[float, float] = (0.95, 1.05),
     threshold: float = PAPER_CHI2_THRESHOLD,
-    delta: float = SWEEP_DELTA,
     base: EstimationResult | None = None,
 ) -> tuple[StealthRange, list[SweepPoint]]:
     """Replace one bus's voltage measurement with each grid candidate, run
@@ -260,7 +259,7 @@ def sweep_stealth_range(
     candidate gets. A candidate that it does not converge raises
     EstimationError naming the bus and the candidate.
 
-    ``base`` is ``wls_estimate_ac(model, baseline, delta=delta)``, which
+    ``base`` is ``wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)``, which
     the sweep computes when it is None; a caller that sweeps several buses
     of one baseline passes it to estimate the baseline once. ValueError
     names the argument when ``n_points`` < 2, ``bus`` is outside 1..n,
@@ -290,7 +289,7 @@ def sweep_stealth_range(
         )
 
     if base is None:
-        base = wls_estimate_ac(model, baseline, delta=delta)
+        base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
     mm = base.measurement_model
     sig = baseline.sigmas
     jac = base.jacobian
@@ -310,11 +309,11 @@ def sweep_stealth_range(
         for start in range(0, rows.size, SWEEP_BLOCK):
             rb = rows[start:start + SWEEP_BLOCK]
             vb, thb = start_of(rb)
-            back = chord_steps(mm, z[rb], sig, vb, thb, gain_inv, delta, SWEEP_CHORD_STEPS) == 0
+            back = chord_steps(mm, z[rb], sig, vb, thb, gain_inv, SWEEP_DELTA, SWEEP_CHORD_STEPS) == 0
             if back.any():
                 slow = rb[back]
                 vs, ths = warm(slow)
-                iterations = gauss_newton(mm, z[slow], sig, vs, ths, delta, WLS_MAX_ITER)
+                iterations = gauss_newton(mm, z[slow], sig, vs, ths, SWEEP_DELTA, WLS_MAX_ITER)
                 if not iterations.all():
                     cand = grid[slow[int(np.argmin(iterations))]]
                     raise EstimationError(
@@ -447,7 +446,8 @@ class StateDelta:
         dp_mw: dict[int, float] | None = None,
         dq_mvar: dict[int, float] | None = None,
     ) -> "StateDelta":
-        """Deltas keyed by bus id; a bus outside 1..``n_bus`` is a ValueError."""
+        """Deltas keyed by bus id; a bus outside 1..``n_bus`` or a value that
+        is not a finite number is a ValueError naming the field and the bus."""
         out = cls.zeros(n_bus)
         for name, target, src in (
             ("dv", out.dv, dv),
@@ -458,6 +458,8 @@ class StateDelta:
             for bus, val in (src or {}).items():
                 if not 1 <= bus <= n_bus:
                     raise ValueError(f"{name}: bus {bus} is outside buses 1..{n_bus}")
+                if not np.isfinite(val):
+                    raise ValueError(f"{name}: bus {bus} delta {val}: expected a finite number")
                 target[bus - 1] = val
         return out
 

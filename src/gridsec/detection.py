@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .findings import Finding, Rule, Severity
+from .network import BusKind, NetworkModel, build_ieee14
 from .records import BusSnapshot, GridRecord
 
 if TYPE_CHECKING:
@@ -164,11 +165,6 @@ class BaselineStats:
     )
 
     @property
-    def sigma(self) -> np.ndarray:
-        s = np.diag(self.scale)
-        return s @ self.cov_std @ s
-
-    @property
     def threshold(self) -> float:
         """Score above which a snapshot no longer looks like training data."""
         return self.train_max_maha * 1.1
@@ -283,12 +279,12 @@ class RuleConfig:
     volt_dev_violation: float = 0.05
     corr_shift_warn: float = 0.3
     corr_shift_violation: float = 0.5
-    generator_buses: tuple[int, ...] = (1, 2, 3, 6, 8)
 
     @classmethod
     def from_file(cls, path) -> "RuleConfig":
-        """Parse a flat key = value file (comments with '#'). An unknown key
-        or a number that is not finite raises ValueError naming the line."""
+        """Parse a flat key = value file (comments with '#'). An unknown key,
+        or a value that is not a finite number (an integer for an int field),
+        raises ValueError naming the line."""
         import pathlib
 
         cfg = cls()
@@ -301,15 +297,15 @@ class RuleConfig:
             val = val.strip()
             if key not in {f.name for f in fields(cls)}:
                 raise ValueError(f"unknown config key '{key}' on line {no}")
-            current = getattr(cfg, key)
-            if isinstance(current, tuple):
-                setattr(cfg, key, tuple(int(x) for x in val.split(",") if x))
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(cfg, key, int(val))
-            elif math.isfinite(value := float(val)):
-                setattr(cfg, key, value)
-            else:
+            cast = type(getattr(cfg, key))
+            try:
+                value = cast(val)
+            except ValueError:
+                expected = "an integer" if cast is int else "a number"
+                raise ValueError(f"{key} = {val} on line {no}: expected {expected}") from None
+            if not math.isfinite(value):
                 raise ValueError(f"{key} = {val} on line {no}: expected a finite number")
+            setattr(cfg, key, value)
         return cfg
 
 
@@ -326,22 +322,27 @@ def rule_battery(
     record: GridRecord,
     baseline: GridRecord,
     config: RuleConfig | None = None,
-    base_mva: float = 100.0,
+    model: NetworkModel | None = None,
     island_report: IslandRecordReport | None = None,
     snapshots: tuple[BusSnapshot, BusSnapshot] | None = None,
     features: FeatureVector | None = None,
 ) -> list[Finding]:
     """Evaluate every physics rule of a snapshot against its baseline, in a
-    fixed deterministic order. The IslandBalance rule reads
-    ``island_report``, found with ``analyze_record_islands`` when None.
-    ``snapshots`` are ``(record.snapshot(base_mva), baseline.snapshot(base_mva))``,
+    fixed deterministic order, on ``model`` (the 14-bus case when None):
+    RampRate judges its Slack and Generator buses, ZipViolation the others.
+    The IslandBalance rule reads ``island_report``, found with
+    ``analyze_record_islands`` when None. ``snapshots`` are
+    ``(record.snapshot(model.base_mva), baseline.snapshot(model.base_mva))``,
     built here when None. ``features`` are ``extract_features`` of the
     first; the CorrelationShift rule reads their correlations, or computes
     them when None."""
     cfg = config or RuleConfig()
+    if model is None:
+        model = build_ieee14()
+    generators = [b.id for b in model.buses if b.kind is not BusKind.LOAD]
     findings: list[Finding] = []
     if snapshots is None:
-        snapshots = (record.snapshot(base_mva), baseline.snapshot(base_mva))
+        snapshots = (record.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
     snap, base = snapshots
     # The rules loop over buses on Python floats; the elementwise
     # differences are the same IEEE operations as on the arrays.
@@ -366,7 +367,7 @@ def rule_battery(
                 )
 
     # RampRate: instantaneous output change at generator buses.
-    for b in cfg.generator_buses:
+    for b in generators:
         i = b - 1
         if i >= len(dp):
             continue
@@ -388,7 +389,7 @@ def rule_battery(
     # V or P is not finite in either record (a dead island) has none to judge.
     for i, (d_v, d_p) in enumerate(zip(dv, dp)):
         b = i + 1
-        if b in cfg.generator_buses or not (math.isfinite(d_v) and math.isfinite(d_p)):
+        if b in generators or not (math.isfinite(d_v) and math.isfinite(d_p)):
             continue
         if abs(bp[i]) < 1e-9:
             continue

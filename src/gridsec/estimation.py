@@ -75,7 +75,6 @@ class Measurement:
 @dataclass
 class MeasurementSet:
     entries: list[Measurement]
-    timestamp: str | None = None
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -95,13 +94,11 @@ class MeasurementSet:
     def replaced(self, index: int, value: float) -> "MeasurementSet":
         entries = list(self.entries)
         entries[index] = replace(entries[index], value=value)
-        return MeasurementSet(entries, self.timestamp)
+        return MeasurementSet(entries)
 
     def without(self, indices: Iterable[int]) -> "MeasurementSet":
         drop = set(indices)
-        return MeasurementSet(
-            [m for i, m in enumerate(self.entries) if i not in drop], self.timestamp
-        )
+        return MeasurementSet([m for i, m in enumerate(self.entries) if i not in drop])
 
     def index_of(self, kind: MeasKind, bus: int) -> int:
         for i, m in enumerate(self.entries):
@@ -141,6 +138,7 @@ class BddVerdict:
 DEFAULT_SIGMA_VM = 0.01
 DEFAULT_SIGMA_POWER = 0.02
 WLS_MAX_ITER = 50  # Gauss-Newton iterations of one WLS estimate
+WLS_DELTA = 1e-6  # step-norm tolerance of a WLS estimate by default
 
 
 def standard_layout(
@@ -184,14 +182,14 @@ def full_telemetry_from_state(
     v: np.ndarray,
     theta: np.ndarray,
     topology: TopologyMatrix | None = None,
-    sigma_vm: float = DEFAULT_SIGMA_VM,
-    sigma_power: float = DEFAULT_SIGMA_POWER,
     noise_rng: np.random.Generator | None = None,
 ) -> MeasurementSet:
     """Standard layout plus P/Q flow channels at both ends of every
     in-service branch: the redundancy level at which single gross errors
-    are reliably identifiable."""
-    return _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flows=True)
+    are reliably identifiable. Every channel has the default sigmas."""
+    return _synthesize(
+        model, v, theta, topology, DEFAULT_SIGMA_VM, DEFAULT_SIGMA_POWER, noise_rng, flows=True
+    )
 
 
 def _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flows):
@@ -312,12 +310,12 @@ def chord_steps(
 def wls_estimate_ac(
     model: NetworkModel,
     measurements: MeasurementSet,
-    delta: float = 1e-6,
+    delta: float = WLS_DELTA,
     topology: TopologyMatrix | None = None,
-    max_iter: int = WLS_MAX_ITER,
     x0: StateVector | None = None,
 ) -> EstimationResult:
-    """Gauss-Newton WLS over the AC measurement model.
+    """Gauss-Newton WLS over the AC measurement model, with at most
+    ``WLS_MAX_ITER`` iterations from ``x0`` (a flat start by default).
 
     Raises ValueError unless ``delta`` is a finite number above 0,
     EstimationError naming the channel when a measurement value or sigma
@@ -338,14 +336,13 @@ def wls_estimate_ac(
             f"non-finite measurement on channel {m.channel}: value {m.value}, sigma {m.sigma}"
         )
     mm = compiled(model, topology, measurements.entries)
-    return _estimate(mm, measurements, delta, max_iter, x0)
+    return _estimate(mm, measurements, delta, x0)
 
 
 def _estimate(
     mm: MeasurementModel,
     measurements: MeasurementSet,
     delta: float,
-    max_iter: int,
     x0: StateVector | None,
 ) -> EstimationResult:
     """``wls_estimate_ac`` on a compiled model of the measurements' layout."""
@@ -355,9 +352,9 @@ def _estimate(
     v = np.ones((1, n)) if x0 is None else x0.v.astype(float)[None].copy()
     theta = np.zeros((1, n)) if x0 is None else x0.theta.astype(float)[None].copy()
 
-    iterations = gauss_newton(mm, z, sig, v, theta, delta, max_iter)
+    iterations = gauss_newton(mm, z, sig, v, theta, delta, WLS_MAX_ITER)
     if not iterations[0]:
-        raise EstimationError(f"WLS did not converge in {max_iter} iterations")
+        raise EstimationError(f"WLS did not converge in {WLS_MAX_ITER} iterations")
 
     h_val, jac = mm.evaluate(v, theta)
     residuals = (z - h_val)[0]
@@ -525,22 +522,21 @@ def iterative_bad_data_removal(
     model: NetworkModel,
     measurements: MeasurementSet,
     threshold: float,
-    delta: float = 1e-6,
     topology: TopologyMatrix | None = None,
-    x0: StateVector | None = None,
 ) -> tuple[EstimationResult, list[int]]:
     """Estimate, drop the worst-normalized-residual channel while J exceeds
     the threshold, re-estimate. Returned indices refer to the original set.
     The first estimate takes the layout's model from ``measmodel.compiled``,
     which compiles a layout once per process; each re-estimate runs on that
-    model without the dropped rows, from ``x0`` (a flat start by default).
+    model without the dropped rows. Every estimate starts flat, with the
+    ``WLS_DELTA`` tolerance.
 
     Raises ObservabilityError if removal would fall below observability.
     """
     live = list(range(len(measurements)))
     removed: list[int] = []
     n_state = 2 * model.n_bus - 1
-    result = wls_estimate_ac(model, measurements, delta=delta, topology=topology, x0=x0)
+    result = wls_estimate_ac(model, measurements, topology=topology)
     while True:
         verdict = bdd_classify(result, threshold)
         if not verdict.flagged:
@@ -555,7 +551,6 @@ def iterative_bad_data_removal(
         result = _estimate(
             result.measurement_model.without(worst),
             result.measurements.without([worst]),
-            delta,
-            WLS_MAX_ITER,
-            x0,
+            WLS_DELTA,
+            None,
         )

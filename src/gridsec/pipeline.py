@@ -19,8 +19,6 @@ from .detection import (
     rule_battery,
 )
 from .estimation import (
-    DEFAULT_SIGMA_POWER,
-    DEFAULT_SIGMA_VM,
     BddVerdict,
     EstimationError,
     MeasurementSet,
@@ -36,6 +34,8 @@ if TYPE_CHECKING:
 
 __all__ = ["PipelineReport", "run_pipeline", "measurements_from_record"]
 
+BDD_ALPHA = 0.05  # false-alarm rate of the residual test on clean data
+
 
 @dataclass
 class PipelineReport:
@@ -47,16 +47,11 @@ class PipelineReport:
         return json.dumps(self.report, indent=2, sort_keys=True)
 
 
-def measurements_from_record(
-    record: GridRecord,
-    base_mva: float = 100.0,
-    sigma_vm: float = DEFAULT_SIGMA_VM,
-    sigma_power: float = DEFAULT_SIGMA_POWER,
-) -> MeasurementSet:
-    """Treat a record's bus table as the direct measurement channels
-    (power flipped into the injection convention)."""
+def measurements_from_record(record: GridRecord, base_mva: float) -> MeasurementSet:
+    """Treat a record's bus table as the direct measurement channels at the
+    default sigmas, power flipped into injections in p.u. of ``base_mva``."""
     v, _, p, q = record.arrays()
-    return MeasurementSet(standard_layout(v, -p / base_mva, -q / base_mva, sigma_vm, sigma_power))
+    return MeasurementSet(standard_layout(v, -p / base_mva, -q / base_mva))
 
 
 def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int]]:
@@ -113,7 +108,7 @@ def _bdd_for(
             return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=j)
     target = baseline if stage == "post-se" else record
     try:
-        result = wls_estimate_ac(model, measurements_from_record(target), delta=1e-6)
+        result = wls_estimate_ac(model, measurements_from_record(target, model.base_mva))
     except EstimationError as exc:
         raise type(exc)(f"record {target.source!r}: {exc}") from None
     return BddVerdict(
@@ -128,10 +123,11 @@ def run_pipeline(
     baseline_stats: BaselineStats | None = None,
     config: RuleConfig | None = None,
     paper_compat: bool = False,
-    alpha: float = 0.05,
 ) -> PipelineReport:
     """Estimation -> residual test -> features -> rules -> classification,
-    with a deterministic JSON report and a readable text rendering. A record
+    with a deterministic JSON report and a readable text rendering. The
+    residual test's threshold is the ``BDD_ALPHA`` chi-square quantile, or
+    the paper's under ``paper_compat``. A record
     that does not fit the model raises ValueError (see ``_check_record``),
     and one WLS cannot estimate an EstimationError naming the record."""
     if model is None:
@@ -144,7 +140,7 @@ def run_pipeline(
 
     m = 3 * model.n_bus
     df = m - (2 * model.n_bus - 1)
-    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(df, alpha)
+    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(df, BDD_ALPHA)
     bdd = _bdd_for(attacked, baseline, model, threshold)
 
     # One snapshot and one island search per record: the features and the
@@ -161,7 +157,7 @@ def run_pipeline(
 
     island_report = analyze_record_islands(attacked, cfg, islands=islands)
     findings = rule_battery(
-        attacked, baseline, cfg, base_mva=model.base_mva, island_report=island_report,
+        attacked, baseline, cfg, model=model, island_report=island_report,
         snapshots=snapshots, features=features,
     )
     verdict = classify(

@@ -31,6 +31,10 @@ class PowerFlowError(RuntimeError):
     pass
 
 
+NR_TOL = 1e-8  # largest p.u. mismatch of a converged island
+NR_MAX_ITER = 30  # Newton-Raphson iterations of one island solve
+
+
 @dataclass(frozen=True)
 class Island:
     buses: frozenset[int]
@@ -108,8 +112,6 @@ def _nr_island(
     q_sched: np.ndarray,
     v: np.ndarray,
     theta: np.ndarray,
-    tol: float,
-    max_iter: int,
 ) -> tuple[bool, int]:
     """Newton-Raphson on one island, updating v/theta in place.
 
@@ -126,10 +128,10 @@ def _nr_island(
     cols = np.concatenate([np.searchsorted(mm.angle_buses, ang_vars), n - 1 + np.array(pq, dtype=np.intp)])
     sched = np.concatenate([p_sched, q_sched])[rows]
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, NR_MAX_ITER + 1):
         h, jac = mm.evaluate(v[None], theta[None])
         mismatch = sched - h[0, rows]
-        if mismatch.size == 0 or np.max(np.abs(mismatch)) < tol:
+        if mismatch.size == 0 or np.max(np.abs(mismatch)) < NR_TOL:
             return True, it - 1
         jac = jac[0][np.ix_(rows, cols)]
         try:
@@ -143,14 +145,12 @@ def _nr_island(
             dx = dx * (0.25 / biggest)
         theta[ang_vars] += dx[:n_ang]
         v[pq] += dx[n_ang:]
-    return False, max_iter
+    return False, NR_MAX_ITER
 
 
 def solve(
     model: NetworkModel,
     topology: TopologyMatrix | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 30,
     enforce_q_limits: bool = True,
 ) -> PowerFlowSolution:
     """Newton-Raphson AC power flow per island.
@@ -217,9 +217,7 @@ def solve(
             eff_pv = [i for i in pv if i not in pq_limited]
             for i, qg in pq_limited.items():
                 eff_q[i] = (qg - model.buses[i].q_load) / base
-            ok, it = _nr_island(
-                mm, idx, slack_i, eff_pv, p_sched, eff_q, v, theta, tol, max_iter
-            )
+            ok, it = _nr_island(mm, idx, slack_i, eff_pv, p_sched, eff_q, v, theta)
             total_iter += it
             if not ok or not enforce_q_limits:
                 break

@@ -11,7 +11,6 @@ flagged instead of solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .network import (
     BreakerState,
@@ -215,5 +214,5 @@ def generate_scenario(model: NetworkModel, spec: ScenarioSpec) -> ScenarioOutcom
     return ScenarioOutcome(spec, scenario_model, topology, solution, record, note=note)
 
 
-def generate_all(model: NetworkModel, specs: Sequence[ScenarioSpec] = TABLE5_SCENARIOS) -> list[ScenarioOutcome]:
-    return [generate_scenario(model, spec) for spec in specs]
+def generate_all(model: NetworkModel) -> list[ScenarioOutcome]:
+    return [generate_scenario(model, spec) for spec in TABLE5_SCENARIOS]

@@ -302,6 +302,16 @@ class AdjacencyConstraint:
 class GridArrangement:
     cells: tuple[tuple[str, ...], ...]
 
+    def __post_init__(self) -> None:
+        """``cells`` as tuples; ValueError unless a list of lists of segment ids."""
+        rows = self.cells
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(isinstance(sid, str) for sid in row)
+            for row in rows
+        ):
+            raise ValueError(f"cells {rows!r}: expected a list of lists of segment ids")
+        object.__setattr__(self, "cells", tuple(map(tuple, rows)))
+
     @property
     def n(self) -> int:
         return len(self.cells)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +207,8 @@ def test_detect_reports_a_bad_config_or_stats_file_as_a_usage_error(tmp_path, fi
                         "zip_small_dv_frac = nan on line 2: expected a finite number"),
         "nan_dp.conf": ("--config", "zip_min_dp_frac = nan\n",
                         "zip_min_dp_frac = nan on line 1: expected a finite number"),
-        "not_a_number.conf": ("--config", "gradient_max = steep\n", "could not convert"),
+        "not_a_number.conf": ("--config", "gradient_max = steep\n",
+                              "gradient_max = steep on line 1: expected a number"),
         "malformed.json": ("--stats", '{"mu": [1', "Expecting"),
         "no_mu.json": ("--stats", '{"scale": [1]}', "baseline statistics lack key 'mu'"),
         "nosuch.conf": ("--config", None, "No such file or directory"),
@@ -253,7 +255,8 @@ def test_detect_reestimates_a_measurement_baseline_against_itself(fixture_dir, c
     run(["detect", "--baseline", str(base), "--snapshot", str(base)])
     out = capsys.readouterr().out
     record = GridRecord.load(base)
-    j = wls_estimate_ac(build_ieee14(), measurements_from_record(record), delta=1e-6).j_value
+    model = build_ieee14()
+    j = wls_estimate_ac(model, measurements_from_record(record, model.base_mva), delta=1e-6).j_value
     assert "chi2 = 42.8 " not in out
     assert f"Residual test: chi2 = {round(j, 6):g} vs threshold 24.9958" in out
 
@@ -297,6 +300,37 @@ def test_som_arrange_verify_diff(tmp_path, fixture_dir, capsys):
     assert code == 0
 
 
+def test_detect_scales_power_by_the_case_base(tmp_path):
+    """``detect --case`` with a 200 MVA case passes a clean solved record
+    against itself; the re-estimate scaled power by 100 MVA and printed
+    chi2 = 111.988 -> BAD DATA."""
+    case, record, out = tmp_path / "case200.json", tmp_path / "solved.csv", tmp_path / "v.json"
+    assert run(["case", "--out", str(case)]) == 0
+    doc = json.loads(case.read_text())
+    doc["base_mva"] = 200.0
+    case.write_text(json.dumps(doc))
+    assert run(["solve", "--case", str(case), "--out", str(record)]) == 0
+    assert run(["detect", "--case", str(case), "--baseline", str(record),
+                "--snapshot", str(record), "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["bdd"]["chi2"] < 1e-9 and not doc["bdd"]["flagged"]
+
+
+def test_readme_config_example_parses(tmp_path):
+    """The README's ``--config`` example is a file ``RuleConfig.from_file``
+    accepts, so it cannot drift from the config's fields."""
+    from gridsec.detection import RuleConfig
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("`--config FILE`", 1)[1].split("```\n", 2)[1]
+    conf = tmp_path / "example.conf"
+    conf.write_text(example)
+    cfg = RuleConfig.from_file(conf)
+    for line in example.splitlines():
+        key, _, val = line.partition("=")
+        assert getattr(cfg, key.strip()) == float(val)
+
+
 def test_chi2_command(capsys):
     assert run(["chi2", "--df", "71"]) == 0
     assert capsys.readouterr().out.strip().startswith("91.67")
@@ -318,8 +352,9 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
 
 def test_usage_error_exit_code(tmp_path, capsys):
     """Missing arguments, options a command does not take, input files that
-    are missing or malformed (measurement, case, record and segment files),
-    arguments out of range (sweep, attack post-se, estimate, chi2, som diff),
+    are missing or malformed (measurement, case, record, segment and
+    arrangement files), arguments out of range (sweep, attack post-se,
+    estimate, chi2, som diff),
     a sweep candidate and a measurement file that WLS does not converge, a
     record whose header fields or dead island the detector cannot use, and
     segment files of the wrong shape (each was a traceback, or a silently
@@ -339,6 +374,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     list_case.write_text("[]")
     int_buses = tmp_path / "int_buses.json"
     int_buses.write_text('{"buses": 3}')
+    int_cells = tmp_path / "int_cells.json"
+    int_cells.write_text('{"cells": 5}')
     from gridsec.estimation import MeasKind, measurements_from_state, measurements_to_csv
     from gridsec.network import build_ieee14
     from gridsec.powerflow import solve as pf_solve
@@ -424,7 +461,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["attack", "post-se", "--dq=-1=5"], "dq_mvar: bus -1 is outside buses 1..14"),
         (["attack", "post-se", "--dv", "4=abc"], "--dv 4=abc: expected BUS=VAL"),
         (["attack", "post-se", "--dv", "4"], "--dv 4: expected BUS=VAL"),
-        (["attack", "post-se", "--dtheta", "4=nan"], "--dtheta 4=nan: expected BUS=VAL"),
+        (["attack", "post-se", "--dtheta", "4=nan"],
+         "dtheta_deg: bus 4 delta nan: expected a finite number"),
         (["attack", "post-se", "--record", str(tmp_path / "nosuch.csv"), "--dv", "4=0.1"],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
         (["som", "verify", "--dir", str(no_segments)], "som verify needs --arrangement FILE"),
@@ -471,6 +509,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["som", "diff", "--reference", str(som_data / "reference"),
           "--dir", str(som_data / "scenario3c"), "--volt-tol", "nan"],
          "volt_tol nan: expected a finite number >= 0"),
+        (["som", "verify", "--dir", str(som_data / "reference"), "--arrangement", str(int_cells)],
+         f"{int_cells}: cells 5: expected a list of lists of segment ids"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,7 +349,7 @@ def _reference_zero_divide_rules(record, baseline, cfg):
                 if not cfg.sensitivity_low <= ratio <= cfg.sensitivity_high:
                     sens.append({"bus": i + 1, "ratio": float(ratio),
                                  "dp": float(dp[i]), "dv": float(dv[i])})
-        for b in cfg.generator_buses:
+        for b in (1, 2, 3, 6, 8):  # the 14-bus case's Slack and Generator buses
             if abs(base.p[b - 1]) >= cfg.ramp_min_base:
                 frac = dp[b - 1] / abs(base.p[b - 1])
                 zeros += base.p[b - 1] == 0
@@ -379,6 +381,29 @@ def test_zero_thresholds_keep_the_float64_division(cfg, counts):
         assert repr(got[Rule.RAMP_RATE]) == repr(ramp)
 
 
+def test_generator_rules_read_the_model_bus_kinds():
+    """RampRate judges the case's Slack and Generator buses and ZipViolation
+    the others: with bus 8 a Load bus in the case JSON, a 50 % power step
+    at constant voltage there is a ZIP violation, not a ramp."""
+    import json
+
+    from gridsec.network import model_from_json, model_to_json
+
+    doc = json.loads(model_to_json(build_ieee14()))
+    doc["buses"][7]["kind"] = "Load"
+    as_load = model_from_json(json.dumps(doc))
+    base = fx.post_se_baseline_record()
+    rows = [replace(r, p_mw=10.0) if r.bus == 8 else r for r in base.buses]
+    baseline = replace(base, buses=rows)
+    record = replace(base, buses=[replace(r, p_mw=15.0) if r.bus == 8 else r for r in rows])
+    for model, ramp, zip_ in ((build_ieee14(), True, False), (as_load, False, True)):
+        buses = {rule: {f.data["bus"] for f in rule_battery(record, baseline, model=model)
+                        if f.rule is rule}
+                 for rule in (Rule.RAMP_RATE, Rule.ZIP_VIOLATION)}
+        assert (8 in buses[Rule.RAMP_RATE]) is ramp
+        assert (8 in buses[Rule.ZIP_VIOLATION]) is zip_
+
+
 def test_rules_read_given_snapshots_and_features():
     """The pipeline hands the rules the snapshots and features it built;
     the findings are those the rules find by themselves."""
@@ -403,18 +428,22 @@ def test_rule_config_from_file(tmp_path):
         "# detector constants\n"
         "gradient_max = 0.03\n"
         "ramp_limit = 0.2\n"
-        "generator_buses = 1,2\n"
         "entropy_min_count = 4\n"
     )
     cfg = RuleConfig.from_file(cfg_file)
     assert cfg.gradient_max == 0.03
     assert cfg.ramp_limit == 0.2
-    assert cfg.generator_buses == (1, 2)
     assert cfg.entropy_min_count == 4
     bad = tmp_path / "bad.conf"
-    bad.write_text("no_such_key = 1\n")
-    with pytest.raises(ValueError, match="^unknown config key 'no_such_key' on line 1$"):
-        RuleConfig.from_file(bad)
+    # The generator buses come from the model's bus kinds, not the config.
+    for text, message in (
+        ("no_such_key = 1\n", "unknown config key 'no_such_key' on line 1"),
+        ("generator_buses = 1,2\n", "unknown config key 'generator_buses' on line 1"),
+        ("entropy_min_count = 3.5\n", "entropy_min_count = 3.5 on line 1: expected an integer"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RuleConfig.from_file(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridsec import estimation
 from gridsec.estimation import (
     EstimationError,
     MeasKind,
@@ -308,7 +309,7 @@ def test_estimation_converges_on_coordinated_attack_snapshot(ieee14):
     from gridsec.pipeline import measurements_from_record
 
     _, attacked = scenario_1b_records()
-    result = wls_estimate_ac(ieee14, measurements_from_record(attacked), delta=1e-6)
+    result = wls_estimate_ac(ieee14, measurements_from_record(attacked, ieee14.base_mva), delta=1e-6)
     assert result.converged
     assert result.iterations <= 30
 
@@ -334,9 +335,10 @@ def test_non_finite_input_fails_before_iterating(ieee14, solution, field, bad, c
         wls_estimate_ac(ieee14, MeasurementSet(entries))
 
 
-def test_non_convergence_raises(ieee14, clean_measurements):
+def test_non_convergence_raises(ieee14, clean_measurements, monkeypatch):
+    monkeypatch.setattr(estimation, "WLS_MAX_ITER", 1)
     with pytest.raises(EstimationError):
-        wls_estimate_ac(ieee14, clean_measurements, delta=1e-12, max_iter=1)
+        wls_estimate_ac(ieee14, clean_measurements, delta=1e-12)
 
 
 def test_removal_stops_at_observability_floor(ieee14, clean_measurements):

@@ -196,7 +196,7 @@ def test_post_se_scenarios_derive_from_baseline(ieee14):
                           ("scenario1b", fx.scenario_1b_records)):
         baseline, attacked = builder()
         assert baseline.to_csv().encode() == (fx.DATA_DIR / f"{name}_baseline.csv").read_bytes()
-        j = wls_estimate_ac(ieee14, measurements_from_record(attacked), delta=1e-8).j_value
+        j = wls_estimate_ac(ieee14, measurements_from_record(attacked, ieee14.base_mva), delta=1e-8).j_value
         attacked = replace(attacked, extras=dict(attacked.extras, recomputed_chi2=round(j, 6)))
         assert attacked.to_csv().encode() == (fx.DATA_DIR / f"{name}_attacked.csv").read_bytes()
     base = fx.post_se_baseline_record()
@@ -425,6 +425,19 @@ def test_pipeline_rejects_a_record_that_does_not_fit(ieee14, probe, message):
     }[probe]
     with pytest.raises(ValueError, match=re.escape(message)):
         run_pipeline(baseline, snapshot, ieee14, paper_compat=True)
+
+
+def test_pipeline_scales_power_by_the_model_base(ieee14):
+    """A clean solved record of a 200 MVA case against itself passes the
+    residual test: the re-estimate reads MW and Mvar on the model's base,
+    where a fixed 100 MVA gave J = 111.988 and BadData."""
+    from gridsec.powerflow import solve
+
+    model = replace(ieee14, base_mva=200.0)
+    record = GridRecord.from_solution(model, solve(model), source="solved-200")
+    report = run_pipeline(record, record, model)
+    assert report.verdict.bdd_chi2 < 1e-9 and not report.report["bdd"]["flagged"]
+    assert report.verdict.klass is VerdictClass.NORMAL
 
 
 def test_pipeline_accepts_nan_rows_of_a_dead_island(ieee14):
