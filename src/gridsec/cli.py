@@ -200,7 +200,7 @@ def cmd_attack(args) -> int:
             dp_mw=_parse_kv("--dp", args.dp),
             dq_mvar=_parse_kv("--dq", args.dq),
         )
-        corrupted = manipulate_state_vector(record, delta)
+        corrupted = manipulate_state_vector(record, delta, model)
         _write_out(corrupted.to_csv(), args.out)
         return 0
     if args.kind == "topology":

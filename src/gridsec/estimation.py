@@ -448,10 +448,10 @@ def normalized_residuals(result: EstimationResult) -> np.ndarray:
     w = 1.0 / sig**2
     gain = (h * w[:, None]).T @ h
     try:
-        cov = h @ np.linalg.solve(gain, h.T)
+        cov_diag = np.einsum("ij,ji->i", h, np.linalg.solve(gain, h.T))
     except np.linalg.LinAlgError:
-        cov = np.zeros((len(sig), len(sig)))
-    omega = sig**2 - np.diag(cov)
+        cov_diag = np.zeros(len(sig))
+    omega = sig**2 - cov_diag
     omega = np.clip(omega, 1e-12, None)
     return result.residuals / np.sqrt(omega)
 

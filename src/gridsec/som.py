@@ -77,7 +77,8 @@ class Direction(str, Enum):
 
     @property
     def complement(self) -> "Direction":
-        return _COMPLEMENT[self]
+        dr, dc = self.offset
+        return next(d for d in Direction if d.offset == (-dr, -dc))
 
 
 _OFFSETS = {
@@ -90,22 +91,13 @@ _OFFSETS = {
     Direction.SE: (1, 1),
     Direction.SW: (1, -1),
 }
-_COMPLEMENT = {
-    Direction.N: Direction.S,
-    Direction.S: Direction.N,
-    Direction.E: Direction.W,
-    Direction.W: Direction.E,
-    Direction.NE: Direction.SW,
-    Direction.SW: Direction.NE,
-    Direction.NW: Direction.SE,
-    Direction.SE: Direction.NW,
-}
 _EDGE_NAMES = {
     "north": Direction.N,
     "south": Direction.S,
     "east": Direction.E,
     "west": Direction.W,
 }
+_EDGE_OF = {d: name for name, d in _EDGE_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ class CpMarker:
         return f"CP{self.i}_{self.j}_{self.tag}"
 
     def render(self) -> str:
-        return f"{self.name}:{_edge_name(self.edge)}"
+        return f"{self.name}:{_EDGE_OF[self.edge]}"
 
 
 @dataclass(frozen=True)
@@ -159,12 +151,8 @@ Marker = CbMarker | LineDirMarker | CpMarker | LoadMarker
 
 _CB_RE = re.compile(r"^CB(\d+)_(\d+):(R|G)$")
 _LINE_RE = re.compile(r"^L(\d+)_(\d+)_(NE|NW|SE|SW|N|S|E|W)$")
-_CP_RE = re.compile(r"^CP(\d+)_(\d+)_([A-Za-z]):(north|south|east|west)$")
+_CP_RE = re.compile(r"^CP(\d+)_(\d+)_([A-D]):(north|south|east|west)$")
 _LOAD_RE = re.compile(r"^Ld_(\d+)$")
-
-
-def _edge_name(d: Direction) -> str:
-    return {v: k for k, v in _EDGE_NAMES.items()}[d]
 
 
 def parse_marker(text: str) -> Marker:
@@ -180,10 +168,7 @@ def parse_marker(text: str) -> Marker:
     if m := _CP_RE.match(token):
         i, j = int(m.group(1)), int(m.group(2))
         _check_line(i, j, token)
-        tag = m.group(3)
-        if tag not in ("A", "B", "C", "D"):
-            raise MarkerSyntaxError(f"connection-point tag must be A/B/C/D: '{token}'")
-        return CpMarker(i, j, tag, _EDGE_NAMES[m.group(4)])
+        return CpMarker(i, j, m.group(3), _EDGE_NAMES[m.group(4)])
     if m := _LOAD_RE.match(token):
         return LoadMarker(int(m.group(1)))
     # A CP without an allowed tag should report the tag, not generic syntax.
@@ -217,17 +202,6 @@ class SegmentDescriptor:
             if not 0 < v < math.inf:
                 raise ValueError(f"segment {self.id}: displayed voltage {v} at bus {bus}: "
                                  "expected a finite number above 0")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "markers": [m.render() for m in self.markers],
-                "bus_display": {str(b): v for b, v in sorted(self.bus_display.items())},
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _segment_from_doc(doc: dict, origin: str) -> SegmentDescriptor:
@@ -303,13 +277,16 @@ class GridArrangement:
     cells: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        """``cells`` as tuples; ValueError unless a list of lists of segment ids."""
+        """``cells`` as tuples; ValueError unless n rows of n segment ids."""
         rows = self.cells
         if not isinstance(rows, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) and all(isinstance(sid, str) for sid in row)
             for row in rows
         ):
             raise ValueError(f"cells {rows!r}: expected a list of lists of segment ids")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError(f"cells: row lengths {[len(row) for row in rows]}: "
+                             "expected n rows of n segment ids")
         object.__setattr__(self, "cells", tuple(map(tuple, rows)))
 
     @property
@@ -407,15 +384,11 @@ def generate_constraints(segments: Sequence[SegmentDescriptor]) -> list[Adjacenc
             break
 
     # Breaker terminal pairs: status must agree at both ends of a line.
-    cbs: dict[tuple[int, int], tuple[str, CbMarker]] = {}
-    for seg in segments:
-        for m in seg.markers:
-            if isinstance(m, CbMarker):
-                cbs[(m.i, m.j)] = (seg.id, m)
-    for (i, j), (seg_a, ma) in sorted(cbs.items()):
-        if i > j or (j, i) not in cbs:
+    breakers = _breakers(segments)
+    for (i, j), (seg_a, ma) in sorted(breakers.items()):
+        if i > j or (j, i) not in breakers:
             continue
-        seg_b, mb = cbs[(j, i)]
+        seg_b, mb = breakers[(j, i)]
         constraints.append(
             AdjacencyConstraint(
                 ConstraintKind.CB_TERMINAL_PAIR,
@@ -449,13 +422,30 @@ def _check_side_conflicts(constraints: Sequence[AdjacencyConstraint]) -> None:
             claims[key] = other
 
 
-def _cb_statuses(segments: Sequence[SegmentDescriptor]) -> dict[tuple[int, int], bool]:
-    out = {}
+def _breakers(segments: Sequence[SegmentDescriptor]) -> dict[tuple[int, int], tuple[str, CbMarker]]:
+    """Each breaker terminal (i, j) with the segment that draws it and its
+    marker. A terminal drawn twice raises ConstraintConflictError."""
+    out: dict[tuple[int, int], tuple[str, CbMarker]] = {}
     for seg in segments:
         for m in seg.markers:
             if isinstance(m, CbMarker):
-                out[(m.i, m.j)] = m.closed
+                if (m.i, m.j) in out:
+                    raise ConstraintConflictError(
+                        f"breaker {m.name} appears in segments {out[(m.i, m.j)][0]} and {seg.id}"
+                    )
+                out[(m.i, m.j)] = (seg.id, m)
     return out
+
+
+def _mismatched_mate(
+    breakers: dict[tuple[int, int], tuple[str, CbMarker]], line: tuple[int, int]
+) -> CbMarker | None:
+    """The breaker at the far terminal of ``line`` when both terminals are
+    drawn and show different statuses, else None."""
+    here, there = breakers.get(line), breakers.get((line[1], line[0]))
+    if here is None or there is None or here[1].closed == there[1].closed:
+        return None
+    return there[1]
 
 
 def solve_arrangement(
@@ -464,10 +454,11 @@ def solve_arrangement(
     n: int,
     max_solutions: int | None = None,
 ) -> list[GridArrangement]:
-    """All N x N placements satisfying every constraint, by backtracking
-    with most-constrained-cell-first ordering. Output is sorted
-    lexicographically by the flattened cell assignment; an empty list means
-    the constraint set is unsatisfiable."""
+    """All N x N placements satisfying every constraint, by depth-first
+    search that fills the cells in row-major order and tries segment ids
+    in sorted order. The solutions come in lexicographic order of the
+    flattened cell assignment, so ``max_solutions=k`` returns the first k;
+    an empty list means the constraint set is unsatisfiable."""
     ids = sorted(s.id for s in segments)
     if len(ids) != n * n:
         raise ValueError(f"{len(ids)} segments cannot fill a {n}x{n} grid")
@@ -480,8 +471,7 @@ def solve_arrangement(
         by_seg[c.seg_a].append((c.seg_b, c.offset))
         by_seg[c.seg_b].append((c.seg_a, (-c.offset[0], -c.offset[1])))
 
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    grid: dict[tuple[int, int], str] = {}
+    # Segment -> cell, in the order the cells were filled (row-major).
     placed: dict[str, tuple[int, int]] = {}
     solutions: list[tuple[str, ...]] = []
 
@@ -492,53 +482,28 @@ def solve_arrangement(
             if other in placed:
                 if placed[other] != target:
                     return False
-            else:
-                if not (0 <= target[0] < n and 0 <= target[1] < n):
-                    return False
-                if target in grid:
-                    return False
+            # Every cell before this one in row-major order is filled.
+            elif not (0 <= target[0] < n and 0 <= target[1] < n) or target < cell:
+                return False
         return True
-
-    def next_cell() -> tuple[int, int] | None:
-        best = None
-        best_score = -1
-        for cell in cells:
-            if cell in grid:
-                continue
-            score = 0
-            r, c = cell
-            for sid, pos in placed.items():
-                for _other, (dr, dc) in by_seg[sid]:
-                    if (pos[0] + dr, pos[1] + dc) == cell:
-                        score += 1
-            if score > best_score:
-                best, best_score = cell, score
-        return best
 
     def backtrack() -> bool:
         """Returns True when the solution cap has been hit."""
         if len(placed) == len(ids):
-            flat = tuple(grid[cell] for cell in cells)
-            solutions.append(flat)
+            solutions.append(tuple(placed))
             return max_solutions is not None and len(solutions) >= max_solutions
-        cell = next_cell()
-        assert cell is not None
+        cell = divmod(len(placed), n)
         for sid in ids:
-            if sid in placed:
+            if sid in placed or not candidate_ok(sid, cell):
                 continue
-            if not candidate_ok(sid, cell):
-                continue
-            grid[cell] = sid
             placed[sid] = cell
             done = backtrack()
-            del grid[cell]
             del placed[sid]
             if done:
                 return True
         return False
 
     backtrack()
-    solutions.sort()
     return [
         GridArrangement(tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n)))
         for flat in solutions
@@ -559,13 +524,11 @@ def verify_arrangement(
     ids = {s.id for s in segments}
     if set(positions) != ids:
         raise ValueError("arrangement does not cover the segment set exactly")
-    statuses = _cb_statuses(segments)
+    breakers = _breakers(segments)
     violated: list[AdjacencyConstraint] = []
     for c in constraints:
         if c.offset is None:
-            a = statuses.get(c.line)
-            b = statuses.get((c.line[1], c.line[0]))
-            if a is not None and b is not None and a != b:
+            if _mismatched_mate(breakers, c.line) is not None:
                 violated.append(c)
             continue
         ra, ca = positions[c.seg_a]
@@ -575,6 +538,21 @@ def verify_arrangement(
     return (not violated, violated)
 
 
+def _added_removed(sid: str, what: str, ref: Iterable, cand: Iterable, key: str) -> list[Finding]:
+    """A MarkerChange warning for each item of ``ref`` or ``cand`` that the
+    other lacks, in sorted order."""
+    ref, cand = set(ref), set(cand)
+    return [
+        Finding(
+            Rule.MARKER_CHANGE,
+            Severity.WARNING,
+            f"segment {sid}: {what} {item} {'added' if item in cand else 'removed'}",
+            {"segment": sid, key: item},
+        )
+        for item in sorted(ref ^ cand)
+    ]
+
+
 def diff_against_reference(
     reference: Sequence[SegmentDescriptor],
     candidate: Sequence[SegmentDescriptor],
@@ -582,11 +560,14 @@ def diff_against_reference(
 ) -> list[Finding]:
     """Compare a candidate display against the reference segment set.
 
-    Reports breaker status changes (with terminal-pair consistency),
-    displayed-voltage deviations beyond ``volt_tol`` (relative), and
-    added/removed/changed direction or connection-point markers. Raises
-    ValueError unless ``volt_tol`` is a finite number >= 0 and every
-    candidate segment id is in the reference.
+    Reports, per segment: added and removed breaker markers, breaker
+    status changes (with terminal-pair consistency), added and removed
+    other markers (direction, connection point, load), added and removed
+    displayed values, and displayed-voltage deviations beyond ``volt_tol``
+    (relative). Raises ValueError unless ``volt_tol`` is a finite number
+    >= 0 and every candidate segment id is in the reference, and
+    ConstraintConflictError when the candidate draws a breaker terminal
+    twice.
     """
     if not 0.0 <= volt_tol < math.inf:
         raise ValueError(f"volt_tol {volt_tol}: expected a finite number >= 0")
@@ -597,7 +578,7 @@ def diff_against_reference(
         raise ValueError(f"candidate contains unknown segment ids: {unknown}")
 
     findings: list[Finding] = []
-    cand_statuses = _cb_statuses(candidate)
+    cand_breakers = _breakers(candidate)
 
     for sid in sorted(ref_by_id):
         ref = ref_by_id[sid]
@@ -615,76 +596,40 @@ def diff_against_reference(
 
         ref_cbs = {m.name: m for m in ref.markers if isinstance(m, CbMarker)}
         cand_cbs = {m.name: m for m in cand.markers if isinstance(m, CbMarker)}
-        for name in sorted(set(ref_cbs) | set(cand_cbs)):
-            rm, cm = ref_cbs.get(name), cand_cbs.get(name)
-            if rm is None or cm is None:
-                findings.append(
-                    Finding(
-                        Rule.MARKER_CHANGE,
-                        Severity.WARNING,
-                        f"segment {sid}: breaker marker {name} "
-                        f"{'added' if rm is None else 'removed'}",
-                        {"segment": sid, "marker": name},
-                    )
-                )
+        findings += _added_removed(sid, "breaker marker", ref_cbs, cand_cbs, "marker")
+        for name in sorted(ref_cbs.keys() & cand_cbs.keys()):
+            rm, cm = ref_cbs[name], cand_cbs[name]
+            if rm.closed == cm.closed:
                 continue
-            if rm.closed != cm.closed:
-                mate = cand_statuses.get((cm.j, cm.i))
-                pair_note = ""
-                if mate is not None and mate != cm.closed:
-                    pair_note = (
-                        f"; terminal pair mismatch: {name} is "
-                        f"{'closed' if cm.closed else 'open'} while CB{cm.j}_{cm.i} is "
-                        f"{'closed' if mate else 'open'} on the same line"
-                    )
-                findings.append(
-                    Finding(
-                        Rule.BREAKER_STATUS_CHANGE,
-                        Severity.VIOLATION,
-                        f"segment {sid}: {name} changed "
-                        f"{'Red (closed)' if rm.closed else 'Green (open)'} -> "
-                        f"{'Red (closed)' if cm.closed else 'Green (open)'}{pair_note}",
-                        {"segment": sid, "breaker": name, "line_i": cm.i, "line_j": cm.j,
-                         "reference": "Closed" if rm.closed else "Open",
-                         "observed": "Closed" if cm.closed else "Open"},
-                    )
+            mate = _mismatched_mate(cand_breakers, (cm.i, cm.j))
+            pair_note = ""
+            if mate is not None:
+                pair_note = (
+                    f"; terminal pair mismatch: {name} is "
+                    f"{'closed' if cm.closed else 'open'} while {mate.name} is "
+                    f"{'closed' if mate.closed else 'open'} on the same line"
                 )
-
-        ref_rest = {m.render() for m in ref.markers if isinstance(m, (LineDirMarker, CpMarker))}
-        cand_rest = {m.render() for m in cand.markers if isinstance(m, (LineDirMarker, CpMarker))}
-        for token in sorted(ref_rest - cand_rest):
             findings.append(
                 Finding(
-                    Rule.MARKER_CHANGE,
-                    Severity.WARNING,
-                    f"segment {sid}: marker {token} removed",
-                    {"segment": sid, "marker": token},
-                )
-            )
-        for token in sorted(cand_rest - ref_rest):
-            findings.append(
-                Finding(
-                    Rule.MARKER_CHANGE,
-                    Severity.WARNING,
-                    f"segment {sid}: marker {token} added",
-                    {"segment": sid, "marker": token},
+                    Rule.BREAKER_STATUS_CHANGE,
+                    Severity.VIOLATION,
+                    f"segment {sid}: {name} changed "
+                    f"{'Red (closed)' if rm.closed else 'Green (open)'} -> "
+                    f"{'Red (closed)' if cm.closed else 'Green (open)'}{pair_note}",
+                    {"segment": sid, "breaker": name, "line_i": cm.i, "line_j": cm.j,
+                     "reference": "Closed" if rm.closed else "Open",
+                     "observed": "Closed" if cm.closed else "Open"},
                 )
             )
 
-        for bus in sorted(set(ref.bus_display) | set(cand.bus_display)):
-            rv = ref.bus_display.get(bus)
-            cv = cand.bus_display.get(bus)
-            if rv is None or cv is None:
-                findings.append(
-                    Finding(
-                        Rule.MARKER_CHANGE,
-                        Severity.WARNING,
-                        f"segment {sid}: displayed value for bus {bus} "
-                        f"{'added' if rv is None else 'removed'}",
-                        {"segment": sid, "bus": bus},
-                    )
-                )
-                continue
+        ref_rest = {m.render() for m in ref.markers if not isinstance(m, CbMarker)}
+        cand_rest = {m.render() for m in cand.markers if not isinstance(m, CbMarker)}
+        findings += _added_removed(sid, "marker", ref_rest, cand_rest, "marker")
+
+        findings += _added_removed(sid, "displayed value for bus", ref.bus_display,
+                                   cand.bus_display, "bus")
+        for bus in sorted(ref.bus_display.keys() & cand.bus_display.keys()):
+            rv, cv = ref.bus_display[bus], cand.bus_display[bus]
             rel = abs(cv - rv) / rv
             if rel > volt_tol:
                 findings.append(

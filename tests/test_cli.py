@@ -300,6 +300,18 @@ def test_som_arrange_verify_diff(tmp_path, fixture_dir, capsys):
     assert code == 0
 
 
+def test_display_commands_match_the_benchmark_references(capsys):
+    """The display commands and ``chi2`` print what the benchmark's cli
+    workload recorded, byte for byte, with the same exit code."""
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+                       / "cli.json").read_text())
+    for name in ("som-arrange", "som-verify", "som-diff-3b", "som-diff-3c", "chi2"):
+        ref = refs[name]
+        argv = [arg.replace("{data}", str(fx.DATA_DIR)) for arg in ref["argv"]]
+        assert run(argv) == ref["returncode"], name
+        assert capsys.readouterr().out == ref["stdout"], name
+
+
 def test_detect_scales_power_by_the_case_base(tmp_path):
     """``detect --case`` with a 200 MVA case passes a clean solved record
     against itself; the re-estimate scaled power by 100 MVA and printed
@@ -353,8 +365,9 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
 def test_usage_error_exit_code(tmp_path, capsys):
     """Missing arguments, options a command does not take, input files that
     are missing or malformed (measurement, case, record, segment and
-    arrangement files), arguments out of range (sweep, attack post-se,
-    estimate, chi2, som diff),
+    arrangement files, an arrangement that is not n rows of n ids), arguments
+    out of range (sweep, attack post-se and its slack row, estimate, chi2,
+    som diff),
     a sweep candidate and a measurement file that WLS does not converge, a
     record whose header fields or dead island the detector cannot use, and
     segment files of the wrong shape (each was a traceback, or a silently
@@ -376,6 +389,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
     int_buses.write_text('{"buses": 3}')
     int_cells = tmp_path / "int_cells.json"
     int_cells.write_text('{"cells": 5}')
+    # A 2x2 display given as one row of four ids printed PASS with exit 0.
+    two_by_two = tmp_path / "two_by_two"
+    two_by_two.mkdir()
+    for sid, markers in (("seg1", '["L1_2_E"]'), ("seg2", '["L2_1_W"]'), ("seg3", "[]"),
+                         ("seg4", "[]")):
+        (two_by_two / f"{sid}.json").write_text(f'{{"id": "{sid}", "markers": {markers}}}')
+    one_row = tmp_path / "one_row.json"
+    one_row.write_text('{"cells": [["seg1", "seg2", "seg3", "seg4"]]}')
     from gridsec.estimation import MeasKind, measurements_from_state, measurements_to_csv
     from gridsec.network import build_ieee14
     from gridsec.powerflow import solve as pf_solve
@@ -511,6 +532,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
          "volt_tol nan: expected a finite number >= 0"),
         (["som", "verify", "--dir", str(som_data / "reference"), "--arrangement", str(int_cells)],
          f"{int_cells}: cells 5: expected a list of lists of segment ids"),
+        (["som", "verify", "--dir", str(two_by_two), "--arrangement", str(one_row)],
+         f"{one_row}: cells: row lengths [4]: expected n rows of n segment ids"),
+        # The slack row was rewritten (v_pu 1.11 at bus 1) with exit 0.
+        (["attack", "post-se", "--dv", "1=0.05"], "slack entry of dv must be zero"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

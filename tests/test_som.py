@@ -6,6 +6,7 @@ import pytest
 from gridsec import fixtures as fx
 from gridsec.detection import Rule, Severity
 from gridsec.som import (
+    AdjacencyConstraint,
     CbMarker,
     ConstraintConflictError,
     ConstraintKind,
@@ -233,6 +234,14 @@ def test_unguided_arrangement_fails_verification():
     assert len(violated) >= 3
 
 
+def test_arrangement_must_be_square():
+    """A 2x2 display given as one row of four ids passed verification."""
+    for cells in ((("seg1", "seg2", "seg3", "seg4"),), (("a", "b"), ("c",))):
+        with pytest.raises(ValueError, match=r"expected n rows of n segment ids"):
+            GridArrangement(cells)
+    assert GridArrangement([["a", "b"], ["c", "d"]]).n == 2
+
+
 def test_unsatisfiable_constraints_yield_empty_list():
     # A three-segment eastward chain cannot fit a 2x2 grid.
     segs = parse_segments(
@@ -293,6 +302,21 @@ def test_two_by_two_matches_brute_force():
             if ok:
                 expected.add(perm)
         assert got == expected
+
+
+def test_solutions_come_in_lexicographic_order():
+    """Row-major search over sorted ids yields the solutions sorted by the
+    flattened assignment, so a cap of k keeps the first k. The 3x3 list is
+    capped at 200: an unconstrained 3x3 instance has 9! solutions."""
+    rng = np.random.default_rng(11)
+    for n, cap in ((2, None), (3, 200)):
+        for _ in range(30):
+            segs, cons = _random_instance(rng, n=n)
+            sols = [s.flat() for s in solve_arrangement(segs, cons, n, max_solutions=cap)]
+            assert sols == sorted(sols)
+            for k in (1, 3, 7):
+                capped = solve_arrangement(segs, cons, n, max_solutions=k)
+                assert [s.flat() for s in capped] == sols[:k]
 
 
 def test_direction_complement_involution():
@@ -412,3 +436,52 @@ def test_diff_unknown_segment_rejected():
     stray = parse_segments([{"id": "seg99", "markers": [], "bus_display": {}}])
     with pytest.raises(ValueError, match=r"unknown segment ids: \['seg99'\]"):
         diff_against_reference(ref, list(ref) + stray)
+
+
+def _with_markers(segments, changes):
+    """Segment documents of ``segments`` with ``changes[id]`` applied to the
+    rendered marker list of each named segment."""
+    docs = []
+    for seg in segments:
+        tokens = [m.render() for m in seg.markers]
+        docs.append({"id": seg.id, "markers": changes.get(seg.id, lambda t: t)(tokens),
+                     "bus_display": {str(b): v for b, v in seg.bus_display.items()}})
+    return parse_segments(docs)
+
+
+def test_duplicated_breaker_terminal_conflicts():
+    """A breaker terminal drawn by two segments is a conflict in either
+    segment order (the last segment drawn used to win)."""
+    docs = [
+        {"id": "a", "markers": ["CB6_13:G"], "bus_display": {}},
+        {"id": "b", "markers": ["CB6_13:R"], "bus_display": {}},
+        {"id": "c", "markers": ["CB13_6:R"], "bus_display": {}},
+        {"id": "d", "markers": [], "bus_display": {}},
+    ]
+    pair = AdjacencyConstraint(ConstraintKind.CB_TERMINAL_PAIR, "a", "c", None, (6, 13))
+    arrangement = GridArrangement((("a", "b"), ("c", "d")))
+    for order in (docs, [docs[1], docs[0], *docs[2:]]):
+        segs = parse_segments(order)
+        with pytest.raises(ConstraintConflictError, match="CB6_13 appears in segments"):
+            generate_constraints(segs)
+        with pytest.raises(ConstraintConflictError, match="CB6_13 appears in segments"):
+            verify_arrangement(arrangement, segs, [pair])
+
+    ref = fx.som_reference_segments()
+    cand = _with_markers(ref, {"seg5": lambda tokens: tokens + ["CB6_13:R"]})
+    for order in (cand, cand[::-1]):
+        with pytest.raises(ConstraintConflictError, match="CB6_13 appears in segments"):
+            diff_against_reference(ref, order)
+
+
+def test_diff_reports_load_markers():
+    """An added or removed load symbol is one MarkerChange warning."""
+    ref = fx.som_reference_segments()
+    seg = next(s for s in ref if LoadMarker(4) in s.markers)
+    for change, token, verb in (
+        (lambda tokens: [t for t in tokens if t != "Ld_4"], "Ld_4", "removed"),
+        (lambda tokens: tokens + ["Ld_99"], "Ld_99", "added"),
+    ):
+        findings = diff_against_reference(ref, _with_markers(ref, {seg.id: change}))
+        assert [(f.rule, f.severity) for f in findings] == [(Rule.MARKER_CHANGE, Severity.WARNING)]
+        assert findings[0].message == f"segment {seg.id}: marker {token} {verb}"
