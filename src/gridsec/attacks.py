@@ -17,7 +17,6 @@ from .estimation import (
     EstimationResult,
     MeasKind,
     MeasurementSet,
-    chord_steps,
     gauss_newton,
     wls_estimate_ac,
 )
@@ -309,7 +308,7 @@ def sweep_stealth_range(
         for start in range(0, rows.size, SWEEP_BLOCK):
             rb = rows[start:start + SWEEP_BLOCK]
             vb, thb = start_of(rb)
-            back = chord_steps(mm, z[rb], sig, vb, thb, gain_inv, SWEEP_DELTA, SWEEP_CHORD_STEPS) == 0
+            back = gauss_newton(mm, z[rb], sig, vb, thb, SWEEP_DELTA, SWEEP_CHORD_STEPS, gain_inv) == 0
             if back.any():
                 slow = rb[back]
                 vs, ths = warm(slow)
@@ -463,16 +462,6 @@ class StateDelta:
                 target[bus - 1] = val
         return out
 
-    def validate_slack(self, slack_index: int) -> None:
-        for name, arr in (
-            ("dv", self.dv),
-            ("dtheta_deg", self.dtheta_deg),
-            ("dp_mw", self.dp_mw),
-            ("dq_mvar", self.dq_mvar),
-        ):
-            if arr[slack_index] != 0.0:
-                raise ValueError(f"slack entry of {name} must be zero")
-
 
 def manipulate_state_vector(
     record: GridRecord,
@@ -482,9 +471,14 @@ def manipulate_state_vector(
     """Corrupt a stored record's bus table additively; the input record is
     preserved. The branch table is copied as stored: a post-estimation
     attacker rewrites the bus rows, not the flows. With a model, a nonzero
-    slack entry in ``delta`` raises ValueError."""
+    slack entry in ``delta`` raises ValueError naming the field, the slack
+    bus and the value."""
     if model is not None:
-        delta.validate_slack(model.slack_index)
+        k = model.slack_index
+        for name in ("dv", "dtheta_deg", "dp_mw", "dq_mvar"):
+            val = getattr(delta, name)[k]
+            if val != 0.0:
+                raise ValueError(f"{name}: slack bus {k + 1} delta {val}: must be zero")
     rows = []
     for r in sorted(record.buses, key=lambda r: r.bus):
         i = r.bus - 1

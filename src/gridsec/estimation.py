@@ -29,7 +29,6 @@ __all__ = [
     "measurements_from_state",
     "full_telemetry_from_state",
     "gauss_newton",
-    "chord_steps",
     "wls_estimate_ac",
     "build_dc_jacobian",
     "wls_estimate_dc",
@@ -222,64 +221,20 @@ def gauss_newton(
     theta: np.ndarray,
     delta: float,
     max_iter: int,
+    gain_inv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gauss-Newton WLS for measurement vectors ``z`` (B, m) sharing one
     layout and ``sigmas``, updating the states ``v``, ``theta`` (B, n) in
-    place; each stops once its own step norm is below ``delta``. Returns
-    the iteration counts, 0 where a state did not converge. Raises
-    ObservabilityError when a gain matrix is singular."""
-    batch, m = z.shape
-    w = 1.0 / sigmas**2
-    n = mm.n_bus
-    ang = mm.angle_buses
-    h = np.empty((batch, m))
-    jac = np.empty((batch, m, mm.n_state))
-    weighted = np.empty_like(jac)
-    gain = np.empty((batch, mm.n_state, mm.n_state))
-    rhs = np.empty((batch, mm.n_state, 1))
-    iterations = np.zeros(batch, dtype=int)
-    active = np.arange(batch)
-    for it in range(1, max_iter + 1):
-        k = active.size
-        r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
-        np.subtract(z[active], r, out=r)
-        # The gain H'WH, with the weights w on W's diagonal, solved against H'Wr.
-        hw_t = np.multiply(hk, w[:, None], out=weighted[:k]).transpose(0, 2, 1)
-        np.matmul(hw_t, hk, out=gain[:k])
-        np.matmul(hw_t, r[..., None], out=rhs[:k])
-        try:
-            dx = np.linalg.solve(gain[:k], rhs[:k])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ObservabilityError(f"singular gain matrix: {exc}") from exc
-        done = np.sqrt(np.sum(dx * dx, axis=1)) < delta
-        theta[active[:, None], ang] += dx[:, : n - 1]
-        v[active] += dx[:, n - 1:]
-        iterations[active[done]] = it
-        active = active[~done]
-        if not active.size:
-            break
-    return iterations
+    place; each stops once its own step norm is below ``delta``, and a
+    state whose step is not finite stops there. Returns the iteration
+    counts, 0 where a state did not converge.
 
-
-def chord_steps(
-    mm: MeasurementModel,
-    z: np.ndarray,
-    sigmas: np.ndarray,
-    v: np.ndarray,
-    theta: np.ndarray,
-    gain_inv: np.ndarray,
-    delta: float,
-    max_iter: int,
-) -> np.ndarray:
-    """Constant-gain (chord) WLS for measurement vectors ``z`` (B, m)
-    sharing one layout and ``sigmas``: each step is
-    dx = ``gain_inv`` H(x)'W(z - h(x)), with one fixed inverse gain (n, n)
-    for every state and step, so a state converges to a root of the same
-    normal equations as ``gauss_newton``, linearly rather than
-    quadratically. Updates ``v``, ``theta`` (B, n) in place; each stops
-    once its own step norm is below ``delta``, and a state whose step is
-    not finite stops there. Returns the iteration counts, 0 where a state
-    did not converge."""
+    Each step solves the gain H'WH at the current state, and raises
+    ObservabilityError when a gain is singular. With ``gain_inv``, one
+    fixed inverse gain (n, n) for every state and step, each step is the
+    chord step dx = ``gain_inv`` H(x)'W(z - h(x)) instead: a state
+    converges to a root of the same normal equations, linearly rather than
+    quadratically."""
     batch, m = z.shape
     w = 1.0 / sigmas**2
     n = mm.n_bus
@@ -294,8 +249,16 @@ def chord_steps(
             k = active.size
             r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
             np.subtract(z[active], r, out=r)
-            r *= w
-            dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
+            if gain_inv is None:
+                # The gain H'WH, with the weights w on W's diagonal, solved against H'Wr.
+                hw_t = (hk * w[:, None]).transpose(0, 2, 1)
+                try:
+                    dx = np.linalg.solve(hw_t @ hk, hw_t @ r[..., None])[..., 0]
+                except np.linalg.LinAlgError as exc:
+                    raise ObservabilityError(f"singular gain matrix: {exc}") from exc
+            else:
+                r *= w
+                dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
             norm = np.sqrt(np.sum(dx * dx, axis=1))
             done = norm < delta
             theta[active[:, None], ang] += dx[:, : n - 1]

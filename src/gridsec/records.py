@@ -71,7 +71,8 @@ class GridRecord:
     def __post_init__(self) -> None:
         ids = [r.bus for r in self.buses]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate bus rows")
+            bus = next(b for b in ids if ids.count(b) > 1)
+            raise ValueError(f"duplicate bus row for bus {bus}")
 
     @property
     def n_bus(self) -> int:

@@ -171,9 +171,11 @@ def parse_marker(text: str) -> Marker:
         return CpMarker(i, j, m.group(3), _EDGE_NAMES[m.group(4)])
     if m := _LOAD_RE.match(token):
         return LoadMarker(int(m.group(1)))
-    # A CP without an allowed tag should report the tag, not generic syntax.
-    if re.match(r"^CP(\d+)_(\d+)_", token):
-        raise MarkerSyntaxError(f"connection-point tag must be A/B/C/D: '{token}'")
+    # A malformed CP reports its tag, or with an allowed tag its edge.
+    if m := re.match(r"^CP\d+_\d+_([^:]*)", token):
+        if m.group(1) not in ("A", "B", "C", "D"):
+            raise MarkerSyntaxError(f"connection-point tag must be A/B/C/D: '{token}'")
+        raise MarkerSyntaxError(f"connection-point edge must be north/south/east/west: '{token}'")
     raise MarkerSyntaxError(f"unknown marker token '{token}'")
 
 
@@ -531,6 +533,8 @@ def verify_arrangement(
             if _mismatched_mate(breakers, c.line) is not None:
                 violated.append(c)
             continue
+        if c.seg_a not in positions or c.seg_b not in positions:
+            raise ValueError(f"constraint references unknown segment: {c}")
         ra, ca = positions[c.seg_a]
         rb, cb = positions[c.seg_b]
         if (rb - ra, cb - ca) != c.offset:

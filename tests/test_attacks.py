@@ -323,9 +323,10 @@ def test_sweep_fallback_gets_the_full_budget(ieee14, monkeypatch):
     budgets = []
     gauss_newton = attacks.gauss_newton
 
-    def spy(*args):
-        budgets.append(args[-1])
-        return gauss_newton(*args)
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
+        if gain_inv is None:
+            budgets.append(max_iter)
+        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
 
     monkeypatch.setattr(attacks, "gauss_newton", spy)
     baseline = fx.sweep_baseline_measurements(ieee14)
@@ -340,13 +341,15 @@ def test_sweep_fallback_gets_the_full_budget(ieee14, monkeypatch):
 
 def _spy_gauss_newton(monkeypatch):
     """Record the candidate values, starting states and budget of every
-    ``gauss_newton`` call the sweep makes."""
+    Gauss-Newton-mode ``gauss_newton`` call (no fixed gain) the sweep
+    makes: its fallback."""
     calls = []
     gauss_newton = attacks.gauss_newton
 
-    def spy(mm, z, sigmas, v, theta, delta, max_iter):
-        calls.append((z.copy(), v.copy(), theta.copy(), max_iter))
-        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter)
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
+        if gain_inv is None:
+            calls.append((z.copy(), v.copy(), theta.copy(), max_iter))
+        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
 
     monkeypatch.setattr(attacks, "gauss_newton", spy)
     return calls
@@ -421,15 +424,16 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
     starts from the cubic through the solutions of the four anchors around
     it, in the grid value, and its constant-gain steps converge within 2."""
     calls = []
-    chord_steps = attacks.chord_steps
+    gauss_newton = attacks.gauss_newton
 
-    def spy(mm, z, sigmas, v, theta, *args):
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
         start = (v.copy(), theta.copy())
-        iterations = chord_steps(mm, z, sigmas, v, theta, *args)
-        calls.append((z[:, idx].copy(), start, (v.copy(), theta.copy()), iterations))
+        iterations = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        if gain_inv is not None:
+            calls.append((z[:, idx].copy(), start, (v.copy(), theta.copy()), iterations))
         return iterations
 
-    monkeypatch.setattr(attacks, "chord_steps", spy)
+    monkeypatch.setattr(attacks, "gauss_newton", spy)
     baseline = _noisy_sweep_baseline(ieee14)
     bus, n_points = 2, 300
     idx = baseline.index_of(MeasKind.VM, bus)
@@ -540,9 +544,10 @@ def test_manipulate_preserves_original():
 
 
 def test_slack_delta_rejected(ieee14):
-    delta = StateDelta.from_changes(14, dv={1: 0.01})
-    with pytest.raises(ValueError):
-        manipulate_state_vector(fx.post_se_baseline_record(), delta, model=ieee14)
+    for field in ("dv", "dtheta_deg", "dp_mw", "dq_mvar"):
+        delta = StateDelta.from_changes(14, **{field: {1: 0.01}})
+        with pytest.raises(ValueError, match=rf"^{field}: slack bus 1 delta 0\.01: must be zero$"):
+            manipulate_state_vector(fx.post_se_baseline_record(), delta, model=ieee14)
 
 
 def test_topology_corruption_and_contrast(ieee14):

@@ -156,9 +156,9 @@ def test_detect_exit_codes(tmp_path, fixture_dir):
 def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fixture_dir, capsys):
     """A 10-bus snapshot, a record CSV that cannot be parsed or does not
     exist, a branch row naming an unknown bus (was ``KeyError: 15`` in the
-    snapshot and a verdict in the baseline) or a NaN in a bus-only record
-    ends in one ``error:`` line naming the file or the record and the bus,
-    row or line, and exit 2."""
+    snapshot and a verdict in the baseline), a repeated bus row or a NaN in a
+    bus-only record ends in one ``error:`` line naming the file or the record
+    and the bus, row or line, and exit 2."""
     from dataclasses import replace
 
     base = fixture_dir / "post_se_baseline.csv"
@@ -173,6 +173,10 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
     broken.write_text(base.read_text().replace("\n3,", "\n3,x", 1))
     unknown_bus = tmp_path / "row_13_15.csv"
     unknown_bus.write_text(base.read_text().replace("\n13,14,", "\n13,15,", 1))
+    lines = base.read_text().splitlines(keepends=True)
+    bus_1 = next(i for i, ln in enumerate(lines) if ln.startswith("1,"))
+    repeated = tmp_path / "bus_1_twice.csv"
+    repeated.write_text("".join(lines[: bus_1 + 1] + lines[bus_1:]))
     # A measurement-stage record has no branch table, so every bus is in
     # the slack's island: a NaN at bus 5 was an EstimationError traceback.
     base_1a = GridRecord.load(fixture_dir / "scenario1a_baseline.csv")
@@ -186,6 +190,7 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
         (base, tmp_path / "nosuch.csv"): f"error: {tmp_path / 'nosuch.csv'}: No such file",
         (base, unknown_bus): f"error: record '{record.source}': branch 13-15 names a bus",
         (unknown_bus, base): f"error: record '{record.source}': branch 13-15 names a bus",
+        (base, repeated): f"error: {repeated}: duplicate bus row for bus 1\n",
         (nan_1a, nan_1a): f"error: record '{base_1a.source}': non-finite v_pu at bus 5",
     }
     for (baseline, snapshot), message in expected.items():
@@ -535,7 +540,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["som", "verify", "--dir", str(two_by_two), "--arrangement", str(one_row)],
          f"{one_row}: cells: row lengths [4]: expected n rows of n segment ids"),
         # The slack row was rewritten (v_pu 1.11 at bus 1) with exit 0.
-        (["attack", "post-se", "--dv", "1=0.05"], "slack entry of dv must be zero"),
+        (["attack", "post-se", "--dv", "1=0.05"], "dv: slack bus 1 delta 0.05: must be zero"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

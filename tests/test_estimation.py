@@ -1,10 +1,14 @@
+import copy
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridsec import estimation
+from gridsec import fixtures as fx
 from gridsec.estimation import (
+    WLS_MAX_ITER,
     EstimationError,
     MeasKind,
     Measurement,
@@ -13,6 +17,7 @@ from gridsec.estimation import (
     bdd_classify,
     build_dc_jacobian,
     chi_square_statistic,
+    gauss_newton,
     iterative_bad_data_removal,
     measurements_from_csv,
     measurements_from_state,
@@ -21,7 +26,7 @@ from gridsec.estimation import (
     wls_estimate_ac,
     wls_estimate_dc,
 )
-from gridsec.measmodel import MeasurementModel
+from gridsec.measmodel import MeasurementModel, compiled
 from gridsec.network import apply_topology_corruption, build_topology
 from gridsec.powerflow import solve
 from gridsec.stats import chi_square_threshold
@@ -339,6 +344,72 @@ def test_non_convergence_raises(ieee14, clean_measurements, monkeypatch):
     monkeypatch.setattr(estimation, "WLS_MAX_ITER", 1)
     with pytest.raises(EstimationError):
         wls_estimate_ac(ieee14, clean_measurements, delta=1e-12)
+
+
+def _sweep_batch(model, values):
+    """The sweep fixture's baseline estimate and its measurement vectors
+    with bus 4's Vm replaced by each of ``values``, as ``gauss_newton``
+    takes them, plus the baseline's inverse gain."""
+    baseline = fx.sweep_baseline_measurements(model)
+    base = wls_estimate_ac(model, baseline, delta=1e-8)
+    jac, sig = base.jacobian, baseline.sigmas
+    gain_inv = np.linalg.inv((jac * (1.0 / sig**2)[:, None]).T @ jac)
+    z = np.tile(baseline.z, (len(values), 1))
+    z[:, baseline.index_of(MeasKind.VM, 4)] = values
+    return base, z, sig, gain_inv
+
+
+def _start(base, rows):
+    return np.tile(base.x_hat.v, (rows, 1)), np.tile(base.x_hat.theta, (rows, 1))
+
+
+def test_gauss_newton_and_chord_modes_reach_the_same_state(ieee14):
+    """A chord step is the Gauss-Newton step on a frozen gain: both modes
+    converge each candidate to the same root of the normal equations."""
+    base, z, sig, gain_inv = _sweep_batch(ieee14, np.linspace(0.97, 1.08, 6))
+    ends = []
+    for fixed in (None, gain_inv):
+        v, theta = _start(base, len(z))
+        iterations = gauss_newton(
+            base.measurement_model, z, sig, v, theta, 1e-11, WLS_MAX_ITER, fixed
+        )
+        assert iterations.all()
+        ends.append(np.hstack((v, theta)))
+    assert np.abs(ends[0] - ends[1]).max() < 1e-9
+
+
+def test_overflowing_step_stops_unconverged_in_both_modes(ieee14):
+    """A row whose step overflows leaves the loop after that step with 0
+    iterations, quietly; the other row of the batch still converges."""
+    base, z, sig, gain_inv = _sweep_batch(ieee14, [1.02, 1e300])
+    # A copy, so the spy stays out of the per-process compiled model.
+    mm = copy.copy(base.measurement_model)
+    evaluate, rows = mm.evaluate, []
+
+    def spy(v, theta, out=None):
+        rows.append(len(v))
+        return evaluate(v, theta, out)
+
+    mm.evaluate = spy
+    for fixed in (None, gain_inv):
+        rows.clear()
+        v, theta = _start(base, len(z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            iterations = gauss_newton(mm, z, sig, v, theta, 1e-8, WLS_MAX_ITER, fixed)
+        assert iterations[0] > 0 and iterations[1] == 0
+        assert rows[0] == 2 and set(rows[1:]) == {1}
+
+
+def test_gauss_newton_singular_gain_raises(ieee14, clean_measurements):
+    """Voltage magnitudes alone leave every angle unobserved: the gain is
+    singular."""
+    vm_only = [m for m in clean_measurements.entries if m.kind is MeasKind.VM]
+    mm = compiled(ieee14, None, vm_only)
+    z = np.array([[m.value for m in vm_only]])
+    v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
+    with pytest.raises(ObservabilityError, match="singular gain matrix"):
+        gauss_newton(mm, z, np.full(len(vm_only), 0.01), v, theta, 1e-6, WLS_MAX_ITER)
 
 
 def test_removal_stops_at_observability_floor(ieee14, clean_measurements):

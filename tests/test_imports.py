@@ -5,6 +5,7 @@ CLI module holds only the stdlib and ``stats``, and the display tools and
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,11 @@ def test_every_lazy_export_resolves():
         assert namespace[name] is getattr(importlib.import_module(f"gridsec.{module}"), name)
     with pytest.raises(AttributeError, match="no_such_name"):
         gridsec.no_such_name
+    # Every submodule's own ``__all__`` names only what it defines.
+    for info in pkgutil.iter_modules(gridsec.__path__):
+        module = importlib.import_module(f"gridsec.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"gridsec.{info.name}.__all__ names {missing}"
     # A submodule outside the table still imports through the package.
     from gridsec import fixtures
 

@@ -48,10 +48,13 @@ def test_parse_marker_render_round_trip():
 
 
 def test_parse_rejects_bad_tokens():
-    with pytest.raises(MarkerSyntaxError):
-        parse_marker("CP1_2_E:north")  # tag must be A/B/C/D
-    with pytest.raises(MarkerSyntaxError):
-        parse_marker("CP1_2_A")  # edge required
+    for token, part in (
+        ("CP1_2_E:north", "tag must be A/B/C/D"),
+        ("CP1_2_A:up", "edge must be north/south/east/west"),
+        ("CP1_2_A", "edge must be north/south/east/west"),  # edge required
+    ):
+        with pytest.raises(MarkerSyntaxError, match=f"^connection-point {part}: '{token}'$"):
+            parse_marker(token)
     with pytest.raises(MarkerSyntaxError):
         parse_marker("CB1_2")  # status required
     with pytest.raises(MarkerSyntaxError):
@@ -210,6 +213,19 @@ def test_swap_breaks_verification():
     assert violated  # the broken constraints are named
     touched = {mutated.cells[0][0], mutated.cells[2][2]}
     assert any({c.seg_a, c.seg_b} & touched for c in violated)
+
+
+def test_constraint_on_an_unknown_segment_is_a_value_error():
+    """The solver and the verifier reject a constraint naming a segment
+    outside the set with one message (verify used to raise KeyError)."""
+    segs = fx.som_reference_segments()
+    stray = AdjacencyConstraint(ConstraintKind.DIR_COMPLEMENT, "seg1", "x", (0, 1), (1, 2))
+    arrangement = GridArrangement(fx.som_reference_arrangement_cells())
+    message = r"^constraint references unknown segment: AdjacencyConstraint\("
+    with pytest.raises(ValueError, match=message):
+        solve_arrangement(segs, [stray], 3)
+    with pytest.raises(ValueError, match=message):
+        verify_arrangement(arrangement, segs, [stray])
 
 
 def test_unconstrained_solver_caps_output():
