@@ -9,14 +9,20 @@ Feature layout (71 = 42 + 8 + 3 + 5 + 13):
   physics     P_total, Q_total, power factor, NERC-band margin, |net P|
   gradient    V2-V1, ..., V14-V13
 
+The rule battery is one ordered table, ``RULES``: each row is a rule, its
+family (record, physics or stress) and the function that checks it.
+``rule_battery`` builds the inputs every rule reads once, runs the table
+in order and turns what each function yields into findings; ``classify``
+reads each finding's family from the same table.
+
 Per-record work is done once per verdict. ``pipeline.run_pipeline``
 builds each record's ``GridRecord.snapshot`` and ``GridRecord.islands``
 once (the islands while it checks the record) and hands them on.
 ``_moments`` computes a snapshot's channel sums, means, stds and
 correlations once: for the attacked snapshot inside ``extract_features``,
 whose correlation block the CorrelationShift rule then reads; for the
-baseline inside ``rule_battery``. ``analyze_record_islands`` reuses the
-islands it is given. The rules loop over buses on Python floats.
+baseline inside that rule. ``analyze_record_islands`` reuses the islands
+it is given.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +53,7 @@ __all__ = [
     "Finding",
     "RuleConfig",
     "rule_battery",
+    "RULES",
     "IslandRecordReport",
     "analyze_record_islands",
     "VerdictClass",
@@ -318,6 +325,219 @@ def _div(a: float, b: float) -> float:
     return float(np.float64(a) / b)
 
 
+# Each rule is a function of the per-verdict ``_Inputs`` that yields one
+# (severity, message, data) per finding; the rules loop over buses on
+# Python floats.
+_Raised = tuple[Severity, str, dict[str, float | int | str]]
+
+
+class _Inputs(NamedTuple):
+    """What the rules of one verdict read, built once per ``rule_battery``
+    call. The per-bus V and P lists and their differences are the same
+    IEEE operations as on the snapshot arrays."""
+
+    record: GridRecord
+    baseline: GridRecord
+    snap: BusSnapshot
+    base: BusSnapshot
+    sv: list[float]
+    sp: list[float]
+    bv: list[float]
+    bp: list[float]
+    dv: list[float]
+    dp: list[float]
+    generators: list[int]
+    cfg: RuleConfig
+    island_report: IslandRecordReport | None
+    rho_att: Sequence[float]
+
+
+def _sensitivity_bound(x: _Inputs) -> Iterator[_Raised]:
+    """Implied dP/dV where both moved appreciably."""
+    cfg = x.cfg
+    for i, (d_v, d_p) in enumerate(zip(x.dv, x.dp)):
+        if abs(d_v) >= cfg.sensitivity_min_dv and abs(d_p) >= cfg.sensitivity_min_dp:
+            ratio = _div(d_p, d_v)
+            if not cfg.sensitivity_low <= ratio <= cfg.sensitivity_high:
+                yield (Severity.VIOLATION,
+                       f"bus {i + 1}: dP/dV = {ratio:.3f} outside "
+                       f"[{cfg.sensitivity_low}, {cfg.sensitivity_high}]",
+                       {"bus": i + 1, "ratio": ratio, "dp": d_p, "dv": d_v})
+
+
+def _ramp_rate(x: _Inputs) -> Iterator[_Raised]:
+    """Instantaneous output change at generator buses."""
+    cfg, dp, bp = x.cfg, x.dp, x.bp
+    for b in x.generators:
+        i = b - 1
+        if i >= len(dp) or abs(bp[i]) < cfg.ramp_min_base:
+            continue
+        frac = _div(dp[i], abs(bp[i]))
+        if abs(frac) > cfg.ramp_limit:
+            yield (Severity.VIOLATION,
+                   f"bus {b}: {frac * 100:+.1f}% instantaneous power change "
+                   f"exceeds the {cfg.ramp_limit * 100:.0f}% ramp capability",
+                   {"bus": b, "pct": frac * 100})
+
+
+def _zip_violation(x: _Inputs) -> Iterator[_Raised]:
+    """Load response must stay within P ~ V^alpha. A bus whose V or P is
+    not finite in either record (a dead island) has none to judge. A large
+    power move at essentially constant voltage, a power sign change, or a
+    voltage ratio that is <= 0 or exactly 1 has no finite exponent: each is
+    a violation reported without ``alpha``."""
+    cfg, sv, sp, bv, bp = x.cfg, x.sv, x.sp, x.bv, x.bp
+    for i, (d_v, d_p) in enumerate(zip(x.dv, x.dp)):
+        b = i + 1
+        if b in x.generators or not (math.isfinite(d_v) and math.isfinite(d_p)):
+            continue
+        if abs(bp[i]) < 1e-9:
+            continue
+        dp_frac = d_p / abs(bp[i])
+        if abs(dp_frac) < cfg.zip_min_dp_frac:
+            continue
+        dv_frac = abs(d_v) / max(bv[i], 1e-9)
+        data: dict[str, float | int | str] = {
+            "bus": b, "dp_pct": dp_frac * 100, "dv_pct": dv_frac * 100,
+        }
+        if not (dv_frac < cfg.zip_small_dv_frac or sp[i] * bp[i] <= 0):
+            v_ratio = _div(sv[i], bv[i])
+            if not (v_ratio <= 0 or v_ratio == 1):
+                alpha = math.log(sp[i] / bp[i]) / math.log(v_ratio)
+                if cfg.zip_alpha_low <= alpha <= cfg.zip_alpha_high:
+                    continue
+                data["alpha"] = alpha
+        yield (Severity.VIOLATION,
+               f"bus {b}: {dp_frac * 100:+.1f}% power change at "
+               f"{dv_frac * 100:.2f}% voltage change breaks the ZIP load response",
+               data)
+
+
+def _compensation_entropy(x: _Inputs) -> Iterator[_Raised]:
+    """Near-uniform small adjustments smell coordinated. No small
+    adjustment is no finding, whatever the minimum count."""
+    cfg = x.cfg
+    minor = [abs(d) for d in x.dp if 1e-9 < abs(d) < cfg.entropy_major_dp]
+    if minor and len(minor) >= cfg.entropy_min_count:
+        total = 0.0
+        for d in minor:  # left to right; sum() of floats compensates from Python 3.12
+            total += d
+        weights = np.array(minor) / total
+        entropy = float(-(weights * np.log(weights)).sum())
+        limit = cfg.entropy_fraction * math.log(len(minor))
+        if entropy > limit:
+            yield (Severity.VIOLATION,
+                   f"{len(minor)} small power adjustments are near-uniform "
+                   f"(entropy {entropy:.3f} > {limit:.3f}): artificial coordination",
+                   {"count": len(minor), "entropy": entropy, "limit": limit})
+
+
+def _gradient_coherence(x: _Inputs) -> Iterator[_Raised]:
+    """Adjacent-bus voltage gradients that jumped."""
+    g_max = x.cfg.gradient_max
+    for k, (ga, gb) in enumerate(zip(np.diff(x.snap.v).tolist(), np.diff(x.base.v).tolist())):
+        if abs(ga - gb) > g_max and abs(ga) > g_max:
+            yield (Severity.VIOLATION,
+                   f"voltage gradient between buses {k + 1}-{k + 2} is "
+                   f"{ga:.3f} p.u.; historical ceiling is {g_max:.3f}",
+                   {"bus_from": k + 1, "bus_to": k + 2, "gradient": ga, "baseline_gradient": gb})
+
+
+def _sign_flip(x: _Inputs) -> Iterator[_Raised]:
+    """Consumption turning into generation (or back) in the record."""
+    floor = x.cfg.signflip_min_mw
+    for rb, ra in zip(sorted(x.baseline.buses, key=lambda r: r.bus),
+                      sorted(x.record.buses, key=lambda r: r.bus)):
+        if abs(rb.p_mw) >= floor and abs(ra.p_mw) >= floor and rb.p_mw * ra.p_mw < 0:
+            role = "load to generator" if rb.p_mw > 0 else "generator to load"
+            yield (Severity.VIOLATION,
+                   f"bus {rb.bus} switched {role}: {rb.p_mw:.1f} -> {ra.p_mw:.1f} MW",
+                   {"bus": rb.bus, "p_before_mw": rb.p_mw, "p_after_mw": ra.p_mw})
+
+
+def _loss_surge(x: _Inputs) -> Iterator[_Raised]:
+    """Total branch losses jumping against the baseline."""
+    loss_b, loss_a = x.baseline.total_loss_mw, x.record.total_loss_mw
+    if loss_b is not None and loss_a is not None and loss_b > 1e-6:
+        ratio = loss_a / loss_b
+        if ratio > x.cfg.loss_ratio_max:
+            yield (Severity.VIOLATION,
+                   f"system losses {loss_b:.2f} -> {loss_a:.2f} MW "
+                   f"(x{ratio:.2f}): stressed transmission",
+                   {"loss_before_mw": loss_b, "loss_after_mw": loss_a, "ratio": float(ratio)})
+
+
+def _open_breaker_flow(x: _Inputs) -> Iterator[_Raised]:
+    """Flow through a breaker recorded as open."""
+    tol = x.cfg.flow_tol_mw
+    for br in x.record.branches:
+        if not br.in_service and (abs(br.p_mw) > tol or abs(br.q_mvar) > tol):
+            yield (Severity.VIOLATION,
+                   f"branch {br.from_bus}-{br.to_bus} is recorded open yet carries "
+                   f"{br.p_mw:.1f} MW / {br.q_mvar:.1f} Mvar: an open breaker "
+                   f"cannot conduct",
+                   {"from": br.from_bus, "to": br.to_bus,
+                    "p_mw": br.p_mw, "q_mvar": br.q_mvar, "loss_mw": br.loss_mw})
+
+
+def _island_balance(x: _Inputs) -> Iterator[_Raised]:
+    """Per-island conservation from the record itself."""
+    if x.island_report is None:
+        return
+    for island, net in x.island_report.balances:
+        if abs(net) > x.cfg.balance_tol_mw:
+            yield (Severity.VIOLATION,
+                   f"island {sorted(island)} violates conservation by {net:+.1f} MW",
+                   {"imbalance_mw": float(net), "buses": ",".join(map(str, sorted(island)))})
+
+
+def _voltage_deviation(x: _Inputs) -> Iterator[_Raised]:
+    """Displayed voltage drifting from the baseline."""
+    cfg, sv, bv = x.cfg, x.sv, x.bv
+    for i, d_v in enumerate(x.dv):
+        rel = abs(d_v) / max(bv[i], 1e-9)
+        if rel > cfg.volt_dev_warn:
+            yield (Severity.VIOLATION if rel > cfg.volt_dev_violation else Severity.WARNING,
+                   f"bus {i + 1} voltage {bv[i]:.4f} -> {sv[i]:.4f} p.u. "
+                   f"({rel * 100:.2f}% deviation)",
+                   {"bus": i + 1, "v_before": bv[i], "v_after": sv[i], "pct": rel * 100})
+
+
+def _correlation_shift(x: _Inputs) -> Iterator[_Raised]:
+    """Cross-channel correlation pattern moved."""
+    cfg = x.cfg
+    for (a, b), rho_att, rho_base in zip(
+        (("V", "P"), ("V", "Q"), ("P", "Q")), x.rho_att, _moments(x.base).rho
+    ):
+        shift = abs(rho_att - rho_base)
+        if shift > cfg.corr_shift_warn:
+            yield (Severity.VIOLATION if shift > cfg.corr_shift_violation else Severity.WARNING,
+                   f"{a}-{b} correlation moved {rho_base:.2f} -> {rho_att:.2f}",
+                   {"pair": f"{a}{b}", "rho_before": rho_base, "rho_after": rho_att,
+                    "shift": shift})
+
+
+# The detector's rules in finding order, each with its family: record,
+# physics or stress. ``classify`` reads a violation's class from its family.
+RULES: tuple[tuple[Rule, str, Callable[[_Inputs], Iterator[_Raised]]], ...] = (
+    (Rule.SENSITIVITY_BOUND, "physics", _sensitivity_bound),
+    (Rule.RAMP_RATE, "physics", _ramp_rate),
+    (Rule.ZIP_VIOLATION, "physics", _zip_violation),
+    (Rule.COMPENSATION_ENTROPY, "physics", _compensation_entropy),
+    (Rule.GRADIENT_COHERENCE, "physics", _gradient_coherence),
+    (Rule.SIGN_FLIP, "record", _sign_flip),
+    (Rule.LOSS_SURGE, "stress", _loss_surge),
+    (Rule.OPEN_BREAKER_FLOW, "record", _open_breaker_flow),
+    (Rule.ISLAND_BALANCE, "record", _island_balance),
+    (Rule.VOLTAGE_DEVIATION, "physics", _voltage_deviation),
+    (Rule.CORRELATION_SHIFT, "physics", _correlation_shift),
+)
+# The display rules that ``som.diff_against_reference`` raises are physics.
+_FAMILY = {rule: family for rule, family, _ in RULES} | dict.fromkeys(
+    (Rule.BREAKER_STATUS_CHANGE, Rule.MARKER_CHANGE), "physics"
+)
+
+
 def rule_battery(
     record: GridRecord,
     baseline: GridRecord,
@@ -327,10 +547,10 @@ def rule_battery(
     snapshots: tuple[BusSnapshot, BusSnapshot] | None = None,
     features: FeatureVector | None = None,
 ) -> list[Finding]:
-    """Evaluate every physics rule of a snapshot against its baseline, in a
-    fixed deterministic order, on ``model`` (the 14-bus case when None):
-    RampRate judges its Slack and Generator buses, ZipViolation the others.
-    The IslandBalance rule reads ``island_report``, found with
+    """Every rule of ``RULES`` on a snapshot against its baseline, findings
+    in table order, on ``model`` (the 14-bus case when None): RampRate
+    judges its Slack and Generator buses, ZipViolation the others. The
+    IslandBalance rule reads ``island_report``, found with
     ``analyze_record_islands`` when None. ``snapshots`` are
     ``(record.snapshot(model.base_mva), baseline.snapshot(model.base_mva))``,
     built here when None. ``features`` are ``extract_features`` of the
@@ -339,228 +559,20 @@ def rule_battery(
     cfg = config or RuleConfig()
     if model is None:
         model = build_ieee14()
-    generators = [b.id for b in model.buses if b.kind is not BusKind.LOAD]
-    findings: list[Finding] = []
     if snapshots is None:
         snapshots = (record.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
     snap, base = snapshots
-    # The rules loop over buses on Python floats; the elementwise
-    # differences are the same IEEE operations as on the arrays.
-    sv, sp = snap.v.tolist(), snap.p.tolist()
-    bv, bp = base.v.tolist(), base.p.tolist()
-    dv = (snap.v - base.v).tolist()
-    dp = (snap.p - base.p).tolist()
-
-    # SensitivityBound: implied dP/dV where both moved appreciably.
-    for i, (d_v, d_p) in enumerate(zip(dv, dp)):
-        if abs(d_v) >= cfg.sensitivity_min_dv and abs(d_p) >= cfg.sensitivity_min_dp:
-            ratio = _div(d_p, d_v)
-            if not cfg.sensitivity_low <= ratio <= cfg.sensitivity_high:
-                findings.append(
-                    Finding(
-                        Rule.SENSITIVITY_BOUND,
-                        Severity.VIOLATION,
-                        f"bus {i + 1}: dP/dV = {ratio:.3f} outside "
-                        f"[{cfg.sensitivity_low}, {cfg.sensitivity_high}]",
-                        {"bus": i + 1, "ratio": ratio, "dp": d_p, "dv": d_v},
-                    )
-                )
-
-    # RampRate: instantaneous output change at generator buses.
-    for b in generators:
-        i = b - 1
-        if i >= len(dp):
-            continue
-        if abs(bp[i]) < cfg.ramp_min_base:
-            continue
-        frac = _div(dp[i], abs(bp[i]))
-        if abs(frac) > cfg.ramp_limit:
-            findings.append(
-                Finding(
-                    Rule.RAMP_RATE,
-                    Severity.VIOLATION,
-                    f"bus {b}: {frac * 100:+.1f}% instantaneous power change "
-                    f"exceeds the {cfg.ramp_limit * 100:.0f}% ramp capability",
-                    {"bus": b, "pct": frac * 100},
-                )
-            )
-
-    # ZipViolation: load response must stay within P ~ V^alpha. A bus whose
-    # V or P is not finite in either record (a dead island) has none to judge.
-    for i, (d_v, d_p) in enumerate(zip(dv, dp)):
-        b = i + 1
-        if b in generators or not (math.isfinite(d_v) and math.isfinite(d_p)):
-            continue
-        if abs(bp[i]) < 1e-9:
-            continue
-        dp_frac = d_p / abs(bp[i])
-        if abs(dp_frac) < cfg.zip_min_dp_frac:
-            continue
-        dv_frac = abs(d_v) / max(bv[i], 1e-9)
-        alpha: float | None = None
-        if dv_frac < cfg.zip_small_dv_frac:
-            violated = True  # large power move at essentially constant voltage
-        else:
-            if sp[i] * bp[i] <= 0:
-                violated = True
-            else:
-                alpha = math.log(sp[i] / bp[i]) / math.log(_div(sv[i], bv[i]))
-                violated = not cfg.zip_alpha_low <= alpha <= cfg.zip_alpha_high
-        if violated:
-            data: dict[str, float | int | str] = {
-                "bus": b,
-                "dp_pct": dp_frac * 100,
-                "dv_pct": dv_frac * 100,
-            }
-            if alpha is not None:
-                data["alpha"] = alpha
-            findings.append(
-                Finding(
-                    Rule.ZIP_VIOLATION,
-                    Severity.VIOLATION,
-                    f"bus {b}: {dp_frac * 100:+.1f}% power change at "
-                    f"{dv_frac * 100:.2f}% voltage change breaks the ZIP load response",
-                    data,
-                )
-            )
-
-    # CompensationEntropy: near-uniform small adjustments smell coordinated.
-    minor = [abs(x) for x in dp if 1e-9 < abs(x) < cfg.entropy_major_dp]
-    if len(minor) >= cfg.entropy_min_count:
-        total = 0.0
-        for x in minor:  # left to right; sum() of floats compensates from Python 3.12
-            total += x
-        weights = np.array(minor) / total
-        entropy = float(-(weights * np.log(weights)).sum())
-        limit = cfg.entropy_fraction * math.log(len(minor))
-        if entropy > limit:
-            findings.append(
-                Finding(
-                    Rule.COMPENSATION_ENTROPY,
-                    Severity.VIOLATION,
-                    f"{len(minor)} small power adjustments are near-uniform "
-                    f"(entropy {entropy:.3f} > {limit:.3f}): artificial coordination",
-                    {"count": len(minor), "entropy": entropy, "limit": limit},
-                )
-            )
-
-    # GradientCoherence: adjacent-bus voltage gradients that jumped.
-    g_att = np.diff(snap.v).tolist()
-    g_base = np.diff(base.v).tolist()
-    for k, (ga, gb) in enumerate(zip(g_att, g_base)):
-        if abs(ga - gb) > cfg.gradient_max and abs(ga) > cfg.gradient_max:
-            findings.append(
-                Finding(
-                    Rule.GRADIENT_COHERENCE,
-                    Severity.VIOLATION,
-                    f"voltage gradient between buses {k + 1}-{k + 2} is "
-                    f"{ga:.3f} p.u.; historical ceiling is {cfg.gradient_max:.3f}",
-                    {"bus_from": k + 1, "bus_to": k + 2,
-                     "gradient": ga, "baseline_gradient": gb},
-                )
-            )
-
-    # SignFlip: consumption turning into generation (or back) in the record.
-    floor = cfg.signflip_min_mw
-    for rb, ra in zip(
-        sorted(baseline.buses, key=lambda r: r.bus), sorted(record.buses, key=lambda r: r.bus)
-    ):
-        if abs(rb.p_mw) >= floor and abs(ra.p_mw) >= floor and rb.p_mw * ra.p_mw < 0:
-            role = "load to generator" if rb.p_mw > 0 else "generator to load"
-            findings.append(
-                Finding(
-                    Rule.SIGN_FLIP,
-                    Severity.VIOLATION,
-                    f"bus {rb.bus} switched {role}: {rb.p_mw:.1f} -> {ra.p_mw:.1f} MW",
-                    {"bus": rb.bus, "p_before_mw": rb.p_mw, "p_after_mw": ra.p_mw},
-                )
-            )
-
-    # LossSurge: total branch losses jumping against the baseline.
-    loss_b = baseline.total_loss_mw
-    loss_a = record.total_loss_mw
-    if loss_b is not None and loss_a is not None and loss_b > 1e-6:
-        ratio = loss_a / loss_b
-        if ratio > cfg.loss_ratio_max:
-            findings.append(
-                Finding(
-                    Rule.LOSS_SURGE,
-                    Severity.VIOLATION,
-                    f"system losses {loss_b:.2f} -> {loss_a:.2f} MW "
-                    f"(x{ratio:.2f}): stressed transmission",
-                    {"loss_before_mw": loss_b, "loss_after_mw": loss_a,
-                     "ratio": float(ratio)},
-                )
-            )
-
-    # OpenBreakerFlow: flow through a breaker recorded as open.
-    for br in record.branches:
-        is_open = not br.in_service
-        if is_open and (abs(br.p_mw) > cfg.flow_tol_mw or abs(br.q_mvar) > cfg.flow_tol_mw):
-            findings.append(
-                Finding(
-                    Rule.OPEN_BREAKER_FLOW,
-                    Severity.VIOLATION,
-                    f"branch {br.from_bus}-{br.to_bus} is recorded open yet carries "
-                    f"{br.p_mw:.1f} MW / {br.q_mvar:.1f} Mvar: an open breaker "
-                    f"cannot conduct",
-                    {"from": br.from_bus, "to": br.to_bus,
-                     "p_mw": br.p_mw, "q_mvar": br.q_mvar, "loss_mw": br.loss_mw},
-                )
-            )
-
-    # IslandBalance: per-island conservation from the record itself.
-    if island_report is None:
-        island_report = analyze_record_islands(record, cfg)
-    if island_report is not None:
-        for island, net in island_report.balances:
-            if abs(net) > cfg.balance_tol_mw:
-                findings.append(
-                    Finding(
-                        Rule.ISLAND_BALANCE,
-                        Severity.VIOLATION,
-                        f"island {sorted(island)} violates conservation by {net:+.1f} MW",
-                        {"imbalance_mw": float(net),
-                         "buses": ",".join(map(str, sorted(island)))},
-                    )
-                )
-
-    # VoltageDeviation: displayed voltage drifting from the baseline.
-    for i, d_v in enumerate(dv):
-        rel = abs(d_v) / max(bv[i], 1e-9)
-        if rel > cfg.volt_dev_warn:
-            sev = Severity.VIOLATION if rel > cfg.volt_dev_violation else Severity.WARNING
-            findings.append(
-                Finding(
-                    Rule.VOLTAGE_DEVIATION,
-                    sev,
-                    f"bus {i + 1} voltage {bv[i]:.4f} -> {sv[i]:.4f} p.u. "
-                    f"({rel * 100:.2f}% deviation)",
-                    {"bus": i + 1, "v_before": bv[i], "v_after": sv[i], "pct": rel * 100},
-                )
-            )
-
-    # CorrelationShift: cross-channel correlation pattern moved.
-    if features is None:
-        rho_atts = _moments(snap).rho
-    else:
-        rho_atts = features.values[CORRELATION].tolist()
-    for (a, b), rho_att, rho_base in zip(
-        (("V", "P"), ("V", "Q"), ("P", "Q")), rho_atts, _moments(base).rho
-    ):
-        shift = abs(rho_att - rho_base)
-        if shift > cfg.corr_shift_warn:
-            sev = Severity.VIOLATION if shift > cfg.corr_shift_violation else Severity.WARNING
-            findings.append(
-                Finding(
-                    Rule.CORRELATION_SHIFT,
-                    sev,
-                    f"{a}-{b} correlation moved {rho_base:.2f} -> {rho_att:.2f}",
-                    {"pair": f"{a}{b}", "rho_before": rho_base, "rho_after": rho_att,
-                     "shift": shift},
-                )
-            )
-    return findings
+    x = _Inputs(
+        record, baseline, snap, base,
+        snap.v.tolist(), snap.p.tolist(), base.v.tolist(), base.p.tolist(),
+        (snap.v - base.v).tolist(), (snap.p - base.p).tolist(),
+        [b.id for b in model.buses if b.kind is not BusKind.LOAD],
+        cfg,
+        analyze_record_islands(record, cfg) if island_report is None else island_report,
+        _moments(snap).rho if features is None else features.values[CORRELATION].tolist(),
+    )
+    return [Finding(rule, severity, message, data)
+            for rule, _, check in RULES for severity, message, data in check(x)]
 
 
 @dataclass
@@ -627,22 +639,6 @@ class DetectionVerdict:
     feature_threshold: float | None = None
 
 
-_RECORD_RULES = frozenset({Rule.SIGN_FLIP, Rule.OPEN_BREAKER_FLOW, Rule.ISLAND_BALANCE})
-_PHYSICS_RULES = frozenset(
-    {
-        Rule.SENSITIVITY_BOUND,
-        Rule.RAMP_RATE,
-        Rule.ZIP_VIOLATION,
-        Rule.COMPENSATION_ENTROPY,
-        Rule.GRADIENT_COHERENCE,
-        Rule.VOLTAGE_DEVIATION,
-        Rule.CORRELATION_SHIFT,
-        Rule.BREAKER_STATUS_CHANGE,
-        Rule.MARKER_CHANGE,
-    }
-)
-
-
 def classify(
     bdd: BddVerdict | None,
     findings: Sequence[Finding],
@@ -654,10 +650,11 @@ def classify(
 
     Flagged bad data wins; an all-zero-flow record whose islands balance
     and whose breaker pairs agree is a valid (if extreme) operating state,
-    never an attack; record-level violations mean the stored data was
-    corrupted after validation; measurement-physics violations on clean
-    residuals mean a stealth attack; stress indicators alone mean a
-    stressed but plausible system.
+    never an attack; a violation of a record-family rule (``RULES``) means
+    the stored data was corrupted after validation; a physics-family
+    violation on clean residuals means a stealth attack; stress-family
+    violations, warnings and infos alone mean a stressed but plausible
+    system.
     """
     findings = list(findings)
 
@@ -674,30 +671,24 @@ def classify(
     if bdd is not None and bdd.flagged:
         return verdict(VerdictClass.BAD_DATA)
 
-    violations = [f for f in findings if f.severity is Severity.VIOLATION]
-    record_violations = [f for f in violations if f.rule in _RECORD_RULES]
+    violated = {_FAMILY[f.rule] for f in findings if f.severity is Severity.VIOLATION}
 
     if (
         island_report is not None
         and island_report.all_flows_zero
         and island_report.all_balanced
         and island_report.breaker_pairs_consistent
-        and not record_violations
+        and "record" not in violated
     ):
         return verdict(VerdictClass.ISLANDING_VALID)
 
-    if record_violations:
+    if "record" in violated:
         return verdict(VerdictClass.FDI_POST_SE)
 
-    if any(f.rule in _PHYSICS_RULES for f in violations):
+    if "physics" in violated:
         return verdict(VerdictClass.STEALTH_ATTACK)
 
-    stress = [
-        f
-        for f in findings
-        if f.rule is Rule.LOSS_SURGE
-        or f.severity in (Severity.WARNING, Severity.INFO)
-    ]
-    if stress:
+    # What is left is stress: a stress-rule violation, a warning or an info.
+    if findings:
         return verdict(VerdictClass.SYSTEM_STRESS)
     return verdict(VerdictClass.NORMAL)

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from gridsec.detection import (
     CORRELATION,
     DIRECT,
     GRADIENT,
+    RULES,
     FeatureVector,
     Finding,
     Rule,
@@ -327,11 +328,57 @@ def test_scenario_2d_open_breaker_flow():
 
 
 def test_baseline_vs_itself_is_quiet():
+    """Also with ``entropy_min_count = 0``: a pair with no small power
+    adjustments gives no CompensationEntropy finding (it once took the log
+    of a zero count)."""
     base = fx.post_se_baseline_record()
-    assert rule_battery(base, base) == []
-    for builder in (fx.scenario_1a_records, fx.scenario_1b_records):
-        b, _ = builder()
-        assert rule_battery(b, b) == []
+    for cfg in (RuleConfig(), RuleConfig(entropy_min_count=0)):
+        assert rule_battery(base, base, cfg) == []
+        for builder in (fx.scenario_1a_records, fx.scenario_1b_records):
+            b, _ = builder()
+            assert rule_battery(b, b, cfg) == []
+
+
+@pytest.mark.parametrize("v_scale, cfg", [
+    (1.0, RuleConfig(zip_small_dv_frac=0.0)),  # V unchanged: ratio exactly 1
+    (-1.0, RuleConfig()),  # V of the opposite sign: ratio below 0
+], ids=["ratio-one", "ratio-negative"])
+def test_zip_voltage_ratio_without_a_finite_exponent(v_scale, cfg):
+    """A 50 % power step at load bus 13 whose voltage ratio to the baseline
+    is exactly 1 or negative has no finite ZIP exponent (the log divided by
+    zero or had no real value): it is a violation without ``alpha``, in the
+    rules and through the pipeline."""
+    from gridsec.pipeline import run_pipeline
+
+    base = fx.post_se_baseline_record()
+    record = replace(base, buses=[
+        replace(r, v_pu=r.v_pu * v_scale, p_mw=r.p_mw * 1.5) if r.bus == 13 else r
+        for r in base.buses
+    ])
+    for findings in (rule_battery(record, base, cfg),
+                     run_pipeline(base, record, config=cfg).verdict.findings):
+        hits = [f for f in findings if f.rule is Rule.ZIP_VIOLATION]
+        assert [(f.data["bus"], f.severity) for f in hits] == [(13, Severity.VIOLATION)]
+        assert "alpha" not in hits[0].data
+        assert hits[0].data["dp_pct"] == pytest.approx(50.0)
+
+
+def test_rules_table_lists_each_detector_rule_once():
+    display = {Rule.BREAKER_STATUS_CHANGE, Rule.MARKER_CHANGE}
+    rules = [rule for rule, _, _ in RULES]
+    assert sorted(rules) == sorted(set(Rule) - display)
+    assert {family for _, family, _ in RULES} == {"record", "physics", "stress"}
+
+
+def test_rule_battery_reports_in_table_order():
+    order = [rule for rule, _, _ in RULES]
+    findings = rule_battery(fx.scenario_2a_record(), fx.post_se_baseline_record())
+    rules = [f.rule for f in findings]
+    assert rules == sorted(rules, key=order.index)
+    assert list(dict.fromkeys(rules)) == [
+        Rule.SENSITIVITY_BOUND, Rule.ZIP_VIOLATION, Rule.SIGN_FLIP,
+        Rule.ISLAND_BALANCE, Rule.VOLTAGE_DEVIATION,
+    ]
 
 
 def _reference_zero_divide_rules(record, baseline, cfg):
@@ -422,6 +469,23 @@ def test_violation_requires_numeric_evidence():
         Finding(Rule.SIGN_FLIP, Severity.VIOLATION, "no numbers", {"bus": "four"})
 
 
+def test_rule_config_keys_and_defaults():
+    """The ``--config`` keys and their defaults, as the detector ships them."""
+    assert {f.name: getattr(RuleConfig(), f.name) for f in fields(RuleConfig)} == {
+        "sensitivity_low": 0.77, "sensitivity_high": 1.07,
+        "sensitivity_min_dv": 0.01, "sensitivity_min_dp": 0.01,
+        "ramp_limit": 0.10, "ramp_min_base": 0.01,
+        "zip_alpha_low": 0.5, "zip_alpha_high": 2.0,
+        "zip_min_dp_frac": 0.05, "zip_small_dv_frac": 0.005,
+        "entropy_major_dp": 0.05, "entropy_fraction": 0.95, "entropy_min_count": 3,
+        "gradient_max": 0.020, "signflip_min_mw": 1.0, "loss_ratio_max": 1.5,
+        "flow_tol_mw": 0.5, "balance_tol_mw": 1.0,
+        "volt_dev_warn": 0.005, "volt_dev_violation": 0.05,
+        "corr_shift_warn": 0.3, "corr_shift_violation": 0.5,
+    }
+    assert type(RuleConfig().entropy_min_count) is int
+
+
 def test_rule_config_from_file(tmp_path):
     cfg_file = tmp_path / "rules.conf"
     cfg_file.write_text(
@@ -480,6 +544,23 @@ def test_classify_stress_and_normal():
     warn = Finding(Rule.VOLTAGE_DEVIATION, Severity.WARNING, "x", {"pct": 1.4})
     assert classify(_bdd(5.0), [warn]).klass is VerdictClass.SYSTEM_STRESS
     assert classify(_bdd(5.0), []).klass is VerdictClass.NORMAL
+
+
+_VIOLATION_CLASS = {Rule.SIGN_FLIP: VerdictClass.FDI_POST_SE,
+                    Rule.OPEN_BREAKER_FLOW: VerdictClass.FDI_POST_SE,
+                    Rule.ISLAND_BALANCE: VerdictClass.FDI_POST_SE,
+                    Rule.LOSS_SURGE: VerdictClass.SYSTEM_STRESS}
+
+
+@pytest.mark.parametrize("severity", list(Severity))
+@pytest.mark.parametrize("rule", list(Rule))
+def test_classify_each_rule_alone(rule, severity):
+    """One finding under a passing residual test: a violation takes its
+    rule's class (display rules included), a warning or info is stress."""
+    finding = Finding(rule, severity, "x", {"value": 1.0})
+    expect = (_VIOLATION_CLASS.get(rule, VerdictClass.STEALTH_ATTACK)
+              if severity is Severity.VIOLATION else VerdictClass.SYSTEM_STRESS)
+    assert classify(_bdd(5.0), [finding]).klass is expect
 
 
 def test_classify_islanding_valid():
