@@ -253,9 +253,9 @@ def sweep_stealth_range(
     anchors), so the curve is never extrapolated; with fewer than four
     anchors these start from the baseline estimate too. A candidate the
     chord steps do not converge within ``SWEEP_CHORD_STEPS`` restarts from
-    the baseline estimate on a batched Gauss-Newton with ``WLS_MAX_ITER``
-    iterations: a warm-started ``wls_estimate_ac``, whose flag each
-    candidate gets. A candidate that it does not converge raises
+    the baseline estimate on a batched, step-controlled Gauss-Newton with
+    ``WLS_MAX_ITER`` evaluations: a warm-started ``wls_estimate_ac``, whose
+    flag each candidate gets. A candidate that it does not converge raises
     EstimationError naming the bus and the candidate.
 
     ``base`` is ``wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)``, which

@@ -136,8 +136,17 @@ class BddVerdict:
 # Default channel noise (p.u. std-dev); diagonal R throughout.
 DEFAULT_SIGMA_VM = 0.01
 DEFAULT_SIGMA_POWER = 0.02
-WLS_MAX_ITER = 50  # Gauss-Newton iterations of one WLS estimate
+WLS_MAX_ITER = 50  # h/H evaluations of one WLS estimate
 WLS_DELTA = 1e-6  # step-norm tolerance of a WLS estimate by default
+# Step control of the Gauss-Newton mode: a trial state is accepted when its
+# J is no larger than the largest J of the last WLS_WINDOW accepted states
+# of its row (+inf while it has fewer), a non-monotone test (Grippo,
+# Lampariello and Lucidi, SIAM J. Numer. Anal. 1986). On a rise the row
+# backs off along its step from the fraction a to the minimiser of the
+# quadratic through J(0), J'(0) and J(a), clipped to a x WLS_BACKOFF
+# (Nocedal and Wright, Numerical Optimization, ch. 3).
+WLS_WINDOW = 3
+WLS_BACKOFF = (0.1, 0.5)
 
 
 def standard_layout(
@@ -225,46 +234,116 @@ def gauss_newton(
 ) -> np.ndarray:
     """Gauss-Newton WLS for measurement vectors ``z`` (B, m) sharing one
     layout and ``sigmas``, updating the states ``v``, ``theta`` (B, n) in
-    place; each stops once its own step norm is below ``delta``, and a
-    state whose step is not finite stops there. Returns the iteration
+    place. ``max_iter`` bounds the evaluations of h and H per state,
+    accepted or not: an iteration here, and in the error of an estimate
+    that does not converge, is one evaluation. A state converges once the
+    undamped step from an accepted state has a norm below ``delta`` (that
+    step is taken too), so a short damped step never reads as converged;
+    a state whose step is not finite stops there. Returns the evaluation
     counts, 0 where a state did not converge.
 
-    Each step solves the gain H'WH at the current state, and raises
-    ObservabilityError when a gain is singular. With ``gain_inv``, one
-    fixed inverse gain (n, n) for every state and step, each step is the
-    chord step dx = ``gain_inv`` H(x)'W(z - h(x)) instead: a state
-    converges to a root of the same normal equations, linearly rather than
-    quadratically."""
+    Raises ObservabilityError before any evaluation when ``mm`` has buses
+    outside the slack's island (their angles have no reference, so every
+    gain is singular, however rounding hides it). Each step solves the
+    gain H'WH at the current state, and raises ObservabilityError when
+    ``np.linalg.solve`` finds a gain singular. The step is damped per
+    state: the start is always accepted, and a trial whose J = sum w r^2
+    is NaN or above the largest J of the state's last ``WLS_WINDOW``
+    accepted states backs off along its step (see ``WLS_BACKOFF``). With
+    ``gain_inv``, one fixed inverse gain (n, n) for every state and step,
+    each step is the chord step dx = ``gain_inv`` H(x)'W(z - h(x)) instead,
+    taken in full: a state converges to a root of the same normal
+    equations, linearly rather than quadratically."""
+    if mm.unreferenced:
+        buses = mm.unreferenced
+        raise ObservabilityError(
+            "singular gain matrix: no angle reference outside the slack's island "
+            f"({'buses' if len(buses) > 1 else 'bus'} {', '.join(map(str, buses))})"
+        )
     batch, m = z.shape
     w = 1.0 / sigmas**2
     n = mm.n_bus
     ang = mm.angle_buses
+    lo, hi = WLS_BACKOFF
     h = np.empty((batch, m))
     jac = np.empty((batch, m, mm.n_state))
     iterations = np.zeros(batch, dtype=int)
     active = np.arange(batch)
+    # J of each state's last accepted states, oldest first.
+    recent = np.full((WLS_WINDOW, batch), np.inf)
+    # Back-off state, made at the first rise: the step fraction a of the
+    # trial (0 when the state is not backing off), J(0), J'(0) and the step.
+    frac = None
     # A diverging state overflows; it leaves the loop as not converged.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, max_iter + 1):
             k = active.size
-            r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
-            np.subtract(z[active], r, out=r)
-            if gain_inv is None:
-                # The gain H'WH, with the weights w on W's diagonal, solved against H'Wr.
-                hw_t = (hk * w[:, None]).transpose(0, 2, 1)
-                try:
-                    dx = np.linalg.solve(hw_t @ hk, hw_t @ r[..., None])[..., 0]
-                except np.linalg.LinAlgError as exc:
-                    raise ObservabilityError(f"singular gain matrix: {exc}") from exc
-            else:
+            # The rows that step, as a slice while that is every row: a
+            # one-row estimate, as most callers make, gathers nothing.
+            sel = slice(None) if k == batch else active
+            r, hk = mm.evaluate(v[sel], theta[sel], out=(h[:k], jac[:k]))
+            np.subtract(z[sel], r, out=r)
+            rows = active
+            if gain_inv is not None:
                 r *= w
                 dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
+            else:
+                j = np.add.reduce(r * r * w, axis=1)
+                if it > 1:
+                    # A NaN J compares false: it is a rise.
+                    ok = j <= recent[:, sel].max(axis=0)
+                    if np.count_nonzero(ok) < k:
+                        if frac is None:
+                            frac, j0, slope = np.zeros(batch), np.empty(batch), np.empty(batch)
+                            step = np.empty((batch, mm.n_state))
+                        back = active[~ok]
+                        first = back[frac[back] == 0.0]
+                        if first.size:
+                            # The full step from the last accepted state rose.
+                            at = np.searchsorted(stepped, first)
+                            step[first] = dx[at]
+                            slope[first] = -2.0 * np.sum(dx[at] * g[at, :, 0], axis=1)
+                            j0[first] = recent[-1, first]
+                            frac[first] = 1.0
+                        a, s = frac[back], slope[back]
+                        t = -s * a * a / (2.0 * (j[~ok] - j0[back] - s * a))
+                        t = np.fmin(np.fmax(t, lo * a), hi * a)
+                        move = (t - a)[:, None] * step[back]
+                        theta[back[:, None], ang] += move[:, : n - 1]
+                        v[back] += move[:, n - 1:]
+                        frac[back] = t
+                        sel = rows = active[ok]
+                        r, hk, j = r[ok], hk[ok], j[ok]
+                        if not rows.size:
+                            continue
+                    if frac is not None:
+                        frac[rows] = 0.0
+                recent[:-1, sel] = recent[1:, sel]
+                recent[-1, sel] = j
+                # The gain H'WH, with the weights w on W's diagonal, solved against H'Wr.
+                hw_t = (hk * w[:, None]).transpose(0, 2, 1)
+                g = hw_t @ r[..., None]
+                try:
+                    dx = np.linalg.solve(hw_t @ hk, g)[..., 0]
+                except np.linalg.LinAlgError as exc:
+                    raise ObservabilityError(f"singular gain matrix: {exc}") from exc
             norm = np.sqrt(np.sum(dx * dx, axis=1))
             done = norm < delta
-            theta[active[:, None], ang] += dx[:, : n - 1]
-            v[active] += dx[:, n - 1:]
-            iterations[active[done]] = it
-            active = active[~done & np.isfinite(norm)]
+            if rows.size == batch:
+                theta[:, ang] += dx[:, : n - 1]
+            else:
+                # An index array pairs with ``ang`` as a column.
+                theta[rows[:, None], ang] += dx[:, : n - 1]
+            v[sel] += dx[:, n - 1:]
+            iterations[rows[done]] = it
+            going = ~done & np.isfinite(norm)
+            if rows is active:
+                active = active[going]
+            else:
+                keep = ~ok
+                keep[ok] = going
+                active = active[keep]
+            stepped = rows
             if not active.size:
                 break
     return iterations
@@ -277,13 +356,17 @@ def wls_estimate_ac(
     topology: TopologyMatrix | None = None,
     x0: StateVector | None = None,
 ) -> EstimationResult:
-    """Gauss-Newton WLS over the AC measurement model, with at most
-    ``WLS_MAX_ITER`` iterations from ``x0`` (a flat start by default).
+    """Gauss-Newton WLS over the AC measurement model from ``x0`` (a flat
+    start by default), with the step control of ``gauss_newton``: at most
+    ``WLS_MAX_ITER`` evaluations of h and H, damped steps included, and
+    convergence on the norm of the undamped step. ``iterations`` of the
+    result counts the evaluations.
 
     Raises ValueError unless ``delta`` is a finite number above 0,
     EstimationError naming the channel when a measurement value or sigma
     is not finite, and ObservabilityError when the gain matrix is singular
-    (or when m < n up front).
+    (or when m < n, or the topology leaves buses outside the slack's
+    island, up front).
     """
     n_state = 2 * model.n_bus - 1
     if len(measurements) < n_state:
@@ -492,9 +575,12 @@ def iterative_bad_data_removal(
     The first estimate takes the layout's model from ``measmodel.compiled``,
     which compiles a layout once per process; each re-estimate runs on that
     model without the dropped rows. Every estimate starts flat, with the
-    ``WLS_DELTA`` tolerance.
+    ``WLS_DELTA`` tolerance on the undamped step and the step-controlled
+    Gauss-Newton of ``gauss_newton`` (at most ``WLS_MAX_ITER`` evaluations
+    each).
 
-    Raises ObservabilityError if removal would fall below observability.
+    Raises ObservabilityError if removal would fall below observability,
+    or if the topology leaves buses outside the slack's island.
     """
     live = list(range(len(measurements)))
     removed: list[int] = []

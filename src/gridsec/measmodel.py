@@ -29,6 +29,7 @@ from .network import (
     admittance,
     branch_admittances,
     build_topology,
+    connected_components,
 )
 
 __all__ = ["MeasKind", "MeasurementModel", "branch_flows", "compiled"]
@@ -101,7 +102,8 @@ class MeasurementModel:
     exactly, so its derivatives by theta_j and V_j are edge terms.
     ``evaluate`` computes the source and gathers h and H from it. The
     arrays are read-only, because ``compiled`` shares one model between
-    the callers of a layout.
+    the callers of a layout. ``unreferenced`` lists the bus ids outside
+    the slack's island, whose angles no reference fixes.
     """
 
     def __init__(
@@ -114,6 +116,14 @@ class MeasurementModel:
             topology = build_topology(model)
         self.ybus = admittance(model, topology)
         self.angle_buses = np.delete(np.arange(n), model.slack_index)
+        # The buses outside the slack's island, in id order: nothing fixes
+        # their angles, so the gain H'WH of any layout is singular.
+        slack = model.buses[model.slack_index].id
+        live = [br.pair for br, on in zip(model.branches, topology.in_service) if on]
+        self.unreferenced = tuple(sorted(
+            bus for comp in connected_components((b.id for b in model.buses), live)
+            if slack not in comp for bus in comp
+        ))
 
         # Rows per kind as flat (row, bus) pairs or, for flows, (row, branch
         # end) pairs; the P and Q flow rows of one end share that end's

@@ -58,11 +58,11 @@ def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int
     """The record's ``GridRecord.islands``, for the detector to reuse.
     Raise ValueError unless ``record`` fits ``model``: its bus table
     lists exactly buses 1..n, its branch rows name only those buses, and
-    V, theta, P and Q are finite at every bus of the slack's island by
-    ``GridRecord.islands``. Buses the record's own breakers cut off may hold
-    the NaN rows ``GridRecord.from_solution`` writes for an island with no
-    slack and no generator; a record with no branch table is one island, so
-    every bus must be finite."""
+    V, theta, P and Q are finite, and V is above 0, at every bus of the
+    slack's island by ``GridRecord.islands``. Buses the record's own
+    breakers cut off may hold the NaN rows ``GridRecord.from_solution``
+    writes for an island with no slack and no generator; a record with no
+    branch table is one island, so every bus must be finite."""
     ids = {r.bus for r in record.buses}
     expected = set(range(1, model.n_bus + 1))
     if ids != expected:
@@ -74,7 +74,7 @@ def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int
     islands = record.islands()
     bad = [
         r for r in record.buses
-        if not all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar)))
+        if not (all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar))) and r.v_pu > 0)
     ]
     if not bad:
         return islands
@@ -83,7 +83,11 @@ def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int
     for r in sorted(bad, key=lambda r: r.bus):
         if r.bus in energized:
             fields = ("v_pu", "theta_deg", "p_mw", "q_mvar")
-            name = next(f for f in fields if not math.isfinite(getattr(r, f)))
+            name = next((f for f in fields if not math.isfinite(getattr(r, f))), None)
+            if name is None:
+                raise ValueError(
+                    f"record {record.source!r}: non-positive v_pu {r.v_pu} at bus {r.bus}"
+                )
             raise ValueError(f"record {record.source!r}: non-finite {name} at bus {r.bus}")
     return islands
 

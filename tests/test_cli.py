@@ -374,8 +374,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     out of range (sweep, attack post-se and its slack row, estimate, chi2,
     som diff),
     a sweep candidate and a measurement file that WLS does not converge, a
-    record whose header fields or dead island the detector cannot use, and
-    segment files of the wrong shape (each was a traceback, or a silently
+    record whose header fields, dead island or negative voltage the detector
+    cannot use, and segment files of the wrong shape (each was a traceback, or a silently
     ignored option, and exit 1 or 0) exit 2, with one ``error:`` line naming
     what is wrong. The library checks the values; ``main`` maps the error."""
     for argv in (["estimate"], ["sweep", "--bus", "2", "--open", "2,4"]):
@@ -402,6 +402,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (two_by_two / f"{sid}.json").write_text(f'{{"id": "{sid}", "markers": {markers}}}')
     one_row = tmp_path / "one_row.json"
     one_row.write_text('{"cells": [["seg1", "seg2", "seg3", "seg4"]]}')
+    from dataclasses import replace
+
     from gridsec.estimation import MeasKind, measurements_from_state, measurements_to_csv
     from gridsec.network import build_ieee14
     from gridsec.powerflow import solve as pf_solve
@@ -417,6 +419,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
     # The open breakers cut bus 14 off and solve leaves it NaN; the record
     # has no stage, so detect re-estimates it (was an EstimationError
     # traceback with exit 1).
+    # A negative voltage magnitude in the slack's island was classed
+    # FdiPostSe with exit 1.
+    post_se = fx.post_se_baseline_record()
+    post_se_file, negative_v = tmp_path / "post_se.csv", tmp_path / "negative_v.csv"
+    post_se_file.write_text(post_se.to_csv())
+    negative_v.write_text(replace(post_se, buses=[
+        replace(r, v_pu=-r.v_pu) if r.bus == 13 else r for r in post_se.buses
+    ]).to_csv())
     solved, dead_island = tmp_path / "solved.csv", tmp_path / "dead_island.csv"
     assert run(["solve", "--out", str(solved)]) == 0
     assert run(["solve", "--open", "9,14", "--open", "13,14", "--out", str(dead_island)]) == 0
@@ -519,6 +529,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["sweep", "--bus", "2", "--nerc", "nan,1.05"], "nerc (nan, 1.05): expected two numbers"),
         (["detect", "--baseline", str(solved), "--snapshot", str(dead_island)],
          "record 'powerflow': non-finite measurement on channel Vm bus 14"),
+        (["detect", "--baseline", str(post_se_file), "--snapshot", str(negative_v)],
+         f"record '{post_se.source}': non-positive v_pu {-post_se.bus_row(13).v_pu} at bus 13"),
         *(
             (["detect", "--baseline", str(solved), "--snapshot", str(path)],
              f"{path}: record CSV line 1: {field}: expected ")

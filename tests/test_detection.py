@@ -346,8 +346,9 @@ def test_baseline_vs_itself_is_quiet():
 def test_zip_voltage_ratio_without_a_finite_exponent(v_scale, cfg):
     """A 50 % power step at load bus 13 whose voltage ratio to the baseline
     is exactly 1 or negative has no finite ZIP exponent (the log divided by
-    zero or had no real value): it is a violation without ``alpha``, in the
-    rules and through the pipeline."""
+    zero or had no real value): it is a violation without ``alpha`` in the
+    rules, and through the pipeline at ratio 1. The pipeline rejects the
+    negative voltage itself (it was classed FdiPostSe)."""
     from gridsec.pipeline import run_pipeline
 
     base = fx.post_se_baseline_record()
@@ -355,8 +356,14 @@ def test_zip_voltage_ratio_without_a_finite_exponent(v_scale, cfg):
         replace(r, v_pu=r.v_pu * v_scale, p_mw=r.p_mw * 1.5) if r.bus == 13 else r
         for r in base.buses
     ])
-    for findings in (rule_battery(record, base, cfg),
-                     run_pipeline(base, record, config=cfg).verdict.findings):
+    runs = [rule_battery(record, base, cfg)]
+    if v_scale > 0:
+        runs.append(run_pipeline(base, record, config=cfg).verdict.findings)
+    else:
+        v13 = record.bus_row(13).v_pu
+        with pytest.raises(ValueError, match=f"non-positive v_pu {v13} at bus 13"):
+            run_pipeline(base, record, config=cfg)
+    for findings in runs:
         hits = [f for f in findings if f.rule is Rule.ZIP_VIOLATION]
         assert [(f.data["bus"], f.severity) for f in hits] == [(13, Severity.VIOLATION)]
         assert "alpha" not in hits[0].data

@@ -8,7 +8,10 @@ import pytest
 from gridsec import estimation
 from gridsec import fixtures as fx
 from gridsec.estimation import (
+    WLS_BACKOFF,
+    WLS_DELTA,
     WLS_MAX_ITER,
+    WLS_WINDOW,
     EstimationError,
     MeasKind,
     Measurement,
@@ -17,6 +20,7 @@ from gridsec.estimation import (
     bdd_classify,
     build_dc_jacobian,
     chi_square_statistic,
+    full_telemetry_from_state,
     gauss_newton,
     iterative_bad_data_removal,
     measurements_from_csv,
@@ -29,6 +33,7 @@ from gridsec.estimation import (
 from gridsec.measmodel import MeasurementModel, compiled
 from gridsec.network import apply_topology_corruption, build_topology
 from gridsec.powerflow import solve
+from gridsec.scenarios import TABLE5_SCENARIOS, generate_scenario
 from gridsec.stats import chi_square_threshold
 
 
@@ -251,8 +256,6 @@ def test_iterative_removal_clean_data(ieee14, clean_measurements):
 
 
 def test_iterative_removal_recovers_planted_error(ieee14, solution):
-    from gridsec.estimation import full_telemetry_from_state
-
     rng = np.random.default_rng(12)
     ms = full_telemetry_from_state(ieee14, solution.v, solution.theta, noise_rng=rng)
     target = 20  # a P injection channel
@@ -330,8 +333,6 @@ def test_estimation_converges_on_coordinated_attack_snapshot(ieee14):
 def test_non_finite_input_fails_before_iterating(ieee14, solution, field, bad, channel):
     from dataclasses import replace
 
-    from gridsec.estimation import full_telemetry_from_state
-
     ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
     idx = next(i for i, m in enumerate(ms.entries) if m.channel == channel)
     entries = list(ms.entries)
@@ -363,6 +364,21 @@ def _start(base, rows):
     return np.tile(base.x_hat.v, (rows, 1)), np.tile(base.x_hat.theta, (rows, 1))
 
 
+def _recorded(mm):
+    """A copy of ``mm`` (so the spy stays out of the per-process compiled
+    model) whose ``evaluate`` records the states of each call, and that
+    list."""
+    calls = []
+    recording = copy.copy(mm)
+
+    def evaluate(v, theta, out=None):
+        calls.append((v.copy(), theta.copy()))
+        return mm.evaluate(v, theta, out)
+
+    recording.evaluate = evaluate
+    return recording, calls
+
+
 def test_gauss_newton_and_chord_modes_reach_the_same_state(ieee14):
     """A chord step is the Gauss-Newton step on a frozen gain: both modes
     converge each candidate to the same root of the normal equations."""
@@ -382,22 +398,15 @@ def test_overflowing_step_stops_unconverged_in_both_modes(ieee14):
     """A row whose step overflows leaves the loop after that step with 0
     iterations, quietly; the other row of the batch still converges."""
     base, z, sig, gain_inv = _sweep_batch(ieee14, [1.02, 1e300])
-    # A copy, so the spy stays out of the per-process compiled model.
-    mm = copy.copy(base.measurement_model)
-    evaluate, rows = mm.evaluate, []
-
-    def spy(v, theta, out=None):
-        rows.append(len(v))
-        return evaluate(v, theta, out)
-
-    mm.evaluate = spy
+    mm, calls = _recorded(base.measurement_model)
     for fixed in (None, gain_inv):
-        rows.clear()
+        calls.clear()
         v, theta = _start(base, len(z))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             iterations = gauss_newton(mm, z, sig, v, theta, 1e-8, WLS_MAX_ITER, fixed)
         assert iterations[0] > 0 and iterations[1] == 0
+        rows = [len(v) for v, _ in calls]
         assert rows[0] == 2 and set(rows[1:]) == {1}
 
 
@@ -410,6 +419,262 @@ def test_gauss_newton_singular_gain_raises(ieee14, clean_measurements):
     v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
     with pytest.raises(ObservabilityError, match="singular gain matrix"):
         gauss_newton(mm, z, np.full(len(vm_only), 0.01), v, theta, 1e-6, WLS_MAX_ITER)
+
+
+def test_an_island_without_the_slack_raises_before_iterating(ieee14, monkeypatch):
+    """Table 5 point 27 cuts buses 7 and 8 off from the slack. Nothing fixes
+    their angles, so every gain is singular, however rounding hides it:
+    each noisy full-telemetry set raises ObservabilityError before any
+    evaluation, in an estimate and in bad-data removal."""
+    oc = generate_scenario(ieee14, next(s for s in TABLE5_SCENARIOS if s.id == "table5-27"))
+    rng = np.random.default_rng(5)
+    sets = [
+        full_telemetry_from_state(oc.model, oc.solution.v, oc.solution.theta, oc.topology,
+                                  noise_rng=rng)
+        for _ in range(8)
+    ]
+    tau = chi_square_threshold(len(sets[0]) - (2 * ieee14.n_bus - 1))
+    count = [0]
+    evaluate = MeasurementModel.evaluate
+
+    def counting(self, v, theta, out=None):
+        count[0] += 1
+        return evaluate(self, v, theta, out)
+
+    monkeypatch.setattr(MeasurementModel, "evaluate", counting)
+    for ms in sets:
+        with pytest.raises(ObservabilityError, match=r"outside the slack's island \(buses 7, 8\)"):
+            wls_estimate_ac(oc.model, ms, topology=oc.topology)
+        with pytest.raises(ObservabilityError, match="singular gain matrix"):
+            iterative_bad_data_removal(oc.model, ms, tau, topology=oc.topology)
+    assert count[0] == 0
+
+
+def _reference_gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
+    """``gauss_newton`` without step control: every step is taken in full,
+    one evaluation per iteration. Where no J rises above its acceptance
+    window, ``gauss_newton`` takes exactly these steps."""
+    batch, m = z.shape
+    w = 1.0 / sigmas**2
+    n = mm.n_bus
+    ang = mm.angle_buses
+    h = np.empty((batch, m))
+    jac = np.empty((batch, m, mm.n_state))
+    iterations = np.zeros(batch, dtype=int)
+    active = np.arange(batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            k = active.size
+            r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
+            np.subtract(z[active], r, out=r)
+            if gain_inv is None:
+                hw_t = (hk * w[:, None]).transpose(0, 2, 1)
+                dx = np.linalg.solve(hw_t @ hk, hw_t @ r[..., None])[..., 0]
+            else:
+                r *= w
+                dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
+            norm = np.sqrt(np.sum(dx * dx, axis=1))
+            done = norm < delta
+            theta[active[:, None], ang] += dx[:, : n - 1]
+            v[active] += dx[:, n - 1:]
+            iterations[active[done]] = it
+            active = active[~done & np.isfinite(norm)]
+            if not active.size:
+                break
+    return iterations
+
+
+def _j_path(mm, z, sigmas, calls):
+    """J at each recorded state of a one-row run."""
+    return [
+        chi_square_statistic(z - mm.evaluate(v, theta, out=(None, None))[0][0], sigmas)
+        for v, theta in calls
+    ]
+
+
+def _same_runs(loops, mm, z, sigmas, start, delta, max_iter, gain_inv=None):
+    """Run each loop from ``start`` (v, theta) and assert that all of them
+    evaluate the same states and end in the same states and counts, bit for
+    bit. Returns the iteration counts."""
+    runs = []
+    for loop in loops:
+        recording, calls = _recorded(mm)
+        v, theta = (x.copy() for x in start)
+        iterations = loop(recording, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        runs.append((iterations, v, theta, calls))
+    (it0, v0, theta0, calls0), (it1, v1, theta1, calls1) = runs
+    assert np.array_equal(it0, it1)
+    assert np.array_equal(v0, v1) and np.array_equal(theta0, theta1)
+    assert len(calls0) == len(calls1)
+    for (va, ta), (vb, tb) in zip(calls0, calls1):
+        assert np.array_equal(va, vb) and np.array_equal(ta, tb)
+    return it0
+
+
+def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solution):
+    """Seeded full-telemetry sets of the base case with 0-2 gross errors of
+    10-300 sigma, and one with Vm bus 14 off by -300 sigma, whose J rises at
+    its eighth evaluation but stays below the largest of the three before.
+    Along their full-step paths no J exceeds the window, so ``gauss_newton``
+    evaluates the same states as the reference loop, bit for bit, one row
+    at a time and as one batch whose rows converge at different counts."""
+    rng = np.random.default_rng(7)
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
+    sig = ms.sigmas
+    zs = ms.z + rng.normal(0.0, sig, (12, len(ms)))
+    for k, z in enumerate(zs):
+        rows = rng.choice(len(ms), size=k % 3, replace=False)
+        z[rows] += rng.choice([-1.0, 1.0], rows.size) * rng.uniform(10, 300, rows.size) * sig[rows]
+    vm14 = ms.index_of(MeasKind.VM, 14)
+    z = ms.z.copy()
+    z[vm14] -= 300 * sig[vm14]
+    zs = np.vstack([zs, z])
+    mm = compiled(ieee14, None, ms.entries)
+
+    def flat(rows):
+        return np.ones((rows, ieee14.n_bus)), np.zeros((rows, ieee14.n_bus))
+
+    rises = 0
+    for z in zs:
+        recording, calls = _recorded(mm)
+        assert _reference_gauss_newton(recording, z[None], sig, *flat(1), WLS_DELTA, WLS_MAX_ITER)[0]
+        js = _j_path(mm, z, sig, calls)
+        assert all(j <= max(js[i - WLS_WINDOW:i]) for i, j in enumerate(js) if i >= WLS_WINDOW)
+        rises += any(b > a for a, b in zip(js, js[1:]))
+    assert rises == 1
+    loops = (_reference_gauss_newton, gauss_newton)
+    for k in range(len(zs)):
+        assert _same_runs(loops, mm, zs[k:k + 1], sig, flat(1), WLS_DELTA, WLS_MAX_ITER).all()
+    iterations = _same_runs(loops, mm, zs, sig, flat(len(zs)), WLS_DELTA, WLS_MAX_ITER)
+    assert iterations.all() and len(set(iterations)) > 1
+
+
+def test_chord_mode_takes_the_reference_steps(ieee14):
+    """With ``gain_inv`` every chord step is taken in full, as before step
+    control, with or without rows left unconverged."""
+    base, z, sig, gain_inv = _sweep_batch(ieee14, np.linspace(0.9, 1.2, 8))
+    loops = (_reference_gauss_newton, gauss_newton)
+    for max_iter in (3, WLS_MAX_ITER):
+        iterations = _same_runs(loops, base.measurement_model, z, sig, _start(base, len(z)),
+                                1e-8, max_iter, gain_inv)
+        assert iterations.all() == (max_iter == WLS_MAX_ITER)
+
+
+def _flow_error_set(model, magnitude_sigma):
+    """Noiseless full telemetry of Table 5 point 25 (9-14 open) with
+    ``Pflow 12-6`` moved by ``magnitude_sigma`` sigmas, its model and
+    topology, and the channel's row."""
+    oc = generate_scenario(model, next(s for s in TABLE5_SCENARIOS if s.id == "table5-25"))
+    ms = full_telemetry_from_state(oc.model, oc.solution.v, oc.solution.theta, oc.topology)
+    row = next(i for i, m in enumerate(ms.entries) if m.channel == "Pflow 12-6")
+    bad = ms.replaced(row, ms.entries[row].value + magnitude_sigma * ms.entries[row].sigma)
+    return bad, oc.model, oc.topology, row
+
+
+def test_a_2000_sigma_flow_error_converges_and_is_removed(ieee14):
+    """Full steps swung J around 3.4e6 for all 50 iterations of the first
+    estimate, which raised EstimationError; with step control it converges
+    and removal takes out exactly the bad channel."""
+    bad, model, topology, row = _flow_error_set(ieee14, 2000)
+    first = wls_estimate_ac(model, bad, topology=topology)
+    assert first.iterations < WLS_MAX_ITER
+    tau = chi_square_threshold(len(bad) - (2 * ieee14.n_bus - 1))
+    result, removed = iterative_bad_data_removal(model, bad, tau, topology=topology)
+    assert removed == [row]
+    assert result.j_value <= tau
+
+
+def test_a_rise_backs_off_to_the_clipped_quadratic_minimiser(ieee14):
+    """At the first trial whose J exceeds the window, the next state is
+    x0 + t dx: dx the full step from the last accepted state x0, and t the
+    minimiser of the quadratic through J(0), J'(0) = -2 dx'H'Wr and J(1),
+    clipped to WLS_BACKOFF."""
+    bad, model, topology, _ = _flow_error_set(ieee14, 2000)
+    mm = compiled(model, topology, bad.entries)
+    z, sig = bad.z, bad.sigmas
+    recording, calls = _recorded(mm)
+    v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
+    gauss_newton(recording, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)
+    js = _j_path(mm, z, sig, calls)
+    rise = next(i for i, j in enumerate(js) if i >= WLS_WINDOW and j > max(js[i - WLS_WINDOW:i]))
+
+    def state(i):
+        v, theta = calls[i]
+        return np.concatenate([theta[0, mm.angle_buses], v[0]])
+
+    x0, dx = state(rise - 1), state(rise) - state(rise - 1)
+    h, jac = mm.evaluate(*calls[rise - 1])
+    slope = -2.0 * dx @ (jac[0].T @ ((z - h[0]) / sig**2))
+    t = -slope / (2.0 * (js[rise] - js[rise - 1] - slope))
+    t = min(max(t, WLS_BACKOFF[0]), WLS_BACKOFF[1])
+    assert np.abs(state(rise + 1) - (x0 + t * dx)).max() < 1e-12
+
+
+def test_a_state_backs_off_alike_in_any_batch(ieee14):
+    """Noisy sets of the same layout with gross errors of 300-2500 sigma,
+    several of which back off: each state ends where it ends alone, bit for
+    bit, whether it converges or not."""
+    bad, model, topology, _ = _flow_error_set(ieee14, 0)
+    mm = compiled(model, topology, bad.entries)
+    sig = bad.sigmas
+    rng = np.random.default_rng(3)
+    zs = bad.z + rng.normal(0.0, sig, (8, len(bad)))
+    for k, z in enumerate(zs):
+        rows = rng.choice(len(bad), size=1 + k % 2, replace=False)
+        z[rows] += rng.choice([-1.0, 1.0], rows.size) * rng.uniform(300, 2500, rows.size) * sig[rows]
+
+    def flat(rows):
+        return np.ones((rows, ieee14.n_bus)), np.zeros((rows, ieee14.n_bus))
+
+    v, theta = flat(len(zs))
+    iterations = gauss_newton(mm, zs, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)
+    assert 0 < np.count_nonzero(iterations) < len(zs)
+    for k, z in enumerate(zs):
+        vk, thetak = flat(1)
+        assert gauss_newton(mm, z[None], sig, vk, thetak, WLS_DELTA, WLS_MAX_ITER)[0] == iterations[k]
+        assert np.array_equal(vk[0], v[k]) and np.array_equal(thetak[0], theta[k])
+
+
+def test_a_nan_trial_counts_as_a_rise(ieee14, clean_measurements):
+    """A trial whose h is NaN backs off to a tenth of its step, and the
+    estimate then converges."""
+    mm = compiled(ieee14, None, clean_measurements.entries)
+    poisoned = copy.copy(mm)
+    calls = []
+
+    def evaluate(v, theta, out=None):
+        calls.append(np.concatenate([theta[0, mm.angle_buses], v[0]]))
+        h, jac = mm.evaluate(v, theta, out)
+        if len(calls) == 2:
+            h[:] = np.nan
+        return h, jac
+
+    poisoned.evaluate = evaluate
+    v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
+    z, sig = clean_measurements.z[None], clean_measurements.sigmas
+    assert gauss_newton(poisoned, z, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+    x0, dx = calls[0], calls[1] - calls[0]
+    assert np.abs(calls[2] - (x0 + WLS_BACKOFF[0] * dx)).max() < 1e-12
+
+
+def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_measurements,
+                                                               monkeypatch):
+    """A 50 p.u. error on Pinj 7 still diverges: every trial, accepted or
+    not, counts against ``WLS_MAX_ITER``, so the failure costs exactly
+    that many evaluations, as before step control."""
+    count = [0]
+    evaluate = MeasurementModel.evaluate
+
+    def counting(self, v, theta, out=None):
+        count[0] += 1
+        return evaluate(self, v, theta, out)
+
+    monkeypatch.setattr(MeasurementModel, "evaluate", counting)
+    row = clean_measurements.index_of(MeasKind.PINJ, 7)
+    bad = clean_measurements.replaced(row, clean_measurements.entries[row].value + 50.0)
+    with pytest.raises(EstimationError, match=f"did not converge in {WLS_MAX_ITER} iterations"):
+        wls_estimate_ac(ieee14, bad)
+    assert count[0] == WLS_MAX_ITER
 
 
 def test_removal_stops_at_observability_floor(ieee14, clean_measurements):
