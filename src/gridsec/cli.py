@@ -132,13 +132,13 @@ def cmd_estimate(args) -> int:
     model = _load_model(args.case)
     topo = _topology_for(args, model)
     ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
-    df = len(ms) - (2 * model.n_bus - 1)
-    tau = chi_square_threshold(max(df, 1), args.alpha)  # checks --alpha under --paper-compat too
-    tau = PAPER_CHI2_THRESHOLD if args.paper_compat else tau
+    chi_square_threshold(1, args.alpha)  # checks --alpha before estimating, under --paper-compat too
     try:
         result = wls_estimate_ac(model, ms, delta=args.delta, topology=topo)
     except EstimationError as exc:
         raise UsageError(f"{args.measurements}: {exc}") from None
+    df = len(ms) - result.measurement_model.n_state
+    tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(max(df, 1), args.alpha)
     verdict = bdd_classify(result, tau)
     doc = {
         "converged": result.converged,

@@ -1,7 +1,8 @@
 """WLS state estimation (iterative AC and linear DC), residual analysis,
 chi-square bad-data detection and largest-normalized-residual removal.
 
-AC state ordering: [theta at non-slack buses, V at all buses], n = 2k - 1.
+AC state ordering: [theta at every bus but each island's angle reference,
+V at all buses] (see ``measmodel.MeasurementModel``).
 Measurement values are p.u.; power channels are net injections.
 """
 
@@ -13,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .measmodel import MeasKind, MeasurementModel, compiled
-from .network import NetworkModel, TopologyMatrix, build_topology
+from .network import NetworkModel, TopologyMatrix, build_topology, island_references
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 __all__ = [
@@ -109,7 +110,7 @@ class MeasurementSet:
 @dataclass
 class StateVector:
     v: np.ndarray  # p.u. per bus
-    theta: np.ndarray  # radians per bus, slack entry 0
+    theta: np.ndarray  # radians per bus, each island's reference at its start value
 
 
 @dataclass
@@ -242,28 +243,32 @@ def gauss_newton(
     a state whose step is not finite stops there. Returns the evaluation
     counts, 0 where a state did not converge.
 
-    Raises ObservabilityError before any evaluation when ``mm`` has buses
-    outside the slack's island (their angles have no reference, so every
-    gain is singular, however rounding hides it). Each step solves the
-    gain H'WH at the current state, and raises ObservabilityError when
-    ``np.linalg.solve`` finds a gain singular. The step is damped per
-    state: the start is always accepted, and a trial whose J = sum w r^2
-    is NaN or above the largest J of the state's last ``WLS_WINDOW``
-    accepted states backs off along its step (see ``WLS_BACKOFF``). With
-    ``gain_inv``, one fixed inverse gain (n, n) for every state and step,
+    Each island of ``mm`` holds the angle of its reference bus at the
+    start value (see ``measmodel.MeasurementModel``). An island with fewer
+    rows than states (two per bus, less the reference angle) raises
+    ObservabilityError naming its buses, before any evaluation. Each step
+    solves the gain H'WH at the current state, and raises
+    ObservabilityError when ``np.linalg.solve`` finds a gain singular. The
+    step is damped per state: the start is always accepted, and a trial
+    whose J = sum w r^2 is NaN or above the largest J of the state's last
+    ``WLS_WINDOW`` accepted states backs off along its step (see
+    ``WLS_BACKOFF``). With ``gain_inv``, one fixed inverse gain
+    (``mm.n_state`` square) for every state and step,
     each step is the chord step dx = ``gain_inv`` H(x)'W(z - h(x)) instead,
     taken in full: a state converges to a root of the same normal
     equations, linearly rather than quadratically."""
-    if mm.unreferenced:
-        buses = mm.unreferenced
-        raise ObservabilityError(
-            "singular gain matrix: no angle reference outside the slack's island "
-            f"({'buses' if len(buses) > 1 else 'bus'} {', '.join(map(str, buses))})"
-        )
+    # Bin 0 counts the flow rows of out-of-service branches.
+    rows_per_island = np.bincount(mm.row_island + 1, minlength=len(mm.islands) + 1)[1:]
+    for (buses, _), count in zip(mm.islands, rows_per_island):
+        if count < 2 * len(buses) - 1:
+            raise ObservabilityError(
+                f"the island of {'buses' if len(buses) > 1 else 'bus'} {', '.join(map(str, sorted(buses)))} "
+                f"has fewer measurements ({count}) than states ({2 * len(buses) - 1})"
+            )
     batch, m = z.shape
     w = 1.0 / sigmas**2
-    n = mm.n_bus
     ang = mm.angle_buses
+    na = ang.size
     lo, hi = WLS_BACKOFF
     h = np.empty((batch, m))
     jac = np.empty((batch, m, mm.n_state))
@@ -309,8 +314,8 @@ def gauss_newton(
                         t = -s * a * a / (2.0 * (j[~ok] - j0[back] - s * a))
                         t = np.fmin(np.fmax(t, lo * a), hi * a)
                         move = (t - a)[:, None] * step[back]
-                        theta[back[:, None], ang] += move[:, : n - 1]
-                        v[back] += move[:, n - 1:]
+                        theta[back[:, None], ang] += move[:, :na]
+                        v[back] += move[:, na:]
                         frac[back] = t
                         sel = rows = active[ok]
                         r, hk, j = r[ok], hk[ok], j[ok]
@@ -330,11 +335,11 @@ def gauss_newton(
             norm = np.sqrt(np.sum(dx * dx, axis=1))
             done = norm < delta
             if rows.size == batch:
-                theta[:, ang] += dx[:, : n - 1]
+                theta[:, ang] += dx[:, :na]
             else:
                 # An index array pairs with ``ang`` as a column.
-                theta[rows[:, None], ang] += dx[:, : n - 1]
-            v[sel] += dx[:, n - 1:]
+                theta[rows[:, None], ang] += dx[:, :na]
+            v[sel] += dx[:, na:]
             iterations[rows[done]] = it
             going = ~done & np.isfinite(norm)
             if rows is active:
@@ -360,41 +365,41 @@ def wls_estimate_ac(
     start by default), with the step control of ``gauss_newton``: at most
     ``WLS_MAX_ITER`` evaluations of h and H, damped steps included, and
     convergence on the norm of the undamped step. ``iterations`` of the
-    result counts the evaluations.
+    result counts the evaluations. Each island of ``topology`` keeps the
+    angle of its reference bus (``network.island_references``) at its
+    value in ``x0``, 0 from a flat start.
 
     Raises ValueError unless ``delta`` is a finite number above 0,
     EstimationError naming the channel when a measurement value or sigma
-    is not finite, and ObservabilityError when the gain matrix is singular
-    (or when m < n, or the topology leaves buses outside the slack's
-    island, up front).
+    is not finite, and ObservabilityError naming its buses when an island
+    has fewer measurements than states (up front, see ``gauss_newton``)
+    or when the gain matrix is singular.
     """
-    n_state = 2 * model.n_bus - 1
-    if len(measurements) < n_state:
-        raise ObservabilityError(
-            f"{len(measurements)} measurements cannot observe {n_state} states"
-        )
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta {delta}: expected a finite number above 0")
-    bad = ~(np.isfinite(measurements.z) & np.isfinite(measurements.sigmas))
+    z, sig = measurements.z, measurements.sigmas
+    bad = ~(np.isfinite(z) & np.isfinite(sig))
     if bad.any():
         m = measurements.entries[int(np.argmax(bad))]
         raise EstimationError(
             f"non-finite measurement on channel {m.channel}: value {m.value}, sigma {m.sigma}"
         )
     mm = compiled(model, topology, measurements.entries)
-    return _estimate(mm, measurements, delta, x0)
+    return _estimate(mm, measurements, z, sig, delta, x0)
 
 
 def _estimate(
     mm: MeasurementModel,
     measurements: MeasurementSet,
+    z: np.ndarray,
+    sig: np.ndarray,
     delta: float,
     x0: StateVector | None,
 ) -> EstimationResult:
-    """``wls_estimate_ac`` on a compiled model of the measurements' layout."""
+    """``wls_estimate_ac`` on a compiled model of the measurements' layout,
+    with their values ``z`` and sigmas ``sig``."""
     n = mm.n_bus
-    z = measurements.z[None]
-    sig = measurements.sigmas
+    z = z[None]
     v = np.ones((1, n)) if x0 is None else x0.v.astype(float)[None].copy()
     theta = np.zeros((1, n)) if x0 is None else x0.theta.astype(float)[None].copy()
 
@@ -420,7 +425,9 @@ def _estimate(
 def build_dc_jacobian(
     model: NetworkModel, topology: TopologyMatrix | None = None
 ) -> tuple[np.ndarray, list[str]]:
-    """Linear DC measurement matrix over non-slack angles.
+    """Linear DC measurement matrix over the angles of every bus but each
+    island's reference (``network.island_references``), the AC model's
+    theta columns.
 
     Rows: P injection at every bus, then the from-end flow of every
     in-service branch. Returns (H, row labels).
@@ -444,14 +451,15 @@ def build_dc_jacobian(
     flows[rows, t] = -b
     labels = [f"P{i}" for i in range(1, n + 1)]
     labels += [f"F{br.from_bus}_{br.to_bus}" for br in live]
-    # np.delete keeps H in C order; BLAS rounds H @ c differently on a
-    # Fortran-ordered copy of the same matrix.
-    return np.delete(np.vstack([b_mat, flows]), model.slack_index, axis=1), labels
+    # H stays in C order (np.delete of two or more columns returns Fortran
+    # order); BLAS rounds H @ c differently on a Fortran-ordered copy.
+    refs = [ref - 1 for _, ref in island_references(model, topology)]
+    return np.ascontiguousarray(np.delete(np.vstack([b_mat, flows]), refs, axis=1)), labels
 
 
 @dataclass
 class DcEstimate:
-    x_hat: np.ndarray  # non-slack angles, radians
+    x_hat: np.ndarray  # angles of ``build_dc_jacobian``'s columns, radians
     residuals: np.ndarray
     j_value: float
 
@@ -579,27 +587,21 @@ def iterative_bad_data_removal(
     Gauss-Newton of ``gauss_newton`` (at most ``WLS_MAX_ITER`` evaluations
     each).
 
-    Raises ObservabilityError if removal would fall below observability,
-    or if the topology leaves buses outside the slack's island.
+    Raises ObservabilityError naming its buses when an estimate, the
+    first or one after a removal, leaves an island with fewer measurements
+    than states, and when a gain is singular.
     """
     live = list(range(len(measurements)))
     removed: list[int] = []
-    n_state = 2 * model.n_bus - 1
     result = wls_estimate_ac(model, measurements, topology=topology)
     while True:
         verdict = bdd_classify(result, threshold)
         if not verdict.flagged:
             return result, removed
-        if len(result.measurements) - 1 < n_state:
-            raise ObservabilityError(
-                "cannot remove further measurements without losing observability"
-            )
         worst = verdict.suspect
         assert worst is not None
         removed.append(live.pop(worst))
+        reduced = result.measurements.without([worst])
         result = _estimate(
-            result.measurement_model.without(worst),
-            result.measurements.without([worst]),
-            WLS_DELTA,
-            None,
+            result.measurement_model.without(worst), reduced, reduced.z, reduced.sigmas, WLS_DELTA, None
         )

@@ -9,7 +9,8 @@ estimates and the detector baseline fitted from them all move with the
 last bits. A state's results do not depend on its batch. The branch-end
 flow values are the ones ``branch_flows`` reports per branch.
 
-State columns: [theta at non-slack buses, V at all buses].
+State columns: [theta at every bus but the angle reference of each island
+(``angle_buses``), V at all buses].
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .network import (
     admittance,
     branch_admittances,
     build_topology,
-    connected_components,
+    island_references,
 )
 
 __all__ = ["MeasKind", "MeasurementModel", "branch_flows", "compiled"]
@@ -91,7 +92,7 @@ class MeasurementModel:
     branch is exactly 0, with a zero Jacobian row.
 
     The layout is compiled once into ``h_idx`` (m,) and ``jac_idx``
-    (m, 2n - 1), which index one source vector per state, O(n + branches)
+    (m, ``n_state``), which index one source vector per state, O(n + branches)
     long: ``[V, P, Q, dP/dtheta, dP/dV, dQ/dtheta, dQ/dV, flow terms, 1]``.
     Each derivative block is a 0, the n diagonal terms, then one term per
     directed off-diagonal nonzero (i, j) of Ybus, the edges: v_i v_j sc,
@@ -102,8 +103,10 @@ class MeasurementModel:
     exactly, so its derivatives by theta_j and V_j are edge terms.
     ``evaluate`` computes the source and gathers h and H from it. The
     arrays are read-only, because ``compiled`` shares one model between
-    the callers of a layout. ``unreferenced`` lists the bus ids outside
-    the slack's island, whose angles no reference fixes.
+    the callers of a layout. ``islands`` pairs each island with the bus
+    whose angle it holds fixed (``network.island_references``),
+    ``angle_buses`` lists the other buses (``n_state`` = n + their count)
+    and ``row_island`` each row's island (-1 for a flow on an open branch).
     """
 
     def __init__(
@@ -111,19 +114,16 @@ class MeasurementModel:
     ) -> None:
         n = self.n_bus = model.n_bus
         self.n_rows = len(entries)
-        self.n_state = 2 * n - 1
         if topology is None:
             topology = build_topology(model)
         self.ybus = admittance(model, topology)
-        self.angle_buses = np.delete(np.arange(n), model.slack_index)
-        # The buses outside the slack's island, in id order: nothing fixes
-        # their angles, so the gain H'WH of any layout is singular.
-        slack = model.buses[model.slack_index].id
-        live = [br.pair for br, on in zip(model.branches, topology.in_service) if on]
-        self.unreferenced = tuple(sorted(
-            bus for comp in connected_components((b.id for b in model.buses), live)
-            if slack not in comp for bus in comp
-        ))
+        self.islands = tuple(island_references(model, topology))
+        refs = [ref - 1 for _, ref in self.islands]
+        self.angle_buses = np.delete(np.arange(n), refs)
+        self.n_state = n + self.angle_buses.size
+        island_of = np.empty(n, dtype=np.intp)
+        for k, (buses, _) in enumerate(self.islands):
+            island_of[[b - 1 for b in buses]] = k
 
         # Rows per kind as flat (row, bus) pairs or, for flows, (row, branch
         # end) pairs; the P and Q flow rows of one end share that end's
@@ -191,10 +191,12 @@ class MeasurementModel:
         inj = zero + 1 + np.hstack([slot, slot + width])
         self.h_idx = np.empty(self.n_rows, dtype=np.intp)
         self.h_idx[dead] = zero
-        # Columns theta, then V, at every bus; the slack's theta is dropped below.
+        self.row_island = np.full(self.n_rows, -1, dtype=np.intp)
+        # Columns theta, then V, at every bus; the references' thetas are dropped below.
         full = np.full((self.n_rows, 2 * n), zero, dtype=np.intp)
         for kind, (r, at) in rows.items():
             q = kind in (MeasKind.QINJ, MeasKind.QFLOW)
+            self.row_island[r] = island_of[end_i[at] if kind in _FLOWS else at]
             if kind == MeasKind.VM:
                 self.h_idx[r] = at
                 full[r, n + at] = self._src_len - 1
@@ -205,7 +207,7 @@ class MeasurementModel:
                 i, j, e = end_i[at], end_j[at], end_edge[at]
                 self.h_idx[r], full[r, i], full[r, n + i] = flows + (3 * q + np.arange(3))[:, None] * off.size + e
                 full[r, j], full[r, n + j] = inj[i, j] + 2 * width * q, inj[i, n + j] + 2 * width * q
-        self.jac_idx = np.delete(full, model.slack_index, axis=1)
+        self.jac_idx = np.ascontiguousarray(np.delete(full, refs, axis=1))
         # evaluate gathers with mode='clip', which would hide a bad index.
         idx = np.concatenate([self.h_idx, self.jac_idx.ravel(), end_edge])
         if idx.size and not 0 <= idx.min() <= idx.max() < self._src_len:
@@ -225,6 +227,7 @@ class MeasurementModel:
         reduced.n_rows -= 1
         reduced._gather = np.delete(self.h_idx, row), np.delete(self.jac_idx, row, axis=0)
         reduced.h_idx, reduced.jac_idx = reduced._gather
+        reduced.row_island = np.delete(self.row_island, row)
         return reduced
 
     def evaluate(
@@ -233,7 +236,7 @@ class MeasurementModel:
         theta: np.ndarray,
         out: tuple[np.ndarray | None, np.ndarray | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """h shaped (B, m) and H shaped (B, m, 2n - 1) at states shaped
+        """h shaped (B, m) and H shaped (B, m, n_state) at states shaped
         (B, n), written into the arrays of ``out`` when given. A None in
         the h slot of ``out`` is allocated; a None in the H slot skips
         gathering H, which is returned as None."""
@@ -285,8 +288,9 @@ def compiled(
 ) -> MeasurementModel:
     """``MeasurementModel(model, topology, entries)``, taken from a
     per-process cache of the ``COMPILED_MAX`` most recently used layouts.
-    The key is all that the compile reads: the branches, the bus shunts,
-    the slack, the in-service flags and each entry's (kind, bus, branch);
+    The key is all that the compile reads: the branches, each bus's shunt,
+    kind and ``p_gen`` (which fix the angle references), the in-service
+    flags and each entry's (kind, bus, branch);
     values and sigmas are not part of it, so every caller of one layout
     gets the same model. A layout that does not compile raises on every
     call and is not kept."""
@@ -294,8 +298,7 @@ def compiled(
         topology = build_topology(model)
     key = (
         model.branches,
-        tuple(bus.b_shunt for bus in model.buses),
-        model.slack_index,
+        tuple((bus.b_shunt, bus.kind, bus.p_gen) for bus in model.buses),
         topology.in_service,
         # Three flat tuples take a third of the memory of one per entry.
         tuple(m.kind for m in entries),

@@ -26,6 +26,7 @@ __all__ = [
     "build_topology",
     "apply_topology_corruption",
     "connected_components",
+    "island_references",
     "admittance",
     "model_to_json",
     "model_from_json",
@@ -248,6 +249,24 @@ def connected_components(
         seen |= comp
         out.append(frozenset(comp))
     return out
+
+
+def island_references(
+    model: NetworkModel, topology: TopologyMatrix
+) -> list[tuple[frozenset[int], int]]:
+    """Every island of ``topology`` (``connected_components`` over its
+    in-service branches) with the bus whose angle is held at 0 in it: the
+    slack in the slack's island, otherwise the generator with the largest
+    ``p_gen`` (lowest id on ties), which ``powerflow.solve`` solves as the
+    island's slack, otherwise the island's lowest bus."""
+    # The reference is the island's bus of lowest rank.
+    rank = {
+        b.id: (b.kind is not BusKind.SLACK, b.kind is not BusKind.GENERATOR,
+               -b.p_gen if b.kind is BusKind.GENERATOR else 0.0, b.id)
+        for b in model.buses
+    }
+    live = [br.pair for br, on in zip(model.branches, topology.in_service) if on]
+    return [(comp, min(comp, key=rank.__getitem__)) for comp in connected_components(rank, live)]
 
 
 def branch_admittances(branch: Branch) -> tuple[complex, complex, complex, complex]:

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .measmodel import MeasKind, MeasurementModel, branch_flows, compiled
-from .network import BusKind, NetworkModel, TopologyMatrix, build_topology, connected_components
+from .network import BusKind, NetworkModel, TopologyMatrix, build_topology, island_references
 
 __all__ = [
     "Island",
@@ -89,10 +89,9 @@ def decompose_islands(
     smallest bus id."""
     if topology is None:
         topology = build_topology(model)
-    live = [br.pair for br, on in zip(model.branches, topology.in_service) if on]
     return [
-        Island(buses=comp, has_slack=any(model.bus(b).kind is BusKind.SLACK for b in comp))
-        for comp in connected_components((b.id for b in model.buses), live)
+        Island(buses=comp, has_slack=model.bus(ref).kind is BusKind.SLACK)
+        for comp, ref in island_references(model, topology)
     ]
 
 
@@ -123,9 +122,11 @@ def _nr_island(
     pq = [i for i in idx if i != slack and i not in pv]
     ang_vars = [i for i in idx if i != slack]
     n_ang = len(ang_vars)
-    # Each angle bus has a theta column: the model's slack is its island's.
+    # Each angle bus has a theta column: the island's slack is the model's
+    # angle reference there (``network.island_references``).
     rows = np.array(ang_vars + [n + i for i in pq], dtype=np.intp)
-    cols = np.concatenate([np.searchsorted(mm.angle_buses, ang_vars), n - 1 + np.array(pq, dtype=np.intp)])
+    ang = mm.angle_buses
+    cols = np.concatenate([np.searchsorted(ang, ang_vars), ang.size + np.array(pq, dtype=np.intp)])
     sched = np.concatenate([p_sched, q_sched])[rows]
 
     for it in range(1, NR_MAX_ITER + 1):
@@ -156,7 +157,8 @@ def solve(
     """Newton-Raphson AC power flow per island.
 
     Islands without a slack bus are solved with their largest generator
-    promoted to island slack; islands with neither are flagged unsolved.
+    promoted to island slack (``network.island_references``); islands
+    with neither are flagged unsolved.
     """
     if topology is None:
         topology = build_topology(model)
@@ -175,7 +177,6 @@ def solve(
     p_sched = np.array([(b.p_gen - b.p_load) / base for b in model.buses])
     q_sched = np.array([-b.q_load / base for b in model.buses])
 
-    islands = decompose_islands(model, topology)
     reports: list[IslandReport] = []
     converged_all = True
     total_iter = 0
@@ -183,17 +184,13 @@ def solve(
     # since NaN would leak through the 0 x NaN terms of every Ybus @ V.
     dead: list[int] = []
 
-    for isl in islands:
-        members = sorted(isl.buses)
+    # Each island's angle reference is its slack: a load bus there means
+    # the island has no slack and no generator.
+    for buses, slack_bus in mm.islands:
+        isl = Island(buses, has_slack=model.bus(slack_bus).kind is BusKind.SLACK)
+        members = sorted(buses)
         idx = [b - 1 for b in members]
-        slack_bus: int | None = None
-        if isl.has_slack:
-            slack_bus = next(b for b in members if model.bus(b).kind is BusKind.SLACK)
-        else:
-            gens = [b for b in members if model.bus(b).kind is BusKind.GENERATOR]
-            if gens:
-                slack_bus = max(gens, key=lambda b: (model.bus(b).p_gen, -b))
-        if slack_bus is None:
+        if model.bus(slack_bus).kind is BusKind.LOAD:
             converged_all = False
             dead.extend(idx)
             reports.append(

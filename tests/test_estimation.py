@@ -141,14 +141,22 @@ def dc_setup(model):
     return h, labels, x_true
 
 
-@pytest.mark.parametrize("opened", [[], [(2, 4), (7, 8)]], ids=["closed", "open-2-4-7-8"])
-def test_dc_jacobian_matches_branch_equations(ieee14, opened):
+# Opening 7-8 cuts off bus 8, a generator: the slack and bus 8 hold their angles.
+TOPOLOGIES = pytest.mark.parametrize(
+    "opened, refs", [([], [1]), ([(2, 4), (7, 8)], [1, 8])], ids=["closed", "open-2-4-7-8"]
+)
+
+
+@TOPOLOGIES
+def test_dc_jacobian_matches_branch_equations(ieee14, opened, refs):
     """H theta equals the DC flows (theta_f - theta_t) / (x tap) of the
-    in-service branches and their signed sums at every bus; H is C-ordered."""
+    in-service branches and their signed sums at every bus, over the angles
+    of every bus but each island's reference; H is C-ordered."""
     topo = apply_topology_corruption(build_topology(ieee14), opened)
     h, labels = build_dc_jacobian(ieee14, topo)
+    refs = [ref - 1 for ref in refs]
     theta = np.random.default_rng(5).normal(0.0, 0.1, 14)
-    theta[ieee14.slack_index] = 0.0
+    theta[refs] = 0.0
     p = np.zeros(14)
     flows = []
     for br, live in zip(ieee14.branches, topo.in_service):
@@ -160,12 +168,12 @@ def test_dc_jacobian_matches_branch_equations(ieee14, opened):
     assert labels[14:] == [f"F{f}_{t}" for (f, t), live in zip(topo.pairs, topo.in_service) if live]
     assert h.flags.c_contiguous
     np.testing.assert_allclose(
-        h @ np.delete(theta, ieee14.slack_index), np.concatenate([p, flows]), atol=1e-12
+        h @ np.delete(theta, refs), np.concatenate([p, flows]), atol=1e-12
     )
 
 
-@pytest.mark.parametrize("opened", [[], [(2, 4), (7, 8)]], ids=["closed", "open-2-4-7-8"])
-def test_dc_jacobian_is_the_lossless_ac_jacobian_at_flat_start(ieee14, opened):
+@TOPOLOGIES
+def test_dc_jacobian_is_the_lossless_ac_jacobian_at_flat_start(ieee14, opened, refs):
     """The DC H equals the dP/dtheta rows of the AC model's P injections
     and from-end P flows on a copy with r = 0 and no charging or shunts,
     at V = 1, theta = 0: two derivations of one matrix."""
@@ -182,8 +190,10 @@ def test_dc_jacobian_is_the_lossless_ac_jacobian_at_flat_start(ieee14, opened):
         for br, live in zip(lossless.branches, topo.in_service)
         if live
     ]
-    _, jac = MeasurementModel(lossless, topo, layout).evaluate(np.ones((1, 14)), np.zeros((1, 14)))
-    np.testing.assert_allclose(jac[0, :, :13], h_dc, rtol=0, atol=1e-13)
+    mm = MeasurementModel(lossless, topo, layout)
+    assert mm.angle_buses.tolist() == [i for i in range(14) if i + 1 not in refs]
+    _, jac = mm.evaluate(np.ones((1, 14)), np.zeros((1, 14)))
+    np.testing.assert_allclose(jac[0, :, :14 - len(refs)], h_dc, rtol=0, atol=1e-13)
 
 
 def test_dc_consistent_system_recovers_state(ieee14):
@@ -412,8 +422,8 @@ def test_overflowing_step_stops_unconverged_in_both_modes(ieee14):
 
 def test_gauss_newton_singular_gain_raises(ieee14, clean_measurements):
     """Voltage magnitudes alone leave every angle unobserved: the gain is
-    singular."""
-    vm_only = [m for m in clean_measurements.entries if m.kind is MeasKind.VM]
+    singular. Each is taken twice, so that the rows outnumber the states."""
+    vm_only = [m for m in clean_measurements.entries if m.kind is MeasKind.VM] * 2
     mm = compiled(ieee14, None, vm_only)
     z = np.array([[m.value for m in vm_only]])
     v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
@@ -421,19 +431,12 @@ def test_gauss_newton_singular_gain_raises(ieee14, clean_measurements):
         gauss_newton(mm, z, np.full(len(vm_only), 0.01), v, theta, 1e-6, WLS_MAX_ITER)
 
 
-def test_an_island_without_the_slack_raises_before_iterating(ieee14, monkeypatch):
-    """Table 5 point 27 cuts buses 7 and 8 off from the slack. Nothing fixes
-    their angles, so every gain is singular, however rounding hides it:
-    each noisy full-telemetry set raises ObservabilityError before any
-    evaluation, in an estimate and in bad-data removal."""
-    oc = generate_scenario(ieee14, next(s for s in TABLE5_SCENARIOS if s.id == "table5-27"))
-    rng = np.random.default_rng(5)
-    sets = [
-        full_telemetry_from_state(oc.model, oc.solution.v, oc.solution.theta, oc.topology,
-                                  noise_rng=rng)
-        for _ in range(8)
-    ]
-    tau = chi_square_threshold(len(sets[0]) - (2 * ieee14.n_bus - 1))
+def _catalog_point(model, point_id):
+    return generate_scenario(model, next(s for s in TABLE5_SCENARIOS if s.id == point_id))
+
+
+def _counting_evaluate(monkeypatch):
+    """A list whose one entry counts ``MeasurementModel.evaluate`` calls."""
     count = [0]
     evaluate = MeasurementModel.evaluate
 
@@ -442,12 +445,66 @@ def test_an_island_without_the_slack_raises_before_iterating(ieee14, monkeypatch
         return evaluate(self, v, theta, out)
 
     monkeypatch.setattr(MeasurementModel, "evaluate", counting)
-    for ms in sets:
-        with pytest.raises(ObservabilityError, match=r"outside the slack's island \(buses 7, 8\)"):
-            wls_estimate_ac(oc.model, ms, topology=oc.topology)
-        with pytest.raises(ObservabilityError, match="singular gain matrix"):
-            iterative_bad_data_removal(oc.model, ms, tau, topology=oc.topology)
-    assert count[0] == 0
+    return count
+
+
+@pytest.mark.parametrize(
+    "point_id, channel", [("table5-27", "Pflow 7-8"), ("table5-29", "Qinj bus 7")], ids=["27", "29"]
+)
+def test_islanded_points_estimate_with_one_angle_reference_per_island(ieee14, point_id, channel):
+    """Table 5 points 27 and 29 cut bus 8 (with bus 7 in point 27) off from
+    the slack. Each island holds one angle, the slack's and bus 8's (the
+    generator the power flow solves as that island's slack), so noiseless
+    full telemetry recovers the power-flow state, and bad-data removal
+    takes out exactly a 30 sigma error on one noisy set."""
+    oc = _catalog_point(ieee14, point_id)
+    sol = oc.solution
+    ms = full_telemetry_from_state(oc.model, sol.v, sol.theta, oc.topology)
+    result = wls_estimate_ac(oc.model, ms, topology=oc.topology)
+    assert result.measurement_model.angle_buses.tolist() == [i for i in range(14) if i not in (0, 7)]
+    assert np.max(np.abs(result.x_hat.v - sol.v)) < 1e-12
+    assert np.max(np.abs(result.x_hat.theta - sol.theta)) < 1e-12
+    assert result.j_value < 1e-20
+
+    noisy = full_telemetry_from_state(oc.model, sol.v, sol.theta, oc.topology,
+                                      noise_rng=np.random.default_rng(5))
+    row = next(i for i, m in enumerate(noisy.entries) if m.channel == channel)
+    bad = noisy.replaced(row, noisy.entries[row].value + 30.0 * noisy.entries[row].sigma)
+    tau = chi_square_threshold(len(bad) - result.measurement_model.n_state)
+    _, removed = iterative_bad_data_removal(oc.model, bad, tau, topology=oc.topology)
+    assert removed == [row]
+
+
+def test_an_island_with_too_few_measurements_raises_naming_its_buses(ieee14, monkeypatch):
+    """An island with fewer channels than states (two per bus, less its
+    reference angle) raises before any evaluation: point 29's bus 8 with
+    none of its three channels, and point 27's buses 7 and 8 with their P
+    injections alone. The count is necessary, not sufficient: bus 8 with
+    its P injection alone has one channel for one state, but that row is
+    0 on a bus with no branch and no shunt, so the gain is singular at the
+    first evaluation, in the estimate and in bad-data removal."""
+    cases = [
+        ("table5-29", ("Vm bus 8", "Pinj bus 8", "Qinj bus 8"),
+         r"the island of bus 8 has fewer measurements \(0\) than states \(1\)"),
+        ("table5-27", ("Vm bus 7", "Vm bus 8", "Qinj bus 7", "Qinj bus 8", "Pflow 7-8", "Qflow 7-8",
+                       "Pflow 8-7", "Qflow 8-7"),
+         r"the island of buses 7, 8 has fewer measurements \(2\) than states \(3\)"),
+    ]
+    cases.append(("table5-29", ("Vm bus 8", "Qinj bus 8"), "singular gain matrix"))
+    sets = []
+    for point_id, dropped, error in cases:
+        oc = _catalog_point(ieee14, point_id)
+        ms = full_telemetry_from_state(oc.model, oc.solution.v, oc.solution.theta, oc.topology)
+        kept = MeasurementSet([m for m in ms.entries if m.channel not in dropped])
+        assert len(kept) == len(ms) - len(dropped)
+        sets.append((oc, kept, error))
+    count = _counting_evaluate(monkeypatch)
+    for oc, kept, error in sets:
+        with pytest.raises(ObservabilityError, match=error):
+            wls_estimate_ac(oc.model, kept, topology=oc.topology)
+        with pytest.raises(ObservabilityError, match=error):
+            iterative_bad_data_removal(oc.model, kept, 1e9, topology=oc.topology)
+    assert count[0] == 2
 
 
 def _reference_gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
@@ -662,14 +719,7 @@ def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_m
     """A 50 p.u. error on Pinj 7 still diverges: every trial, accepted or
     not, counts against ``WLS_MAX_ITER``, so the failure costs exactly
     that many evaluations, as before step control."""
-    count = [0]
-    evaluate = MeasurementModel.evaluate
-
-    def counting(self, v, theta, out=None):
-        count[0] += 1
-        return evaluate(self, v, theta, out)
-
-    monkeypatch.setattr(MeasurementModel, "evaluate", counting)
+    count = _counting_evaluate(monkeypatch)
     row = clean_measurements.index_of(MeasKind.PINJ, 7)
     bad = clean_measurements.replaced(row, clean_measurements.entries[row].value + 50.0)
     with pytest.raises(EstimationError, match=f"did not converge in {WLS_MAX_ITER} iterations"):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridsec import measmodel, powerflow
 from gridsec.estimation import (
@@ -51,28 +53,30 @@ def reference_injection_blocks(ybus, v, theta):
     return p, q, dp_dth, dp_dv, dq_dth, dq_dv
 
 
-def reference_h_jac(model, entries, v, theta, topology=None):
+def reference_h_jac(model, entries, v, theta, topology=None, refs=None):
     """The per-row loop the vectorized model replaced, kept as the
     reference it must match bit for bit. A flow on a branch out of
-    service in ``topology`` is a zero row."""
+    service in ``topology`` is a zero row. ``refs``, the 0-based buses
+    whose angles are no state, defaults to the slack."""
     n = model.n_bus
-    slack = model.slack_index
+    refs = [model.slack_index] if refs is None else refs
     ybus = admittance(model, topology)
     p, q, dp_dth, dp_dv, dq_dth, dq_dv = reference_injection_blocks(ybus, v, theta)
-    ang = [i for i in range(n) if i != slack]
+    ang = [i for i in range(n) if i not in refs]
+    na = len(ang)
     h = np.zeros(len(entries))
-    jac = np.zeros((len(entries), 2 * n - 1))
+    jac = np.zeros((len(entries), na + n))
     for row, m in enumerate(entries):
         if m.kind is MeasKind.VM:
             h[row] = v[m.bus - 1]
-            jac[row, n - 1 + m.bus - 1] = 1.0
+            jac[row, na + m.bus - 1] = 1.0
             continue
         if m.kind in (MeasKind.PINJ, MeasKind.QINJ):
             i = m.bus - 1
             val, d_th, d_v = (p, dp_dth, dp_dv) if m.kind is MeasKind.PINJ else (q, dq_dth, dq_dv)
             h[row] = val[i]
-            jac[row, : n - 1] = d_th[i, ang]
-            jac[row, n - 1:] = d_v[i, :]
+            jac[row, :na] = d_th[i, ang]
+            jac[row, na:] = d_v[i, :]
             continue
         f_bus, t_bus = m.branch
         if topology is not None and not topology.in_service[model.branch_index(f_bus, t_bus)]:
@@ -93,12 +97,12 @@ def reference_h_jac(model, entries, v, theta, topology=None):
             h[row] = -vi * vi * bff + vi * vj * (gft * s - bft * c)
             d_thi = vi * vj * (gft * c + bft * s)
             d_vi, d_vj = -2 * vi * bff + vj * (gft * s - bft * c), vi * (gft * s - bft * c)
-        if i != slack:
+        if i in ang:
             jac[row, ang.index(i)] = d_thi
-        if j != slack:
+        if j in ang:
             jac[row, ang.index(j)] = -d_thi
-        jac[row, n - 1 + i] = d_vi
-        jac[row, n - 1 + j] = d_vj
+        jac[row, na + i] = d_vi
+        jac[row, na + j] = d_vj
     return h, jac
 
 
@@ -322,7 +326,9 @@ def islanded_points(ieee14):
 
 def test_islanded_topologies_equal_the_reference_bit_for_bit(islanded_points):
     """Full telemetry plus flow rows on the open branches, on topologies
-    with more than one island: the per-branch terms follow the live Ybus."""
+    with more than one island: the per-branch terms follow the live Ybus,
+    and the angles of the slack and of bus 8, the generator that holds the
+    other island's angle, are no state."""
     rng = np.random.default_rng(23)
     for oc in islanded_points:
         model, topo = oc.model, oc.topology
@@ -336,9 +342,38 @@ def test_islanded_topologies_equal_the_reference_bit_for_bit(islanded_points):
         ]
         h, jac = MeasurementModel(model, topo, entries).evaluate(v, theta)
         for k in range(len(v)):
-            h_ref, jac_ref = reference_h_jac(model, entries, v[k], theta[k], topo)
+            h_ref, jac_ref = reference_h_jac(model, entries, v[k], theta[k], topo, refs=[0, 7])
             assert np.array_equal(h[k], h_ref), oc.spec.id
             assert np.array_equal(jac[k], jac_ref), oc.spec.id
+
+
+@given(case=st.sampled_from(["closed", "table5-27", "table5-29"]), seed=st.integers(0, 2**32 - 1))
+def test_jacobian_matches_central_differences_on_any_topology(ieee14, islanded_points, case, seed):
+    """At random states, H from ``evaluate`` matches central differences of
+    h by each state column, on full telemetry plus flow rows on the open
+    branches, connected and split into islands, where a reference angle
+    per island is no column (and need not be 0)."""
+    oc = {oc.spec.id: oc for oc in islanded_points}.get(case)
+    model, topo = (ieee14, build_topology(ieee14)) if oc is None else (oc.model, oc.topology)
+    rng = np.random.default_rng(seed)
+    v, theta = rng.uniform(0.9, 1.1, 14), rng.uniform(-0.5, 0.5, 14)
+    entries = full_telemetry_from_state(model, v, theta, topo).entries + [
+        Measurement(kind, 0.0, 1.0, branch=br.pair)
+        for br, live in zip(model.branches, topo.in_service)
+        if not live
+        for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+    ]
+    mm = MeasurementModel(model, topo, entries)
+    _, jac = mm.evaluate(v[None], theta[None])
+    # One state per column and sign: theta of the angle buses, then V.
+    eps, na = 1e-6, mm.angle_buses.size
+    step = np.zeros((mm.n_state, 2, 14))
+    step[np.arange(na), 1, mm.angle_buses] = eps
+    step[na + np.arange(14), 0, np.arange(14)] = eps
+    h_plus, _ = mm.evaluate(v + step[:, 0], theta + step[:, 1], out=(None, None))
+    h_minus, _ = mm.evaluate(v - step[:, 0], theta - step[:, 1], out=(None, None))
+    fd = (h_plus - h_minus).T / (2 * eps)
+    np.testing.assert_allclose(jac[0], fd, rtol=1e-6, atol=1e-7)
 
 
 def test_parallel_branches_share_one_summed_edge_term(ieee14, states):
@@ -454,6 +489,26 @@ def test_a_change_the_compile_reads_gives_a_new_model(ieee14, telemetry):
         assert other is not mm
         assert not np.array_equal(other.ybus, mm.ybus)
     assert compiled(ieee14, topo, entries) is mm
+
+
+def test_an_island_reference_is_part_of_the_cache_key(islanded_points):
+    """Point 27's island of buses 7 and 8 holds the angle of bus 8, its one
+    generator. Made a generator of larger ``p_gen``, bus 7 holds it instead:
+    the same layout on the same topology is a new model, whose theta
+    columns are the power flow's, which solves that island with bus 7 as
+    its slack."""
+    oc = islanded_points[0]
+    entries = full_telemetry_from_state(oc.model, oc.solution.v, oc.solution.theta, oc.topology).entries
+    mm = compiled(oc.model, oc.topology, entries)
+    bus7 = replace(oc.model.bus(7), kind=BusKind.GENERATOR, p_gen=oc.model.bus(8).p_gen + 10.0)
+    model = oc.model.with_bus(7, bus7)
+    other = compiled(model, oc.topology, entries)
+    assert other is not mm
+    assert 7 not in mm.angle_buses and 6 in mm.angle_buses
+    assert 6 not in other.angle_buses and 7 in other.angle_buses
+    sol = solve(model, oc.topology)
+    assert sol.converged
+    assert [rep.slack_bus for rep in sol.islands] == [1, 7]
 
 
 @pytest.mark.parametrize("synthesize", [measurements_from_state, full_telemetry_from_state])
