@@ -148,6 +148,15 @@ WLS_DELTA = 1e-6  # step-norm tolerance of a WLS estimate by default
 # (Nocedal and Wright, Numerical Optimization, ch. 3).
 WLS_WINDOW = 3
 WLS_BACKOFF = (0.1, 0.5)
+# A row switches to second-order steps once the undamped step from an
+# accepted state is longer than WLS_SWITCH times the step before it, the
+# mark of Gauss-Newton converging linearly on a large-residual problem,
+# where the dropped term S = sum w_i r_i (Hessian of h_i) sets the rate
+# (Dennis and Schnabel, Numerical Methods for Unconstrained Optimization
+# and Nonlinear Equations, 1983, sections 10.2-10.3). From then on it
+# solves (G - S) dx = H'Wr, Newton's step on J, wherever np.linalg.cholesky
+# accepts G - S for it, and takes the Gauss-Newton step elsewhere.
+WLS_SWITCH = 0.5
 
 
 def standard_layout(
@@ -252,11 +261,18 @@ def gauss_newton(
     step is damped per state: the start is always accepted, and a trial
     whose J = sum w r^2 is NaN or above the largest J of the state's last
     ``WLS_WINDOW`` accepted states backs off along its step (see
-    ``WLS_BACKOFF``). With ``gain_inv``, one fixed inverse gain
-    (``mm.n_state`` square) for every state and step,
-    each step is the chord step dx = ``gain_inv`` H(x)'W(z - h(x)) instead,
-    taken in full: a state converges to a root of the same normal
-    equations, linearly rather than quadratically."""
+    ``WLS_BACKOFF``). A state switches to second-order steps once its
+    undamped step is longer than ``WLS_SWITCH`` times the one before it;
+    from then on each step solves (G - S) dx = H'Wr instead, S the
+    ``curvature`` of ``mm`` for the multipliers W r, at every state where
+    np.linalg.cholesky accepts G - S, and the Gauss-Newton step
+    elsewhere. Computing S is not an evaluation, and a state that never
+    switches takes the Gauss-Newton steps alone.
+
+    With ``gain_inv``, one fixed inverse gain (``mm.n_state`` square) for
+    every state and step, each step is the chord step dx = ``gain_inv``
+    H(x)'W(z - h(x)) instead, taken in full: a state converges to a root
+    of the same normal equations, linearly rather than quadratically."""
     # Bin 0 counts the flow rows of out-of-service branches.
     rows_per_island = np.bincount(mm.row_island + 1, minlength=len(mm.islands) + 1)[1:]
     for (buses, _), count in zip(mm.islands, rows_per_island):
@@ -279,6 +295,10 @@ def gauss_newton(
     # Back-off state, made at the first rise: the step fraction a of the
     # trial (0 when the state is not backing off), J(0), J'(0) and the step.
     frac = None
+    # WLS_SWITCH times the norm of each row's last undamped step, and the
+    # rows that have switched to second-order steps (any, while none has).
+    last = np.full(batch, np.inf)
+    second = None
     # A diverging state overflows; it leaves the loop as not converged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, max_iter + 1):
@@ -325,14 +345,32 @@ def gauss_newton(
                         frac[rows] = 0.0
                 recent[:-1, sel] = recent[1:, sel]
                 recent[-1, sel] = j
-                # The gain H'WH, with the weights w on W's diagonal, solved against H'Wr.
+                # The gain G = H'WH, with the weights w on W's diagonal, or on a
+                # switched row G - S where it is positive definite, solved against H'Wr.
                 hw_t = (hk * w[:, None]).transpose(0, 2, 1)
                 g = hw_t @ r[..., None]
+                gain = hw_t @ hk
+                if second is not None:
+                    newton = second[sel]
+                    if newton.all():
+                        _curve(mm, gain, v[sel], theta[sel], r * w)
+                    elif newton.any():
+                        at = np.flatnonzero(newton)
+                        part = gain[at]
+                        _curve(mm, part, v[rows[at]], theta[rows[at]], r[at] * w)
+                        gain[at] = part
                 try:
-                    dx = np.linalg.solve(hw_t @ hk, g)[..., 0]
+                    dx = np.linalg.solve(gain, g)[..., 0]
                 except np.linalg.LinAlgError as exc:
                     raise ObservabilityError(f"singular gain matrix: {exc}") from exc
             norm = np.sqrt(np.sum(dx * dx, axis=1))
+            if gain_inv is None:
+                longer = norm > last[sel]
+                last[sel] = WLS_SWITCH * norm
+                if longer.any():
+                    if second is None:
+                        second = np.zeros(batch, dtype=bool)
+                    second[rows[longer]] = True
             done = norm < delta
             if rows.size == batch:
                 theta[:, ang] += dx[:, :na]
@@ -354,6 +392,19 @@ def gauss_newton(
     return iterations
 
 
+def _curve(mm: MeasurementModel, gain: np.ndarray, v: np.ndarray, theta: np.ndarray,
+           lam: np.ndarray) -> None:
+    """Replace each gain G of ``gain`` (B, n_state, n_state) by G - S, S the
+    curvature of ``mm`` at its state for the multipliers ``lam`` = W r,
+    where np.linalg.cholesky accepts G - S."""
+    for g, curved in zip(gain, gain - mm.curvature(v, theta, lam)):
+        try:
+            np.linalg.cholesky(curved)
+        except np.linalg.LinAlgError:
+            continue
+        g[...] = curved
+
+
 def wls_estimate_ac(
     model: NetworkModel,
     measurements: MeasurementSet,
@@ -364,7 +415,9 @@ def wls_estimate_ac(
     """Gauss-Newton WLS over the AC measurement model from ``x0`` (a flat
     start by default), with the step control of ``gauss_newton``: at most
     ``WLS_MAX_ITER`` evaluations of h and H, damped steps included, and
-    convergence on the norm of the undamped step. ``iterations`` of the
+    convergence on the norm of the undamped step. An estimate whose steps
+    stop shrinking (a large residual) switches to second-order steps
+    (``WLS_SWITCH``). ``iterations`` of the
     result counts the evaluations. Each island of ``topology`` keeps the
     angle of its reference bus (``network.island_references``) at its
     value in ``x0``, 0 from a flat start.
@@ -496,15 +549,16 @@ def chi_square_statistic(residuals: np.ndarray, sigmas: np.ndarray) -> float:
 
 def normalized_residuals(result: EstimationResult) -> np.ndarray:
     """Residuals scaled by the residual-covariance diagonal
-    Omega = R - H (H' R^-1 H)^-1 H'."""
+    Omega = R - H (H' R^-1 H)^-1 H'. Raises ObservabilityError when
+    ``np.linalg.solve`` finds the gain H' R^-1 H singular."""
     h = result.jacobian
     sig = result.sigmas
     w = 1.0 / sig**2
     gain = (h * w[:, None]).T @ h
     try:
         cov_diag = np.einsum("ij,ji->i", h, np.linalg.solve(gain, h.T))
-    except np.linalg.LinAlgError:
-        cov_diag = np.zeros(len(sig))
+    except np.linalg.LinAlgError as exc:
+        raise ObservabilityError(f"singular gain matrix: {exc}") from exc
     omega = sig**2 - cov_diag
     omega = np.clip(omega, 1e-12, None)
     return result.residuals / np.sqrt(omega)
@@ -585,7 +639,7 @@ def iterative_bad_data_removal(
     model without the dropped rows. Every estimate starts flat, with the
     ``WLS_DELTA`` tolerance on the undamped step and the step-controlled
     Gauss-Newton of ``gauss_newton`` (at most ``WLS_MAX_ITER`` evaluations
-    each).
+    each), with its switch to second-order steps on a large residual.
 
     Raises ObservabilityError naming its buses when an estimate, the
     first or one after a removal, leaves an island with fewer measurements

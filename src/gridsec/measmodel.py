@@ -1,4 +1,5 @@
-"""The AC measurement model h(x) and its Jacobian H(x), batched over states.
+"""The AC measurement model h(x), its Jacobian H(x) and the curvature
+sum_i lam_i (Hessian of h_i), batched over states.
 
 The derivatives are MATPOWER's ``dSbus_dV``/``dSbr_dV`` (Zimmerman et al.,
 IEEE Trans. Power Syst. 2011) in polar form with real and imaginary parts
@@ -101,7 +102,9 @@ class MeasurementModel:
     and its derivatives by theta_i and V_i, then the same for Q. A flow is
     compiled only on a single live branch, whose yft is Ybus[i, j]
     exactly, so its derivatives by theta_j and V_j are edge terms.
-    ``evaluate`` computes the source and gathers h and H from it. The
+    ``evaluate`` computes the source and gathers h and H from it;
+    ``curvature`` scatters second derivatives from the same edge terms
+    through index arrays compiled with the layout. The
     arrays are read-only, because ``compiled`` shares one model between
     the callers of a layout. ``islands`` pairs each island with the bus
     whose angle it holds fixed (``network.island_references``),
@@ -208,6 +211,54 @@ class MeasurementModel:
                 self.h_idx[r], full[r, i], full[r, n + i] = flows + (3 * q + np.arange(3))[:, None] * off.size + e
                 full[r, j], full[r, n + j] = inj[i, j] + 2 * width * q, inj[i, n + j] + 2 * width * q
         self.jac_idx = np.ascontiguousarray(np.delete(full, refs, axis=1))
+
+        # ``curvature`` sums the rows' multipliers into complex LP + j LQ
+        # slots: per edge (the Pinj and Pflow rows at its from end), per bus
+        # (the Pinj row) and per measured end (the Pflow row). It then
+        # scatters the terms of each edge and bus into S, except those in
+        # the theta column or row of an angle reference.
+        n_edge = off.size
+        from_bus = [np.flatnonzero(self._edge_i == b).tolist() for b in range(n)]
+        lam_rows, lam_slots = [], []
+        for kind, (r, at) in rows.items():
+            if kind is MeasKind.VM:
+                continue
+            imag = kind in (MeasKind.QINJ, MeasKind.QFLOW)
+            for row, k in zip(r.tolist(), at.tolist()):
+                if kind in _FLOWS:
+                    slots = [end_edge[k], n_edge + n + end_edge[k]]
+                else:
+                    slots = from_bus[k] + [n_edge + k]
+                lam_rows += [row] * len(slots)
+                lam_slots += [2 * slot + imag for slot in slots]
+        self._y_edge, self._y_ii = y[off], y[:: n + 1]
+        na = self.angle_buses.size
+        col = np.full(2 * n, -1, dtype=np.intp)
+        col[self.angle_buses], col[n:] = np.arange(na), na + np.arange(n)
+        # theta_i, theta_j, V_i and V_j of each edge in [theta, V] of all buses.
+        ends = np.concatenate([self._edge_i, self._edge_j, n + self._edge_i, n + self._edge_j])
+        ti, tj, vi, vj = col[ends].reshape(4, n_edge)
+        # (term, factor, row, column) of S: the terms are vv a, v_j a', v_i a'
+        # and a per edge, then Re((LP + j LQ) y_ii) per bus and
+        # Re((LP + j LQ) yff) per measured end.
+        edge = np.arange(n_edge)
+        spots = [(t * n_edge + edge, np.full(n_edge, f), p, q) for t, f, p, q in (
+            (0, -1.0, ti, ti), (0, -1.0, tj, tj), (0, 1.0, ti, tj), (0, 1.0, tj, ti),
+            (1, 1.0, ti, vi), (1, 1.0, vi, ti), (2, 1.0, ti, vj), (2, 1.0, vj, ti),
+            (1, -1.0, tj, vi), (1, -1.0, vi, tj), (2, -1.0, tj, vj), (2, -1.0, vj, tj),
+            (3, 1.0, vi, vj), (3, 1.0, vj, vi))]
+        spots.append((4 * n_edge + np.arange(n), np.full(n, 2.0), col[n:], col[n:]))
+        if self._yff.size:
+            spots.append((4 * n_edge + n + edge, np.full(n_edge, 2.0), vi, vi))
+        term, factor, p, q = (np.concatenate(x) for x in zip(*spots))
+        kept = (p >= 0) & (q >= 0)
+        # A tuple, so that the loop below leaves these index arrays writable:
+        # np.take copies a read-only one on every call.
+        self._curv = (
+            np.array(lam_rows, dtype=np.intp), np.array(lam_slots, dtype=np.intp), ends,
+            term[kept], factor[kept], p[kept] * self.n_state + q[kept],
+        )
+
         # evaluate gathers with mode='clip', which would hide a bad index.
         idx = np.concatenate([self.h_idx, self.jac_idx.ravel(), end_edge])
         if idx.size and not 0 <= idx.min() <= idx.max() < self._src_len:
@@ -228,6 +279,9 @@ class MeasurementModel:
         reduced._gather = np.delete(self.h_idx, row), np.delete(self.jac_idx, row, axis=0)
         reduced.h_idx, reduced.jac_idx = reduced._gather
         reduced.row_island = np.delete(self.row_island, row)
+        rows, slots, *rest = self._curv
+        kept = rows != row
+        reduced._curv = (rows[kept] - (rows[kept] > row), slots[kept], *rest)
         return reduced
 
     def evaluate(
@@ -273,6 +327,45 @@ class MeasurementModel:
         if jac is not None:
             np.take(src, jac_idx, axis=1, out=jac, mode="clip")
         return h, jac
+
+    def curvature(self, v: np.ndarray, theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """S = sum_i lam_i (Hessian of h_i) shaped (B, n_state, n_state) at
+        states shaped (B, n), for multipliers ``lam`` shaped (B, m):
+        MATPOWER's ``d2Sbus_dV2`` and ``d2Sbr_dV2`` (Zimmerman, MATPOWER
+        Technical Note 2, 2010) contracted with ``lam``, in the terms of
+        ``_edge_terms``. A directed edge (i, j) with multipliers LP =
+        lam(Pinj i) + lam(Pflow i-j) and LQ likewise gives, with a = LP cs
+        + LQ sc and a' = LQ cs - LP sc (the real and imaginary parts of
+        (LP + j LQ)(g + jb) e^(-j(theta_i - theta_j))), -vv a at (theta_i,
+        theta_i) and (theta_j, theta_j), vv a at (theta_i, theta_j), v_j a',
+        v_i a', -v_j a' and -v_i a' at (theta_i, V_i), (theta_i, V_j),
+        (theta_j, V_i) and (theta_j, V_j), and a at (V_i, V_j), each also at
+        its transpose. (V_i, V_i) adds 2 (lam(Pinj i) G_ii - lam(Qinj i)
+        B_ii) and, per measured end, 2 (lam(Pflow) g_ff - lam(Qflow) b_ff).
+        Vm rows and flows on open branches are linear and add nothing.
+        Computing S does not evaluate h or H."""
+        batch = v.shape[0]
+        n, n_edge = self.n_bus, self._y_edge.size
+        rows, slots, ends, term, factor, flat = self._curv
+        mult = _scatter(np.take(lam, rows, axis=1), slots, 2 * (2 * n_edge + n)).view(complex)
+        at_ends = np.take(np.hstack([theta, v]), ends, axis=1).reshape(batch, 4, n_edge)
+        th_i, th_j, vi, vj = at_ends.transpose(1, 0, 2)
+        a = mult[:, :n_edge] * self._y_edge * np.exp(-1j * (th_i - th_j))
+        terms = [vi * vj * a.real, vj * a.imag, vi * a.imag, a.real,
+                 (mult[:, n_edge:n_edge + n] * self._y_ii).real]
+        if self._yff.size:
+            terms.append((mult[:, n_edge + n:] * self._yff).real)
+        values = np.take(np.concatenate(terms, axis=1), term, axis=1) * factor
+        return _scatter(values, flat, self.n_state**2).reshape(batch, self.n_state, self.n_state)
+
+
+def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
+    """Per row of ``values`` (B, k), the sums of its entries into ``width``
+    slots by ``idx`` (k,), in entry order, so that a row's sums do not
+    depend on its batch."""
+    batch = values.shape[0]
+    flat = idx if batch == 1 else (idx + width * np.arange(batch)[:, None]).ravel()
+    return np.bincount(flat, values.ravel(), batch * width).reshape(batch, width)
 
 
 # The compiled models of recently used layouts, least recent first. The

@@ -64,6 +64,27 @@ def test_estimate_flags_bad_measurement(tmp_path):
     assert doc["suspect"] == 3
 
 
+def test_estimate_ends_a_50_pu_injection_error_in_a_verdict(tmp_path):
+    """Full telemetry with a 50 p.u. error on Pinj 7 ended in an exit-2
+    'did not converge' error while every step was Gauss-Newton; with the
+    switch to second-order steps it converges, and ``estimate`` exits 1
+    with a JSON verdict that flags the bad channel."""
+    from gridsec.estimation import MeasKind, full_telemetry_from_state, measurements_to_csv
+    from gridsec.network import build_ieee14
+    from gridsec.powerflow import solve as pf_solve
+
+    model = build_ieee14()
+    sol = pf_solve(model)
+    ms = full_telemetry_from_state(model, sol.v, sol.theta)
+    row = ms.index_of(MeasKind.PINJ, 7)
+    bad_file, out = tmp_path / "pinj7.csv", tmp_path / "report.json"
+    bad_file.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
+    assert run(["estimate", "--measurements", str(bad_file), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is True and doc["iterations"] < 50
+    assert doc["flagged"] is True and doc["suspect"] == row
+
+
 def test_attack_vector_commands(tmp_path, capsys):
     assert run(["attack", "1a"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -568,13 +568,34 @@ def _same_runs(loops, mm, z, sigmas, start, delta, max_iter, gain_inv=None):
     return it0
 
 
+def _switches(mm, z, sigmas, start):
+    """Whether ``gauss_newton`` switches the one-row estimate of ``z`` from
+    ``start`` (v, theta) to second-order steps, that is, computes a
+    curvature."""
+    counting = copy.copy(mm)
+    calls = []
+
+    def curvature(v, theta, lam):
+        calls.append(len(v))
+        return mm.curvature(v, theta, lam)
+
+    counting.curvature = curvature
+    v, theta = (x.copy() for x in start)
+    gauss_newton(counting, z[None], sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)
+    return bool(calls)
+
+
 def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solution):
     """Seeded full-telemetry sets of the base case with 0-2 gross errors of
     10-300 sigma, and one with Vm bus 14 off by -300 sigma, whose J rises at
     its eighth evaluation but stays below the largest of the three before.
-    Along their full-step paths no J exceeds the window, so ``gauss_newton``
-    evaluates the same states as the reference loop, bit for bit, one row
-    at a time and as one batch whose rows converge at different counts."""
+    Along their full-step paths no J exceeds the window. Each step of the
+    first twelve is shorter than half the one before it, so none switches
+    to second-order steps, and ``gauss_newton`` evaluates the same states as
+    the reference loop, bit for bit, one row at a time and as one batch
+    whose rows converge at different counts. The Vm 14 row's third step is
+    0.85 of its second: it switches, and converges to the reference's
+    state."""
     rng = np.random.default_rng(7)
     ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
     sig = ms.sigmas
@@ -599,11 +620,24 @@ def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solu
         assert all(j <= max(js[i - WLS_WINDOW:i]) for i, j in enumerate(js) if i >= WLS_WINDOW)
         rises += any(b > a for a, b in zip(js, js[1:]))
     assert rises == 1
+    assert [k for k, z in enumerate(zs) if _switches(mm, z, sig, flat(1))] == [len(zs) - 1]
+    steady, zs = zs[:-1], zs[-1:]
     loops = (_reference_gauss_newton, gauss_newton)
-    for k in range(len(zs)):
-        assert _same_runs(loops, mm, zs[k:k + 1], sig, flat(1), WLS_DELTA, WLS_MAX_ITER).all()
-    iterations = _same_runs(loops, mm, zs, sig, flat(len(zs)), WLS_DELTA, WLS_MAX_ITER)
+    for k in range(len(steady)):
+        assert _same_runs(loops, mm, steady[k:k + 1], sig, flat(1), WLS_DELTA, WLS_MAX_ITER).all()
+    iterations = _same_runs(loops, mm, steady, sig, flat(len(steady)), WLS_DELTA, WLS_MAX_ITER)
     assert iterations.all() and len(set(iterations)) > 1
+    ends = []
+    for loop in loops:
+        v, theta = flat(1)
+        assert loop(mm, zs, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+        ends.append((v, theta))
+    (v0, theta0), (v1, theta1) = ends
+    # The same state, with angles that may differ by whole turns; each
+    # last step is below WLS_DELTA, and the steps before it shrank.
+    turns = np.round((theta1 - theta0) / (2 * np.pi))
+    assert np.abs(v1 - v0).max() < 2 * WLS_DELTA
+    assert np.abs(theta1 - theta0 - 2 * np.pi * turns).max() < 2 * WLS_DELTA
 
 
 def test_chord_mode_takes_the_reference_steps(ieee14):
@@ -645,8 +679,10 @@ def test_a_rise_backs_off_to_the_clipped_quadratic_minimiser(ieee14):
     """At the first trial whose J exceeds the window, the next state is
     x0 + t dx: dx the full step from the last accepted state x0, and t the
     minimiser of the quadratic through J(0), J'(0) = -2 dx'H'Wr and J(1),
-    clipped to WLS_BACKOFF."""
-    bad, model, topology, _ = _flow_error_set(ieee14, 2000)
+    clipped to WLS_BACKOFF. The 2000 sigma set of the test above no longer
+    rises once it switches to second-order steps; the 2500 sigma one does,
+    at its fourth evaluation."""
+    bad, model, topology, _ = _flow_error_set(ieee14, 2500)
     mm = compiled(model, topology, bad.entries)
     z, sig = bad.z, bad.sigmas
     recording, calls = _recorded(mm)
@@ -668,21 +704,23 @@ def test_a_rise_backs_off_to_the_clipped_quadratic_minimiser(ieee14):
 
 
 def test_a_state_backs_off_alike_in_any_batch(ieee14):
-    """Noisy sets of the same layout with gross errors of 300-2500 sigma,
-    several of which back off: each state ends where it ends alone, bit for
-    bit, whether it converges or not."""
+    """Noisy sets of the same layout, ten with one to three gross errors of
+    300-2500 sigma, several of which back off and all of which switch to
+    second-order steps, and two without, which do neither: each state ends
+    where it ends alone, bit for bit, whether it converges or not."""
     bad, model, topology, _ = _flow_error_set(ieee14, 0)
     mm = compiled(model, topology, bad.entries)
     sig = bad.sigmas
     rng = np.random.default_rng(3)
-    zs = bad.z + rng.normal(0.0, sig, (8, len(bad)))
-    for k, z in enumerate(zs):
-        rows = rng.choice(len(bad), size=1 + k % 2, replace=False)
+    zs = bad.z + rng.normal(0.0, sig, (12, len(bad)))
+    for k, z in enumerate(zs[:10]):
+        rows = rng.choice(len(bad), size=1 + k % 3, replace=False)
         z[rows] += rng.choice([-1.0, 1.0], rows.size) * rng.uniform(300, 2500, rows.size) * sig[rows]
 
     def flat(rows):
         return np.ones((rows, ieee14.n_bus)), np.zeros((rows, ieee14.n_bus))
 
+    assert [_switches(mm, z, sig, flat(1)) for z in zs] == [True] * 10 + [False] * 2
     v, theta = flat(len(zs))
     iterations = gauss_newton(mm, zs, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)
     assert 0 < np.count_nonzero(iterations) < len(zs)
@@ -716,15 +754,107 @@ def test_a_nan_trial_counts_as_a_rise(ieee14, clean_measurements):
 
 def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_measurements,
                                                                monkeypatch):
-    """A 50 p.u. error on Pinj 7 still diverges: every trial, accepted or
-    not, counts against ``WLS_MAX_ITER``, so the failure costs exactly
-    that many evaluations, as before step control."""
+    """A 50 p.u. error on Pinj 7 of the 42-channel standard layout still
+    diverges: it switches to second-order steps, but G - S is indefinite at
+    every state it reaches, so each step is the Gauss-Newton one. Every
+    trial, accepted or not, counts against ``WLS_MAX_ITER`` and a curvature
+    counts as no evaluation, so the failure costs exactly that many
+    evaluations, as before step control."""
     count = _counting_evaluate(monkeypatch)
+    curvatures = [0]
+    curvature = MeasurementModel.curvature
+
+    def counting(self, v, theta, lam):
+        curvatures[0] += 1
+        return curvature(self, v, theta, lam)
+
+    monkeypatch.setattr(MeasurementModel, "curvature", counting)
     row = clean_measurements.index_of(MeasKind.PINJ, 7)
     bad = clean_measurements.replaced(row, clean_measurements.entries[row].value + 50.0)
     with pytest.raises(EstimationError, match=f"did not converge in {WLS_MAX_ITER} iterations"):
         wls_estimate_ac(ieee14, bad)
     assert count[0] == WLS_MAX_ITER
+    assert curvatures[0] > 0
+
+
+def _switching_sets(model, count):
+    """``count`` seeded full-telemetry sets of the base case, each with one
+    gross error of 300-2500 sigma, whose estimates switch to second-order
+    steps."""
+    sol = solve(model)
+    rng = np.random.default_rng(11)
+    flat = np.ones((1, model.n_bus)), np.zeros((1, model.n_bus))
+    sets = []
+    while len(sets) < count:
+        ms = full_telemetry_from_state(model, sol.v, sol.theta, noise_rng=rng)
+        row = int(rng.integers(len(ms)))
+        size = rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(300), np.log(2500)))
+        bad = ms.replaced(row, ms.entries[row].value + size * ms.entries[row].sigma)
+        if _switches(compiled(model, None, bad.entries), bad.z, bad.sigmas, flat):
+            sets.append(bad)
+    return sets
+
+
+def test_switched_estimates_ignore_row_order_and_sigma_scale(ieee14):
+    """On sets whose estimates take second-order steps, permuting the rows
+    leaves x-hat and J unchanged and removal picks the same channels, and
+    scaling every sigma by k leaves x-hat unchanged and scales J by 1/k^2.
+    Two estimates of one minimum each stop within about WLS_DELTA of it
+    (the last step is below WLS_DELTA, and quadratic convergence leaves
+    far less after it), so their states differ by under 2 WLS_DELTA; J is
+    flat there, so it moves by at most the second-order term,
+    ||G|| (2 WLS_DELTA)^2 with G the gain at the estimate."""
+    k = 3.0
+    rng = np.random.default_rng(4)
+    for bad in _switching_sets(ieee14, 3):
+        first = wls_estimate_ac(ieee14, bad)
+        jac, w = first.jacobian, 1.0 / bad.sigmas**2
+        j_tol = np.linalg.norm((jac * w[:, None]).T @ jac, 2) * (2 * WLS_DELTA) ** 2
+        order = rng.permutation(len(bad))
+        permuted = MeasurementSet([bad.entries[i] for i in order])
+        scaled = MeasurementSet([replace(m, sigma=k * m.sigma) for m in bad.entries])
+        for other, j_scale in ((permuted, 1.0), (scaled, k * k)):
+            again = wls_estimate_ac(ieee14, other)
+            assert np.abs(again.x_hat.v - first.x_hat.v).max() < 2 * WLS_DELTA
+            assert np.abs(again.x_hat.theta - first.x_hat.theta).max() < 2 * WLS_DELTA
+            assert abs(j_scale * again.j_value - first.j_value) < j_tol
+        tau = chi_square_threshold(len(bad) - (2 * ieee14.n_bus - 1))
+        _, removed = iterative_bad_data_removal(ieee14, bad, tau)
+        _, removed_permuted = iterative_bad_data_removal(ieee14, permuted, tau)
+        assert removed and [int(order[i]) for i in removed_permuted] == removed
+
+
+@pytest.mark.parametrize(
+    "point_id, channel, sigmas",
+    [("table5-21", "Pinj bus 8", (-1000, 1000)), ("table5-12", "Pinj bus 7", (2000, -2500))],
+    ids=["21-Pinj8", "12-Pinj7"],
+)
+def test_large_injection_errors_converge_and_are_removed(ieee14, point_id, channel, sigmas):
+    """Errors of 1000-2500 sigma on the P injection at bus 8 of Table 5
+    point 21 and at bus 7 of point 12, as in perfbench's bdd sets, raised
+    EstimationError after 50 evaluations under Gauss-Newton steps alone.
+    With the switch to second-order steps each estimate converges within
+    20 evaluations and removal takes out exactly the bad channel."""
+    oc = _catalog_point(ieee14, point_id)
+    ms = full_telemetry_from_state(oc.model, oc.solution.v, oc.solution.theta, oc.topology,
+                                   noise_rng=np.random.default_rng(1))
+    row = next(i for i, m in enumerate(ms.entries) if m.channel == channel)
+    tau = chi_square_threshold(len(ms) - (2 * ieee14.n_bus - 1))
+    for size in sigmas:
+        bad = ms.replaced(row, ms.entries[row].value + size * ms.entries[row].sigma)
+        assert wls_estimate_ac(oc.model, bad, topology=oc.topology).iterations <= 20
+        _, removed = iterative_bad_data_removal(oc.model, bad, tau, topology=oc.topology)
+        assert removed == [row]
+
+
+def test_normalized_residuals_raise_on_a_singular_gain(ieee14, clean_measurements):
+    """A Jacobian with a zero column leaves that state unobserved: the gain
+    is singular, which raises rather than reading as residuals over sigma."""
+    result = wls_estimate_ac(ieee14, clean_measurements)
+    jac = result.jacobian.copy()
+    jac[:, 0] = 0.0
+    with pytest.raises(ObservabilityError, match="singular gain matrix"):
+        normalized_residuals(replace(result, jacobian=jac))
 
 
 def test_removal_stops_at_observability_floor(ieee14, clean_measurements):

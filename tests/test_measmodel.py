@@ -209,9 +209,11 @@ def test_evaluate_without_the_jacobian(ieee14, telemetry, states, monkeypatch):
 
 def test_without_equals_compiling_the_reduced_layout(ieee14, telemetry, states):
     """Dropping rows from a compiled model gives the model of the reduced
-    layout bit for bit, also once both flow rows of a branch end (the to
-    side of the off-nominal-tap branch 4-7) are gone."""
+    layout bit for bit, its curvature included, also once both flow rows
+    of a branch end (the to side of the off-nominal-tap branch 4-7) are
+    gone."""
     v, theta = states
+    lam = np.random.default_rng(8).normal(0.0, 1.0, (len(v), len(telemetry)))
     entries = list(telemetry.entries)
     drops = [
         next(r for r, m in enumerate(entries) if m.kind is kind and m.branch == (7, 4))
@@ -222,11 +224,14 @@ def test_without_equals_compiling_the_reduced_layout(ieee14, telemetry, states):
     for row in sorted(drops, reverse=True):
         mm = mm.without(row)
         del entries[row]
+        lam = np.delete(lam, row, axis=1)
         h, jac = mm.evaluate(v, theta)
-        h_ref, jac_ref = MeasurementModel(ieee14, None, entries).evaluate(v, theta)
+        reference = MeasurementModel(ieee14, None, entries)
+        h_ref, jac_ref = reference.evaluate(v, theta)
         assert mm.n_rows == len(entries)
         assert np.array_equal(h, h_ref)
         assert np.array_equal(jac, jac_ref)
+        assert np.array_equal(mm.curvature(v, theta, lam), reference.curvature(v, theta, lam))
 
 
 def _recompiling_removal(model, measurements, threshold):
@@ -374,6 +379,41 @@ def test_jacobian_matches_central_differences_on_any_topology(ieee14, islanded_p
     h_minus, _ = mm.evaluate(v - step[:, 0], theta - step[:, 1], out=(None, None))
     fd = (h_plus - h_minus).T / (2 * eps)
     np.testing.assert_allclose(jac[0], fd, rtol=1e-6, atol=1e-7)
+
+
+@given(case=st.sampled_from(["closed", "table5-27", "table5-29"]), seed=st.integers(0, 2**32 - 1))
+def test_curvature_matches_central_differences_of_the_weighted_jacobian(ieee14, islanded_points,
+                                                                       case, seed):
+    """At random states and multipliers lam, ``curvature`` equals the
+    central difference of H(x)'lam by each state column, on full telemetry
+    plus flow rows on the open branches, connected and split into islands,
+    and is symmetric. Three states in one batch give, bit for bit, what
+    each gives alone."""
+    oc = {oc.spec.id: oc for oc in islanded_points}.get(case)
+    model, topo = (ieee14, build_topology(ieee14)) if oc is None else (oc.model, oc.topology)
+    rng = np.random.default_rng(seed)
+    v, theta = rng.uniform(0.9, 1.1, (3, 14)), rng.uniform(-0.5, 0.5, (3, 14))
+    entries = full_telemetry_from_state(model, v[0], theta[0], topo).entries + [
+        Measurement(kind, 0.0, 1.0, branch=br.pair)
+        for br, live in zip(model.branches, topo.in_service)
+        if not live
+        for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+    ]
+    mm = MeasurementModel(model, topo, entries)
+    lam = rng.normal(0.0, 1.0, (3, len(entries)))
+    s = mm.curvature(v, theta, lam)
+    for k in range(3):
+        assert np.array_equal(mm.curvature(v[k:k + 1], theta[k:k + 1], lam[k:k + 1])[0], s[k])
+    assert np.array_equal(s, s.transpose(0, 2, 1))
+    # One state per column and sign: theta of the angle buses, then V.
+    eps, na = 1e-6, mm.angle_buses.size
+    step = np.zeros((mm.n_state, 2, 14))
+    step[np.arange(na), 1, mm.angle_buses] = eps
+    step[na + np.arange(14), 0, np.arange(14)] = eps
+    _, jac_plus = mm.evaluate(v[0] + step[:, 0], theta[0] + step[:, 1])
+    _, jac_minus = mm.evaluate(v[0] - step[:, 0], theta[0] - step[:, 1])
+    fd = (jac_plus - jac_minus).transpose(0, 2, 1) @ lam[0] / (2 * eps)
+    np.testing.assert_allclose(s[0], fd, rtol=1e-6, atol=1e-6)
 
 
 def test_parallel_branches_share_one_summed_edge_term(ieee14, states):
