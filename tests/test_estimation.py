@@ -621,7 +621,7 @@ def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solu
         rises += any(b > a for a, b in zip(js, js[1:]))
     assert rises == 1
     assert [k for k, z in enumerate(zs) if _switches(mm, z, sig, flat(1))] == [len(zs) - 1]
-    steady, zs = zs[:-1], zs[-1:]
+    steady, switching = zs[:-1], zs[-1:]
     loops = (_reference_gauss_newton, gauss_newton)
     for k in range(len(steady)):
         assert _same_runs(loops, mm, steady[k:k + 1], sig, flat(1), WLS_DELTA, WLS_MAX_ITER).all()
@@ -630,7 +630,7 @@ def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solu
     ends = []
     for loop in loops:
         v, theta = flat(1)
-        assert loop(mm, zs, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+        assert loop(mm, switching, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
         ends.append((v, theta))
     (v0, theta0), (v1, theta1) = ends
     # The same state, with angles that may differ by whole turns; each
