@@ -283,8 +283,13 @@ def gauss_newton(
             )
     batch, m = z.shape
     w = 1.0 / sigmas**2
+    # W's diagonal repeated across H's columns, so that H W is one contiguous product.
+    w_rows = np.repeat(w[:, None], mm.n_state, axis=1)
     ang = mm.angle_buses
     na = ang.size
+    # Angle columns that form one run of buses, as with a single reference
+    # at the first bus, update theta through a slice, in place.
+    run = slice(ang[0], ang[-1] + 1) if na and ang[-1] - ang[0] == na - 1 else ang
     lo, hi = WLS_BACKOFF
     h = np.empty((batch, m))
     jac = np.empty((batch, m, mm.n_state))
@@ -316,7 +321,7 @@ def gauss_newton(
                 j = np.add.reduce(r * r * w, axis=1)
                 if it > 1:
                     # A NaN J compares false: it is a rise.
-                    ok = j <= recent[:, sel].max(axis=0)
+                    ok = j <= np.maximum.reduce(recent[:, sel], axis=0)
                     if np.count_nonzero(ok) < k:
                         if frac is None:
                             frac, j0, slope = np.zeros(batch), np.empty(batch), np.empty(batch)
@@ -327,7 +332,7 @@ def gauss_newton(
                             # The full step from the last accepted state rose.
                             at = np.searchsorted(stepped, first)
                             step[first] = dx[at]
-                            slope[first] = -2.0 * np.sum(dx[at] * g[at, :, 0], axis=1)
+                            slope[first] = -2.0 * np.add.reduce(dx[at] * g[at, :, 0], axis=1)
                             j0[first] = recent[-1, first]
                             frac[first] = 1.0
                         a, s = frac[back], slope[back]
@@ -347,7 +352,7 @@ def gauss_newton(
                 recent[-1, sel] = j
                 # The gain G = H'WH, with the weights w on W's diagonal, or on a
                 # switched row G - S where it is positive definite, solved against H'Wr.
-                hw_t = (hk * w[:, None]).transpose(0, 2, 1)
+                hw_t = (hk * w_rows).transpose(0, 2, 1)
                 g = hw_t @ r[..., None]
                 gain = hw_t @ hk
                 if second is not None:
@@ -362,23 +367,24 @@ def gauss_newton(
                 try:
                     dx = np.linalg.solve(gain, g)[..., 0]
                 except np.linalg.LinAlgError as exc:
-                    raise ObservabilityError(f"singular gain matrix: {exc}") from exc
-            norm = np.sqrt(np.sum(dx * dx, axis=1))
+                    raise _singular(mm, hk, exc) from exc
+            norm = np.sqrt(np.add.reduce(dx * dx, axis=1))
             if gain_inv is None:
                 longer = norm > last[sel]
                 last[sel] = WLS_SWITCH * norm
-                if longer.any():
+                if np.count_nonzero(longer):
                     if second is None:
                         second = np.zeros(batch, dtype=bool)
                     second[rows[longer]] = True
             done = norm < delta
             if rows.size == batch:
-                theta[:, ang] += dx[:, :na]
+                theta[:, run] += dx[:, :na]
             else:
                 # An index array pairs with ``ang`` as a column.
                 theta[rows[:, None], ang] += dx[:, :na]
             v[sel] += dx[:, na:]
-            iterations[rows[done]] = it
+            if np.count_nonzero(done):
+                iterations[rows[done]] = it
             going = ~done & np.isfinite(norm)
             if rows is active:
                 active = active[going]
@@ -390,6 +396,25 @@ def gauss_newton(
             if not active.size:
                 break
     return iterations
+
+
+def _singular(mm: MeasurementModel, jac: np.ndarray, exc: Exception) -> ObservabilityError:
+    """The error of a singular gain built from ``jac``, one H (m, n_state)
+    or a batch of them: it names the state columns that are zero in every
+    row of the first H that has one, ``no measurement depends on V at bus
+    8``, and otherwise gives the solver's message."""
+    zero = ~jac.reshape(-1, *jac.shape[-2:]).any(axis=1)
+    if not zero.any():
+        return ObservabilityError(f"singular gain matrix: {exc}")
+    cols = np.flatnonzero(zero[np.argmax(zero.any(axis=1))])
+    na = mm.angle_buses.size
+    names = []
+    thetas, vs = mm.angle_buses[cols[cols < na]] + 1, cols[cols >= na] - na + 1
+    for label, buses in (("theta", thetas), ("V", vs)):
+        if buses.size:
+            where = "buses" if buses.size > 1 else "bus"
+            names.append(f"{label} at {where} {', '.join(map(str, buses.tolist()))}")
+    return ObservabilityError(f"singular gain matrix: no measurement depends on {' or '.join(names)}")
 
 
 def _curve(mm: MeasurementModel, gain: np.ndarray, v: np.ndarray, theta: np.ndarray,
@@ -450,7 +475,9 @@ def _estimate(
     x0: StateVector | None,
 ) -> EstimationResult:
     """``wls_estimate_ac`` on a compiled model of the measurements' layout,
-    with their values ``z`` and sigmas ``sig``."""
+    with their values ``z`` and sigmas ``sig``. Whole turns come off each
+    estimated angle outside (-pi, pi] after h and H are evaluated at the
+    end state, so an angle in that range is reported as it ends."""
     n = mm.n_bus
     z = z[None]
     v = np.ones((1, n)) if x0 is None else x0.v.astype(float)[None].copy()
@@ -462,8 +489,12 @@ def _estimate(
 
     h_val, jac = mm.evaluate(v, theta)
     residuals = (z - h_val)[0]
+    theta = theta[0]
+    turned = (theta <= -np.pi) | (theta > np.pi)
+    if turned.any():
+        theta = np.where(turned, np.pi - np.mod(np.pi - theta, 2.0 * np.pi), theta)
     return EstimationResult(
-        x_hat=StateVector(v=v[0], theta=theta[0]),
+        x_hat=StateVector(v=v[0], theta=theta),
         residuals=residuals,
         j_value=chi_square_statistic(residuals, sig),
         iterations=int(iterations[0]),
@@ -558,7 +589,7 @@ def normalized_residuals(result: EstimationResult) -> np.ndarray:
     try:
         cov_diag = np.einsum("ij,ji->i", h, np.linalg.solve(gain, h.T))
     except np.linalg.LinAlgError as exc:
-        raise ObservabilityError(f"singular gain matrix: {exc}") from exc
+        raise _singular(result.measurement_model, h, exc) from exc
     omega = sig**2 - cov_diag
     omega = np.clip(omega, 1e-12, None)
     return result.residuals / np.sqrt(omega)
@@ -648,6 +679,7 @@ def iterative_bad_data_removal(
     live = list(range(len(measurements)))
     removed: list[int] = []
     result = wls_estimate_ac(model, measurements, topology=topology)
+    mm, z, sig = result.measurement_model, measurements.z, result.sigmas
     while True:
         verdict = bdd_classify(result, threshold)
         if not verdict.flagged:
@@ -655,7 +687,6 @@ def iterative_bad_data_removal(
         worst = verdict.suspect
         assert worst is not None
         removed.append(live.pop(worst))
-        reduced = result.measurements.without([worst])
-        result = _estimate(
-            result.measurement_model.without(worst), reduced, reduced.z, reduced.sigmas, WLS_DELTA, None
-        )
+        entries, kept = result.measurements.entries, np.arange(z.size) != worst
+        mm, z, sig = mm.without(worst), z[kept], sig[kept]
+        result = _estimate(mm, MeasurementSet(entries[:worst] + entries[worst + 1:]), z, sig, WLS_DELTA, None)

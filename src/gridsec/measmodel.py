@@ -20,6 +20,8 @@ import copy
 import threading
 from collections import defaultdict
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -102,12 +104,15 @@ class MeasurementModel:
     and its derivatives by theta_i and V_i, then the same for Q. A flow is
     compiled only on a single live branch, whose yft is Ybus[i, j]
     exactly, so its derivatives by theta_j and V_j are edge terms.
-    ``evaluate`` computes the source and gathers h and H from it;
-    ``curvature`` scatters second derivatives from the same edge terms
-    through index arrays compiled with the layout. The
-    arrays are read-only, because ``compiled`` shares one model between
-    the callers of a layout. ``islands`` pairs each island with the bus
-    whose angle it holds fixed (``network.island_references``),
+    ``evaluate`` computes the source, each term in its slot, and gathers h
+    and H from it. The source of the flat state (every V 1, every theta
+    +0), where each estimate from a flat start begins, is computed once at
+    compile time and shared with the models ``without`` rows; evaluating
+    that state gathers from it. ``curvature`` scatters second derivatives
+    from the same edge terms through index arrays compiled with the
+    layout. The arrays are read-only, because ``compiled`` shares one
+    model between the callers of a layout. ``islands`` pairs each island
+    with the bus whose angle it holds fixed (``network.island_references``),
     ``angle_buses`` lists the other buses (``n_state`` = n + their count)
     and ``row_island`` each row's island (-1 for a flow on an open branch).
     """
@@ -170,7 +175,9 @@ class MeasurementModel:
         off = y != 0
         off[:: n + 1] = False
         off = np.flatnonzero(off)
-        self._edge_i, self._edge_j = np.divmod(off, n)
+        edge_i, edge_j = np.divmod(off, n)
+        # A tuple keeps these index arrays writable (see the end of __init__).
+        self._ends = edge_i, edge_j
         self._g, self._b = y.real[off], y.imag[off]
         self._g_ii, self._b_ii = y.real[:: n + 1], y.imag[:: n + 1]
         width = self._width = 1 + n + off.size
@@ -218,7 +225,7 @@ class MeasurementModel:
         # scatters the terms of each edge and bus into S, except those in
         # the theta column or row of an angle reference.
         n_edge = off.size
-        from_bus = [np.flatnonzero(self._edge_i == b).tolist() for b in range(n)]
+        from_bus = [np.flatnonzero(edge_i == b).tolist() for b in range(n)]
         lam_rows, lam_slots = [], []
         for kind, (r, at) in rows.items():
             if kind is MeasKind.VM:
@@ -236,7 +243,7 @@ class MeasurementModel:
         col = np.full(2 * n, -1, dtype=np.intp)
         col[self.angle_buses], col[n:] = np.arange(na), na + np.arange(n)
         # theta_i, theta_j, V_i and V_j of each edge in [theta, V] of all buses.
-        ends = np.concatenate([self._edge_i, self._edge_j, n + self._edge_i, n + self._edge_j])
+        ends = np.concatenate([edge_i, edge_j, n + edge_i, n + edge_j])
         ti, tj, vi, vj = col[ends].reshape(4, n_edge)
         # (term, factor, row, column) of S: the terms are vv a, v_j a', v_i a'
         # and a per edge, then Re((LP + j LQ) y_ii) per bus and
@@ -268,6 +275,8 @@ class MeasurementModel:
         # so ``evaluate`` gathers through writable twins of h_idx and jac_idx.
         self._gather = self.h_idx, self.jac_idx
         self.h_idx, self.jac_idx = self.h_idx.view(), self.jac_idx.view()
+        # Every estimate from a flat start evaluates this state first.
+        self._flat = self._source(np.ones((1, n)), np.zeros((1, n)))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -276,12 +285,13 @@ class MeasurementModel:
         """This model with one row of its layout deleted."""
         reduced = copy.copy(self)
         reduced.n_rows -= 1
-        reduced._gather = np.delete(self.h_idx, row), np.delete(self.jac_idx, row, axis=0)
+        reduced._gather = _drop(self.h_idx, row), _drop(self.jac_idx, row)
         reduced.h_idx, reduced.jac_idx = reduced._gather
-        reduced.row_island = np.delete(self.row_island, row)
+        reduced.row_island = _drop(self.row_island, row)
         rows, slots, *rest = self._curv
         kept = rows != row
-        reduced._curv = (rows[kept] - (rows[kept] > row), slots[kept], *rest)
+        rows = rows[kept]
+        reduced._curv = (rows - (rows > row), slots[kept], *rest)
         return reduced
 
     def evaluate(
@@ -293,33 +303,15 @@ class MeasurementModel:
         """h shaped (B, m) and H shaped (B, m, n_state) at states shaped
         (B, n), written into the arrays of ``out`` when given. A None in
         the h slot of ``out`` is allocated; a None in the H slot skips
-        gathering H, which is returned as None."""
-        batch, n = v.shape
+        gathering H, which is returned as None. A batch of flat states
+        (every V exactly 1, every theta exactly +0) gathers from the
+        source computed at compile time."""
+        batch = v.shape[0]
         h, jac = out if out is not None else (None, np.empty((batch, self.n_rows, self.n_state)))
-        src = np.empty((batch, self._src_len))
-        src[:, -1] = 1.0
-        src[:, :n] = v
-        blocks = src[:, 3 * n:3 * n + 4 * self._width].reshape(batch, 4, self._width)
-        blocks[:, :, 0] = 0.0
-        i, j = self._edge_i, self._edge_j
-        vi, vj = v[:, i], v[:, j]
-        vv, cs, sc = _edge_terms(self._g, self._b, vi, vj, theta[:, i] - theta[:, j])
-        edge = blocks[:, :, n + 1:]
-        edge[:, 0], edge[:, 1], edge[:, 2], edge[:, 3] = vv * sc, vi * cs, -vv * cs, vi * sc
-        if self._injections:
-            vc = v * np.exp(1j * theta)
-            s = vc * np.conj((self.ybus @ vc[..., None])[..., 0])
-            p, q, g, b = s.real, s.imag, self._g_ii, self._b_ii
-            src[:, n:2 * n], src[:, 2 * n:3 * n] = p, q
-            d = blocks[:, :, 1:n + 1]
-            d[:, 0], d[:, 1], d[:, 2], d[:, 3] = -q - b * v**2, p / v + g * v, p - g * v**2, q / v - b * v
-        if self._yff.size:
-            p, q = _end_flows(self._yff, vi, vv, cs, sc)
-            g, b = self._yff.real, self._yff.imag
-            # -sc rounds exactly as -gft sin + bft cos would.
-            src[:, 3 * n + 4 * self._width:-1] = np.concatenate(
-                [p, vv * -sc, 2 * vi * g + vj * cs, q, vv * cs, -2 * vi * b + vj * sc], axis=1
-            )
+        if np.count_nonzero(theta) or np.signbit(theta).any() or not (v == 1.0).all():
+            src = self._source(v, theta)
+        else:
+            src = self._flat if batch == 1 else np.broadcast_to(self._flat, (batch, self._src_len))
         # mode='clip' lets take write straight into out, where the default
         # 'raise' fills a copy first; __init__ checked the indices.
         h_idx, jac_idx = self._gather
@@ -327,6 +319,44 @@ class MeasurementModel:
         if jac is not None:
             np.take(src, jac_idx, axis=1, out=jac, mode="clip")
         return h, jac
+
+    def _source(self, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The source vectors (B, ``_src_len``) of states shaped (B, n),
+        each term written into its slot. The products vv cs and vv sc,
+        which edge and flow terms share, are computed once, and each term
+        rounds as its expression in ``_edge_terms`` and ``_end_flows``
+        would: (-x) y is -(x y) exactly, and x + (-y) is x - y."""
+        batch, n = v.shape
+        src = np.empty((batch, self._src_len))
+        src[:, -1] = 1.0
+        src[:, :n] = v
+        # [dP/dtheta, dP/dV, dQ/dtheta, dQ/dV], each [0, diagonal, edges].
+        blocks = src[:, 3 * n:3 * n + 4 * self._width].reshape(batch, 4, self._width)
+        blocks[:, :, 0] = 0.0
+        i, j = self._ends
+        vi, vj = v.take(i, axis=1), v.take(j, axis=1)
+        vv, cs, sc = _edge_terms(self._g, self._b, vi, vj, theta.take(i, axis=1) - theta.take(j, axis=1))
+        vv_cs, vv_sc = vv * cs, vv * sc
+        edge = blocks[:, :, n + 1:]
+        edge[:, 0], edge[:, 1], edge[:, 3] = vv_sc, vi * cs, vi * sc
+        np.negative(vv_cs, out=edge[:, 2])
+        if self._injections:
+            vc = v * np.exp(1j * theta)
+            s = vc * np.conj((self.ybus @ vc[..., None])[..., 0])
+            p, q, g, b, v2 = s.real, s.imag, self._g_ii, self._b_ii, v * v
+            src[:, n:2 * n], src[:, 2 * n:3 * n] = p, q
+            d = blocks[:, :, 1:n + 1]
+            d[:, 0], d[:, 1], d[:, 2], d[:, 3] = -q - b * v2, p / v + g * v, p - g * v2, q / v - b * v
+        if self._yff.size:
+            # P, dP/dtheta_i, dP/dV_i, Q, dQ/dtheta_i and dQ/dV_i of the flow
+            # entering each edge at its from end, with yff = g + jb.
+            flows = src[:, 3 * n + 4 * self._width:-1].reshape(batch, 6, vv.shape[1])
+            g, b, vi2, vi_2 = self._yff.real, self._yff.imag, vi * vi, 2 * vi
+            flows[:, 0], flows[:, 2] = vi2 * g + vv_cs, vi_2 * g + vj * cs
+            flows[:, 3], flows[:, 5] = vv_sc - vi2 * b, vj * sc - vi_2 * b
+            flows[:, 4] = vv_cs
+            np.negative(vv_sc, out=flows[:, 1])
+        return src
 
     def curvature(self, v: np.ndarray, theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """S = sum_i lam_i (Hessian of h_i) shaped (B, n_state, n_state) at
@@ -347,16 +377,21 @@ class MeasurementModel:
         batch = v.shape[0]
         n, n_edge = self.n_bus, self._y_edge.size
         rows, slots, ends, term, factor, flat = self._curv
-        mult = _scatter(np.take(lam, rows, axis=1), slots, 2 * (2 * n_edge + n)).view(complex)
-        at_ends = np.take(np.hstack([theta, v]), ends, axis=1).reshape(batch, 4, n_edge)
+        mult = _scatter(lam.take(rows, axis=1), slots, 2 * (2 * n_edge + n)).view(complex)
+        at_ends = np.concatenate((theta, v), axis=1).take(ends, axis=1).reshape(batch, 4, n_edge)
         th_i, th_j, vi, vj = at_ends.transpose(1, 0, 2)
         a = mult[:, :n_edge] * self._y_edge * np.exp(-1j * (th_i - th_j))
         terms = [vi * vj * a.real, vj * a.imag, vi * a.imag, a.real,
                  (mult[:, n_edge:n_edge + n] * self._y_ii).real]
         if self._yff.size:
             terms.append((mult[:, n_edge + n:] * self._yff).real)
-        values = np.take(np.concatenate(terms, axis=1), term, axis=1) * factor
+        values = np.concatenate(terms, axis=1).take(term, axis=1) * factor
         return _scatter(values, flat, self.n_state**2).reshape(batch, self.n_state, self.n_state)
+
+
+def _drop(a: np.ndarray, row: int) -> np.ndarray:
+    """``a`` without its entry ``row`` along the first axis, as a new array."""
+    return np.concatenate((a[:row], a[row + 1:]))
 
 
 def _scatter(values: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
@@ -376,6 +411,22 @@ _compiled: dict[tuple, MeasurementModel] = {}
 _compiled_lock = threading.Lock()
 
 
+_KIND, _BUS = attrgetter("kind"), attrgetter("bus")
+
+
+class _Key(tuple):
+    """A cache key that hashes its parts once: the LRU takes it out of the
+    cache and puts it back, and Python hashes a tuple anew each time."""
+
+    def __new__(cls, parts: tuple) -> "_Key":
+        key = super().__new__(cls, parts)
+        key.hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
 def compiled(
     model: NetworkModel, topology: TopologyMatrix | None, entries: Sequence
 ) -> MeasurementModel:
@@ -389,15 +440,16 @@ def compiled(
     call and is not kept."""
     if topology is None:
         topology = build_topology(model)
-    key = (
+    key = _Key((
         model.branches,
         tuple((bus.b_shunt, bus.kind, bus.p_gen) for bus in model.buses),
         topology.in_service,
-        # Three flat tuples take a third of the memory of one per entry.
-        tuple(m.kind for m in entries),
-        tuple(m.bus for m in entries),
-        tuple(getattr(m, "branch", None) for m in entries),
-    )
+        # Three flat tuples take a third of the memory of one per entry. An
+        # entry without a branch (the power flow's) has None there.
+        tuple(map(_KIND, entries)),
+        tuple(map(_BUS, entries)),
+        tuple(map(getattr, entries, repeat("branch"), repeat(None))),
+    ))
     with _compiled_lock:
         mm = _compiled.pop(key, None) or MeasurementModel(model, topology, entries)
         _compiled[key] = mm

@@ -427,7 +427,9 @@ def test_gauss_newton_singular_gain_raises(ieee14, clean_measurements):
     mm = compiled(ieee14, None, vm_only)
     z = np.array([[m.value for m in vm_only]])
     v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
-    with pytest.raises(ObservabilityError, match="singular gain matrix"):
+    buses = ", ".join(map(str, range(2, 15)))
+    error = f"^singular gain matrix: no measurement depends on theta at buses {buses}$"
+    with pytest.raises(ObservabilityError, match=error):
         gauss_newton(mm, z, np.full(len(vm_only), 0.01), v, theta, 1e-6, WLS_MAX_ITER)
 
 
@@ -482,7 +484,8 @@ def test_an_island_with_too_few_measurements_raises_naming_its_buses(ieee14, mon
     injections alone. The count is necessary, not sufficient: bus 8 with
     its P injection alone has one channel for one state, but that row is
     0 on a bus with no branch and no shunt, so the gain is singular at the
-    first evaluation, in the estimate and in bad-data removal."""
+    first evaluation, in the estimate and in bad-data removal, which names
+    the state no row depends on."""
     cases = [
         ("table5-29", ("Vm bus 8", "Pinj bus 8", "Qinj bus 8"),
          r"the island of bus 8 has fewer measurements \(0\) than states \(1\)"),
@@ -490,7 +493,8 @@ def test_an_island_with_too_few_measurements_raises_naming_its_buses(ieee14, mon
                        "Pflow 8-7", "Qflow 8-7"),
          r"the island of buses 7, 8 has fewer measurements \(2\) than states \(3\)"),
     ]
-    cases.append(("table5-29", ("Vm bus 8", "Qinj bus 8"), "singular gain matrix"))
+    cases.append(("table5-29", ("Vm bus 8", "Qinj bus 8"),
+                  r"^singular gain matrix: no measurement depends on V at bus 8$"))
     sets = []
     for point_id, dropped, error in cases:
         oc = _catalog_point(ieee14, point_id)
@@ -640,6 +644,29 @@ def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solu
     assert np.abs(theta1 - theta0 - 2 * np.pi * turns).max() < 2 * WLS_DELTA
 
 
+def test_estimated_angles_outside_minus_pi_to_pi_lose_whole_turns(ieee14, solution):
+    """The -300 sigma Vm 14 set of the test above ends with bus 14 at 4.92 pi.
+    The estimate reports it at 0.92 pi, two turns off, and every other
+    angle, each in (-pi, pi], as the iterations left it, to the last bit;
+    J, the residuals and H are those evaluated at the end state."""
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
+    row = ms.index_of(MeasKind.VM, 14)
+    bad = ms.replaced(row, ms.entries[row].value - 300 * ms.entries[row].sigma)
+    mm = compiled(ieee14, None, bad.entries)
+    v, theta = np.ones((1, 14)), np.zeros((1, 14))
+    assert gauss_newton(mm, bad.z[None], bad.sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+    result = wls_estimate_ac(ieee14, bad)
+    assert np.array_equal(result.x_hat.v, v[0])
+    turns = (theta[0] - result.x_hat.theta) / (2 * np.pi)
+    assert np.round(turns).tolist() == [0.0] * 13 + [2.0]
+    assert abs(turns[13] - 2.0) < 1e-12
+    assert np.array_equal(result.x_hat.theta[:13], theta[0, :13])
+    assert np.all((-np.pi < result.x_hat.theta) & (result.x_hat.theta <= np.pi))
+    h, jac = mm.evaluate(v, theta)
+    assert np.array_equal(result.residuals, bad.z - h[0]) and np.array_equal(result.jacobian, jac[0])
+    assert result.j_value == chi_square_statistic(bad.z - h[0], bad.sigmas)
+
+
 def test_chord_mode_takes_the_reference_steps(ieee14):
     """With ``gain_inv`` every chord step is taken in full, as before step
     control, with or without rows left unconverged."""
@@ -759,8 +786,17 @@ def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_m
     every state it reaches, so each step is the Gauss-Newton one. Every
     trial, accepted or not, counts against ``WLS_MAX_ITER`` and a curvature
     counts as no evaluation, so the failure costs exactly that many
-    evaluations, as before step control."""
+    evaluations, as before step control. The first, at the flat start,
+    gathers from the source compiled with the model and still counts."""
     count = _counting_evaluate(monkeypatch)
+    sources = [0]
+    source = MeasurementModel._source
+
+    def computing(self, v, theta):
+        sources[0] += 1
+        return source(self, v, theta)
+
+    monkeypatch.setattr(MeasurementModel, "_source", computing)
     curvatures = [0]
     curvature = MeasurementModel.curvature
 
@@ -774,6 +810,7 @@ def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_m
     with pytest.raises(EstimationError, match=f"did not converge in {WLS_MAX_ITER} iterations"):
         wls_estimate_ac(ieee14, bad)
     assert count[0] == WLS_MAX_ITER
+    assert sources[0] == WLS_MAX_ITER - 1
     assert curvatures[0] > 0
 
 
@@ -849,11 +886,19 @@ def test_large_injection_errors_converge_and_are_removed(ieee14, point_id, chann
 
 def test_normalized_residuals_raise_on_a_singular_gain(ieee14, clean_measurements):
     """A Jacobian with a zero column leaves that state unobserved: the gain
-    is singular, which raises rather than reading as residuals over sigma."""
+    is singular, which raises rather than reading as residuals over sigma,
+    naming the state. Two equal columns make it singular too, with no
+    column to name: the solver's message stands."""
     result = wls_estimate_ac(ieee14, clean_measurements)
     jac = result.jacobian.copy()
     jac[:, 0] = 0.0
-    with pytest.raises(ObservabilityError, match="singular gain matrix"):
+    jac[:, 13 + 7] = 0.0
+    with pytest.raises(ObservabilityError,
+                       match="^singular gain matrix: no measurement depends on theta at bus 2 or V at bus 8$"):
+        normalized_residuals(replace(result, jacobian=jac))
+    jac = result.jacobian.copy()
+    jac[:, 1] = jac[:, 0]
+    with pytest.raises(ObservabilityError, match="^singular gain matrix: Singular matrix$"):
         normalized_residuals(replace(result, jacobian=jac))
 
 

@@ -128,16 +128,80 @@ def test_telemetry_covers_off_nominal_taps_from_the_to_side(telemetry):
     assert {(7, 4), (9, 4), (6, 5)} <= pairs
 
 
-def test_batched_model_equals_per_row_reference_bit_for_bit(ieee14, telemetry, states):
+def _assert_equals_reference(model, entries):
+    """h and H of ``entries`` on ``model`` at batches of 1, 2 and 16 states
+    around the power-flow solution, the last of each flat, equal the
+    per-row reference to the last bit."""
+    mm = MeasurementModel(model, None, entries)
+    sol = solve(model)
+    for batch in (1, 2, 16):
+        rng = np.random.default_rng(batch)
+        v = sol.v + rng.normal(0.0, 0.02, (batch, model.n_bus))
+        theta = sol.theta + rng.normal(0.0, 0.05, (batch, model.n_bus))
+        theta[:, model.slack_index] = 0.0
+        v[-1], theta[-1] = 1.0, 0.0
+        h, jac = mm.evaluate(v, theta)
+        for k in range(batch):
+            h_ref, jac_ref = reference_h_jac(model, entries, v[k], theta[k])
+            assert np.array_equal(h[k], h_ref), (batch, k)
+            assert np.array_equal(jac[k], jac_ref), (batch, k)
+
+
+def test_batched_model_equals_per_row_reference_bit_for_bit(ieee14, telemetry):
     """Power flow, WLS and the sweep's flags reproduce their earlier results
-    exactly only while the vectorized arithmetic matches the loop's."""
-    mm = MeasurementModel(ieee14, None, telemetry.entries)
+    exactly only while the vectorized arithmetic matches the loop's: on full
+    telemetry, the 42-channel standard layout and the flow rows alone, at
+    any batch."""
+    flows = [m for m in telemetry.entries if m.kind in (MeasKind.PFLOW, MeasKind.QFLOW)]
+    assert len(telemetry.entries) == 42 + len(flows)
+    for entries in (telemetry.entries, telemetry.entries[:42], flows):
+        _assert_equals_reference(ieee14, entries)
+
+
+def _parallel_model(model):
+    """``model`` with a second line between buses 1 and 2, of twice the
+    first one's impedance."""
+    line = model.branches[model.branch_index(1, 2)]
+    return replace(model, branches=model.branches + (replace(line, r=2 * line.r, x=2 * line.x),))
+
+
+def test_a_flat_state_gathers_from_the_compiled_source(ieee14, telemetry, states, monkeypatch):
+    """At V = 1 and theta = +0 at every bus ``evaluate`` gathers h and H
+    from the source computed once at compile time, which a model
+    ``without`` rows shares and nobody can write. They equal a fresh
+    evaluation (the flat state in a batch with another state) to the last
+    bit, on the compiled model and after rows are dropped; a theta of -0.0
+    is not the flat state and is computed."""
+    mm = compiled(ieee14, None, telemetry.entries)
+    assert not mm._flat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mm._flat[0, 0] = 0.0
+    computed = []
+    source = MeasurementModel._source
+
+    def counting(self, v, theta):
+        computed.append(len(v))
+        return source(self, v, theta)
+
+    monkeypatch.setattr(MeasurementModel, "_source", counting)
     v, theta = states
-    h, jac = mm.evaluate(v, theta)
-    for k in range(len(v)):
-        h_ref, jac_ref = reference_h_jac(ieee14, telemetry.entries, v[k], theta[k])
-        assert np.array_equal(h[k], h_ref)
-        assert np.array_equal(jac[k], jac_ref)
+    ones, zeros = np.ones((1, 14)), np.zeros((1, 14))
+    for model in (mm, mm.without(0), mm.without(0).without(60)):
+        assert model._flat is mm._flat
+        computed.clear()
+        h, jac = model.evaluate(ones, zeros)
+        h3, jac3 = model.evaluate(np.ones((3, 14)), np.zeros((3, 14)))
+        assert computed == []
+        fresh_h, fresh_jac = model.evaluate(np.vstack([ones, v[:1]]), np.vstack([zeros, theta[:1]]))
+        assert computed == [2]
+        assert np.array_equal(h[0], fresh_h[0]) and np.array_equal(jac[0], fresh_jac[0])
+        assert all(np.array_equal(h3[k], h[0]) and np.array_equal(jac3[k], jac[0]) for k in range(3))
+    h_ref, jac_ref = reference_h_jac(ieee14, telemetry.entries, ones[0], zeros[0])
+    h, jac = mm.evaluate(ones, zeros)
+    assert np.array_equal(h[0], h_ref) and np.array_equal(jac[0], jac_ref)
+    computed.clear()
+    mm.evaluate(ones, -zeros)
+    assert computed == [1]
 
 
 def test_batched_jacobian_matches_central_differences(ieee14, telemetry, states):
@@ -352,22 +416,27 @@ def test_islanded_topologies_equal_the_reference_bit_for_bit(islanded_points):
             assert np.array_equal(jac[k], jac_ref), oc.spec.id
 
 
-@given(case=st.sampled_from(["closed", "table5-27", "table5-29"]), seed=st.integers(0, 2**32 - 1))
+@given(case=st.sampled_from(["closed", "table5-27", "table5-29", "parallel"]), seed=st.integers(0, 2**32 - 1))
 def test_jacobian_matches_central_differences_on_any_topology(ieee14, islanded_points, case, seed):
     """At random states, H from ``evaluate`` matches central differences of
     h by each state column, on full telemetry plus flow rows on the open
     branches, connected and split into islands, where a reference angle
-    per island is no column (and need not be 0)."""
+    per island is no column (and need not be 0), and on the standard
+    layout of a network with two parallel branches between buses 1 and 2."""
     oc = {oc.spec.id: oc for oc in islanded_points}.get(case)
-    model, topo = (ieee14, build_topology(ieee14)) if oc is None else (oc.model, oc.topology)
+    model = _parallel_model(ieee14) if case == "parallel" else ieee14 if oc is None else oc.model
+    topo = build_topology(model) if oc is None else oc.topology
     rng = np.random.default_rng(seed)
     v, theta = rng.uniform(0.9, 1.1, 14), rng.uniform(-0.5, 0.5, 14)
-    entries = full_telemetry_from_state(model, v, theta, topo).entries + [
-        Measurement(kind, 0.0, 1.0, branch=br.pair)
-        for br, live in zip(model.branches, topo.in_service)
-        if not live
-        for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
-    ]
+    if case == "parallel":
+        entries = measurements_from_state(model, v, theta).entries
+    else:
+        entries = full_telemetry_from_state(model, v, theta, topo).entries + [
+            Measurement(kind, 0.0, 1.0, branch=br.pair)
+            for br, live in zip(model.branches, topo.in_service)
+            if not live
+            for kind in (MeasKind.PFLOW, MeasKind.QFLOW)
+        ]
     mm = MeasurementModel(model, topo, entries)
     _, jac = mm.evaluate(v[None], theta[None])
     # One state per column and sign: theta of the angle buses, then V.
@@ -416,18 +485,11 @@ def test_curvature_matches_central_differences_of_the_weighted_jacobian(ieee14, 
     np.testing.assert_allclose(s[0], fd, rtol=1e-6, atol=1e-6)
 
 
-def test_parallel_branches_share_one_summed_edge_term(ieee14, states):
+def test_parallel_branches_share_one_summed_edge_term(ieee14, telemetry):
     """Two branches between buses 1 and 2 make one Ybus entry; the
-    injection rows' edge terms use that sum, as the dense blocks did."""
-    line = ieee14.branches[ieee14.branch_index(1, 2)]
-    doubled = replace(ieee14, branches=ieee14.branches + (replace(line, r=2 * line.r, x=2 * line.x),))
-    v, theta = states
-    entries = measurements_from_state(doubled, v[0], theta[0]).entries
-    h, jac = MeasurementModel(doubled, None, entries).evaluate(v, theta)
-    for k in range(len(v)):
-        h_ref, jac_ref = reference_h_jac(doubled, entries, v[k], theta[k])
-        assert np.array_equal(h[k], h_ref)
-        assert np.array_equal(jac[k], jac_ref)
+    injection rows' edge terms use that sum, as the dense blocks did, at
+    any batch."""
+    _assert_equals_reference(_parallel_model(ieee14), telemetry.entries[:42])
 
 
 def test_newton_raphson_jacobian_equals_the_dense_blocks(ieee14, islanded_points, monkeypatch):
@@ -581,7 +643,7 @@ def test_a_cached_model_is_read_only(ieee14, telemetry):
     model ``without`` a row has arrays of its own."""
     mm = compiled(ieee14, None, telemetry.entries)
     arrays = {name: a for name, a in vars(mm).items() if isinstance(a, np.ndarray)}
-    assert {"h_idx", "jac_idx", "ybus", "_g", "_b", "_yff"} <= set(arrays)
+    assert {"h_idx", "jac_idx", "ybus", "_g", "_b", "_yff", "_flat"} <= set(arrays)
     for a in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
