@@ -253,10 +253,10 @@ def sweep_stealth_range(
     anchors), so the curve is never extrapolated; with fewer than four
     anchors these start from the baseline estimate too. A candidate the
     chord steps do not converge within ``SWEEP_CHORD_STEPS`` restarts from
-    the baseline estimate on a batched, step-controlled Gauss-Newton with
-    ``WLS_MAX_ITER`` evaluations: a warm-started ``wls_estimate_ac``, whose
-    flag each candidate gets. A candidate that it does not converge raises
-    EstimationError naming the bus and the candidate.
+    the baseline estimate on the damped Gauss-Newton of ``gauss_newton``
+    with ``WLS_MAX_ITER`` evaluations: a warm-started ``wls_estimate_ac``,
+    whose flag each candidate gets. A candidate that it does not converge
+    raises EstimationError naming the bus and the candidate.
 
     ``base`` is ``wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)``, which
     the sweep computes when it is None; a caller that sweeps several buses

@@ -139,24 +139,14 @@ DEFAULT_SIGMA_VM = 0.01
 DEFAULT_SIGMA_POWER = 0.02
 WLS_MAX_ITER = 50  # h/H evaluations of one WLS estimate
 WLS_DELTA = 1e-6  # step-norm tolerance of a WLS estimate by default
-# Step control of the Gauss-Newton mode: a trial state is accepted when its
-# J is no larger than the largest J of the last WLS_WINDOW accepted states
-# of its row (+inf while it has fewer), a non-monotone test (Grippo,
-# Lampariello and Lucidi, SIAM J. Numer. Anal. 1986). On a rise the row
-# backs off along its step from the fraction a to the minimiser of the
-# quadratic through J(0), J'(0) and J(a), clipped to a x WLS_BACKOFF
-# (Nocedal and Wright, Numerical Optimization, ch. 3).
-WLS_WINDOW = 3
-WLS_BACKOFF = (0.1, 0.5)
-# A row switches to second-order steps once the undamped step from an
-# accepted state is longer than WLS_SWITCH times the step before it, the
-# mark of Gauss-Newton converging linearly on a large-residual problem,
-# where the dropped term S = sum w_i r_i (Hessian of h_i) sets the rate
-# (Dennis and Schnabel, Numerical Methods for Unconstrained Optimization
-# and Nonlinear Equations, 1983, sections 10.2-10.3). From then on it
-# solves (G - S) dx = H'Wr, Newton's step on J, wherever np.linalg.cholesky
-# accepts G - S for it, and takes the Gauss-Newton step elsewhere.
-WLS_SWITCH = 0.5
+# The damping mu of the Gauss-Newton mode, one per state, a Levenberg-
+# Marquardt trust-region control (More, Lecture Notes in Mathematics 630,
+# 1978; Nocedal and Wright, Numerical Optimization, ch. 4); see ``_damped``.
+WLS_RHO_ACCEPT = 1e-4  # least fall in J, as a fraction of the predicted one
+WLS_ROUNDOFF = 1e-12  # a fall predicted below this fraction of J is roundoff
+WLS_MU_RISE = 4.0  # least factor on mu after a rejected trial
+WLS_MU_FLOOR = 1e-4  # mu below this is 0: undamped steps
+WLS_RHO_SECOND = 0.25  # |rho - 1| under G that starts second-order steps
 
 
 def standard_layout(
@@ -246,33 +236,29 @@ def gauss_newton(
     layout and ``sigmas``, updating the states ``v``, ``theta`` (B, n) in
     place. ``max_iter`` bounds the evaluations of h and H per state,
     accepted or not: an iteration here, and in the error of an estimate
-    that does not converge, is one evaluation. A state converges once the
-    undamped step from an accepted state has a norm below ``delta`` (that
-    step is taken too), so a short damped step never reads as converged;
-    a state whose step is not finite stops there. Returns the evaluation
-    counts, 0 where a state did not converge.
+    that does not converge, is one evaluation. Returns the evaluation
+    counts, 0 where a state did not converge; a state whose step is not
+    finite stops there.
 
     Each island of ``mm`` holds the angle of its reference bus at the
     start value (see ``measmodel.MeasurementModel``). An island with fewer
     rows than states (two per bus, less the reference angle) raises
-    ObservabilityError naming its buses, before any evaluation. Each step
-    solves the gain H'WH at the current state, and raises
-    ObservabilityError when ``np.linalg.solve`` finds a gain singular. The
-    step is damped per state: the start is always accepted, and a trial
-    whose J = sum w r^2 is NaN or above the largest J of the state's last
-    ``WLS_WINDOW`` accepted states backs off along its step (see
-    ``WLS_BACKOFF``). A state switches to second-order steps once its
-    undamped step is longer than ``WLS_SWITCH`` times the one before it;
-    from then on each step solves (G - S) dx = H'Wr instead, S the
-    ``curvature`` of ``mm`` for the multipliers W r, at every state where
-    np.linalg.cholesky accepts G - S, and the Gauss-Newton step
-    elsewhere. Computing S is not an evaluation, and a state that never
-    switches takes the Gauss-Newton steps alone.
+    ObservabilityError naming its buses, before any evaluation.
+
+    Each state runs alone, so its path does not depend on its batch, under
+    one damping mu (see ``_damped``): each step solves (A + mu diag G) dx
+    = H'Wr, with the gain G = H'WH, and A = G, or G - S once the residual
+    is large, S the ``curvature`` of ``mm`` for the multipliers W r, which
+    is no evaluation. mu starts at 0, and a state converges once an
+    undamped step is shorter than ``delta`` (that step is taken too). A G
+    with a zero on its diagonal, or one ``np.linalg.solve`` finds singular
+    undamped, raises ObservabilityError naming the states the measurements
+    leave unobserved.
 
     With ``gain_inv``, one fixed inverse gain (``mm.n_state`` square) for
-    every state and step, each step is the chord step dx = ``gain_inv``
-    H(x)'W(z - h(x)) instead, taken in full: a state converges to a root
-    of the same normal equations, linearly rather than quadratically."""
+    every state and step, the batch takes the chord steps dx = ``gain_inv``
+    H(x)'W(z - h(x)) instead, in full: a state converges to a root of the
+    same normal equations, linearly rather than quadratically."""
     # Bin 0 counts the flow rows of out-of-service branches.
     rows_per_island = np.bincount(mm.row_island + 1, minlength=len(mm.islands) + 1)[1:]
     for (buses, _), count in zip(mm.islands, rows_per_island):
@@ -283,151 +269,146 @@ def gauss_newton(
             )
     batch, m = z.shape
     w = 1.0 / sigmas**2
-    # W's diagonal repeated across H's columns, so that H W is one contiguous product.
-    w_rows = np.repeat(w[:, None], mm.n_state, axis=1)
     ang = mm.angle_buses
     na = ang.size
     # Angle columns that form one run of buses, as with a single reference
     # at the first bus, update theta through a slice, in place.
     run = slice(ang[0], ang[-1] + 1) if na and ang[-1] - ang[0] == na - 1 else ang
-    lo, hi = WLS_BACKOFF
-    h = np.empty((batch, m))
-    jac = np.empty((batch, m, mm.n_state))
-    iterations = np.zeros(batch, dtype=int)
-    active = np.arange(batch)
-    # J of each state's last accepted states, oldest first.
-    recent = np.full((WLS_WINDOW, batch), np.inf)
-    # Back-off state, made at the first rise: the step fraction a of the
-    # trial (0 when the state is not backing off), J(0), J'(0) and the step.
-    frac = None
-    # WLS_SWITCH times the norm of each row's last undamped step, and the
-    # rows that have switched to second-order steps (any, while none has).
-    last = np.full(batch, np.inf)
-    second = None
     # A diverging state overflows; it leaves the loop as not converged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if gain_inv is None:
+            return np.array([_damped(mm, z[k:k + 1], w, v[k:k + 1], theta[k:k + 1], run, delta, max_iter)
+                             for k in range(batch)], dtype=int)
+        h = np.empty((batch, m))
+        jac = np.empty((batch, m, mm.n_state))
+        iterations = np.zeros(batch, dtype=int)
+        active = np.arange(batch)
         for it in range(1, max_iter + 1):
             k = active.size
-            # The rows that step, as a slice while that is every row: a
-            # one-row estimate, as most callers make, gathers nothing.
+            # The rows that step, as a slice while that is every row.
             sel = slice(None) if k == batch else active
             r, hk = mm.evaluate(v[sel], theta[sel], out=(h[:k], jac[:k]))
             np.subtract(z[sel], r, out=r)
-            rows = active
-            if gain_inv is not None:
-                r *= w
-                dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
-            else:
-                j = np.add.reduce(r * r * w, axis=1)
-                if it > 1:
-                    # A NaN J compares false: it is a rise.
-                    ok = j <= np.maximum.reduce(recent[:, sel], axis=0)
-                    if np.count_nonzero(ok) < k:
-                        if frac is None:
-                            frac, j0, slope = np.zeros(batch), np.empty(batch), np.empty(batch)
-                            step = np.empty((batch, mm.n_state))
-                        back = active[~ok]
-                        first = back[frac[back] == 0.0]
-                        if first.size:
-                            # The full step from the last accepted state rose.
-                            at = np.searchsorted(stepped, first)
-                            step[first] = dx[at]
-                            slope[first] = -2.0 * np.add.reduce(dx[at] * g[at, :, 0], axis=1)
-                            j0[first] = recent[-1, first]
-                            frac[first] = 1.0
-                        a, s = frac[back], slope[back]
-                        t = -s * a * a / (2.0 * (j[~ok] - j0[back] - s * a))
-                        t = np.fmin(np.fmax(t, lo * a), hi * a)
-                        move = (t - a)[:, None] * step[back]
-                        theta[back[:, None], ang] += move[:, :na]
-                        v[back] += move[:, na:]
-                        frac[back] = t
-                        sel = rows = active[ok]
-                        r, hk, j = r[ok], hk[ok], j[ok]
-                        if not rows.size:
-                            continue
-                    if frac is not None:
-                        frac[rows] = 0.0
-                recent[:-1, sel] = recent[1:, sel]
-                recent[-1, sel] = j
-                # The gain G = H'WH, with the weights w on W's diagonal, or on a
-                # switched row G - S where it is positive definite, solved against H'Wr.
-                hw_t = (hk * w_rows).transpose(0, 2, 1)
-                g = hw_t @ r[..., None]
-                gain = hw_t @ hk
-                if second is not None:
-                    newton = second[sel]
-                    if newton.all():
-                        _curve(mm, gain, v[sel], theta[sel], r * w)
-                    elif newton.any():
-                        at = np.flatnonzero(newton)
-                        part = gain[at]
-                        _curve(mm, part, v[rows[at]], theta[rows[at]], r[at] * w)
-                        gain[at] = part
-                try:
-                    dx = np.linalg.solve(gain, g)[..., 0]
-                except np.linalg.LinAlgError as exc:
-                    raise _singular(mm, hk, exc) from exc
+            r *= w
+            dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
             norm = np.sqrt(np.add.reduce(dx * dx, axis=1))
-            if gain_inv is None:
-                longer = norm > last[sel]
-                last[sel] = WLS_SWITCH * norm
-                if np.count_nonzero(longer):
-                    if second is None:
-                        second = np.zeros(batch, dtype=bool)
-                    second[rows[longer]] = True
             done = norm < delta
-            if rows.size == batch:
+            if k == batch:
                 theta[:, run] += dx[:, :na]
             else:
                 # An index array pairs with ``ang`` as a column.
-                theta[rows[:, None], ang] += dx[:, :na]
+                theta[active[:, None], ang] += dx[:, :na]
             v[sel] += dx[:, na:]
             if np.count_nonzero(done):
-                iterations[rows[done]] = it
-            going = ~done & np.isfinite(norm)
-            if rows is active:
-                active = active[going]
-            else:
-                keep = ~ok
-                keep[ok] = going
-                active = active[keep]
-            stepped = rows
+                iterations[active[done]] = it
+            active = active[~done & np.isfinite(norm)]
             if not active.size:
                 break
     return iterations
 
 
-def _singular(mm: MeasurementModel, jac: np.ndarray, exc: Exception) -> ObservabilityError:
-    """The error of a singular gain built from ``jac``, one H (m, n_state)
-    or a batch of them: it names the state columns that are zero in every
-    row of the first H that has one, ``no measurement depends on V at bus
-    8``, and otherwise gives the solver's message."""
-    zero = ~jac.reshape(-1, *jac.shape[-2:]).any(axis=1)
-    if not zero.any():
-        return ObservabilityError(f"singular gain matrix: {exc}")
-    cols = np.flatnonzero(zero[np.argmax(zero.any(axis=1))])
+def _damped(mm: MeasurementModel, z: np.ndarray, w: np.ndarray, v: np.ndarray, theta: np.ndarray,
+            run: slice | np.ndarray, delta: float, max_iter: int) -> int:
+    """The Gauss-Newton mode of ``gauss_newton`` for one state, ``z`` (1,
+    m) with weights ``w``, and ``v``, ``theta`` (1, n) updated in place,
+    ``run`` the columns of theta that the state's angles fill.
+
+    A trial step from the accepted state, with D = diag G, predicts the
+    fall pred = dx'H'Wr + mu dx'D dx in J. It is accepted when J falls by
+    more than ``WLS_RHO_ACCEPT`` pred, or when pred is below
+    ``WLS_ROUNDOFF`` J and J rises by no more than that. A rejected trial
+    sets mu to the larger of ``WLS_MU_RISE`` mu and mu + dx'(A + mu D)dx /
+    dx'D dx, which about halves the step along itself however G is
+    conditioned. An accepted one with rho = fall / pred scales mu by
+    max(1/3, 1 - (2 rho - 1)^3) (Nielsen, IMM-REP-1999-05), and mu below
+    ``WLS_MU_FLOOR`` is 0. A is G - S after an accepted step that did not
+    halve J, once such a step under G had |rho - 1| above
+    ``WLS_RHO_SECOND`` (near a minimum |rho - 1| is about the rate at which
+    Gauss-Newton converges). A is G again after a step that halves J, and
+    at a state where np.linalg.cholesky rejects G - S + mu D, until a step
+    under G passes that test again."""
+    na = mm.angle_buses.size
+    # W's diagonal repeated across H's columns, so that H W is one contiguous product.
+    w_rows = np.repeat(w[:, None], mm.n_state, axis=1)
+    r, hk = mm.evaluate(v, theta)
+    np.subtract(z, r, out=r)
+    j = np.add.reduce(r * r * w, axis=1)[0]
+    mu, newton, it = 0.0, False, 1
+    while True:
+        hw_t = (hk * w_rows).transpose(0, 2, 1)
+        g = hw_t @ r[..., None]
+        gain = hw_t @ hk
+        diag = gain[0].diagonal().copy()
+        if not diag.all():
+            raise _singular(mm, hk[0])
+        curved = gain - mm.curvature(v, theta, r * w) if newton else None
+        while True:
+            a = gain if curved is None else curved
+            if mu:
+                a = a + mu * np.diag(diag)
+            if curved is not None:
+                try:
+                    np.linalg.cholesky(a)
+                except np.linalg.LinAlgError:
+                    curved = None
+                    continue
+            try:
+                dx = np.linalg.solve(a, g)[..., 0]
+            except np.linalg.LinAlgError:
+                raise _singular(mm, hk[0]) from None
+            norm = np.sqrt(np.add.reduce(dx * dx, axis=1))[0]
+            if not np.isfinite(norm):
+                return 0
+            vt = v + dx[:, na:]
+            tht = theta.copy()
+            tht[:, run] += dx[:, :na]
+            if not mu and norm < delta:
+                v[...], theta[...] = vt, tht
+                return it
+            if it == max_iter:
+                return 0
+            it += 1
+            rt, ht = mm.evaluate(vt, tht)
+            np.subtract(z, rt, out=rt)
+            jt = np.add.reduce(rt * rt * w, axis=1)[0]
+            descent, dd = g[0, :, 0] @ dx[0], dx[0] * dx[0] @ diag
+            pred, fall = descent + mu * dd, j - jt
+            # A NaN J compares false: it is rejected.
+            if fall > WLS_RHO_ACCEPT * pred:
+                rho = fall / pred
+                break
+            # A fall predicted within roundoff, and met within it, is as predicted.
+            if pred < WLS_ROUNDOFF * j and -fall <= WLS_ROUNDOFF * j:
+                rho = 1.0
+                break
+            mu = max(WLS_MU_RISE * mu, mu + descent / dd)
+        newton = jt > 0.5 * j and (curved is not None or abs(rho - 1.0) > WLS_RHO_SECOND)
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        if mu < WLS_MU_FLOOR:
+            mu = 0.0
+        v[...], theta[...] = vt, tht
+        r, hk, j = rt, ht, jt
+
+
+def _singular(mm: MeasurementModel, jac: np.ndarray) -> ObservabilityError:
+    """The error of a singular gain built from ``jac`` (m, n_state). It
+    names the states no row depends on, ``no measurement depends on V at
+    bus 8``, and otherwise those of H's null space."""
+    zero = ~jac.any(axis=0)
+    if zero.any():
+        cols, says = np.flatnonzero(zero), "no measurement depends on {}"
+    else:
+        _, s, vt = np.linalg.svd(jac)
+        rank = min(np.count_nonzero(s > s[0] * max(jac.shape) * np.finfo(float).eps), s.size - 1)
+        cols = np.flatnonzero((np.abs(vt[rank:]) > 1e-6).any(axis=0))
+        says = "a combination of {} moves no measurement"
     na = mm.angle_buses.size
     names = []
-    thetas, vs = mm.angle_buses[cols[cols < na]] + 1, cols[cols >= na] - na + 1
-    for label, buses in (("theta", thetas), ("V", vs)):
+    for label, buses in (("theta", mm.angle_buses[cols[cols < na]] + 1), ("V", cols[cols >= na] - na + 1)):
         if buses.size:
             where = "buses" if buses.size > 1 else "bus"
             names.append(f"{label} at {where} {', '.join(map(str, buses.tolist()))}")
-    return ObservabilityError(f"singular gain matrix: no measurement depends on {' or '.join(names)}")
-
-
-def _curve(mm: MeasurementModel, gain: np.ndarray, v: np.ndarray, theta: np.ndarray,
-           lam: np.ndarray) -> None:
-    """Replace each gain G of ``gain`` (B, n_state, n_state) by G - S, S the
-    curvature of ``mm`` at its state for the multipliers ``lam`` = W r,
-    where np.linalg.cholesky accepts G - S."""
-    for g, curved in zip(gain, gain - mm.curvature(v, theta, lam)):
-        try:
-            np.linalg.cholesky(curved)
-        except np.linalg.LinAlgError:
-            continue
-        g[...] = curved
+    return ObservabilityError("singular gain matrix: " + says.format(" or ".join(names)))
 
 
 def wls_estimate_ac(
@@ -438,20 +419,19 @@ def wls_estimate_ac(
     x0: StateVector | None = None,
 ) -> EstimationResult:
     """Gauss-Newton WLS over the AC measurement model from ``x0`` (a flat
-    start by default), with the step control of ``gauss_newton``: at most
-    ``WLS_MAX_ITER`` evaluations of h and H, damped steps included, and
-    convergence on the norm of the undamped step. An estimate whose steps
-    stop shrinking (a large residual) switches to second-order steps
-    (``WLS_SWITCH``). ``iterations`` of the
-    result counts the evaluations. Each island of ``topology`` keeps the
-    angle of its reference bus (``network.island_references``) at its
-    value in ``x0``, 0 from a flat start.
+    start by default), under the trust-region damping of ``gauss_newton``:
+    at most ``WLS_MAX_ITER`` evaluations of h and H, rejected trials
+    included, which ``iterations`` of the result counts, convergence on the
+    norm of an undamped step, and second-order steps on a large residual.
+    Each island of ``topology`` keeps the angle of its reference bus
+    (``network.island_references``) at its value in ``x0``, 0 from a flat
+    start.
 
     Raises ValueError unless ``delta`` is a finite number above 0,
     EstimationError naming the channel when a measurement value or sigma
     is not finite, and ObservabilityError naming its buses when an island
     has fewer measurements than states (up front, see ``gauss_newton``)
-    or when the gain matrix is singular.
+    or naming the unobserved states when the gain matrix is singular.
     """
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta {delta}: expected a finite number above 0")
@@ -589,7 +569,7 @@ def normalized_residuals(result: EstimationResult) -> np.ndarray:
     try:
         cov_diag = np.einsum("ij,ji->i", h, np.linalg.solve(gain, h.T))
     except np.linalg.LinAlgError as exc:
-        raise _singular(result.measurement_model, h, exc) from exc
+        raise _singular(result.measurement_model, h) from exc
     omega = sig**2 - cov_diag
     omega = np.clip(omega, 1e-12, None)
     return result.residuals / np.sqrt(omega)
@@ -668,9 +648,8 @@ def iterative_bad_data_removal(
     The first estimate takes the layout's model from ``measmodel.compiled``,
     which compiles a layout once per process; each re-estimate runs on that
     model without the dropped rows. Every estimate starts flat, with the
-    ``WLS_DELTA`` tolerance on the undamped step and the step-controlled
-    Gauss-Newton of ``gauss_newton`` (at most ``WLS_MAX_ITER`` evaluations
-    each), with its switch to second-order steps on a large residual.
+    ``WLS_DELTA`` tolerance and the damped steps of ``gauss_newton`` (at
+    most ``WLS_MAX_ITER`` evaluations each).
 
     Raises ObservabilityError naming its buses when an estimate, the
     first or one after a removal, leaves an island with fewer measurements

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -266,9 +267,17 @@ def test_batched_sweep_flags_equal_serial_solves(ieee14, bus):
     assert any(serial) and not all(serial)
 
 
-def test_sweep_names_bus_and_candidate_that_does_not_converge(ieee14):
+def test_sweep_names_bus_and_candidate_that_does_not_converge(ieee14, monkeypatch):
+    """Candidates of 50-60 p.u. on bus 2 leave the constant-gain steps and
+    converge in the Gauss-Newton fallback in 15-20 evaluations; with the
+    budget cut to 10 they do not, and the error names the bus and the
+    first such candidate."""
     baseline = fx.sweep_baseline_measurements(ieee14)
-    with pytest.raises(EstimationError, match=r"bus 2: .*candidate Vm 50\.0+\b"):
+    _, points = sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
+    assert [p.detected for p in points] == [True] * 3
+    monkeypatch.setattr(attacks, "WLS_MAX_ITER", 10)
+    error = r"^bus 2: WLS did not converge in 10 iterations for candidate Vm 50\.0+$"
+    with pytest.raises(EstimationError, match=error):
         sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
 
 
@@ -319,7 +328,9 @@ def test_sweep_flags_the_original_vm_as_the_serial_solve(ieee14):
 def test_sweep_fallback_gets_the_full_budget(ieee14, monkeypatch):
     """A non-converging candidate has had the WLS_MAX_ITER iterations of a
     warm-started wls_estimate_ac, all of them in the Gauss-Newton
-    fallback."""
+    fallback (the budget is cut to 10 so that the 50 p.u. candidates,
+    which converge in 15-20, do not)."""
+    monkeypatch.setattr(attacks, "WLS_MAX_ITER", 10)
     budgets = []
     gauss_newton = attacks.gauss_newton
 
@@ -332,11 +343,10 @@ def test_sweep_fallback_gets_the_full_budget(ieee14, monkeypatch):
     baseline = fx.sweep_baseline_measurements(ieee14)
     with pytest.raises(
         EstimationError,
-        match=rf"bus 2: WLS did not converge in {WLS_MAX_ITER} iterations "
-        r"for candidate Vm 50\.0+\b",
+        match=r"bus 2: WLS did not converge in 10 iterations for candidate Vm 50\.0+\b",
     ):
         sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
-    assert budgets == [WLS_MAX_ITER]
+    assert budgets == [10]
 
 
 def _spy_gauss_newton(monkeypatch):
@@ -493,12 +503,17 @@ def test_sweep_flags_equal_serial_solves_in_any_window(ieee14, bus, n_points, da
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sweep_non_convergence_raises_without_runtime_warnings(ieee14):
-    """Candidates whose constant-gain steps overflow leave them quietly
-    and fail in the Gauss-Newton fallback, which names them."""
+def test_sweep_non_convergence_raises_without_runtime_warnings(ieee14, monkeypatch):
+    """Candidates whose constant-gain steps overflow leave them quietly:
+    the Gauss-Newton fallback converges them, or, with the budget cut to
+    10, fails and names them, with no RuntimeWarning either way."""
     baseline = fx.sweep_baseline_measurements(ieee14)
-    with pytest.raises(EstimationError, match=r"bus 2: .*candidate Vm 50\.0+\b"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
+        monkeypatch.setattr(attacks, "WLS_MAX_ITER", 10)
+        with pytest.raises(EstimationError, match=r"bus 2: .*candidate Vm 50\.0+\b"):
+            sweep_stealth_range(ieee14, baseline, 2, n_points=3, window=(50.0, 60.0))
 
 
 def test_sweep_rejects_non_finite_candidates(ieee14):

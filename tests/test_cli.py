@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gridsec import attacks, estimation
 from gridsec import fixtures as fx
 from gridsec.cli import main
 from gridsec.records import GridRecord
@@ -66,23 +67,31 @@ def test_estimate_flags_bad_measurement(tmp_path):
 
 def test_estimate_ends_a_50_pu_injection_error_in_a_verdict(tmp_path):
     """Full telemetry with a 50 p.u. error on Pinj 7 ended in an exit-2
-    'did not converge' error while every step was Gauss-Newton; with the
-    switch to second-order steps it converges, and ``estimate`` exits 1
-    with a JSON verdict that flags the bad channel."""
-    from gridsec.estimation import MeasKind, full_telemetry_from_state, measurements_to_csv
+    'did not converge' error while every step was Gauss-Newton, and the
+    42-channel standard layout with that error did so under the
+    non-monotone step control too; under trust-region damping both
+    converge, and ``estimate`` exits 1 with a JSON verdict whose suspect
+    is the bad channel."""
+    from gridsec.estimation import (
+        MeasKind,
+        full_telemetry_from_state,
+        measurements_from_state,
+        measurements_to_csv,
+    )
     from gridsec.network import build_ieee14
     from gridsec.powerflow import solve as pf_solve
 
     model = build_ieee14()
     sol = pf_solve(model)
-    ms = full_telemetry_from_state(model, sol.v, sol.theta)
-    row = ms.index_of(MeasKind.PINJ, 7)
-    bad_file, out = tmp_path / "pinj7.csv", tmp_path / "report.json"
-    bad_file.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
-    assert run(["estimate", "--measurements", str(bad_file), "--out", str(out)]) == 1
-    doc = json.loads(out.read_text())
-    assert doc["converged"] is True and doc["iterations"] < 50
-    assert doc["flagged"] is True and doc["suspect"] == row
+    for layout in (full_telemetry_from_state, measurements_from_state):
+        ms = layout(model, sol.v, sol.theta)
+        row = ms.index_of(MeasKind.PINJ, 7)
+        bad_file, out = tmp_path / "pinj7.csv", tmp_path / "report.json"
+        bad_file.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
+        assert run(["estimate", "--measurements", str(bad_file), "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is True and doc["iterations"] < 50
+        assert doc["flagged"] is True and doc["suspect"] == row
 
 
 def test_attack_vector_commands(tmp_path, capsys):
@@ -388,13 +397,14 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
     assert all(f["rule"] != "LossSurge" for f in doc["findings"])
 
 
-def test_usage_error_exit_code(tmp_path, capsys):
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     """Missing arguments, options a command does not take, input files that
     are missing or malformed (measurement, case, record, segment and
     arrangement files, an arrangement that is not n rows of n ids), arguments
     out of range (sweep, attack post-se and its slack row, estimate, chi2,
     som diff),
-    a sweep candidate and a measurement file that WLS does not converge, a
+    a sweep candidate and a measurement file that WLS does not converge
+    (within a budget cut to 10 evaluations; both converge within 50), a
     record whose header fields, dead island or negative voltage the detector
     cannot use, and segment files of the wrong shape (each was a traceback, or a silently
     ignored option, and exit 1 or 0) exit 2, with one ``error:`` line naming
@@ -433,8 +443,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     sol = pf_solve(model)
     ms = measurements_from_state(model, sol.v, sol.theta)
     row = ms.index_of(MeasKind.PINJ, 7)
-    diverging = tmp_path / "diverging.csv"
-    diverging.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
+    slow = tmp_path / "slow.csv"
+    slow.write_text(measurements_to_csv(ms.replaced(row, ms.entries[row].value + 50.0)))
     well_formed = tmp_path / "well_formed.csv"
     well_formed.write_text(measurements_to_csv(ms))
     # The open breakers cut bus 14 off and solve leaves it NaN; the record
@@ -510,9 +520,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         (["solve", "--case", str(list_case)], f"{list_case}: expected a JSON object"),
         (["solve", "--case", str(int_buses)], f"{int_buses}: buses: expected a list of objects"),
         (["sweep", "--bus", "2", "--points", "3", "--window", "50,60"],
-         "bus 2: WLS did not converge in 50 iterations for candidate Vm 50.000000000"),
-        (["estimate", "--measurements", str(diverging)],
-         f"{diverging}: WLS did not converge in 50 iterations"),
+         "bus 2: WLS did not converge in 10 iterations for candidate Vm 50.000000000"),
+        (["estimate", "--measurements", str(slow)], f"{slow}: WLS did not converge in 10 iterations"),
         (["attack", "post-se", "--dv", "0=0.1"], "dv: bus 0 is outside buses 1..14"),
         (["attack", "post-se", "--dv", "99=0.1"], "dv: bus 99 is outside buses 1..14"),
         (["attack", "post-se", "--dq=-1=5"], "dq_mvar: bus -1 is outside buses 1..14"),
@@ -575,6 +584,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         # The slack row was rewritten (v_pu 1.11 at bus 1) with exit 0.
         (["attack", "post-se", "--dv", "1=0.05"], "dv: slack bus 1 delta 0.05: must be zero"),
     ]
+    monkeypatch.setattr(estimation, "WLS_MAX_ITER", 10)
+    monkeypatch.setattr(attacks, "WLS_MAX_ITER", 10)
     for argv, message in cases:
         assert run(argv) == 2, argv
         captured = capsys.readouterr()

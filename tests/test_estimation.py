@@ -4,19 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridsec import estimation
 from gridsec import fixtures as fx
 from gridsec.estimation import (
-    WLS_BACKOFF,
     WLS_DELTA,
     WLS_MAX_ITER,
-    WLS_WINDOW,
+    WLS_MU_RISE,
     EstimationError,
     MeasKind,
     Measurement,
     MeasurementSet,
     ObservabilityError,
+    StateVector,
     bdd_classify,
     build_dc_jacobian,
     chi_square_statistic,
@@ -406,7 +408,9 @@ def test_gauss_newton_and_chord_modes_reach_the_same_state(ieee14):
 
 def test_overflowing_step_stops_unconverged_in_both_modes(ieee14):
     """A row whose step overflows leaves the loop after that step with 0
-    iterations, quietly; the other row of the batch still converges."""
+    iterations, quietly; the other row of the batch still converges. The
+    Gauss-Newton mode runs each row alone, so the overflowing one costs one
+    evaluation after the other's; the chord mode steps both at once."""
     base, z, sig, gain_inv = _sweep_batch(ieee14, [1.02, 1e300])
     mm, calls = _recorded(base.measurement_model)
     for fixed in (None, gain_inv):
@@ -417,7 +421,10 @@ def test_overflowing_step_stops_unconverged_in_both_modes(ieee14):
             iterations = gauss_newton(mm, z, sig, v, theta, 1e-8, WLS_MAX_ITER, fixed)
         assert iterations[0] > 0 and iterations[1] == 0
         rows = [len(v) for v, _ in calls]
-        assert rows[0] == 2 and set(rows[1:]) == {1}
+        if fixed is None:
+            assert rows == [1] * (iterations[0] + 1)
+        else:
+            assert rows[0] == 2 and set(rows[1:]) == {1}
 
 
 def test_gauss_newton_singular_gain_raises(ieee14, clean_measurements):
@@ -513,8 +520,9 @@ def test_an_island_with_too_few_measurements_raises_naming_its_buses(ieee14, mon
 
 def _reference_gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
     """``gauss_newton`` without step control: every step is taken in full,
-    one evaluation per iteration. Where no J rises above its acceptance
-    window, ``gauss_newton`` takes exactly these steps."""
+    one evaluation per iteration. While it accepts every trial and forms no
+    G - S, so that its damping stays 0, ``gauss_newton`` takes exactly
+    these steps."""
     batch, m = z.shape
     w = 1.0 / sigmas**2
     n = mm.n_bus
@@ -555,8 +563,8 @@ def _j_path(mm, z, sigmas, calls):
 
 def _same_runs(loops, mm, z, sigmas, start, delta, max_iter, gain_inv=None):
     """Run each loop from ``start`` (v, theta) and assert that all of them
-    evaluate the same states and end in the same states and counts, bit for
-    bit. Returns the iteration counts."""
+    end in the same states and counts and, for one row or in chord mode,
+    evaluate the same states, bit for bit. Returns the iteration counts."""
     runs = []
     for loop in loops:
         recording, calls = _recorded(mm)
@@ -566,40 +574,44 @@ def _same_runs(loops, mm, z, sigmas, start, delta, max_iter, gain_inv=None):
     (it0, v0, theta0, calls0), (it1, v1, theta1, calls1) = runs
     assert np.array_equal(it0, it1)
     assert np.array_equal(v0, v1) and np.array_equal(theta0, theta1)
+    if len(z) > 1 and gain_inv is None:
+        # The Gauss-Newton mode runs each row alone.
+        return it0
     assert len(calls0) == len(calls1)
     for (va, ta), (vb, tb) in zip(calls0, calls1):
         assert np.array_equal(va, vb) and np.array_equal(ta, tb)
     return it0
 
 
-def _switches(mm, z, sigmas, start):
-    """Whether ``gauss_newton`` switches the one-row estimate of ``z`` from
-    ``start`` (v, theta) to second-order steps, that is, computes a
-    curvature."""
-    counting = copy.copy(mm)
-    calls = []
+def _controls(mm, z, sigmas, start):
+    """The one-row estimate of ``z`` from ``start`` (v, theta): the number
+    of trials whose J is above the lowest J before them (each is rejected,
+    and the next trial damped), and the states (v, theta) at which it
+    computed a curvature, that is, formed G - S."""
+    recording, calls = _recorded(mm)
+    curved = []
 
     def curvature(v, theta, lam):
-        calls.append(len(v))
+        curved.append((v.copy(), theta.copy()))
         return mm.curvature(v, theta, lam)
 
-    counting.curvature = curvature
+    recording.curvature = curvature
     v, theta = (x.copy() for x in start)
-    gauss_newton(counting, z[None], sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)
-    return bool(calls)
+    gauss_newton(recording, z[None], sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)
+    js = _j_path(mm, z, sigmas, calls)
+    return sum(j > min(js[:i]) for i, j in enumerate(js) if i), curved
 
 
-def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solution):
+def test_step_control_takes_the_full_steps_while_each_trial_is_accepted(ieee14, solution):
     """Seeded full-telemetry sets of the base case with 0-2 gross errors of
-    10-300 sigma, and one with Vm bus 14 off by -300 sigma, whose J rises at
-    its eighth evaluation but stays below the largest of the three before.
-    Along their full-step paths no J exceeds the window. Each step of the
-    first twelve is shorter than half the one before it, so none switches
-    to second-order steps, and ``gauss_newton`` evaluates the same states as
-    the reference loop, bit for bit, one row at a time and as one batch
-    whose rows converge at different counts. The Vm 14 row's third step is
-    0.85 of its second: it switches, and converges to the reference's
-    state."""
+    10-300 sigma, and one with Vm bus 14 off by -300 sigma. Along the
+    first twelve's full-step paths J falls at every step and each step
+    predicts its fall closely, so the damping stays 0 and no G - S is
+    formed: ``gauss_newton`` evaluates the same states as the reference
+    loop, bit for bit, one row at a time and as one batch whose rows
+    converge at different counts. The Vm 14 set's full-step J rises at its
+    eighth evaluation; the control rejects such trials, damps, and
+    converges to the reference's state."""
     rng = np.random.default_rng(7)
     ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
     sig = ms.sigmas
@@ -616,16 +628,17 @@ def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solu
     def flat(rows):
         return np.ones((rows, ieee14.n_bus)), np.zeros((rows, ieee14.n_bus))
 
-    rises = 0
+    rises = []
     for z in zs:
         recording, calls = _recorded(mm)
         assert _reference_gauss_newton(recording, z[None], sig, *flat(1), WLS_DELTA, WLS_MAX_ITER)[0]
         js = _j_path(mm, z, sig, calls)
-        assert all(j <= max(js[i - WLS_WINDOW:i]) for i, j in enumerate(js) if i >= WLS_WINDOW)
-        rises += any(b > a for a, b in zip(js, js[1:]))
-    assert rises == 1
-    assert [k for k, z in enumerate(zs) if _switches(mm, z, sig, flat(1))] == [len(zs) - 1]
-    steady, switching = zs[:-1], zs[-1:]
+        rises.append(sum(b > a for a, b in zip(js, js[1:])))
+    assert rises == [0] * 12 + [1]
+    controls = [_controls(mm, z, sig, flat(1)) for z in zs]
+    assert controls[:12] == [(0, [])] * 12
+    assert controls[12][0] > 0 and controls[12][1]
+    steady, damped = zs[:-1], zs[-1:]
     loops = (_reference_gauss_newton, gauss_newton)
     for k in range(len(steady)):
         assert _same_runs(loops, mm, steady[k:k + 1], sig, flat(1), WLS_DELTA, WLS_MAX_ITER).all()
@@ -634,7 +647,7 @@ def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solu
     ends = []
     for loop in loops:
         v, theta = flat(1)
-        assert loop(mm, switching, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+        assert loop(mm, damped, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
         ends.append((v, theta))
     (v0, theta0), (v1, theta1) = ends
     # The same state, with angles that may differ by whole turns; each
@@ -645,26 +658,31 @@ def test_step_control_takes_the_full_steps_while_j_keeps_its_window(ieee14, solu
 
 
 def test_estimated_angles_outside_minus_pi_to_pi_lose_whole_turns(ieee14, solution):
-    """The -300 sigma Vm 14 set of the test above ends with bus 14 at 4.92 pi.
-    The estimate reports it at 0.92 pi, two turns off, and every other
-    angle, each in (-pi, pi], as the iterations left it, to the last bit;
-    J, the residuals and H are those evaluated at the end state."""
-    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
-    row = ms.index_of(MeasKind.VM, 14)
-    bad = ms.replaced(row, ms.entries[row].value - 300 * ms.entries[row].sigma)
-    mm = compiled(ieee14, None, bad.entries)
-    v, theta = np.ones((1, 14)), np.zeros((1, 14))
-    assert gauss_newton(mm, bad.z[None], bad.sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
-    result = wls_estimate_ac(ieee14, bad)
+    """An estimate started from the power-flow state with bus 14 two turns
+    up and bus 5 one turn down ends at the estimate's state with those
+    angles still wound. The estimate reports them whole turns off, in
+    (-pi, pi], and every other angle as the iterations left it, to the
+    last bit; J, the residuals and H are those evaluated at the end
+    state."""
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta,
+                                   noise_rng=np.random.default_rng(2))
+    mm = compiled(ieee14, None, ms.entries)
+    wound = solution.theta.copy()
+    wound[13] += 4 * np.pi
+    wound[4] -= 2 * np.pi
+    v, theta = solution.v[None].copy(), wound[None].copy()
+    assert gauss_newton(mm, ms.z[None], ms.sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+    result = wls_estimate_ac(ieee14, ms, x0=StateVector(v=solution.v, theta=wound))
     assert np.array_equal(result.x_hat.v, v[0])
     turns = (theta[0] - result.x_hat.theta) / (2 * np.pi)
-    assert np.round(turns).tolist() == [0.0] * 13 + [2.0]
-    assert abs(turns[13] - 2.0) < 1e-12
-    assert np.array_equal(result.x_hat.theta[:13], theta[0, :13])
+    assert np.round(turns).tolist() == [0.0] * 4 + [-1.0] + [0.0] * 8 + [2.0]
+    assert np.abs(turns - np.round(turns)).max() < 1e-12
+    kept = np.round(turns) == 0
+    assert np.array_equal(result.x_hat.theta[kept], theta[0, kept])
     assert np.all((-np.pi < result.x_hat.theta) & (result.x_hat.theta <= np.pi))
     h, jac = mm.evaluate(v, theta)
-    assert np.array_equal(result.residuals, bad.z - h[0]) and np.array_equal(result.jacobian, jac[0])
-    assert result.j_value == chi_square_statistic(bad.z - h[0], bad.sigmas)
+    assert np.array_equal(result.residuals, ms.z - h[0]) and np.array_equal(result.jacobian, jac[0])
+    assert result.j_value == chi_square_statistic(ms.z - h[0], ms.sigmas)
 
 
 def test_chord_mode_takes_the_reference_steps(ieee14):
@@ -702,39 +720,70 @@ def test_a_2000_sigma_flow_error_converges_and_is_removed(ieee14):
     assert result.j_value <= tau
 
 
-def test_a_rise_backs_off_to_the_clipped_quadratic_minimiser(ieee14):
-    """At the first trial whose J exceeds the window, the next state is
-    x0 + t dx: dx the full step from the last accepted state x0, and t the
-    minimiser of the quadratic through J(0), J'(0) = -2 dx'H'Wr and J(1),
-    clipped to WLS_BACKOFF. The 2000 sigma set of the test above no longer
-    rises once it switches to second-order steps; the 2500 sigma one does,
-    at its fourth evaluation."""
-    bad, model, topology, _ = _flow_error_set(ieee14, 2500)
-    mm = compiled(model, topology, bad.entries)
-    z, sig = bad.z, bad.sigmas
-    recording, calls = _recorded(mm)
-    v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
-    gauss_newton(recording, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)
-    js = _j_path(mm, z, sig, calls)
-    rise = next(i for i, j in enumerate(js) if i >= WLS_WINDOW and j > max(js[i - WLS_WINDOW:i]))
-
-    def state(i):
-        v, theta = calls[i]
-        return np.concatenate([theta[0, mm.angle_buses], v[0]])
-
-    x0, dx = state(rise - 1), state(rise) - state(rise - 1)
-    h, jac = mm.evaluate(*calls[rise - 1])
-    slope = -2.0 * dx @ (jac[0].T @ ((z - h[0]) / sig**2))
-    t = -slope / (2.0 * (js[rise] - js[rise - 1] - slope))
-    t = min(max(t, WLS_BACKOFF[0]), WLS_BACKOFF[1])
-    assert np.abs(state(rise + 1) - (x0 + t * dx)).max() < 1e-12
+def _state(mm, v, theta):
+    """The state vector (angles of ``mm``, then V) of a one-row state."""
+    return np.concatenate([theta[0, mm.angle_buses], v[0]])
 
 
-def test_a_state_backs_off_alike_in_any_batch(ieee14):
+def _damped_trials(mm, z, sigmas, x0, a, trials):
+    """The trial steps that follow the rejected step ``trials[0]`` from the
+    accepted state ``x0`` (v, theta) under A = ``a`` and damping 0, one
+    per trial of ``trials`` after it: each solves (A + mu diag G) dx =
+    H'Wr with mu the larger of ``WLS_MU_RISE`` mu and mu + dx'(A + mu
+    diag G)dx / dx'(diag G)dx of the trial before."""
+    h, jac = mm.evaluate(*x0)
+    hw = jac[0].T / sigmas**2
+    g, d = hw @ (z - h[0]), np.diag(hw @ jac[0])
+    mu, steps = 0.0, []
+    for dx in trials[:-1]:
+        mu = max(WLS_MU_RISE * mu, mu + (g @ dx) / (dx * dx @ d))
+        steps.append(np.linalg.solve(a + mu * np.diag(d), g))
+    return steps
+
+
+def test_a_rejected_trial_raises_the_damping(ieee14):
+    """The first trials of the 2000 and 2500 sigma sets above whose J rises
+    are rejected: the next trial starts from the same accepted state with
+    the damping raised by the rule of ``_damped_trials``, under A = G for
+    the 2000 sigma set, with one trial rejected, and A = G - S for the 2500
+    sigma one, with three in a row."""
+    for size, curved, count in ((2000, False, 1), (2500, True, 3)):
+        bad, model, topology, _ = _flow_error_set(ieee14, size)
+        mm = compiled(model, topology, bad.entries)
+        z, sig = bad.z, bad.sigmas
+        recording, calls = _recorded(mm)
+        formed = []
+
+        def curvature(v, theta, lam):
+            formed.append(_state(mm, v, theta))
+            return mm.curvature(v, theta, lam)
+
+        recording.curvature = curvature
+        v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
+        assert gauss_newton(recording, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+        js = _j_path(mm, z, sig, calls)
+        rise = next(i for i, j in enumerate(js) if i and j > js[i - 1])
+        rejected = rise
+        while js[rejected] > js[rise - 1]:
+            rejected += 1
+        assert rejected - rise == count
+        x0 = _state(mm, *calls[rise - 1])
+        assert any(np.array_equal(x, x0) for x in formed) == curved
+        h, jac = mm.evaluate(*calls[rise - 1])
+        a = (jac[0].T / sig**2) @ jac[0]
+        if curved:
+            a = a - mm.curvature(*calls[rise - 1], (z - h) / sig**2)[0]
+        trials = [_state(mm, *calls[i]) - x0 for i in range(rise, rejected + 1)]
+        for step, trial in zip(_damped_trials(mm, z, sig, calls[rise - 1], a, trials), trials[1:]):
+            assert np.abs(trial - step).max() < 1e-12
+
+
+def test_a_state_takes_the_same_path_in_any_batch(ieee14):
     """Noisy sets of the same layout, ten with one to three gross errors of
-    300-2500 sigma, several of which back off and all of which switch to
-    second-order steps, and two without, which do neither: each state ends
-    where it ends alone, bit for bit, whether it converges or not."""
+    300-2500 sigma, several of which take damped steps and form G - S, and
+    two without, which do neither: each state ends where it ends alone,
+    bit for bit and after the same count, within the full budget and
+    within one that leaves some unconverged."""
     bad, model, topology, _ = _flow_error_set(ieee14, 0)
     mm = compiled(model, topology, bad.entries)
     sig = bad.sigmas
@@ -747,47 +796,61 @@ def test_a_state_backs_off_alike_in_any_batch(ieee14):
     def flat(rows):
         return np.ones((rows, ieee14.n_bus)), np.zeros((rows, ieee14.n_bus))
 
-    assert [_switches(mm, z, sig, flat(1)) for z in zs] == [True] * 10 + [False] * 2
-    v, theta = flat(len(zs))
-    iterations = gauss_newton(mm, zs, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)
-    assert 0 < np.count_nonzero(iterations) < len(zs)
-    for k, z in enumerate(zs):
-        vk, thetak = flat(1)
-        assert gauss_newton(mm, z[None], sig, vk, thetak, WLS_DELTA, WLS_MAX_ITER)[0] == iterations[k]
-        assert np.array_equal(vk[0], v[k]) and np.array_equal(thetak[0], theta[k])
+    controls = [_controls(mm, z, sig, flat(1)) for z in zs]
+    assert sum(bool(rejected) for rejected, _ in controls[:10]) > 2
+    assert sum(bool(curved) for _, curved in controls[:10]) > 2
+    assert [(rejected, len(curved)) for rejected, curved in controls[10:]] == [(0, 0)] * 2
+    for max_iter in (WLS_MAX_ITER, 12):
+        v, theta = flat(len(zs))
+        iterations = gauss_newton(mm, zs, sig, v, theta, WLS_DELTA, max_iter)
+        assert iterations.all() == (max_iter == WLS_MAX_ITER)
+        for k, z in enumerate(zs):
+            vk, thetak = flat(1)
+            assert gauss_newton(mm, z[None], sig, vk, thetak, WLS_DELTA, max_iter)[0] == iterations[k]
+            assert np.array_equal(vk[0], v[k]) and np.array_equal(thetak[0], theta[k])
 
 
 def test_a_nan_trial_counts_as_a_rise(ieee14, clean_measurements):
-    """A trial whose h is NaN backs off to a tenth of its step, and the
-    estimate then converges."""
+    """A trial whose h is NaN is rejected like a rise in J: the next trial
+    starts from the same state, damped by the rule of ``_damped_trials``,
+    and the estimate then converges."""
     mm = compiled(ieee14, None, clean_measurements.entries)
     poisoned = copy.copy(mm)
     calls = []
 
     def evaluate(v, theta, out=None):
-        calls.append(np.concatenate([theta[0, mm.angle_buses], v[0]]))
         h, jac = mm.evaluate(v, theta, out)
+        calls.append((v.copy(), theta.copy()))
         if len(calls) == 2:
             h[:] = np.nan
         return h, jac
 
     poisoned.evaluate = evaluate
     v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
-    z, sig = clean_measurements.z[None], clean_measurements.sigmas
-    assert gauss_newton(poisoned, z, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
-    x0, dx = calls[0], calls[1] - calls[0]
-    assert np.abs(calls[2] - (x0 + WLS_BACKOFF[0] * dx)).max() < 1e-12
+    z, sig = clean_measurements.z, clean_measurements.sigmas
+    assert gauss_newton(poisoned, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+    x0 = _state(mm, *calls[0])
+    trials = [_state(mm, *calls[i]) - x0 for i in (1, 2)]
+    _, jac = mm.evaluate(*calls[0])
+    gain = (jac[0].T / sig**2) @ jac[0]
+    (step,) = _damped_trials(mm, z, sig, calls[0], gain, trials)
+    assert np.abs(trials[1] - step).max() < 1e-12
+    assert np.abs(trials[1]).max() < np.abs(trials[0]).max()
 
 
 def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_measurements,
                                                                monkeypatch):
-    """A 50 p.u. error on Pinj 7 of the 42-channel standard layout still
-    diverges: it switches to second-order steps, but G - S is indefinite at
-    every state it reaches, so each step is the Gauss-Newton one. Every
-    trial, accepted or not, counts against ``WLS_MAX_ITER`` and a curvature
-    counts as no evaluation, so the failure costs exactly that many
-    evaluations, as before step control. The first, at the flat start,
-    gathers from the source compiled with the model and still counts."""
+    """A 50 p.u. error on Pinj 7 of the 42-channel standard layout takes
+    damped steps and forms G - S, and converges in more than 12
+    evaluations; with a budget of 12 it does not. Every trial, accepted or
+    not, counts against ``WLS_MAX_ITER`` and a curvature counts as no
+    evaluation, so the failure costs exactly that many evaluations. The
+    first, at the flat start, gathers from the source compiled with the
+    model and still counts."""
+    row = clean_measurements.index_of(MeasKind.PINJ, 7)
+    bad = clean_measurements.replaced(row, clean_measurements.entries[row].value + 50.0)
+    assert 12 < wls_estimate_ac(ieee14, bad).iterations < WLS_MAX_ITER
+    monkeypatch.setattr(estimation, "WLS_MAX_ITER", 12)
     count = _counting_evaluate(monkeypatch)
     sources = [0]
     source = MeasurementModel._source
@@ -805,90 +868,95 @@ def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_m
         return curvature(self, v, theta, lam)
 
     monkeypatch.setattr(MeasurementModel, "curvature", counting)
-    row = clean_measurements.index_of(MeasKind.PINJ, 7)
-    bad = clean_measurements.replaced(row, clean_measurements.entries[row].value + 50.0)
-    with pytest.raises(EstimationError, match=f"did not converge in {WLS_MAX_ITER} iterations"):
+    with pytest.raises(EstimationError, match="^WLS did not converge in 12 iterations$"):
         wls_estimate_ac(ieee14, bad)
-    assert count[0] == WLS_MAX_ITER
-    assert sources[0] == WLS_MAX_ITER - 1
+    assert count[0] == 12
+    assert sources[0] == 11
     assert curvatures[0] > 0
 
 
-def _switching_sets(model, count):
-    """``count`` seeded full-telemetry sets of the base case, each with one
-    gross error of 300-2500 sigma, whose estimates switch to second-order
-    steps."""
-    sol = solve(model)
-    rng = np.random.default_rng(11)
-    flat = np.ones((1, model.n_bus)), np.zeros((1, model.n_bus))
-    sets = []
-    while len(sets) < count:
-        ms = full_telemetry_from_state(model, sol.v, sol.theta, noise_rng=rng)
-        row = int(rng.integers(len(ms)))
-        size = rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(300), np.log(2500)))
-        bad = ms.replaced(row, ms.entries[row].value + size * ms.entries[row].sigma)
-        if _switches(compiled(model, None, bad.entries), bad.z, bad.sigmas, flat):
-            sets.append(bad)
-    return sets
-
-
-def test_switched_estimates_ignore_row_order_and_sigma_scale(ieee14):
-    """On sets whose estimates take second-order steps, permuting the rows
-    leaves x-hat and J unchanged and removal picks the same channels, and
-    scaling every sigma by k leaves x-hat unchanged and scales J by 1/k^2.
-    Two estimates of one minimum each stop within about WLS_DELTA of it
-    (the last step is below WLS_DELTA, and quadratic convergence leaves
-    far less after it), so their states differ by under 2 WLS_DELTA; J is
-    flat there, so it moves by at most the second-order term,
-    ||G|| (2 WLS_DELTA)^2 with G the gain at the estimate."""
-    k = 3.0
-    rng = np.random.default_rng(4)
-    for bad in _switching_sets(ieee14, 3):
+@given(data=st.data())
+@settings(max_examples=12)
+def test_switched_estimates_ignore_row_order_and_sigma_scale(ieee14, solution, data):
+    """On drawn noisy full-telemetry sets of the base case with one or two
+    gross errors of 300-2500 sigma, whose estimates take damped steps and
+    form G - S: permuting the rows leaves x-hat within 2 WLS_DELTA and J
+    within ||G|| (2 WLS_DELTA)^2 (two estimates of one minimum each stop
+    within about WLS_DELTA of it, and J is flat there), and removal picks
+    the same channels; scaling every sigma by a power of two k leaves the
+    whole path, so x-hat, bit for bit, and scales J by exactly 1/k^2, as it
+    scales G, H'Wr, S and the predicted fall alike."""
+    seed = data.draw(st.integers(0, 2**16))
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta, noise_rng=np.random.default_rng(seed))
+    bad = ms
+    for row in data.draw(st.lists(st.integers(0, len(ms) - 1), min_size=1, max_size=2, unique=True)):
+        size = data.draw(st.floats(300, 2500)) * data.draw(st.sampled_from([-1.0, 1.0]))
+        bad = bad.replaced(row, bad.entries[row].value + size * bad.entries[row].sigma)
+    flat = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
+    rejected, curved = _controls(compiled(ieee14, None, bad.entries), bad.z, bad.sigmas, flat)
+    assume(rejected and curved)
+    order = np.array(data.draw(st.permutations(range(len(bad)))))
+    k = data.draw(st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    permuted = MeasurementSet([bad.entries[i] for i in order])
+    scaled = MeasurementSet([replace(m, sigma=k * m.sigma) for m in bad.entries])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         first = wls_estimate_ac(ieee14, bad)
+        again = wls_estimate_ac(ieee14, permuted)
         jac, w = first.jacobian, 1.0 / bad.sigmas**2
         j_tol = np.linalg.norm((jac * w[:, None]).T @ jac, 2) * (2 * WLS_DELTA) ** 2
-        order = rng.permutation(len(bad))
-        permuted = MeasurementSet([bad.entries[i] for i in order])
-        scaled = MeasurementSet([replace(m, sigma=k * m.sigma) for m in bad.entries])
-        for other, j_scale in ((permuted, 1.0), (scaled, k * k)):
-            again = wls_estimate_ac(ieee14, other)
-            assert np.abs(again.x_hat.v - first.x_hat.v).max() < 2 * WLS_DELTA
-            assert np.abs(again.x_hat.theta - first.x_hat.theta).max() < 2 * WLS_DELTA
-            assert abs(j_scale * again.j_value - first.j_value) < j_tol
+        assert np.abs(again.x_hat.v - first.x_hat.v).max() < 2 * WLS_DELTA
+        assert np.abs(again.x_hat.theta - first.x_hat.theta).max() < 2 * WLS_DELTA
+        assert abs(again.j_value - first.j_value) < j_tol
+        rescaled = wls_estimate_ac(ieee14, scaled)
+        assert np.array_equal(rescaled.x_hat.v, first.x_hat.v)
+        assert np.array_equal(rescaled.x_hat.theta, first.x_hat.theta)
+        assert rescaled.iterations == first.iterations and k * k * rescaled.j_value == first.j_value
         tau = chi_square_threshold(len(bad) - (2 * ieee14.n_bus - 1))
         _, removed = iterative_bad_data_removal(ieee14, bad, tau)
         _, removed_permuted = iterative_bad_data_removal(ieee14, permuted, tau)
-        assert removed and [int(order[i]) for i in removed_permuted] == removed
+    assert removed and [int(order[i]) for i in removed_permuted] == removed
 
 
 @pytest.mark.parametrize(
-    "point_id, channel, sigmas",
-    [("table5-21", "Pinj bus 8", (-1000, 1000)), ("table5-12", "Pinj bus 7", (2000, -2500))],
-    ids=["21-Pinj8", "12-Pinj7"],
+    "point_id, sets",
+    [
+        ("table5-21", ({"Pinj bus 8": -1000}, {"Pinj bus 8": 1000})),
+        ("table5-12", ({"Pinj bus 7": 2000}, {"Pinj bus 7": -2500})),
+        ("table5-08", ({"Qflow 5-6": -2340},)),
+        ("table5-23", ({"Pflow 4-5": -1636, "Pinj bus 13": -1227},)),
+        ("table5-14", ({"Qflow 6-11": 1475, "Pflow 11-6": -1217},)),
+    ],
+    ids=["21-Pinj8", "12-Pinj7", "8-Qflow5-6", "23-Pflow4-5+Pinj13", "14-Qflow6-11+Pflow11-6"],
 )
-def test_large_injection_errors_converge_and_are_removed(ieee14, point_id, channel, sigmas):
-    """Errors of 1000-2500 sigma on the P injection at bus 8 of Table 5
-    point 21 and at bus 7 of point 12, as in perfbench's bdd sets, raised
-    EstimationError after 50 evaluations under Gauss-Newton steps alone.
-    With the switch to second-order steps each estimate converges within
-    20 evaluations and removal takes out exactly the bad channel."""
+def test_large_injection_errors_converge_and_are_removed(ieee14, point_id, sets):
+    """Full telemetry of Table 5 catalog points with one or two errors of
+    1000-2500 sigma, as in perfbench's bdd sets. Each of these estimates
+    raised EstimationError after 50 evaluations under an earlier step
+    control: the first two under Gauss-Newton steps alone, the other three
+    under the non-monotone window with its switch to G - S. Each now
+    converges within 20 evaluations and removal takes out exactly the
+    injected channels."""
     oc = _catalog_point(ieee14, point_id)
     ms = full_telemetry_from_state(oc.model, oc.solution.v, oc.solution.theta, oc.topology,
                                    noise_rng=np.random.default_rng(1))
-    row = next(i for i, m in enumerate(ms.entries) if m.channel == channel)
     tau = chi_square_threshold(len(ms) - (2 * ieee14.n_bus - 1))
-    for size in sigmas:
-        bad = ms.replaced(row, ms.entries[row].value + size * ms.entries[row].sigma)
+    for errors in sets:
+        bad, rows = ms, []
+        for channel, size in errors.items():
+            row = next(i for i, m in enumerate(ms.entries) if m.channel == channel)
+            bad = bad.replaced(row, ms.entries[row].value + size * ms.entries[row].sigma)
+            rows.append(row)
         assert wls_estimate_ac(oc.model, bad, topology=oc.topology).iterations <= 20
         _, removed = iterative_bad_data_removal(oc.model, bad, tau, topology=oc.topology)
-        assert removed == [row]
+        assert sorted(removed) == sorted(rows)
 
 
 def test_normalized_residuals_raise_on_a_singular_gain(ieee14, clean_measurements):
     """A Jacobian with a zero column leaves that state unobserved: the gain
     is singular, which raises rather than reading as residuals over sigma,
     naming the state. Two equal columns make it singular too, with no
-    column to name: the solver's message stands."""
+    column to name: the error names the states of H's null space."""
     result = wls_estimate_ac(ieee14, clean_measurements)
     jac = result.jacobian.copy()
     jac[:, 0] = 0.0
@@ -898,7 +966,8 @@ def test_normalized_residuals_raise_on_a_singular_gain(ieee14, clean_measurement
         normalized_residuals(replace(result, jacobian=jac))
     jac = result.jacobian.copy()
     jac[:, 1] = jac[:, 0]
-    with pytest.raises(ObservabilityError, match="^singular gain matrix: Singular matrix$"):
+    error = "^singular gain matrix: a combination of theta at buses 2, 3 moves no measurement$"
+    with pytest.raises(ObservabilityError, match=error):
         normalized_residuals(replace(result, jacobian=jac))
 
 
