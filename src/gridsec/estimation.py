@@ -9,7 +9,7 @@ Measurement values are p.u.; power channels are net injections.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,8 +122,8 @@ class EstimationResult:
     converged: bool
     jacobian: np.ndarray  # at the solution
     sigmas: np.ndarray
-    measurements: MeasurementSet
-    measurement_model: MeasurementModel  # compiled for ``measurements``
+    measurements: MeasurementSet | None  # None from an estimate of bare arrays
+    measurement_model: MeasurementModel  # compiled for the measurements' layout
 
 
 @dataclass
@@ -436,26 +436,41 @@ def wls_estimate_ac(
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta {delta}: expected a finite number above 0")
     z, sig = measurements.z, measurements.sigmas
+    mm = _checked(model, topology, measurements.entries, z, sig)
+    return _estimate(mm, z, sig, delta, x0, measurements)
+
+
+def _checked(
+    model: NetworkModel,
+    topology: TopologyMatrix | None,
+    entries: Sequence[Measurement],
+    z: np.ndarray,
+    sig: np.ndarray,
+) -> MeasurementModel:
+    """The ``compiled`` model of the layout ``entries``, once its values
+    ``z`` and sigmas ``sig`` are finite. Raises EstimationError naming the
+    first channel where one is not."""
     bad = ~(np.isfinite(z) & np.isfinite(sig))
     if bad.any():
-        m = measurements.entries[int(np.argmax(bad))]
+        k = int(np.argmax(bad))
         raise EstimationError(
-            f"non-finite measurement on channel {m.channel}: value {m.value}, sigma {m.sigma}"
+            f"non-finite measurement on channel {entries[k].channel}: "
+            f"value {float(z[k])}, sigma {float(sig[k])}"
         )
-    mm = compiled(model, topology, measurements.entries)
-    return _estimate(mm, measurements, z, sig, delta, x0)
+    return compiled(model, topology, entries)
 
 
 def _estimate(
     mm: MeasurementModel,
-    measurements: MeasurementSet,
     z: np.ndarray,
     sig: np.ndarray,
-    delta: float,
-    x0: StateVector | None,
+    delta: float = WLS_DELTA,
+    x0: StateVector | None = None,
+    measurements: MeasurementSet | None = None,
 ) -> EstimationResult:
-    """``wls_estimate_ac`` on a compiled model of the measurements' layout,
-    with their values ``z`` and sigmas ``sig``. Whole turns come off each
+    """``wls_estimate_ac`` on a compiled model ``mm`` of a layout, with
+    its values ``z`` and sigmas ``sig`` as arrays. The result carries
+    ``measurements``, which nothing here reads. Whole turns come off each
     estimated angle outside (-pi, pi] after h and H are evaluated at the
     end state, so an angle in that range is reported as it ends."""
     n = mm.n_bus
@@ -657,8 +672,9 @@ def iterative_bad_data_removal(
     """
     live = list(range(len(measurements)))
     removed: list[int] = []
-    result = wls_estimate_ac(model, measurements, topology=topology)
-    mm, z, sig = result.measurement_model, measurements.z, result.sigmas
+    z, sig = measurements.z, measurements.sigmas
+    mm = _checked(model, topology, measurements.entries, z, sig)
+    result = _estimate(mm, z, sig, measurements=measurements)
     while True:
         verdict = bdd_classify(result, threshold)
         if not verdict.flagged:
@@ -668,4 +684,4 @@ def iterative_bad_data_removal(
         removed.append(live.pop(worst))
         entries, kept = result.measurements.entries, np.arange(z.size) != worst
         mm, z, sig = mm.without(worst), z[kept], sig[kept]
-        result = _estimate(mm, MeasurementSet(entries[:worst] + entries[worst + 1:]), z, sig, WLS_DELTA, None)
+        result = _estimate(mm, z, sig, measurements=MeasurementSet(entries[:worst] + entries[worst + 1:]))

@@ -427,6 +427,27 @@ class _Key(tuple):
         return self.hash
 
 
+# Per network model object, least recent first: the object, the part of
+# a compile key that its values make and the topology of its own breakers.
+# A frozen NetworkModel hashes its buses and branches field by field in
+# Python, so that part is built once per object. Holding the object keeps
+# its id from being reused while it is listed.
+_model_keys: dict[int, tuple[NetworkModel, _Key, TopologyMatrix]] = {}
+
+
+def _model_key(model: NetworkModel) -> tuple[_Key, TopologyMatrix]:
+    """The model's part of a compile key and its own breakers' topology.
+    Call with ``_compiled_lock`` held."""
+    entry = _model_keys.pop(id(model), None)
+    if entry is None:
+        part = _Key((model.branches, tuple((bus.b_shunt, bus.kind, bus.p_gen) for bus in model.buses)))
+        entry = model, part, build_topology(model)
+    _model_keys[id(model)] = entry
+    if len(_model_keys) > COMPILED_MAX:
+        del _model_keys[next(iter(_model_keys))]
+    return entry[1], entry[2]
+
+
 def compiled(
     model: NetworkModel, topology: TopologyMatrix | None, entries: Sequence
 ) -> MeasurementModel:
@@ -436,21 +457,21 @@ def compiled(
     kind and ``p_gen`` (which fix the angle references), the in-service
     flags and each entry's (kind, bus, branch);
     values and sigmas are not part of it, so every caller of one layout
-    gets the same model. A layout that does not compile raises on every
-    call and is not kept."""
-    if topology is None:
-        topology = build_topology(model)
-    key = _Key((
-        model.branches,
-        tuple((bus.b_shunt, bus.kind, bus.p_gen) for bus in model.buses),
-        topology.in_service,
-        # Three flat tuples take a third of the memory of one per entry. An
-        # entry without a branch (the power flow's) has None there.
+    gets the same model. The model's part is built once per model object
+    and compares by value, so equal models share a compiled layout. A
+    layout that does not compile raises on every call and is not kept."""
+    # Three flat tuples take a third of the memory of one per entry. An
+    # entry without a branch (the power flow's) has None there.
+    layout = (
         tuple(map(_KIND, entries)),
         tuple(map(_BUS, entries)),
         tuple(map(getattr, entries, repeat("branch"), repeat(None))),
-    ))
+    )
     with _compiled_lock:
+        part, own = _model_key(model)
+        if topology is None:
+            topology = own
+        key = _Key((part, topology.in_service, *layout))
         mm = _compiled.pop(key, None) or MeasurementModel(model, topology, entries)
         _compiled[key] = mm
         if len(_compiled) > COMPILED_MAX:

@@ -4,10 +4,13 @@ physics rules, and classification over a (baseline, snapshot) record pair.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .detection import (
     BaselineStats,
@@ -21,12 +24,14 @@ from .detection import (
 from .estimation import (
     BddVerdict,
     EstimationError,
+    Measurement,
     MeasurementSet,
+    _checked,
+    _estimate,
     standard_layout,
-    wls_estimate_ac,
 )
 from .network import NetworkModel, build_ieee14
-from .records import GridRecord
+from .records import BusSnapshot, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 if TYPE_CHECKING:
@@ -95,14 +100,18 @@ def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int
 def _bdd_for(
     record: GridRecord,
     baseline: GridRecord,
+    snapshots: tuple[BusSnapshot, BusSnapshot],
     model: NetworkModel,
     threshold: float,
 ) -> BddVerdict:
-    """Residual-test verdict for a snapshot.
+    """Residual-test verdict for a snapshot, given the (record, baseline)
+    ``snapshots``.
 
     Post-estimation records were validated before corruption, so their
     stored chi-square (or their baseline's) applies; measurement-stage
-    snapshots are re-estimated.
+    snapshots are re-estimated from their bus table, on the standard
+    layout at the default sigmas: the ``measurements_from_record`` channels
+    of the record, taken from its snapshot as arrays.
     """
     stage = str(record.extras.get("stage", "measurement"))
     sources = [record, baseline] if stage == "post-se" else [record]
@@ -110,14 +119,29 @@ def _bdd_for(
         if "bdd_chi2" in source.extras:
             j = float(source.extras["bdd_chi2"])
             return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=j)
-    target = baseline if stage == "post-se" else record
+    target, snap = (baseline, snapshots[1]) if stage == "post-se" else (record, snapshots[0])
+    layout, sig = _standard_channels(model.n_bus)
+    # (-p)/b is -(p/b) exactly, so these are the values of measurements_from_record.
+    z = np.concatenate((snap.v, -snap.p, -snap.q))
     try:
-        result = wls_estimate_ac(model, measurements_from_record(target, model.base_mva))
+        result = _estimate(_checked(model, None, layout, z, sig), z, sig)
     except EstimationError as exc:
         raise type(exc)(f"record {target.source!r}: {exc}") from None
     return BddVerdict(
         flagged=result.j_value > threshold, threshold=threshold, j_value=result.j_value
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _standard_channels(n_bus: int) -> tuple[tuple[Measurement, ...], np.ndarray]:
+    """The standard layout of ``n_bus`` buses at the default sigmas (its
+    values are 0 and nothing reads them) and its sigma vector, read-only:
+    built once, since every measurement-stage record of a model shares it."""
+    zeros = np.zeros(n_bus)
+    layout = tuple(standard_layout(zeros, zeros, zeros))
+    sig = np.array([m.sigma for m in layout])
+    sig.flags.writeable = False
+    return layout, sig
 
 
 def run_pipeline(
@@ -145,12 +169,12 @@ def run_pipeline(
     m = 3 * model.n_bus
     df = m - (2 * model.n_bus - 1)
     threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(df, BDD_ALPHA)
-    bdd = _bdd_for(attacked, baseline, model, threshold)
-
-    # One snapshot and one island search per record: the features and the
-    # rules share them, and the rules read the attacked record's
-    # correlations from its features.
+    # One snapshot and one island search per record: the residual test,
+    # the features and the rules share them, and the rules read the
+    # attacked record's correlations from its features.
     snapshots = (attacked.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
+    bdd = _bdd_for(attacked, baseline, snapshots, model, threshold)
+
     features = feature_chi2 = feature_threshold = None
     if baseline_stats is not None:
         features = extract_features(snapshots[0])

@@ -30,7 +30,7 @@ from gridsec.estimation import (
     wls_estimate_ac,
     wls_estimate_dc,
 )
-from gridsec.network import BreakerState, build_topology
+from gridsec.network import BreakerState, build_topology, connected_components
 from gridsec.powerflow import solve
 from gridsec.stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
@@ -61,6 +61,33 @@ def test_stealth_residual_invariance_oracle(ieee14):
         attacked = wls_estimate_dc(h, z + vector.deltas, sig)
         assert np.max(np.abs(attacked.residuals - clean.residuals)) < 1e-10
         assert np.max(np.abs(attacked.x_hat - clean.x_hat - c)) < 1e-10
+
+
+@given(order=st.permutations(range(20)), opened=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_stealth_residual_invariance_on_any_connected_topology(ieee14, order, opened, seed):
+    """For any breaker set that keeps the network connected, any channel
+    sigmas and any c, z + Hc has the residual of z (and the estimate moves
+    by c) under the DC model of that topology. Branches are opened in the
+    drawn order, each one only if the network stays connected."""
+    topo = build_topology(ieee14)
+    assert len(topo.pairs) == 20
+    live = set(range(20))
+    for i in order:
+        if len(live) == 20 - opened:
+            break
+        if len(connected_components(range(1, 15), [topo.pairs[j] for j in live - {i}])) == 1:
+            live.discard(i)
+    topology = replace(topo, in_service=tuple(i in live for i in range(20)))
+    h, labels = build_dc_jacobian(ieee14, topology)
+    assert h.shape == (14 + len(live), 13)
+    rng = np.random.default_rng(seed)
+    sig = rng.uniform(0.002, 0.05, h.shape[0])
+    z = h @ rng.normal(0.0, 0.1, h.shape[1]) + rng.normal(0.0, sig)
+    clean = wls_estimate_dc(h, z, sig)
+    c = rng.normal(0.0, 0.1, h.shape[1])
+    attacked = wls_estimate_dc(h, z + stealth_from_state_delta(h, c, labels).deltas, sig)
+    assert np.max(np.abs(attacked.residuals - clean.residuals)) < 1e-9
+    assert np.max(np.abs(attacked.x_hat - clean.x_hat - c)) < 1e-9
 
 
 def test_stealth_column_space_projection(ieee14):

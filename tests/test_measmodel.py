@@ -26,6 +26,7 @@ from gridsec.network import (
     NetworkModel,
     admittance,
     branch_admittances,
+    build_ieee14,
     build_topology,
 )
 from gridsec.powerflow import bus_power, solve
@@ -591,6 +592,48 @@ def test_a_change_the_compile_reads_gives_a_new_model(ieee14, telemetry):
         assert other is not mm
         assert not np.array_equal(other.ybus, mm.ybus)
     assert compiled(ieee14, topo, entries) is mm
+
+
+def test_each_field_the_compile_reads_keys_its_own_model(ieee14, telemetry, states):
+    """A model that differs in one branch's x or one bus's shunt, kind or
+    ``p_gen``, a topology that differs in one breaker and a layout that
+    differs in one entry's kind, bus or branch each get a compiled model of
+    their own, which evaluates as a fresh compile of it does, bit for bit.
+    The key's model part is built once per model object and compared by
+    value: the same object, or an equal one, gets the cached model."""
+    entries = telemetry.entries
+    mm = compiled(ieee14, None, entries)
+    line, bus2, bus9, topo = ieee14.branches[3], ieee14.bus(2), ieee14.bus(9), build_topology(ieee14)
+    vm3 = next(i for i, m in enumerate(entries) if m.kind is MeasKind.VM and m.bus == 3)
+    flow = next(i for i, m in enumerate(entries) if m.kind is MeasKind.PFLOW)
+
+    def changed(row, **fields):
+        out = list(entries)
+        out[row] = replace(out[row], **fields)
+        return out
+
+    variants = {
+        "branch x": (ieee14.with_branch(3, replace(line, x=1.5 * line.x)), None, entries),
+        "bus shunt": (ieee14.with_bus(9, replace(bus9, b_shunt=0.0)), None, entries),
+        "bus kind": (ieee14.with_bus(9, replace(bus9, kind=BusKind.GENERATOR)), None, entries),
+        "bus p_gen": (ieee14.with_bus(2, replace(bus2, p_gen=bus2.p_gen + 10.0)), None, entries),
+        "breaker": (ieee14, replace(topo, in_service=topo.in_service[:5] + (False,) + topo.in_service[6:]), entries),
+        "entry kind": (ieee14, None, changed(vm3, kind=MeasKind.PINJ)),
+        "entry bus": (ieee14, None, changed(vm3, bus=4)),
+        "entry branch": (ieee14, None, changed(flow, branch=entries[flow].branch[::-1])),
+    }
+    v, theta = states
+    models = {}
+    for name, args in variants.items():
+        models[name] = other = compiled(*args)
+        assert other is not mm, name
+        assert compiled(*args) is other, name
+        h, jac = other.evaluate(v, theta)
+        h_ref, jac_ref = MeasurementModel(*args).evaluate(v, theta)
+        assert np.array_equal(h, h_ref) and np.array_equal(jac, jac_ref), name
+    assert len({id(other) for other in models.values()}) == len(models)
+    assert compiled(ieee14, None, entries) is mm
+    assert compiled(build_ieee14(), topo, list(entries)) is mm
 
 
 def test_an_island_reference_is_part_of_the_cache_key(islanded_points):

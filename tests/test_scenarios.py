@@ -12,7 +12,7 @@ import pytest
 from gridsec import fixtures as fx
 from gridsec.attacks import StateDelta, corrupt_topology_record, manipulate_state_vector
 from gridsec.detection import Rule, Severity, VerdictClass, fit_baseline
-from gridsec.estimation import wls_estimate_ac
+from gridsec.estimation import EstimationError, wls_estimate_ac
 from gridsec.network import BreakerState, BusKind
 from gridsec.pipeline import measurements_from_record, run_pipeline
 from gridsec.records import GridRecord
@@ -374,6 +374,102 @@ def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
     assert calls == ["scenario2a"]
     for name, sources in built.items():
         assert sorted(sources) == ["post-se-baseline", "scenario2a"], name
+
+
+def test_a_second_reestimate_builds_no_measurement_and_compiles_nothing(ieee14, monkeypatch):
+    """A measurement-stage pair is re-estimated from the snapshot arrays on
+    the standard layout's shared channels and compiled model: once one
+    verdict has run, the next constructs no ``Measurement``, compiles no
+    ``MeasurementModel`` and reads each record's ``arrays`` once."""
+    from gridsec import estimation, measmodel
+    from gridsec.attacks import build_scenario_1a
+
+    baseline, _ = fx.scenario_1a_records()
+    first = run_pipeline(baseline, build_scenario_1a(), ieee14)
+    built = {"measurements": [], "compiles": [], "arrays": []}
+
+    def spy(owner, name, what, source):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            built[what].append(source(self))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(estimation.Measurement, "__post_init__", "measurements", lambda m: m.channel)
+    spy(measmodel.MeasurementModel, "__init__", "compiles", lambda mm: None)
+    spy(GridRecord, "arrays", "arrays", lambda r: r.source)
+    report = run_pipeline(baseline, build_scenario_1a(), ieee14)
+    assert report.to_json() == first.to_json() and report.text == first.text
+    assert built["measurements"] == [] and built["compiles"] == []
+    assert sorted(built["arrays"]) == sorted([baseline.source, report.report["snapshot"]])
+
+
+def _reference(model, record):
+    """The residual test's re-estimate of ``record`` through the
+    measurement objects: J, or the pipeline's text of its error."""
+    try:
+        return wls_estimate_ac(model, measurements_from_record(record, model.base_mva)).j_value
+    except EstimationError as exc:
+        return f"record {record.source!r}: {exc}"
+
+
+def _direct(model, baseline, snapshot):
+    """The residual test's J in ``run_pipeline``, or the text of its error."""
+    try:
+        return run_pipeline(baseline, snapshot, model).verdict.bdd_chi2
+    except EstimationError as exc:
+        return str(exc)
+
+
+def test_the_residual_test_reestimates_as_wls_of_the_record_measurements(ieee14, outcomes):
+    """The re-estimate reads the snapshot's arrays, z = [V, -P, -Q], yet
+    gives the J of ``wls_estimate_ac(model, measurements_from_record(...))``
+    bit for bit, or the same error text: on seeded noisy solved catalog
+    records with one gross error, the shipped 1A/1B baselines and their
+    attack vectors, a post-SE pair with no stored chi-square (whose
+    baseline is estimated) and a dead island's NaN rows."""
+    from gridsec.attacks import build_scenario_1a, build_scenario_1b
+    from gridsec.network import apply_topology_corruption, build_topology
+    from gridsec.powerflow import solve
+
+    rng = np.random.default_rng(27)
+    solved = [oc.record for oc in outcomes if oc.record is not None]
+    flagged = 0
+    for k in rng.choice(len(solved), size=8, replace=False):
+        record = solved[k]
+        bus, column = int(rng.integers(1, 15)), ("v_pu", "p_mw", "q_mvar")[int(rng.integers(3))]
+        size = rng.uniform(0.03, 0.15) if column == "v_pu" else rng.uniform(15.0, 60.0)
+        rows = []
+        for r in record.buses:
+            r = replace(r, v_pu=r.v_pu + rng.normal(0.0, 0.01),
+                        p_mw=r.p_mw + rng.normal(0.0, 2.0), q_mvar=r.q_mvar + rng.normal(0.0, 2.0))
+            rows.append(replace(r, **{column: getattr(r, column) + size}) if r.bus == bus else r)
+        snapshot = replace(record, buses=rows, source=f"gross-{column}-{bus}", extras={})
+        j = _direct(ieee14, record, snapshot)
+        assert j == _reference(ieee14, snapshot), snapshot.source
+        flagged += isinstance(j, float) and j > 100.0
+    assert flagged >= 4
+
+    for builder, vector in ((fx.scenario_1a_records, build_scenario_1a()),
+                            (fx.scenario_1b_records, build_scenario_1b(noise=True, seed=3))):
+        baseline, _ = builder()
+        assert _direct(ieee14, baseline, baseline) == _reference(ieee14, baseline) > 100.0
+        attacked = vector.apply_to_record(baseline, base_mva=ieee14.base_mva)
+        assert _direct(ieee14, baseline, vector) == _reference(ieee14, attacked) > 200.0
+
+    baseline, snapshot = fx.post_se_baseline_record(), fx.scenario_2a_record()
+    for r in (baseline, snapshot):
+        del r.extras["bdd_chi2"]
+    assert snapshot.extras["stage"] == "post-se"
+    assert _direct(ieee14, baseline, snapshot) == _reference(ieee14, baseline) > 100.0
+
+    solved14 = GridRecord.from_solution(ieee14, solve(ieee14), source="solved")
+    topo = apply_topology_corruption(build_topology(ieee14), [(9, 14), (13, 14)])
+    dead = GridRecord.from_solution(ieee14, solve(ieee14, topo), topo, source="isolated-14")
+    text = "record 'isolated-14': non-finite measurement on channel Vm bus 14: value nan, sigma 0.01"
+    assert _direct(ieee14, solved14, dead) == _reference(ieee14, dead) == text
 
 
 def test_pipeline_accepts_attack_vector_input(ieee14):
