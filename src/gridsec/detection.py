@@ -633,18 +633,14 @@ class VerdictClass(str, Enum):
 class DetectionVerdict:
     klass: VerdictClass
     findings: list[Finding]
-    feature_chi2: float | None
     bdd_chi2: float | None
     bdd_threshold: float | None = None
-    feature_threshold: float | None = None
 
 
 def classify(
     bdd: BddVerdict | None,
     findings: Sequence[Finding],
     island_report: IslandRecordReport | None = None,
-    feature_chi2: float | None = None,
-    feature_threshold: float | None = None,
 ) -> DetectionVerdict:
     """Decision tree over the detector outputs.
 
@@ -662,10 +658,8 @@ def classify(
         return DetectionVerdict(
             klass=klass,
             findings=findings,
-            feature_chi2=feature_chi2,
             bdd_chi2=None if bdd is None else bdd.j_value,
             bdd_threshold=None if bdd is None else bdd.threshold,
-            feature_threshold=feature_threshold,
         )
 
     if bdd is not None and bdd.flagged:

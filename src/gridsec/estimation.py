@@ -8,6 +8,7 @@ Measurement values are p.u.; power channels are net injections.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -26,7 +27,7 @@ __all__ = [
     "BddVerdict",
     "EstimationError",
     "ObservabilityError",
-    "standard_layout",
+    "standard_channels",
     "measurements_from_state",
     "full_telemetry_from_state",
     "gauss_newton",
@@ -149,26 +150,22 @@ WLS_MU_FLOOR = 1e-4  # mu below this is 0: undamped steps
 WLS_RHO_SECOND = 0.25  # |rho - 1| under G that starts second-order steps
 
 
-def standard_layout(
-    v: np.ndarray,
-    p: np.ndarray,
-    q: np.ndarray,
-    sigma_vm: float = DEFAULT_SIGMA_VM,
-    sigma_power: float = DEFAULT_SIGMA_POWER,
-) -> list[Measurement]:
-    """Vm, then P and Q injection (p.u.), at buses 1..n in that fixed
-    order (42 channels on the 14-bus case), valued from per-bus arrays."""
-    out: list[Measurement] = []
-    for kind, values, sigma in (
-        (MeasKind.VM, v, sigma_vm),
-        (MeasKind.PINJ, p, sigma_power),
-        (MeasKind.QINJ, q, sigma_power),
-    ):
-        out += [
-            Measurement(kind, x, sigma, bus=b)
-            for b, x in enumerate(np.asarray(values, dtype=float).tolist(), 1)
-        ]
-    return out
+@functools.lru_cache(maxsize=8)
+def standard_channels(
+    n_bus: int, sigma_vm: float = DEFAULT_SIGMA_VM, sigma_power: float = DEFAULT_SIGMA_POWER
+) -> tuple[tuple[Measurement, ...], np.ndarray]:
+    """The standard layout: Vm, then P and Q injection (p.u.), at buses
+    1..n in that fixed order (42 channels on the 14-bus case), valued 0,
+    and its sigma vector, read-only. Built once per bus count and sigma
+    pair, and shared by every caller of the layout."""
+    layout = tuple(
+        Measurement(kind, 0.0, sigma, bus=b)
+        for kind, sigma in ((MeasKind.VM, sigma_vm), (MeasKind.PINJ, sigma_power), (MeasKind.QINJ, sigma_power))
+        for b in range(1, n_bus + 1)
+    )
+    sig = np.array([m.sigma for m in layout])
+    sig.flags.writeable = False
+    return layout, sig
 
 
 def measurements_from_state(
@@ -205,8 +202,7 @@ def _synthesize(model, v, theta, topology, sigma_vm, sigma_power, noise_rng, flo
     plus one Gaussian draw over the layout's sigmas when ``noise_rng``."""
     if topology is None:
         topology = build_topology(model)
-    zeros = np.zeros(model.n_bus)
-    layout = standard_layout(zeros, zeros, zeros, sigma_vm, sigma_power)
+    layout = list(standard_channels(model.n_bus, sigma_vm, sigma_power)[0])
     if flows:
         layout += [
             Measurement(kind, 0.0, sigma_power, branch=pair)

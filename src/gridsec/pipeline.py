@@ -4,10 +4,9 @@ physics rules, and classification over a (baseline, snapshot) record pair.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,12 +23,12 @@ from .detection import (
 from .estimation import (
     BddVerdict,
     EstimationError,
-    Measurement,
     MeasurementSet,
     _checked,
     _estimate,
-    standard_layout,
+    standard_channels,
 )
+from .measmodel import compiled
 from .network import NetworkModel, build_ieee14
 from .records import BusSnapshot, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
@@ -55,19 +54,27 @@ class PipelineReport:
 def measurements_from_record(record: GridRecord, base_mva: float) -> MeasurementSet:
     """Treat a record's bus table as the direct measurement channels at the
     default sigmas, power flipped into injections in p.u. of ``base_mva``."""
-    v, _, p, q = record.arrays()
-    return MeasurementSet(standard_layout(v, -p / base_mva, -q / base_mva))
+    layout, _ = standard_channels(record.n_bus)
+    values = _injections(record.snapshot(base_mva)).tolist()
+    return MeasurementSet([replace(m, value=x) for m, x in zip(layout, values)])
 
 
-def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int]]:
-    """The record's ``GridRecord.islands``, for the detector to reuse.
-    Raise ValueError unless ``record`` fits ``model``: its bus table
+def _injections(snap: BusSnapshot) -> np.ndarray:
+    """The values of the standard layout from a snapshot: V, then P and Q
+    flipped into injections ((-p)/b is -(p/b) exactly)."""
+    return np.concatenate((snap.v, -snap.p, -snap.q))
+
+
+def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int]] | None:
+    """Raise ValueError unless ``record`` fits ``model``: its bus table
     lists exactly buses 1..n, its branch rows name only those buses, and
     V, theta, P and Q are finite, and V is above 0, at every bus of the
     slack's island by ``GridRecord.islands``. Buses the record's own
     breakers cut off may hold the NaN rows ``GridRecord.from_solution``
     writes for an island with no slack and no generator; a record with no
-    branch table is one island, so every bus must be finite."""
+    branch table is one island, so every bus must be finite. Only a record
+    with a non-finite or non-positive row has its islands searched; it
+    returns them, for the detector to reuse, and any other returns None."""
     ids = {r.bus for r in record.buses}
     expected = set(range(1, model.n_bus + 1))
     if ids != expected:
@@ -76,13 +83,14 @@ def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int
         raise ValueError(
             f"record {record.source!r}: bus {bus} {what}; the model has buses 1..{model.n_bus}"
         )
-    islands = record.islands()
     bad = [
         r for r in record.buses
         if not (all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar))) and r.v_pu > 0)
     ]
     if not bad:
-        return islands
+        record.check_branches()
+        return None
+    islands = record.islands()
     slack = model.buses[model.slack_index].id
     energized = next(isl for isl in islands if slack in isl)
     for r in sorted(bad, key=lambda r: r.bus):
@@ -102,46 +110,38 @@ def _bdd_for(
     baseline: GridRecord,
     snapshots: tuple[BusSnapshot, BusSnapshot],
     model: NetworkModel,
-    threshold: float,
+    paper_compat: bool,
 ) -> BddVerdict:
     """Residual-test verdict for a snapshot, given the (record, baseline)
-    ``snapshots``.
+    ``snapshots``. The threshold is the ``BDD_ALPHA`` chi-square quantile
+    at df = m - n_state of the compiled standard model, or the paper's
+    under ``paper_compat``.
 
     Post-estimation records were validated before corruption, so their
     stored chi-square (or their baseline's) applies; measurement-stage
     snapshots are re-estimated from their bus table, on the standard
     layout at the default sigmas: the ``measurements_from_record`` channels
-    of the record, taken from its snapshot as arrays.
+    of the record, taken from its snapshot as arrays. A stored chi-square
+    or stage that ``GridRecord.extra`` rejects raises ValueError.
     """
-    stage = str(record.extras.get("stage", "measurement"))
-    sources = [record, baseline] if stage == "post-se" else [record]
-    for source in sources:
-        if "bdd_chi2" in source.extras:
-            j = float(source.extras["bdd_chi2"])
-            return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=j)
-    target, snap = (baseline, snapshots[1]) if stage == "post-se" else (record, snapshots[0])
-    layout, sig = _standard_channels(model.n_bus)
-    # (-p)/b is -(p/b) exactly, so these are the values of measurements_from_record.
-    z = np.concatenate((snap.v, -snap.p, -snap.q))
-    try:
-        result = _estimate(_checked(model, None, layout, z, sig), z, sig)
-    except EstimationError as exc:
-        raise type(exc)(f"record {target.source!r}: {exc}") from None
-    return BddVerdict(
-        flagged=result.j_value > threshold, threshold=threshold, j_value=result.j_value
-    )
-
-
-@functools.lru_cache(maxsize=4)
-def _standard_channels(n_bus: int) -> tuple[tuple[Measurement, ...], np.ndarray]:
-    """The standard layout of ``n_bus`` buses at the default sigmas (its
-    values are 0 and nothing reads them) and its sigma vector, read-only:
-    built once, since every measurement-stage record of a model shares it."""
-    zeros = np.zeros(n_bus)
-    layout = tuple(standard_layout(zeros, zeros, zeros))
-    sig = np.array([m.sigma for m in layout])
-    sig.flags.writeable = False
-    return layout, sig
+    post_se = record.extra("stage") == "post-se"
+    layout, sig = standard_channels(model.n_bus)
+    j = record.extra("bdd_chi2")
+    if j is None and post_se:
+        j = baseline.extra("bdd_chi2")
+    if j is None:
+        target, snap = (baseline, snapshots[1]) if post_se else (record, snapshots[0])
+        z = _injections(snap)
+        try:
+            mm = _checked(model, None, layout, z, sig)
+            j = _estimate(mm, z, sig).j_value
+        except EstimationError as exc:
+            raise type(exc)(f"record {target.source!r}: {exc}") from None
+    else:
+        mm = compiled(model, None, layout)
+    df = len(layout) - mm.n_state
+    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(df, BDD_ALPHA)
+    return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=float(j))
 
 
 def run_pipeline(
@@ -154,10 +154,9 @@ def run_pipeline(
 ) -> PipelineReport:
     """Estimation -> residual test -> features -> rules -> classification,
     with a deterministic JSON report and a readable text rendering. The
-    residual test's threshold is the ``BDD_ALPHA`` chi-square quantile, or
-    the paper's under ``paper_compat``. A record
-    that does not fit the model raises ValueError (see ``_check_record``),
-    and one WLS cannot estimate an EstimationError naming the record."""
+    residual test is ``_bdd_for``'s. A record that does not fit the model
+    raises ValueError (see ``_check_record``), and one WLS cannot estimate
+    an EstimationError naming the record."""
     if model is None:
         model = build_ieee14()
     cfg = config or RuleConfig()
@@ -166,35 +165,26 @@ def run_pipeline(
         attacked = attacked.apply_to_record(baseline, base_mva=model.base_mva)
     islands = _check_record(attacked, model)
 
-    m = 3 * model.n_bus
-    df = m - (2 * model.n_bus - 1)
-    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(df, BDD_ALPHA)
-    # One snapshot and one island search per record: the residual test,
-    # the features and the rules share them, and the rules read the
+    # One snapshot per record and at most one island search: the residual
+    # test, the features and the rules share them, and the rules read the
     # attacked record's correlations from its features.
     snapshots = (attacked.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
-    bdd = _bdd_for(attacked, baseline, snapshots, model, threshold)
+    bdd = _bdd_for(attacked, baseline, snapshots, model, paper_compat)
 
-    features = feature_chi2 = feature_threshold = None
+    features, feature = None, {"chi2": None, "threshold": None}
     if baseline_stats is not None:
         features = extract_features(snapshots[0])
-        feature_chi2 = baseline_stats.mahalanobis(features)
-        feature_threshold = (
-            PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold
-        )
+        feature = {
+            "chi2": round(baseline_stats.mahalanobis(features), 6),
+            "threshold": round(PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold, 6),
+        }
 
     island_report = analyze_record_islands(attacked, cfg, islands=islands)
     findings = rule_battery(
         attacked, baseline, cfg, model=model, island_report=island_report,
         snapshots=snapshots, features=features,
     )
-    verdict = classify(
-        bdd,
-        findings,
-        island_report=island_report,
-        feature_chi2=feature_chi2,
-        feature_threshold=feature_threshold,
-    )
+    verdict = classify(bdd, findings, island_report=island_report)
 
     totals = {
         "generation_before_mw": round(baseline.total_generation_mw, 4),
@@ -217,10 +207,7 @@ def run_pipeline(
             "threshold": round(bdd.threshold, 6),
             "flagged": bdd.flagged,
         },
-        "feature": {
-            "chi2": None if feature_chi2 is None else round(feature_chi2, 6),
-            "threshold": None if feature_threshold is None else round(feature_threshold, 6),
-        },
+        "feature": feature,
         "totals": totals,
         "findings": [
             {

@@ -98,13 +98,27 @@ class GridRecord:
         ids = [r.bus for r in self.buses]
         if not self.branches:
             return [frozenset(ids)]
-        known = set(ids)
+        self.check_branches()
+        live = ((br.from_bus, br.to_bus) for br in self.branches if br.in_service)
+        return connected_components(ids, live)
+
+    def check_branches(self) -> None:
+        """Raise ValueError naming the first branch row that names a bus
+        the bus table lacks."""
+        known = {r.bus for r in self.buses}
         for br in self.branches:
             if br.from_bus not in known or br.to_bus not in known:
                 raise ValueError(f"record {self.source!r}: branch {br.from_bus}-{br.to_bus} "
                                  f"names a bus that is not in its bus table")
-        live = ((br.from_bus, br.to_bus) for br in self.branches if br.in_service)
-        return connected_components(ids, live)
+
+    def extra(self, key: str) -> str | float | None:
+        """The header extra ``key``, or None when the record has none. One
+        the detector cannot read (see ``_check_extra``) raises ValueError
+        naming the record and the key."""
+        value = self.extras.get(key)
+        if key in self.extras:
+            _check_extra(key, value, f"record {self.source!r}: {key}={value}")
+        return value
 
     # -- totals (load convention) ------------------------------------
     @property
@@ -171,8 +185,7 @@ class GridRecord:
         """Parse the CSV ``to_csv`` writes. A malformed bus or branch row
         raises ValueError naming its line: a wrong column count, a value
         that is not a number, or a breaker state other than Closed/Open. So
-        does a header ``bdd_chi2`` that is not a finite number >= 0 and a
-        ``stage`` other than measurement or post-se."""
+        does a header extra the detector cannot read (see ``_check_extra``)."""
         lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if not lines:
             raise ValueError("empty record file")
@@ -186,10 +199,7 @@ class GridRecord:
                     source = val
                     continue
                 extras[key] = value = _parse_extra(val)
-                if key == "bdd_chi2" and not (isinstance(value, float) and 0.0 <= value < math.inf):
-                    raise ValueError(f"record CSV line {line}: {part}: expected a finite number >= 0")
-                if key == "stage" and value not in ("measurement", "post-se"):
-                    raise ValueError(f"record CSV line {line}: {part}: expected measurement or post-se")
+                _check_extra(key, value, f"record CSV line {line}: {part}")
         rows = list(csv.reader(ln for _, ln in lines))
         if not rows or rows[0] != BUS_HEADER:
             raise ValueError(f"expected bus header {BUS_HEADER}")
@@ -273,6 +283,16 @@ def _fmt_extra(v: str | float) -> str:
     if isinstance(v, str):
         return v
     return _FMT % v
+
+
+def _check_extra(key: str, value: str | float, where: str) -> None:
+    """Raise ValueError at ``where`` unless ``value`` is one the detector
+    reads as the header extra ``key``: a ``bdd_chi2`` must be a finite
+    number >= 0 and a ``stage`` measurement or post-se."""
+    if key == "bdd_chi2" and not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):
+        raise ValueError(f"{where}: expected a finite number >= 0")
+    if key == "stage" and value not in ("measurement", "post-se"):
+        raise ValueError(f"{where}: expected measurement or post-se")
 
 
 def _parse_extra(v: str) -> str | float:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsec import fixtures as fx
 from gridsec.attacks import StateDelta, corrupt_topology_record, manipulate_state_vector
@@ -166,6 +168,126 @@ def test_bad_record_header_field_names_line_and_field(field, expected):
     parts = [field if part.startswith(f"{key}=") else part for part in header.split(",")]
     with pytest.raises(ValueError, match=f"^record CSV line 1: {field}: expected {expected}$"):
         GridRecord.from_csv(",".join(parts) + "\n" + body)
+
+
+@pytest.mark.parametrize(
+    "extras, reader, expected",
+    [
+        ({"stage": "post-se", "bdd_chi2": math.nan}, "probe", "bdd_chi2=nan: expected a finite number >= 0"),
+        ({"stage": "post-se", "bdd_chi2": -5.0}, "probe", "bdd_chi2=-5.0: expected a finite number >= 0"),
+        ({"stage": "post-se", "bdd_chi2": math.inf}, "probe", "bdd_chi2=inf: expected a finite number >= 0"),
+        ({"stage": "post-se", "bdd_chi2": "abc"}, "probe", "bdd_chi2=abc: expected a finite number >= 0"),
+        ({"stage": "bogus"}, "probe", "stage=bogus: expected measurement or post-se"),
+        ({"stage": "post-se"}, "base", "bdd_chi2=nan: expected a finite number >= 0"),
+    ],
+    ids=["nan", "negative", "inf", "text", "stage", "baseline-nan"],
+)
+def test_pipeline_checks_the_extras_it_reads(ieee14, extras, reader, expected):
+    """A record built in memory skips the CSV parser, whose check of
+    ``bdd_chi2`` and ``stage`` the residual test shares. Before, a NaN or
+    negative chi-square classified Normal, inf BadData, text raised a bare
+    float() error, and an unknown stage was re-estimated."""
+    post_se = fx.post_se_baseline_record()
+    baseline = replace(post_se, source="base", extras={"stage": "post-se", "bdd_chi2": math.nan})
+    probe = replace(post_se, source="probe", extras=extras)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'record {reader!r}: {expected}')}$"):
+        run_pipeline(baseline, probe, ieee14)
+
+
+def test_pipeline_threshold_follows_the_compiled_model(ieee14):
+    """The residual test's df is m - n_state of the compiled standard
+    model: 15 on the all-closed case, and 16 on a case whose own open
+    breaker makes bus 8 an island (its angle is a reference too), as
+    ``gridsec estimate`` takes it; the paper's 89.5 under paper_compat."""
+    from gridsec.estimation import standard_channels
+    from gridsec.measmodel import compiled
+    from gridsec.pipeline import BDD_ALPHA
+    from gridsec.powerflow import solve
+    from gridsec.stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
+
+    islanded = replace(ieee14, branches=tuple(
+        replace(br, breaker_from=BreakerState.OPEN) if br.pair == (7, 8) else br
+        for br in ieee14.branches
+    ))
+    for model, df in ((ieee14, 15), (islanded, 16)):
+        layout, _ = standard_channels(model.n_bus)
+        assert len(layout) - compiled(model, None, layout).n_state == df
+        record = GridRecord.from_solution(model, solve(model), source="solved")
+        estimate = wls_estimate_ac(model, measurements_from_record(record, model.base_mva))
+        assert len(layout) - estimate.measurement_model.n_state == df
+        report = run_pipeline(record, record, model)
+        assert report.verdict.bdd_threshold == chi_square_threshold(df, BDD_ALPHA)
+        assert report.verdict.bdd_chi2 < 1e-9 and not report.report["bdd"]["flagged"]
+        compat = run_pipeline(record, record, model, paper_compat=True)
+        assert compat.verdict.bdd_threshold == PAPER_CHI2_THRESHOLD == 89.5
+
+
+# What the record fuzzer writes into a bus row's values (numbers, the
+# non-finite ones and text), into a branch row's cells (breaker states,
+# bus ids outside 1..14) and into the header's ``bdd_chi2``, in the CSV
+# and in memory.
+_VALUES = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "abc"]),
+    st.floats().map(repr),
+)
+_BRANCH_CELLS = st.sampled_from(["Open", "Closed", "Shut", "15", "0", "nan", "abc"])
+_STORED = ["0", "12.5", "1e6"]
+_BAD_STORED = ["nan", "-5", "inf", "abc"]
+_IN_MEMORY = [None, None, None, None, 0.0, 3.5, math.nan, -5.0, math.inf, "abc"]
+
+
+@settings(max_examples=150)
+@given(
+    base=st.sampled_from(["post_se_baseline.csv", "scenario1a_baseline.csv"]),
+    values=st.lists(st.tuples(st.integers(0, 13), st.integers(1, 4), _VALUES), max_size=3),
+    cells=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 6), _BRANCH_CELLS), max_size=2),
+    dropped=st.sets(st.integers(0, 33), max_size=2),
+    chi2=st.one_of(st.none(), st.sampled_from(_STORED), st.sampled_from(_BAD_STORED)),
+    stage=st.sampled_from([None, "measurement", "post-se", "post-se", "bogus"]),
+    in_memory=st.sampled_from(_IN_MEMORY),
+    as_baseline=st.booleans(),
+)
+def test_fuzzed_record_ends_in_a_verdict_or_a_value_error(
+    ieee14, base, values, cells, dropped, chi2, stage, in_memory, as_baseline
+):
+    """A record CSV with fuzzed bus values, branch cells, dropped rows and
+    header extras, parsed and sent through the pipeline as snapshot or
+    baseline against its clean original, ends in a verdict or a
+    ValueError. A non-finite value on the slack's island never classifies
+    Normal, and neither does a snapshot whose stored chi-square (set in
+    memory, where the parser does not see it) is not a finite number >= 0."""
+    clean = GridRecord.load(fx.DATA_DIR / base)
+    _, *lines = clean.to_csv().splitlines()
+    rows = [line.split(",") for line in lines]
+    data = [row for row in rows if row[0].isdigit()]
+    buses, branches = data[:14], data[14:]
+    for index, column, value in values:
+        buses[index][column] = value
+    for index, column, cell in cells if branches else []:
+        branches[index][column] = cell
+    cut = [data[i % len(data)] for i in dropped]
+    extras = [f"{key}={val}" for key, val in (("bdd_chi2", chi2), ("stage", stage)) if val is not None]
+    header = ",".join(["#gridrecord", "source=fuzz", *extras])
+    body = [",".join(row) for row in rows if not any(row is c for c in cut)]
+    try:
+        record = GridRecord.from_csv("\n".join([header, *body]))
+    except ValueError:
+        return
+    if in_memory is not None:
+        record.extras["bdd_chi2"] = in_memory
+    try:
+        report = run_pipeline(*((record, clean) if as_baseline else (clean, record)), ieee14)
+    except ValueError:
+        return
+    if report.verdict.klass is not VerdictClass.NORMAL:
+        return
+    energized = next(isl for isl in record.islands() if 1 in isl)
+    for r in record.buses:
+        if r.bus in energized:
+            assert all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar))), r
+    stored = record.extras.get("bdd_chi2", 0.0)
+    assert as_baseline or (isinstance(stored, float) and 0.0 <= stored < math.inf), stored
 
 
 def test_fixture_tree_matches_builders(tmp_path):
@@ -335,14 +457,17 @@ def test_pipeline_1a_1b_classification(ieee14, baseline_stats):
         assert report.verdict.klass is VerdictClass.STEALTH_ATTACK
         assert report.verdict.bdd_chi2 == chi2
         assert not report.report["bdd"]["flagged"]
-        assert report.verdict.feature_chi2 > baseline_stats.threshold
+        assert report.report["feature"]["chi2"] > baseline_stats.threshold
 
 
 def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
     """The IslandBalance rule and the classifier read one island report,
-    and each record's islands and snapshot are built once per verdict."""
+    and each record's snapshot is built once per verdict. The snapshot's
+    islands are searched once; the baseline's only when it holds a
+    non-finite row, which may sit on an island its breakers cut off."""
     from gridsec import detection, pipeline
-    from gridsec.records import GridRecord
+    from gridsec.network import apply_topology_corruption, build_topology
+    from gridsec.powerflow import solve
 
     calls = []
     analyze = detection.analyze_record_islands
@@ -366,14 +491,37 @@ def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
     monkeypatch.setattr(pipeline, "analyze_record_islands", counted)
     for name in built:
         monkeypatch.setattr(GridRecord, name, spy(name))
-    report = run_pipeline(
-        fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14,
-        baseline_stats=baseline_stats, paper_compat=True,
-    )
-    assert report.verdict.klass is VerdictClass.FDI_POST_SE
+
+    def run(baseline):
+        calls.clear()
+        for sources in built.values():
+            sources.clear()
+        return run_pipeline(
+            baseline, fx.scenario_2a_record(), ieee14,
+            baseline_stats=baseline_stats, paper_compat=True,
+        )
+
+    post_se = fx.post_se_baseline_record()
+    assert run(post_se).verdict.klass is VerdictClass.FDI_POST_SE
     assert calls == ["scenario2a"]
-    for name, sources in built.items():
-        assert sorted(sources) == ["post-se-baseline", "scenario2a"], name
+    assert built["islands"] == ["scenario2a"]
+    assert sorted(built["snapshot"]) == ["post-se-baseline", "scenario2a"]
+
+    topo = apply_topology_corruption(build_topology(ieee14), [(9, 14), (13, 14)])
+    dead = GridRecord.from_solution(ieee14, solve(ieee14, topo), topo, source="isolated-14")
+    dead.extras.update(stage="post-se", bdd_chi2=0.0)
+    assert math.isnan(dead.bus_row(14).v_pu)
+    run(dead)
+    assert sorted(built["islands"]) == ["isolated-14", "scenario2a"]
+
+    row_13_15 = [
+        replace(br, to_bus=15) if (br.from_bus, br.to_bus) == (13, 14) else br
+        for br in post_se.branches
+    ]
+    text = "record 'row-13-15': branch 13-15 names a bus that is not in its bus table"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        run(replace(post_se, source="row-13-15", branches=row_13_15))
+    assert built["islands"] == []
 
 
 def test_a_second_reestimate_builds_no_measurement_and_compiles_nothing(ieee14, monkeypatch):

@@ -2,7 +2,9 @@
 in its ``TARGETS`` table and reads ``iterations`` and ``converged`` off each
 ``wls_estimate_ac`` result. A renamed or deleted target crashes
 ``perfbench/run.py --trace 1``, so every entry must still resolve. The table
-is read from the file's source without importing it."""
+is read from the file's source without importing it. The same holds for the
+fields the ``detect`` workload's judge (``perfbench/workloads.py``) reads off
+each verdict and report."""
 
 import ast
 import dataclasses
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def tracer_targets() -> list[tuple[str, str]]:
@@ -33,3 +36,30 @@ def test_estimation_result_keeps_the_traced_fields():
     from gridsec.estimation import EstimationResult
 
     assert {"iterations", "converged"} <= {f.name for f in dataclasses.fields(EstimationResult)}
+
+
+def detect_judge_reads() -> tuple[set[str], set[str]]:
+    """The verdict fields (read off ``v``) and report keys (constant
+    subscripts) of the judge in ``workloads.generate_detect``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    generate = next(n for n in funcs if n.name == "generate_detect")
+    judge = next(n for n in ast.walk(generate) if isinstance(n, ast.FunctionDef) and n.name == "judge")
+    nodes = list(ast.walk(judge))
+    fields = {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "v"}
+    keys = {n.slice.value for n in nodes if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)}
+    return fields, keys
+
+
+def test_detect_verdict_keeps_the_judged_fields(ieee14):
+    from gridsec import fixtures as fx
+    from gridsec.detection import DetectionVerdict
+    from gridsec.pipeline import run_pipeline
+
+    fields, keys = detect_judge_reads()
+    assert fields == {"klass", "bdd_chi2", "bdd_threshold"} and keys == {"class"}
+    assert fields <= {f.name for f in dataclasses.fields(DetectionVerdict)}
+    report = run_pipeline(fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14)
+    v = report.verdict
+    assert report.report["class"] == v.klass.value
+    assert (v.klass.value == "BadData") == (v.bdd_chi2 > v.bdd_threshold)
