@@ -16,13 +16,15 @@ in order and turns what each function yields into findings; ``classify``
 reads each finding's family from the same table.
 
 Per-record work is done once per verdict. ``pipeline.run_pipeline``
-builds each record's ``GridRecord.snapshot`` and ``GridRecord.islands``
-once (the islands while it checks the record) and hands them on.
-``_moments`` computes a snapshot's channel sums, means, stds and
-correlations once: for the attacked snapshot inside ``extract_features``,
-whose correlation block the CorrelationShift rule then reads; for the
-baseline inside that rule. ``analyze_record_islands`` reuses the islands
-it is given.
+reads each record's bus rows once (``GridRecord.snapshot``) and its
+branch rows once (``GridRecord.branch_table``), searches the attacked
+record's ``GridRecord.islands`` once, all while it checks the records,
+and hands them on. ``_moments`` computes a snapshot's channel sums,
+means, stds and correlations once: for the attacked snapshot inside
+``extract_features``, whose correlation block the CorrelationShift rule
+then reads; for the baseline inside that rule. ``analyze_record_islands``
+reuses the islands and branch table it is given, and the LossSurge and
+OpenBreakerFlow rules read the branch tables.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 import numpy as np
 
 from .findings import Finding, Rule, Severity
-from .network import BusKind, NetworkModel, build_ieee14
-from .records import BusSnapshot, GridRecord
+from .network import BusKind, NetworkModel, build_ieee14, derived
+from .records import BranchTable, BusSnapshot, GridRecord
 
 if TYPE_CHECKING:
     from .estimation import BddVerdict
@@ -346,10 +348,12 @@ class _Inputs(NamedTuple):
     bp: list[float]
     dv: list[float]
     dp: list[float]
-    generators: list[int]
+    generators: tuple[int, ...]
     cfg: RuleConfig
     island_report: IslandRecordReport | None
     rho_att: Sequence[float]
+    table: BranchTable
+    base_table: BranchTable
 
 
 def _sensitivity_bound(x: _Inputs) -> Iterator[_Raised]:
@@ -457,7 +461,7 @@ def _sign_flip(x: _Inputs) -> Iterator[_Raised]:
 
 def _loss_surge(x: _Inputs) -> Iterator[_Raised]:
     """Total branch losses jumping against the baseline."""
-    loss_b, loss_a = x.baseline.total_loss_mw, x.record.total_loss_mw
+    loss_b, loss_a = x.base_table.loss_mw, x.table.loss_mw
     if loss_b is not None and loss_a is not None and loss_b > 1e-6:
         ratio = loss_a / loss_b
         if ratio > x.cfg.loss_ratio_max:
@@ -470,8 +474,8 @@ def _loss_surge(x: _Inputs) -> Iterator[_Raised]:
 def _open_breaker_flow(x: _Inputs) -> Iterator[_Raised]:
     """Flow through a breaker recorded as open."""
     tol = x.cfg.flow_tol_mw
-    for br in x.record.branches:
-        if not br.in_service and (abs(br.p_mw) > tol or abs(br.q_mvar) > tol):
+    for br in x.table.open:
+        if abs(br.p_mw) > tol or abs(br.q_mvar) > tol:
             yield (Severity.VIOLATION,
                    f"branch {br.from_bus}-{br.to_bus} is recorded open yet carries "
                    f"{br.p_mw:.1f} MW / {br.q_mvar:.1f} Mvar: an open breaker "
@@ -538,6 +542,11 @@ _FAMILY = {rule: family for rule, family, _ in RULES} | dict.fromkeys(
 )
 
 
+def _generators(model: NetworkModel) -> tuple[int, ...]:
+    """The Slack and Generator bus ids, in bus order."""
+    return tuple(b.id for b in model.buses if b.kind is not BusKind.LOAD)
+
+
 def rule_battery(
     record: GridRecord,
     baseline: GridRecord,
@@ -546,30 +555,35 @@ def rule_battery(
     island_report: IslandRecordReport | None = None,
     snapshots: tuple[BusSnapshot, BusSnapshot] | None = None,
     features: FeatureVector | None = None,
+    tables: tuple[BranchTable, BranchTable] | None = None,
 ) -> list[Finding]:
     """Every rule of ``RULES`` on a snapshot against its baseline, findings
     in table order, on ``model`` (the 14-bus case when None): RampRate
-    judges its Slack and Generator buses, ZipViolation the others. The
-    IslandBalance rule reads ``island_report``, found with
-    ``analyze_record_islands`` when None. ``snapshots`` are
-    ``(record.snapshot(model.base_mva), baseline.snapshot(model.base_mva))``,
-    built here when None. ``features`` are ``extract_features`` of the
-    first; the CorrelationShift rule reads their correlations, or computes
-    them when None."""
+    judges its Slack and Generator buses (listed once per model object),
+    ZipViolation the others. The IslandBalance rule reads
+    ``island_report``, found with ``analyze_record_islands`` when None.
+    ``snapshots`` are ``(record.snapshot(model.base_mva),
+    baseline.snapshot(model.base_mva))`` and ``tables`` the two records'
+    ``branch_table()``, each pair built here when None. ``features`` are
+    ``extract_features`` of the first snapshot; the CorrelationShift rule
+    reads their correlations, or computes them when None."""
     cfg = config or RuleConfig()
     if model is None:
         model = build_ieee14()
     if snapshots is None:
         snapshots = (record.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
+    if tables is None:
+        tables = (record.branch_table(), baseline.branch_table())
     snap, base = snapshots
     x = _Inputs(
         record, baseline, snap, base,
         snap.v.tolist(), snap.p.tolist(), base.v.tolist(), base.p.tolist(),
         (snap.v - base.v).tolist(), (snap.p - base.p).tolist(),
-        [b.id for b in model.buses if b.kind is not BusKind.LOAD],
+        derived(model, _generators),
         cfg,
-        analyze_record_islands(record, cfg) if island_report is None else island_report,
+        analyze_record_islands(record, cfg, table=tables[0]) if island_report is None else island_report,
         _moments(snap).rho if features is None else features.values[CORRELATION].tolist(),
+        *tables,
     )
     return [Finding(rule, severity, message, data)
             for rule, _, check in RULES for severity, message, data in check(x)]
@@ -588,35 +602,36 @@ def analyze_record_islands(
     record: GridRecord,
     config: RuleConfig | None = None,
     islands: list[frozenset[int]] | None = None,
+    table: BranchTable | None = None,
 ) -> IslandRecordReport | None:
-    """Island structure implied by the record's breaker statuses:
-    ``islands`` is ``record.islands()``, searched here when None. None for
-    bus-only records."""
+    """Island structure implied by the record's breaker statuses, from
+    ``table``, the record's ``branch_table()``, and ``islands``, its
+    ``islands(table)``, each read here when None. An island's balance is
+    its buses' injections less the losses of the in-service rows leaving
+    it, each summed left to right in record order. None for bus-only
+    records."""
     if not record.branches:
         return None
     cfg = config or RuleConfig()
+    if table is None:
+        table = record.branch_table()
     if islands is None:
-        islands = record.islands()
-    balances = []
-    for isl in islands:
-        inj = sum(-r.p_mw for r in record.buses if r.bus in isl)
-        loss = sum(
-            br.loss_mw
-            for br in record.branches
-            if br.in_service and br.from_bus in isl
-        )
-        balances.append((isl, inj - loss))
-    zero = all(
-        abs(br.p_mw) <= cfg.flow_tol_mw and abs(br.q_mvar) <= cfg.flow_tol_mw
-        for br in record.branches
-    )
-    consistent = all(br.status_from is br.status_to for br in record.branches)
+        islands = record.islands(table)
+    island_of = {bus: k for k, isl in enumerate(islands) for bus in isl}
+    inj: list[list[float]] = [[] for _ in islands]
+    loss: list[list[float]] = [[] for _ in islands]
+    for r in record.buses:
+        inj[island_of[r.bus]].append(-r.p_mw)
+    for br in table.live:
+        loss[island_of[br.from_bus]].append(br.loss_mw)
+    balances = [(isl, sum(i) - sum(lo)) for isl, i, lo in zip(islands, inj, loss)]
+    tol = cfg.flow_tol_mw
     return IslandRecordReport(
         islands=islands,
         balances=balances,
         all_balanced=all(abs(net) <= cfg.balance_tol_mw for _, net in balances),
-        all_flows_zero=zero,
-        breaker_pairs_consistent=consistent,
+        all_flows_zero=all(abs(br.p_mw) <= tol and abs(br.q_mvar) <= tol for br in record.branches),
+        breaker_pairs_consistent=all(br.status_from is br.status_to for br in table.open),
     )
 
 

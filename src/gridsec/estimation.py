@@ -432,20 +432,15 @@ def wls_estimate_ac(
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta {delta}: expected a finite number above 0")
     z, sig = measurements.z, measurements.sigmas
-    mm = _checked(model, topology, measurements.entries, z, sig)
+    _check_finite(measurements.entries, z, sig)
+    mm = compiled(model, topology, measurements.entries)
     return _estimate(mm, z, sig, delta, x0, measurements)
 
 
-def _checked(
-    model: NetworkModel,
-    topology: TopologyMatrix | None,
-    entries: Sequence[Measurement],
-    z: np.ndarray,
-    sig: np.ndarray,
-) -> MeasurementModel:
-    """The ``compiled`` model of the layout ``entries``, once its values
-    ``z`` and sigmas ``sig`` are finite. Raises EstimationError naming the
-    first channel where one is not."""
+def _check_finite(entries: Sequence[Measurement], z: np.ndarray, sig: np.ndarray) -> None:
+    """Raise EstimationError naming the first channel of the layout
+    ``entries`` whose value in ``z`` or sigma in ``sig`` is not finite, or
+    whose sigma is so small that its weight 1/sigma^2 is not."""
     bad = ~(np.isfinite(z) & np.isfinite(sig))
     if bad.any():
         k = int(np.argmax(bad))
@@ -453,7 +448,13 @@ def _checked(
             f"non-finite measurement on channel {entries[k].channel}: "
             f"value {float(z[k])}, sigma {float(sig[k])}"
         )
-    return compiled(model, topology, entries)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        bad = ~np.isfinite(1.0 / sig**2)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EstimationError(
+            f"channel {entries[k].channel}: sigma {float(sig[k])} gives a non-finite weight 1/sigma^2"
+        )
 
 
 def _estimate(
@@ -669,7 +670,8 @@ def iterative_bad_data_removal(
     live = list(range(len(measurements)))
     removed: list[int] = []
     z, sig = measurements.z, measurements.sigmas
-    mm = _checked(model, topology, measurements.entries, z, sig)
+    _check_finite(measurements.entries, z, sig)
+    mm = compiled(model, topology, measurements.entries)
     result = _estimate(mm, z, sig, measurements=measurements)
     while True:
         verdict = bdd_classify(result, threshold)

@@ -33,6 +33,7 @@ from .network import (
     admittance,
     branch_admittances,
     build_topology,
+    derived,
     island_references,
 )
 
@@ -427,25 +428,11 @@ class _Key(tuple):
         return self.hash
 
 
-# Per network model object, least recent first: the object, the part of
-# a compile key that its values make and the topology of its own breakers.
-# A frozen NetworkModel hashes its buses and branches field by field in
-# Python, so that part is built once per object. Holding the object keeps
-# its id from being reused while it is listed.
-_model_keys: dict[int, tuple[NetworkModel, _Key, TopologyMatrix]] = {}
-
-
-def _model_key(model: NetworkModel) -> tuple[_Key, TopologyMatrix]:
-    """The model's part of a compile key and its own breakers' topology.
-    Call with ``_compiled_lock`` held."""
-    entry = _model_keys.pop(id(model), None)
-    if entry is None:
-        part = _Key((model.branches, tuple((bus.b_shunt, bus.kind, bus.p_gen) for bus in model.buses)))
-        entry = model, part, build_topology(model)
-    _model_keys[id(model)] = entry
-    if len(_model_keys) > COMPILED_MAX:
-        del _model_keys[next(iter(_model_keys))]
-    return entry[1], entry[2]
+def _model_part(model: NetworkModel) -> tuple[_Key, TopologyMatrix]:
+    """The model's part of a compile key and its own breakers' topology,
+    built once per model object (``network.derived``)."""
+    part = _Key((model.branches, tuple((bus.b_shunt, bus.kind, bus.p_gen) for bus in model.buses)))
+    return part, build_topology(model)
 
 
 def compiled(
@@ -468,7 +455,7 @@ def compiled(
         tuple(map(getattr, entries, repeat("branch"), repeat(None))),
     )
     with _compiled_lock:
-        part, own = _model_key(model)
+        part, own = derived(model, _model_part)
         if topology is None:
             topology = own
         key = _Key((part, topology.in_service, *layout))

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 __all__ = [
     "BusKind",
@@ -182,6 +185,32 @@ class TopologyMatrix:
             if pair in ((from_bus, to_bus), (to_bus, from_bus)):
                 return live
         raise KeyError(f"no branch between buses {from_bus} and {to_bus}")
+
+
+# What callers derive from a model object, per object, least recent first:
+# the object and its facts by the function that builds each. A frozen
+# NetworkModel hashes its buses and branches field by field in Python, so
+# the memo goes by object; holding the object keeps its id from being
+# reused while it is listed.
+DERIVED_MAX = 64
+_derived: dict[int, tuple[NetworkModel, dict]] = {}
+_derived_lock = threading.Lock()
+
+
+def derived(model: NetworkModel, build: Callable[[NetworkModel], T]) -> T:
+    """``build(model)``, worked out once per model object for the
+    ``DERIVED_MAX`` most recently used objects. ``build`` must read only
+    the model, whose fields are frozen, and return a value no caller
+    changes."""
+    with _derived_lock:
+        entry = _derived.pop(id(model), None) or (model, {})
+        _derived[id(model)] = entry
+        if len(_derived) > DERIVED_MAX:
+            del _derived[next(iter(_derived))]
+    facts = entry[1]
+    if build not in facts:
+        facts[build] = build(model)
+    return facts[build]
 
 
 def build_topology(model: NetworkModel) -> TopologyMatrix:

@@ -5,9 +5,9 @@ physics rules, and classification over a (baseline, snapshot) record pair.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from math import isfinite
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -23,14 +23,15 @@ from .detection import (
 from .estimation import (
     BddVerdict,
     EstimationError,
+    Measurement,
     MeasurementSet,
-    _checked,
+    _check_finite,
     _estimate,
     standard_channels,
 )
-from .measmodel import compiled
-from .network import NetworkModel, build_ieee14
-from .records import BusSnapshot, GridRecord
+from .measmodel import MeasurementModel, compiled
+from .network import NetworkModel, build_ieee14, derived
+from .records import BranchTable, BusSnapshot, GridRecord, RecordSnapshot
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 if TYPE_CHECKING:
@@ -65,51 +66,84 @@ def _injections(snap: BusSnapshot) -> np.ndarray:
     return np.concatenate((snap.v, -snap.p, -snap.q))
 
 
-def _check_record(record: GridRecord, model: NetworkModel) -> list[frozenset[int]] | None:
-    """Raise ValueError unless ``record`` fits ``model``: its bus table
-    lists exactly buses 1..n, its branch rows name only those buses, and
-    V, theta, P and Q are finite, and V is above 0, at every bus of the
-    slack's island by ``GridRecord.islands``. Buses the record's own
-    breakers cut off may hold the NaN rows ``GridRecord.from_solution``
-    writes for an island with no slack and no generator; a record with no
-    branch table is one island, so every bus must be finite. Only a record
-    with a non-finite or non-positive row has its islands searched; it
-    returns them, for the detector to reuse, and any other returns None."""
-    ids = {r.bus for r in record.buses}
-    expected = set(range(1, model.n_bus + 1))
-    if ids != expected:
-        bus = min(ids ^ expected)
-        what = "missing" if bus in expected else "unexpected"
+class _Case(NamedTuple):
+    """What a verdict reads of the model, worked out once per model object
+    (``network.derived``)."""
+
+    base_mva: float
+    buses: tuple[int, ...]  # the ids 1..n a record's bus table lists, in order
+    ids: frozenset[int]  # the same, which its branch rows may name
+    slack: int
+    layout: tuple[Measurement, ...]  # ``standard_channels``
+    sig: np.ndarray
+    mm: MeasurementModel  # the layout compiled on the model's own breakers
+    df: int  # m - n_state of ``mm``
+
+
+def _case(model: NetworkModel) -> _Case:
+    """The model's ``_Case``; read it through ``derived(model, _case)``."""
+    layout, sig = standard_channels(model.n_bus)
+    mm = compiled(model, None, layout)
+    buses = tuple(b.id for b in model.buses)
+    return _Case(
+        model.base_mva, buses, frozenset(buses), model.buses[model.slack_index].id,
+        layout, sig, mm, len(layout) - mm.n_state,
+    )
+
+
+_BUS_FIELDS = ("v_pu", "theta_deg", "p_mw", "q_mvar")
+_BRANCH_FIELDS = ("p_mw", "q_mvar", "loss_mw")
+
+
+def _check_record(
+    record: GridRecord, case: _Case, search: bool
+) -> tuple[RecordSnapshot, BranchTable, list[frozenset[int]] | None]:
+    """The record's snapshot and branch table, one pass over each kind of
+    row, once ``record`` fits the model: its bus table lists exactly buses
+    1..n and its branch rows name only those buses; V, theta, P and Q are
+    finite, and V is above 0, at every bus of the slack's island by
+    ``GridRecord.islands``, and so are P, Q and the loss of every
+    in-service branch row there. Else raises ValueError naming the record
+    and the first bus, then the first branch row, at fault. Buses and rows
+    the record's own breakers cut off may hold the NaNs
+    ``GridRecord.from_solution`` writes for an island with no slack and no
+    generator; a record with no branch table is one island, so every bus
+    must be finite. The islands are searched, and returned for the
+    detector to reuse, when ``search`` and the record has branch rows, or
+    when a value is not finite or V not above 0; else None."""
+    snap = record.snapshot(case.base_mva)
+    if snap.buses != case.buses:
+        bus = min(set(snap.buses) ^ case.ids)
+        what = "missing" if bus in case.ids else "unexpected"
         raise ValueError(
-            f"record {record.source!r}: bus {bus} {what}; the model has buses 1..{model.n_bus}"
+            f"record {record.source!r}: bus {bus} {what}; the model has buses 1..{len(case.buses)}"
         )
-    bad = [
-        r for r in record.buses
-        if not (all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar))) and r.v_pu > 0)
-    ]
-    if not bad:
-        record.check_branches()
-        return None
-    islands = record.islands()
-    slack = model.buses[model.slack_index].id
-    energized = next(isl for isl in islands if slack in isl)
-    for r in sorted(bad, key=lambda r: r.bus):
-        if r.bus in energized:
-            fields = ("v_pu", "theta_deg", "p_mw", "q_mvar")
-            name = next((f for f in fields if not math.isfinite(getattr(r, f))), None)
-            if name is None:
-                raise ValueError(
-                    f"record {record.source!r}: non-positive v_pu {r.v_pu} at bus {r.bus}"
-                )
-            raise ValueError(f"record {record.source!r}: non-finite {name} at bus {r.bus}")
-    return islands
+    table = record.branch_table(case.ids)
+    bad = snap.bad or not table.live_finite
+    islands = record.islands(table) if bad or (search and record.branches) else None
+    if bad:
+        energized = next(isl for isl in islands if case.slack in isl)
+        for r in snap.bad:
+            if r.bus in energized:
+                name = next((f for f in _BUS_FIELDS if not isfinite(getattr(r, f))), None)
+                if name is None:
+                    raise ValueError(
+                        f"record {record.source!r}: non-positive v_pu {r.v_pu} at bus {r.bus}"
+                    )
+                raise ValueError(f"record {record.source!r}: non-finite {name} at bus {r.bus}")
+        for br in table.live:
+            name = next((f for f in _BRANCH_FIELDS if not isfinite(getattr(br, f))), None)
+            if name is not None and br.from_bus in energized:
+                raise ValueError(f"record {record.source!r}: non-finite {name} "
+                                 f"on branch {br.from_bus}-{br.to_bus}")
+    return snap, table, islands
 
 
 def _bdd_for(
     record: GridRecord,
     baseline: GridRecord,
     snapshots: tuple[BusSnapshot, BusSnapshot],
-    model: NetworkModel,
+    case: _Case,
     paper_compat: bool,
 ) -> BddVerdict:
     """Residual-test verdict for a snapshot, given the (record, baseline)
@@ -125,7 +159,6 @@ def _bdd_for(
     or stage that ``GridRecord.extra`` rejects raises ValueError.
     """
     post_se = record.extra("stage") == "post-se"
-    layout, sig = standard_channels(model.n_bus)
     j = record.extra("bdd_chi2")
     if j is None and post_se:
         j = baseline.extra("bdd_chi2")
@@ -133,14 +166,11 @@ def _bdd_for(
         target, snap = (baseline, snapshots[1]) if post_se else (record, snapshots[0])
         z = _injections(snap)
         try:
-            mm = _checked(model, None, layout, z, sig)
-            j = _estimate(mm, z, sig).j_value
+            _check_finite(case.layout, z, case.sig)
+            j = _estimate(case.mm, z, case.sig).j_value
         except EstimationError as exc:
             raise type(exc)(f"record {target.source!r}: {exc}") from None
-    else:
-        mm = compiled(model, None, layout)
-    df = len(layout) - mm.n_state
-    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(df, BDD_ALPHA)
+    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(case.df, BDD_ALPHA)
     return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=float(j))
 
 
@@ -160,16 +190,18 @@ def run_pipeline(
     if model is None:
         model = build_ieee14()
     cfg = config or RuleConfig()
-    _check_record(baseline, model)
+    case = derived(model, _case)
+    base_snap, base_table, _ = _check_record(baseline, case, search=False)
     if not isinstance(attacked, GridRecord):
         attacked = attacked.apply_to_record(baseline, base_mva=model.base_mva)
-    islands = _check_record(attacked, model)
+    snap, table, islands = _check_record(attacked, case, search=True)
 
-    # One snapshot per record and at most one island search: the residual
-    # test, the features and the rules share them, and the rules read the
-    # attacked record's correlations from its features.
-    snapshots = (attacked.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
-    bdd = _bdd_for(attacked, baseline, snapshots, model, paper_compat)
+    # One snapshot and one branch table per record and at most one island
+    # search: the residual test, the features, the rules and the totals
+    # share them, and the rules read the attacked record's correlations
+    # from its features.
+    snapshots = (snap, base_snap)
+    bdd = _bdd_for(attacked, baseline, snapshots, case, paper_compat)
 
     features, feature = None, {"chi2": None, "threshold": None}
     if baseline_stats is not None:
@@ -179,21 +211,21 @@ def run_pipeline(
             "threshold": round(PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold, 6),
         }
 
-    island_report = analyze_record_islands(attacked, cfg, islands=islands)
+    island_report = analyze_record_islands(attacked, cfg, islands=islands, table=table)
     findings = rule_battery(
         attacked, baseline, cfg, model=model, island_report=island_report,
-        snapshots=snapshots, features=features,
+        snapshots=snapshots, features=features, tables=(table, base_table),
     )
     verdict = classify(bdd, findings, island_report=island_report)
 
     totals = {
-        "generation_before_mw": round(baseline.total_generation_mw, 4),
-        "generation_after_mw": round(attacked.total_generation_mw, 4),
-        "load_before_mw": round(baseline.total_load_mw, 4),
-        "load_after_mw": round(attacked.total_load_mw, 4),
+        "generation_before_mw": round(base_snap.generation_mw, 4),
+        "generation_after_mw": round(snap.generation_mw, 4),
+        "load_before_mw": round(base_snap.load_mw, 4),
+        "load_after_mw": round(snap.load_mw, 4),
     }
-    loss_before = baseline.total_loss_mw
-    loss_after = attacked.total_loss_mw
+    loss_before = base_table.loss_mw
+    loss_after = table.loss_mw
     if loss_before is not None and loss_after is not None:
         totals["loss_before_mw"] = round(loss_before, 4)
         totals["loss_after_mw"] = round(loss_after, 4)

@@ -20,18 +20,25 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
+from typing import Collection, NamedTuple
 
 import numpy as np
 
 from .network import BreakerState, NetworkModel, TopologyMatrix, build_topology, connected_components
 
-__all__ = ["BusRow", "BranchRow", "GridRecord", "BusSnapshot"]
+__all__ = ["BusRow", "BranchRow", "BranchTable", "GridRecord", "BusSnapshot", "RecordSnapshot"]
 
 _FMT = "%.12g"
 
 BUS_HEADER = ["bus", "v_pu", "theta_deg", "p_mw", "q_mvar"]
 BRANCH_HEADER = ["from", "to", "status_from", "status_to", "p_mw", "q_mvar", "loss_mw"]
+
+_BUS = attrgetter("bus")
+_values = attrgetter("v_pu", "theta_deg", "p_mw", "q_mvar")
+CLOSED = BreakerState.CLOSED
 
 
 @dataclass(frozen=True)
@@ -90,26 +97,44 @@ class GridRecord:
                 return r
         raise KeyError(f"no branch {from_bus}-{to_bus} in record")
 
-    def islands(self) -> list[frozenset[int]]:
-        """The bus table joined by the in-service branch rows, ordered by
-        smallest bus id. A record with no branch table carries no breaker
-        states, so all its buses are one island. A branch row naming a bus
-        the bus table lacks raises ValueError."""
+    def islands(self, table: BranchTable | None = None) -> list[frozenset[int]]:
+        """The bus table joined by the in-service branch rows of ``table``
+        (``branch_table()``, read here when None, which raises ValueError
+        for a row naming a bus the bus table lacks), ordered by smallest
+        bus id. A record with no branch table carries no breaker states, so
+        all its buses are one island."""
         ids = [r.bus for r in self.buses]
         if not self.branches:
             return [frozenset(ids)]
-        self.check_branches()
-        live = ((br.from_bus, br.to_bus) for br in self.branches if br.in_service)
-        return connected_components(ids, live)
+        if table is None:
+            table = self.branch_table()
+        return connected_components(ids, ((br.from_bus, br.to_bus) for br in table.live))
 
-    def check_branches(self) -> None:
-        """Raise ValueError naming the first branch row that names a bus
-        the bus table lacks."""
-        known = {r.bus for r in self.buses}
+    def branch_table(self, known: Collection[int] | None = None) -> BranchTable:
+        """What the detector reads of the branch rows, from one pass over
+        them in record order. A row naming a bus outside ``known`` (the
+        bus table's ids when None) raises ValueError naming the first."""
+        if known is None:
+            known = {r.bus for r in self.buses}
+        live, open_, losses = [], [], []
+        # The sum of every value read: not finite once one of them is not.
+        # A sum that overflows sends the rows to the check value by value.
+        screen = 0.0
         for br in self.branches:
             if br.from_bus not in known or br.to_bus not in known:
                 raise ValueError(f"record {self.source!r}: branch {br.from_bus}-{br.to_bus} "
                                  f"names a bus that is not in its bus table")
+            loss = br.loss_mw
+            losses.append(loss)
+            if br.status_from is CLOSED and br.status_to is CLOSED:
+                live.append(br)
+                screen += br.p_mw + br.q_mvar + loss
+            else:
+                open_.append(br)
+        finite = isfinite(screen) or all(
+            isfinite(br.p_mw) and isfinite(br.q_mvar) and isfinite(br.loss_mw) for br in live
+        )
+        return BranchTable(live, open_, sum(losses) if losses else None, finite)
 
     def extra(self, key: str) -> str | float | None:
         """The header extra ``key``, or None when the record has none. One
@@ -123,30 +148,43 @@ class GridRecord:
     # -- totals (load convention) ------------------------------------
     @property
     def total_generation_mw(self) -> float:
-        return sum(-r.p_mw for r in self.buses if r.p_mw < 0)
+        return self.snapshot().generation_mw
 
     @property
     def total_load_mw(self) -> float:
-        return sum(r.p_mw for r in self.buses if r.p_mw > 0)
+        return self.snapshot().load_mw
 
     @property
     def total_loss_mw(self) -> float | None:
-        if not self.branches:
-            return None
-        return sum(r.loss_mw for r in self.branches)
+        return self.branch_table().loss_mw
 
     # -- array views --------------------------------------------------
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        rows = sorted(self.buses, key=lambda r: r.bus)
-        v = np.array([r.v_pu for r in rows])
-        th = np.array([r.theta_deg for r in rows])
-        p = np.array([r.p_mw for r in rows])
-        q = np.array([r.q_mvar for r in rows])
-        return v, th, p, q
-
-    def snapshot(self, base_mva: float = 100.0) -> "BusSnapshot":
-        v, _, p, q = self.arrays()
-        return BusSnapshot(v=v, p=p / base_mva, q=q / base_mva)
+    def snapshot(self, base_mva: float = 100.0) -> "RecordSnapshot":
+        """The bus table's V, P and Q in bus order, P and Q in p.u. of
+        ``base_mva``, and what the detector reads of the rows besides, all
+        from one pass over them in record order (see ``RecordSnapshot``)."""
+        ids, v, p, q, gen, load, bad = [], [], [], [], [], [], []
+        screen = 0.0  # as in ``branch_table``: finite only if every value is
+        for r in self.buses:
+            vr, pr, qr = r.v_pu, r.p_mw, r.q_mvar
+            ids.append(r.bus)
+            v.append(vr)
+            p.append(pr)
+            q.append(qr)
+            screen += vr + r.theta_deg + pr + qr
+            if pr < 0:
+                gen.append(-pr)
+            elif pr > 0:
+                load.append(pr)
+        if not (isfinite(screen) and min(v, default=1.0) > 0):
+            bad = [r for r in self.buses if not (r.v_pu > 0 and all(map(isfinite, _values(r))))]
+        vpq = np.array((v, p, q), dtype=float)
+        if ids != sorted(ids):
+            order = np.argsort(ids, kind="stable")
+            vpq, ids = vpq[:, order], [ids[k] for k in order]
+            bad.sort(key=_BUS)
+        vpq[1:] /= base_mva
+        return RecordSnapshot(*vpq, buses=tuple(ids), generation_mw=sum(gen), load_mw=sum(load), bad=bad)
 
     # -- serialization -------------------------------------------------
     def to_csv(self) -> str:
@@ -277,6 +315,29 @@ class BusSnapshot:
     def __post_init__(self) -> None:
         if not (len(self.v) == len(self.p) == len(self.q)):
             raise ValueError("snapshot arrays must have equal length")
+
+
+@dataclass
+class RecordSnapshot(BusSnapshot):
+    """A record's ``BusSnapshot`` with what the detector reads of its bus
+    rows besides: the bus ids in bus order, the generation and load totals
+    (MW, each summed left to right in record order) and, in bus order, the
+    rows with a value that is not finite or a V that is not above 0."""
+
+    buses: tuple[int, ...]
+    generation_mw: float
+    load_mw: float
+    bad: list[BusRow]
+
+
+class BranchTable(NamedTuple):
+    """What the detector reads of a record's branch rows
+    (``GridRecord.branch_table``), each list in record order."""
+
+    live: list[BranchRow]  # in service: both breakers closed
+    open: list[BranchRow]  # the other rows
+    loss_mw: float | None  # every row's loss summed left to right; None without rows
+    live_finite: bool  # every in-service row's p_mw, q_mvar and loss_mw finite
 
 
 def _fmt_extra(v: str | float) -> str:

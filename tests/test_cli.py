@@ -1,8 +1,17 @@
 import csv
+import io
 import json
+import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsec import attacks, estimation
 from gridsec import fixtures as fx
@@ -163,6 +172,68 @@ def test_jobs_is_rejected():
         assert err.value.code == 2
 
 
+@lru_cache(maxsize=1)
+def _measurement_rows() -> tuple[list[str], ...]:
+    """The cells of a noisy 42-channel measurement CSV of the solved case."""
+    from gridsec.network import build_ieee14
+    from gridsec.powerflow import solve
+
+    model = build_ieee14()
+    sol = solve(model)
+    ms = estimation.measurements_from_state(model, sol.v, sol.theta, noise_rng=np.random.default_rng(5))
+    return tuple(line.split(",") for line in estimation.measurements_to_csv(ms).splitlines())
+
+
+# What the measurement fuzzer writes into a cell: numbers, the non-finite
+# and out-of-range ones, text, kinds and locations.
+_MEASUREMENT_CELLS = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "1e-300", "abc", "",
+                     "Vm", "Pflow", "Bogus", "15", "1-2", "2-1", "7-9", "1-14"]),
+)
+
+
+@settings(max_examples=80)
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 41), st.integers(0, 3), _MEASUREMENT_CELLS), max_size=3),
+    dropped=st.sets(st.integers(0, 41), max_size=6),
+)
+def test_fuzzed_measurement_csv_ends_in_a_verdict_or_one_error_line(cells, dropped):
+    """A measurement CSV with fuzzed cells and dropped rows, read by
+    ``measurements_from_csv`` and estimated by ``gridsec estimate``, ends
+    in a verdict (exit 0 or 1, the JSON's ``flagged`` agreeing) or in one
+    ``error:`` line and exit 2, never a traceback or a warning (which the
+    command line prints on stderr); a set holding a value or sigma that is
+    not finite never ends in an estimate."""
+    header, *rows = (list(row) for row in _measurement_rows())
+    for index, column, cell in cells:
+        rows[index][column] = cell
+    text = "\n".join(",".join(row) for row in [header, *rows] if not any(row is rows[i] for i in dropped))
+    try:
+        finite = all(
+            math.isfinite(m.value) and math.isfinite(m.sigma)
+            for m in estimation.measurements_from_csv(text).entries
+        )
+    except ValueError:
+        finite = False
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "measurements.csv"
+        path.write_text(text)
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--measurements", str(path)])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        return
+    assert code in (0, 1) and err.getvalue() == ""
+    doc = json.loads(out.getvalue())
+    assert doc["flagged"] is (code == 1) and math.isfinite(doc["chi2"])
+    assert finite, text
+
+
 def test_detect_exit_codes(tmp_path, fixture_dir):
     base = fixture_dir / "post_se_baseline.csv"
     assert run([
@@ -228,6 +299,29 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+
+
+def test_detect_reports_a_non_finite_branch_value_as_a_usage_error(tmp_path, fixture_dir, capsys):
+    """A NaN or infinite P, Q or loss on branch 1-2, in service on the
+    slack's island, classified Normal (the loss as ``System losses:
+    14.8401 -> nan MW``); now, in the snapshot or the baseline, it ends in
+    one ``error:`` line naming the record, the field and the branch, and
+    exit 2."""
+    base = fixture_dir / "post_se_baseline.csv"
+    record = GridRecord.load(base)
+    text = base.read_text()
+    row = next(ln for ln in text.splitlines() if ln.startswith("1,2,"))
+    for column, field in ((4, "p_mw"), (5, "q_mvar"), (6, "loss_mw")):
+        for value in ("nan", "-inf"):
+            cells = row.split(",")
+            cells[column] = value
+            bad = tmp_path / f"{field}_{value}.csv"
+            bad.write_text(text.replace(row, ",".join(cells)))
+            message = f"error: record '{record.source}': non-finite {field} on branch 1-2\n"
+            for pair in ((base, bad), (bad, base)):
+                assert run(["detect", "--baseline", str(pair[0]), "--snapshot", str(pair[1])]) == 2
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err) == ("", message)
 
 
 def test_detect_reports_a_bad_config_or_stats_file_as_a_usage_error(tmp_path, fixture_dir, capsys):

@@ -2,7 +2,11 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from gridsec.detection import analyze_record_islands
+from gridsec.measmodel import branch_flows
 from gridsec.network import (
     Branch,
     Bus,
@@ -15,6 +19,7 @@ from gridsec.network import (
     build_topology,
 )
 from gridsec.powerflow import bus_power, decompose_islands, solve
+from gridsec.records import GridRecord
 
 
 def two_bus_case(p_load_mw=10.0, r=0.01, x=0.1):
@@ -375,3 +380,42 @@ def test_dead_island_leaves_other_islands_solved():
     live[dead_idx] = False
     assert np.isnan(sol.v[dead_idx]).all() and np.isnan(sol.p_inj[dead_idx]).all()
     assert np.isfinite(sol.v[live]).all() and np.isfinite(sol.p_inj[live]).all()
+
+
+@given(
+    scales=st.lists(st.floats(0.8, 1.2), min_size=14, max_size=14),
+    opened=st.lists(st.integers(0, 19), min_size=1, max_size=2, unique=True),
+)
+def test_power_is_conserved_at_every_bus_and_in_every_island(ieee14, scales, opened):
+    """For loads scaled bus by bus within 20 % and one or two branches
+    opened, a converged power flow injects at each solved bus what its
+    ``branch_flows`` ends carry away (Q less the bus shunt's), to 1e-9 MW,
+    and the record of the solution balances in every solved island, to
+    1e-6 MW: its buses' injections less the losses of its in-service rows
+    (``analyze_record_islands``). A dead island's rows are all NaN."""
+    model = ieee14
+    for bus, scale in zip(ieee14.buses, scales):
+        model = model.with_bus(bus.id, replace(bus, p_load=bus.p_load * scale, q_load=bus.q_load * scale))
+    topo = apply_topology_corruption(build_topology(model), [model.branches[i].pair for i in opened])
+    sol = solve(model, topo)
+    assume(sol.converged)
+    ends = np.array([br.pair for br in model.branches]).T - 1
+    p_out, q_out = np.zeros(model.n_bus), np.zeros(model.n_bus)
+    pf, qf, pt, qt = branch_flows(model, topo, sol.v, sol.theta)
+    for at, p, q in ((ends[0], pf, qf), (ends[1], pt, qt)):
+        np.add.at(p_out, at, p)
+        np.add.at(q_out, at, q)
+    q_out -= np.array([bus.b_shunt for bus in model.buses]) * sol.v**2
+    solved = np.isfinite(sol.v)
+    base = model.base_mva
+    assert np.abs(sol.p_inj - base * p_out)[solved].max() < 1e-9
+    assert np.abs(sol.q_inj - base * q_out)[solved].max() < 1e-9
+
+    record = GridRecord.from_solution(model, sol, topo)
+    report = analyze_record_islands(record)
+    assert [isl for isl, _ in report.balances] == report.islands == record.islands()
+    for island, net in report.balances:
+        if solved[min(island) - 1]:
+            assert abs(net) < 1e-6, (island, net)
+        else:
+            assert math.isnan(net) and not solved[[b - 1 for b in island]].any()

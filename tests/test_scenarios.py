@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridsec import fixtures as fx
@@ -231,7 +231,7 @@ _VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "abc"]),
     st.floats().map(repr),
 )
-_BRANCH_CELLS = st.sampled_from(["Open", "Closed", "Shut", "15", "0", "nan", "abc"])
+_BRANCH_CELLS = st.sampled_from(["Open", "Closed", "Shut", "15", "0", "nan", "-inf", "abc"])
 _STORED = ["0", "12.5", "1e6"]
 _BAD_STORED = ["nan", "-5", "inf", "abc"]
 _IN_MEMORY = [None, None, None, None, 0.0, 3.5, math.nan, -5.0, math.inf, "abc"]
@@ -248,13 +248,20 @@ _IN_MEMORY = [None, None, None, None, 0.0, 3.5, math.nan, -5.0, math.inf, "abc"]
     in_memory=st.sampled_from(_IN_MEMORY),
     as_baseline=st.booleans(),
 )
+# A NaN P on branch 1-2 in the snapshot and an infinite loss on it in the
+# baseline each classified Normal.
+@example(base="post_se_baseline.csv", values=[], cells=[(0, 4, "nan")], dropped=set(),
+         chi2=None, stage=None, in_memory=None, as_baseline=False)
+@example(base="post_se_baseline.csv", values=[], cells=[(0, 6, "-inf")], dropped=set(),
+         chi2=None, stage=None, in_memory=None, as_baseline=True)
 def test_fuzzed_record_ends_in_a_verdict_or_a_value_error(
     ieee14, base, values, cells, dropped, chi2, stage, in_memory, as_baseline
 ):
     """A record CSV with fuzzed bus values, branch cells, dropped rows and
     header extras, parsed and sent through the pipeline as snapshot or
     baseline against its clean original, ends in a verdict or a
-    ValueError. A non-finite value on the slack's island never classifies
+    ValueError. A non-finite value on the slack's island, in a bus row or
+    in the P, Q or loss of an in-service branch row, never classifies
     Normal, and neither does a snapshot whose stored chi-square (set in
     memory, where the parser does not see it) is not a finite number >= 0."""
     clean = GridRecord.load(fx.DATA_DIR / base)
@@ -286,6 +293,9 @@ def test_fuzzed_record_ends_in_a_verdict_or_a_value_error(
     for r in record.buses:
         if r.bus in energized:
             assert all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar))), r
+    for br in record.branches:
+        if br.in_service and br.from_bus in energized:
+            assert all(map(math.isfinite, (br.p_mw, br.q_mvar, br.loss_mw))), br
     stored = record.extras.get("bdd_chi2", 0.0)
     assert as_baseline or (isinstance(stored, float) and 0.0 <= stored < math.inf), stored
 
@@ -472,9 +482,9 @@ def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
     calls = []
     analyze = detection.analyze_record_islands
 
-    def counted(record, config=None, islands=None):
+    def counted(record, config=None, **given):
         calls.append(record.source)
-        return analyze(record, config, islands=islands)
+        return analyze(record, config, **given)
 
     built = {"islands": [], "snapshot": []}
 
@@ -528,13 +538,14 @@ def test_a_second_reestimate_builds_no_measurement_and_compiles_nothing(ieee14, 
     """A measurement-stage pair is re-estimated from the snapshot arrays on
     the standard layout's shared channels and compiled model: once one
     verdict has run, the next constructs no ``Measurement``, compiles no
-    ``MeasurementModel`` and reads each record's ``arrays`` once."""
+    ``MeasurementModel`` and reads each record's bus rows once, in its
+    ``snapshot``."""
     from gridsec import estimation, measmodel
     from gridsec.attacks import build_scenario_1a
 
     baseline, _ = fx.scenario_1a_records()
     first = run_pipeline(baseline, build_scenario_1a(), ieee14)
-    built = {"measurements": [], "compiles": [], "arrays": []}
+    built = {"measurements": [], "compiles": [], "snapshots": []}
 
     def spy(owner, name, what, source):
         original = getattr(owner, name)
@@ -547,11 +558,39 @@ def test_a_second_reestimate_builds_no_measurement_and_compiles_nothing(ieee14, 
 
     spy(estimation.Measurement, "__post_init__", "measurements", lambda m: m.channel)
     spy(measmodel.MeasurementModel, "__init__", "compiles", lambda mm: None)
-    spy(GridRecord, "arrays", "arrays", lambda r: r.source)
+    spy(GridRecord, "snapshot", "snapshots", lambda r: r.source)
     report = run_pipeline(baseline, build_scenario_1a(), ieee14)
     assert report.to_json() == first.to_json() and report.text == first.text
     assert built["measurements"] == [] and built["compiles"] == []
-    assert sorted(built["arrays"]) == sorted([baseline.source, report.report["snapshot"]])
+    assert sorted(built["snapshots"]) == sorted([baseline.source, report.report["snapshot"]])
+
+
+def test_a_second_verdict_on_one_model_builds_no_compile_key(monkeypatch):
+    """The residual test compiles the standard layout once per model
+    object: a second verdict, on a stored chi-square (post-SE and the 1A
+    fixture pair) or re-estimated (the 1A baseline and vector), builds no
+    ``measmodel`` compile key and gives the same report."""
+    from gridsec import measmodel
+    from gridsec.attacks import build_scenario_1a
+    from gridsec.network import build_ieee14
+
+    model = build_ieee14()
+    pairs = [
+        (fx.post_se_baseline_record(), fx.scenario_2a_record()),
+        fx.scenario_1a_records(),
+        (fx.scenario_1a_records()[0], build_scenario_1a()),
+    ]
+    first = [run_pipeline(base, attacked, model).to_json() for base, attacked in pairs]
+    keys = []
+
+    class Key(measmodel._Key):
+        def __new__(cls, parts):
+            keys.append(parts)
+            return super().__new__(cls, parts)
+
+    monkeypatch.setattr(measmodel, "_Key", Key)
+    assert [run_pipeline(base, attacked, model).to_json() for base, attacked in pairs] == first
+    assert keys == []
 
 
 def _reference(model, record):
