@@ -33,7 +33,7 @@ _EXPORTS = {
     "findings": ("Finding", "Rule", "Severity"),
     "detection": (
         "RuleConfig", "VerdictClass", "classify", "extract_features", "fit_baseline",
-        "rule_battery",
+        "read_pair", "rule_battery",
     ),
     "records": ("BranchRow", "BusRow", "BusSnapshot", "GridRecord"),
     "scenarios": ("TABLE5_SCENARIOS", "generate_all", "generate_scenario"),

@@ -9,22 +9,14 @@ Feature layout (71 = 42 + 8 + 3 + 5 + 13):
   physics     P_total, Q_total, power factor, NERC-band margin, |net P|
   gradient    V2-V1, ..., V14-V13
 
-The rule battery is one ordered table, ``RULES``: each row is a rule, its
+``read_pair`` is the one place a verdict reads a (snapshot, baseline)
+record pair: it checks that both fit the model and reads each record's
+rows once into a ``PairReading``, which everything after it reads. The
+rule battery is one ordered table, ``RULES``: each row is a rule, its
 family (record, physics or stress) and the function that checks it.
-``rule_battery`` builds the inputs every rule reads once, runs the table
-in order and turns what each function yields into findings; ``classify``
-reads each finding's family from the same table.
-
-Per-record work is done once per verdict. ``pipeline.run_pipeline``
-reads each record's bus rows once (``GridRecord.snapshot``) and its
-branch rows once (``GridRecord.branch_table``), searches the attacked
-record's ``GridRecord.islands`` once, all while it checks the records,
-and hands them on. ``_moments`` computes a snapshot's channel sums,
-means, stds and correlations once: for the attacked snapshot inside
-``extract_features``, whose correlation block the CorrelationShift rule
-then reads; for the baseline inside that rule. ``analyze_record_islands``
-reuses the islands and branch table it is given, and the LossSurge and
-OpenBreakerFlow rules read the branch tables.
+``rule_battery`` runs the table in order on a reading and turns what each
+function yields into findings; ``classify`` reads each finding's family
+from the same table.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ import numpy as np
 
 from .findings import Finding, Rule, Severity
 from .network import BusKind, NetworkModel, build_ieee14, derived
-from .records import BranchTable, BusSnapshot, GridRecord
+from .records import BranchTable, BusSnapshot, GridRecord, RecordSnapshot
 
 if TYPE_CHECKING:
     from .estimation import BddVerdict
@@ -54,6 +46,8 @@ __all__ = [
     "Severity",
     "Finding",
     "RuleConfig",
+    "PairReading",
+    "read_pair",
     "rule_battery",
     "RULES",
     "IslandRecordReport",
@@ -137,10 +131,14 @@ def _moments(snapshot: BusSnapshot) -> _Moments:
 
 def extract_features(snapshot: BusSnapshot) -> FeatureVector:
     """Deterministic 71-vector from one bus-level V/P/Q snapshot."""
+    return _features(snapshot, _moments(snapshot))
+
+
+def _features(snapshot: BusSnapshot, m: _Moments) -> FeatureVector:
+    """``extract_features`` given the snapshot's ``_moments``."""
     v, p, q = snapshot.v, snapshot.p, snapshot.q
     if len(v) != N_BUS:
         raise ValueError(f"snapshot must cover {N_BUS} buses, got {len(v)}")
-    m = _moments(snapshot)
     (mu_v, mu_p, _), (sigma_v, sigma_p, _) = m.mean, m.std
     _, p_total, q_total = m.total
     apparent = math.hypot(p_total, q_total)
@@ -327,21 +325,23 @@ def _div(a: float, b: float) -> float:
     return float(np.float64(a) / b)
 
 
-# Each rule is a function of the per-verdict ``_Inputs`` that yields one
+# Each rule is a function of one verdict's ``PairReading`` that yields one
 # (severity, message, data) per finding; the rules loop over buses on
 # Python floats.
 _Raised = tuple[Severity, str, dict[str, float | int | str]]
 
 
-class _Inputs(NamedTuple):
-    """What the rules of one verdict read, built once per ``rule_battery``
-    call. The per-bus V and P lists and their differences are the same
-    IEEE operations as on the snapshot arrays."""
+class PairReading(NamedTuple):
+    """What a verdict reads of a record pair, read once by ``read_pair``:
+    each record's snapshot and branch table, the snapshot's island report
+    and moments, and the model's Slack and Generator buses. The per-bus V
+    and P lists and their differences are the same IEEE operations as on
+    the snapshot arrays."""
 
     record: GridRecord
     baseline: GridRecord
-    snap: BusSnapshot
-    base: BusSnapshot
+    snap: RecordSnapshot
+    base: RecordSnapshot
     sv: list[float]
     sp: list[float]
     bv: list[float]
@@ -351,12 +351,12 @@ class _Inputs(NamedTuple):
     generators: tuple[int, ...]
     cfg: RuleConfig
     island_report: IslandRecordReport | None
-    rho_att: Sequence[float]
+    moments: _Moments
     table: BranchTable
     base_table: BranchTable
 
 
-def _sensitivity_bound(x: _Inputs) -> Iterator[_Raised]:
+def _sensitivity_bound(x: PairReading) -> Iterator[_Raised]:
     """Implied dP/dV where both moved appreciably."""
     cfg = x.cfg
     for i, (d_v, d_p) in enumerate(zip(x.dv, x.dp)):
@@ -369,7 +369,7 @@ def _sensitivity_bound(x: _Inputs) -> Iterator[_Raised]:
                        {"bus": i + 1, "ratio": ratio, "dp": d_p, "dv": d_v})
 
 
-def _ramp_rate(x: _Inputs) -> Iterator[_Raised]:
+def _ramp_rate(x: PairReading) -> Iterator[_Raised]:
     """Instantaneous output change at generator buses."""
     cfg, dp, bp = x.cfg, x.dp, x.bp
     for b in x.generators:
@@ -384,7 +384,7 @@ def _ramp_rate(x: _Inputs) -> Iterator[_Raised]:
                    {"bus": b, "pct": frac * 100})
 
 
-def _zip_violation(x: _Inputs) -> Iterator[_Raised]:
+def _zip_violation(x: PairReading) -> Iterator[_Raised]:
     """Load response must stay within P ~ V^alpha. A bus whose V or P is
     not finite in either record (a dead island) has none to judge. A large
     power move at essentially constant voltage, a power sign change, or a
@@ -417,7 +417,7 @@ def _zip_violation(x: _Inputs) -> Iterator[_Raised]:
                data)
 
 
-def _compensation_entropy(x: _Inputs) -> Iterator[_Raised]:
+def _compensation_entropy(x: PairReading) -> Iterator[_Raised]:
     """Near-uniform small adjustments smell coordinated. No small
     adjustment is no finding, whatever the minimum count."""
     cfg = x.cfg
@@ -436,7 +436,7 @@ def _compensation_entropy(x: _Inputs) -> Iterator[_Raised]:
                    {"count": len(minor), "entropy": entropy, "limit": limit})
 
 
-def _gradient_coherence(x: _Inputs) -> Iterator[_Raised]:
+def _gradient_coherence(x: PairReading) -> Iterator[_Raised]:
     """Adjacent-bus voltage gradients that jumped."""
     g_max = x.cfg.gradient_max
     for k, (ga, gb) in enumerate(zip(np.diff(x.snap.v).tolist(), np.diff(x.base.v).tolist())):
@@ -447,7 +447,7 @@ def _gradient_coherence(x: _Inputs) -> Iterator[_Raised]:
                    {"bus_from": k + 1, "bus_to": k + 2, "gradient": ga, "baseline_gradient": gb})
 
 
-def _sign_flip(x: _Inputs) -> Iterator[_Raised]:
+def _sign_flip(x: PairReading) -> Iterator[_Raised]:
     """Consumption turning into generation (or back) in the record."""
     floor = x.cfg.signflip_min_mw
     for rb, ra in zip(sorted(x.baseline.buses, key=lambda r: r.bus),
@@ -459,7 +459,7 @@ def _sign_flip(x: _Inputs) -> Iterator[_Raised]:
                    {"bus": rb.bus, "p_before_mw": rb.p_mw, "p_after_mw": ra.p_mw})
 
 
-def _loss_surge(x: _Inputs) -> Iterator[_Raised]:
+def _loss_surge(x: PairReading) -> Iterator[_Raised]:
     """Total branch losses jumping against the baseline."""
     loss_b, loss_a = x.base_table.loss_mw, x.table.loss_mw
     if loss_b is not None and loss_a is not None and loss_b > 1e-6:
@@ -471,7 +471,7 @@ def _loss_surge(x: _Inputs) -> Iterator[_Raised]:
                    {"loss_before_mw": loss_b, "loss_after_mw": loss_a, "ratio": float(ratio)})
 
 
-def _open_breaker_flow(x: _Inputs) -> Iterator[_Raised]:
+def _open_breaker_flow(x: PairReading) -> Iterator[_Raised]:
     """Flow through a breaker recorded as open."""
     tol = x.cfg.flow_tol_mw
     for br in x.table.open:
@@ -484,7 +484,7 @@ def _open_breaker_flow(x: _Inputs) -> Iterator[_Raised]:
                     "p_mw": br.p_mw, "q_mvar": br.q_mvar, "loss_mw": br.loss_mw})
 
 
-def _island_balance(x: _Inputs) -> Iterator[_Raised]:
+def _island_balance(x: PairReading) -> Iterator[_Raised]:
     """Per-island conservation from the record itself."""
     if x.island_report is None:
         return
@@ -495,7 +495,7 @@ def _island_balance(x: _Inputs) -> Iterator[_Raised]:
                    {"imbalance_mw": float(net), "buses": ",".join(map(str, sorted(island)))})
 
 
-def _voltage_deviation(x: _Inputs) -> Iterator[_Raised]:
+def _voltage_deviation(x: PairReading) -> Iterator[_Raised]:
     """Displayed voltage drifting from the baseline."""
     cfg, sv, bv = x.cfg, x.sv, x.bv
     for i, d_v in enumerate(x.dv):
@@ -507,11 +507,11 @@ def _voltage_deviation(x: _Inputs) -> Iterator[_Raised]:
                    {"bus": i + 1, "v_before": bv[i], "v_after": sv[i], "pct": rel * 100})
 
 
-def _correlation_shift(x: _Inputs) -> Iterator[_Raised]:
+def _correlation_shift(x: PairReading) -> Iterator[_Raised]:
     """Cross-channel correlation pattern moved."""
     cfg = x.cfg
     for (a, b), rho_att, rho_base in zip(
-        (("V", "P"), ("V", "Q"), ("P", "Q")), x.rho_att, _moments(x.base).rho
+        (("V", "P"), ("V", "Q"), ("P", "Q")), x.moments.rho, _moments(x.base).rho
     ):
         shift = abs(rho_att - rho_base)
         if shift > cfg.corr_shift_warn:
@@ -523,7 +523,7 @@ def _correlation_shift(x: _Inputs) -> Iterator[_Raised]:
 
 # The detector's rules in finding order, each with its family: record,
 # physics or stress. ``classify`` reads a violation's class from its family.
-RULES: tuple[tuple[Rule, str, Callable[[_Inputs], Iterator[_Raised]]], ...] = (
+RULES: tuple[tuple[Rule, str, Callable[[PairReading], Iterator[_Raised]]], ...] = (
     (Rule.SENSITIVITY_BOUND, "physics", _sensitivity_bound),
     (Rule.RAMP_RATE, "physics", _ramp_rate),
     (Rule.ZIP_VIOLATION, "physics", _zip_violation),
@@ -542,51 +542,109 @@ _FAMILY = {rule: family for rule, family, _ in RULES} | dict.fromkeys(
 )
 
 
-def _generators(model: NetworkModel) -> tuple[int, ...]:
-    """The Slack and Generator bus ids, in bus order."""
-    return tuple(b.id for b in model.buses if b.kind is not BusKind.LOAD)
+class _Buses(NamedTuple):
+    """What reading a record pair needs of the model, worked out once per
+    model object (``network.derived``)."""
+
+    base_mva: float
+    ids: tuple[int, ...]  # the ids 1..n a record's bus table lists, in order
+    known: frozenset[int]  # the same, which its branch rows may name
+    slack: int
+    generators: tuple[int, ...]  # the Slack and Generator buses, in bus order
 
 
-def rule_battery(
+def _buses(model: NetworkModel) -> _Buses:
+    """The model's ``_Buses``; read it through ``derived(model, _buses)``."""
+    ids = tuple(b.id for b in model.buses)
+    generators = tuple(b.id for b in model.buses if b.kind is not BusKind.LOAD)
+    return _Buses(model.base_mva, ids, frozenset(ids), model.buses[model.slack_index].id, generators)
+
+
+def _rows(record: GridRecord, m: _Buses) -> tuple[RecordSnapshot, BranchTable]:
+    """The record's snapshot and branch table, once its bus table lists
+    exactly the model's buses and its branch rows name only those."""
+    snap = record.snapshot(m.base_mva)
+    if snap.buses != m.ids:
+        bus = min(set(snap.buses) ^ m.known)
+        what = "missing" if bus in m.known else "unexpected"
+        raise ValueError(
+            f"record {record.source!r}: bus {bus} {what}; the model has buses 1..{len(m.ids)}"
+        )
+    return snap, record.branch_table(m.known)
+
+
+def _check_values(record: GridRecord, snap: RecordSnapshot, islands: list[frozenset[int]],
+                  slack: int) -> None:
+    """Raise ValueError naming the record and the first bus, then the first
+    branch row in record order, whose values the detector cannot read."""
+    energized = next(isl for isl in islands if slack in isl)
+    for r in snap.bad:
+        if r.bus in energized:
+            name = next((f for f in ("v_pu", "theta_deg", "p_mw", "q_mvar")
+                         if not math.isfinite(getattr(r, f))), None)
+            if name is None:
+                raise ValueError(f"record {record.source!r}: non-positive v_pu {r.v_pu} at bus {r.bus}")
+            raise ValueError(f"record {record.source!r}: non-finite {name} at bus {r.bus}")
+    for br in record.branches:
+        cut_off = br.in_service and br.from_bus not in energized
+        read = ("loss_mw",) if cut_off else ("p_mw", "q_mvar", "loss_mw")
+        name = next((f for f in read if not math.isfinite(getattr(br, f))), None)
+        if name is not None:
+            raise ValueError(f"record {record.source!r}: non-finite {name} "
+                             f"on branch {br.from_bus}-{br.to_bus}")
+
+
+def read_pair(
     record: GridRecord,
     baseline: GridRecord,
-    config: RuleConfig | None = None,
     model: NetworkModel | None = None,
-    island_report: IslandRecordReport | None = None,
-    snapshots: tuple[BusSnapshot, BusSnapshot] | None = None,
-    features: FeatureVector | None = None,
-    tables: tuple[BranchTable, BranchTable] | None = None,
-) -> list[Finding]:
-    """Every rule of ``RULES`` on a snapshot against its baseline, findings
-    in table order, on ``model`` (the 14-bus case when None): RampRate
-    judges its Slack and Generator buses (listed once per model object),
-    ZipViolation the others. The IslandBalance rule reads
-    ``island_report``, found with ``analyze_record_islands`` when None.
-    ``snapshots`` are ``(record.snapshot(model.base_mva),
-    baseline.snapshot(model.base_mva))`` and ``tables`` the two records'
-    ``branch_table()``, each pair built here when None. ``features`` are
-    ``extract_features`` of the first snapshot; the CorrelationShift rule
-    reads their correlations, or computes them when None."""
+    config: RuleConfig | None = None,
+) -> PairReading:
+    """What the rules read of ``record`` against ``baseline`` on ``model``
+    (the 14-bus case when None) under ``config``, each record's bus and
+    branch rows read once.
+
+    Both records must fit the model, the baseline checked first: the bus
+    table lists exactly buses 1..n and the branch rows name only those
+    buses; V, theta, P and Q are finite, and V is above 0, at every bus of
+    the slack's island by the record's own breakers, and so are P and Q of
+    every in-service branch row there; every branch row's loss is finite
+    (each enters ``BranchTable.loss_mw``), and so are P and Q of every open
+    row. Else raises ValueError naming the record and the first bus, then
+    the first branch row, at fault. Buses and in-service rows the record's
+    breakers cut off may hold the NaNs ``GridRecord.from_solution`` writes
+    for an island with no slack and no generator; it writes 0.0 for the
+    loss of those rows and for P, Q and loss of every open row. A record
+    with no branch table is one island. The record's islands are searched
+    once; the baseline's only when it holds a value the check must place
+    on an island."""
     cfg = config or RuleConfig()
     if model is None:
         model = build_ieee14()
-    if snapshots is None:
-        snapshots = (record.snapshot(model.base_mva), baseline.snapshot(model.base_mva))
-    if tables is None:
-        tables = (record.branch_table(), baseline.branch_table())
-    snap, base = snapshots
-    x = _Inputs(
+    m = derived(model, _buses)
+    base, base_table = _rows(baseline, m)
+    if base.bad or not base_table.finite:
+        _check_values(baseline, base, baseline.islands(base_table), m.slack)
+    snap, table = _rows(record, m)
+    islands = record.islands(table)
+    if snap.bad or not table.finite:
+        _check_values(record, snap, islands, m.slack)
+    return PairReading(
         record, baseline, snap, base,
         snap.v.tolist(), snap.p.tolist(), base.v.tolist(), base.p.tolist(),
         (snap.v - base.v).tolist(), (snap.p - base.p).tolist(),
-        derived(model, _generators),
-        cfg,
-        analyze_record_islands(record, cfg, table=tables[0]) if island_report is None else island_report,
-        _moments(snap).rho if features is None else features.values[CORRELATION].tolist(),
-        *tables,
+        m.generators, cfg,
+        analyze_record_islands(record, cfg, table, islands),
+        _moments(snap), table, base_table,
     )
+
+
+def rule_battery(reading: PairReading) -> list[Finding]:
+    """Every rule of ``RULES`` on a ``read_pair`` reading, findings in
+    table order: RampRate judges the model's Slack and Generator buses,
+    ZipViolation the others."""
     return [Finding(rule, severity, message, data)
-            for rule, _, check in RULES for severity, message, data in check(x)]
+            for rule, _, check in RULES for severity, message, data in check(reading)]
 
 
 @dataclass
@@ -600,23 +658,17 @@ class IslandRecordReport:
 
 def analyze_record_islands(
     record: GridRecord,
-    config: RuleConfig | None = None,
-    islands: list[frozenset[int]] | None = None,
-    table: BranchTable | None = None,
+    cfg: RuleConfig,
+    table: BranchTable,
+    islands: list[frozenset[int]],
 ) -> IslandRecordReport | None:
     """Island structure implied by the record's breaker statuses, from
     ``table``, the record's ``branch_table()``, and ``islands``, its
-    ``islands(table)``, each read here when None. An island's balance is
-    its buses' injections less the losses of the in-service rows leaving
-    it, each summed left to right in record order. None for bus-only
-    records."""
+    ``islands(table)``. An island's balance is its buses' injections less
+    the losses of the in-service rows leaving it, each summed left to
+    right in record order. None for bus-only records."""
     if not record.branches:
         return None
-    cfg = config or RuleConfig()
-    if table is None:
-        table = record.branch_table()
-    if islands is None:
-        islands = record.islands(table)
     island_of = {bus: k for k, isl in enumerate(islands) for bus in isl}
     inj: list[list[float]] = [[] for _ in islands]
     loss: list[list[float]] = [[] for _ in islands]

@@ -126,13 +126,13 @@ class GridRecord:
                                  f"names a bus that is not in its bus table")
             loss = br.loss_mw
             losses.append(loss)
+            screen += br.p_mw + br.q_mvar + loss
             if br.status_from is CLOSED and br.status_to is CLOSED:
                 live.append(br)
-                screen += br.p_mw + br.q_mvar + loss
             else:
                 open_.append(br)
         finite = isfinite(screen) or all(
-            isfinite(br.p_mw) and isfinite(br.q_mvar) and isfinite(br.loss_mw) for br in live
+            isfinite(br.p_mw) and isfinite(br.q_mvar) and isfinite(br.loss_mw) for br in self.branches
         )
         return BranchTable(live, open_, sum(losses) if losses else None, finite)
 
@@ -337,7 +337,7 @@ class BranchTable(NamedTuple):
     live: list[BranchRow]  # in service: both breakers closed
     open: list[BranchRow]  # the other rows
     loss_mw: float | None  # every row's loss summed left to right; None without rows
-    live_finite: bool  # every in-service row's p_mw, q_mvar and loss_mw finite
+    finite: bool  # every row's p_mw, q_mvar and loss_mw finite
 
 
 def _fmt_extra(v: str | float) -> str:

@@ -303,25 +303,40 @@ def test_detect_reports_a_record_that_does_not_fit_as_a_usage_error(tmp_path, fi
 
 def test_detect_reports_a_non_finite_branch_value_as_a_usage_error(tmp_path, fixture_dir, capsys):
     """A NaN or infinite P, Q or loss on branch 1-2, in service on the
-    slack's island, classified Normal (the loss as ``System losses:
-    14.8401 -> nan MW``); now, in the snapshot or the baseline, it ends in
-    one ``error:`` line naming the record, the field and the branch, and
-    exit 2."""
+    slack's island, or on the open row 7-8, and a NaN loss on the
+    in-service row 10-11 of the island that opening 9-10 and 6-11 cuts
+    off, each classified Normal or read as a flow (a loss as ``System
+    losses: 14.8401 -> nan MW``); now, in the snapshot or the baseline,
+    each ends in one ``error:`` line naming the record, the field and the
+    branch, and exit 2."""
     base = fixture_dir / "post_se_baseline.csv"
     record = GridRecord.load(base)
     text = base.read_text()
-    row = next(ln for ln in text.splitlines() if ln.startswith("1,2,"))
+
+    def edited(rows: dict[str, dict[int, str]]) -> str:
+        out = text
+        for prefix, cells in rows.items():
+            row = next(ln for ln in text.splitlines() if ln.startswith(prefix))
+            new = row.split(",")
+            for column, value in cells.items():
+                new[column] = value
+            out = out.replace(row, ",".join(new))
+        return out
+
+    opened = {2: "Open", 3: "Open", 4: "0", 5: "0", 6: "0"}
+    cases = [({"9,10,": opened, "6,11,": opened, "10,11,": {6: "nan"}}, "loss_mw", "10-11")]
     for column, field in ((4, "p_mw"), (5, "q_mvar"), (6, "loss_mw")):
         for value in ("nan", "-inf"):
-            cells = row.split(",")
-            cells[column] = value
-            bad = tmp_path / f"{field}_{value}.csv"
-            bad.write_text(text.replace(row, ",".join(cells)))
-            message = f"error: record '{record.source}': non-finite {field} on branch 1-2\n"
-            for pair in ((base, bad), (bad, base)):
-                assert run(["detect", "--baseline", str(pair[0]), "--snapshot", str(pair[1])]) == 2
-                captured = capsys.readouterr()
-                assert (captured.out, captured.err) == ("", message)
+            cases.append(({"1,2,": {column: value}}, field, "1-2"))
+            cases.append(({"7,8,": {**opened, column: value}}, field, "7-8"))
+    for k, (rows, field, branch) in enumerate(cases):
+        bad = tmp_path / f"bad_{k}.csv"
+        bad.write_text(edited(rows))
+        message = f"error: record '{record.source}': non-finite {field} on branch {branch}\n"
+        for pair in ((base, bad), (bad, base)):
+            assert run(["detect", "--baseline", str(pair[0]), "--snapshot", str(pair[1])]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message)
 
 
 def test_detect_reports_a_bad_config_or_stats_file_as_a_usage_error(tmp_path, fixture_dir, capsys):

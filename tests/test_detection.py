@@ -19,16 +19,16 @@ from gridsec.detection import (
     RuleConfig,
     Severity,
     VerdictClass,
-    analyze_record_islands,
     baseline_from_json,
     baseline_to_json,
     classify,
     extract_features,
     fit_baseline,
+    read_pair,
     rule_battery,
 )
 from gridsec.estimation import BddVerdict
-from gridsec.network import build_ieee14
+from gridsec.network import BreakerState, build_ieee14
 from gridsec.records import BusRow, BusSnapshot, GridRecord
 from gridsec.scenarios import generate_all
 
@@ -269,7 +269,7 @@ def test_sensitivity_boundary_property():
         v_att[4] += dv
         p_att[4] += ratio * dv
         base, att = _record_pair(v, p, v_att, p_att)
-        findings = rule_battery(att, base)
+        findings = rule_battery(read_pair(att, base))
         hits = [f for f in findings if f.rule is Rule.SENSITIVITY_BOUND]
         assert bool(hits) == expect, ratio
         if hits:
@@ -278,7 +278,7 @@ def test_sensitivity_boundary_property():
 
 def test_scenario_1a_rules():
     base, att = fx.scenario_1a_records()
-    findings = rule_battery(att, base)
+    findings = rule_battery(read_pair(att, base))
     rules = {f.rule for f in findings if f.severity is Severity.VIOLATION}
     assert Rule.SENSITIVITY_BOUND in rules
     assert Rule.COMPENSATION_ENTROPY in rules
@@ -295,7 +295,7 @@ def test_scenario_1a_rules():
 
 def test_scenario_1b_rules():
     base, att = fx.scenario_1b_records()
-    findings = rule_battery(att, base)
+    findings = rule_battery(read_pair(att, base))
     ramp = [f for f in findings if f.rule is Rule.RAMP_RATE and f.data["bus"] == 2]
     assert ramp and ramp[0].data["pct"] == pytest.approx(69.3, abs=0.1)
     zipv = [f for f in findings if f.rule is Rule.ZIP_VIOLATION and f.data["bus"] == 13]
@@ -305,14 +305,14 @@ def test_scenario_1b_rules():
 
 def test_scenario_2a_sign_flips_exact():
     base = fx.post_se_baseline_record()
-    findings = rule_battery(fx.scenario_2a_record(), base)
+    findings = rule_battery(read_pair(fx.scenario_2a_record(), base))
     flips = sorted(f.data["bus"] for f in findings if f.rule is Rule.SIGN_FLIP)
     assert flips == [4, 9, 13]
 
 
 def test_scenario_2b_loss_surge():
     base = fx.post_se_baseline_record()
-    findings = rule_battery(fx.scenario_2b_record(), base)
+    findings = rule_battery(read_pair(fx.scenario_2b_record(), base))
     loss = next(f for f in findings if f.rule is Rule.LOSS_SURGE)
     assert loss.data["ratio"] == pytest.approx(28.78 / 14.84, abs=1e-6)
     assert not any(f.rule is Rule.SIGN_FLIP for f in findings)
@@ -320,7 +320,7 @@ def test_scenario_2b_loss_surge():
 
 def test_scenario_2d_open_breaker_flow():
     base = fx.post_se_baseline_record()
-    findings = rule_battery(fx.scenario_2d_record(), base)
+    findings = rule_battery(read_pair(fx.scenario_2d_record(), base))
     hits = [f for f in findings if f.rule is Rule.OPEN_BREAKER_FLOW]
     assert len(hits) == 1
     assert (hits[0].data["from"], hits[0].data["to"]) == (2, 4)
@@ -333,10 +333,10 @@ def test_baseline_vs_itself_is_quiet():
     of a zero count)."""
     base = fx.post_se_baseline_record()
     for cfg in (RuleConfig(), RuleConfig(entropy_min_count=0)):
-        assert rule_battery(base, base, cfg) == []
+        assert rule_battery(read_pair(base, base, config=cfg)) == []
         for builder in (fx.scenario_1a_records, fx.scenario_1b_records):
             b, _ = builder()
-            assert rule_battery(b, b, cfg) == []
+            assert rule_battery(read_pair(b, b, config=cfg)) == []
 
 
 @pytest.mark.parametrize("v_scale, cfg", [
@@ -346,9 +346,10 @@ def test_baseline_vs_itself_is_quiet():
 def test_zip_voltage_ratio_without_a_finite_exponent(v_scale, cfg):
     """A 50 % power step at load bus 13 whose voltage ratio to the baseline
     is exactly 1 or negative has no finite ZIP exponent (the log divided by
-    zero or had no real value): it is a violation without ``alpha`` in the
-    rules, and through the pipeline at ratio 1. The pipeline rejects the
-    negative voltage itself (it was classed FdiPostSe)."""
+    zero or had no real value): it is a violation without ``alpha``, in the
+    rules and through the pipeline. A negative voltage on the slack's
+    island does not fit the model (it was classed FdiPostSe), so the rules
+    meet it on bus 13 cut off by opening 6-13, 12-13 and 13-14."""
     from gridsec.pipeline import run_pipeline
 
     base = fx.post_se_baseline_record()
@@ -356,13 +357,19 @@ def test_zip_voltage_ratio_without_a_finite_exponent(v_scale, cfg):
         replace(r, v_pu=r.v_pu * v_scale, p_mw=r.p_mw * 1.5) if r.bus == 13 else r
         for r in base.buses
     ])
-    runs = [rule_battery(record, base, cfg)]
-    if v_scale > 0:
-        runs.append(run_pipeline(base, record, config=cfg).verdict.findings)
-    else:
+    if v_scale < 0:
         v13 = record.bus_row(13).v_pu
         with pytest.raises(ValueError, match=f"non-positive v_pu {v13} at bus 13"):
+            rule_battery(read_pair(record, base, config=cfg))
+        with pytest.raises(ValueError, match=f"non-positive v_pu {v13} at bus 13"):
             run_pipeline(base, record, config=cfg)
+        record = replace(record, branches=[
+            replace(br, status_from=BreakerState.OPEN, status_to=BreakerState.OPEN)
+            if 13 in (br.from_bus, br.to_bus) else br
+            for br in record.branches
+        ])
+    runs = [rule_battery(read_pair(record, base, config=cfg)),
+            run_pipeline(base, record, config=cfg).verdict.findings]
     for findings in runs:
         hits = [f for f in findings if f.rule is Rule.ZIP_VIOLATION]
         assert [(f.data["bus"], f.severity) for f in hits] == [(13, Severity.VIOLATION)]
@@ -379,7 +386,7 @@ def test_rules_table_lists_each_detector_rule_once():
 
 def test_rule_battery_reports_in_table_order():
     order = [rule for rule, _, _ in RULES]
-    findings = rule_battery(fx.scenario_2a_record(), fx.post_se_baseline_record())
+    findings = rule_battery(read_pair(fx.scenario_2a_record(), fx.post_se_baseline_record()))
     rules = [f.rule for f in findings]
     assert rules == sorted(rules, key=order.index)
     assert list(dict.fromkeys(rules)) == [
@@ -425,7 +432,7 @@ def test_zero_thresholds_keep_the_float64_division(cfg, counts):
     the inf/nan ones of float64 division."""
     base = fx.post_se_baseline_record()
     for record, count in zip((base, fx.scenario_2a_record(), fx.scenario_2b_record()), counts):
-        findings = rule_battery(record, base, cfg)
+        findings = rule_battery(read_pair(record, base, config=cfg))
         assert len(findings) == count
         sens, ramp, zeros = _reference_zero_divide_rules(record, base, cfg)
         assert zeros > 0
@@ -451,24 +458,11 @@ def test_generator_rules_read_the_model_bus_kinds():
     baseline = replace(base, buses=rows)
     record = replace(base, buses=[replace(r, p_mw=15.0) if r.bus == 8 else r for r in rows])
     for model, ramp, zip_ in ((build_ieee14(), True, False), (as_load, False, True)):
-        buses = {rule: {f.data["bus"] for f in rule_battery(record, baseline, model=model)
+        buses = {rule: {f.data["bus"] for f in rule_battery(read_pair(record, baseline, model))
                         if f.rule is rule}
                  for rule in (Rule.RAMP_RATE, Rule.ZIP_VIOLATION)}
         assert (8 in buses[Rule.RAMP_RATE]) is ramp
         assert (8 in buses[Rule.ZIP_VIOLATION]) is zip_
-
-
-def test_rules_read_given_snapshots_and_features():
-    """The pipeline hands the rules the snapshots and features it built;
-    the findings are those the rules find by themselves."""
-    base = fx.post_se_baseline_record()
-    pairs = [fx.scenario_1a_records(), fx.scenario_1b_records(),
-             (base, fx.scenario_2a_record()), (base, fx.scenario_2b_record())]
-    for baseline, record in pairs:
-        snaps = (record.snapshot(), baseline.snapshot())
-        given = rule_battery(record, baseline, snapshots=snaps,
-                             features=extract_features(snaps[0]))
-        assert given == rule_battery(record, baseline)
 
 
 def test_violation_requires_numeric_evidence():
@@ -572,7 +566,7 @@ def test_classify_each_rule_alone(rule, severity):
 
 def test_classify_islanding_valid():
     rec = fx.scenario_2c_record()
-    report = analyze_record_islands(rec)
+    report = read_pair(rec, rec).island_report
     assert report.islands == [frozenset({b}) for b in range(1, 15)]
     assert report.all_flows_zero and report.all_balanced
     assert report.breaker_pairs_consistent
@@ -597,7 +591,7 @@ def test_islanding_balance_uses_the_configured_tolerance():
     base = fx.post_se_baseline_record()
     for tol, klass in ((1.0, VerdictClass.FDI_POST_SE), (5.0, VerdictClass.ISLANDING_VALID)):
         cfg = RuleConfig(balance_tol_mw=tol)
-        assert analyze_record_islands(shifted, cfg).all_balanced is (tol == 5.0)
+        assert read_pair(shifted, shifted, config=cfg).island_report.all_balanced is (tol == 5.0)
         verdict = run_pipeline(base, shifted, config=cfg).verdict
         rules = {f.rule for f in verdict.findings}
         assert (Rule.ISLAND_BALANCE in rules) is (tol == 1.0)
@@ -608,7 +602,7 @@ def test_zero_flow_validity_property():
     """Balanced zero-flow records with consistent breaker pairs are never
     an attack class, whatever other findings say."""
     rec = fx.scenario_2c_record()
-    report = analyze_record_islands(rec)
+    report = read_pair(rec, rec).island_report
     rng = np.random.default_rng(5)
     pool = [
         Finding(Rule.RAMP_RATE, Severity.VIOLATION, "x", {"pct": 50.0}),

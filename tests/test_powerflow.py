@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gridsec.detection import analyze_record_islands
+from gridsec.detection import read_pair
 from gridsec.measmodel import branch_flows
 from gridsec.network import (
     Branch,
@@ -392,7 +392,7 @@ def test_power_is_conserved_at_every_bus_and_in_every_island(ieee14, scales, ope
     ``branch_flows`` ends carry away (Q less the bus shunt's), to 1e-9 MW,
     and the record of the solution balances in every solved island, to
     1e-6 MW: its buses' injections less the losses of its in-service rows
-    (``analyze_record_islands``). A dead island's rows are all NaN."""
+    (``read_pair``'s island report). A dead island's rows are all NaN."""
     model = ieee14
     for bus, scale in zip(ieee14.buses, scales):
         model = model.with_bus(bus.id, replace(bus, p_load=bus.p_load * scale, q_load=bus.q_load * scale))
@@ -412,7 +412,7 @@ def test_power_is_conserved_at_every_bus_and_in_every_island(ieee14, scales, ope
     assert np.abs(sol.q_inj - base * q_out)[solved].max() < 1e-9
 
     record = GridRecord.from_solution(model, sol, topo)
-    report = analyze_record_islands(record)
+    report = read_pair(record, record, model).island_report
     assert [isl for isl, _ in report.balances] == report.islands == record.islands()
     for island, net in report.balances:
         if solved[min(island) - 1]:

@@ -254,6 +254,14 @@ _IN_MEMORY = [None, None, None, None, 0.0, 3.5, math.nan, -5.0, math.inf, "abc"]
          chi2=None, stage=None, in_memory=None, as_baseline=False)
 @example(base="post_se_baseline.csv", values=[], cells=[(0, 6, "-inf")], dropped=set(),
          chi2=None, stage=None, in_memory=None, as_baseline=True)
+# Branch 7-8 opened with no flow and a NaN loss in the snapshot, and with a
+# NaN P in the baseline, each classified Normal.
+@example(base="post_se_baseline.csv", values=[],
+         cells=[(13, 2, "Open"), (13, 3, "Open"), (13, 5, "0"), (13, 6, "nan")],
+         dropped=set(), chi2=None, stage=None, in_memory=None, as_baseline=False)
+@example(base="post_se_baseline.csv", values=[],
+         cells=[(13, 2, "Open"), (13, 4, "nan"), (13, 5, "0")],
+         dropped=set(), chi2=None, stage=None, in_memory=None, as_baseline=True)
 def test_fuzzed_record_ends_in_a_verdict_or_a_value_error(
     ieee14, base, values, cells, dropped, chi2, stage, in_memory, as_baseline
 ):
@@ -261,7 +269,8 @@ def test_fuzzed_record_ends_in_a_verdict_or_a_value_error(
     header extras, parsed and sent through the pipeline as snapshot or
     baseline against its clean original, ends in a verdict or a
     ValueError. A non-finite value on the slack's island, in a bus row or
-    in the P, Q or loss of an in-service branch row, never classifies
+    in the P or Q of an in-service branch row, a non-finite loss on any
+    branch row and a non-finite P or Q on an open one never classify
     Normal, and neither does a snapshot whose stored chi-square (set in
     memory, where the parser does not see it) is not a finite number >= 0."""
     clean = GridRecord.load(fx.DATA_DIR / base)
@@ -294,8 +303,8 @@ def test_fuzzed_record_ends_in_a_verdict_or_a_value_error(
         if r.bus in energized:
             assert all(map(math.isfinite, (r.v_pu, r.theta_deg, r.p_mw, r.q_mvar))), r
     for br in record.branches:
-        if br.in_service and br.from_bus in energized:
-            assert all(map(math.isfinite, (br.p_mw, br.q_mvar, br.loss_mw))), br
+        cut_off = br.in_service and br.from_bus not in energized
+        assert all(map(math.isfinite, (br.loss_mw,) if cut_off else (br.p_mw, br.q_mvar, br.loss_mw))), br
     stored = record.extras.get("bdd_chi2", 0.0)
     assert as_baseline or (isinstance(stored, float) and 0.0 <= stored < math.inf), stored
 
@@ -471,20 +480,21 @@ def test_pipeline_1a_1b_classification(ieee14, baseline_stats):
 
 
 def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
-    """The IslandBalance rule and the classifier read one island report,
-    and each record's snapshot is built once per verdict. The snapshot's
-    islands are searched once; the baseline's only when it holds a
-    non-finite row, which may sit on an island its breakers cut off."""
-    from gridsec import detection, pipeline
+    """The IslandBalance rule and the classifier read the one island report
+    of ``detection.read_pair``, and each record's snapshot is built once
+    per verdict. The snapshot's islands are searched once; the baseline's
+    only when it holds a non-finite row, which may sit on an island its
+    breakers cut off."""
+    from gridsec import detection
     from gridsec.network import apply_topology_corruption, build_topology
     from gridsec.powerflow import solve
 
     calls = []
     analyze = detection.analyze_record_islands
 
-    def counted(record, config=None, **given):
+    def counted(record, cfg, table, islands):
         calls.append(record.source)
-        return analyze(record, config, **given)
+        return analyze(record, cfg, table, islands)
 
     built = {"islands": [], "snapshot": []}
 
@@ -498,7 +508,6 @@ def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(detection, "analyze_record_islands", counted)
-    monkeypatch.setattr(pipeline, "analyze_record_islands", counted)
     for name in built:
         monkeypatch.setattr(GridRecord, name, spy(name))
 

@@ -63,3 +63,52 @@ def test_detect_verdict_keeps_the_judged_fields(ieee14):
     v = report.verdict
     assert report.report["class"] == v.klass.value
     assert (v.klass.value == "BadData") == (v.bdd_chi2 > v.bdd_threshold)
+
+
+def test_one_verdict_enters_each_traced_detect_layer_once(ieee14, monkeypatch):
+    """perfbench's per-layer detect figures come from the tracer's spans on
+    ``detection.rule_battery``, ``detection.analyze_record_islands`` and
+    ``GridRecord.snapshot``. The tracer rebinds every ``gridsec`` module
+    attribute that holds a target function, and a method on its class, so
+    the spies here do the same: one ``run_pipeline`` verdict, stored
+    chi-square or re-estimated, enters the first two once each and the
+    snapshot once per record. A refactor that reaches that work another
+    way would make a traced run read 0 for it."""
+    import sys
+
+    from gridsec import fixtures as fx
+    from gridsec.attacks import build_scenario_1a
+    from gridsec.pipeline import run_pipeline
+
+    targets = [("gridsec.detection", "rule_battery"), ("gridsec.detection", "analyze_record_islands"),
+               ("gridsec.records", "GridRecord.snapshot")]
+    assert set(targets) <= set(tracer_targets())
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, attr in targets:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(module, cls_name)
+            monkeypatch.setattr(cls, meth, spy(meth, cls.__dict__[meth]))
+            continue
+        original = getattr(module, attr)
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and name.split(".")[0] == "gridsec":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, spy(attr, original))
+
+    baseline_1a, _ = fx.scenario_1a_records()
+    for baseline, snapshot in ((fx.post_se_baseline_record(), fx.scenario_2a_record()),
+                               (baseline_1a, build_scenario_1a())):
+        calls.clear()
+        run_pipeline(baseline, snapshot, ieee14)
+        assert sorted(calls) == ["analyze_record_islands", "rule_battery", "snapshot", "snapshot"]
