@@ -227,14 +227,16 @@ def gauss_newton(
     delta: float,
     max_iter: int,
     gain_inv: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton WLS for measurement vectors ``z`` (B, m) sharing one
     layout and ``sigmas``, updating the states ``v``, ``theta`` (B, n) in
     place. ``max_iter`` bounds the evaluations of h and H per state,
     accepted or not: an iteration here, and in the error of an estimate
     that does not converge, is one evaluation. Returns the evaluation
-    counts, 0 where a state did not converge; a state whose step is not
-    finite stops there.
+    counts, 0 where a state did not converge (a state whose step is not
+    finite stops there), and each state's J = sum w (z - h)^2 at its last
+    evaluation, the state its last step, shorter than ``delta``, started
+    from; NaN where it did not converge.
 
     Each island of ``mm`` holds the angle of its reference bus at the
     start value (see ``measmodel.MeasurementModel``). An island with fewer
@@ -270,14 +272,17 @@ def gauss_newton(
     # Angle columns that form one run of buses, as with a single reference
     # at the first bus, update theta through a slice, in place.
     run = slice(ang[0], ang[-1] + 1) if na and ang[-1] - ang[0] == na - 1 else ang
+    iterations = np.zeros(batch, dtype=int)
+    j = np.full(batch, np.nan)
     # A diverging state overflows; it leaves the loop as not converged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if gain_inv is None:
-            return np.array([_damped(mm, z[k:k + 1], w, v[k:k + 1], theta[k:k + 1], run, delta, max_iter)
-                             for k in range(batch)], dtype=int)
+            for k in range(batch):
+                iterations[k], j[k] = _damped(mm, z[k:k + 1], w, v[k:k + 1], theta[k:k + 1], run, delta,
+                                              max_iter)
+            return iterations, j
         h = np.empty((batch, m))
         jac = np.empty((batch, m, mm.n_state))
-        iterations = np.zeros(batch, dtype=int)
         active = np.arange(batch)
         for it in range(1, max_iter + 1):
             k = active.size
@@ -285,8 +290,7 @@ def gauss_newton(
             sel = slice(None) if k == batch else active
             r, hk = mm.evaluate(v[sel], theta[sel], out=(h[:k], jac[:k]))
             np.subtract(z[sel], r, out=r)
-            r *= w
-            dx = np.matmul(hk.transpose(0, 2, 1), r[..., None])[..., 0] @ gain_inv.T
+            dx = np.matmul(hk.transpose(0, 2, 1), (r * w)[..., None])[..., 0] @ gain_inv.T
             norm = np.sqrt(np.add.reduce(dx * dx, axis=1))
             done = norm < delta
             if k == batch:
@@ -296,18 +300,21 @@ def gauss_newton(
                 theta[active[:, None], ang] += dx[:, :na]
             v[sel] += dx[:, na:]
             if np.count_nonzero(done):
-                iterations[active[done]] = it
+                finished, rd = active[done], r[done]
+                iterations[finished] = it
+                j[finished] = np.add.reduce(rd * rd * w, axis=1)
             active = active[~done & np.isfinite(norm)]
             if not active.size:
                 break
-    return iterations
+    return iterations, j
 
 
 def _damped(mm: MeasurementModel, z: np.ndarray, w: np.ndarray, v: np.ndarray, theta: np.ndarray,
-            run: slice | np.ndarray, delta: float, max_iter: int) -> int:
+            run: slice | np.ndarray, delta: float, max_iter: int) -> tuple[int, float]:
     """The Gauss-Newton mode of ``gauss_newton`` for one state, ``z`` (1,
     m) with weights ``w``, and ``v``, ``theta`` (1, n) updated in place,
-    ``run`` the columns of theta that the state's angles fill.
+    ``run`` the columns of theta that the state's angles fill. Returns the
+    evaluation count and J at the last accepted state, or 0 and NaN.
 
     A trial step from the accepted state, with D = diag G, predicts the
     fall pred = dx'H'Wr + mu dx'D dx in J. It is accepted when J falls by
@@ -354,15 +361,15 @@ def _damped(mm: MeasurementModel, z: np.ndarray, w: np.ndarray, v: np.ndarray, t
                 raise _singular(mm, hk[0]) from None
             norm = np.sqrt(np.add.reduce(dx * dx, axis=1))[0]
             if not np.isfinite(norm):
-                return 0
+                return 0, np.nan
             vt = v + dx[:, na:]
             tht = theta.copy()
             tht[:, run] += dx[:, :na]
             if not mu and norm < delta:
                 v[...], theta[...] = vt, tht
-                return it
+                return it, j
             if it == max_iter:
-                return 0
+                return 0, np.nan
             it += 1
             rt, ht = mm.evaluate(vt, tht)
             np.subtract(z, rt, out=rt)
@@ -475,7 +482,7 @@ def _estimate(
     v = np.ones((1, n)) if x0 is None else x0.v.astype(float)[None].copy()
     theta = np.zeros((1, n)) if x0 is None else x0.theta.astype(float)[None].copy()
 
-    iterations = gauss_newton(mm, z, sig, v, theta, delta, WLS_MAX_ITER)
+    iterations, _ = gauss_newton(mm, z, sig, v, theta, delta, WLS_MAX_ITER)
     if not iterations[0]:
         raise EstimationError(f"WLS did not converge in {WLS_MAX_ITER} iterations")
 

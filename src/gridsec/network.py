@@ -438,7 +438,11 @@ def model_to_json(model: NetworkModel) -> str:
 
 def model_from_json(text: str) -> NetworkModel:
     """Parse the JSON case schema. Raises ValueError unless the document
-    is an object whose ``buses`` and ``branches`` are lists of objects."""
+    is an object whose ``buses`` and ``branches`` are lists of objects,
+    and unless every number in them is finite, naming the bus or branch
+    and the field: ``q_min`` may be -inf and ``q_max`` +inf, which leave
+    the limit open as null does, and ``v_setpoint`` and ``base_mva`` must
+    be above 0."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object with buses and branches lists")
@@ -446,31 +450,55 @@ def model_from_json(text: str) -> NetworkModel:
         rows = doc.get(key)
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
             raise ValueError(f"{key}: expected a list of objects")
-    buses = tuple(
-        Bus(
-            id=int(b["id"]),
+    buses = []
+    for b in doc["buses"]:
+        bus_id = int(b["id"])
+        where = f"bus {bus_id}: "
+        buses.append(Bus(
+            id=bus_id,
             kind=BusKind(b["kind"]),
-            v_setpoint=float(b.get("v_setpoint", 1.0)),
-            p_load=float(b.get("p_load", 0.0)),
-            q_load=float(b.get("q_load", 0.0)),
-            p_gen=float(b.get("p_gen", 0.0)),
-            q_min=-math.inf if b.get("q_min") is None else float(b["q_min"]),
-            q_max=math.inf if b.get("q_max") is None else float(b["q_max"]),
-            b_shunt=float(b.get("b_shunt", 0.0)),
-        )
-        for b in doc["buses"]
-    )
-    branches = tuple(
-        Branch(
-            from_bus=int(br["from"]),
-            to_bus=int(br["to"]),
-            r=float(br["r"]),
-            x=float(br["x"]),
-            b_shunt=float(br.get("b_shunt", 0.0)),
-            tap=float(br.get("tap", 1.0)),
+            v_setpoint=_case_number(b, "v_setpoint", where, 1.0, positive=True),
+            p_load=_case_number(b, "p_load", where),
+            q_load=_case_number(b, "q_load", where),
+            p_gen=_case_number(b, "p_gen", where),
+            q_min=_case_number(b, "q_min", where, None, open_at=-math.inf),
+            q_max=_case_number(b, "q_max", where, None, open_at=math.inf),
+            b_shunt=_case_number(b, "b_shunt", where),
+        ))
+    branches = []
+    for br in doc["branches"]:
+        f, t = int(br["from"]), int(br["to"])
+        where = f"branch {f}-{t}: "
+        branches.append(Branch(
+            from_bus=f,
+            to_bus=t,
+            r=_case_number(br, "r", where, None),
+            x=_case_number(br, "x", where, None),
+            b_shunt=_case_number(br, "b_shunt", where),
+            tap=_case_number(br, "tap", where, 1.0),
             breaker_from=BreakerState(br.get("breaker_from", "Closed")),
             breaker_to=BreakerState(br.get("breaker_to", "Closed")),
-        )
-        for br in doc["branches"]
-    )
-    return NetworkModel(buses=buses, branches=branches, base_mva=float(doc.get("base_mva", 100.0)))
+        ))
+    base_mva = _case_number(doc, "base_mva", "", 100.0, positive=True)
+    return NetworkModel(buses=tuple(buses), branches=tuple(branches), base_mva=base_mva)
+
+
+def _case_number(row: dict, key: str, where: str, default: float | None = 0.0, positive: bool = False,
+                 open_at: float | None = None) -> float:
+    """``row[key]`` as a float, ``default`` when the key is absent (None:
+    the key is required, or stands for ``open_at``). A value that is not a
+    finite number, or not above 0 when ``positive``, raises ValueError
+    naming ``where`` and the key, except ``open_at``: an infinity that
+    leaves a limit open, as null does."""
+    raw = row.get(key, default)
+    if raw is None:
+        if open_at is None:
+            raise ValueError(f"{where}{key}: expected a finite number, got none")
+        return open_at
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if value == open_at or (math.isfinite(value) and (value > 0.0 or not positive)):
+        return value
+    raise ValueError(f"{where}{key} {raw!r}: expected a finite number{' above 0' if positive else ''}")

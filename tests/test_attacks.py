@@ -30,6 +30,7 @@ from gridsec.estimation import (
     wls_estimate_ac,
     wls_estimate_dc,
 )
+from gridsec.measmodel import MeasurementModel
 from gridsec.network import BreakerState, build_topology, connected_components
 from gridsec.powerflow import solve
 from gridsec.stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
@@ -465,10 +466,10 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
 
     def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
         start = (v.copy(), theta.copy())
-        iterations = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        iterations, j = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
         if gain_inv is not None:
             calls.append((z[:, idx].copy(), start, (v.copy(), theta.copy()), iterations))
-        return iterations
+        return iterations, j
 
     monkeypatch.setattr(attacks, "gauss_newton", spy)
     baseline = _noisy_sweep_baseline(ieee14)
@@ -527,6 +528,88 @@ def test_sweep_flags_equal_serial_solves_in_any_window(ieee14, bus, n_points, da
     _, points = sweep_stealth_range(ieee14, baseline, bus, n_points=n_points, window=window)
     values = [p.attack_vm for p in points]
     assert [p.detected for p in points] == _serial_flags(ieee14, baseline, bus, values)
+
+
+def _skipping_h(monkeypatch):
+    """The states of every ``MeasurementModel.evaluate`` call that skips
+    H (a None in the H slot of ``out``)."""
+    calls = []
+    evaluate = MeasurementModel.evaluate
+
+    def spy(self, v, theta, out=None):
+        if out is not None and out[1] is None:
+            calls.append(v.copy())
+        return evaluate(self, v, theta, out)
+
+    monkeypatch.setattr(MeasurementModel, "evaluate", spy)
+    return calls
+
+
+def test_sweep_flags_each_candidate_without_evaluating_h_again(ieee14, monkeypatch):
+    """At the paper's threshold no candidate of the fixture's 300-point
+    sweeps lies near it: each is flagged from the J its last step
+    computed, and no h is evaluated without H."""
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    base = wls_estimate_ac(ieee14, baseline, delta=attacks.SWEEP_DELTA)
+    calls = _skipping_h(monkeypatch)
+    for bus in range(1, ieee14.n_bus + 1):
+        sweep_stealth_range(ieee14, baseline, bus, base=base)
+    assert calls == []
+
+
+def _sweep_j(monkeypatch, model, baseline, bus):
+    """Each candidate of a 300-point sweep of ``bus``, in grid order: the
+    J ``gauss_newton`` returned for it, J at its end state, and its end
+    V. Every candidate converges in the chord steps."""
+    grid = np.linspace(0.95, 1.10, 300)
+    idx = baseline.index_of(MeasKind.VM, bus)
+    j, j_end, v_end = np.empty(grid.size), np.empty(grid.size), np.empty((grid.size, model.n_bus))
+    gauss_newton = attacks.gauss_newton
+
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
+        iterations, jb = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        assert gain_inv is not None and iterations.all()
+        rows = np.searchsorted(grid, z[:, idx])
+        h, _ = mm.evaluate(v, theta, out=(None, None))
+        j[rows], j_end[rows], v_end[rows] = jb, np.sum(((z - h) / sigmas) ** 2, axis=1), v
+        return iterations, jb
+
+    with monkeypatch.context() as patch:
+        patch.setattr(attacks, "gauss_newton", spy)
+        sweep_stealth_range(model, baseline, bus)
+    return j, j_end, v_end
+
+
+def test_sweep_j_at_the_last_step_is_the_end_states_well_inside_the_band(ieee14, monkeypatch):
+    """On the fixture's 14 buses, the J each chord-converged candidate is
+    flagged from, computed one step shorter than SWEEP_DELTA before its
+    end state, is the end state's J to 1e-7 relative (1.2e-8 at most,
+    measured), well inside the SWEEP_J_BAND around the threshold where a
+    candidate is evaluated again."""
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    worst = 0.0
+    for bus in range(1, ieee14.n_bus + 1):
+        j, j_end, _ = _sweep_j(monkeypatch, ieee14, baseline, bus)
+        worst = max(worst, float(np.max(np.abs(j - j_end) / j_end)))
+    assert 0.0 < worst < 1e-7 <= attacks.SWEEP_J_BAND / 10
+
+
+def test_sweep_evaluates_again_only_the_candidates_in_the_band(ieee14, monkeypatch):
+    """With the threshold at one candidate's end-state J, and 1e-9
+    relative either side of it, only the candidates whose last J lies
+    within SWEEP_J_BAND of the threshold have h evaluated again, at their
+    end states, and every flag is the end-state J's."""
+    baseline = _noisy_sweep_baseline(ieee14)
+    bus = 2
+    j, j_end, v_end = _sweep_j(monkeypatch, ieee14, baseline, bus)
+    for tau in j_end[150] * np.array([1 - 1e-9, 1.0, 1 + 1e-9]):
+        band = np.flatnonzero(np.abs(j - tau) <= attacks.SWEEP_J_BAND * tau)
+        assert 150 in band and band.size < 5
+        with monkeypatch.context() as patch:
+            calls = _skipping_h(patch)
+            _, points = sweep_stealth_range(ieee14, baseline, bus, threshold=tau)
+        assert len(calls) == 1 and np.array_equal(calls[0], v_end[band])
+        assert [p.detected for p in points] == (j_end > tau).tolist()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

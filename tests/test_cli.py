@@ -52,6 +52,22 @@ def test_case_json(tmp_path):
     assert len(doc["buses"]) == 14
 
 
+def test_infinite_reactive_limits_leave_them_open_as_null_does(tmp_path):
+    """q_min -inf and q_max +inf in a case file mean no limit, as null
+    does: both cases solve to the same record."""
+    assert run(["case", "--out", str(tmp_path / "case.json")]) == 0
+    doc = json.loads((tmp_path / "case.json").read_text())
+    records = []
+    for q_min, q_max in ((None, None), (-math.inf, math.inf)):
+        for bus in doc["buses"]:
+            bus.update(q_min=q_min, q_max=q_max)
+        case, out = tmp_path / f"case_{q_max}.json", tmp_path / f"solved_{q_max}.csv"
+        case.write_text(json.dumps(doc))
+        assert run(["solve", "--case", str(case), "--out", str(out)]) == 0
+        records.append(out.read_text())
+    assert records[0] == records[1]
+
+
 def test_estimate_flags_bad_measurement(tmp_path):
     from gridsec.estimation import measurements_from_state, measurements_to_csv
     from gridsec.network import build_ieee14
@@ -509,7 +525,8 @@ def test_config_file_flows_into_detect(tmp_path, fixture_dir):
 def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     """Missing arguments, options a command does not take, input files that
     are missing or malformed (measurement, case, record, segment and
-    arrangement files, an arrangement that is not n rows of n ids), arguments
+    arrangement files, an arrangement that is not n rows of n ids, a case
+    number that is not finite), arguments
     out of range (sweep, attack post-se and its slack row, estimate, chi2,
     som diff),
     a sweep candidate and a measurement file that WLS does not converge
@@ -606,6 +623,16 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (bad_shape[name] / "seg1.json").write_text(f'{{"id": "seg1", {fields}}}')
     fx.write_fixture_tree(tmp_path / "fx")
     som_data = tmp_path / "fx" / "som"
+    # A NaN slack setpoint was a PowerFlowError traceback with exit 1; a NaN
+    # r, and an infinite base_mva, wrote a NaN record with exit 0.
+    assert run(["case", "--out", str(tmp_path / "case.json")]) == 0
+    bad_case = {}
+    for field, value in (("v_setpoint", math.nan), ("r", math.nan), ("base_mva", math.inf)):
+        doc = json.loads((tmp_path / "case.json").read_text())
+        row = {"v_setpoint": doc["buses"][0], "r": doc["branches"][0]}.get(field, doc)
+        row[field] = value
+        bad_case[field] = tmp_path / f"bad_case_{field}.json"
+        bad_case[field].write_text(json.dumps(doc))
     cases = [
         (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
@@ -628,6 +655,11 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["attack", "topology", "--flip", "9,13"], "--flip: no branch 9-13 in record"),
         (["solve", "--case", str(list_case)], f"{list_case}: expected a JSON object"),
         (["solve", "--case", str(int_buses)], f"{int_buses}: buses: expected a list of objects"),
+        (["solve", "--case", str(bad_case["v_setpoint"])],
+         f"{bad_case['v_setpoint']}: bus 1: v_setpoint nan: expected a finite number above 0"),
+        (["solve", "--case", str(bad_case["r"])], f"{bad_case['r']}: branch 1-2: r nan: expected a finite number"),
+        (["solve", "--case", str(bad_case["base_mva"])],
+         f"{bad_case['base_mva']}: base_mva inf: expected a finite number above 0"),
         (["sweep", "--bus", "2", "--points", "3", "--window", "50,60"],
          "bus 2: WLS did not converge in 10 iterations for candidate Vm 50.000000000"),
         (["estimate", "--measurements", str(slow)], f"{slow}: WLS did not converge in 10 iterations"),

@@ -398,7 +398,7 @@ def test_gauss_newton_and_chord_modes_reach_the_same_state(ieee14):
     ends = []
     for fixed in (None, gain_inv):
         v, theta = _start(base, len(z))
-        iterations = gauss_newton(
+        iterations, _ = gauss_newton(
             base.measurement_model, z, sig, v, theta, 1e-11, WLS_MAX_ITER, fixed
         )
         assert iterations.all()
@@ -418,7 +418,7 @@ def test_overflowing_step_stops_unconverged_in_both_modes(ieee14):
         v, theta = _start(base, len(z))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            iterations = gauss_newton(mm, z, sig, v, theta, 1e-8, WLS_MAX_ITER, fixed)
+            iterations, _ = gauss_newton(mm, z, sig, v, theta, 1e-8, WLS_MAX_ITER, fixed)
         assert iterations[0] > 0 and iterations[1] == 0
         rows = [len(v) for v, _ in calls]
         if fixed is None:
@@ -522,7 +522,7 @@ def _reference_gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=N
     """``gauss_newton`` without step control: every step is taken in full,
     one evaluation per iteration. While it accepts every trial and forms no
     G - S, so that its damping stays 0, ``gauss_newton`` takes exactly
-    these steps."""
+    these steps, and returns the same counts and J."""
     batch, m = z.shape
     w = 1.0 / sigmas**2
     n = mm.n_bus
@@ -530,12 +530,14 @@ def _reference_gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=N
     h = np.empty((batch, m))
     jac = np.empty((batch, m, mm.n_state))
     iterations = np.zeros(batch, dtype=int)
+    j = np.full(batch, np.nan)
     active = np.arange(batch)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             k = active.size
             r, hk = mm.evaluate(v[active], theta[active], out=(h[:k], jac[:k]))
             np.subtract(z[active], r, out=r)
+            jk = np.sum(r * r * w, axis=1)
             if gain_inv is None:
                 hw_t = (hk * w[:, None]).transpose(0, 2, 1)
                 dx = np.linalg.solve(hw_t @ hk, hw_t @ r[..., None])[..., 0]
@@ -547,10 +549,11 @@ def _reference_gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=N
             theta[active[:, None], ang] += dx[:, : n - 1]
             v[active] += dx[:, n - 1:]
             iterations[active[done]] = it
+            j[active[done]] = jk[done]
             active = active[~done & np.isfinite(norm)]
             if not active.size:
                 break
-    return iterations
+    return iterations, j
 
 
 def _j_path(mm, z, sigmas, calls):
@@ -563,16 +566,17 @@ def _j_path(mm, z, sigmas, calls):
 
 def _same_runs(loops, mm, z, sigmas, start, delta, max_iter, gain_inv=None):
     """Run each loop from ``start`` (v, theta) and assert that all of them
-    end in the same states and counts and, for one row or in chord mode,
-    evaluate the same states, bit for bit. Returns the iteration counts."""
+    end in the same states, counts and last J and, for one row or in chord
+    mode, evaluate the same states, bit for bit. Returns the iteration
+    counts."""
     runs = []
     for loop in loops:
         recording, calls = _recorded(mm)
         v, theta = (x.copy() for x in start)
-        iterations = loop(recording, z, sigmas, v, theta, delta, max_iter, gain_inv)
-        runs.append((iterations, v, theta, calls))
-    (it0, v0, theta0, calls0), (it1, v1, theta1, calls1) = runs
-    assert np.array_equal(it0, it1)
+        iterations, j = loop(recording, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        runs.append((iterations, j, v, theta, calls))
+    (it0, j0, v0, theta0, calls0), (it1, j1, v1, theta1, calls1) = runs
+    assert np.array_equal(it0, it1) and np.array_equal(j0, j1, equal_nan=True)
     assert np.array_equal(v0, v1) and np.array_equal(theta0, theta1)
     if len(z) > 1 and gain_inv is None:
         # The Gauss-Newton mode runs each row alone.
@@ -631,7 +635,7 @@ def test_step_control_takes_the_full_steps_while_each_trial_is_accepted(ieee14, 
     rises = []
     for z in zs:
         recording, calls = _recorded(mm)
-        assert _reference_gauss_newton(recording, z[None], sig, *flat(1), WLS_DELTA, WLS_MAX_ITER)[0]
+        assert _reference_gauss_newton(recording, z[None], sig, *flat(1), WLS_DELTA, WLS_MAX_ITER)[0][0]
         js = _j_path(mm, z, sig, calls)
         rises.append(sum(b > a for a, b in zip(js, js[1:])))
     assert rises == [0] * 12 + [1]
@@ -647,7 +651,7 @@ def test_step_control_takes_the_full_steps_while_each_trial_is_accepted(ieee14, 
     ends = []
     for loop in loops:
         v, theta = flat(1)
-        assert loop(mm, damped, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+        assert loop(mm, damped, sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0][0]
         ends.append((v, theta))
     (v0, theta0), (v1, theta1) = ends
     # The same state, with angles that may differ by whole turns; each
@@ -671,7 +675,7 @@ def test_estimated_angles_outside_minus_pi_to_pi_lose_whole_turns(ieee14, soluti
     wound[13] += 4 * np.pi
     wound[4] -= 2 * np.pi
     v, theta = solution.v[None].copy(), wound[None].copy()
-    assert gauss_newton(mm, ms.z[None], ms.sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+    assert gauss_newton(mm, ms.z[None], ms.sigmas, v, theta, WLS_DELTA, WLS_MAX_ITER)[0][0]
     result = wls_estimate_ac(ieee14, ms, x0=StateVector(v=solution.v, theta=wound))
     assert np.array_equal(result.x_hat.v, v[0])
     turns = (theta[0] - result.x_hat.theta) / (2 * np.pi)
@@ -760,7 +764,7 @@ def test_a_rejected_trial_raises_the_damping(ieee14):
 
         recording.curvature = curvature
         v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
-        assert gauss_newton(recording, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+        assert gauss_newton(recording, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0][0]
         js = _j_path(mm, z, sig, calls)
         rise = next(i for i, j in enumerate(js) if i and j > js[i - 1])
         rejected = rise
@@ -802,11 +806,11 @@ def test_a_state_takes_the_same_path_in_any_batch(ieee14):
     assert [(rejected, len(curved)) for rejected, curved in controls[10:]] == [(0, 0)] * 2
     for max_iter in (WLS_MAX_ITER, 12):
         v, theta = flat(len(zs))
-        iterations = gauss_newton(mm, zs, sig, v, theta, WLS_DELTA, max_iter)
+        iterations, _ = gauss_newton(mm, zs, sig, v, theta, WLS_DELTA, max_iter)
         assert iterations.all() == (max_iter == WLS_MAX_ITER)
         for k, z in enumerate(zs):
             vk, thetak = flat(1)
-            assert gauss_newton(mm, z[None], sig, vk, thetak, WLS_DELTA, max_iter)[0] == iterations[k]
+            assert gauss_newton(mm, z[None], sig, vk, thetak, WLS_DELTA, max_iter)[0][0] == iterations[k]
             assert np.array_equal(vk[0], v[k]) and np.array_equal(thetak[0], theta[k])
 
 
@@ -828,7 +832,7 @@ def test_a_nan_trial_counts_as_a_rise(ieee14, clean_measurements):
     poisoned.evaluate = evaluate
     v, theta = np.ones((1, ieee14.n_bus)), np.zeros((1, ieee14.n_bus))
     z, sig = clean_measurements.z, clean_measurements.sigmas
-    assert gauss_newton(poisoned, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0]
+    assert gauss_newton(poisoned, z[None], sig, v, theta, WLS_DELTA, WLS_MAX_ITER)[0][0]
     x0 = _state(mm, *calls[0])
     trials = [_state(mm, *calls[i]) - x0 for i in (1, 2)]
     _, jac = mm.evaluate(*calls[0])
