@@ -14,12 +14,12 @@ import numpy as np
 from .estimation import (
     WLS_MAX_ITER,
     EstimationError,
-    EstimationResult,
     MeasKind,
     MeasurementSet,
     gauss_newton,
     wls_estimate_ac,
 )
+from .measmodel import MeasurementModel, compiled
 from .network import BreakerState, NetworkModel
 from .records import BusRow, GridRecord
 from .stats import PAPER_CHI2_THRESHOLD
@@ -232,6 +232,38 @@ SWEEP_DELTA = 1e-8
 # h evaluated again at its end state, and is flagged from that J.
 SWEEP_J_BAND = 1e-6
 
+# The last baseline a sweep estimated: its compiled model, the bytes of its
+# values and sigmas, and its estimate's v, theta and gain inverse. One slot
+# serves a map of every bus over one baseline; the arrays are read-only.
+# A sweep reads the slot once and replaces it whole, so concurrent sweeps
+# need no lock: a lost update costs one estimate more.
+_baseline_memo: tuple | None = None
+
+
+def _baseline_estimate(
+    model: NetworkModel, baseline: MeasurementSet, z: np.ndarray, sig: np.ndarray
+) -> tuple[MeasurementModel, np.ndarray, np.ndarray, np.ndarray]:
+    """The compiled model of ``baseline``'s layout, and the v, theta and
+    gain inverse of ``wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)``
+    (``z`` and ``sig`` are the baseline's values and sigmas). They come
+    from ``_baseline_memo`` when the layout compiles to the memo's model
+    object and ``z`` and ``sig`` are its bytes; else the estimate is made,
+    and kept only when it succeeds."""
+    global _baseline_memo
+    mm = compiled(model, None, baseline.entries)
+    data = z.tobytes() + sig.tobytes()
+    memo = _baseline_memo
+    if memo is not None and memo[0] is mm and memo[1] == data:
+        return mm, *memo[2:]
+    base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
+    jac = base.jacobian
+    gain_inv = np.linalg.inv((jac * (1.0 / sig**2)[:, None]).T @ jac)
+    state = (base.x_hat.v, base.x_hat.theta, gain_inv)
+    for value in state:
+        value.flags.writeable = False
+    _baseline_memo = (base.measurement_model, data, *state)
+    return base.measurement_model, *state
+
 
 def sweep_stealth_range(
     model: NetworkModel,
@@ -241,7 +273,6 @@ def sweep_stealth_range(
     window: tuple[float, float] = (0.95, 1.10),
     nerc: tuple[float, float] = (0.95, 1.05),
     threshold: float = PAPER_CHI2_THRESHOLD,
-    base: EstimationResult | None = None,
 ) -> tuple[StealthRange, list[SweepPoint]]:
     """Replace one bus's voltage measurement with each grid candidate, run
     estimation plus the chi-square test, and report the contiguous span of
@@ -271,10 +302,12 @@ def sweep_stealth_range(
     threshold, relative to it, is flagged from J at its end state instead,
     as a serial estimate of it would be.
 
-    ``base`` is ``wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)``, which
-    the sweep computes when it is None; a caller that sweeps several buses
-    of one baseline passes it to estimate the baseline once. ValueError
-    names the argument when ``n_points`` < 2, ``bus`` is outside 1..n,
+    The baseline estimate is ``wls_estimate_ac(model, baseline,
+    delta=SWEEP_DELTA)``. The last one made is kept, with its gain
+    inverse, and serves every later sweep whose baseline compiles to the
+    same model with the same values and sigmas, bit for bit, so sweeps of
+    several buses of one baseline estimate it once. ValueError names the
+    argument when ``n_points`` < 2, ``bus`` is outside 1..n,
     ``threshold`` is not finite, ``window`` has low > high, or ``nerc`` is
     not two numbers with low <= high.
 
@@ -300,16 +333,12 @@ def sweep_stealth_range(
             f"non-finite candidate value on channel {baseline.entries[idx].channel}"
         )
 
-    if base is None:
-        base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
-    mm = base.measurement_model
-    sig = baseline.sigmas
-    jac = base.jacobian
-    gain_inv = np.linalg.inv((jac * (1.0 / sig**2)[:, None]).T @ jac)
-    z = np.tile(baseline.z, (n_points, 1))
+    z, sig = baseline.z, baseline.sigmas
+    mm, v, theta, gain_inv = _baseline_estimate(model, baseline, z, sig)
+    z = np.tile(z, (n_points, 1))
     z[:, idx] = grid
-    v = np.tile(base.x_hat.v, (n_points, 1))
-    theta = np.tile(base.x_hat.theta, (n_points, 1))
+    v = np.tile(v, (n_points, 1))
+    theta = np.tile(theta, (n_points, 1))
 
     def warm(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return v[rows], theta[rows]

@@ -234,8 +234,7 @@ def _parse_range(option: str, text: str) -> tuple[float, float]:
 
 
 def cmd_sweep(args) -> int:
-    from .attacks import SWEEP_DELTA, sweep_stealth_range
-    from .estimation import wls_estimate_ac
+    from .attacks import sweep_stealth_range
     from .fixtures import sweep_baseline_measurements
 
     model = _load_model(args.case)
@@ -248,12 +247,10 @@ def cmd_sweep(args) -> int:
     window = _parse_range("--window", args.window)
     nerc = _parse_range("--nerc", args.nerc)
     baseline = sweep_baseline_measurements(model)
-    base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
     results = {
         bus: sweep_stealth_range(
             model, baseline, bus,
-            n_points=args.points, window=window, nerc=nerc,
-            threshold=args.threshold, base=base,
+            n_points=args.points, window=window, nerc=nerc, threshold=args.threshold,
         )
         for bus in buses
     }

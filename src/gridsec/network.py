@@ -438,11 +438,14 @@ def model_to_json(model: NetworkModel) -> str:
 
 def model_from_json(text: str) -> NetworkModel:
     """Parse the JSON case schema. Raises ValueError unless the document
-    is an object whose ``buses`` and ``branches`` are lists of objects,
-    and unless every number in them is finite, naming the bus or branch
-    and the field: ``q_min`` may be -inf and ``q_max`` +inf, which leave
-    the limit open as null does, and ``v_setpoint`` and ``base_mva`` must
-    be above 0."""
+    is an object whose ``buses`` and ``branches`` are lists of objects;
+    unless each bus ``id`` and branch ``from`` and ``to`` is an integer
+    (an integral number, or a string of one; not a bool), and each
+    ``kind`` and breaker state a known one, naming the row (``bus row 4``,
+    1-based) and the field; and unless every number in them is finite,
+    naming the bus or branch and the field: ``q_min`` may be -inf and
+    ``q_max`` +inf, which leave the limit open as null does, and
+    ``v_setpoint`` and ``base_mva`` must be above 0."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object with buses and branches lists")
@@ -451,12 +454,12 @@ def model_from_json(text: str) -> NetworkModel:
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
             raise ValueError(f"{key}: expected a list of objects")
     buses = []
-    for b in doc["buses"]:
-        bus_id = int(b["id"])
+    for row, b in enumerate(doc["buses"], 1):
+        bus_id = _case_id(b, "id", f"bus row {row}: ")
         where = f"bus {bus_id}: "
         buses.append(Bus(
             id=bus_id,
-            kind=BusKind(b["kind"]),
+            kind=_case_enum(b, "kind", f"bus row {row}: ", BusKind),
             v_setpoint=_case_number(b, "v_setpoint", where, 1.0, positive=True),
             p_load=_case_number(b, "p_load", where),
             q_load=_case_number(b, "q_load", where),
@@ -466,8 +469,8 @@ def model_from_json(text: str) -> NetworkModel:
             b_shunt=_case_number(b, "b_shunt", where),
         ))
     branches = []
-    for br in doc["branches"]:
-        f, t = int(br["from"]), int(br["to"])
+    for row, br in enumerate(doc["branches"], 1):
+        f, t = (_case_id(br, key, f"branch row {row}: ") for key in ("from", "to"))
         where = f"branch {f}-{t}: "
         branches.append(Branch(
             from_bus=f,
@@ -476,8 +479,8 @@ def model_from_json(text: str) -> NetworkModel:
             x=_case_number(br, "x", where, None),
             b_shunt=_case_number(br, "b_shunt", where),
             tap=_case_number(br, "tap", where, 1.0),
-            breaker_from=BreakerState(br.get("breaker_from", "Closed")),
-            breaker_to=BreakerState(br.get("breaker_to", "Closed")),
+            breaker_from=_case_enum(br, "breaker_from", where, BreakerState, "Closed"),
+            breaker_to=_case_enum(br, "breaker_to", where, BreakerState, "Closed"),
         ))
     base_mva = _case_number(doc, "base_mva", "", 100.0, positive=True)
     return NetworkModel(buses=tuple(buses), branches=tuple(branches), base_mva=base_mva)
@@ -502,3 +505,36 @@ def _case_number(row: dict, key: str, where: str, default: float | None = 0.0, p
     if value == open_at or (math.isfinite(value) and (value > 0.0 or not positive)):
         return value
     raise ValueError(f"{where}{key} {raw!r}: expected a finite number{' above 0' if positive else ''}")
+
+
+def _case_id(row: dict, key: str, where: str) -> int:
+    """``row[key]`` as a bus id: an int, a float with an integral value,
+    or a string of an int. Anything else, a bool, a fraction or a missing
+    key, raises ValueError naming ``where`` and the key."""
+    if key not in row:
+        raise ValueError(f"{where}{key}: missing")
+    raw = row[key]
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"{where}{key} {raw!r}: expected an integer bus id")
+
+
+def _case_enum(row: dict, key: str, where: str, kind: type[Enum], default: str | None = None) -> Enum:
+    """``row[key]`` as a member of ``kind``, ``default`` when the key is
+    absent (None: the key is required). A missing required key or an
+    unknown value raises ValueError naming ``where`` and the key."""
+    if key not in row and default is None:
+        raise ValueError(f"{where}{key}: missing")
+    raw = row.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        names = ", ".join(member.value for member in kind)
+        raise ValueError(f"{where}{key} {raw!r}: expected one of {names}") from None

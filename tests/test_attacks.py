@@ -550,11 +550,108 @@ def test_sweep_flags_each_candidate_without_evaluating_h_again(ieee14, monkeypat
     sweeps lies near it: each is flagged from the J its last step
     computed, and no h is evaluated without H."""
     baseline = fx.sweep_baseline_measurements(ieee14)
-    base = wls_estimate_ac(ieee14, baseline, delta=attacks.SWEEP_DELTA)
     calls = _skipping_h(monkeypatch)
     for bus in range(1, ieee14.n_bus + 1):
-        sweep_stealth_range(ieee14, baseline, bus, base=base)
+        sweep_stealth_range(ieee14, baseline, bus)
     assert calls == []
+
+
+def _counting_estimates(monkeypatch):
+    """Clear the sweep's baseline memo and record every
+    ``wls_estimate_ac`` call the sweep makes."""
+    calls = []
+    wls = attacks.wls_estimate_ac
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return wls(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "wls_estimate_ac", spy)
+    monkeypatch.setattr(attacks, "_baseline_memo", None)
+    return calls
+
+
+def test_sweeps_of_one_baseline_estimate_it_once(ieee14, monkeypatch):
+    """The 14 sweeps of the fixture baseline estimate it once, and 14 more
+    sweeps of it not at all; each estimated it again."""
+    calls = _counting_estimates(monkeypatch)
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    for _ in range(2):
+        for bus in range(1, ieee14.n_bus + 1):
+            sweep_stealth_range(ieee14, baseline, bus, n_points=20)
+        assert len(calls) == 1
+
+
+def _changed_baselines(model, baseline):
+    """The fixture's model and baseline with one thing changed each: a
+    value, a sigma, a breaker opened (same bytes, another compiled model),
+    and the Pinj channels of buses 5 and 6 relabelled each as the other's
+    (same bytes, another layout)."""
+    i, k = baseline.index_of(MeasKind.PINJ, 5), baseline.index_of(MeasKind.PINJ, 6)
+    entries = list(baseline.entries)
+    sigma = list(entries)
+    sigma[i] = replace(entries[i], sigma=2.0 * entries[i].sigma)
+    relabelled = list(entries)
+    relabelled[i], relabelled[k] = replace(entries[i], bus=6), replace(entries[k], bus=5)
+    f, t = 2, 4
+    branch = model.branches[model.branch_index(f, t)]
+    opened = model.with_branch(model.branch_index(f, t), replace(branch, breaker_from=BreakerState.OPEN))
+    return {
+        "value": (model, baseline.replaced(i, entries[i].value + 0.05)),
+        "sigma": (model, MeasurementSet(sigma)),
+        "open breaker": (opened, baseline),
+        "relabelled": (model, MeasurementSet(relabelled)),
+    }
+
+
+@pytest.mark.parametrize("change", ["value", "sigma", "open breaker", "relabelled"])
+def test_a_changed_baseline_is_estimated_again(ieee14, monkeypatch, change):
+    """After a sweep of the fixture baseline, sweeping a baseline with one
+    changed value or sigma, on a model with a breaker opened, or with two
+    channels relabelled estimates that baseline, once, and gives the flags
+    and ranges of sweeps with the memo cleared."""
+    calls = _counting_estimates(monkeypatch)
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    sweep_stealth_range(ieee14, baseline, 2, n_points=20)
+    model, changed = _changed_baselines(ieee14, baseline)[change]
+
+    def sweeps():
+        return [
+            (rng, [p.detected for p in points])
+            for rng, points in (sweep_stealth_range(model, changed, bus, n_points=60) for bus in (2, 4, 11))
+        ]
+
+    warm = sweeps()
+    assert len(calls) == 2
+    monkeypatch.setattr(attacks, "_baseline_memo", None)
+    assert sweeps() == warm
+    assert len(calls) == 3
+
+
+def test_a_baseline_that_does_not_estimate_leaves_the_memo(ieee14, monkeypatch):
+    """A baseline with a NaN value raises EstimationError on each sweep,
+    estimating it each time, and the memo keeps the last estimate made."""
+    calls = _counting_estimates(monkeypatch)
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    sweep_stealth_range(ieee14, baseline, 2, n_points=20)
+    memo = attacks._baseline_memo
+    broken = baseline.replaced(baseline.index_of(MeasKind.PINJ, 5), float("nan"))
+    for _ in range(2):
+        with pytest.raises(EstimationError, match="^non-finite measurement on channel Pinj bus 5: value nan"):
+            sweep_stealth_range(ieee14, broken, 2, n_points=20)
+    assert len(calls) == 3 and attacks._baseline_memo is memo
+
+
+def test_the_memo_arrays_are_read_only(ieee14, monkeypatch):
+    """The estimate and gain inverse that later sweeps share cannot be
+    written through."""
+    _counting_estimates(monkeypatch)
+    sweep_stealth_range(ieee14, fx.sweep_baseline_measurements(ieee14), 2, n_points=20)
+    arrays = [a for a in attacks._baseline_memo if isinstance(a, np.ndarray)]
+    assert len(arrays) == 3
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def _sweep_j(monkeypatch, model, baseline, bus):

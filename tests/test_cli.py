@@ -173,6 +173,7 @@ def test_sweep_all_buses_estimates_the_baseline_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(estimation, "wls_estimate_ac", spy)
     monkeypatch.setattr(attacks, "wls_estimate_ac", spy)
+    monkeypatch.setattr(attacks, "_baseline_memo", None)
     argv = ["sweep", "--all-buses", "--points", "2", "--out", str(tmp_path / "log.csv")]
     assert run([*argv, "--ranges-out", str(tmp_path / "ranges.csv")]) == 0
     assert len(calls) == 1
@@ -526,7 +527,8 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     """Missing arguments, options a command does not take, input files that
     are missing or malformed (measurement, case, record, segment and
     arrangement files, an arrangement that is not n rows of n ids, a case
-    number that is not finite), arguments
+    number that is not finite, a bus id or branch end that is missing or
+    not an integer, a missing bus kind), arguments
     out of range (sweep, attack post-se and its slack row, estimate, chi2,
     som diff),
     a sweep candidate and a measurement file that WLS does not converge
@@ -633,6 +635,23 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         row[field] = value
         bad_case[field] = tmp_path / f"bad_case_{field}.json"
         bad_case[field].write_text(json.dumps(doc))
+    # A bus id of 4.7 or true, or a branch end of 2.5, was read with int()
+    # and solved with exit 0; a missing kind printed only "kind", and an
+    # unknown kind or breaker state named neither row nor field.
+    bad_ids = {}
+    for name, table, row, key, value in (
+        ("id 4.7", "buses", 3, "id", 4.7), ("id true", "buses", 3, "id", True),
+        ("from 2.5", "branches", 2, "from", 2.5), ("no id", "buses", 3, "id", None),
+        ("no kind", "buses", 3, "kind", None), ("no to", "branches", 2, "to", None),
+        ("kind Foo", "buses", 3, "kind", "Foo"), ("breaker Shut", "branches", 2, "breaker_to", "Shut"),
+    ):
+        doc = json.loads((tmp_path / "case.json").read_text())
+        if value is None:
+            del doc[table][row][key]
+        else:
+            doc[table][row][key] = value
+        bad_ids[name] = tmp_path / f"bad_ids_{len(bad_ids)}.json"
+        bad_ids[name].write_text(json.dumps(doc))
     cases = [
         (["estimate", "--measurements", str(tmp_path / "nosuch.csv")],
          f"{tmp_path / 'nosuch.csv'}: No such file or directory"),
@@ -660,6 +679,19 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         (["solve", "--case", str(bad_case["r"])], f"{bad_case['r']}: branch 1-2: r nan: expected a finite number"),
         (["solve", "--case", str(bad_case["base_mva"])],
          f"{bad_case['base_mva']}: base_mva inf: expected a finite number above 0"),
+        (["solve", "--case", str(bad_ids["id 4.7"])],
+         f"{bad_ids['id 4.7']}: bus row 4: id 4.7: expected an integer bus id"),
+        (["solve", "--case", str(bad_ids["id true"])],
+         f"{bad_ids['id true']}: bus row 4: id True: expected an integer bus id"),
+        (["solve", "--case", str(bad_ids["from 2.5"])],
+         f"{bad_ids['from 2.5']}: branch row 3: from 2.5: expected an integer bus id"),
+        (["solve", "--case", str(bad_ids["no id"])], f"{bad_ids['no id']}: bus row 4: id: missing"),
+        (["solve", "--case", str(bad_ids["no kind"])], f"{bad_ids['no kind']}: bus row 4: kind: missing"),
+        (["solve", "--case", str(bad_ids["no to"])], f"{bad_ids['no to']}: branch row 3: to: missing"),
+        (["solve", "--case", str(bad_ids["kind Foo"])],
+         f"{bad_ids['kind Foo']}: bus row 4: kind 'Foo': expected one of Slack, Generator, Load"),
+        (["solve", "--case", str(bad_ids["breaker Shut"])],
+         f"{bad_ids['breaker Shut']}: branch 2-3: breaker_to 'Shut': expected one of Closed, Open"),
         (["sweep", "--bus", "2", "--points", "3", "--window", "50,60"],
          "bus 2: WLS did not converge in 10 iterations for candidate Vm 50.000000000"),
         (["estimate", "--measurements", str(slow)], f"{slow}: WLS did not converge in 10 iterations"),

@@ -879,17 +879,40 @@ def test_an_estimate_that_still_fails_costs_max_iter_evaluations(ieee14, clean_m
     assert curvatures[0] > 0
 
 
+def _row_order_and_sigma_scale(model, ms, order, k):
+    """Estimate ``ms``, its rows in ``order`` and ``ms`` with every sigma
+    times the power of two ``k``. Permuting the rows leaves x-hat within 2
+    WLS_DELTA and J within ||G|| (2 WLS_DELTA)^2 (two estimates of one
+    minimum each stop within about WLS_DELTA of it, and J is flat there);
+    scaling the sigmas leaves the whole path, so x-hat, bit for bit, and
+    scales J by exactly 1/k^2, as it scales G, H'Wr, S and the predicted
+    fall alike. Returns the three estimates and that J tolerance."""
+    permuted = MeasurementSet([ms.entries[i] for i in order])
+    scaled = MeasurementSet([replace(m, sigma=k * m.sigma) for m in ms.entries])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        first = wls_estimate_ac(model, ms)
+        again = wls_estimate_ac(model, permuted)
+        rescaled = wls_estimate_ac(model, scaled)
+    jac, w = first.jacobian, 1.0 / ms.sigmas**2
+    j_tol = np.linalg.norm((jac * w[:, None]).T @ jac, 2) * (2 * WLS_DELTA) ** 2
+    assert np.abs(again.x_hat.v - first.x_hat.v).max() < 2 * WLS_DELTA
+    assert np.abs(again.x_hat.theta - first.x_hat.theta).max() < 2 * WLS_DELTA
+    assert abs(again.j_value - first.j_value) < j_tol
+    assert np.array_equal(rescaled.x_hat.v, first.x_hat.v)
+    assert np.array_equal(rescaled.x_hat.theta, first.x_hat.theta)
+    assert rescaled.iterations == first.iterations and k * k * rescaled.j_value == first.j_value
+    return (first, again, rescaled), j_tol
+
+
 @given(data=st.data())
 @settings(max_examples=12)
 def test_switched_estimates_ignore_row_order_and_sigma_scale(ieee14, solution, data):
     """On drawn noisy full-telemetry sets of the base case with one or two
     gross errors of 300-2500 sigma, whose estimates take damped steps and
-    form G - S: permuting the rows leaves x-hat within 2 WLS_DELTA and J
-    within ||G|| (2 WLS_DELTA)^2 (two estimates of one minimum each stop
-    within about WLS_DELTA of it, and J is flat there), and removal picks
-    the same channels; scaling every sigma by a power of two k leaves the
-    whole path, so x-hat, bit for bit, and scales J by exactly 1/k^2, as it
-    scales G, H'Wr, S and the predicted fall alike."""
+    form G - S, permuting the rows or scaling every sigma by a power of two
+    changes the estimate only as ``_row_order_and_sigma_scale`` allows, and
+    removal picks the same channels from the permuted rows."""
     seed = data.draw(st.integers(0, 2**16))
     ms = full_telemetry_from_state(ieee14, solution.v, solution.theta, noise_rng=np.random.default_rng(seed))
     bad = ms
@@ -901,25 +924,41 @@ def test_switched_estimates_ignore_row_order_and_sigma_scale(ieee14, solution, d
     assume(rejected and curved)
     order = np.array(data.draw(st.permutations(range(len(bad)))))
     k = data.draw(st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    _row_order_and_sigma_scale(ieee14, bad, order, k)
     permuted = MeasurementSet([bad.entries[i] for i in order])
-    scaled = MeasurementSet([replace(m, sigma=k * m.sigma) for m in bad.entries])
+    tau = chi_square_threshold(len(bad) - (2 * ieee14.n_bus - 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        first = wls_estimate_ac(ieee14, bad)
-        again = wls_estimate_ac(ieee14, permuted)
-        jac, w = first.jacobian, 1.0 / bad.sigmas**2
-        j_tol = np.linalg.norm((jac * w[:, None]).T @ jac, 2) * (2 * WLS_DELTA) ** 2
-        assert np.abs(again.x_hat.v - first.x_hat.v).max() < 2 * WLS_DELTA
-        assert np.abs(again.x_hat.theta - first.x_hat.theta).max() < 2 * WLS_DELTA
-        assert abs(again.j_value - first.j_value) < j_tol
-        rescaled = wls_estimate_ac(ieee14, scaled)
-        assert np.array_equal(rescaled.x_hat.v, first.x_hat.v)
-        assert np.array_equal(rescaled.x_hat.theta, first.x_hat.theta)
-        assert rescaled.iterations == first.iterations and k * k * rescaled.j_value == first.j_value
-        tau = chi_square_threshold(len(bad) - (2 * ieee14.n_bus - 1))
         _, removed = iterative_bad_data_removal(ieee14, bad, tau)
         _, removed_permuted = iterative_bad_data_removal(ieee14, permuted, tau)
     assert removed and [int(order[i]) for i in removed_permuted] == removed
+
+
+@given(data=st.data())
+@settings(max_examples=16)
+def test_estimates_near_the_threshold_ignore_row_order_and_sigma_scale(ieee14, solution, data):
+    """On drawn noisy full-telemetry sets of the base case with noise only,
+    or with one or two errors of 3-10 sigma, J lands near the m = 122
+    channels and the threshold tau of its m - 27 degrees of freedom, where
+    J crosses m and tau under a scale of the sigmas. Permuting the rows or
+    scaling every sigma by a power of two changes the estimate only as
+    ``_row_order_and_sigma_scale`` allows; the residual test at tau gives
+    the permuted rows' flag wherever J lies further from tau than that J
+    tolerance, and the scaled sigmas' flag at tau / k^2 always."""
+    seed = data.draw(st.integers(0, 2**16))
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta, noise_rng=np.random.default_rng(seed))
+    for row in data.draw(st.lists(st.integers(0, len(ms) - 1), max_size=2, unique=True)):
+        size = data.draw(st.floats(3, 10)) * data.draw(st.sampled_from([-1.0, 1.0]))
+        ms = ms.replaced(row, ms.entries[row].value + size * ms.entries[row].sigma)
+    order = np.array(data.draw(st.permutations(range(len(ms)))))
+    k = data.draw(st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    (first, again, rescaled), j_tol = _row_order_and_sigma_scale(ieee14, ms, order, k)
+    tau = chi_square_threshold(len(ms) - (2 * ieee14.n_bus - 1))
+    assert first.j_value < 3 * tau
+    flagged = bdd_classify(first, tau).flagged
+    if abs(first.j_value - tau) > j_tol:
+        assert bdd_classify(again, tau).flagged == flagged
+    assert bdd_classify(rescaled, tau / (k * k)).flagged == flagged
 
 
 @pytest.mark.parametrize(
