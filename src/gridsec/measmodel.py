@@ -37,7 +37,7 @@ from .network import (
     island_references,
 )
 
-__all__ = ["MeasKind", "MeasurementModel", "branch_flows", "compiled"]
+__all__ = ["MeasKind", "MeasurementModel", "branch_flows", "channel_name", "compiled"]
 
 
 class MeasKind(str, Enum):
@@ -49,6 +49,12 @@ class MeasKind(str, Enum):
 
 
 _FLOWS = (MeasKind.PFLOW, MeasKind.QFLOW)
+
+
+def channel_name(kind: MeasKind, bus: int, branch: tuple[int, int] | None) -> str:
+    """Kind and location of a channel, e.g. ``Vm bus 3`` or ``Pflow 4-7``."""
+    where = f"{branch[0]}-{branch[1]}" if branch else f"bus {bus}"
+    return f"{kind.value} {where}"
 
 
 def _edge_terms(g, b, vi, vj, dth):
@@ -116,12 +122,15 @@ class MeasurementModel:
     with the bus whose angle it holds fixed (``network.island_references``),
     ``angle_buses`` lists the other buses (``n_state`` = n + their count)
     and ``row_island`` each row's island (-1 for a flow on an open branch).
+    ``channel(row)`` names a row's channel.
     """
 
     def __init__(
         self, model: NetworkModel, topology: TopologyMatrix | None, entries: Sequence
     ) -> None:
         n = self.n_bus = model.n_bus
+        # Each row's (kind, bus, branch); a power flow's entries have no branch.
+        self._layout = tuple((m.kind, m.bus, getattr(m, "branch", None)) for m in entries)
         self.n_rows = len(entries)
         if topology is None:
             topology = build_topology(model)
@@ -150,14 +159,14 @@ class MeasurementModel:
         for row, m in enumerate(entries):
             if m.kind not in _FLOWS:
                 if (at := bus_index.get(m.bus)) is None:
-                    raise ValueError(f"channel {m.channel}: bus outside 1..{n}")
+                    raise ValueError(f"channel {self.channel(row)}: bus outside 1..{n}")
             elif (branches := by_pair.get(m.branch)) is None:
                 f_bus, t_bus = m.branch
-                raise ValueError(f"channel {m.channel}: no branch between buses {f_bus} and {t_bus}")
+                raise ValueError(f"channel {self.channel(row)}: no branch between buses {f_bus} and {t_bus}")
             elif len(branches) > 1:
                 f_bus, t_bus = m.branch
                 raise ValueError(
-                    f"channel {m.channel}: {len(branches)} parallel branches between "
+                    f"channel {self.channel(row)}: {len(branches)} parallel branches between "
                     f"buses {f_bus} and {t_bus}; a flow channel cannot tell them apart"
                 )
             elif branches[0][1]:
@@ -286,6 +295,7 @@ class MeasurementModel:
         """This model with one row of its layout deleted."""
         reduced = copy.copy(self)
         reduced.n_rows -= 1
+        reduced._layout = self._layout[:row] + self._layout[row + 1:]
         reduced._gather = _drop(self.h_idx, row), _drop(self.jac_idx, row)
         reduced.h_idx, reduced.jac_idx = reduced._gather
         reduced.row_island = _drop(self.row_island, row)
@@ -294,6 +304,10 @@ class MeasurementModel:
         rows = rows[kept]
         reduced._curv = (rows - (rows > row), slots[kept], *rest)
         return reduced
+
+    def channel(self, row: int) -> str:
+        """The ``channel_name`` of row ``row``."""
+        return channel_name(*self._layout[row])
 
     def evaluate(
         self,

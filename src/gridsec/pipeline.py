@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -15,18 +15,16 @@ from .detection import (
     DetectionVerdict,
     PairReading,
     RuleConfig,
-    _features,
     classify,
+    features,
     read_pair,
     rule_battery,
 )
 from .estimation import (
     BddVerdict,
     EstimationError,
-    Measurement,
     MeasurementSet,
-    _check_finite,
-    _estimate,
+    estimate,
     standard_channels,
 )
 from .measmodel import MeasurementModel, compiled
@@ -66,27 +64,16 @@ def _injections(snap: BusSnapshot) -> np.ndarray:
     return np.concatenate((snap.v, -snap.p, -snap.q))
 
 
-class _Case(NamedTuple):
-    """What the residual test reads of the model, worked out once per model
-    object (``network.derived``)."""
-
-    layout: tuple[Measurement, ...]  # ``standard_channels``
-    sig: np.ndarray
-    mm: MeasurementModel  # the layout compiled on the model's own breakers
-    df: int  # m - n_state of ``mm``
+def _standard_model(model: NetworkModel) -> MeasurementModel:
+    """The standard layout compiled on the model's own breakers; read it
+    once per model object through ``derived(model, _standard_model)``."""
+    return compiled(model, None, standard_channels(model.n_bus)[0])
 
 
-def _case(model: NetworkModel) -> _Case:
-    """The model's ``_Case``; read it through ``derived(model, _case)``."""
-    layout, sig = standard_channels(model.n_bus)
-    mm = compiled(model, None, layout)
-    return _Case(layout, sig, mm, len(layout) - mm.n_state)
-
-
-def _bdd_for(reading: PairReading, case: _Case, paper_compat: bool) -> BddVerdict:
+def _bdd_for(reading: PairReading, mm: MeasurementModel, paper_compat: bool) -> BddVerdict:
     """Residual-test verdict for the snapshot of ``reading``. The threshold
     is the ``BDD_ALPHA`` chi-square quantile at df = m - n_state of the
-    compiled standard model, or the paper's under ``paper_compat``.
+    compiled standard model ``mm``, or the paper's under ``paper_compat``.
 
     Post-estimation records were validated before corruption, so their
     stored chi-square (or their baseline's) applies; measurement-stage
@@ -102,13 +89,11 @@ def _bdd_for(reading: PairReading, case: _Case, paper_compat: bool) -> BddVerdic
         j = baseline.extra("bdd_chi2")
     if j is None:
         target, snap = (baseline, reading.base) if post_se else (record, reading.snap)
-        z = _injections(snap)
         try:
-            _check_finite(case.layout, z, case.sig)
-            j = _estimate(case.mm, z, case.sig).j_value
+            j = estimate(mm, _injections(snap), standard_channels(mm.n_bus)[1]).j_value
         except EstimationError as exc:
             raise type(exc)(f"record {target.source!r}: {exc}") from None
-    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(case.df, BDD_ALPHA)
+    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(mm.n_rows - mm.n_state, BDD_ALPHA)
     return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=float(j))
 
 
@@ -131,12 +116,12 @@ def run_pipeline(
     if not isinstance(attacked, GridRecord):
         attacked = attacked.apply_to_record(baseline, base_mva=model.base_mva)
     reading = read_pair(attacked, baseline, model, config)
-    bdd = _bdd_for(reading, derived(model, _case), paper_compat)
+    bdd = _bdd_for(reading, derived(model, _standard_model), paper_compat)
 
     feature = {"chi2": None, "threshold": None}
     if baseline_stats is not None:
         feature = {
-            "chi2": round(baseline_stats.mahalanobis(_features(reading.snap, reading.moments)), 6),
+            "chi2": round(baseline_stats.mahalanobis(features(reading.snap, reading.moments)), 6),
             "threshold": round(PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold, 6),
         }
 

@@ -557,16 +557,16 @@ def test_sweep_flags_each_candidate_without_evaluating_h_again(ieee14, monkeypat
 
 
 def _counting_estimates(monkeypatch):
-    """Clear the sweep's baseline memo and record every
-    ``wls_estimate_ac`` call the sweep makes."""
+    """Clear the sweep's baseline memo and record every ``estimate`` call
+    the sweep makes."""
     calls = []
-    wls = attacks.wls_estimate_ac
+    wls = attacks.estimate
 
     def spy(*args, **kwargs):
         calls.append(args)
         return wls(*args, **kwargs)
 
-    monkeypatch.setattr(attacks, "wls_estimate_ac", spy)
+    monkeypatch.setattr(attacks, "estimate", spy)
     monkeypatch.setattr(attacks, "_baseline_memo", None)
     return calls
 

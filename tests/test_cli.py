@@ -167,12 +167,12 @@ def test_sweep_all_buses_estimates_the_baseline_once(tmp_path, monkeypatch):
 
     calls = []
 
-    def spy(*args, wls=estimation.wls_estimate_ac, **kwargs):
+    def spy(*args, wls=estimation.estimate, **kwargs):
         calls.append(args)
         return wls(*args, **kwargs)
 
-    monkeypatch.setattr(estimation, "wls_estimate_ac", spy)
-    monkeypatch.setattr(attacks, "wls_estimate_ac", spy)
+    monkeypatch.setattr(estimation, "estimate", spy)
+    monkeypatch.setattr(attacks, "estimate", spy)
     monkeypatch.setattr(attacks, "_baseline_memo", None)
     argv = ["sweep", "--all-buses", "--points", "2", "--out", str(tmp_path / "log.csv")]
     assert run([*argv, "--ranges-out", str(tmp_path / "ranges.csv")]) == 0

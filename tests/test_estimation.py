@@ -22,6 +22,7 @@ from gridsec.estimation import (
     bdd_classify,
     build_dc_jacobian,
     chi_square_statistic,
+    estimate,
     full_telemetry_from_state,
     gauss_newton,
     iterative_bad_data_removal,
@@ -1018,6 +1019,90 @@ def test_removal_stops_at_observability_floor(ieee14, clean_measurements):
     # An always-flagging threshold forces removals down to the floor.
     with pytest.raises(ObservabilityError):
         iterative_bad_data_removal(ieee14, clean_measurements, threshold=-1.0)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_threshold_is_rejected(ieee14, clean_measurements, monkeypatch, threshold):
+    """A NaN threshold flagged nothing and an infinite one passed every set
+    as clean. Both raise ValueError naming the threshold, removal before it
+    estimates anything; a negative finite threshold stays valid (see
+    ``test_removal_stops_at_observability_floor``)."""
+    result = wls_estimate_ac(ieee14, clean_measurements)
+    with pytest.raises(ValueError, match=f"^threshold {threshold}: expected a finite number$"):
+        bdd_classify(result, threshold)
+    monkeypatch.setattr(estimation, "gauss_newton", None)
+    with pytest.raises(ValueError, match=f"^threshold {threshold}: expected a finite number$"):
+        iterative_bad_data_removal(ieee14, clean_measurements, threshold)
+
+
+@pytest.mark.parametrize(
+    "field, bad, error",
+    [
+        ("v", np.ones(13), r"^x0\.v has shape \(13,\): expected \(14,\), one entry per bus$"),
+        ("theta", np.zeros((1, 14)), r"^x0\.theta has shape \(1, 14\): expected \(14,\), one entry per bus$"),
+        ("v", np.where(np.arange(14) == 6, np.nan, 1.0), r"^x0\.v at bus 7 is not finite$"),
+        ("theta", np.where(np.arange(14) == 13, np.inf, 0.0), r"^x0\.theta at bus 14 is not finite$"),
+    ],
+)
+def test_a_bad_start_is_named_before_iterating(ieee14, clean_measurements, monkeypatch, field, bad, error):
+    """A 13-bus start raised numpy's broadcast error, and a non-finite one
+    spent every evaluation before it reported no convergence; both raise
+    ValueError naming ``x0`` before any evaluation."""
+    x0 = replace(StateVector(v=np.ones(14), theta=np.zeros(14)), **{field: bad})
+    monkeypatch.setattr(estimation, "gauss_newton", None)
+    with pytest.raises(ValueError, match=error):
+        wls_estimate_ac(ieee14, clean_measurements, x0=x0)
+
+
+def test_estimate_equals_wls_estimate_ac_bit_for_bit(ieee14, solution):
+    """The array entry on the compiled layout gives the estimate of the
+    measurement set, warm-started too, bit for bit; only ``measurements``
+    is left None."""
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta, noise_rng=np.random.default_rng(33))
+    mm = compiled(ieee14, None, ms.entries)
+    for x0 in (None, StateVector(v=solution.v * 1.01, theta=solution.theta + 0.01)):
+        arrays = estimate(mm, ms.z, ms.sigmas, 1e-8, x0)
+        whole = wls_estimate_ac(ieee14, ms, delta=1e-8, x0=x0)
+        assert arrays.measurements is None and whole.measurements is ms
+        assert arrays.measurement_model is whole.measurement_model is mm
+        for name in ("residuals", "jacobian", "sigmas"):
+            assert getattr(arrays, name).tobytes() == getattr(whole, name).tobytes()
+        assert arrays.x_hat.v.tobytes() == whole.x_hat.v.tobytes()
+        assert arrays.x_hat.theta.tobytes() == whole.x_hat.theta.tobytes()
+        assert (arrays.j_value, arrays.iterations) == (whole.j_value, whole.iterations)
+
+
+def test_estimate_names_the_channel_of_a_model_without_a_row(ieee14, solution):
+    """On ``mm.without(k)``, a non-finite value or sigma at reduced row r
+    names the channel of original row r before k and r + 1 from k on."""
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta)
+    mm = compiled(ieee14, None, ms.entries)
+    k = 30
+    reduced = mm.without(k).without(k)
+    kept = [m for i, m in enumerate(ms.entries) if i not in (k, k + 1)]
+    for row in (0, k - 1, k, len(kept) - 1):
+        z, sig = np.array([m.value for m in kept]), np.array([m.sigma for m in kept])
+        z[row] = np.nan
+        with pytest.raises(EstimationError, match=f"^non-finite measurement on channel {kept[row].channel}: "):
+            estimate(reduced, z, sig)
+        z[row], sig[row] = kept[row].value, 1e-200
+        with pytest.raises(EstimationError, match=f"^channel {kept[row].channel}: sigma 1e-200 gives"):
+            estimate(reduced, z, sig)
+
+
+def test_removal_result_lists_the_kept_channels(ieee14, solution):
+    """The result of a removal holds exactly the channels it kept, in
+    their order, and the estimate of that set is its estimate."""
+    rng = np.random.default_rng(12)
+    ms = full_telemetry_from_state(ieee14, solution.v, solution.theta, noise_rng=rng)
+    for target, size in ((20, 0.8), (61, -0.5)):
+        ms = ms.replaced(target, ms.entries[target].value + size)
+    tau = chi_square_threshold(len(ms) - 27, 0.05)
+    result, removed = iterative_bad_data_removal(ieee14, ms, tau)
+    assert sorted(removed) == [20, 61]
+    assert result.measurements.entries == [m for i, m in enumerate(ms.entries) if i not in removed]
+    again = estimate(result.measurement_model, result.measurements.z, result.measurements.sigmas)
+    assert again.x_hat.v.tobytes() == result.x_hat.v.tobytes() and again.j_value == result.j_value
 
 
 def test_measurement_csv_round_trip(ieee14, clean_measurements):

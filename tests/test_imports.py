@@ -2,6 +2,7 @@
 CLI module holds only the stdlib and ``stats``, and the display tools and
 ``chi2`` run without numpy. Import state is read in a fresh interpreter."""
 
+import ast
 import importlib
 import json
 import os
@@ -81,6 +82,18 @@ def test_every_lazy_export_resolves():
     from gridsec import fixtures
 
     assert fixtures.__name__ == "gridsec.fixtures"
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A module reaches another only through its public names: no ``from
+    .x import _y`` in the package, at module level or in a function."""
+    private = []
+    for path in sorted((SRC / "gridsec").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gridsec")):
+                private += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []
 
 
 def test_baseline_fit_does_not_load_estimation(tmp_path):

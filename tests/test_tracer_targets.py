@@ -3,14 +3,15 @@ in its ``TARGETS`` table and reads ``iterations`` and ``converged`` off each
 ``wls_estimate_ac`` result. A renamed or deleted target crashes
 ``perfbench/run.py --trace 1``, so every entry must still resolve. The table
 is read from the file's source without importing it. The same holds for the
-fields the ``detect`` workload's judge (``perfbench/workloads.py``) reads off
-each verdict and report."""
+fields the ``detect`` and ``bdd`` workloads' judges (``perfbench/workloads.py``)
+read off each verdict, report and removal result."""
 
 import ast
 import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,15 +39,15 @@ def test_estimation_result_keeps_the_traced_fields():
     assert {"iterations", "converged"} <= {f.name for f in dataclasses.fields(EstimationResult)}
 
 
-def detect_judge_reads() -> tuple[set[str], set[str]]:
-    """The verdict fields (read off ``v``) and report keys (constant
-    subscripts) of the judge in ``workloads.generate_detect``."""
+def judge_reads(generator: str, var: str) -> tuple[set[str], set[str]]:
+    """The attributes read off the name ``var`` and the constant subscripts
+    of the judge in ``workloads.<generator>``."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    generate = next(n for n in funcs if n.name == "generate_detect")
+    generate = next(n for n in funcs if n.name == generator)
     judge = next(n for n in ast.walk(generate) if isinstance(n, ast.FunctionDef) and n.name == "judge")
     nodes = list(ast.walk(judge))
-    fields = {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "v"}
+    fields = {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == var}
     keys = {n.slice.value for n in nodes if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)}
     return fields, keys
 
@@ -56,13 +57,33 @@ def test_detect_verdict_keeps_the_judged_fields(ieee14):
     from gridsec.detection import DetectionVerdict
     from gridsec.pipeline import run_pipeline
 
-    fields, keys = detect_judge_reads()
+    fields, keys = judge_reads("generate_detect", "v")
     assert fields == {"klass", "bdd_chi2", "bdd_threshold"} and keys == {"class"}
     assert fields <= {f.name for f in dataclasses.fields(DetectionVerdict)}
     report = run_pipeline(fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14)
     v = report.verdict
     assert report.report["class"] == v.klass.value
     assert (v.klass.value == "BadData") == (v.bdd_chi2 > v.bdd_threshold)
+
+
+def test_removal_result_keeps_the_judged_fields(ieee14):
+    """The ``bdd`` judge reads ``j_value`` and ``measurements`` off each
+    ``iterative_bad_data_removal`` result, and counts the kept channels
+    with the removed ones; a result without either field fails the run."""
+    from gridsec.estimation import EstimationResult, full_telemetry_from_state, iterative_bad_data_removal
+    from gridsec.powerflow import solve
+    from gridsec.stats import chi_square_threshold
+
+    fields, _ = judge_reads("generate_bdd", "result")
+    assert fields == {"j_value", "measurements"}
+    assert fields <= {f.name for f in dataclasses.fields(EstimationResult)}
+    sol = solve(ieee14)
+    ms = full_telemetry_from_state(ieee14, sol.v, sol.theta, noise_rng=np.random.default_rng(5))
+    ms = ms.replaced(20, ms.entries[20].value + 0.8)
+    threshold = chi_square_threshold(len(ms) - (2 * ieee14.n_bus - 1))
+    result, removed = iterative_bad_data_removal(ieee14, ms, threshold)
+    assert removed == [20]
+    assert result.j_value <= threshold and len(result.measurements) + len(removed) == len(ms)
 
 
 def test_one_verdict_enters_each_traced_detect_layer_once(ieee14, monkeypatch):
