@@ -5,9 +5,10 @@ measurement attacks, and post-estimation record manipulation.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -234,36 +235,70 @@ SWEEP_DELTA = 1e-8
 SWEEP_J_BAND = 1e-6
 
 # The last baseline a sweep estimated: its compiled model, the bytes of its
-# values and sigmas, and its estimate's v, theta and gain inverse. One slot
-# serves a map of every bus over one baseline; the arrays are read-only.
-# A sweep reads the slot once and replaces it whole, so concurrent sweeps
-# need no lock: a lost update costs one estimate more.
+# values and sigmas, its estimate's state [v | theta], the gain inverse, and
+# h and H evaluated at that state. One slot serves a map of every bus over
+# one baseline; the arrays are read-only. A sweep reads the slot once and
+# replaces it whole, so concurrent sweeps need no lock: a lost update costs
+# one estimate more.
 _baseline_memo: tuple | None = None
 
 
 def _baseline_estimate(
     model: NetworkModel, baseline: MeasurementSet, z: np.ndarray, sig: np.ndarray
-) -> tuple[MeasurementModel, np.ndarray, np.ndarray, np.ndarray]:
-    """The compiled model of ``baseline``'s layout, and the v, theta and
-    gain inverse of its ``estimate`` with ``SWEEP_DELTA`` (``z`` and
-    ``sig`` are the baseline's values and sigmas). They come
-    from ``_baseline_memo`` when the layout compiles to the memo's model
-    object and ``z`` and ``sig`` are its bytes; else the estimate is made,
-    and kept only when it succeeds."""
+) -> tuple[MeasurementModel, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The compiled model of ``baseline``'s layout; the state [v | theta]
+    of its ``estimate`` with ``SWEEP_DELTA`` (``z`` and ``sig`` are the
+    baseline's values and sigmas), shaped (2n,); the gain inverse; and h
+    (m,) and H (m, n_state) at that state. They come from
+    ``_baseline_memo`` when the layout compiles to the memo's model object
+    and ``z`` and ``sig`` are its bytes; else the estimate is made, and
+    kept only when it succeeds."""
     global _baseline_memo
     mm = compiled(model, None, baseline.entries)
     data = z.tobytes() + sig.tobytes()
     memo = _baseline_memo
     if memo is not None and memo[0] is mm and memo[1] == data:
-        return mm, *memo[2:]
+        return mm, memo[2], memo[3], memo[4:]
     base = estimate(mm, z, sig, SWEEP_DELTA)
     jac = base.jacobian
     gain_inv = np.linalg.inv((jac * (1.0 / sig**2)[:, None]).T @ jac)
-    state = (base.x_hat.v, base.x_hat.theta, gain_inv)
-    for value in state:
+    state = np.concatenate((base.x_hat.v, base.x_hat.theta))
+    # At x_hat itself, whose angles may have lost whole turns since ``jac``.
+    h, jac = (a[0] for a in mm.evaluate(base.x_hat.v[None], base.x_hat.theta[None]))
+    for value in (state, gain_inv, h, jac):
         value.flags.writeable = False
-    _baseline_memo = (mm, data, *state)
-    return mm, *state
+    _baseline_memo = (mm, data, state, gain_inv, h, jac)
+    return mm, state, gain_inv, (h, jac)
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_plan(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The candidates of an ``n_points`` sweep split into anchors, every
+    ``SWEEP_ANCHOR_EVERY``-th and the last, and the rest; for each of the
+    rest, the four anchors its cubic start interpolates, so that it lies
+    between the middle two (at the window's ends, the four end anchors),
+    and their Lagrange weights, both (rest, 4). With fewer than four
+    anchors there is no cubic, and nodes and weights are None. Built once
+    per grid size and shared by every sweep, so the arrays are read-only."""
+    anchor = np.zeros(n_points, dtype=bool)
+    anchor[::SWEEP_ANCHOR_EVERY] = True
+    anchor[-1] = True
+    anchors, rest = np.flatnonzero(anchor), np.flatnonzero(~anchor)
+    nodes = weights = None
+    if anchors.size >= 4:
+        # Row k lies between anchors k // SWEEP_ANCHOR_EVERY and the next.
+        # The grid is uniform, so Lagrange weights in the grid value are
+        # those in the candidate index.
+        first = np.clip(rest // SWEEP_ANCHOR_EVERY - 1, 0, anchors.size - 4)
+        nodes = anchors[first[:, None] + np.arange(4)]
+        # w_a = prod over b != a of (k - node_b) / (node_a - node_b)
+        gap = rest[:, None] - nodes
+        span = nodes[:, :, None] - nodes[:, None, :] + np.eye(4, dtype=int)
+        weights = np.prod(gap, axis=1, keepdims=True) / gap / np.prod(span, axis=2)
+    for value in (anchors, rest, nodes, weights):
+        if value is not None:
+            value.flags.writeable = False
+    return anchors, rest, nodes, weights
 
 
 def sweep_stealth_range(
@@ -284,12 +319,16 @@ def sweep_stealth_range(
     estimate's gain, which converge to a root of the same WLS normal
     equations. First the anchors, every ``SWEEP_ANCHOR_EVERY``-th
     candidate and the last, start from the baseline estimate, so their
-    first chord step is the Gauss-Newton step from it. Then every other
+    first chord step is the Gauss-Newton step from it, taken from h and H
+    kept at the estimate, with no evaluation. Then every other
     candidate starts from the cubic Lagrange interpolation, in the grid
     value, of the solutions of its four nearest anchors, taken so that it
     lies between the middle two (at the window's ends, the four end
     anchors), so the curve is never extrapolated; with fewer than four
-    anchors these start from the baseline estimate too. A candidate the
+    anchors these start from the baseline estimate too. The anchors, and
+    each other candidate's four anchors and weights, are built once per
+    ``n_points`` (``_sweep_plan``), so a start is one gather and one sum
+    over the anchors' solutions. A candidate the
     chord steps do not converge within ``SWEEP_CHORD_STEPS`` restarts from
     the baseline estimate on the damped Gauss-Newton of ``gauss_newton``
     with ``WLS_MAX_ITER`` evaluations: a warm-started ``wls_estimate_ac``,
@@ -305,9 +344,10 @@ def sweep_stealth_range(
 
     The baseline estimate is ``wls_estimate_ac(model, baseline,
     delta=SWEEP_DELTA)``. The last one made is kept, with its gain
-    inverse, and serves every later sweep whose baseline compiles to the
-    same model with the same values and sigmas, bit for bit, so sweeps of
-    several buses of one baseline estimate it once. ValueError names the
+    inverse and h and H at it, and serves every later sweep whose
+    baseline compiles to the same model with the same values and sigmas,
+    bit for bit, so sweeps of several buses of one baseline estimate it
+    once. ValueError names the
     argument when ``n_points`` < 2, ``bus`` is outside 1..n,
     ``threshold`` is not finite, ``window`` has low > high, or ``nerc`` is
     not two numbers with low <= high.
@@ -335,66 +375,53 @@ def sweep_stealth_range(
         )
 
     z, sig = baseline.z, baseline.sigmas
-    mm, v, theta, gain_inv = _baseline_estimate(model, baseline, z, sig)
+    mm, base, gain_inv, base_eval = _baseline_estimate(model, baseline, z, sig)
     z = np.tile(z, (n_points, 1))
     z[:, idx] = grid
-    v = np.tile(v, (n_points, 1))
-    theta = np.tile(theta, (n_points, 1))
-
-    def warm(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return v[rows], theta[rows]
-
+    # Row k is candidate k's state [v | theta], the baseline estimate until
+    # it is solved.
+    x = np.tile(base, (n_points, 1))
+    n = model.n_bus
     j = np.empty(n_points)
+    anchors, rest, nodes, weights = _sweep_plan(n_points)
 
-    def solve(rows: np.ndarray, start_of: Callable) -> None:
-        # Chord steps on ``rows`` from the states ``start_of`` gives them,
-        # then a Gauss-Newton from the baseline estimate still in v, theta;
-        # the solutions go to v, theta and their last J to j.
+    def solve(rows: np.ndarray, cubic: bool) -> None:
+        # Chord steps on ``rows``, from their cubic starts or else from the
+        # baseline estimate, then a Gauss-Newton from the baseline estimate
+        # still in x; the solutions go to x and their last J to j.
         for start in range(0, rows.size, SWEEP_BLOCK):
-            rb = rows[start:start + SWEEP_BLOCK]
-            vb, thb = start_of(rb)
-            iterations, jb = gauss_newton(mm, z[rb], sig, vb, thb, SWEEP_DELTA, SWEEP_CHORD_STEPS, gain_inv)
+            part = slice(start, start + SWEEP_BLOCK)
+            rb = rows[part]
+            if cubic:
+                # w0 x0 + w1 x1 + w2 x2 + w3 x3, added left to right.
+                xb, at = np.add.reduce(weights[part, :, None] * x[nodes[part]], axis=1), None
+            else:
+                xb, at = x[rb], base_eval
+            iterations, jb = gauss_newton(
+                mm, z[rb], sig, xb[:, :n], xb[:, n:], SWEEP_DELTA, SWEEP_CHORD_STEPS, gain_inv, start_eval=at
+            )
             back = iterations == 0
             if back.any():
                 slow = rb[back]
-                vs, ths = warm(slow)
-                iterations, js = gauss_newton(mm, z[slow], sig, vs, ths, SWEEP_DELTA, WLS_MAX_ITER)
+                xs = x[slow]
+                iterations, js = gauss_newton(mm, z[slow], sig, xs[:, :n], xs[:, n:], SWEEP_DELTA, WLS_MAX_ITER)
                 if not iterations.all():
                     cand = grid[slow[int(np.argmin(iterations))]]
                     raise EstimationError(
                         f"bus {bus}: WLS did not converge in {WLS_MAX_ITER} iterations "
                         f"for candidate Vm {cand:.9f}"
                     )
-                vb[back], thb[back], jb[back] = vs, ths, js
-            v[rb], theta[rb], j[rb] = vb, thb, jb
+                xb[back], jb[back] = xs, js
+            x[rb], j[rb] = xb, jb
 
-    anchor = np.zeros(n_points, dtype=bool)
-    anchor[::SWEEP_ANCHOR_EVERY] = True
-    anchor[-1] = True
-    anchors = np.flatnonzero(anchor)
-
-    def cubic(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Row k lies between anchors k // SWEEP_ANCHOR_EVERY and the next.
-        # The grid is uniform, so Lagrange weights in the grid value are
-        # those in the candidate index.
-        first = np.clip(rows // SWEEP_ANCHOR_EVERY - 1, 0, anchors.size - 4)
-        nodes = anchors[first[:, None] + np.arange(4)]
-        # w_a = prod over b != a of (k - node_b) / (node_a - node_b)
-        gap = rows[:, None] - nodes
-        span = nodes[:, :, None] - nodes[:, None, :] + np.eye(4, dtype=int)
-        weights = np.prod(gap, axis=1, keepdims=True) / gap / np.prod(span, axis=2)
-        vb = sum(weights[:, a, None] * v[nodes[:, a]] for a in range(4))
-        thb = sum(weights[:, a, None] * theta[nodes[:, a]] for a in range(4))
-        return vb, thb
-
-    solve(anchors, warm)
-    solve(np.flatnonzero(~anchor), cubic if anchors.size >= 4 else warm)
+    solve(anchors, False)
+    solve(rest, nodes is not None)
 
     detected = j > threshold
     # A NaN J compares false: it is evaluated again too.
     near = np.flatnonzero(~(np.abs(j - threshold) > SWEEP_J_BAND * abs(threshold)))
     if near.size:
-        h, _ = mm.evaluate(v[near], theta[near], out=(None, None))
+        h, _ = mm.evaluate(x[near, :n], x[near, n:], out=(None, None))
         detected[near] = np.sum(((z[near] - h) / sig) ** 2, axis=1) > threshold
 
     values = grid.tolist()

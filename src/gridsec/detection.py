@@ -335,8 +335,8 @@ _Raised = tuple[Severity, str, dict[str, float | int | str]]
 
 class PairReading(NamedTuple):
     """What a verdict reads of a record pair, read once by ``read_pair``:
-    each record's snapshot and branch table, the snapshot's island report
-    and moments, and the model's Slack and Generator buses. The per-bus V
+    each record's snapshot, moments and branch table, the snapshot's
+    island report, and the model's Slack and Generator buses. The per-bus V
     and P lists and their differences are the same IEEE operations as on
     the snapshot arrays."""
 
@@ -354,6 +354,7 @@ class PairReading(NamedTuple):
     cfg: RuleConfig
     island_report: IslandRecordReport | None
     moments: _Moments
+    base_moments: _Moments
     table: BranchTable
     base_table: BranchTable
 
@@ -513,7 +514,7 @@ def _correlation_shift(x: PairReading) -> Iterator[_Raised]:
     """Cross-channel correlation pattern moved."""
     cfg = x.cfg
     for (a, b), rho_att, rho_base in zip(
-        (("V", "P"), ("V", "Q"), ("P", "Q")), x.moments.rho, _moments(x.base).rho
+        (("V", "P"), ("V", "Q"), ("P", "Q")), x.moments.rho, x.base_moments.rho
     ):
         shift = abs(rho_att - rho_base)
         if shift > cfg.corr_shift_warn:
@@ -596,6 +597,30 @@ def _check_values(record: GridRecord, snap: RecordSnapshot, islands: list[frozen
                              f"on branch {br.from_bus}-{br.to_bus}")
 
 
+def _finite(m: _Moments) -> bool:
+    return all(map(math.isfinite, (*m.total, *m.mean, *m.std, *m.rho)))
+
+
+def _check_moments(record: GridRecord, snap: RecordSnapshot, m: _Moments) -> None:
+    """Raise ValueError when the snapshot's moments ``m`` are not finite
+    though they are over its finite rows alone (a bus the record's
+    breakers cut off may hold NaNs): a finite value so large that they
+    overflow. It names the record, and the bus and column of the largest
+    finite magnitude (per unit)."""
+    if _finite(m):
+        return
+    values = np.stack((snap.v, snap.p, snap.q))
+    read = np.isfinite(values).all(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _finite(_moments(BusSnapshot(*values[:, read]))):
+            return
+    size = np.where(read, np.abs(values), 0.0)
+    column, k = np.unravel_index(np.argmax(size), size.shape)
+    name, bus = ("v_pu", "p_mw", "q_mvar")[column], snap.buses[k]
+    value = getattr(next(r for r in record.buses if r.bus == bus), name)
+    raise ValueError(f"record {record.source!r}: {name} {value} at bus {bus} overflows the detector's moments")
+
+
 def read_pair(
     record: GridRecord,
     baseline: GridRecord,
@@ -617,9 +642,11 @@ def read_pair(
     breakers cut off may hold the NaNs ``GridRecord.from_solution`` writes
     for an island with no slack and no generator; it writes 0.0 for the
     loss of those rows and for P, Q and loss of every open row. A record
-    with no branch table is one island. The record's islands are searched
-    once; the baseline's only when it holds a value the check must place
-    on an island."""
+    with no branch table is one island. Then a finite value so large that
+    its record's moments overflow raises ValueError naming the record, the
+    column and the bus, the baseline first. The record's islands are
+    searched once; the baseline's only when it holds a value the check
+    must place on an island."""
     cfg = config or RuleConfig()
     if model is None:
         model = build_ieee14()
@@ -631,13 +658,17 @@ def read_pair(
     islands = record.islands(table)
     if snap.bad or not table.finite:
         _check_values(record, snap, islands, m.slack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_moments, moments = _moments(base), _moments(snap)
+    _check_moments(baseline, base, base_moments)
+    _check_moments(record, snap, moments)
     return PairReading(
         record, baseline, snap, base,
         snap.v.tolist(), snap.p.tolist(), base.v.tolist(), base.p.tolist(),
         (snap.v - base.v).tolist(), (snap.p - base.p).tolist(),
         m.generators, cfg,
         analyze_record_islands(record, cfg, table, islands),
-        _moments(snap), table, base_table,
+        moments, base_moments, table, base_table,
     )
 
 

@@ -227,6 +227,7 @@ def gauss_newton(
     delta: float,
     max_iter: int,
     gain_inv: np.ndarray | None = None,
+    start_eval: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton WLS for measurement vectors ``z`` (B, m) sharing one
     layout and ``sigmas``, updating the states ``v``, ``theta`` (B, n) in
@@ -256,7 +257,10 @@ def gauss_newton(
     With ``gain_inv``, one fixed inverse gain (``mm.n_state`` square) for
     every state and step, the batch takes the chord steps dx = ``gain_inv``
     H(x)'W(z - h(x)) instead, in full: a state converges to a root of the
-    same normal equations, linearly rather than quadratically."""
+    same normal equations, linearly rather than quadratically. A chord
+    batch whose every state starts from one state may pass ``start_eval``,
+    h (m,) and H (m, n_state) evaluated there, and its first step then
+    evaluates nothing."""
     # Bin 0 counts the flow rows of out-of-service branches.
     rows_per_island = np.bincount(mm.row_island + 1, minlength=len(mm.islands) + 1)[1:]
     for (buses, _), count in zip(mm.islands, rows_per_island):
@@ -288,8 +292,11 @@ def gauss_newton(
             k = active.size
             # The rows that step, as a slice while that is every row.
             sel = slice(None) if k == batch else active
-            r, hk = mm.evaluate(v[sel], theta[sel], out=(h[:k], jac[:k]))
-            np.subtract(z[sel], r, out=r)
+            if it == 1 and start_eval is not None:
+                r, hk = z - start_eval[0], np.broadcast_to(start_eval[1], jac.shape)
+            else:
+                r, hk = mm.evaluate(v[sel], theta[sel], out=(h[:k], jac[:k]))
+                np.subtract(z[sel], r, out=r)
             dx = np.matmul(hk.transpose(0, 2, 1), (r * w)[..., None])[..., 0] @ gain_inv.T
             norm = np.sqrt(np.add.reduce(dx * dx, axis=1))
             done = norm < delta
@@ -445,8 +452,9 @@ def estimate(
     estimated angle outside (-pi, pi] after h and H are evaluated at the
     end state, so an angle in that range is reported as it ends.
 
-    Raises ValueError unless ``delta`` is a finite number above 0, or
-    naming ``x0`` unless it holds a finite V and theta per bus;
+    Raises ValueError unless ``delta`` is a finite number above 0, naming
+    ``x0`` unless it holds a finite V and theta per bus, or naming ``z`` or
+    ``sig`` unless it holds one entry per row of ``mm``;
     EstimationError naming the channel (``mm.channel``) when a value or
     sigma is not finite, or a weight 1/sigma^2 is not; ObservabilityError
     naming its buses when an island has fewer measurements than states
@@ -460,6 +468,9 @@ def estimate(
             raise ValueError(f"x0.{name} has shape {np.shape(x)}: expected ({mm.n_bus},), one entry per bus")
         if not np.isfinite(x).all():
             raise ValueError(f"x0.{name} at bus {int(np.argmin(np.isfinite(x))) + 1} is not finite")
+    for name, x in (("z", z), ("sig", sig)):
+        if np.shape(x) != (mm.n_rows,):
+            raise ValueError(f"{name} has shape {np.shape(x)}: expected ({mm.n_rows},), one entry per row of mm")
     bad = ~(np.isfinite(z) & np.isfinite(sig))
     if bad.any():
         k = int(np.argmax(bad))

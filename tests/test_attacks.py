@@ -362,10 +362,10 @@ def test_sweep_fallback_gets_the_full_budget(ieee14, monkeypatch):
     budgets = []
     gauss_newton = attacks.gauss_newton
 
-    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None, start_eval=None):
         if gain_inv is None:
             budgets.append(max_iter)
-        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv, start_eval)
 
     monkeypatch.setattr(attacks, "gauss_newton", spy)
     baseline = fx.sweep_baseline_measurements(ieee14)
@@ -384,10 +384,10 @@ def _spy_gauss_newton(monkeypatch):
     calls = []
     gauss_newton = attacks.gauss_newton
 
-    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None, start_eval=None):
         if gain_inv is None:
             calls.append((z.copy(), v.copy(), theta.copy(), max_iter))
-        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv, start_eval)
 
     monkeypatch.setattr(attacks, "gauss_newton", spy)
     return calls
@@ -464,9 +464,9 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
     calls = []
     gauss_newton = attacks.gauss_newton
 
-    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None, start_eval=None):
         start = (v.copy(), theta.copy())
-        iterations, j = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
+        iterations, j = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv, start_eval)
         if gain_inv is not None:
             calls.append((z[:, idx].copy(), start, (v.copy(), theta.copy()), iterations))
         return iterations, j
@@ -502,6 +502,111 @@ def test_sweep_starts_the_rest_from_a_cubic_through_the_anchors(ieee14, monkeypa
             assert np.abs(start_k - solved[k]).max() < np.abs(warm_state - solved[k]).max() / 100
     assert order[: len(anchors)] == anchors
     assert sorted(order[len(anchors):]) == sorted(set(range(n_points)) - set(anchors))
+
+
+def _per_block_cubic(anchors, rows, v, theta):
+    """The cubic starts of one block of ``rows`` from the anchors' solved
+    ``v`` and ``theta`` (indexed by candidate), in the operations the
+    sweep ran per block before it built its plan once per grid size."""
+    first = np.clip(rows // attacks.SWEEP_ANCHOR_EVERY - 1, 0, anchors.size - 4)
+    nodes = anchors[first[:, None] + np.arange(4)]
+    gap = rows[:, None] - nodes
+    span = nodes[:, :, None] - nodes[:, None, :] + np.eye(4, dtype=int)
+    weights = np.prod(gap, axis=1, keepdims=True) / gap / np.prod(span, axis=2)
+    vb = sum(weights[:, a, None] * v[nodes[:, a]] for a in range(4))
+    thb = sum(weights[:, a, None] * theta[nodes[:, a]] for a in range(4))
+    return vb, thb
+
+
+@pytest.mark.parametrize("bus, n_points, window", [
+    (2, 300, (0.95, 1.10)), (11, 300, (0.95, 1.10)), (4, 32, (0.95, 1.10)), (4, 36, (0.3, 2.0)),
+])
+def test_sweep_cubic_starts_equal_the_per_block_formula_bit_for_bit(ieee14, monkeypatch, bus, n_points, window):
+    """Every cubic start is, bit for bit, the one the per-block formula
+    gives from the anchors' solutions (the fallback's where the chord
+    steps did not converge an anchor), in the smallest grid with four
+    anchors and in a window wide enough for the fallback too."""
+    calls = []
+    gauss_newton = attacks.gauss_newton
+
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None, start_eval=None):
+        start = (v.copy(), theta.copy())
+        iterations, j = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv, start_eval)
+        calls.append((z[:, idx].copy(), start, (v.copy(), theta.copy()), gain_inv is not None))
+        return iterations, j
+
+    monkeypatch.setattr(attacks, "gauss_newton", spy)
+    baseline = _noisy_sweep_baseline(ieee14)
+    idx = baseline.index_of(MeasKind.VM, bus)
+    sweep_stealth_range(ieee14, baseline, bus, n_points=n_points, window=window)
+
+    grid = np.linspace(*window, n_points)
+    anchors = np.array([*range(0, n_points, attacks.SWEEP_ANCHOR_EVERY), n_points - 1])
+    v, theta = np.zeros((n_points, ieee14.n_bus)), np.zeros((n_points, ieee14.n_bus))
+    cubic = 0
+    for values, start, end, chord in calls:
+        rows = np.searchsorted(grid, values)
+        assert np.array_equal(grid[rows], values)
+        if chord and not np.isin(rows, anchors).any():
+            vb, thb = _per_block_cubic(anchors, rows, v, theta)
+            assert start[0].tobytes() == vb.tobytes() and start[1].tobytes() == thb.tobytes()
+            cubic += rows.size
+        v[rows], theta[rows] = end
+    assert cubic == n_points - anchors.size
+
+
+def test_sweeps_of_one_grid_size_build_its_plan_once(ieee14):
+    """The 14 sweeps of a 300-point map build the anchors, the other
+    candidates and the cubic's nodes and weights once, and share them
+    read-only."""
+    attacks._sweep_plan.cache_clear()
+    baseline = fx.sweep_baseline_measurements(ieee14)
+    for bus in range(1, ieee14.n_bus + 1):
+        sweep_stealth_range(ieee14, baseline, bus)
+    info = attacks._sweep_plan.cache_info()
+    assert (info.misses, info.hits) == (1, ieee14.n_bus - 1)
+    plan = attacks._sweep_plan(300)
+    assert [a.shape for a in plan] == [(21,), (279,), (279, 4), (279, 4)]
+    for a in plan:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_the_anchors_first_chord_step_evaluates_nothing(ieee14, monkeypatch):
+    """The anchors start from the baseline estimate, whose h and H the
+    memo holds: their first chord step evaluates neither (no
+    ``evaluate``, no ``_source``), where the same step without them
+    evaluates once, and every chord step of theirs, with them or without,
+    is the same bit for bit. Only the anchors' batch starts there."""
+    chord = []
+    gauss_newton = attacks.gauss_newton
+
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None, start_eval=None):
+        if gain_inv is not None:
+            chord.append((mm, z.copy(), sigmas, v.copy(), theta.copy(), gain_inv, start_eval))
+        return gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv, start_eval)
+
+    monkeypatch.setattr(attacks, "gauss_newton", spy)
+    sweep_stealth_range(ieee14, _noisy_sweep_baseline(ieee14), 2)
+    assert chord[0][6] is not None and all(call[6] is None for call in chord[1:])
+    mm, z, sig, v, theta, gain_inv, start_eval = chord[0]
+
+    counts = {"evaluate": 0, "_source": 0}
+    for name in counts:
+        def counted(*args, _name=name, _method=getattr(MeasurementModel, name), **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(MeasurementModel, name, counted)
+    runs = []
+    for given in (start_eval, None):
+        for max_iter in (1, attacks.SWEEP_CHORD_STEPS):
+            counts.update(dict.fromkeys(counts, 0))
+            vs, ths = v.copy(), theta.copy()
+            out = gauss_newton(mm, z, sig, vs, ths, attacks.SWEEP_DELTA, max_iter, gain_inv, start_eval=given)
+            runs.append((dict(counts), [a.tobytes() for a in (vs, ths, *out)]))
+    (first, step), (_, steps), (first_evaluated, step_evaluated), (_, steps_evaluated) = runs
+    assert first == {"evaluate": 0, "_source": 0} and first_evaluated == {"evaluate": 1, "_source": 1}
+    assert step == step_evaluated and steps == steps_evaluated
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 5])
@@ -643,12 +748,12 @@ def test_a_baseline_that_does_not_estimate_leaves_the_memo(ieee14, monkeypatch):
 
 
 def test_the_memo_arrays_are_read_only(ieee14, monkeypatch):
-    """The estimate and gain inverse that later sweeps share cannot be
-    written through."""
+    """The estimate, the gain inverse, and h and H at the estimate, which
+    later sweeps share, cannot be written through."""
     _counting_estimates(monkeypatch)
     sweep_stealth_range(ieee14, fx.sweep_baseline_measurements(ieee14), 2, n_points=20)
     arrays = [a for a in attacks._baseline_memo if isinstance(a, np.ndarray)]
-    assert len(arrays) == 3
+    assert len(arrays) == 4
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -663,8 +768,8 @@ def _sweep_j(monkeypatch, model, baseline, bus):
     j, j_end, v_end = np.empty(grid.size), np.empty(grid.size), np.empty((grid.size, model.n_bus))
     gauss_newton = attacks.gauss_newton
 
-    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None):
-        iterations, jb = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv)
+    def spy(mm, z, sigmas, v, theta, delta, max_iter, gain_inv=None, start_eval=None):
+        iterations, jb = gauss_newton(mm, z, sigmas, v, theta, delta, max_iter, gain_inv, start_eval)
         assert gain_inv is not None and iterations.all()
         rows = np.searchsorted(grid, z[:, idx])
         h, _ = mm.evaluate(v, theta, out=(None, None))

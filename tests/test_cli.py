@@ -356,6 +356,25 @@ def test_detect_reports_a_non_finite_branch_value_as_a_usage_error(tmp_path, fix
             assert (captured.out, captured.err) == ("", message)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_detect_reports_an_overflowing_bus_value_as_a_usage_error(tmp_path, fixture_dir, capsys):
+    """Bus 5's p_mw written 1e308 against the post-SE baseline printed
+    numpy's overflow warning, a load of 1e+308 MW and an IslandBalance
+    figure of 300 digits, classed FdiPostSe with exit 1; now, in the
+    snapshot or the baseline, it ends in one ``error:`` line naming the
+    record, the column and the bus, and exit 2."""
+    base = fixture_dir / "post_se_baseline.csv"
+    record = GridRecord.load(base)
+    row = next(ln for ln in base.read_text().splitlines() if ln.startswith("5,"))
+    bad = tmp_path / "huge.csv"
+    bad.write_text(base.read_text().replace(row, "5,0.9898,-8.77,1e308,1.6"))
+    assert row == "5,0.9898,-8.77,7.6,1.6"
+    message = f"error: record '{record.source}': p_mw 1e+308 at bus 5 overflows the detector's moments\n"
+    for pair in ((base, bad), (bad, base)):
+        assert run(["detect", "--baseline", str(pair[0]), "--snapshot", str(pair[1])]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 def test_detect_reports_a_bad_config_or_stats_file_as_a_usage_error(tmp_path, fixture_dir, capsys):
     """Each of these printed a traceback (KeyError, ValueError,
     JSONDecodeError, KeyError, FileNotFoundError twice, and for a NaN rule

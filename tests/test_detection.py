@@ -339,6 +339,35 @@ def test_baseline_vs_itself_is_quiet():
             assert rule_battery(read_pair(b, b, config=cfg)) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_read_pair_names_a_bus_value_whose_moments_overflow():
+    """A finite bus value so large that its channel's moments overflow
+    was read, with numpy overflow warnings, into NaN features and a report
+    of 300-digit figures. In the record or the baseline, it raises the
+    record check's ValueError naming the record, the column and the bus,
+    also beside the NaN row of a bus cut off, whose moments stay NaN."""
+    base = fx.post_se_baseline_record()
+    cut_off = replace(base, source="cut-off", buses=[
+        replace(r, v_pu=math.nan, theta_deg=math.nan, p_mw=math.nan, q_mvar=math.nan) if r.bus == 14 else r
+        for r in base.buses
+    ], branches=[
+        replace(br, status_from=BreakerState.OPEN, status_to=BreakerState.OPEN)
+        if 14 in (br.from_bus, br.to_bus) else br
+        for br in base.branches
+    ])
+    assert math.isnan(read_pair(cut_off, base).moments.std[1])
+    for record in (base, cut_off):
+        for field, value, bus, shown in (("p_mw", 1e308, 5, "1e+308"), ("q_mvar", -1e200, 9, "-1e+200"),
+                                         ("v_pu", 1e200, 3, "1e+200")):
+            huge = replace(record, buses=[replace(r, **{field: value}) if r.bus == bus else r
+                                          for r in record.buses])
+            message = f"record '{record.source}': {field} {shown} at bus {bus} overflows the detector's moments"
+            error = f"^{re.escape(message)}$"
+            for pair in ((huge, base), (base, huge)):
+                with pytest.raises(ValueError, match=error):
+                    read_pair(*pair)
+
+
 @pytest.mark.parametrize("v_scale, cfg", [
     (1.0, RuleConfig(zip_small_dv_frac=0.0)),  # V unchanged: ratio exactly 1
     (-1.0, RuleConfig()),  # V of the opposite sign: ratio below 0

@@ -30,6 +30,7 @@ from gridsec.estimation import (
     measurements_from_state,
     measurements_to_csv,
     normalized_residuals,
+    standard_channels,
     wls_estimate_ac,
     wls_estimate_dc,
 )
@@ -1070,6 +1071,21 @@ def test_estimate_equals_wls_estimate_ac_bit_for_bit(ieee14, solution):
         assert arrays.x_hat.v.tobytes() == whole.x_hat.v.tobytes()
         assert arrays.x_hat.theta.tobytes() == whole.x_hat.theta.tobytes()
         assert (arrays.j_value, arrays.iterations) == (whole.j_value, whole.iterations)
+
+
+@pytest.mark.parametrize("name", ["z", "sig"])
+def test_estimate_names_an_argument_without_one_entry_per_row(ieee14, monkeypatch, name):
+    """A ``z`` or ``sig`` one entry short raised numpy's broadcast error;
+    it raises ValueError naming the argument and both lengths, before any
+    evaluation."""
+    layout, sig = standard_channels(14)
+    mm = compiled(ieee14, None, layout)
+    args = {"z": np.ones(42), "sig": sig}
+    args[name] = args[name][:41]
+    monkeypatch.setattr(estimation, "gauss_newton", None)
+    error = rf"^{name} has shape \(41,\): expected \(42,\), one entry per row of mm$"
+    with pytest.raises(ValueError, match=error):
+        estimate(mm, args["z"], args["sig"])
 
 
 def test_estimate_names_the_channel_of_a_model_without_a_row(ieee14, solution):

@@ -237,6 +237,7 @@ _BAD_STORED = ["nan", "-5", "inf", "abc"]
 _IN_MEMORY = [None, None, None, None, 0.0, 3.5, math.nan, -5.0, math.inf, "abc"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150)
 @given(
     base=st.sampled_from(["post_se_baseline.csv", "scenario1a_baseline.csv"]),
@@ -262,6 +263,10 @@ _IN_MEMORY = [None, None, None, None, 0.0, 3.5, math.nan, -5.0, math.inf, "abc"]
 @example(base="post_se_baseline.csv", values=[],
          cells=[(13, 2, "Open"), (13, 4, "nan"), (13, 5, "0")],
          dropped=set(), chi2=None, stage=None, in_memory=None, as_baseline=True)
+# Bus 5's P written 1e308 overflowed the snapshot's moments, with numpy
+# warnings, and the report printed 300-digit figures.
+@example(base="post_se_baseline.csv", values=[(4, 3, "1e308")], cells=[], dropped=set(),
+         chi2=None, stage=None, in_memory=None, as_baseline=False)
 def test_fuzzed_record_ends_in_a_verdict_or_a_value_error(
     ieee14, base, values, cells, dropped, chi2, stage, in_memory, as_baseline
 ):
