@@ -90,28 +90,27 @@ class AttackVector:
         )
 
     def apply_to_record(self, record: GridRecord, base_mva: float = 100.0) -> GridRecord:
-        """Add the vector onto a bus record (V deltas in p.u., P/Q deltas
-        converted from p.u. to MW/Mvar); the result's ``extras`` is a copy."""
+        """Add the vector onto a bus record through ``manipulate_state_vector``:
+        the ``V{b}``, ``P{b}`` and ``Q{b}`` channels of buses 1 to the
+        record's highest bus id become a ``StateDelta`` (V in p.u., P and Q
+        from p.u. to MW/Mvar, theta 0), and other channels are ignored. The
+        result's ``extras`` is a copy, and its source ends in
+        ``+provenance``."""
         by_label = dict(zip(self.channels, self.deltas))
-        rows = []
-        for r in record.buses:
-            dv = by_label.get(f"V{r.bus}", 0.0)
-            dp = by_label.get(f"P{r.bus}", 0.0) * base_mva
-            dq = by_label.get(f"Q{r.bus}", 0.0) * base_mva
-            rows.append(
-                replace(r, v_pu=r.v_pu + dv, p_mw=r.p_mw + dp, q_mvar=r.q_mvar + dq)
-            )
+        n = max([0, *(r.bus for r in record.buses)])
+        delta = StateDelta.zeros(n)
+        for b in range(1, n + 1):
+            delta.dv[b - 1] = by_label.get(f"V{b}", 0.0)
+            delta.dp_mw[b - 1] = by_label.get(f"P{b}", 0.0) * base_mva
+            delta.dq_mvar[b - 1] = by_label.get(f"Q{b}", 0.0) * base_mva
         return replace(
-            record, buses=rows, source=f"{record.source}+{self.provenance}",
-            extras=dict(record.extras),
+            manipulate_state_vector(record, delta), source=f"{record.source}+{self.provenance}"
         )
 
 
-def _vector_from_named(
-    named: dict[str, float], provenance: str, n_bus: int = 14, metadata: dict | None = None
-) -> AttackVector:
-    # V1..Vn, P1..Pn, Q1..Qn: the standard direct-measurement layout.
-    channels = tuple(f"{kind}{b}" for kind in "VPQ" for b in range(1, n_bus + 1))
+def _vector_from_named(named: dict[str, float], provenance: str, metadata: dict | None = None) -> AttackVector:
+    # V1..V14, P1..P14, Q1..Q14: the standard direct-measurement layout.
+    channels = tuple(f"{kind}{b}" for kind in "VPQ" for b in range(1, 15))
     pos = {lbl: i for i, lbl in enumerate(channels)}
     deltas = np.zeros(len(channels))
     for lbl, val in named.items():
@@ -171,21 +170,18 @@ def build_scenario_1b(noise: bool = False, seed: int = 3) -> AttackVector:
 def stealth_from_state_delta(
     h_matrix: np.ndarray,
     c: np.ndarray,
-    channels: Sequence[str] | None = None,
+    channels: Sequence[str],
 ) -> AttackVector:
-    """a = H c: an attack in the column space of the measurement matrix.
-    Attached to any measurement vector it leaves the WLS residuals (and
-    hence the chi-square statistic) unchanged while shifting the estimate
-    by exactly c."""
+    """a = H c: an attack in the column space of the measurement matrix,
+    one delta per label of ``channels``. Attached to any measurement vector
+    it leaves the WLS residuals (and hence the chi-square statistic)
+    unchanged while shifting the estimate by exactly c."""
     h = np.asarray(h_matrix, dtype=float)
     c = np.asarray(c, dtype=float)
     if h.shape[1] != c.shape[0]:
         raise ValueError(f"state delta has {c.shape[0]} entries, H has {h.shape[1]} columns")
     a = h @ c
-    labels = tuple(channels) if channels is not None else tuple(
-        f"z{i}" for i in range(h.shape[0])
-    )
-    return AttackVector(a, labels, "StealthFromC", metadata={"c_norm": float(np.linalg.norm(c))})
+    return AttackVector(a, tuple(channels), "StealthFromC", metadata={"c_norm": float(np.linalg.norm(c))})
 
 
 @dataclass
@@ -537,7 +533,9 @@ def manipulate_state_vector(
 ) -> GridRecord:
     """Corrupt a stored record's bus table additively; the input record is
     preserved. The branch table is copied as stored: a post-estimation
-    attacker rewrites the bus rows, not the flows. With a model, a nonzero
+    attacker rewrites the bus rows, not the flows; the bus rows come out in
+    bus order. A row whose bus is outside the delta's buses raises
+    ValueError naming the record and the bus. With a model, a nonzero
     slack entry in ``delta`` raises ValueError naming the field, the slack
     bus and the value."""
     if model is not None:
@@ -546,8 +544,11 @@ def manipulate_state_vector(
             val = getattr(delta, name)[k]
             if val != 0.0:
                 raise ValueError(f"{name}: slack bus {k + 1} delta {val}: must be zero")
+    n = len(delta.dv)
     rows = []
     for r in sorted(record.buses, key=lambda r: r.bus):
+        if not 1 <= r.bus <= n:
+            raise ValueError(f"record {record.source!r}: bus {r.bus} is outside buses 1..{n} of the delta")
         i = r.bus - 1
         rows.append(
             BusRow(

@@ -30,7 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
+from .stats import BDD_ALPHA, PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 ATTACK_CLASSES = {"BadData", "StealthAttack", "FdiPostSe"}
 
@@ -194,7 +194,7 @@ def cmd_attack(args) -> int:
         record = post_se_baseline_record()
     if args.kind == "post-se":
         delta = StateDelta.from_changes(
-            record.n_bus,
+            model.n_bus,
             dv=_parse_kv("--dv", args.dv),
             dtheta_deg=_parse_kv("--dtheta", args.dtheta),
             dp_mw=_parse_kv("--dp", args.dp),
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_open(p)
     p.add_argument("--measurements", required=True)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=BDD_ALPHA)
     p.add_argument("--paper-compat", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_estimate)
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi2", help="chi-square detection threshold")
     p.add_argument("--df", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=BDD_ALPHA)
     p.add_argument("--paper-compat", action="store_true")
     p.set_defaults(fn=cmd_chi2)
 

@@ -61,12 +61,6 @@ __all__ = [
 N_BUS = 14
 FEATURE_DIM = 71
 
-DIRECT = slice(0, 42)
-STATISTICAL = slice(42, 50)
-CORRELATION = slice(50, 53)
-PHYSICS = slice(53, 58)
-GRADIENT = slice(58, 71)
-
 FEATURE_NAMES: tuple[str, ...] = tuple(
     [f"V{b}" for b in range(1, 15)]
     + [f"P{b}" for b in range(1, 15)]
@@ -88,9 +82,6 @@ class FeatureVector:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (FEATURE_DIM,):
             raise ValueError(f"feature vector must have {FEATURE_DIM} entries")
-
-    def block(self, sl: slice) -> np.ndarray:
-        return self.values[sl]
 
     def named(self) -> dict[str, float]:
         return dict(zip(FEATURE_NAMES, map(float, self.values)))

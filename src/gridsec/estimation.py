@@ -707,4 +707,4 @@ def iterative_bad_data_removal(
         kept = np.arange(z.size) != worst
         mm, z, sig = mm.without(worst), z[kept], sig[kept]
         result = _solve(mm, z, sig)
-    return replace(result, measurements=MeasurementSet([measurements.entries[i] for i in live])), removed
+    return replace(result, measurements=measurements.without(removed)), removed

@@ -160,31 +160,15 @@ class NetworkModel:
 
 @dataclass(frozen=True)
 class TopologyMatrix:
-    """In-service record per branch; ``t`` renders the symmetric bus-pair
-    0/1 matrix (1 iff the corresponding branch is in service)."""
+    """In-service record per branch, in the model's branch order: branch k
+    joins the buses ``pairs[k]`` and is live iff ``in_service[k]``."""
 
-    n_bus: int
     pairs: tuple[tuple[int, int], ...]
     in_service: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         if len(self.pairs) != len(self.in_service):
             raise ValueError("pairs and in_service length mismatch")
-
-    @property
-    def t(self) -> np.ndarray:
-        m = np.zeros((self.n_bus, self.n_bus), dtype=np.uint8)
-        for (f, to), live in zip(self.pairs, self.in_service):
-            if live:
-                m[f - 1, to - 1] = 1
-                m[to - 1, f - 1] = 1
-        return m
-
-    def status(self, from_bus: int, to_bus: int) -> bool:
-        for pair, live in zip(self.pairs, self.in_service):
-            if pair in ((from_bus, to_bus), (to_bus, from_bus)):
-                return live
-        raise KeyError(f"no branch between buses {from_bus} and {to_bus}")
 
 
 # What callers derive from a model object, per object, least recent first:
@@ -216,7 +200,6 @@ def derived(model: NetworkModel, build: Callable[[NetworkModel], T]) -> T:
 def build_topology(model: NetworkModel) -> TopologyMatrix:
     """Topology implied by the model's breaker pairs."""
     return TopologyMatrix(
-        n_bus=model.n_bus,
         pairs=tuple(br.pair for br in model.branches),
         in_service=tuple(br.closed for br in model.branches),
     )

@@ -30,14 +30,12 @@ from .estimation import (
 from .measmodel import MeasurementModel, compiled
 from .network import NetworkModel, build_ieee14, derived
 from .records import BusSnapshot, GridRecord
-from .stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
+from .stats import BDD_ALPHA, PAPER_CHI2_THRESHOLD, chi_square_threshold
 
 if TYPE_CHECKING:
     from .attacks import AttackVector
 
 __all__ = ["PipelineReport", "run_pipeline", "measurements_from_record"]
-
-BDD_ALPHA = 0.05  # false-alarm rate of the residual test on clean data
 
 
 @dataclass

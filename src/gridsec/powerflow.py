@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .measmodel import MeasKind, MeasurementModel, branch_flows, compiled
-from .network import BusKind, NetworkModel, TopologyMatrix, build_topology, island_references
+from .network import BusKind, NetworkModel, TopologyMatrix, build_topology
 
 __all__ = [
     "Island",
@@ -23,7 +23,6 @@ __all__ = [
     "PowerFlowSolution",
     "PowerFlowError",
     "solve",
-    "decompose_islands",
 ]
 
 
@@ -68,7 +67,7 @@ class BranchFlow:
 @dataclass
 class PowerFlowSolution:
     v: np.ndarray  # p.u. magnitude per bus
-    theta: np.ndarray  # radians per bus, slack at 0
+    theta: np.ndarray  # radians per bus, each island's angle reference at 0, a dead island NaN
     p_inj: np.ndarray  # MW net injection per bus
     q_inj: np.ndarray  # Mvar net injection per bus
     flows: list[BranchFlow]
@@ -76,23 +75,6 @@ class PowerFlowSolution:
     converged: bool
     iterations: int
     islands: list[IslandReport] = field(default_factory=list)
-
-    @property
-    def theta_deg(self) -> np.ndarray:
-        return np.degrees(self.theta)
-
-
-def decompose_islands(
-    model: NetworkModel, topology: TopologyMatrix | None = None
-) -> list[Island]:
-    """Connected components over in-service branches, ordered by their
-    smallest bus id."""
-    if topology is None:
-        topology = build_topology(model)
-    return [
-        Island(buses=comp, has_slack=model.bus(ref).kind is BusKind.SLACK)
-        for comp, ref in island_references(model, topology)
-    ]
 
 
 def bus_power(ybus: np.ndarray, v: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

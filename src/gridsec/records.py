@@ -145,19 +145,6 @@ class GridRecord:
             _check_extra(key, value, f"record {self.source!r}: {key}={value}")
         return value
 
-    # -- totals (load convention) ------------------------------------
-    @property
-    def total_generation_mw(self) -> float:
-        return self.snapshot().generation_mw
-
-    @property
-    def total_load_mw(self) -> float:
-        return self.snapshot().load_mw
-
-    @property
-    def total_loss_mw(self) -> float | None:
-        return self.branch_table().loss_mw
-
     # -- array views --------------------------------------------------
     def snapshot(self, base_mva: float = 100.0) -> "RecordSnapshot":
         """The bus table's V, P and Q in bus order, P and Q in p.u. of

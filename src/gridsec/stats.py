@@ -13,6 +13,7 @@ __all__ = [
     "chi2_cdf",
     "chi2_ppf",
     "chi_square_threshold",
+    "BDD_ALPHA",
     "PAPER_CHI2_THRESHOLD",
 ]
 
@@ -20,6 +21,8 @@ __all__ = [
 # feature test. Selectable via paper-compat switches; note it does not
 # equal the exact 95% quantile at 71 degrees of freedom (~91.67).
 PAPER_CHI2_THRESHOLD = 89.5
+
+BDD_ALPHA = 0.05  # false-alarm rate of the residual test on clean data
 
 _EPS = 1e-15
 _MAX_ITER = 500
@@ -153,7 +156,7 @@ def chi2_ppf(p: float, df: float) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def chi_square_threshold(df: int, alpha: float = 0.05) -> float:
+def chi_square_threshold(df: int, alpha: float = BDD_ALPHA) -> float:
     """Detection threshold: the (1 - alpha) chi-square quantile at df,
     memoized per (df, alpha). Raises ValueError naming the argument unless
     df >= 1 and 0 < alpha < 1."""

@@ -103,9 +103,9 @@ def test_stealth_column_space_projection(ieee14):
 
 
 def test_stealth_dimension_mismatch(ieee14):
-    h, _ = build_dc_jacobian(ieee14)
+    h, labels = build_dc_jacobian(ieee14)
     with pytest.raises(ValueError):
-        stealth_from_state_delta(h, np.zeros(h.shape[1] + 1))
+        stealth_from_state_delta(h, np.zeros(h.shape[1] + 1), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,54 @@ def test_attacked_records_do_not_share_the_input_extras():
     ):
         attacked.extras["bdd_chi2"] = 99.0
         assert base.extras == before
+
+
+def test_apply_to_record_writes_through_manipulate_state_vector():
+    """A vector is added to a record by the one bus-table writer: for 1A,
+    1B and a seeded vector on every V, P and Q channel, the result equals
+    ``manipulate_state_vector`` with the vector's V, P and Q channels as a
+    ``StateDelta`` (P and Q in MW and Mvar, theta 0), row for row; other
+    channels are ignored, and the baseline's extras are not shared."""
+    rng = np.random.default_rng(5)
+    seeded = {f"{kind}{b}": float(rng.uniform(-0.05, 0.05)) for kind in "VPQ" for b in range(1, 15)}
+    seeded["z0"] = 1.0
+    base = fx.post_se_baseline_record()
+    assert base.extras
+    for vector in (
+        build_scenario_1a(),
+        build_scenario_1b(noise=True, seed=3),
+        attacks.AttackVector(list(seeded.values()), tuple(seeded), "Seeded"),
+    ):
+        named = vector.nonzero()
+
+        def channel(kind: str, scale: float) -> dict[int, float]:
+            return {b: named[f"{kind}{b}"] * scale for b in range(1, 15) if f"{kind}{b}" in named}
+
+        delta = StateDelta.from_changes(14, dv=channel("V", 1.0), dp_mw=channel("P", 100.0),
+                                        dq_mvar=channel("Q", 100.0))
+        applied = vector.apply_to_record(base)
+        written = manipulate_state_vector(base, delta)
+        assert applied.buses == written.buses
+        assert [r.bus for r in applied.buses] == list(range(1, 15))
+        assert applied.branches == written.branches == base.branches
+        assert applied.source == f"{base.source}+{vector.provenance}"
+        assert applied.extras == base.extras and applied.extras is not base.extras
+
+
+def test_a_bus_row_outside_the_delta_is_named():
+    """The writer names a bus row that the delta has no entry for, rather
+    than raising IndexError or reading another bus's entry: a vector
+    applied to a record with a bus 0 row, and a 14-bus delta on a record
+    with a bus 15 row."""
+    base = fx.post_se_baseline_record()
+    for bus in (0, 15):
+        record = replace(base, buses=[*base.buses, replace(base.buses[0], bus=bus)])
+        message = rf"^record '{base.source}': bus {bus} is outside buses 1\.\.14 of the delta$"
+        with pytest.raises(ValueError, match=message):
+            manipulate_state_vector(record, StateDelta.zeros(14))
+        if bus == 0:
+            with pytest.raises(ValueError, match=message):
+                build_scenario_1a().apply_to_record(record)
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +906,9 @@ def test_scenario_2a_fixture_matches_quoted_rows():
     assert rec.bus_row(9).q_mvar == pytest.approx(-16.6)
     assert rec.bus_row(13).p_mw == pytest.approx(-13.5)
     base = fx.post_se_baseline_record()
-    assert rec.total_generation_mw - base.total_generation_mw == pytest.approx(90.8, abs=1e-9)
-    assert rec.total_load_mw - base.total_load_mw == pytest.approx(-90.8, abs=1e-9)
+    snap, base_snap = rec.snapshot(), base.snapshot()
+    assert snap.generation_mw - base_snap.generation_mw == pytest.approx(90.8, abs=1e-9)
+    assert snap.load_mw - base_snap.load_mw == pytest.approx(-90.8, abs=1e-9)
 
 
 def test_manipulate_preserves_original():

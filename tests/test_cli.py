@@ -143,6 +143,18 @@ def test_attack_topology_and_post_se(tmp_path):
     rec2 = GridRecord.load(out2)
     assert rec2.bus_row(4).p_mw == pytest.approx(-47.8)
 
+    # The delta spans the case's buses, so a record without bus 5 keeps its
+    # other rows (was an IndexError traceback).
+    from dataclasses import replace
+
+    base = fx.post_se_baseline_record()
+    missing, out3 = tmp_path / "missing_5.csv", tmp_path / "postse3.csv"
+    replace(base, buses=[r for r in base.buses if r.bus != 5]).save(missing)
+    assert run(["attack", "post-se", "--record", str(missing), "--dv", "4=0.01", "--out", str(out3)]) == 0
+    rec3 = GridRecord.load(out3)
+    assert [r.bus for r in rec3.buses] == [b for b in range(1, 15) if b != 5]
+    assert rec3.bus_row(4).v_pu == pytest.approx(base.bus_row(4).v_pu + 0.01)
+
 
 def test_sweep_cli_log_format(tmp_path):
     log = tmp_path / "log.csv"
@@ -605,6 +617,9 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     negative_v.write_text(replace(post_se, buses=[
         replace(r, v_pu=-r.v_pu) if r.bus == 13 else r for r in post_se.buses
     ]).to_csv())
+    # A bus row the case lacks was written out with exit 0.
+    bus_15 = tmp_path / "bus_15.csv"
+    bus_15.write_text(replace(post_se, buses=[*post_se.buses, replace(post_se.buses[-1], bus=15)]).to_csv())
     solved, dead_island = tmp_path / "solved.csv", tmp_path / "dead_island.csv"
     assert run(["solve", "--out", str(solved)]) == 0
     assert run(["solve", "--open", "9,14", "--open", "13,14", "--out", str(dead_island)]) == 0
@@ -773,6 +788,8 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
          f"{int_cells}: cells 5: expected a list of lists of segment ids"),
         (["som", "verify", "--dir", str(two_by_two), "--arrangement", str(one_row)],
          f"{one_row}: cells: row lengths [4]: expected n rows of n segment ids"),
+        (["attack", "post-se", "--record", str(bus_15), "--dv", "4=0.01"],
+         f"record '{post_se.source}': bus 15 is outside buses 1..14 of the delta"),
         # The slack row was rewritten (v_pu 1.11 at bus 1) with exit 0.
         (["attack", "post-se", "--dv", "1=0.05"], "dv: slack bus 1 delta 0.05: must be zero"),
     ]

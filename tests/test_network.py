@@ -106,7 +106,7 @@ def test_unknown_flip_rejected(ieee14):
 
 
 def test_breaker_topology_coherence(ieee14):
-    """t_ij = 1 exactly when both breakers of the branch are closed."""
+    """A branch is in service exactly when both of its breakers are closed."""
     from dataclasses import replace
 
     model = ieee14
@@ -115,8 +115,7 @@ def test_breaker_topology_coherence(ieee14):
         idx, replace(model.branches[idx], breaker_to=BreakerState.OPEN)
     )
     topo = build_topology(half_open)
-    assert topo.t[5, 12] == 0 and topo.t[12, 5] == 0
-    assert not topo.status(6, 13)
+    assert topo.pairs[idx] == (6, 13) and not topo.in_service[idx]
     for br, live in zip(half_open.branches, topo.in_service):
         assert live == (
             br.breaker_from is BreakerState.CLOSED and br.breaker_to is BreakerState.CLOSED

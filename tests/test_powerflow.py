@@ -17,8 +17,9 @@ from gridsec.network import (
     branch_admittances,
     build_ieee14,
     build_topology,
+    island_references,
 )
-from gridsec.powerflow import bus_power, decompose_islands, solve
+from gridsec.powerflow import bus_power, solve
 from gridsec.records import GridRecord
 
 
@@ -232,7 +233,7 @@ def test_symmetric_state_zero_flow():
 
 def test_island_decomposition_base_case():
     model = build_ieee14()
-    islands = decompose_islands(model)
+    islands = [rep.island for rep in solve(model).islands]
     assert len(islands) == 1
     assert islands[0].buses == frozenset(range(1, 15))
     assert islands[0].has_slack
@@ -266,7 +267,7 @@ def test_island_decomposition_against_bfs_oracle():
     for _ in range(30):
         flips = [int(i) for i in rng.choice(20, size=rng.integers(1, 9), replace=False)]
         topo = apply_topology_corruption(base, flips)
-        got = {isl.buses for isl in decompose_islands(model, topo)}
+        got = {buses for buses, _ in island_references(model, topo)}
         edges = [p for p, live in zip(topo.pairs, topo.in_service) if live]
         assert got == _bfs_components(14, edges)
 
@@ -286,8 +287,8 @@ def test_island_balances_report():
 def test_every_branch_open_gives_singletons():
     model = build_ieee14()
     topo = apply_topology_corruption(build_topology(model), list(range(20)))
-    islands = decompose_islands(model, topo)
-    assert [isl.buses for isl in islands] == [frozenset({b}) for b in range(1, 15)]
+    islands = [buses for buses, _ in island_references(model, topo)]
+    assert islands == [frozenset({b}) for b in range(1, 15)]
 
 
 def test_islanded_generator_promoted_to_slack():

@@ -397,8 +397,8 @@ def test_scenario_2b_values():
     base, rec = fx.post_se_baseline_record(), fx.scenario_2b_record()
     loads = [{b.bus: b.p_mw for b in r.buses if b.p_mw > 0} for r in (base, rec)]
     assert loads[0] == loads[1]
-    assert rec.total_generation_mw - base.total_generation_mw == pytest.approx(13.9, abs=1e-9)
-    assert rec.total_loss_mw == pytest.approx(28.78, abs=5e-3)
+    assert rec.snapshot().generation_mw - base.snapshot().generation_mw == pytest.approx(13.9, abs=1e-9)
+    assert rec.branch_table().loss_mw == pytest.approx(28.78, abs=5e-3)
 
 
 def test_scenario_2c_values():
@@ -683,6 +683,19 @@ def test_pipeline_accepts_attack_vector_input(ieee14):
     rules = {f.rule for f in report.verdict.findings if f.severity is Severity.VIOLATION}
     assert Rule.SENSITIVITY_BOUND in rules
     assert Rule.COMPENSATION_ENTROPY in rules
+
+
+@pytest.mark.parametrize("missing", [5, 14])
+def test_pipeline_names_the_bus_a_vector_baseline_lacks(ieee14, missing):
+    """A vector applied to a baseline without one bus row ends in
+    ``read_pair``'s ValueError naming that bus, whether the bus is the
+    last or lies below the record's highest bus id."""
+    from gridsec.attacks import build_scenario_1b
+
+    base, _ = fx.scenario_1b_records()
+    base.buses = [r for r in base.buses if r.bus != missing]
+    with pytest.raises(ValueError, match=rf"^record 'scenario1b-baseline': bus {missing} missing;"):
+        run_pipeline(base, build_scenario_1b(noise=True, seed=3), ieee14)
 
 
 @pytest.mark.parametrize(
