@@ -24,7 +24,7 @@ _EXPORTS = {
         "chi_square_statistic", "iterative_bad_data_removal", "wls_estimate_ac",
         "wls_estimate_dc",
     ),
-    "stats": ("PAPER_CHI2_THRESHOLD", "chi_square_threshold"),
+    "stats": ("DetectorProfile", "PAPER_CHI2_THRESHOLD", "PAPER_PROFILE", "chi_square_threshold"),
     "attacks": (
         "AttackVector", "StateDelta", "StealthRange", "build_scenario_1a", "build_scenario_1b",
         "corrupt_topology_record", "manipulate_state_vector", "stealth_from_state_delta",

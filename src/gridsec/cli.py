@@ -30,7 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-from .stats import BDD_ALPHA, PAPER_CHI2_THRESHOLD, chi_square_threshold
+from .stats import BDD_ALPHA, PAPER_CHI2_THRESHOLD, PAPER_PROFILE, DetectorProfile
 
 ATTACK_CLASSES = {"BadData", "StealthAttack", "FdiPostSe"}
 
@@ -132,13 +132,13 @@ def cmd_estimate(args) -> int:
     model = _load_model(args.case)
     topo = _topology_for(args, model)
     ms = _read_input(args.measurements, lambda p: measurements_from_csv(Path(p).read_text()))
-    chi_square_threshold(1, args.alpha)  # checks --alpha before estimating, under --paper-compat too
+    args.profile.threshold(1, args.alpha)  # checks --alpha before estimating
     try:
         result = wls_estimate_ac(model, ms, delta=args.delta, topology=topo)
     except EstimationError as exc:
         raise UsageError(f"{args.measurements}: {exc}") from None
     df = len(ms) - result.measurement_model.n_state
-    tau = PAPER_CHI2_THRESHOLD if args.paper_compat else chi_square_threshold(max(df, 1), args.alpha)
+    tau = args.profile.threshold(max(df, 1), args.alpha)
     verdict = bdd_classify(result, tau)
     doc = {
         "converged": result.converged,
@@ -310,16 +310,13 @@ def cmd_detect(args) -> int:
     from .records import GridRecord
 
     model = _load_model(args.case)
-    stats = config = None
+    stats, profile = None, args.profile
     if args.stats:
         stats = _read_input(args.stats, lambda p: baseline_from_json(Path(p).read_text()))
     if args.config:
-        config = _read_input(args.config, RuleConfig.from_file)
+        profile = profile._replace(rules=_read_input(args.config, RuleConfig.from_file))
     baseline, snapshot = (_read_input(p, GridRecord.load) for p in (args.baseline, args.snapshot))
-    report = run_pipeline(
-        baseline, snapshot, model,
-        baseline_stats=stats, config=config, paper_compat=args.paper_compat,
-    )
+    report = run_pipeline(baseline, snapshot, model, baseline_stats=stats, profile=profile)
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n")
     sys.stdout.write(report.text)
@@ -418,8 +415,7 @@ def cmd_som(args) -> int:
 
 
 def cmd_chi2(args) -> int:
-    tau = chi_square_threshold(args.df, args.alpha)  # checks both under --paper-compat too
-    print(f"{PAPER_CHI2_THRESHOLD if args.paper_compat else tau:.6f}")
+    print(f"{args.profile.threshold(args.df, args.alpha):.6f}")
     return 0
 
 
@@ -457,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", required=True)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--alpha", type=float, default=BDD_ALPHA)
-    p.add_argument("--paper-compat", action="store_true")
+    p.add_argument("--paper-compat", dest="profile", action="store_const",
+                   const=PAPER_PROFILE, default=DetectorProfile())
     p.add_argument("--out")
     p.set_defaults(fn=cmd_estimate)
 
@@ -500,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--stats", help="baseline statistics artifact (JSON)")
     p.add_argument("--config", help="rule-constant config file (key = value lines)")
-    p.add_argument("--paper-compat", action="store_true")
+    p.add_argument("--paper-compat", dest="profile", action="store_const",
+                   const=PAPER_PROFILE, default=DetectorProfile())
     p.add_argument("--json", help="write the JSON report here")
     p.set_defaults(fn=cmd_detect)
 
@@ -526,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi2", help="chi-square detection threshold")
     p.add_argument("--df", type=int, required=True)
     p.add_argument("--alpha", type=float, default=BDD_ALPHA)
-    p.add_argument("--paper-compat", action="store_true")
+    p.add_argument("--paper-compat", dest="profile", action="store_const",
+                   const=PAPER_PROFILE, default=DetectorProfile())
     p.set_defaults(fn=cmd_chi2)
 
     p = sub.add_parser("fixtures", help="materialize the shipped fixtures to a directory")

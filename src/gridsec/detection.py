@@ -724,12 +724,12 @@ class VerdictClass(str, Enum):
 class DetectionVerdict:
     klass: VerdictClass
     findings: list[Finding]
-    bdd_chi2: float | None
-    bdd_threshold: float | None = None
+    bdd_chi2: float
+    bdd_threshold: float
 
 
 def classify(
-    bdd: BddVerdict | None,
+    bdd: BddVerdict,
     findings: Sequence[Finding],
     island_report: IslandRecordReport | None = None,
 ) -> DetectionVerdict:
@@ -746,14 +746,9 @@ def classify(
     findings = list(findings)
 
     def verdict(klass: VerdictClass) -> DetectionVerdict:
-        return DetectionVerdict(
-            klass=klass,
-            findings=findings,
-            bdd_chi2=None if bdd is None else bdd.j_value,
-            bdd_threshold=None if bdd is None else bdd.threshold,
-        )
+        return DetectionVerdict(klass, findings, bdd.j_value, bdd.threshold)
 
-    if bdd is not None and bdd.flagged:
+    if bdd.flagged:
         return verdict(VerdictClass.BAD_DATA)
 
     violated = {_FAMILY[f.rule] for f in findings if f.severity is Severity.VIOLATION}

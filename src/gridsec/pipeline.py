@@ -14,7 +14,6 @@ from .detection import (
     BaselineStats,
     DetectionVerdict,
     PairReading,
-    RuleConfig,
     classify,
     features,
     read_pair,
@@ -30,7 +29,7 @@ from .estimation import (
 from .measmodel import MeasurementModel, compiled
 from .network import NetworkModel, build_ieee14, derived
 from .records import BusSnapshot, GridRecord
-from .stats import BDD_ALPHA, PAPER_CHI2_THRESHOLD, chi_square_threshold
+from .stats import DetectorProfile
 
 if TYPE_CHECKING:
     from .attacks import AttackVector
@@ -68,10 +67,10 @@ def _standard_model(model: NetworkModel) -> MeasurementModel:
     return compiled(model, None, standard_channels(model.n_bus)[0])
 
 
-def _bdd_for(reading: PairReading, mm: MeasurementModel, paper_compat: bool) -> BddVerdict:
+def _bdd_for(reading: PairReading, mm: MeasurementModel, profile: DetectorProfile) -> BddVerdict:
     """Residual-test verdict for the snapshot of ``reading``. The threshold
-    is the ``BDD_ALPHA`` chi-square quantile at df = m - n_state of the
-    compiled standard model ``mm``, or the paper's under ``paper_compat``.
+    is ``profile``'s at df = m - n_state of the compiled standard model
+    ``mm``.
 
     Post-estimation records were validated before corruption, so their
     stored chi-square (or their baseline's) applies; measurement-stage
@@ -91,7 +90,7 @@ def _bdd_for(reading: PairReading, mm: MeasurementModel, paper_compat: bool) -> 
             j = estimate(mm, _injections(snap), standard_channels(mm.n_bus)[1]).j_value
         except EstimationError as exc:
             raise type(exc)(f"record {target.source!r}: {exc}") from None
-    threshold = PAPER_CHI2_THRESHOLD if paper_compat else chi_square_threshold(mm.n_rows - mm.n_state, BDD_ALPHA)
+    threshold = profile.threshold(mm.n_rows - mm.n_state)
     return BddVerdict(flagged=j > threshold, threshold=threshold, j_value=float(j))
 
 
@@ -100,27 +99,28 @@ def run_pipeline(
     attacked: GridRecord | AttackVector,
     model: NetworkModel | None = None,
     baseline_stats: BaselineStats | None = None,
-    config: RuleConfig | None = None,
-    paper_compat: bool = False,
+    profile: DetectorProfile = DetectorProfile(),
 ) -> PipelineReport:
     """Estimation -> residual test -> features -> rules -> classification,
     with a deterministic JSON report and a readable text rendering, all
-    from one ``read_pair`` reading. The residual test is ``_bdd_for``'s. A
-    record that does not fit the model raises ValueError (see
+    from one ``read_pair`` reading, judged under ``profile``: the residual
+    test is ``_bdd_for``'s, and a fixed threshold replaces ``baseline_stats``'
+    own. A record that does not fit the model raises ValueError (see
     ``read_pair``), and one WLS cannot estimate an EstimationError naming
     the record."""
     if model is None:
         model = build_ieee14()
     if not isinstance(attacked, GridRecord):
         attacked = attacked.apply_to_record(baseline, base_mva=model.base_mva)
-    reading = read_pair(attacked, baseline, model, config)
-    bdd = _bdd_for(reading, derived(model, _standard_model), paper_compat)
+    reading = read_pair(attacked, baseline, model, profile.rules)
+    bdd = _bdd_for(reading, derived(model, _standard_model), profile)
 
     feature = {"chi2": None, "threshold": None}
     if baseline_stats is not None:
+        fixed = profile.fixed_threshold
         feature = {
             "chi2": round(baseline_stats.mahalanobis(features(reading.snap, reading.moments)), 6),
-            "threshold": round(PAPER_CHI2_THRESHOLD if paper_compat else baseline_stats.threshold, 6),
+            "threshold": round(baseline_stats.threshold if fixed is None else fixed, 6),
         }
 
     findings = rule_battery(reading)

@@ -1,13 +1,17 @@
-"""Chi-square distribution helpers for bad-data detection thresholds.
-
-Self-contained (series/continued-fraction incomplete gamma) so the test
-suite can cross-check against an independent statistics library.
+"""Chi-square thresholds for bad-data detection, and the ``DetectorProfile``
+that picks one (the paper's is ``PAPER_PROFILE``). Self-contained (series/
+continued-fraction incomplete gamma) so the test suite can cross-check
+against an independent statistics library.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .detection import RuleConfig
 
 __all__ = [
     "chi2_cdf",
@@ -15,10 +19,12 @@ __all__ = [
     "chi_square_threshold",
     "BDD_ALPHA",
     "PAPER_CHI2_THRESHOLD",
+    "DetectorProfile",
+    "PAPER_PROFILE",
 ]
 
 # Detection threshold the source material quotes for its 71-dimensional
-# feature test. Selectable via paper-compat switches; note it does not
+# feature test. ``PAPER_PROFILE`` judges every test at it; note it does not
 # equal the exact 95% quantile at 71 degrees of freedom (~91.67).
 PAPER_CHI2_THRESHOLD = 89.5
 
@@ -165,3 +171,20 @@ def chi_square_threshold(df: int, alpha: float = BDD_ALPHA) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha}: expected a number in (0, 1)")
     return chi2_ppf(1.0 - alpha, float(df))
+
+
+class DetectorProfile(NamedTuple):
+    """How the detector judges a record pair: the residual and feature
+    tests' fixed threshold (None: each test's chi-square quantile) and the
+    physics rules' constants (None: ``RuleConfig()``'s)."""
+
+    fixed_threshold: float | None = None
+    rules: RuleConfig | None = None
+
+    def threshold(self, df: int, alpha: float = BDD_ALPHA) -> float:
+        """``chi_square_threshold(df, alpha)``, which checks both, unless a threshold is fixed."""
+        quantile = chi_square_threshold(df, alpha)
+        return quantile if self.fixed_threshold is None else self.fixed_threshold
+
+
+PAPER_PROFILE = DetectorProfile(PAPER_CHI2_THRESHOLD)

@@ -33,7 +33,7 @@ from gridsec.som import (
     solve_arrangement,
     verify_arrangement,
 )
-from gridsec.stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
+from gridsec.stats import PAPER_CHI2_THRESHOLD, PAPER_PROFILE, chi_square_threshold
 
 SWEEP_STEP = 0.15 / 299
 
@@ -136,7 +136,7 @@ def test_criterion_4_rule_battery_on_stealth_fixtures(ieee14):
     ZipViolation (-76%); both classify StealthAttack under a clean
     chi-square test at the compat threshold 89.5."""
     base_a, att_a = fx.scenario_1a_records()
-    rep_a = run_pipeline(base_a, att_a, ieee14, paper_compat=True)
+    rep_a = run_pipeline(base_a, att_a, ieee14, profile=PAPER_PROFILE)
     viol_a = [f for f in rep_a.verdict.findings if f.severity is Severity.VIOLATION]
     sens = [f for f in viol_a if f.rule is Rule.SENSITIVITY_BOUND]
     ok_sens = bool(sens) and abs(sens[0].data["ratio"] - 1.875) < 1e-9
@@ -154,7 +154,7 @@ def test_criterion_4_rule_battery_on_stealth_fixtures(ieee14):
     )
 
     base_b, att_b = fx.scenario_1b_records()
-    rep_b = run_pipeline(base_b, att_b, ieee14, paper_compat=True)
+    rep_b = run_pipeline(base_b, att_b, ieee14, profile=PAPER_PROFILE)
     viol_b = [f for f in rep_b.verdict.findings if f.severity is Severity.VIOLATION]
     ramps = [f for f in viol_b if f.rule is Rule.RAMP_RATE and f.data["bus"] == 2]
     ok_ramp = bool(ramps) and abs(ramps[0].data["pct"] - 69.3) < 0.1
@@ -183,7 +183,7 @@ def test_criterion_5_post_se_detection(ieee14):
     loss ratio 1.94; 2C: IslandingValid."""
     base = fx.post_se_baseline_record()
 
-    rep_2a = run_pipeline(base, fx.scenario_2a_record(), ieee14, paper_compat=True)
+    rep_2a = run_pipeline(base, fx.scenario_2a_record(), ieee14, profile=PAPER_PROFILE)
     flips = sorted(
         f.data["bus"] for f in rep_2a.verdict.findings if f.rule is Rule.SIGN_FLIP
     )
@@ -197,7 +197,7 @@ def test_criterion_5_post_se_detection(ieee14):
         and abs(dload + 90.8) <= 0.05
     )
 
-    rep_2d = run_pipeline(base, fx.scenario_2d_record(), ieee14, paper_compat=True)
+    rep_2d = run_pipeline(base, fx.scenario_2d_record(), ieee14, profile=PAPER_PROFILE)
     open_hits = [f for f in rep_2d.verdict.findings if f.rule is Rule.OPEN_BREAKER_FLOW]
     ok_2d = (
         rep_2d.verdict.klass is VerdictClass.FDI_POST_SE
@@ -206,7 +206,7 @@ def test_criterion_5_post_se_detection(ieee14):
         and abs(open_hits[0].data["p_mw"] - 56.1) < 1e-9
     )
 
-    rep_2b = run_pipeline(base, fx.scenario_2b_record(), ieee14, paper_compat=True)
+    rep_2b = run_pipeline(base, fx.scenario_2b_record(), ieee14, profile=PAPER_PROFILE)
     loss_hits = [f for f in rep_2b.verdict.findings if f.rule is Rule.LOSS_SURGE]
     ratio = loss_hits[0].data["ratio"] if loss_hits else float("nan")
     ok_2b = (
@@ -214,7 +214,7 @@ def test_criterion_5_post_se_detection(ieee14):
         and abs(ratio - 1.94) <= 0.01
     )
 
-    rep_2c = run_pipeline(base, fx.scenario_2c_record(), ieee14, paper_compat=True)
+    rep_2c = run_pipeline(base, fx.scenario_2c_record(), ieee14, profile=PAPER_PROFILE)
     ok_2c = rep_2c.verdict.klass is VerdictClass.ISLANDING_VALID
 
     ok = ok_2a and ok_2d and ok_2b and ok_2c

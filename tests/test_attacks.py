@@ -33,7 +33,7 @@ from gridsec.estimation import (
 from gridsec.measmodel import MeasurementModel
 from gridsec.network import BreakerState, build_topology, connected_components
 from gridsec.powerflow import solve
-from gridsec.stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
+from gridsec.stats import PAPER_CHI2_THRESHOLD, PAPER_PROFILE, chi_square_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,9 @@ def test_sweep_nerc_clipping(ieee14):
         (lambda m, b: chi_square_threshold(5, 0.0), r"alpha 0\.0: expected a number in \(0, 1\)"),
         (lambda m, b: chi_square_threshold(5, 1.0), r"alpha 1\.0: expected a number in \(0, 1\)"),
         (lambda m, b: chi_square_threshold(5, float("nan")), r"alpha nan: expected a number in \(0, 1\)"),
+        (lambda m, b: PAPER_PROFILE.threshold(0), "df 0: expected at least 1"),
+        (lambda m, b: PAPER_PROFILE.threshold(5, 0.0), r"alpha 0\.0: expected a number in \(0, 1\)"),
+        (lambda m, b: PAPER_PROFILE.threshold(5, float("nan")), r"alpha nan: expected a number in \(0, 1\)"),
         (lambda m, b: sweep_stealth_range(m, b, 2, threshold=float("nan")),
          "threshold nan: expected a finite number"),
         (lambda m, b: sweep_stealth_range(m, b, 2, nerc=(1.05, 0.95)),
@@ -297,8 +300,8 @@ def test_sweep_nerc_clipping(ieee14):
         (lambda m, b: sweep_stealth_range(m, b, 2, n_points=1),
          "n_points 1: a sweep needs at least 2 points"),
     ],
-    ids=["df-0", "alpha-0", "alpha-1", "alpha-nan", "threshold-nan", "nerc-reversed",
-         "window-reversed", "n_points-1"],
+    ids=["df-0", "alpha-0", "alpha-1", "alpha-nan", "paper-df-0", "paper-alpha-0", "paper-alpha-nan",
+         "threshold-nan", "nerc-reversed", "window-reversed", "n_points-1"],
 )
 def test_library_rejects_a_bad_argument_naming_it(ieee14, call, message):
     """Each value is checked in the function that uses it, so a library

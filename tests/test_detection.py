@@ -28,6 +28,7 @@ from gridsec.estimation import BddVerdict
 from gridsec.network import BreakerState, build_ieee14
 from gridsec.records import BusRow, BusSnapshot, GridRecord
 from gridsec.scenarios import generate_all
+from gridsec.stats import DetectorProfile
 
 
 @pytest.fixture(scope="module")
@@ -399,14 +400,14 @@ def test_zip_voltage_ratio_without_a_finite_exponent(v_scale, cfg):
         with pytest.raises(ValueError, match=f"non-positive v_pu {v13} at bus 13"):
             rule_battery(read_pair(record, base, config=cfg))
         with pytest.raises(ValueError, match=f"non-positive v_pu {v13} at bus 13"):
-            run_pipeline(base, record, config=cfg)
+            run_pipeline(base, record, profile=DetectorProfile(rules=cfg))
         record = replace(record, branches=[
             replace(br, status_from=BreakerState.OPEN, status_to=BreakerState.OPEN)
             if 13 in (br.from_bus, br.to_bus) else br
             for br in record.branches
         ])
     runs = [rule_battery(read_pair(record, base, config=cfg)),
-            run_pipeline(base, record, config=cfg).verdict.findings]
+            run_pipeline(base, record, profile=DetectorProfile(rules=cfg)).verdict.findings]
     for findings in runs:
         hits = [f for f in findings if f.rule is Rule.ZIP_VIOLATION]
         assert [(f.data["bus"], f.severity) for f in hits] == [(13, Severity.VIOLATION)]
@@ -629,7 +630,7 @@ def test_islanding_balance_uses_the_configured_tolerance():
     for tol, klass in ((1.0, VerdictClass.FDI_POST_SE), (5.0, VerdictClass.ISLANDING_VALID)):
         cfg = RuleConfig(balance_tol_mw=tol)
         assert read_pair(shifted, shifted, config=cfg).island_report.all_balanced is (tol == 5.0)
-        verdict = run_pipeline(base, shifted, config=cfg).verdict
+        verdict = run_pipeline(base, shifted, profile=DetectorProfile(rules=cfg)).verdict
         rules = {f.rule for f in verdict.findings}
         assert (Rule.ISLAND_BALANCE in rules) is (tol == 1.0)
         assert verdict.klass is klass

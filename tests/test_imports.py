@@ -51,15 +51,19 @@ def test_import_gridsec_loads_no_submodule():
 
 def test_import_cli_loads_only_stats():
     assert loaded_after("import gridsec.cli") == {"gridsec", "gridsec.cli", "gridsec.stats"}
+    # Nor the modules a dataclass would load on every command.
+    heavy = "[m for m in ('dataclasses', 'inspect') if m in __import__('sys').modules]"
+    assert run_fresh("import gridsec.cli", heavy) == []
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["chi2", "--df", "15"],
+        ["chi2", "--df", "71", "--paper-compat"],
         ["som", "verify", "--dir", str(REFERENCE), "--arrangement", str(REFERENCE / "arrangement.json")],
     ],
-    ids=["chi2", "som-verify"],
+    ids=["chi2", "chi2-paper", "som-verify"],
 )
 def test_command_runs_without_numpy(argv):
     loaded = loaded_after(f"from gridsec.cli import main\nassert main({argv!r}) == 0")

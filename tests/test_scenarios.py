@@ -19,6 +19,7 @@ from gridsec.network import BreakerState, BusKind
 from gridsec.pipeline import measurements_from_record, run_pipeline
 from gridsec.records import GridRecord
 from gridsec.scenarios import TABLE5_SCENARIOS, generate_all
+from gridsec.stats import PAPER_PROFILE
 
 
 @pytest.fixture(scope="module")
@@ -198,12 +199,11 @@ def test_pipeline_threshold_follows_the_compiled_model(ieee14):
     """The residual test's df is m - n_state of the compiled standard
     model: 15 on the all-closed case, and 16 on a case whose own open
     breaker makes bus 8 an island (its angle is a reference too), as
-    ``gridsec estimate`` takes it; the paper's 89.5 under paper_compat."""
+    ``gridsec estimate`` takes it; the paper's 89.5 under ``PAPER_PROFILE``."""
     from gridsec.estimation import standard_channels
     from gridsec.measmodel import compiled
-    from gridsec.pipeline import BDD_ALPHA
     from gridsec.powerflow import solve
-    from gridsec.stats import PAPER_CHI2_THRESHOLD, chi_square_threshold
+    from gridsec.stats import BDD_ALPHA, PAPER_CHI2_THRESHOLD, chi_square_threshold
 
     islanded = replace(ieee14, branches=tuple(
         replace(br, breaker_from=BreakerState.OPEN) if br.pair == (7, 8) else br
@@ -218,7 +218,7 @@ def test_pipeline_threshold_follows_the_compiled_model(ieee14):
         report = run_pipeline(record, record, model)
         assert report.verdict.bdd_threshold == chi_square_threshold(df, BDD_ALPHA)
         assert report.verdict.bdd_chi2 < 1e-9 and not report.report["bdd"]["flagged"]
-        compat = run_pipeline(record, record, model, paper_compat=True)
+        compat = run_pipeline(record, record, model, profile=PAPER_PROFILE)
         assert compat.verdict.bdd_threshold == PAPER_CHI2_THRESHOLD == 89.5
 
 
@@ -428,14 +428,14 @@ def baseline_stats(outcomes):
 
 def test_pipeline_baseline_vs_itself_normal(ieee14):
     base = fx.post_se_baseline_record()
-    report = run_pipeline(base, base, ieee14, paper_compat=True)
+    report = run_pipeline(base, base, ieee14, profile=PAPER_PROFILE)
     assert report.verdict.klass is VerdictClass.NORMAL
     assert report.verdict.findings == []
 
 
 def test_pipeline_2a_classification(ieee14):
     report = run_pipeline(
-        fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14, paper_compat=True
+        fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14, profile=PAPER_PROFILE
     )
     assert report.verdict.klass is VerdictClass.FDI_POST_SE
     flips = sorted(
@@ -449,7 +449,7 @@ def test_pipeline_2a_classification(ieee14):
 
 def test_pipeline_2b_classification(ieee14):
     report = run_pipeline(
-        fx.post_se_baseline_record(), fx.scenario_2b_record(), ieee14, paper_compat=True
+        fx.post_se_baseline_record(), fx.scenario_2b_record(), ieee14, profile=PAPER_PROFILE
     )
     assert report.verdict.klass is VerdictClass.SYSTEM_STRESS
     loss = next(f for f in report.verdict.findings if f.rule is Rule.LOSS_SURGE)
@@ -458,14 +458,14 @@ def test_pipeline_2b_classification(ieee14):
 
 def test_pipeline_2c_classification(ieee14):
     report = run_pipeline(
-        fx.post_se_baseline_record(), fx.scenario_2c_record(), ieee14, paper_compat=True
+        fx.post_se_baseline_record(), fx.scenario_2c_record(), ieee14, profile=PAPER_PROFILE
     )
     assert report.verdict.klass is VerdictClass.ISLANDING_VALID
 
 
 def test_pipeline_2d_classification(ieee14):
     report = run_pipeline(
-        fx.post_se_baseline_record(), fx.scenario_2d_record(), ieee14, paper_compat=True
+        fx.post_se_baseline_record(), fx.scenario_2d_record(), ieee14, profile=PAPER_PROFILE
     )
     assert report.verdict.klass is VerdictClass.FDI_POST_SE
     hit = next(f for f in report.verdict.findings if f.rule is Rule.OPEN_BREAKER_FLOW)
@@ -477,7 +477,7 @@ def test_pipeline_1a_1b_classification(ieee14, baseline_stats):
     for builder, chi2 in ((fx.scenario_1a_records, 42.8), (fx.scenario_1b_records, 67.3)):
         base, attacked = builder()
         report = run_pipeline(base, attacked, ieee14, baseline_stats=baseline_stats,
-                              paper_compat=True)
+                              profile=PAPER_PROFILE)
         assert report.verdict.klass is VerdictClass.STEALTH_ATTACK
         assert report.verdict.bdd_chi2 == chi2
         assert not report.report["bdd"]["flagged"]
@@ -522,7 +522,7 @@ def test_pipeline_analyzes_islands_once(ieee14, baseline_stats, monkeypatch):
             sources.clear()
         return run_pipeline(
             baseline, fx.scenario_2a_record(), ieee14,
-            baseline_stats=baseline_stats, paper_compat=True,
+            baseline_stats=baseline_stats, profile=PAPER_PROFILE,
         )
 
     post_se = fx.post_se_baseline_record()
@@ -677,7 +677,7 @@ def test_pipeline_accepts_attack_vector_input(ieee14):
     from gridsec.attacks import build_scenario_1a
 
     base, _ = fx.scenario_1a_records()
-    report = run_pipeline(base, build_scenario_1a(), ieee14, paper_compat=True)
+    report = run_pipeline(base, build_scenario_1a(), ieee14, profile=PAPER_PROFILE)
     # Without a fixture chi-square the snapshot is re-estimated; either
     # way the physics rules catch the vector.
     rules = {f.rule for f in report.verdict.findings if f.severity is Severity.VIOLATION}
@@ -734,7 +734,7 @@ def test_pipeline_rejects_a_record_that_does_not_fit(ieee14, probe, message):
         "unknown-bus-branch": (post_se, replace(post_se, source="row-13-15", branches=row_13_15)),
     }[probe]
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_pipeline(baseline, snapshot, ieee14, paper_compat=True)
+        run_pipeline(baseline, snapshot, ieee14, profile=PAPER_PROFILE)
 
 
 def test_pipeline_scales_power_by_the_model_base(ieee14):
@@ -764,7 +764,7 @@ def test_pipeline_accepts_nan_rows_of_a_dead_island(ieee14):
     for r in (baseline, record):
         r.extras["stage"] = "post-se"
     assert math.isnan(record.bus_row(14).v_pu)
-    report = run_pipeline(baseline, record, ieee14, paper_compat=True)
+    report = run_pipeline(baseline, record, ieee14, profile=PAPER_PROFILE)
     assert report.report["snapshot"] == "isolated-14" and not report.report["bdd"]["flagged"]
     assert Rule.ZIP_VIOLATION not in {f.rule for f in report.verdict.findings}
     assert report.verdict.klass.value not in ATTACK_CLASSES
@@ -775,20 +775,20 @@ def test_pipeline_accepts_nan_rows_of_a_dead_island(ieee14):
         for br in record.branches
     ])
     with pytest.raises(ValueError, match="non-finite v_pu at bus 14"):
-        run_pipeline(baseline, closed, ieee14, paper_compat=True)
+        run_pipeline(baseline, closed, ieee14, profile=PAPER_PROFILE)
 
 
 def test_pipeline_report_deterministic(ieee14):
     a = run_pipeline(fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14,
-                     paper_compat=True)
+                     profile=PAPER_PROFILE)
     b = run_pipeline(fx.post_se_baseline_record(), fx.scenario_2a_record(), ieee14,
-                     paper_compat=True)
+                     profile=PAPER_PROFILE)
     assert a.to_json() == b.to_json()
     assert a.text == b.text
 
 
 def test_pipeline_text_mentions_core_facts(ieee14):
     report = run_pipeline(fx.post_se_baseline_record(), fx.scenario_2d_record(),
-                          ieee14, paper_compat=True)
+                          ieee14, profile=PAPER_PROFILE)
     assert "FdiPostSe" in report.text
     assert "56.1" in report.text

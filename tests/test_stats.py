@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from gridsec.stats import PAPER_CHI2_THRESHOLD, chi2_cdf, chi2_ppf, chi_square_threshold
+from gridsec.stats import (
+    PAPER_CHI2_THRESHOLD,
+    PAPER_PROFILE,
+    DetectorProfile,
+    chi2_cdf,
+    chi2_ppf,
+    chi_square_threshold,
+)
 
 # Frozen standard chi-square table values (0.95 quantile), the independent
 # oracle for the quantile implementation.
@@ -77,11 +84,15 @@ def test_monotone_in_df_and_alpha():
 
 def test_paper_compat_constant_documented_mismatch():
     """The quoted 89.5 detection threshold is not the exact 95% quantile at
-    71 degrees of freedom; it stays available as a compatibility constant."""
+    71 degrees of freedom; it stays available as a compatibility constant,
+    the threshold of ``PAPER_PROFILE``, while the default profile takes the
+    quantile."""
     exact = chi_square_threshold(71, 0.05)
     assert exact == pytest.approx(91.6702, rel=1e-4)
     assert PAPER_CHI2_THRESHOLD == 89.5
     assert abs(exact - PAPER_CHI2_THRESHOLD) > 1.0
+    assert PAPER_PROFILE.threshold(71) == 89.5
+    assert DetectorProfile().threshold(71) == chi_square_threshold(71)
 
 
 def test_input_validation():
